@@ -13,7 +13,6 @@ from .assimilation import (
     SweepPoint,
     TemporalMode,
     decay_study,
-    run_forward,
     run_twin,
     sweep_lambda,
 )
@@ -32,7 +31,6 @@ from .kinetic import (
     GRAVITY,
     ChiProfile,
     GibbsEquilibrium,
-    ScalarChi,
     XiSide,
     chi_cube_integral,
     chi_indicator,
@@ -43,7 +41,6 @@ from .kinetic import (
 )
 from .metrics import (
     ErrorSeries,
-    fit_decay_rate,
     l1_absolute,
     l1_relative,
     l2_absolute,

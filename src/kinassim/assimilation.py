@@ -1,11 +1,22 @@
-"""Twin-experiment drivers: gain schedules, observer runs, sweeps, decay fits.
+"""Twin experiments: gain schedules, per-model lanes, twin runs, sweeps, decay fits.
 
-A twin run advances a reference ("truth") trajectory with the forward solver,
-synthesises observations from it (masking, subsampling, deterministic noise),
-then advances the observer against those observations, recording error norms
-along the way.  Truth and observer share the truth's time grid, with the
-gain-augmented CFL applied to both; the observer subdivides a truth step only
-when its own transient state demands a shorter step.
+A twin run advances a reference ("truth") trajectory, synthesises
+observations from it (masking, subsampling, deterministic noise), then
+advances the observer against those observations, recording error norms
+along the way.
+
+Every model is the same kinetic equation with the relaxation source
+lam (M_obs - f); only the transport and the closure differ.  A *lane* holds
+that per-model part: its CFL bound, one step with an optional source toward
+an observed field, the field it observes and is compared on, the mollified
+source with its snapshots, and the energy (Saint-Venant only).  ``_lanes``
+builds the truth and observer lanes from the configuration, and each phase
+has one time loop over its lane.  The truth lane is the observer's scheme at
+lam = 0, except that the BGK observer's truth runs the collapsed lane.
+
+Truth and observer share the truth's time grid, with the gain-augmented CFL
+applied to both; the observer subdivides a truth step only when its own
+transient state demands a shorter step.
 """
 from __future__ import annotations
 
@@ -37,10 +48,10 @@ from .metrics import (
 from .observation import (
     Mollifier,
     NoiseSpec,
-    ObservationSeries,
     interpolate_in_time,
     mollified_gain,
     noise_field,
+    observe,
     sample_observations,
 )
 from .shallow_water import (
@@ -64,10 +75,6 @@ class BurgersObserverMode(Enum):
     BGK = "bgk"  # free kinetic density, no collapse
     COLLAPSE = "collapse"  # projected to an indicator after every step
     MACROSCOPIC = "macroscopic"  # Engquist-Osher moment scheme
-
-    @property
-    def kinetic(self) -> bool:
-        return self is not BurgersObserverMode.MACROSCOPIC
 
 
 @dataclass(frozen=True)
@@ -173,6 +180,7 @@ class RunResult:
 
     errors: ErrorSeries
     dt_history: np.ndarray
+    recorded_dt: np.ndarray  # truth step ending at each error row, NaN at t = 0
     final_truth: object
     final_observer: object
     grid: Grid1D
@@ -191,115 +199,226 @@ class RunResult:
         return float(self.errors.sobolev[-1])
 
 
-# --- truth phase -------------------------------------------------------------
+# --- lanes ---------------------------------------------------------------------
 
 
-def _mollifier_weight_max(times: np.ndarray, sigma: float) -> float:
-    moll = Mollifier(sigma)
+class _Lane:
+    """One model's scheme, shared by the truth and the observer phase.
+
+    ``step(state, dt, lam, target)`` relaxes toward ``target`` (NaN marks
+    unobserved cells) at gain ``lam``; target None is the unnudged step.
+    ``mollified_step`` adds the kernel-weighted sources of
+    ``_GainController.mollified_pairs`` instead.  The base class is a Burgers
+    lane on the scalar field u, given its bound and step as callables.
+    """
+
+    clamp_nonnegative = False  # truncate negative noisy observations
+
+    def __init__(self, initial, bound, step):
+        self.initial, self.bound, self.step = initial, bound, step
+
+    def cfl(self, state, probe=None) -> float:
+        return self.bound(state)
+
+    def observed(self, state):
+        return state
+
+    def snapshot(self, state):
+        return self.observed(state).copy()
+
+    def energy(self, state):
+        return None
+
+    def mollified_step(self, state, dt, lam, pairs):
+        ref_now = self.observed(state)
+        source = np.zeros_like(ref_now)
+        for w, obs_field, ref in pairs:
+            ref = ref_now if ref is None else ref
+            source += w * np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
+        return self.step(state, dt, 0.0, None) + lam * dt * source
+
+
+class _BGKLane(_Lane):
+    """Burgers, free kinetic density f(x, xi): the source acts in kinetic space."""
+
+    def observed(self, state):
+        return state.macroscopic()
+
+    def snapshot(self, state):
+        return state.values.copy()
+
+    def mollified_step(self, state, dt, lam, pairs):
+        nodes = state.xi.nodes[None, :]
+        source = np.zeros_like(state.values)
+        for w, obs_field, ref in pairs:
+            observed = np.isfinite(obs_field)
+            target = chi_indicator(nodes, np.where(observed, obs_field, 0.0)[:, None])
+            ref = state.values if ref is None else ref
+            source += w * np.where(observed[:, None], target - ref, 0.0)
+        new = self.step(state, dt, 0.0, None)
+        new.values = new.values + lam * dt * source
+        return new
+
+
+class _SWLane(_Lane):
+    """Kinetic Saint-Venant scheme; the observed field is the depth, averaged
+    over ``factor`` cells when the truth runs on a refined grid."""
+
+    clamp_nonnegative = True
+
+    def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
+        self.initial = state0.copy()
+        self.lam_cfl, self.safety, self.factor = lam_cfl, safety, factor
+
+    def cfl(self, state, probe=None) -> float:
+        """sv_cfl, tightened by the wet observed depths ``probe()`` returns."""
+        bound = sv_cfl(state, self.lam_cfl, self.safety)
+        obs = None if probe is None else probe()
+        wet = False if obs is None else np.isfinite(obs) & (obs > state.h_dry)
+        if np.any(wet):
+            speed = np.abs(state.velocity[wet]) + state.profile.support_halfwidth * np.sqrt(
+                state.g * obs[wet] / 2.0
+            )
+            dx = state.grid.dx
+            bound = min(bound, self.safety * dx / (self.lam_cfl * dx + float(np.max(speed))))
+        return bound
+
+    def step(self, state, dt, lam, target):
+        if target is None:
+            return sv_forward_step(state, dt)
+        return sv_observer_step(state, target, lam, dt)
+
+    def observed(self, state):
+        if self.factor == 1:
+            return state.h
+        return state.h.reshape(-1, self.factor).mean(axis=1)
+
+    def energy(self, state):
+        return total_energy(state)
+
+    def mollified_step(self, state, dt, lam, pairs):
+        # one source-and-settle update at the total weighted gain, so the CFL
+        # bound and the positivity check see the gain actually applied
+        dh, weight = np.zeros_like(state.h), 0.0
+        for w, obs_field, ref in pairs:
+            ref = state.h if ref is None else ref
+            dh += w * np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
+            weight += w
+        return sv_observer_step(state, None, lam * weight, dt, dh=dh / weight)
+
+
+def _lam_for_cfl(config: RunConfig) -> float:
+    """The gain the CFL bound allows for: lam times the largest total kernel
+    weight under the mollified gain."""
+    gain, times = config.gain, config.obs_times
+    if gain.temporal_mode is not TemporalMode.MOLLIFIED:
+        return gain.lam
+    if times is None:
+        raise ValueError("mollified gain needs explicit observation times")
+    moll, sigma = Mollifier(gain.sigma), gain.sigma
     probe = np.arange(times[0] - sigma, times[-1] + sigma + sigma / 64.0, sigma / 64.0)
     total = np.zeros_like(probe)
     for tk in times:
         total += moll.value(probe - tk)
-    return float(np.max(total)) * 1.0001
+    return gain.lam * (float(np.max(total)) * 1.0001)
 
 
-def _lam_for_cfl(config: RunConfig) -> float:
-    gain = config.gain
-    if gain.temporal_mode is TemporalMode.MOLLIFIED:
-        if config.obs_times is None:
-            raise ValueError("mollified gain needs explicit observation times")
-        return gain.lam * _mollifier_weight_max(config.obs_times, gain.sigma)
-    return gain.lam
+def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
+    """(truth lane, observer lane); both take the gain-augmented CFL bound."""
+    lam_cfl, safety, grid = _lam_for_cfl(config), config.cfl_safety, config.grid
+    if config.model == "shallow_water":
+        return (
+            _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor),
+            _SWLane(config.observer_state, lam_cfl, safety),
+        )
+    u0s = [np.asarray(u, dtype=float).copy() for u in (config.truth_u0, config.observer_u0)]
+    if config.fixed_xi is not None:
+        speed = config.fixed_xi
+        fixed = safety / (lam_cfl + abs(speed) / grid.dx)
+
+        def linear(f, dt, lam, target):
+            if target is None:
+                return step_kinetic_linear(f, speed, None, 0.0, dt, grid)
+            observed = np.isfinite(target)
+            return step_kinetic_linear(
+                f, speed, np.where(observed, target, 0.0), np.where(observed, lam, 0.0),
+                dt, grid,
+            )
+
+        return tuple(_Lane(u0, lambda f: fixed, linear) for u0 in u0s)
+    if config.observer_mode is BurgersObserverMode.MACROSCOPIC:
+        return tuple(
+            _Lane(
+                u0,
+                lambda u: burgers_cfl(
+                    lam_cfl, grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety
+                ),
+                lambda u, dt, lam, obs: step_macroscopic_burgers(u, obs, lam, dt, grid),
+            )
+            for u0 in u0s
+        )
+    lo = min(float(np.min(u0)) for u0 in u0s)
+    hi = max(float(np.max(u0)) for u0 in u0s)
+    xi = XiGrid.spanning(lo, hi, config.xi_margin, config.n_xi)
+    fixed = burgers_cfl(lam_cfl, grid.dx, xi.speed_sup, safety)
+    truth = _Lane(
+        u0s[0],
+        lambda u: fixed,
+        lambda u, dt, lam, obs: step_collapse_macroscopic(u, obs, lam, dt, grid, xi),
+    )
+    if config.observer_mode is BurgersObserverMode.COLLAPSE:
+        return truth, _Lane(u0s[1], truth.bound, truth.step)
+    return truth, _BGKLane(
+        KineticField.from_macroscopic(u0s[1], xi, grid),
+        truth.bound,
+        lambda f, dt, lam, obs: step_kinetic_burgers(f, obs, lam, dt, collapse=False),
+    )
+
+
+# --- truth phase -------------------------------------------------------------
 
 
 @dataclass
-class _Trajectory:
-    """Every-step truth record, duck-typed for sample_observations."""
+class _Truth:
+    """The truth's observed field at every step (duck-typed for
+    sample_observations), its steps, its energies when recorded, its end."""
 
     trajectory_times: np.ndarray
     trajectory_fields: np.ndarray
     grid: Grid1D
+    dts: np.ndarray
+    energies: list
+    final: object
 
 
-def _coarsen(values: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return values
-    return values.reshape(-1, factor).mean(axis=1)
-
-
-def _run_truth(config: RunConfig):
-    """Advance the truth to t_final, recording the observed field every step.
-
-    Returns (trajectory, states, dts) where states holds the full truth state
-    at every step time (needed for energies and final comparison).
-    """
-    lam_cfl = _lam_for_cfl(config)
-    safety = config.cfl_safety
-    if config.model == "shallow_water":
-        state = config.truth_state.copy()
-        factor = config.truth_resolution_factor
-        fields = [_coarsen(state.h, factor)]
-        states = [state]
-        step_cfl = lambda s: sv_cfl(s, lam_cfl, safety)
-        advance = lambda s, dt: sv_forward_step(s, dt)
-    elif config.fixed_xi is not None:
-        f = np.asarray(config.truth_u0, dtype=float).copy()
-        fields = [f.copy()]
-        states = [f]
-        dt_fix = safety / (lam_cfl + abs(config.fixed_xi) / config.grid.dx)
-        step_cfl = lambda s: dt_fix
-        advance = lambda s, dt: step_kinetic_linear(
-            s, config.fixed_xi, None, 0.0, dt, config.grid
-        )
-        state = f
-    else:
-        u = np.asarray(config.truth_u0, dtype=float).copy()
-        fields = [u.copy()]
-        states = [u]
-        if config.observer_mode is BurgersObserverMode.MACROSCOPIC:
-            step_cfl = lambda s: burgers_cfl(
-                lam_cfl, config.grid.dx, max(float(np.max(np.abs(s))), 1e-12), safety
-            )
-            advance = lambda s, dt: step_macroscopic_burgers(
-                s, None, 0.0, dt, config.grid
-            )
-        else:
-            xi = _xi_grid(config)
-            dt_fix = burgers_cfl(lam_cfl, config.grid.dx, xi.speed_sup, safety)
-            step_cfl = lambda s: dt_fix
-            advance = lambda s, dt: step_collapse_macroscopic(
-                s, None, 0.0, dt, config.grid, xi
-            )
-        state = u
-    times = [0.0]
-    dts = []
+def _run_truth(config: RunConfig, lane: _Lane) -> _Truth:
+    """Advance the truth lane unnudged to t_final."""
+    state = lane.initial
+    fields, energies = [lane.observed(state)], [lane.energy(state)]
+    times, dts = [0.0], []
     t = 0.0
     while t < config.t_final * (1.0 - _TIME_TOL):
-        dt = min(step_cfl(state), config.t_final - t)
-        state = advance(state, dt)
+        dt = min(lane.cfl(state), config.t_final - t)
+        state = lane.step(state, dt, 0.0, None)
         t += dt
         times.append(t)
         dts.append(dt)
-        states.append(state)
-        if config.model == "shallow_water":
-            fields.append(_coarsen(state.h, config.truth_resolution_factor))
-        else:
-            fields.append(np.array(state, copy=True))
-    traj = _Trajectory(np.asarray(times), np.asarray(fields), config.grid)
-    return traj, states, np.asarray(dts)
-
-
-def _xi_grid(config: RunConfig) -> XiGrid:
-    lo = min(float(np.min(config.truth_u0)), float(np.min(config.observer_u0)))
-    hi = max(float(np.max(config.truth_u0)), float(np.max(config.observer_u0)))
-    return XiGrid.spanning(lo, hi, config.xi_margin, config.n_xi)
+        fields.append(lane.observed(state))
+        if len(dts) % config.record_every == 0:
+            energies.append(lane.energy(state))
+    if len(dts) % config.record_every:  # the final state is always recorded
+        energies.append(lane.energy(state))
+    return _Truth(
+        np.asarray(times), np.asarray(fields), config.grid, np.asarray(dts), energies, state
+    )
 
 
 # --- gain control -------------------------------------------------------------
 
 
 class _GainController:
-    """Resolves the active observation field and weight for each substep.
+    """Resolves the active observation field and weight for each substep and
+    advances the observer lane with it.
 
     At-observation-time nudging uses the truth state at the start of the step
     that contains t_k (the explicit scheme's time level), so a twin started
@@ -308,38 +427,31 @@ class _GainController:
     whose targets are genuinely stamped at the observation times.
     """
 
-    def __init__(self, config: RunConfig, series: ObservationSeries | None,
-                 trajectory: _Trajectory):
-        self.config = config
-        self.series = series
-        self.trajectory = trajectory
-        self.mode = config.gain.temporal_mode
-        grid = config.grid
-        mask = np.ones(grid.n_cells, dtype=bool)
-        if config.gain.spatial_mask is not None:
-            mask &= grid.interval_mask(*config.gain.spatial_mask)
-        if config.obs_mask is not None:
-            mask &= grid.interval_mask(*config.obs_mask)
-        self.gain_mask = mask
+    def __init__(self, config: RunConfig, truth: _Truth, clamp: bool):
+        self.config, self.truth, self.clamp = config, truth, clamp
+        grid, gain = config.grid, config.gain
+        self.gain_mask = np.ones(grid.n_cells, dtype=bool)
+        for interval in (gain.spatial_mask, config.obs_mask):
+            if interval is not None:
+                self.gain_mask &= grid.interval_mask(*interval)
         self.mollifier = (
-            Mollifier(config.gain.sigma)
-            if self.mode is TemporalMode.MOLLIFIED
-            else None
+            Mollifier(gain.sigma) if gain.temporal_mode is TemporalMode.MOLLIFIED else None
         )
-        self._noise = (
-            noise_field(config.noise, grid) if config.noise is not None else None
-        )
-
-    def _masked(self, values: np.ndarray) -> np.ndarray:
-        return np.where(self.gain_mask, values, np.nan)
-
-    def _observed_truth(self, step_index: int) -> np.ndarray:
-        values = self.trajectory.trajectory_fields[step_index]
-        if self._noise is not None:
-            values = values + self._noise
-            if self.config.model == "shallow_water":
-                values = np.maximum(values, 0.0)
-        return self._masked(values)
+        self.snapshots: list = []  # observer reference at each observation time
+        self._noise = None if config.noise is None else noise_field(config.noise, grid)
+        self._key = self._target = None
+        # Sampled series for the modes that consume time-stamped observations;
+        # times past the horizon are dropped, they could never be assimilated.
+        self.series = None
+        if config.obs_times is not None and (
+            gain.temporal_mode is not TemporalMode.AT_OBSERVATION_TIMES
+        ):
+            times = config.obs_times[config.obs_times <= config.t_final * (1.0 + _TIME_TOL)]
+            if times.size:
+                self.series = sample_observations(
+                    truth, times, mask_interval=config.obs_mask, noise=config.noise,
+                    clamp_nonnegative=clamp,
+                )
 
     def relax_target(self, t_lo: float, t_hi: float, step_index: int,
                      is_last: bool):
@@ -347,22 +459,26 @@ class _GainController:
 
         Stateless in (t_lo, t_hi): substep windows partition the time axis
         half-open on the right (closed on the final step), so each
-        observation time fires exactly once.
+        observation time fires exactly once.  The last answer is kept, so an
+        undivided step fetches its target once for the CFL probe and the step.
         """
+        key = (t_lo, t_hi, step_index, is_last)
+        if key != self._key:
+            self._key, self._target = key, self._relax_target(*key)
+        return self._target
+
+    def _relax_target(self, t_lo, t_hi, step_index, is_last):
         cfg = self.config
         if cfg.gain.lam == 0.0:
             return 0.0, None
-        if cfg.obs_times is None:
-            return 1.0, self._observed_truth(step_index)
         times = cfg.obs_times
-        if self.mode is TemporalMode.AT_OBSERVATION_TIMES:
-            tol = _TIME_TOL * max(1.0, cfg.t_final)
-            hi = t_hi + tol if is_last else t_hi
-            lo_idx = int(np.searchsorted(times, t_lo, side="left"))
-            hi_idx = int(np.searchsorted(times, hi, side="left"))
-            if hi_idx == lo_idx:
-                return 0.0, None
-            return 1.0, self._observed_truth(step_index)
+        if times is None or cfg.gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES:
+            if times is not None:
+                hi = t_hi + _TIME_TOL * max(1.0, cfg.t_final) if is_last else t_hi
+                if np.searchsorted(times, hi) == np.searchsorted(times, t_lo):
+                    return 0.0, None
+            values = self.truth.trajectory_fields[step_index]
+            return 1.0, observe(values, self._noise, self.gain_mask, self.clamp)
         # EVERY_STEP against a sampled series
         if self.series is None:  # nothing observable inside the horizon
             return 0.0, None
@@ -373,315 +489,108 @@ class _GainController:
             values = interpolate_in_time(self.series, min(t_lo, times[-1]))
         else:
             k = int(np.searchsorted(times, t_lo + _TIME_TOL)) - 1
-            k = max(k, 0)
-            values = self.series.fields[k]
-        return 1.0, self._masked(values)
+            values = self.series.fields[max(k, 0)]
+        return 1.0, observe(values, None, self.gain_mask)
 
     def mollified_pairs(self, t: float):
-        """[(k, weight, field)] of kernel contributions at time t."""
+        """[(weight, field, snapshot)] of kernel contributions at time t; the
+        snapshot is None until the observer has reached that observation."""
         if self.series is None:
             return []
-        total, pairs = mollified_gain(self.series, self.mollifier, t)
-        return [(k, w, self._masked(f)) for k, w, f in pairs]
+        _, pairs = mollified_gain(self.series, self.mollifier, t)
+        snaps = self.snapshots
+        return [
+            (w, observe(f, None, self.gain_mask), snaps[k] if k < len(snaps) else None)
+            for k, w, f in pairs
+        ]
+
+    def probe(self, t_lo, t_hi, step_index, is_last):
+        """An observed field active on [t_lo, t_hi], for the observer's CFL."""
+        if self.mollifier is None:
+            return self.relax_target(t_lo, t_hi, step_index, is_last)[1]
+        pairs = self.mollified_pairs(t_lo)
+        return pairs[0][1] if pairs else None
+
+    def advance(self, lane: _Lane, state, t: float, dt: float, step_index: int,
+                is_last: bool):
+        """One observer substep over [t, t + dt]."""
+        lam = self.config.gain.lam
+        if self.mollifier is None:
+            weight, target = self.relax_target(t, t + dt, step_index, is_last)
+            gain = lam * weight if target is not None else 0.0
+            return lane.step(state, dt, gain, target if gain > 0.0 else None)
+        pairs = self.mollified_pairs(t)
+        if pairs:
+            state = lane.mollified_step(state, dt, lam, pairs)
+        else:
+            state = lane.step(state, dt, 0.0, None)
+        times = [] if self.series is None else self.series.times
+        while len(self.snapshots) < len(times) and (
+            times[len(self.snapshots)] <= t + dt + _TIME_TOL
+        ):
+            self.snapshots.append(lane.snapshot(state))
+        return state
 
 
 # --- observer phase ------------------------------------------------------------
 
 
-def _error_row(obs_field, truth_field, grid: Grid1D, order: float):
-    err = np.asarray(obs_field) - np.asarray(truth_field)
-    return (
-        l1_relative(obs_field, truth_field, grid.dx),
-        l1_absolute(obs_field, truth_field, grid.dx),
-        l2_absolute(obs_field, truth_field, grid.dx),
-        sobolev_seminorm(err, order, grid),
-    )
+def _energies(values: list) -> np.ndarray | None:
+    return None if values[0] is None else np.asarray(values)
 
 
-class _Recorder:
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.times, self.rows = [], []
-        self.e_obs, self.e_truth = [], []
+def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
+                  controller: _GainController) -> RunResult:
+    """Advance the observer lane on the truth's time grid, one row of error
+    norms (t, dt, L1 rel, L1, L2, Sobolev) per recorded step."""
+    times, fields, dts = truth.trajectory_times, truth.trajectory_fields, truth.dts
+    grid, order = config.grid, config.sobolev_order
+    state = lane.initial
+    rows, energies = [], []
 
-    def record(self, t, obs_field, truth_field, obs_state=None, truth_state=None):
-        self.times.append(t)
-        self.rows.append(
-            _error_row(obs_field, truth_field, self.config.grid, self.config.sobolev_order)
-        )
-        if self.config.model == "shallow_water":
-            self.e_obs.append(total_energy(obs_state))
-            self.e_truth.append(total_energy(truth_state))
+    def record(n):
+        obs, ref = lane.observed(state), fields[n]
+        rows.append((
+            times[n], dts[n - 1] if n else math.nan,
+            l1_relative(obs, ref, grid.dx), l1_absolute(obs, ref, grid.dx),
+            l2_absolute(obs, ref, grid.dx), sobolev_seminorm(obs - ref, order, grid),
+        ))
+        energies.append(lane.energy(state))
 
-    def series(self) -> ErrorSeries:
-        rows = np.asarray(self.rows)
-        return ErrorSeries(
-            times=np.asarray(self.times),
-            l1_rel=rows[:, 0],
-            l1_abs=rows[:, 1],
-            l2_abs=rows[:, 2],
-            sobolev=rows[:, 3],
-            order=self.config.sobolev_order,
-        )
-
-
-def _build_series(config: RunConfig, traj: _Trajectory) -> ObservationSeries | None:
-    """Sampled series for the modes that consume time-stamped observations.
-
-    Observation times past the run horizon are dropped: they could never be
-    assimilated within the run.
-    """
-    if config.obs_times is None:
-        return None
-    if config.gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES:
-        return None  # the controller reads the step-start truth directly
-    times = config.obs_times[config.obs_times <= config.t_final * (1.0 + _TIME_TOL)]
-    if times.size == 0:
-        return None
-    return sample_observations(
-        traj,
-        times,
-        mask_interval=config.obs_mask,
-        noise=config.noise,
-        clamp_nonnegative=(config.model == "shallow_water"),
+    record(0)
+    for n, dt in enumerate(dts):
+        last = n == len(dts) - 1
+        bound = lane.cfl(state, lambda: controller.probe(times[n], times[n + 1], n, last))
+        m = 1 if bound >= dt * (1.0 - 1e-9) else int(math.ceil(dt / bound))
+        for j in range(m):
+            state = controller.advance(
+                lane, state, times[n] + j * (dt / m), dt / m, n, last and j == m - 1
+            )
+        if (n + 1) % config.record_every == 0 or last:
+            record(n + 1)
+    table = np.asarray(rows)
+    return RunResult(
+        errors=ErrorSeries(*table[:, [0, 2, 3, 4, 5]].T, order=order),
+        dt_history=dts,
+        recorded_dt=table[:, 1],
+        final_truth=truth.final,
+        final_observer=state,
+        grid=grid,
+        config_echo=config.echo(),
+        energy_observer=_energies(energies),
+        energy_truth=_energies(truth.energies),
     )
 
 
 def run_twin(config: RunConfig, store_truth: bool = False) -> RunResult:
     """Run the full twin experiment described by ``config``."""
-    traj, truth_states, dts = _run_truth(config)
-    series = _build_series(config, traj)
-    controller = _GainController(config, series, traj)
-    if config.model == "shallow_water":
-        result = _run_observer_sw(config, traj, truth_states, dts, controller)
-    else:
-        result = _run_observer_burgers(config, traj, truth_states, dts, controller)
+    truth_lane, observer_lane = _lanes(config)
+    truth = _run_truth(config, truth_lane)
+    controller = _GainController(config, truth, truth_lane.clamp_nonnegative)
+    result = _run_observer(config, observer_lane, truth, controller)
     if store_truth:
-        result.trajectory_times = traj.trajectory_times
-        result.trajectory_fields = traj.trajectory_fields
-    return result
-
-
-def run_forward(config: RunConfig) -> RunResult:
-    """Truth-only forward run with its trajectory attached (observation source)."""
-    forward = replace(config, gain=GainSchedule(0.0), obs_times=None, noise=None)
-    return run_twin(forward, store_truth=True)
-
-
-def _substeps(dt_truth: float, observer_bound: float) -> int:
-    if observer_bound >= dt_truth * (1.0 - 1e-9):
-        return 1
-    return int(math.ceil(dt_truth / observer_bound))
-
-
-def _run_observer_burgers(config, traj, truth_states, dts, controller) -> RunResult:
-    grid = config.grid
-    lam = config.gain.lam
-    lam_cfl = _lam_for_cfl(config)
-    mode = config.observer_mode
-    linear = config.fixed_xi is not None
-    xi = None if linear else _xi_grid(config)
-
-    if linear:
-        state = np.asarray(config.observer_u0, dtype=float).copy()
-        macro = lambda s: s
-    elif mode is BurgersObserverMode.BGK:
-        state = KineticField.from_macroscopic(config.observer_u0, xi, grid)
-        macro = lambda s: s.macroscopic()
-    else:
-        state = np.asarray(config.observer_u0, dtype=float).copy()
-        macro = lambda s: s
-
-    def observer_bound(s) -> float:
-        if linear:
-            return config.cfl_safety / (lam_cfl + abs(config.fixed_xi) / grid.dx)
-        if mode is BurgersObserverMode.MACROSCOPIC:
-            u_sup = max(float(np.max(np.abs(macro(s)))), 1e-12)
-            return burgers_cfl(lam_cfl, grid.dx, u_sup, config.cfl_safety)
-        return burgers_cfl(lam_cfl, grid.dx, xi.speed_sup, config.cfl_safety)
-
-    def advance(s, dt, weight, target):
-        lam_eff = lam * weight if target is not None else 0.0
-        obs = target if lam_eff > 0.0 else None
-        if linear:
-            f_obs = None
-            lam_field = 0.0
-            if obs is not None:
-                observed = np.isfinite(obs)
-                f_obs = np.where(observed, obs, 0.0)
-                lam_field = np.where(observed, lam_eff, 0.0)
-            return step_kinetic_linear(s, config.fixed_xi, f_obs, lam_field, dt, grid)
-        if mode is BurgersObserverMode.BGK:
-            return step_kinetic_burgers(s, obs, lam_eff, dt, collapse=False)
-        if mode is BurgersObserverMode.COLLAPSE:
-            return step_collapse_macroscopic(s, obs, lam_eff, dt, grid, xi)
-        return step_macroscopic_burgers(s, obs, lam_eff, dt, grid)
-
-    def add_mollified_source(s, dt, pairs, snapshots):
-        if not pairs:
-            return advance(s, dt, 0.0, None)
-        if linear or mode is not BurgersObserverMode.BGK:
-            ref_now = macro(s)
-            source = np.zeros(grid.n_cells)
-            for k, w, obs_field in pairs:
-                ref = snapshots.get(k, ref_now)
-                diff = np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
-                source += w * diff
-            return advance(s, dt, 0.0, None) + lam * dt * source
-        # bgk: source in kinetic space
-        source = np.zeros_like(s.values)
-        for k, w, obs_field in pairs:
-            observed = np.isfinite(obs_field)
-            target = chi_indicator(
-                xi.nodes[None, :], np.where(observed, obs_field, 0.0)[:, None]
-            )
-            ref = snapshots.get(k, s.values)
-            source += w * np.where(observed[:, None], target - ref, 0.0)
-        new = advance(s, dt, 0.0, None)
-        new.values = new.values + lam * dt * source
-        return new
-
-    mollified = config.gain.temporal_mode is TemporalMode.MOLLIFIED
-    snapshots: dict[int, np.ndarray] = {}
-    snap_ptr = 0
-    recorder = _Recorder(config)
-    recorder.record(0.0, macro(state), traj.trajectory_fields[0])
-    times = traj.trajectory_times
-    n_steps = len(times) - 1
-    for n in range(n_steps):
-        t_lo, t_hi = times[n], times[n + 1]
-        dt_truth = dts[n]
-        m = _substeps(dt_truth, observer_bound(state))
-        delta = dt_truth / m
-        for j in range(m):
-            t_sub = t_lo + j * delta
-            if mollified:
-                pairs = controller.mollified_pairs(t_sub)
-                state = add_mollified_source(state, delta, pairs, snapshots)
-            else:
-                weight, target = controller.relax_target(
-                    t_sub, t_sub + delta, n, is_last=(n == n_steps - 1 and j == m - 1)
-                )
-                state = advance(state, delta, weight, target)
-            if mollified and controller.series is not None:
-                t_new = t_sub + delta
-                obs_times = controller.series.times
-                while snap_ptr < len(obs_times) and obs_times[snap_ptr] <= t_new + _TIME_TOL:
-                    if not linear and mode is BurgersObserverMode.BGK:
-                        snapshots[snap_ptr] = state.values.copy()
-                    else:
-                        snapshots[snap_ptr] = np.array(macro(state), copy=True)
-                    snap_ptr += 1
-        if (n + 1) % config.record_every == 0 or n == n_steps - 1:
-            recorder.record(t_hi, macro(state), traj.trajectory_fields[n + 1])
-    return RunResult(
-        errors=recorder.series(),
-        dt_history=dts,
-        final_truth=truth_states[-1],
-        final_observer=state,
-        grid=grid,
-        config_echo=config.echo(),
-    )
-
-
-def _run_observer_sw(config, traj, truth_states, dts, controller) -> RunResult:
-    grid = config.grid
-    lam = config.gain.lam
-    lam_cfl = _lam_for_cfl(config)
-    state = config.observer_state.copy()
-    factor = config.truth_resolution_factor
-
-    def observer_bound(s, obs_field=None) -> float:
-        bound = sv_cfl(s, lam_cfl, config.cfl_safety)
-        if obs_field is not None:
-            wet = np.isfinite(obs_field) & (obs_field > s.h_dry)
-            if np.any(wet):
-                w = s.profile.support_halfwidth
-                speed = np.abs(s.velocity[wet]) + w * np.sqrt(
-                    s.g * obs_field[wet] / 2.0
-                )
-                bound = min(
-                    bound,
-                    config.cfl_safety
-                    * grid.dx
-                    / (lam_cfl * grid.dx + float(np.max(speed))),
-                )
-        return bound
-
-    mollified = config.gain.temporal_mode is TemporalMode.MOLLIFIED
-    snapshots: dict[int, np.ndarray] = {}
-    snap_ptr = 0
-    recorder = _Recorder(config)
-    recorder.record(
-        0.0,
-        state.h,
-        traj.trajectory_fields[0],
-        obs_state=state,
-        truth_state=truth_states[0],
-    )
-    times = traj.trajectory_times
-    n_steps = len(times) - 1
-    for n in range(n_steps):
-        t_lo, t_hi = times[n], times[n + 1]
-        dt_truth = dts[n]
-        if mollified:
-            pairs = controller.mollified_pairs(t_lo)
-            probe = pairs[0][2] if pairs else None
-        else:
-            weight, target = controller.relax_target(
-                t_lo, t_hi, n, is_last=(n == n_steps - 1)
-            )
-            probe = target
-        m = _substeps(dt_truth, observer_bound(state, probe))
-        delta = dt_truth / m
-        for j in range(m):
-            t_sub = t_lo + j * delta
-            if mollified:
-                pairs = controller.mollified_pairs(t_sub)
-                dh_rate = np.zeros(grid.n_cells)
-                for k, w, obs_field in pairs:
-                    ref = snapshots.get(k, state.h)
-                    dh_rate += w * np.where(
-                        np.isfinite(obs_field), obs_field - ref, 0.0
-                    )
-                u = state.velocity
-                new = sv_forward_step(state, delta)
-                h = np.maximum(new.h + lam * delta * dh_rate, 0.0)
-                q = new.q + lam * delta * u * dh_rate
-                state = replace(new, h=h, q=q)
-                if controller.series is not None:
-                    t_new = t_sub + delta
-                    obs_times = controller.series.times
-                    while snap_ptr < len(obs_times) and obs_times[snap_ptr] <= t_new + _TIME_TOL:
-                        snapshots[snap_ptr] = state.h.copy()
-                        snap_ptr += 1
-            else:
-                weight, target = controller.relax_target(
-                    t_sub, t_sub + delta, n,
-                    is_last=(n == n_steps - 1 and j == m - 1),
-                )
-                if target is not None and lam * weight > 0.0:
-                    state = sv_observer_step(state, target, lam * weight, delta)
-                else:
-                    state = sv_forward_step(state, delta)
-        if (n + 1) % config.record_every == 0 or n == n_steps - 1:
-            recorder.record(
-                t_hi,
-                state.h,
-                traj.trajectory_fields[n + 1],
-                obs_state=state,
-                truth_state=truth_states[n + 1],
-            )
-    result = RunResult(
-        errors=recorder.series(),
-        dt_history=dts,
-        final_truth=truth_states[-1],
-        final_observer=state,
-        grid=grid,
-        config_echo=config.echo(),
-        energy_observer=np.asarray(recorder.e_obs),
-        energy_truth=np.asarray(recorder.e_truth),
-    )
+        result.trajectory_times = truth.trajectory_times
+        result.trajectory_fields = truth.trajectory_fields
     return result
 
 

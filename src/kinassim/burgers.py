@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import BoundaryKind, Grid1D, XiGrid
 from .kinetic import chi_indicator
@@ -217,6 +216,8 @@ def exact_relaxation_solution(f0: KineticField, M, lam: float, t: float) -> Kine
     as a piecewise-constant cell field, wrapped periodically or extended by
     zero according to the grid's boundary kind.
     """
+    from scipy.integrate import quad  # deferred: scipy.integrate dominates import time
+
     grid, xig = f0.grid, f0.xi
     n, m = grid.n_cells, xig.n_xi
     centers, nodes = grid.centers, xig.nodes

@@ -21,9 +21,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--out", help="write a CSV report to this path")
-        p.add_argument("--seed", type=int, help="seed for stochastic noise")
+        if seeded:
+            p.add_argument("--seed", type=int, help="seed for stochastic noise")
         p.add_argument("--quiet", action="store_true", help="suppress the summary")
 
     p_burgers = sub.add_parser("run-burgers", help="run a Burgers twin experiment")
@@ -48,13 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--speed", type=float, required=True)
     p_obs.add_argument("--interval", required=True, help="a,b with 0 < a < b < 1")
     p_obs.add_argument("--horizon", type=float, required=True)
-    common(p_obs)
+    common(p_obs, seeded=False)
     return parser
 
 
-def _load(path: str, expected_model: str, seed):
+def _load(path: str, expected_model: str | None, seed):
     config = parse_config(path)
-    if config.model != expected_model:
+    if expected_model is not None and config.model != expected_model:
         raise ConfigError(
             f"config model is {config.model!r}; this subcommand expects "
             f"{expected_model!r}"
@@ -87,9 +88,7 @@ def _run_sweep(args) -> int:
         raise ConfigError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}")
     if not lam_values:
         raise ConfigError("--lambdas must list at least one value")
-    config = parse_config(args.config)
-    if args.seed is not None and config.noise is not None:
-        config.noise = replace(config.noise, seed=args.seed)
+    config = _load(args.config, None, args.seed)
     points = sweep_lambda(config, lam_values, jobs=args.jobs)
     if args.out:
         emit_csv(points, args.out)

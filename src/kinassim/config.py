@@ -364,32 +364,15 @@ def emit_csv(result, path: str):
         lines = [f"# {k} = {v}" for k, v in result.config_echo.items()]
         lines.append(RUN_HEADER)
         errors = result.errors
-        # map each recorded time to the step size that produced it
-        cumulative = np.concatenate([[0.0], np.cumsum(result.dt_history)])
         for i, t in enumerate(errors.times):
-            if i == 0:
-                dt = math.nan
-            else:
-                idx = int(np.argmin(np.abs(cumulative - t)))
-                dt = result.dt_history[idx - 1] if idx > 0 else math.nan
             energy = (
                 result.energy_observer[i]
                 if result.energy_observer is not None
                 else math.nan
             )
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        t,
-                        errors.l1_rel[i],
-                        errors.l1_abs[i],
-                        errors.sobolev[i],
-                        energy,
-                        dt,
-                    )
-                )
-            )
+            row = (t, errors.l1_rel[i], errors.l1_abs[i], errors.sobolev[i], energy,
+                   result.recorded_dt[i])
+            lines.append(",".join(_fmt(v) for v in row))
         _atomic_write(path, lines)
         return
     points = sorted(result, key=lambda p: p.lam)

@@ -61,19 +61,6 @@ def chi_indicator(xi, u):
     return out
 
 
-@dataclass(frozen=True)
-class ScalarChi:
-    """Indicator density of a fixed scalar value (pointwise in {-1, 0, +1})."""
-
-    u: float
-
-    def value(self, xi):
-        return chi_indicator(xi, self.u)
-
-    def integral(self) -> float:
-        return self.u
-
-
 def chi_profile_value(profile: ChiProfile, z):
     """Pointwise value of the shape profile (zero outside its support)."""
     z = np.asarray(z, dtype=float)
@@ -239,29 +226,33 @@ def halfline_flux_moment(eq: GibbsEquilibrium, side: XiSide, power: int) -> floa
     part of integral xi^power M(xi) dxi, in closed form."""
     if power not in (1, 2):
         raise ValueError(f"power must be 1 or 2, got {power}")
-    if eq.h < 0.0:
-        raise ValueError("water depth must be nonnegative")
-    if eq.h == 0.0:
-        return 0.0
-    val = upwind_power_moment(
-        eq.profile, eq.h, eq.u, eq.c, power, positive=(side is XiSide.POSITIVE)
-    )
-    return float(val)
+    positive = side is XiSide.POSITIVE
+    return float(upwind_power_moment(eq.profile, eq.h, eq.u, eq.c, power, positive))
+
+
+def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive: bool):
+    """Half-line moment of xi * e(M) for Gibbs densities, vectorised over
+    interface arrays, where e(f) = xi^2/2 f + g^2/(8 k3) f^3.
+
+    This is the kinetic energy flux carried by particles of one sign of xi.
+    Dry entries (h = 0) contribute zero.
+    """
+    h = np.asarray(h, dtype=float)
+    u = np.asarray(u, dtype=float)
+    wet = h > 0.0
+    c = np.sqrt(g * np.where(wet, h, 1.0) / 2.0)
+    cubic = upwind_power_moment(profile, h, u, c, 3, positive)
+    k0_part, k1_part = profile_partial_cube_moments(profile, -u / c)
+    k3 = chi_cube_integral(profile)
+    k0 = k0_part if positive else k3 - k0_part
+    k1 = k1_part if positive else -k1_part
+    kappa = g**2 / (8.0 * k3)
+    cube_term = kappa * h**3 / c**2 * (u * k0 + c * k1)
+    return np.where(wet, 0.5 * cubic + cube_term, 0.0)
 
 
 def halfline_energy_flux(eq: GibbsEquilibrium, side: XiSide) -> float:
-    """Half-line moment of xi * e(M) where e(f) = xi^2/2 f + g^2/(8 k3) f^3.
-
-    This is the kinetic energy flux carried by particles of one sign of xi.
-    """
-    if eq.h == 0.0:
-        return 0.0
-    positive = side is XiSide.POSITIVE
-    c = eq.c
-    cubic = upwind_power_moment(eq.profile, eq.h, eq.u, c, 3, positive)
-    part = profile_partial_cube_moments(eq.profile, -eq.u / c)
-    k0 = part[0] if positive else chi_cube_integral(eq.profile) - part[0]
-    k1 = part[1] if positive else -part[1]
-    kappa = eq.g**2 / (8.0 * chi_cube_integral(eq.profile))
-    cube_term = kappa * eq.h**3 / c**2 * (eq.u * k0 + c * k1)
-    return float(0.5 * cubic + cube_term)
+    """Scalar ``halfline_energy_moment`` of one Gibbs equilibrium."""
+    return float(
+        halfline_energy_moment(eq.profile, eq.h, eq.u, eq.g, side is XiSide.POSITIVE)
+    )

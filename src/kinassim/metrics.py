@@ -1,4 +1,4 @@
-"""Error norms, spectral seminorms, decay-rate fits and sweep analysis."""
+"""Error norms, spectral seminorms, log-slope fits and sweep analysis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -77,19 +77,6 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:
     t, y = times[keep], np.log(values[keep])
     slope = np.polyfit(t, y, 1)[0]
     return float(slope)
-
-
-def fit_decay_rate(series: ErrorSeries, window: tuple[float, float],
-                   which: str = "l1_abs") -> float:
-    """Exponential decay rate of one error channel inside a time window.
-
-    Returns the positive rate r of a best-fit exp(-r t); nonpositive samples
-    are excluded from the fit.
-    """
-    t0, t1 = window
-    inside = (series.times >= t0) & (series.times <= t1)
-    values = getattr(series, which)
-    return -fit_log_slope(series.times[inside], np.asarray(values)[inside])
 
 
 def sweep_minimum(curve) -> tuple[float, float, bool]:

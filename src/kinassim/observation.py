@@ -73,8 +73,20 @@ class ObservationSeries:
         if self.fields.shape != (len(self.times), self.grid.n_cells):
             raise ValueError("fields shape must be (n_times, n_cells)")
 
-    def field_at(self, k: int) -> np.ndarray:
-        return self.fields[k]
+
+def observe(values: np.ndarray, noise: np.ndarray | None, mask: np.ndarray,
+            clamp_nonnegative: bool = False) -> np.ndarray:
+    """Observed copy of ``values``: noise added, then (optionally) negative
+    noisy values truncated, then NaN outside ``mask``.
+
+    ``values`` may be one field or a stack of fields (one per row); ``noise``
+    and ``mask`` are per cell.
+    """
+    if noise is not None:
+        values = values + noise
+        if clamp_nonnegative:
+            values = np.maximum(values, 0.0)
+    return np.where(mask, values, np.nan)
 
 
 def sample_observations(
@@ -109,12 +121,8 @@ def sample_observations(
     idx = np.clip(idx, 1, len(rec_t) - 1)
     take_left = np.abs(times - rec_t[idx - 1]) <= np.abs(rec_t[idx] - times)
     idx = np.where(take_left, idx - 1, idx)
-    fields = rec_f[idx].copy()
-    if noise is not None:
-        fields = fields + noise_field(noise, grid)[None, :]
-        if clamp_nonnegative:
-            fields = np.maximum(fields, 0.0)
-    fields[:, ~mask] = np.nan
+    noise_values = None if noise is None else noise_field(noise, grid)
+    fields = observe(rec_f[idx], noise_values, mask, clamp_nonnegative)
     return ObservationSeries(times, fields, mask, grid)
 
 
@@ -124,11 +132,10 @@ def interpolate_in_time(series: ObservationSeries, t: float) -> np.ndarray:
     tol = 1e-9 * max(1.0, abs(times[-1]))
     if t < times[0] - tol or t > times[-1] + tol:
         raise ValueError(f"time {t} outside the observation span")
-    t = min(max(t, times[0]), times[-1])
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    k = min(max(k, 0), len(times) - 2) if len(times) > 1 else 0
     if len(times) == 1:
         return series.fields[0].copy()
+    t = min(max(t, times[0]), times[-1])
+    k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
     t0, t1 = times[k], times[k + 1]
     w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
     return (1.0 - w) * series.fields[k] + w * series.fields[k + 1]

@@ -28,8 +28,7 @@ from .grid import BoundaryKind, Grid1D
 from .kinetic import (
     GRAVITY,
     ChiProfile,
-    chi_cube_integral,
-    profile_partial_cube_moments,
+    halfline_energy_moment,
     upwind_power_moment,
 )
 
@@ -87,9 +86,6 @@ class InterfaceReconstruction:
 
     h_minus: np.ndarray
     h_plus: np.ndarray
-    z_interface: np.ndarray
-    dz_minus: np.ndarray
-    dz_plus: np.ndarray
     h_left_cell: np.ndarray
     h_right_cell: np.ndarray
 
@@ -132,9 +128,6 @@ def hydrostatic_reconstruct(state: SWState) -> InterfaceReconstruction:
     return InterfaceReconstruction(
         h_minus=h_minus,
         h_plus=h_plus,
-        z_interface=z_int,
-        dz_minus=z_int - zx[:-1],
-        dz_plus=z_int - zx[1:],
         h_left_cell=hx[:-1],
         h_right_cell=hx[1:],
     )
@@ -238,9 +231,10 @@ def sv_forward_step(state: SWState, dt: float) -> SWState:
 
 def sv_observer_step(
     state: SWState,
-    obs_h: np.ndarray,
+    obs_h: np.ndarray | None,
     lam: float,
     dt: float,
+    dh: np.ndarray | None = None,
 ) -> SWState:
     """Transport step plus the nudging source of a depth observation.
 
@@ -248,36 +242,26 @@ def sv_observer_step(
     outside the observation mask; masked cells receive no source.  The source
     is applied in the same explicit update as the transport, matching the
     convex-combination structure that yields the discrete energy inequality.
+
+    ``dh`` replaces the depth innovation obs_h - H (``obs_h`` is then
+    ignored): the mollified gain passes the kernel-weighted mean of several
+    innovations, each against the observer's depth at its observation time,
+    with ``lam`` the total weighted gain.
     """
-    obs_h = np.asarray(obs_h, dtype=float)
-    observed = np.isfinite(obs_h)
-    if np.any(obs_h[observed] < 0.0):
-        raise ValueError("observed depths must be nonnegative")
+    if dh is None:
+        obs_h = np.asarray(obs_h, dtype=float)
+        observed = np.isfinite(obs_h)
+        if np.any(obs_h[observed] < 0.0):
+            raise ValueError("observed depths must be nonnegative")
+        dh = np.where(observed, obs_h - state.h, 0.0)
     _check_cfl(state, lam, dt)
     sigma = dt / state.grid.dx
     div_h, div_q = _flux_divergence(state)
     u = state.velocity
-    dh = np.where(observed, obs_h - state.h, 0.0)
     h = state.h - sigma * div_h + lam * dt * dh
     q = state.q - sigma * div_q + lam * dt * u * dh
     h, q = _settle(h, q, state.h_dry)
     return replace(state, h=h, q=q)
-
-
-def _halfline_energy(profile, h, u, g, positive: bool) -> np.ndarray:
-    """Vectorised half-line moment of xi * e(M) for Gibbs densities."""
-    h = np.asarray(h, dtype=float)
-    u = np.asarray(u, dtype=float)
-    wet = h > 0.0
-    c = np.sqrt(g * np.where(wet, h, 1.0) / 2.0)
-    cubic = upwind_power_moment(profile, h, u, c, 3, positive)
-    k0_part, k1_part = profile_partial_cube_moments(profile, -u / c)
-    k3 = chi_cube_integral(profile)
-    k0 = k0_part if positive else k3 - k0_part
-    k1 = k1_part if positive else -k1_part
-    kappa = g**2 / (8.0 * k3)
-    cube_term = kappa * h**3 / c**2 * (u * k0 + c * k1)
-    return np.where(wet, 0.5 * cubic + cube_term, 0.0)
 
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:
@@ -316,8 +300,8 @@ def energy_budget(
             zeta_tilde = zeta_tilde + state.g * obs_h * state.z_b
     rec = hydrostatic_reconstruct(state)
     _, ux, _ = _ghost_arrays(state)
-    flux = _halfline_energy(state.profile, rec.h_minus, ux[:-1], state.g, True) + (
-        _halfline_energy(state.profile, rec.h_plus, ux[1:], state.g, False)
+    flux = halfline_energy_moment(state.profile, rec.h_minus, ux[:-1], state.g, True) + (
+        halfline_energy_moment(state.profile, rec.h_plus, ux[1:], state.g, False)
     )
     return EnergyBudget(zeta_hat=zeta_hat, zeta_tilde=zeta_tilde, flux=flux)
 

@@ -7,10 +7,10 @@ from kinassim.assimilation import (
     RunConfig,
     TemporalMode,
     decay_study,
-    run_forward,
     run_twin,
     sweep_lambda,
 )
+from kinassim.config import fixture_path, parse_config
 from kinassim.grid import BoundaryKind, Grid1D
 from kinassim.kinetic import ChiProfile
 from kinassim.observation import NoiseSpec, sample_observations
@@ -287,6 +287,23 @@ class TestShallowWaterTwin:
         )
         result = run_twin(cfg)
         assert np.isfinite(result.errors.l1_rel).all()
+
+    def test_mollified_nudging_settles_depths(self):
+        # the mollified source goes through the observer step's
+        # source-and-settle update: a negative depth is reported where it
+        # happens instead of being clamped away, and dry cells keep no momentum
+        def thacker(lam):
+            cfg = parse_config(fixture_path("thacker.cfg"))
+            cfg.t_final = 3.0
+            cfg.gain = GainSchedule(lam, temporal_mode=TemporalMode.MOLLIFIED, sigma=0.1)
+            return cfg
+
+        with pytest.raises(FloatingPointError, match="negative depth"):
+            run_twin(thacker(10.0))
+        observer = run_twin(thacker(1.0)).final_observer
+        dry = observer.h < observer.h_dry
+        assert np.any(dry)
+        assert np.all(observer.q[dry] == 0.0)
 
 
 class TestMollifiedBurgers:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import textwrap
@@ -5,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import kinassim
 from kinassim.assimilation import BurgersObserverMode, RunConfig, TemporalMode, run_twin
 from kinassim.config import (
     ConfigError,
@@ -117,6 +119,10 @@ class TestEmitCsv:
         np.testing.assert_array_equal(rows[:, 1], result.errors.l1_rel)
         np.testing.assert_array_equal(rows[:, 3], result.errors.sobolev)
         assert np.all(np.isnan(rows[:, 4]))  # no energy channel for Burgers
+        # dt is the truth step that ends at each row's time
+        ends = np.searchsorted(np.cumsum(result.dt_history), result.errors.times[1:])
+        assert np.isnan(rows[0, 5])
+        np.testing.assert_array_equal(rows[1:, 5], result.dt_history[ends])
 
     def test_sweep_csv_sorted(self, tmp_path):
         points = [
@@ -141,8 +147,12 @@ class TestEmitCsv:
 
 
 def run_cli(*args):
+    # the child imports the kinassim under test, installed or not
+    src = os.path.dirname(os.path.dirname(kinassim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "kinassim", *args], capture_output=True, text=True
+        [sys.executable, "-m", "kinassim", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -155,6 +165,14 @@ class TestCli:
         assert proc.returncode == 0
         assert "observable=true" in proc.stdout
         assert "T_min=0.5" in proc.stdout
+
+    def test_observability_rejects_seed(self):
+        # the check is deterministic: a seed is a usage error, not ignored
+        proc = run_cli(
+            "observability", "--speed", "1", "--interval", "0.25,0.75",
+            "--horizon", "0.6", "--seed", "3",
+        )
+        assert proc.returncode == 1
 
     def test_run_sv_writes_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from kinassim.kinetic import (
     ChiProfile,
     GibbsEquilibrium,
-    ScalarChi,
     XiSide,
     chi_cube_integral,
     chi_indicator,
@@ -71,11 +70,6 @@ class TestChiIndicator:
         assert chi_indicator(-0.5, -1.0) == -1.0
         assert chi_indicator(2.0, 1.0) == 0.0
         assert chi_indicator(0.0, 1.0) == 0.0  # open at the endpoints
-
-    def test_scalar_chi_wrapper(self):
-        sc = ScalarChi(-0.7)
-        assert sc.value(-0.3) == -1.0
-        assert sc.integral() == -0.7
 
     @pytest.mark.parametrize("u", [0.8, -1.3, 2.5])
     def test_midpoint_integral_first_order(self, u):

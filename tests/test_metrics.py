@@ -3,8 +3,7 @@ import pytest
 
 from kinassim.grid import Grid1D
 from kinassim.metrics import (
-    ErrorSeries,
-    fit_decay_rate,
+    fit_log_slope,
     l1_relative,
     sobolev_seminorm,
     sweep_minimum,
@@ -89,34 +88,27 @@ class TestSobolevSeminorm:
             sobolev_seminorm(np.zeros(16), 1.5, grid)
 
 
-def make_series(times, values):
-    z = np.zeros_like(np.asarray(times, dtype=float))
-    return ErrorSeries(np.asarray(times, float), z, np.asarray(values, float), z, z)
-
-
 class TestFitDecayRate:
+    """The decay rate of exp(-r t) is the negated log slope."""
+
     def test_exact_exponential(self):
         t = np.linspace(0.0, 2.0, 40)
-        series = make_series(t, np.exp(-5.0 * t))
-        assert fit_decay_rate(series, (0.0, 2.0)) == pytest.approx(5.0, abs=1e-9)
+        assert -fit_log_slope(t, np.exp(-5.0 * t)) == pytest.approx(5.0, abs=1e-9)
 
     def test_constant_series(self):
         t = np.linspace(0.0, 1.0, 10)
-        series = make_series(t, np.ones(10))
-        assert fit_decay_rate(series, (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert -fit_log_slope(t, np.ones(10)) == pytest.approx(0.0, abs=1e-12)
 
     def test_floored_decay_underestimates(self):
         t = np.linspace(0.0, 3.0, 60)
         lam, floor = 4.0, 1e-2
-        series = make_series(t, np.exp(-lam * t) + floor)
-        fitted = fit_decay_rate(series, (0.0, 3.0))
+        fitted = -fit_log_slope(t, np.exp(-lam * t) + floor)
         assert fitted < lam
 
     def test_nonpositive_excluded_and_minimum_count(self):
         t = np.array([0.0, 0.1, 0.2, 0.3])
-        series = make_series(t, [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            fit_decay_rate(series, (0.0, 0.3))
+            fit_log_slope(t, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestSweepMinimum:
