@@ -10,6 +10,7 @@ from .assimilation import (
     GainSchedule,
     RunConfig,
     RunResult,
+    SolverError,
     SweepPoint,
     TemporalMode,
     decay_study,

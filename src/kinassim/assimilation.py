@@ -16,7 +16,9 @@ lam = 0, except that the BGK observer's truth runs the collapsed lane.
 
 Truth and observer share the truth's time grid, with the gain-augmented CFL
 applied to both; the observer subdivides a truth step only when its own
-transient state demands a shorter step.
+transient state demands a shorter step.  Both loops stop with a
+``SolverError`` when a CFL bound is not a positive finite step or a step
+budget runs out, so every run terminates.
 """
 from __future__ import annotations
 
@@ -64,6 +66,20 @@ from .shallow_water import (
 
 _TIME_TOL = 1e-12
 
+# The truth may take _STEP_BUDGET times the steps its first CFL bound implies
+# over the horizon, the observer _STEP_BUDGET substeps per truth step: a run
+# that needs more has a collapsing bound.  The implied count is capped, so the
+# budget stays finite however small the first bound is.
+_STEP_BUDGET = 100
+_MAX_IMPLIED_STEPS = 10**6
+
+_BLOCK_ROWS = 256  # truth fields per storage block
+
+
+class SolverError(RuntimeError):
+    """A time loop cannot go on: its CFL bound is not a positive finite step,
+    or it has used up its step budget."""
+
 
 class TemporalMode(Enum):
     EVERY_STEP = "every_step"
@@ -87,8 +103,10 @@ class GainSchedule:
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("gain must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"gain lam must be finite and nonnegative, got {self.lam!r}")
+        if self.sigma is not None and not math.isfinite(self.sigma):
+            raise ValueError(f"gain sigma must be finite, got {self.sigma!r}")
         if self.temporal_mode is TemporalMode.MOLLIFIED and not (
             self.sigma and self.sigma > 0.0
         ):
@@ -129,8 +147,10 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in ("burgers", "shallow_water"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
+        if not 0.0 < self.cfl_safety <= 1.0:  # NaN fails too
+            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.obs_times is not None:
@@ -384,32 +404,66 @@ class _Truth:
     sample_observations), its steps, its energies when recorded, its end."""
 
     trajectory_times: np.ndarray
-    trajectory_fields: np.ndarray
+    trajectory_fields: list
     grid: Grid1D
     dts: np.ndarray
     energies: list
     final: object
 
 
+def _checked_bound(bound: float, phase: str, t: float) -> float:
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise SolverError(
+            f"{phase} CFL bound {bound!r} at t={t:g} is not a positive finite step"
+        )
+    return bound
+
+
 def _run_truth(config: RunConfig, lane: _Lane) -> _Truth:
-    """Advance the truth lane unnudged to t_final."""
+    """Advance the truth lane unnudged to t_final.
+
+    Each step's observed field is copied into a preallocated block of
+    _BLOCK_ROWS rows and kept as a row view of it, so the trajectory is held
+    once (stacking a list of fields at the end held it twice).
+    """
+    fields, block = [], None
+
+    def keep(field):
+        nonlocal block
+        row = len(fields) % _BLOCK_ROWS
+        if row == 0:
+            block = np.empty((_BLOCK_ROWS, len(field)))
+        block[row] = field
+        fields.append(block[row])
+
     state = lane.initial
-    fields, energies = [lane.observed(state)], [lane.energy(state)]
+    keep(lane.observed(state))
+    energies = [lane.energy(state)]
     times, dts = [0.0], []
     t = 0.0
+    budget = None
     while t < config.t_final * (1.0 - _TIME_TOL):
-        dt = min(lane.cfl(state), config.t_final - t)
+        bound = _checked_bound(lane.cfl(state), "truth", t)
+        if budget is None:
+            implied = min(config.t_final / bound, _MAX_IMPLIED_STEPS)
+            budget = _STEP_BUDGET * math.ceil(implied)
+        elif len(dts) >= budget:
+            raise SolverError(
+                f"truth run used up its budget of {budget} steps at t={t:g} "
+                f"(CFL bound {bound:g})"
+            )
+        dt = min(bound, config.t_final - t)
         state = lane.step(state, dt, 0.0, None)
         t += dt
         times.append(t)
         dts.append(dt)
-        fields.append(lane.observed(state))
+        keep(lane.observed(state))
         if len(dts) % config.record_every == 0:
             energies.append(lane.energy(state))
     if len(dts) % config.record_every:  # the final state is always recorded
         energies.append(lane.energy(state))
     return _Truth(
-        np.asarray(times), np.asarray(fields), config.grid, np.asarray(dts), energies, state
+        np.asarray(times), fields, config.grid, np.asarray(dts), energies, state
     )
 
 
@@ -558,10 +612,20 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
         energies.append(lane.energy(state))
 
     record(0)
+    budget, substeps = _STEP_BUDGET * len(dts), 0
     for n, dt in enumerate(dts):
         last = n == len(dts) - 1
-        bound = lane.cfl(state, lambda: controller.probe(times[n], times[n + 1], n, last))
-        m = 1 if bound >= dt * (1.0 - 1e-9) else int(math.ceil(dt / bound))
+        bound = _checked_bound(
+            lane.cfl(state, lambda: controller.probe(times[n], times[n + 1], n, last)),
+            "observer", times[n],
+        )
+        m = 1 if bound >= dt * (1.0 - 1e-9) else math.ceil(min(dt / bound, budget + 1.0))
+        substeps += m
+        if substeps > budget:
+            raise SolverError(
+                f"observer run used up its budget of {budget} substeps at "
+                f"t={times[n]:g} (CFL bound {bound:g})"
+            )
         for j in range(m):
             state = controller.advance(
                 lane, state, times[n] + j * (dt / m), dt / m, n, last and j == m - 1
@@ -590,7 +654,7 @@ def run_twin(config: RunConfig, store_truth: bool = False) -> RunResult:
     result = _run_observer(config, observer_lane, truth, controller)
     if store_truth:
         result.trajectory_times = truth.trajectory_times
-        result.trajectory_fields = truth.trajectory_fields
+        result.trajectory_fields = np.asarray(truth.trajectory_fields)
     return result
 
 

@@ -69,7 +69,13 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key}: {exc}") from None
 
     def real(self, key, default=None):
-        return self._get(key, float, default)
+        def cast(v):
+            value = float(v)
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {v!r}")
+            return value
+
+        return self._get(key, cast, default)
 
     def integer(self, key, default=None):
         return self._get(key, int, default)

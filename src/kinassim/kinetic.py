@@ -152,19 +152,22 @@ def _rectangle_partial_cube(a):
 
 
 def _semicircle_partial(a, kmax: int):
-    a = np.clip(np.asarray(a, dtype=float), -2.0, 2.0)
-    th = np.arcsin(a / 2.0)
-    s, c = a / 2.0, np.sqrt(np.maximum(1.0 - a * a / 4.0, 0.0))
-    sin2 = 2.0 * s * c
-    cos2 = 1.0 - 2.0 * s * s
-    sin4 = 2.0 * sin2 * cos2
-    out = [(0.5 * math.pi - th - s * c) / math.pi]
+    # z = 2 sin(th): with s = sin(th) and c = cos(th) (c >= 0 on the clipped
+    # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2)
+    s = np.minimum(np.maximum(a, -2.0), 2.0) / 2.0
+    th = np.arcsin(s)
+    s2 = s * s
+    c = np.sqrt(1.0 - s2)
+    rest = 0.5 * math.pi - th  # angle from the bound to the end of the support
+    sc = s * c
+    out = [(rest - sc) / math.pi]
     if kmax >= 1:
-        out.append(4.0 / (3.0 * math.pi) * c**3)
+        c3 = c**3
+        out.append(4.0 / (3.0 * math.pi) * c3)
     if kmax >= 2:
-        out.append((0.5 * math.pi - th + sin4 / 4.0) / math.pi)
+        out.append((rest + sc * (1.0 - 2.0 * s2)) / math.pi)
     if kmax >= 3:
-        out.append(16.0 / math.pi * (c**3 / 3.0 - c**5 / 5.0))
+        out.append(16.0 / math.pi * (c3 / 3.0 - c**5 / 5.0))
     return out
 
 
@@ -197,6 +200,38 @@ def profile_partial_cube_moments(profile: ChiProfile, a):
 _BINOM = {0: (1.0,), 1: (1.0, 1.0), 2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0)}
 
 
+def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
+    """[H * integral of (u + z c)^k chi(z) dz over a half-line, for k in powers].
+
+    The partial moments J_0..J_max(powers) are evaluated once and shared by
+    every power.  ``positive`` selects xi >= 0 (True) or xi <= 0 (False); a
+    boolean array broadcasting against h selects the side entry by entry.
+    Each binomial term C(k, j) u^(k-j) c^j J_j is the left-to-right product
+    with its unit factors (C = 1, u^0, c^0) left out, which is exact.
+    """
+    h = np.asarray(h, dtype=float)
+    u = np.asarray(u, dtype=float)
+    wet = h > 0.0
+    safe_c = np.where(wet, c, 1.0)
+    kmax = max(powers)
+    part = profile_partial_moments(profile, -u / safe_c, kmax)
+    mom = [np.where(positive, p, full - p) for full, p in zip(_J_FULL, part)]
+    u_pow = [None, u] + [u**i for i in range(2, kmax + 1)]
+    c_pow = [None, safe_c] + [safe_c**i for i in range(2, kmax + 1)]
+    out = []
+    for k in powers:
+        acc = None
+        for j, coeff in enumerate(_BINOM[k]):
+            prefix = None
+            for factor in (None if coeff == 1.0 else coeff, u_pow[k - j], c_pow[j]):
+                if factor is not None:
+                    prefix = factor if prefix is None else prefix * factor
+            term = mom[j] if prefix is None else prefix * mom[j]
+            acc = term if acc is None else acc + term
+        out.append(np.where(wet, h * acc, 0.0))
+    return out
+
+
 def upwind_power_moment(profile: ChiProfile, h, u, c, power: int, positive: bool):
     """H * integral of (u + z c)^power chi(z) dz over the half-line xi >= 0
     (``positive``) or xi <= 0, vectorised over interface arrays.
@@ -205,20 +240,17 @@ def upwind_power_moment(profile: ChiProfile, h, u, c, power: int, positive: bool
     is measure-zero and only fixes the clipped closed forms.  Dry entries
     (h = 0) contribute zero; c may hold any placeholder value there.
     """
-    h = np.asarray(h, dtype=float)
-    u = np.asarray(u, dtype=float)
-    c = np.asarray(c, dtype=float)
-    wet = h > 0.0
-    safe_c = np.where(wet, c, 1.0)
-    a = -u / safe_c
-    part = profile_partial_moments(profile, a, power)
-    coeff = _BINOM[power]
-    acc = np.zeros(np.broadcast(h, u).shape)
-    for j in range(power + 1):
-        mom_j = part[j] if positive else _J_FULL[j] - part[j]
-        acc = acc + coeff[j] * u ** (power - j) * safe_c**j * mom_j
-    out = np.where(wet, h * acc, 0.0)
-    return out
+    return _upwind_moments(profile, h, u, c, (power,), positive)[0]
+
+
+def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive):
+    """``upwind_power_moment`` at powers 1 and 2 (the mass and momentum
+    fluxes of one interface side) from one partial-moment evaluation.
+
+    ``positive`` may be a boolean array, so both sides of every interface
+    can be evaluated in one call on stacked arrays.
+    """
+    return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive))
 
 
 def halfline_flux_moment(eq: GibbsEquilibrium, side: XiSide, power: int) -> float:

@@ -99,13 +99,14 @@ def sample_observations(
     """Extract an observation series from a recorded truth trajectory.
 
     ``truth`` must expose ``trajectory_times`` and ``trajectory_fields``
-    (states recorded at every solver step); each requested time picks the
-    nearest recorded state.  Where observed, the noise field is added;
-    ``clamp_nonnegative`` truncates negative noisy values (used for water
-    depths, which the observer rejects if negative).
+    (states recorded at every solver step, as a 2-D array or a list of
+    fields); each requested time picks the nearest recorded state.  Where
+    observed, the noise field is added; ``clamp_nonnegative`` truncates
+    negative noisy values (used for water depths, which the observer rejects
+    if negative).
     """
     rec_t = np.asarray(truth.trajectory_times, dtype=float)
-    rec_f = np.asarray(truth.trajectory_fields, dtype=float)
+    rec_f = truth.trajectory_fields
     if rec_t.size == 0:
         raise ValueError("truth run carries no recorded trajectory")
     grid = truth.grid
@@ -122,7 +123,8 @@ def sample_observations(
     take_left = np.abs(times - rec_t[idx - 1]) <= np.abs(rec_t[idx] - times)
     idx = np.where(take_left, idx - 1, idx)
     noise_values = None if noise is None else noise_field(noise, grid)
-    fields = observe(rec_f[idx], noise_values, mask, clamp_nonnegative)
+    picked = np.asarray([rec_f[i] for i in idx], dtype=float)
+    fields = observe(picked, noise_values, mask, clamp_nonnegative)
     return ObservationSeries(times, fields, mask, grid)
 
 

@@ -29,7 +29,7 @@ from .kinetic import (
     GRAVITY,
     ChiProfile,
     halfline_energy_moment,
-    upwind_power_moment,
+    upwind_mass_momentum,
 )
 
 DRY_DEPTH = 1e-8
@@ -55,18 +55,16 @@ class SWState:
         n = self.grid.n_cells
         if not (self.h.shape == self.q.shape == self.z_b.shape == (n,)):
             raise ValueError("state arrays must match the grid size")
-        if np.any(self.h < 0.0):
-            raise ValueError("water depth must be nonnegative")
+        if not (self.h >= 0.0).all():  # NaN fails too
+            raise ValueError(
+                f"water depth h must be nonnegative, got min {np.min(self.h)}"
+            )
 
     @property
     def velocity(self) -> np.ndarray:
         """q / H on wet cells, zero on cells below the dry threshold."""
         wet = self.h >= self.h_dry
         return np.where(wet, self.q / np.maximum(self.h, self.h_dry), 0.0)
-
-    @property
-    def celerity(self) -> np.ndarray:
-        return np.sqrt(self.g * self.h / 2.0)
 
     @property
     def surface(self) -> np.ndarray:
@@ -81,13 +79,25 @@ class SWState:
 
 @dataclass
 class InterfaceReconstruction:
-    """Hydrostatically reconstructed interface depths (one entry per
-    interface, boundary interfaces included via ghost cells)."""
+    """Hydrostatically reconstructed interface depths, one column per
+    interface (boundary interfaces included via ghost cells); row 0 is the
+    left (minus) side of each interface, row 1 the right (plus) side."""
 
-    h_minus: np.ndarray
-    h_plus: np.ndarray
-    h_left_cell: np.ndarray
-    h_right_cell: np.ndarray
+    h_sides: np.ndarray  # (2, n+1) reconstructed depths
+    h_cells: np.ndarray  # (2, n+1) depths of the cells either side
+
+    @property
+    def h_minus(self) -> np.ndarray:
+        return self.h_sides[0]
+
+    @property
+    def h_plus(self) -> np.ndarray:
+        return self.h_sides[1]
+
+
+# positive half-line (xi >= 0) on the left side of an interface, negative on
+# the right: the upwind split of the kinetic flux
+_UPWIND_SIDE = np.array([[True], [False]])
 
 
 @dataclass
@@ -99,38 +109,32 @@ class EnergyBudget:
     flux: np.ndarray
 
 
-def _ghost_arrays(state: SWState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extended (n+2) depth, velocity and bathymetry arrays."""
-    h, u, z = state.h, state.velocity, state.z_b
-    bc = state.grid.bc
+def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False) -> np.ndarray:
+    """(2, n+1) values of the cells left (row 0) and right (row 1) of every
+    interface, ghost cells included; ``mirror`` flips the sign of the wall
+    ghosts (velocity)."""
+    out = np.empty((2, a.size + 1))
+    out[0, 1:] = a
+    out[1, :-1] = a
     if bc is BoundaryKind.REFLECTIVE_WALL:
-        hx = np.concatenate([h[:1], h, h[-1:]])
-        ux = np.concatenate([-u[:1], u, -u[-1:]])
-        zx = np.concatenate([z[:1], z, z[-1:]])
+        out[0, 0], out[1, -1] = (-a[0], -a[-1]) if mirror else (a[0], a[-1])
     elif bc is BoundaryKind.PERIODIC:
-        hx = np.concatenate([h[-1:], h, h[:1]])
-        ux = np.concatenate([u[-1:], u, u[:1]])
-        zx = np.concatenate([z[-1:], z, z[:1]])
+        out[0, 0], out[1, -1] = a[-1], a[0]
     else:
         raise ValueError(
             "shallow-water solver supports reflective_wall and periodic boundaries"
         )
-    return hx, ux, zx
+    return out
 
 
 def hydrostatic_reconstruct(state: SWState) -> InterfaceReconstruction:
     """Interface depths limited by the higher of the two neighbouring bottoms,
     truncated at zero so reconstructed depths stay admissible."""
-    hx, _, zx = _ghost_arrays(state)
-    z_int = np.maximum(zx[:-1], zx[1:])
-    h_minus = np.maximum(0.0, hx[:-1] + zx[:-1] - z_int)
-    h_plus = np.maximum(0.0, hx[1:] + zx[1:] - z_int)
-    return InterfaceReconstruction(
-        h_minus=h_minus,
-        h_plus=h_plus,
-        h_left_cell=hx[:-1],
-        h_right_cell=hx[1:],
-    )
+    bc = state.grid.bc
+    h_cells = _interface_pairs(state.h, bc)
+    z_cells = _interface_pairs(state.z_b, bc)
+    z_int = np.maximum(z_cells[0], z_cells[1])
+    return InterfaceReconstruction(np.maximum(0.0, h_cells + z_cells - z_int), h_cells)
 
 
 def sv_interface_flux(
@@ -142,24 +146,33 @@ def sv_interface_flux(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kinetic interface fluxes (mass, momentum-left, momentum-right).
 
+    Both sides of every interface go through one partial-moment evaluation,
+    which yields the mass (power 1) and momentum (power 2) half-line moments.
     The mass flux is shared by both neighbouring cells.  The momentum flux
     carries a side-specific hydrostatic correction g/2 (H_cell^2 - H_rec^2);
     written on the interface depths it is the usual g dz/2 (H_cell + H_rec)
     topography term, but this form stays exactly balanced for still water
     even when the nonnegativity truncation is active at a wet/dry front.
     """
-    hm, hp = rec.h_minus, rec.h_plus
-    cm = np.sqrt(g * hm / 2.0)
-    cp = np.sqrt(g * hp / 2.0)
-    f_h = upwind_power_moment(profile, hm, u_left, cm, 1, True) + upwind_power_moment(
-        profile, hp, u_right, cp, 1, False
-    )
-    f_q = upwind_power_moment(profile, hm, u_left, cm, 2, True) + upwind_power_moment(
-        profile, hp, u_right, cp, 2, False
-    )
-    f_q_left = f_q + 0.5 * g * (rec.h_left_cell**2 - hm**2)
-    f_q_right = f_q + 0.5 * g * (rec.h_right_cell**2 - hp**2)
-    return f_h, f_q_left, f_q_right
+    h = rec.h_sides
+    u = np.empty_like(h)
+    u[0], u[1] = u_left, u_right
+    c = np.sqrt(g * h / 2.0)
+    mass, momentum = upwind_mass_momentum(profile, h, u, c, _UPWIND_SIDE)
+    f_q = momentum[0] + momentum[1]
+    f_q_sides = f_q + 0.5 * g * (rec.h_cells**2 - h**2)
+    return mass[0] + mass[1], f_q_sides[0], f_q_sides[1]
+
+
+def _cfl_bound(state: SWState, u: np.ndarray, lam: float, safety: float) -> float:
+    # Maximum over every cell: a dry cell (u = 0, h < h_dry) is slower than
+    # the dry-threshold speed and no wet cell is, so this is the maximum over
+    # the wet cells, or the threshold speed when none is wet.
+    w = state.profile.support_halfwidth
+    speed = np.abs(u) + w * np.sqrt(state.g * state.h / 2.0)
+    speed_max = max(float(speed.max()), w * math.sqrt(state.g * state.h_dry / 2.0))
+    dx = state.grid.dx
+    return safety * dx / (lam * dx + speed_max)
 
 
 def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
@@ -174,29 +187,19 @@ def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
         raise ValueError("lambda must be nonnegative")
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    w = state.profile.support_halfwidth
-    wet = state.h >= state.h_dry
-    if np.any(wet):
-        speed = np.abs(state.velocity[wet]) + w * state.celerity[wet]
-        speed_max = float(np.max(speed))
-    else:
-        speed_max = w * math.sqrt(state.g * state.h_dry / 2.0)
-    dx = state.grid.dx
-    return safety * dx / (lam * dx + speed_max)
+    return _cfl_bound(state, state.velocity, lam, safety)
 
 
-def _check_cfl(state: SWState, lam: float, dt: float):
-    if dt > sv_cfl(state, lam, safety=1.0) * _CFL_TOL:
-        raise ValueError(
-            f"dt={dt:g} violates the CFL bound {sv_cfl(state, lam, safety=1.0):g}"
-        )
+def _check_cfl(state: SWState, u: np.ndarray, lam: float, dt: float):
+    bound = _cfl_bound(state, u, lam, 1.0)
+    if not dt <= bound * _CFL_TOL:  # a NaN dt or bound fails too
+        raise ValueError(f"dt={dt:g} violates the CFL bound {bound:g}")
 
 
-def _flux_divergence(state: SWState):
-    rec = hydrostatic_reconstruct(state)
-    _, ux, _ = _ghost_arrays(state)
+def _flux_divergence(state: SWState, u: np.ndarray):
+    u_left, u_right = _interface_pairs(u, state.grid.bc, mirror=True)
     f_h, f_q_left, f_q_right = sv_interface_flux(
-        rec, ux[:-1], ux[1:], state.profile, state.g
+        hydrostatic_reconstruct(state), u_left, u_right, state.profile, state.g
     )
     div_h = f_h[1:] - f_h[:-1]
     div_q = f_q_left[1:] - f_q_right[:-1]
@@ -210,8 +213,8 @@ def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
     below -1e3 eps of the depth scale indicates a genuine CFL or flux bug and
     is reported instead of masked.
     """
-    floor = -1e-13 * max(1.0, float(np.max(h, initial=0.0)))
-    if np.any(h < floor):
+    floor = -1e-13 * max(1.0, float(h.max(initial=0.0)))
+    if not (h >= floor).all():  # NaN fails too
         raise FloatingPointError(f"negative depth {float(np.min(h)):g} after update")
     h = np.maximum(h, 0.0)
     q = np.where(h >= h_dry, q, 0.0)
@@ -220,9 +223,10 @@ def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
 
 def sv_forward_step(state: SWState, dt: float) -> SWState:
     """One conservative step of the forward (unassimilated) scheme."""
-    _check_cfl(state, 0.0, dt)
+    u = state.velocity
+    _check_cfl(state, u, 0.0, dt)
     sigma = dt / state.grid.dx
-    div_h, div_q = _flux_divergence(state)
+    div_h, div_q = _flux_divergence(state, u)
     h = state.h - sigma * div_h
     q = state.q - sigma * div_q
     h, q = _settle(h, q, state.h_dry)
@@ -254,10 +258,10 @@ def sv_observer_step(
         if np.any(obs_h[observed] < 0.0):
             raise ValueError("observed depths must be nonnegative")
         dh = np.where(observed, obs_h - state.h, 0.0)
-    _check_cfl(state, lam, dt)
-    sigma = dt / state.grid.dx
-    div_h, div_q = _flux_divergence(state)
     u = state.velocity
+    _check_cfl(state, u, lam, dt)
+    sigma = dt / state.grid.dx
+    div_h, div_q = _flux_divergence(state, u)
     h = state.h - sigma * div_h + lam * dt * dh
     q = state.q - sigma * div_q + lam * dt * u * dh
     h, q = _settle(h, q, state.h_dry)
@@ -299,9 +303,9 @@ def energy_budget(
         if include_topography:
             zeta_tilde = zeta_tilde + state.g * obs_h * state.z_b
     rec = hydrostatic_reconstruct(state)
-    _, ux, _ = _ghost_arrays(state)
-    flux = halfline_energy_moment(state.profile, rec.h_minus, ux[:-1], state.g, True) + (
-        halfline_energy_moment(state.profile, rec.h_plus, ux[1:], state.g, False)
+    u_left, u_right = _interface_pairs(state.velocity, state.grid.bc, mirror=True)
+    flux = halfline_energy_moment(state.profile, rec.h_minus, u_left, state.g, True) + (
+        halfline_energy_moment(state.profile, rec.h_plus, u_right, state.g, False)
     )
     return EnergyBudget(zeta_hat=zeta_hat, zeta_tilde=zeta_tilde, flux=flux)
 

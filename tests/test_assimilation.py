@@ -1,10 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import kinassim.assimilation as assimilation
+from kinassim import cli
 from kinassim.assimilation import (
     BurgersObserverMode,
     GainSchedule,
     RunConfig,
+    SolverError,
     TemporalMode,
     decay_study,
     run_twin,
@@ -14,7 +20,7 @@ from kinassim.config import fixture_path, parse_config
 from kinassim.grid import BoundaryKind, Grid1D
 from kinassim.kinetic import ChiProfile
 from kinassim.observation import NoiseSpec, sample_observations
-from kinassim.shallow_water import SWState, dam_break_state
+from kinassim.shallow_water import SWState, dam_break_state, sv_cfl
 
 
 def square_pulse(grid, lo, hi, value):
@@ -319,3 +325,126 @@ class TestMollifiedBurgers:
         base = burgers_config(lam=0.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=1.0)
         baseline = run_twin(base)
         assert result.final_l1_rel < 0.6 * baseline.final_l1_rel
+
+
+def small_sw_config(t_final=0.02, factor=1):
+    grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+    return RunConfig(
+        model="shallow_water",
+        grid=grid,
+        t_final=t_final,
+        gain=GainSchedule(5.0, temporal_mode=TemporalMode.EVERY_STEP),
+        truth_state=dam_break_state(grid.refined(factor) if factor > 1 else grid,
+                                    2.0, 1.0, 0.5),
+        observer_state=dam_break_state(grid, 1.5, 1.5, 0.5),
+        truth_resolution_factor=factor,
+    )
+
+
+class TestNonFiniteInputRefused:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_gain(self, lam):
+        with pytest.raises(ValueError, match="gain lam"):
+            GainSchedule(lam)
+
+    def test_t_final(self):
+        # accepted before, and run_twin then returned a single row at t = 0
+        with pytest.raises(ValueError, match="t_final"):
+            small_sw_config(t_final=math.nan)
+
+    def test_cfl_safety(self):
+        with pytest.raises(ValueError, match="cfl_safety"):
+            RunConfig(
+                model="burgers", grid=Grid1D(8, 0.0, 1.0), t_final=0.1,
+                gain=GainSchedule(0.0), cfl_safety=math.nan,
+            )
+
+
+def collapsing_bound(collapses=lambda state: True):
+    """An sv_cfl stand-in whose bound shrinks like 1/k^3 with the call count
+    k on the states ``collapses`` picks, so their steps sum to less than any
+    horizon; other states get the true bound."""
+    calls = []
+
+    def bound(state, lam, safety=0.95):
+        value = sv_cfl(state, lam, safety)
+        if not collapses(state):
+            return value
+        calls.append(None)
+        return value / len(calls) ** 3
+
+    return bound
+
+
+class TestTimeLoopsTerminate:
+    def test_nan_bound_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(assimilation, "sv_cfl", lambda *args, **kwargs: math.nan)
+        with pytest.raises(SolverError, match="truth CFL bound nan"):
+            run_twin(small_sw_config())
+
+    def test_nan_bound_exits_with_solver_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(assimilation, "sv_cfl", lambda *args, **kwargs: math.nan)
+        assert cli.main(["run-sv", fixture_path("dam_break.cfg"), "--quiet"]) == 2
+        assert "CFL bound nan" in capsys.readouterr().err
+
+    def test_nan_observer_bound_is_a_solver_error(self, monkeypatch):
+        # before, this surfaced as "cannot convert float NaN to integer"
+        cfg = small_sw_config(factor=2)
+
+        def nan_for_observer(state, lam, safety=0.95):
+            if state.grid.n_cells == cfg.grid.n_cells:
+                return math.nan
+            return sv_cfl(state, lam, safety)
+
+        monkeypatch.setattr(assimilation, "sv_cfl", nan_for_observer)
+        with pytest.raises(SolverError, match="observer CFL bound nan"):
+            run_twin(cfg)
+
+    @pytest.mark.parametrize("bound", [0.0, -1e-3])
+    def test_nonpositive_bound_is_a_solver_error(self, monkeypatch, bound):
+        monkeypatch.setattr(assimilation, "sv_cfl", lambda *args, **kwargs: bound)
+        with pytest.raises(SolverError, match="not a positive finite step"):
+            run_twin(small_sw_config())
+
+    def test_collapsing_truth_bound_exhausts_the_budget(self, monkeypatch):
+        monkeypatch.setattr(assimilation, "sv_cfl", collapsing_bound())
+        with pytest.raises(SolverError, match="truth run used up its budget"):
+            run_twin(small_sw_config())
+
+    def test_collapsing_observer_bound_exhausts_the_budget(self, monkeypatch):
+        # the truth runs on a twice finer grid with its true bound; only the
+        # observer's bound collapses
+        cfg = small_sw_config(t_final=0.04, factor=2)
+        monkeypatch.setattr(
+            assimilation, "sv_cfl",
+            collapsing_bound(lambda state: state.grid.n_cells == cfg.grid.n_cells),
+        )
+        with pytest.raises(SolverError, match="observer run used up its budget"):
+            run_twin(cfg)
+
+
+def test_truth_phase_holds_the_trajectory_once():
+    # stacking a list of per-step fields at the end of the phase held every
+    # field twice (a peak of 2.16 times the fields here); the row blocks add
+    # at most one block of unused rows
+    grid = Grid1D(200, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+    cfg = RunConfig(
+        model="shallow_water", grid=grid, t_final=0.75, gain=GainSchedule(0.0),
+        truth_state=dam_break_state(grid, 2.0, 1.0, 0.5),
+        observer_state=dam_break_state(grid, 2.0, 1.0, 0.5),
+    )
+    truth_lane, _ = assimilation._lanes(cfg)
+    tracemalloc.start()
+    try:
+        truth = assimilation._run_truth(cfg, truth_lane)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(field.nbytes for field in truth.trajectory_fields)
+    assert len(truth.trajectory_fields) > 3 * assimilation._BLOCK_ROWS
+    assert peak < 1.75 * held
+    cfg.t_final = 0.05
+    stored = run_twin(cfg, store_truth=True)
+    rows = assimilation._run_truth(cfg, truth_lane).trajectory_fields
+    np.testing.assert_array_equal(stored.trajectory_fields, np.asarray(rows))
+    np.testing.assert_array_equal(stored.trajectory_fields[-1], stored.final_truth.h)

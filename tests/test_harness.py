@@ -1,7 +1,11 @@
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,23 @@ class TestParseConfig:
         body = MINIMAL + "\n[gain]\nlambda = -2.0\n"
         with pytest.raises(ConfigError, match=r"\[gain\] lambda"):
             parse_config(write_cfg(tmp_path, body))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "t_final", "nan"),
+        ("model", "cfl_safety", "nan"),
+        ("gain", "lambda", "nan"),
+        ("gain", "lambda", "inf"),
+        ("grid", "x_max", "-inf"),
+        ("output", "sobolev_order", "nan"),
+    ])
+    def test_non_finite_real_rejected_with_field_name(self, tmp_path, section, key, value):
+        path = tmp_path / "nonfinite.cfg"
+        sections = {"model": "kind = burgers\n", "grid": "n_cells = 16\n"}
+        sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+        path.write_text("".join(f"[{name}]\n{text}\n" for name, text in sections.items()))
+        message = rf"\[{section}\] {key}: expected a finite number"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         body = MINIMAL + "\n[gain]\nlambdah = 2.0\n"
@@ -212,6 +233,12 @@ class TestCli:
         assert proc.returncode == 1
         assert "config error" in proc.stderr
 
+    def test_non_finite_value_exit_code(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[gain]\nlambda = nan\n")
+        proc = run_cli("run-burgers", cfg)
+        assert proc.returncode == 1
+        assert "[gain] lambda" in proc.stderr
+
     def test_model_mismatch_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         proc = run_cli("run-sv", cfg)
@@ -272,3 +299,28 @@ class TestCli:
         proc = run_cli("run-burgers", cfg, "--quiet")
         assert proc.returncode == 0
         assert proc.stdout == ""
+
+
+def load_benchmark_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracer:
+    """perfbench/tracer.py looks the traced functions up by name; a rename
+    or deletion breaks ``--trace 1``."""
+
+    def test_every_span_resolves(self):
+        tracer = load_benchmark_tracer()
+        for span, (module, names) in tracer.SPANS.items():
+            home = importlib.import_module(f"kinassim.{module}")
+            for name in names:
+                assert callable(getattr(home, name, None)), f"{span}: {module}.{name}"
+
+    def test_interface_counter_reads_the_depth_argument(self):
+        from kinassim.kinetic import upwind_power_moment
+
+        assert list(inspect.signature(upwind_power_moment).parameters)[1] == "h"

@@ -14,6 +14,8 @@ from kinassim.kinetic import (
     gibbs_moments,
     halfline_energy_flux,
     halfline_flux_moment,
+    upwind_mass_momentum,
+    upwind_power_moment,
 )
 
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
@@ -231,3 +233,52 @@ class TestHalflineEnergyFlux:
             eq, XiSide.NEGATIVE
         )
         assert total == pytest.approx(0.0, abs=1e-12)
+
+
+def interface_arrays(profile, n=400, seed=21):
+    """Interface depths and velocities with dry entries, entries clipped at
+    the support edge (|u|/c > w) and velocities of both signs."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.0, 2.0, n)
+    h[rng.random(n) < 0.15] = 0.0
+    c = np.sqrt(9.81 * h / 2.0)
+    w = profile.support_halfwidth
+    u = rng.uniform(-1.5, 1.5, n) * w * c
+    u[::7] = 0.0
+    u[h == 0.0] = rng.uniform(-1.0, 1.0, np.count_nonzero(h == 0.0))
+    return h, u, c
+
+
+class TestUpwindMassMomentum:
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_equals_single_power_moments(self, profile, positive):
+        h, u, c = interface_arrays(profile)
+        w = profile.support_halfwidth
+        wet = h > 0.0
+        # the fixture covers every regime of the closed forms
+        assert np.any(~wet)
+        assert np.any(wet & (np.abs(u) > w * c)) and np.any(wet & (np.abs(u) < w * c))
+        assert np.any(wet & (u > 0.0)) and np.any(wet & (u < 0.0))
+        mass, momentum = upwind_mass_momentum(profile, h, u, c, positive)
+        np.testing.assert_array_equal(
+            mass, upwind_power_moment(profile, h, u, c, 1, positive)
+        )
+        np.testing.assert_array_equal(
+            momentum, upwind_power_moment(profile, h, u, c, 2, positive)
+        )
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_stacked_sides_equal_separate_sides(self, profile):
+        h, u, c = interface_arrays(profile, n=300)
+        side = np.array([[True], [False]])
+        stacked = upwind_mass_momentum(
+            profile, h.reshape(2, -1), u.reshape(2, -1), c.reshape(2, -1), side
+        )
+        for row, positive in enumerate((True, False)):
+            single = upwind_mass_momentum(
+                profile, h.reshape(2, -1)[row], u.reshape(2, -1)[row],
+                c.reshape(2, -1)[row], positive,
+            )
+            for got, want in zip(stacked, single):
+                np.testing.assert_array_equal(got[row], want)

@@ -5,7 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from kinassim.grid import BoundaryKind, Grid1D
-from kinassim.kinetic import ChiProfile, GibbsEquilibrium, chi_cube_integral
+from kinassim.kinetic import (
+    ChiProfile,
+    GibbsEquilibrium,
+    chi_cube_integral,
+    upwind_power_moment,
+)
 from kinassim.shallow_water import (
     SWState,
     cell_energy,
@@ -279,6 +284,114 @@ class TestObserverStep:
             assert np.max(zeta_new - bound) <= 1e-10
             truth = sv_forward_step(truth, dt)
             state = new
+
+
+def rough_state(bc, profile, n=60, seed=4):
+    """Bathymetry with a dry bank, velocities of both signs, some of them
+    supercritical (|u| > w c), on the given boundary kind."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n, 0.0, 2.0, bc)
+    z_b = 0.3 * np.sin(2.0 * np.pi * grid.centers / 2.0) + 0.05 * rng.random(n)
+    h = np.maximum(0.0, 0.25 - z_b) * rng.uniform(0.5, 1.5, n)
+    c = np.sqrt(G * h / 2.0)
+    u = rng.uniform(-1.5, 1.5, n) * profile.support_halfwidth * c
+    return SWState(h, h * u, z_b, grid, profile)
+
+
+def reference_step(state, dt, lam=0.0, dh=None):
+    """The kinetic step written out with one upwind_power_moment call per
+    interface side and power, on ghost cells built by concatenation."""
+    h, z, g, prof = state.h, state.z_b, state.g, state.profile
+    u = np.where(h >= state.h_dry, state.q / np.maximum(h, state.h_dry), 0.0)
+    if state.grid.bc is BoundaryKind.REFLECTIVE_WALL:
+        def ext(a, sign):
+            return np.concatenate([sign * a[:1], a, sign * a[-1:]])
+    else:
+        def ext(a, sign):
+            return np.concatenate([a[-1:], a, a[:1]])
+    hx, ux, zx = ext(h, 1.0), ext(u, -1.0), ext(z, 1.0)
+    z_int = np.maximum(zx[:-1], zx[1:])
+    hm = np.maximum(0.0, hx[:-1] + zx[:-1] - z_int)
+    hp = np.maximum(0.0, hx[1:] + zx[1:] - z_int)
+    cm, cp = np.sqrt(g * hm / 2.0), np.sqrt(g * hp / 2.0)
+    f_h = upwind_power_moment(prof, hm, ux[:-1], cm, 1, True) + upwind_power_moment(
+        prof, hp, ux[1:], cp, 1, False
+    )
+    f_q = upwind_power_moment(prof, hm, ux[:-1], cm, 2, True) + upwind_power_moment(
+        prof, hp, ux[1:], cp, 2, False
+    )
+    f_q_left = f_q + 0.5 * g * (hx[:-1] ** 2 - hm**2)
+    f_q_right = f_q + 0.5 * g * (hx[1:] ** 2 - hp**2)
+    sigma = dt / state.grid.dx
+    h_new = h - sigma * (f_h[1:] - f_h[:-1])
+    q_new = state.q - sigma * (f_q_left[1:] - f_q_right[:-1])
+    if dh is not None:
+        h_new = h_new + lam * dt * dh
+        q_new = q_new + lam * dt * u * dh
+    h_new = np.maximum(h_new, 0.0)
+    return h_new, np.where(h_new >= state.h_dry, q_new, 0.0)
+
+
+BOUNDARIES = [BoundaryKind.REFLECTIVE_WALL, BoundaryKind.PERIODIC]
+
+
+class TestFusedStepMatchesReference:
+    """The fused flux (one partial-moment evaluation per interface side)
+    reproduces the four-call reference bit for bit."""
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_forward_step(self, bc, profile):
+        state = rough_state(bc, profile)
+        assert np.any(state.h == 0.0)
+        for _ in range(5):
+            dt = sv_cfl(state, 0.0)
+            want = reference_step(state, dt)
+            state = sv_forward_step(state, dt)
+            np.testing.assert_array_equal(state.h, want[0])
+            np.testing.assert_array_equal(state.q, want[1])
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_observer_step_masked_and_innovation(self, bc, profile):
+        state = rough_state(bc, profile, seed=11)
+        n, lam = state.grid.n_cells, 6.0
+        obs_h = np.full(n, np.nan)
+        obs_h[10:45] = state.h[10:45] * 1.2 + 0.01
+        wave = np.cos(2.0 * np.pi * state.grid.centers)
+        for _ in range(5):
+            dt = sv_cfl(state, lam)
+            dh = np.where(np.isfinite(obs_h), obs_h - state.h, 0.0)
+            dh_given = 0.3 * state.h * wave  # both signs, never deeper than the column
+            want = reference_step(state, dt, lam, dh)
+            got = sv_observer_step(state, obs_h, lam, dt)
+            np.testing.assert_array_equal(got.h, want[0])
+            np.testing.assert_array_equal(got.q, want[1])
+            want = reference_step(state, dt, lam, dh_given)
+            given = sv_observer_step(state, None, lam, dt, dh=dh_given)
+            np.testing.assert_array_equal(given.h, want[0])
+            np.testing.assert_array_equal(given.q, want[1])
+            state = got
+
+
+class TestNonFiniteRefused:
+    def test_state_rejects_nan_depth(self):
+        h = np.ones(5)
+        h[2] = np.nan
+        with pytest.raises(ValueError, match="water depth h"):
+            SWState(h, np.zeros(5), np.zeros(5), wall_grid(5))
+
+    def test_nan_time_step_fails_cfl_check(self):
+        state = flat_state(np.ones(10))
+        with pytest.raises(ValueError, match="CFL"):
+            sv_forward_step(state, math.nan)
+
+    def test_nan_depth_after_update_raises(self):
+        state = flat_state(np.ones(10))
+        dh = np.zeros(10)
+        dh[4] = np.nan
+        with pytest.raises(FloatingPointError, match="depth nan"):
+            sv_observer_step(state, None, 1.0, 0.5 * sv_cfl(state, 1.0), dh=dh)
 
 
 class TestEnergyBudget:
