@@ -234,8 +234,9 @@ class _Lane:
 
     clamp_nonnegative = False  # truncate negative noisy observations
 
-    def __init__(self, initial, bound, step):
+    def __init__(self, initial, bound, step, xi: XiGrid | None = None):
         self.initial, self.bound, self.step = initial, bound, step
+        self.xi = xi  # kinetic-velocity grid the observations must fit in
 
     def cfl(self, state, probe=None) -> float:
         return self.bound(state)
@@ -285,6 +286,7 @@ class _SWLane(_Lane):
     over ``factor`` cells when the truth runs on a refined grid."""
 
     clamp_nonnegative = True
+    xi = None
 
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
         self.initial = state0.copy()
@@ -387,11 +389,12 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
         lambda u, dt, lam, obs: step_collapse_macroscopic(u, obs, lam, dt, grid, xi),
     )
     if config.observer_mode is BurgersObserverMode.COLLAPSE:
-        return truth, _Lane(u0s[1], truth.bound, truth.step)
+        return truth, _Lane(u0s[1], truth.bound, truth.step, xi)
     return truth, _BGKLane(
         KineticField.from_macroscopic(u0s[1], xi, grid),
         truth.bound,
         lambda f, dt, lam, obs: step_kinetic_burgers(f, obs, lam, dt, collapse=False),
+        xi,
     )
 
 
@@ -409,6 +412,21 @@ class _Truth:
     dts: np.ndarray
     energies: list
     final: object
+
+
+def _refuse_saturation(fields: np.ndarray, xi: XiGrid | None) -> None:
+    """Refuse observed values outside the kinetic-velocity grid: the indicator
+    of such a value is cut off at the grid's end, and nudging toward it would
+    lose mass without a sign.  NaN (unobserved) cells pass."""
+    if xi is None:
+        return
+    outside = (fields < xi.xi_min) | (fields > xi.xi_max)
+    if outside.any():
+        where = np.unravel_index(np.argmax(outside), outside.shape)
+        raise ValueError(
+            f"observed value {float(fields[where])!r} in cell {where[-1]} lies outside the "
+            f"xi grid [{xi.xi_min:g}, {xi.xi_max:g}]; increase xi_margin"
+        )
 
 
 def _checked_bound(bound: float, phase: str, t: float) -> float:
@@ -479,10 +497,14 @@ class _GainController:
     from the truth's own state stays on it to machine precision.  Sampled
     series feed the every-step (hold or interpolate) and mollified modes,
     whose targets are genuinely stamped at the observation times.
+
+    On a lane with a kinetic-velocity grid ``xi``, every target is checked to
+    lie on it once, where it is built (``_refuse_saturation``).
     """
 
-    def __init__(self, config: RunConfig, truth: _Truth, clamp: bool):
-        self.config, self.truth, self.clamp = config, truth, clamp
+    def __init__(self, config: RunConfig, truth: _Truth, clamp: bool,
+                 xi: XiGrid | None):
+        self.config, self.truth, self.clamp, self.xi = config, truth, clamp, xi
         grid, gain = config.grid, config.gain
         self.gain_mask = np.ones(grid.n_cells, dtype=bool)
         for interval in (gain.spatial_mask, config.obs_mask):
@@ -506,6 +528,7 @@ class _GainController:
                     truth, times, mask_interval=config.obs_mask, noise=config.noise,
                     clamp_nonnegative=clamp,
                 )
+                _refuse_saturation(self.series.fields, xi)
 
     def relax_target(self, t_lo: float, t_hi: float, step_index: int,
                      is_last: bool):
@@ -532,7 +555,9 @@ class _GainController:
                 if np.searchsorted(times, hi) == np.searchsorted(times, t_lo):
                     return 0.0, None
             values = self.truth.trajectory_fields[step_index]
-            return 1.0, observe(values, self._noise, self.gain_mask, self.clamp)
+            target = observe(values, self._noise, self.gain_mask, self.clamp)
+            _refuse_saturation(target, self.xi)
+            return 1.0, target
         # EVERY_STEP against a sampled series
         if self.series is None:  # nothing observable inside the horizon
             return 0.0, None
@@ -650,7 +675,9 @@ def run_twin(config: RunConfig, store_truth: bool = False) -> RunResult:
     """Run the full twin experiment described by ``config``."""
     truth_lane, observer_lane = _lanes(config)
     truth = _run_truth(config, truth_lane)
-    controller = _GainController(config, truth, truth_lane.clamp_nonnegative)
+    controller = _GainController(
+        config, truth, truth_lane.clamp_nonnegative, observer_lane.xi
+    )
     result = _run_observer(config, observer_lane, truth, controller)
     if store_truth:
         result.trajectory_times = truth.trajectory_times

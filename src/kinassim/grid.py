@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,35 @@ class XiGrid:
     @property
     def speed_sup(self) -> float:
         return max(abs(self.xi_min), abs(self.xi_max))
+
+    @cached_property
+    def indicator_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(nodes, T0, T1)``: the quadrature moments of the indicator
+        chi(xi, v) = +1 on (0, v), -1 on (v, 0), tabulated once per grid.
+
+        The nodes are sorted with constant weight, so the nodes inside the
+        support of chi(., v) form one index range: [p, kl) above zero and
+        [kr, p0) below, where kl = searchsorted(nodes, v, "left"),
+        kr = searchsorted(nodes, v, "right"), p is the first node > 0 and
+        p0 the first node >= 0.  With the prefix sums C_m = cumsum(w xi^m)
+        (leading 0), T_m[0, k] = C_m[max(k, p)] - C_m[p] and
+        T_m[1, k] = C_m[min(k, p0)] - C_m[p0], so that
+
+            sum_j w_j xi_j^m chi(xi_j, v) = T_m[0, kl] + T_m[1, kr].
+
+        The arrays are read-only.
+        """
+        nodes = self.nodes
+        k = np.arange(self.n_xi + 1)
+        p = int(np.searchsorted(nodes, 0.0, side="right"))
+        p0 = int(np.searchsorted(nodes, 0.0, side="left"))
+        tables = [nodes]
+        for c in (np.cumsum(self.weights), np.cumsum(self.weights * nodes)):
+            c = np.concatenate(([0.0], c))
+            tables.append(np.stack([c[np.maximum(k, p)] - c[p], c[np.minimum(k, p0)] - c[p0]]))
+        for table in tables:
+            table.flags.writeable = False
+        return tuple(tables)
 
     @staticmethod
     def spanning(values_min: float, values_max: float, margin: float = 1.0,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,10 +62,20 @@ def sobolev_seminorm(values: np.ndarray, s: float, grid: Grid1D) -> float:
     values = np.asarray(values, dtype=float)
     n = len(values)
     coeff = np.fft.fft(values) / n
+    keep, weights = _sobolev_weights(n, grid.length, s)
+    return float(np.sqrt(np.sum(weights * np.abs(coeff[keep]) ** 2)))
+
+
+@lru_cache(maxsize=64)
+def _sobolev_weights(n: int, length: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the nonzero modes, |omega|^(2s) on them), read-only; computed
+    once per (n, length, s) because every recorded row needs them."""
     k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumber index
-    omega = 2.0 * np.pi * k / grid.length
+    omega = 2.0 * np.pi * k / length
     keep = k != 0
-    return float(np.sqrt(np.sum(np.abs(omega[keep]) ** (2.0 * s) * np.abs(coeff[keep]) ** 2)))
+    weights = np.abs(omega[keep]) ** (2.0 * s)
+    keep.flags.writeable = weights.flags.writeable = False
+    return keep, weights
 
 
 def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:

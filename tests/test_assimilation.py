@@ -327,6 +327,29 @@ class TestMollifiedBurgers:
         assert result.final_l1_rel < 0.6 * baseline.final_l1_rel
 
 
+class TestXiGridSaturationRefused:
+    """With xi_margin = 0 the xi grid is [0, 1], the truth's range; noisy
+    observations below 0 would be cut off by the indicator."""
+
+    @pytest.mark.parametrize("mode", [BurgersObserverMode.COLLAPSE, BurgersObserverMode.BGK])
+    @pytest.mark.parametrize("temporal,kwargs", [
+        (TemporalMode.AT_OBSERVATION_TIMES, {}),
+        (TemporalMode.EVERY_STEP, {}),
+        (TemporalMode.MOLLIFIED, {"sigma": 0.04}),
+    ])
+    def test_noisy_observations_off_the_grid(self, mode, temporal, kwargs):
+        cfg = burgers_config(mode=mode, temporal=temporal,
+                             noise=NoiseSpec(0.02, r=1.0, alpha=0.25), **kwargs)
+        cfg.xi_margin = 0.0
+        with pytest.raises(ValueError, match=r"value -0\.\d+ in cell \d+ lies outside the xi grid \[0, 1\]"):
+            run_twin(cfg)
+
+    def test_exact_observations_on_the_grid_edge_run(self):
+        cfg = burgers_config(mode=BurgersObserverMode.COLLAPSE)
+        cfg.xi_margin = 0.0
+        assert math.isfinite(run_twin(cfg).final_l1_rel)
+
+
 def small_sw_config(t_final=0.02, factor=1):
     grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
     return RunConfig(

@@ -239,6 +239,70 @@ class TestMacroscopicStep:
         assert engquist_osher_flux(np.array([-1.0]), np.array([1.0]))[0] == 0.0
 
 
+def dense_collapse_step(u, obs_u, lam, dt, grid, xi):
+    """The collapse step as dense quadrature over (n_cells, n_xi) indicator
+    arrays: the reference for the prefix-sum form."""
+    nodes, w = xi.nodes, xi.weights
+    chi = chi_indicator(nodes[None, :], u[:, None])
+    if grid.bc is BoundaryKind.PERIODIC:
+        chip = np.concatenate([chi[-1:], chi, chi[:1]])
+    else:
+        chip = np.concatenate([np.zeros((1, xi.n_xi)), chi, np.zeros((1, xi.n_xi))])
+    flux = np.where(nodes[None, :] >= 0.0, chip[:-1], chip[1:]) * nodes[None, :]
+    flux_m = flux @ w
+    new = u - (dt / grid.dx) * (flux_m[1:] - flux_m[:-1])
+    if lam > 0.0 and obs_u is not None:
+        observed = np.isfinite(obs_u)
+        target = chi_indicator(nodes[None, :], np.where(observed, obs_u, 0.0)[:, None])
+        new = new + np.where(observed, lam * dt * ((target - chi) @ w), 0.0)
+    return new
+
+
+class TestCollapseClosedForm:
+    XI_GRIDS = [
+        XiGrid(-1.5, 2.0, 48),
+        XiGrid(-1.5, 1.5, 49),  # odd and symmetric: a node sits at xi = 0
+        XiGrid(-1.0, 1.0, 1),  # one node, at xi = 0
+        XiGrid(-0.5, 2.0, 1),  # one node, above zero
+        XiGrid(0.0, 1.0, 16),  # no node below zero
+    ]
+
+    @staticmethod
+    def values(rng, xi, n):
+        """Random values over and past the grid, a fifth exactly on nodes,
+        a tenth zero."""
+        v = rng.uniform(1.2 * xi.xi_min - 0.1, 1.2 * xi.xi_max + 0.1, n)
+        pick = rng.random(n)
+        v[pick < 0.2] = rng.choice(xi.nodes, size=int(np.sum(pick < 0.2)))
+        v[(pick >= 0.2) & (pick < 0.3)] = 0.0
+        return v
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO])
+    @pytest.mark.parametrize("xi", XI_GRIDS, ids=lambda xi: f"{xi.xi_min:g}_{xi.xi_max:g}_{xi.n_xi}")
+    @pytest.mark.parametrize("lam", [0.0, 30.0])
+    def test_matches_dense_quadrature(self, bc, xi, lam):
+        rng = np.random.default_rng(xi.n_xi + int(lam))
+        grid = make_grid(60, bc)
+        dt = burgers_cfl(lam, grid.dx, xi.speed_sup)
+        for _ in range(20):
+            u = self.values(rng, xi, 60)
+            obs = self.values(rng, xi, 60)
+            obs[rng.random(60) < 0.15] = np.nan
+            for target in (obs, None):
+                np.testing.assert_allclose(
+                    step_collapse_macroscopic(u, target, lam, dt, grid, xi),
+                    dense_collapse_step(u, target, lam, dt, grid, xi),
+                    rtol=0.0, atol=1e-13,
+                )
+
+    def test_tables_are_read_only(self):
+        xi = XiGrid(-1.0, 2.0, 24)
+        assert xi.indicator_tables is xi.indicator_tables  # built once per grid
+        for table in xi.indicator_tables:
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+
 class TestDiscreteVsOracle:
     def test_refinement_first_order(self):
         # kinetic stepper on one node converges to the representation formula
