@@ -31,14 +31,9 @@ from .grid import BoundaryKind, Grid1D, XiGrid
 from .kinetic import (
     GRAVITY,
     ChiProfile,
-    GibbsEquilibrium,
-    XiSide,
     chi_cube_integral,
     chi_indicator,
     chi_profile_value,
-    gibbs_moments,
-    halfline_energy_flux,
-    halfline_flux_moment,
 )
 from .metrics import (
     ErrorSeries,
@@ -54,13 +49,11 @@ from .observation import (
     ObservabilityResult,
     ObservationSeries,
     interpolate_in_time,
-    load_series_csv,
     mollified_gain,
     noise_field,
     noise_l2_closed_form,
     observability_check,
     sample_observations,
-    save_series_csv,
 )
 from .shallow_water import (
     EnergyBudget,

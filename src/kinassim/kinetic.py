@@ -1,4 +1,4 @@
-"""Kinetic building blocks: shape profiles, Gibbs equilibria and their moments.
+"""Kinetic building blocks: shape profiles and vectorised half-line moments.
 
 A scalar value u is represented kinetically by the signed indicator
 ``chi_indicator(xi, u)`` (+1 between 0 and u, -1 between u and 0).  A
@@ -11,16 +11,19 @@ zeroth and second moments.  Two profiles are provided: a rectangle on
 [-sqrt(3), sqrt(3)] and a semicircle on [-2, 2] (the minimiser of the kinetic
 energy functional among densities with prescribed mass and momentum).
 
-All flux integrals used by the finite-volume schemes are half-line moments of
-these densities.  They are evaluated in closed form (polynomial for the
-rectangle, trigonometric for the semicircle), so fluxes are bit-stable and
-independent of any xi discretisation.
+The finite-volume fluxes are half-line moments of these densities, taken over
+xi >= 0 or xi <= 0 and evaluated on whole arrays of interfaces at once:
+``upwind_power_moment`` and ``upwind_mass_momentum`` give the moments of
+xi^k M, ``halfline_energy_moment`` that of xi e(M).  A boolean array selects
+the half-line entry by entry, so both sides of every interface go through one
+call.  The moments are closed forms (polynomial for the rectangle,
+trigonometric for the semicircle), so fluxes are bit-stable and independent
+of any xi discretisation.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +39,6 @@ class ChiProfile(enum.Enum):
     @property
     def support_halfwidth(self) -> float:
         return math.sqrt(3.0) if self is ChiProfile.RECTANGLE else 2.0
-
-
-class XiSide(enum.Enum):
-    """Half-line of the kinetic velocity axis (xi >= 0 or xi <= 0)."""
-
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
 
 
 def chi_indicator(xi, u):
@@ -80,50 +76,6 @@ def chi_cube_integral(profile: ChiProfile) -> float:
     if profile is ChiProfile.RECTANGLE:
         return 1.0 / 12.0
     return 3.0 / (4.0 * math.pi**2)
-
-
-@dataclass(frozen=True)
-class GibbsEquilibrium:
-    """Kinetic density (H/c) chi((xi - u)/c) of a water column (H, u).
-
-    A dry column (H = 0) is the zero density; c is never evaluated for it.
-    """
-
-    h: float
-    u: float
-    profile: ChiProfile
-    g: float = GRAVITY
-
-    def __post_init__(self):
-        if self.h < 0.0:
-            raise ValueError(f"water depth must be nonnegative, got {self.h}")
-
-    @property
-    def c(self) -> float:
-        return math.sqrt(self.g * self.h / 2.0)
-
-    def density(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.h == 0.0:
-            out = np.zeros_like(xi)
-            return float(out) if out.ndim == 0 else out
-        c = self.c
-        return (self.h / c) * chi_profile_value(self.profile, (xi - self.u) / c)
-
-
-def gibbs_moments(eq: GibbsEquilibrium) -> tuple[float, float, float]:
-    """Mass, momentum and energy of a Gibbs equilibrium.
-
-    The energy is the xi-integral of  xi^2/2 f + g^2/(8 k3) f^3  which, for a
-    Gibbs density built on any unit-moment profile, collapses to the
-    macroscopic value H u^2/2 + g H^2/2 (the profile constant k3 cancels).
-    """
-    if eq.h == 0.0:
-        return 0.0, 0.0, 0.0
-    mass = eq.h
-    momentum = eq.h * eq.u
-    energy = 0.5 * eq.h * eq.u**2 + 0.5 * eq.g * eq.h**2
-    return mass, momentum, energy
 
 
 # --- partial moments of the profiles -------------------------------------
@@ -253,21 +205,14 @@ def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive):
     return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive))
 
 
-def halfline_flux_moment(eq: GibbsEquilibrium, side: XiSide, power: int) -> float:
-    """H-weighted half-line moment of the Gibbs density: the xi>=0 (or xi<=0)
-    part of integral xi^power M(xi) dxi, in closed form."""
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 or 2, got {power}")
-    positive = side is XiSide.POSITIVE
-    return float(upwind_power_moment(eq.profile, eq.h, eq.u, eq.c, power, positive))
-
-
-def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive: bool):
+def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):
     """Half-line moment of xi * e(M) for Gibbs densities, vectorised over
     interface arrays, where e(f) = xi^2/2 f + g^2/(8 k3) f^3.
 
     This is the kinetic energy flux carried by particles of one sign of xi.
-    Dry entries (h = 0) contribute zero.
+    ``positive`` selects the half-line as in ``upwind_mass_momentum``: a
+    boolean array broadcasting against h selects it entry by entry.  Dry
+    entries (h = 0) contribute zero.
     """
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -276,15 +221,8 @@ def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive: bool):
     cubic = upwind_power_moment(profile, h, u, c, 3, positive)
     k0_part, k1_part = profile_partial_cube_moments(profile, -u / c)
     k3 = chi_cube_integral(profile)
-    k0 = k0_part if positive else k3 - k0_part
-    k1 = k1_part if positive else -k1_part
+    k0 = np.where(positive, k0_part, k3 - k0_part)
+    k1 = np.where(positive, k1_part, -k1_part)
     kappa = g**2 / (8.0 * k3)
     cube_term = kappa * h**3 / c**2 * (u * k0 + c * k1)
     return np.where(wet, 0.5 * cubic + cube_term, 0.0)
-
-
-def halfline_energy_flux(eq: GibbsEquilibrium, side: XiSide) -> float:
-    """Scalar ``halfline_energy_moment`` of one Gibbs equilibrium."""
-    return float(
-        halfline_energy_moment(eq.profile, eq.h, eq.u, eq.g, side is XiSide.POSITIVE)
-    )

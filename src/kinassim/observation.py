@@ -7,10 +7,7 @@ eps^r cos(x/eps), small in a weak norm while order-one in L2 for alpha > 0.
 """
 from __future__ import annotations
 
-import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,43 +205,3 @@ def observability_check(speed: float, interval: tuple[float, float], horizon: fl
     frac = dist - wraps
     x_inf = (wraps * width + max(0.0, frac - (1.0 - width))) / c
     return ObservabilityResult(horizon > t_min, t_min, x_inf)
-
-
-# --- CSV round trip ---------------------------------------------------------
-
-
-def save_series_csv(series: ObservationSeries, path: str):
-    """Write the series as rows (t, cell_index, value); absent cells omitted."""
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(tmp_fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "cell_index", "value"])
-            for k, t in enumerate(series.times):
-                row_values = series.fields[k]
-                for i in np.nonzero(np.isfinite(row_values))[0]:
-                    writer.writerow([repr(float(t)), int(i), repr(float(row_values[i]))])
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def load_series_csv(path: str, grid: Grid1D) -> ObservationSeries:
-    times: list[float] = []
-    rows: list[np.ndarray] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "cell_index", "value"]:
-            raise ValueError(f"unexpected header {header}")
-        for t_str, i_str, v_str in reader:
-            t = float(t_str)
-            if not times or t != times[-1]:
-                times.append(t)
-                rows.append(np.full(grid.n_cells, np.nan))
-            rows[-1][int(i_str)] = float(v_str)
-    fields = np.asarray(rows)
-    mask = np.any(np.isfinite(fields), axis=0) if len(rows) else np.zeros(grid.n_cells, bool)
-    return ObservationSeries(np.asarray(times), fields, mask, grid)

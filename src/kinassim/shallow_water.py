@@ -86,14 +86,6 @@ class InterfaceReconstruction:
     h_sides: np.ndarray  # (2, n+1) reconstructed depths
     h_cells: np.ndarray  # (2, n+1) depths of the cells either side
 
-    @property
-    def h_minus(self) -> np.ndarray:
-        return self.h_sides[0]
-
-    @property
-    def h_plus(self) -> np.ndarray:
-        return self.h_sides[1]
-
 
 # positive half-line (xi >= 0) on the left side of an interface, negative on
 # the right: the upwind split of the kinetic flux
@@ -221,16 +213,25 @@ def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
     return h, q
 
 
-def sv_forward_step(state: SWState, dt: float) -> SWState:
-    """One conservative step of the forward (unassimilated) scheme."""
+def _sv_update(state: SWState, dt: float, lam: float, dh: np.ndarray | None) -> SWState:
+    """Transport step, plus the nudging source lam dt (dh, u dh) unless dh is
+    None, then the depth settle."""
     u = state.velocity
-    _check_cfl(state, u, 0.0, dt)
+    _check_cfl(state, u, lam, dt)
     sigma = dt / state.grid.dx
     div_h, div_q = _flux_divergence(state, u)
     h = state.h - sigma * div_h
     q = state.q - sigma * div_q
+    if dh is not None:
+        h = h + lam * dt * dh
+        q = q + lam * dt * u * dh
     h, q = _settle(h, q, state.h_dry)
     return replace(state, h=h, q=q)
+
+
+def sv_forward_step(state: SWState, dt: float) -> SWState:
+    """One conservative step of the forward (unassimilated) scheme."""
+    return _sv_update(state, dt, 0.0, None)
 
 
 def sv_observer_step(
@@ -258,14 +259,7 @@ def sv_observer_step(
         if np.any(obs_h[observed] < 0.0):
             raise ValueError("observed depths must be nonnegative")
         dh = np.where(observed, obs_h - state.h, 0.0)
-    u = state.velocity
-    _check_cfl(state, u, lam, dt)
-    sigma = dt / state.grid.dx
-    div_h, div_q = _flux_divergence(state, u)
-    h = state.h - sigma * div_h + lam * dt * dh
-    q = state.q - sigma * div_q + lam * dt * u * dh
-    h, q = _settle(h, q, state.h_dry)
-    return replace(state, h=h, q=q)
+    return _sv_update(state, dt, lam, dh)
 
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:
@@ -303,11 +297,9 @@ def energy_budget(
         if include_topography:
             zeta_tilde = zeta_tilde + state.g * obs_h * state.z_b
     rec = hydrostatic_reconstruct(state)
-    u_left, u_right = _interface_pairs(state.velocity, state.grid.bc, mirror=True)
-    flux = halfline_energy_moment(state.profile, rec.h_minus, u_left, state.g, True) + (
-        halfline_energy_moment(state.profile, rec.h_plus, u_right, state.g, False)
-    )
-    return EnergyBudget(zeta_hat=zeta_hat, zeta_tilde=zeta_tilde, flux=flux)
+    u_sides = _interface_pairs(state.velocity, state.grid.bc, mirror=True)
+    flux = halfline_energy_moment(state.profile, rec.h_sides, u_sides, state.g, _UPWIND_SIDE)
+    return EnergyBudget(zeta_hat=zeta_hat, zeta_tilde=zeta_tilde, flux=flux[0] + flux[1])
 
 
 # --- benchmark setups ------------------------------------------------------

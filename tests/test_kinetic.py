@@ -5,15 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from kinassim.kinetic import (
+    GRAVITY as G,
     ChiProfile,
-    GibbsEquilibrium,
-    XiSide,
     chi_cube_integral,
     chi_indicator,
     chi_profile_value,
-    gibbs_moments,
-    halfline_energy_flux,
-    halfline_flux_moment,
+    halfline_energy_moment,
     upwind_mass_momentum,
     upwind_power_moment,
 )
@@ -87,83 +84,77 @@ class TestChiIndicator:
             assert e <= 1.5 * dxi
 
 
+# xi >= 0 and xi <= 0: summed, the two half-line moments of a column are its
+# full-line moment
+BOTH_SIDES = np.array([True, False])
+
+
 class TestGibbsMoments:
     def test_still_unit_column_rectangle(self):
-        eq = GibbsEquilibrium(1.0, 0.0, ChiProfile.RECTANGLE)
-        mass, mom, energy = gibbs_moments(eq)
+        c = math.sqrt(G / 2.0)
+        mass, mom = (
+            upwind_power_moment(ChiProfile.RECTANGLE, 1.0, 0.0, c, k, BOTH_SIDES).sum()
+            for k in (0, 1)
+        )
         assert mass == 1.0 and mom == 0.0
-        assert energy == pytest.approx(eq.g / 2.0, rel=1e-14)
 
     def test_dry_column(self):
-        eq = GibbsEquilibrium(0.0, 5.0, ChiProfile.SEMICIRCLE)
-        assert gibbs_moments(eq) == (0.0, 0.0, 0.0)
-        assert eq.density(0.3) == 0.0
+        profile = ChiProfile.SEMICIRCLE
+        for power in (0, 1, 2):
+            got = upwind_power_moment(profile, 0.0, 5.0, 0.0, power, BOTH_SIDES)
+            np.testing.assert_array_equal(got, 0.0)
+        np.testing.assert_array_equal(halfline_energy_moment(profile, 0.0, 5.0, G, BOTH_SIDES), 0.0)
 
     def test_moving_column_semicircle(self):
-        eq = GibbsEquilibrium(2.0, 3.0, ChiProfile.SEMICIRCLE, g=9.81)
-        mass, mom, energy = gibbs_moments(eq)
+        c = math.sqrt(G * 2.0 / 2.0)
+        mass, mom = (
+            upwind_power_moment(ChiProfile.SEMICIRCLE, 2.0, 3.0, c, k, BOTH_SIDES).sum()
+            for k in (0, 1)
+        )
         assert (mass, mom) == (2.0, 6.0)
-        assert energy == pytest.approx(9.0 + 2.0 * 9.81, rel=1e-14)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_moments_match_quadrature(self, profile):
         rng = np.random.default_rng(7)
-        k3 = chi_cube_integral(profile)
         for _ in range(5):
             h = rng.uniform(0.05, 10.0)
             u = rng.uniform(-5.0, 5.0)
-            eq = GibbsEquilibrium(h, u, profile)
-            c, w = eq.c, profile.support_halfwidth
+            c, w = math.sqrt(G * h / 2.0), profile.support_halfwidth
+
+            def density(xi):
+                return h / c * chi_profile_value(profile, (xi - u) / c)
+
             lo, hi = u - w * c, u + w * c
-            mass_q, _ = quad(eq.density, lo, hi, limit=200)
-            mom_q, _ = quad(lambda xi: xi * eq.density(xi), lo, hi, limit=200)
-            en_q, _ = quad(
-                lambda xi: 0.5 * xi * xi * eq.density(xi)
-                + eq.g**2 / (8.0 * k3) * eq.density(xi) ** 3,
-                lo,
-                hi,
-                limit=200,
+            mass_q, _ = quad(density, lo, hi, limit=200)
+            mom_q, _ = quad(lambda xi: xi * density(xi), lo, hi, limit=200)
+            mass, mom = (
+                upwind_power_moment(profile, h, u, c, k, BOTH_SIDES).sum() for k in (0, 1)
             )
-            mass, mom, energy = gibbs_moments(eq)
             assert mass == pytest.approx(mass_q, rel=1e-9)
             assert mom == pytest.approx(mom_q, rel=1e-9, abs=1e-9)
-            assert energy == pytest.approx(en_q, rel=1e-8)
-
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_closed_form_identity(self, profile):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            h = rng.uniform(0.0, 10.0)
-            u = rng.uniform(-5.0, 5.0)
-            eq = GibbsEquilibrium(h, u, profile)
-            _, _, energy = gibbs_moments(eq)
-            expected = 0.5 * h * u * u + 0.5 * eq.g * h * h
-            assert energy == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 class TestHalflineFluxMoments:
     def test_still_rectangle_positive_side(self):
-        eq = GibbsEquilibrium(1.0, 0.0, ChiProfile.RECTANGLE)
-        expected = eq.c * math.sqrt(3.0) / 4.0
-        got = halfline_flux_moment(eq, XiSide.POSITIVE, 1)
+        c = math.sqrt(G / 2.0)
+        expected = c * math.sqrt(3.0) / 4.0
+        got = upwind_power_moment(ChiProfile.RECTANGLE, 1.0, 0.0, c, 1, True)
         assert got == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_still_sides_cancel(self, profile):
-        eq = GibbsEquilibrium(1.0, 0.0, profile)
-        total = halfline_flux_moment(eq, XiSide.POSITIVE, 1) + halfline_flux_moment(
-            eq, XiSide.NEGATIVE, 1
-        )
+        c = math.sqrt(G / 2.0)
+        total = upwind_power_moment(profile, 1.0, 0.0, c, 1, BOTH_SIDES).sum()
         assert total == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_supercritical_full_support(self, profile):
         h = 1.0
-        c = math.sqrt(9.81 * h / 2.0)
-        eq = GibbsEquilibrium(h, 10.0 * c, profile)
-        got = halfline_flux_moment(eq, XiSide.POSITIVE, 1)
-        assert got == pytest.approx(h * eq.u, rel=1e-13)
-        assert halfline_flux_moment(eq, XiSide.NEGATIVE, 1) == pytest.approx(0.0, abs=1e-13)
+        c = math.sqrt(G * h / 2.0)
+        u = 10.0 * c
+        got = upwind_power_moment(profile, h, u, c, 1, True)
+        assert got == pytest.approx(h * u, rel=1e-13)
+        assert upwind_power_moment(profile, h, u, c, 1, False) == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_side_sums_are_full_moments(self, profile):
@@ -171,11 +162,10 @@ class TestHalflineFluxMoments:
         for _ in range(30):
             h = rng.uniform(0.01, 10.0)
             u = rng.uniform(-5.0, 5.0)
-            eq = GibbsEquilibrium(h, u, profile)
-            s1 = sum(halfline_flux_moment(eq, side, 1) for side in XiSide)
-            s2 = sum(halfline_flux_moment(eq, side, 2) for side in XiSide)
+            c = math.sqrt(G * h / 2.0)
+            s1, s2 = (m.sum() for m in upwind_mass_momentum(profile, h, u, c, BOTH_SIDES))
             assert s1 == pytest.approx(h * u, rel=1e-10, abs=1e-12)
-            assert s2 == pytest.approx(h * u * u + eq.g * h * h / 2.0, rel=1e-10)
+            assert s2 == pytest.approx(h * u * u + G * h * h / 2.0, rel=1e-10)
 
     @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("power", [1, 2])
@@ -184,26 +174,21 @@ class TestHalflineFluxMoments:
         for _ in range(5):
             h = rng.uniform(0.05, 5.0)
             u = rng.uniform(-4.0, 4.0)
-            eq = GibbsEquilibrium(h, u, profile)
-            c, w = eq.c, profile.support_halfwidth
+            c, w = math.sqrt(G * h / 2.0), profile.support_halfwidth
             hi = u + w * c
             oracle, _ = quad(
-                lambda xi: xi**power * eq.density(xi), 0.0, max(hi, 0.0), limit=300
+                lambda xi: xi**power * h / c * chi_profile_value(profile, (xi - u) / c),
+                0.0,
+                max(hi, 0.0),
+                limit=300,
             )
-            got = halfline_flux_moment(eq, XiSide.POSITIVE, power)
+            got = upwind_power_moment(profile, h, u, c, power, True)
             assert got == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
-    def test_rejects_bad_power_and_depth(self):
-        eq = GibbsEquilibrium(1.0, 0.0, ChiProfile.RECTANGLE)
-        with pytest.raises(ValueError):
-            halfline_flux_moment(eq, XiSide.POSITIVE, 3)
-        with pytest.raises(ValueError):
-            GibbsEquilibrium(-1.0, 0.0, ChiProfile.RECTANGLE)
-
     def test_dry_fluxes_vanish(self):
-        eq = GibbsEquilibrium(0.0, 0.0, ChiProfile.SEMICIRCLE)
-        assert halfline_flux_moment(eq, XiSide.POSITIVE, 1) == 0.0
-        assert halfline_energy_flux(eq, XiSide.POSITIVE) == 0.0
+        profile = ChiProfile.SEMICIRCLE
+        assert upwind_power_moment(profile, 0.0, 0.0, 0.0, 1, True) == 0.0
+        assert halfline_energy_moment(profile, 0.0, 0.0, G, True) == 0.0
 
 
 class TestHalflineEnergyFlux:
@@ -214,25 +199,30 @@ class TestHalflineEnergyFlux:
         for _ in range(5):
             h = rng.uniform(0.05, 5.0)
             u = rng.uniform(-4.0, 4.0)
-            eq = GibbsEquilibrium(h, u, profile)
-            c, w = eq.c, profile.support_halfwidth
+            c, w = math.sqrt(G * h / 2.0), profile.support_halfwidth
 
             def integrand(xi):
-                f = eq.density(xi)
-                return xi * (0.5 * xi * xi * f + eq.g**2 / (8.0 * k3) * f**3)
+                f = h / c * chi_profile_value(profile, (xi - u) / c)
+                return xi * (0.5 * xi * xi * f + G**2 / (8.0 * k3) * f**3)
 
             hi = max(u + w * c, 0.0)
             oracle, _ = quad(integrand, 0.0, hi, limit=300)
-            got = halfline_energy_flux(eq, XiSide.POSITIVE)
+            got = halfline_energy_moment(profile, h, u, G, True)
             assert got == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_still_fluxes_cancel(self, profile):
-        eq = GibbsEquilibrium(2.0, 0.0, profile)
-        total = halfline_energy_flux(eq, XiSide.POSITIVE) + halfline_energy_flux(
-            eq, XiSide.NEGATIVE
-        )
+        total = halfline_energy_moment(profile, 2.0, 0.0, G, BOTH_SIDES).sum()
         assert total == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_stacked_sides_equal_separate_sides(self, profile):
+        h, u, _ = interface_arrays(profile, n=300)
+        h, u = h.reshape(2, -1), u.reshape(2, -1)
+        stacked = halfline_energy_moment(profile, h, u, G, np.array([[True], [False]]))
+        for row, positive in enumerate((True, False)):
+            single = halfline_energy_moment(profile, h[row], u[row], G, positive)
+            np.testing.assert_array_equal(stacked[row], single)
 
 
 def interface_arrays(profile, n=400, seed=21):

@@ -10,13 +10,11 @@ from kinassim.observation import (
     NoiseSpec,
     ObservationSeries,
     interpolate_in_time,
-    load_series_csv,
     mollified_gain,
     noise_field,
     noise_l2_closed_form,
     observability_check,
     sample_observations,
-    save_series_csv,
 )
 
 
@@ -245,23 +243,3 @@ class TestPartialSpaceDecay:
         norm = float(np.sqrt(np.sum(err**2) * grid.dx))
         # discrete decay (1 - lam dt)^k is slightly faster than exp(-lam t_in)
         assert norm <= math.exp(-lam * x_inf) * 1.05
-
-
-class TestSeriesCsvRoundTrip:
-    def test_round_trip_exact(self, tmp_path):
-        grid = unit_grid(12)
-        rng = np.random.default_rng(6)
-        times = np.array([0.0, 0.31, 0.62])
-        mask = grid.interval_mask(0.2, 0.8)
-        fields = rng.normal(size=(3, 12))
-        fields[:, ~mask] = np.nan
-        series = ObservationSeries(times, fields, mask, grid)
-        path = tmp_path / "obs.csv"
-        save_series_csv(series, str(path))
-        loaded = load_series_csv(str(path), grid)
-        np.testing.assert_array_equal(loaded.times, series.times)
-        np.testing.assert_array_equal(loaded.mask, series.mask)
-        np.testing.assert_array_equal(
-            loaded.fields[:, mask], series.fields[:, mask]
-        )
-        assert np.all(np.isnan(loaded.fields[:, ~mask]))

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from kinassim.grid import BoundaryKind, Grid1D
 from kinassim.kinetic import (
     ChiProfile,
-    GibbsEquilibrium,
     chi_cube_integral,
+    chi_profile_value,
     upwind_power_moment,
 )
 from kinassim.shallow_water import (
@@ -47,16 +47,16 @@ class TestReconstruction:
         state = flat_state([1.0, 2.0, 1.5, 0.5])
         rec = hydrostatic_reconstruct(state)
         # interior interfaces reproduce the neighbouring cell depths
-        np.testing.assert_allclose(rec.h_minus[1:-1], state.h[:-1])
-        np.testing.assert_allclose(rec.h_plus[1:-1], state.h[1:])
+        np.testing.assert_allclose(rec.h_sides[0][1:-1], state.h[:-1])
+        np.testing.assert_allclose(rec.h_sides[1][1:-1], state.h[1:])
 
     def test_lake_at_rest_equal_sides(self):
         grid = wall_grid(6)
         z_b = np.array([0.0, 0.2, 0.5, 0.3, 0.1, 0.0])
         state = lake_at_rest_state(grid, z_b, eta=1.0)
         rec = hydrostatic_reconstruct(state)
-        np.testing.assert_allclose(rec.h_minus, rec.h_plus, atol=1e-15)
-        np.testing.assert_allclose(rec.h_minus[1:-1], 1.0 - np.maximum(z_b[:-1], z_b[1:]))
+        np.testing.assert_allclose(rec.h_sides[0], rec.h_sides[1], atol=1e-15)
+        np.testing.assert_allclose(rec.h_sides[0][1:-1], 1.0 - np.maximum(z_b[:-1], z_b[1:]))
 
     def test_truncation_at_step(self):
         grid = wall_grid(2)
@@ -65,8 +65,8 @@ class TestReconstruction:
             ChiProfile.SEMICIRCLE,
         )
         rec = hydrostatic_reconstruct(state)
-        assert rec.h_minus[1] == 0.0  # max(0, 0.1 - 0.5)
-        assert rec.h_plus[1] == 0.0
+        assert rec.h_sides[0][1] == 0.0  # max(0, 0.1 - 0.5)
+        assert rec.h_sides[1][1] == 0.0
 
 
 class TestInterfaceFlux:
@@ -99,17 +99,23 @@ class TestInterfaceFlux:
             rec, np.array([-u[0], u[0], u[1]]), np.array([u[0], u[1], -u[1]]),
             profile,
         )
-        left = GibbsEquilibrium(h[0], u[0], profile)
-        right = GibbsEquilibrium(h[1], u[1], profile)
-        span_l = u[0] + profile.support_halfwidth * left.c + 1.0
-        span_r = u[1] - profile.support_halfwidth * right.c - 1.0
-        pos, _ = quad(lambda xi: xi * left.density(xi), 0.0, span_l, limit=300)
-        neg, _ = quad(lambda xi: xi * right.density(xi), span_r, 0.0, limit=300)
+        c = np.sqrt(G * h / 2.0)
+
+        def left(xi):
+            return h[0] / c[0] * chi_profile_value(profile, (xi - u[0]) / c[0])
+
+        def right(xi):
+            return h[1] / c[1] * chi_profile_value(profile, (xi - u[1]) / c[1])
+
+        span_l = u[0] + profile.support_halfwidth * c[0] + 1.0
+        span_r = u[1] - profile.support_halfwidth * c[1] - 1.0
+        pos, _ = quad(lambda xi: xi * left(xi), 0.0, span_l, limit=300)
+        neg, _ = quad(lambda xi: xi * right(xi), span_r, 0.0, limit=300)
         assert f_h[1] == pytest.approx(pos + neg, rel=1e-8, abs=1e-10)
         # momentum flux: xi^2 moment of the upwind density (flat bottom, so
         # the left/right corrections vanish and both sides agree)
-        pos2, _ = quad(lambda xi: xi * xi * left.density(xi), 0.0, span_l, limit=300)
-        neg2, _ = quad(lambda xi: xi * xi * right.density(xi), span_r, 0.0, limit=300)
+        pos2, _ = quad(lambda xi: xi * xi * left(xi), 0.0, span_l, limit=300)
+        neg2, _ = quad(lambda xi: xi * xi * right(xi), span_r, 0.0, limit=300)
         assert f_q_l[1] == pytest.approx(pos2 + neg2, rel=1e-8)
         assert f_q_r[1] == pytest.approx(f_q_l[1], rel=1e-12)
 
@@ -376,10 +382,12 @@ class TestFusedStepMatchesReference:
 
 class TestNonFiniteRefused:
     def test_state_rejects_nan_depth(self):
-        h = np.ones(5)
-        h[2] = np.nan
-        with pytest.raises(ValueError, match="water depth h"):
-            SWState(h, np.zeros(5), np.zeros(5), wall_grid(5))
+        # a negative depth fails the same check
+        for bad in (np.nan, -1.0):
+            h = np.ones(5)
+            h[2] = bad
+            with pytest.raises(ValueError, match="water depth h"):
+                SWState(h, np.zeros(5), np.zeros(5), wall_grid(5))
 
     def test_nan_time_step_fails_cfl_check(self):
         state = flat_state(np.ones(10))
@@ -420,13 +428,16 @@ class TestEnergyBudget:
         for profile in PROFILES:
             h = rng.uniform(0.1, 3.0)
             u = rng.uniform(-2.0, 2.0)
-            eq = GibbsEquilibrium(h, u, profile)
+            c = math.sqrt(G * h / 2.0)
             k3 = chi_cube_integral(profile)
+
+            def density(xi):
+                return h / c * chi_profile_value(profile, (xi - u) / c)
+
             val, _ = quad(
-                lambda xi: 0.5 * xi * xi * eq.density(xi)
-                + G**2 / (8.0 * k3) * eq.density(xi) ** 3,
-                u - 2.5 * eq.c,
-                u + 2.5 * eq.c,
+                lambda xi: 0.5 * xi * xi * density(xi) + G**2 / (8.0 * k3) * density(xi) ** 3,
+                u - 2.5 * c,
+                u + 2.5 * c,
                 limit=300,
             )
             state = flat_state([h, h], q_values=[h * u, h * u], profile=profile)
