@@ -133,6 +133,18 @@ class TestGibbsMoments:
             assert mass == pytest.approx(mass_q, rel=1e-9)
             assert mom == pytest.approx(mom_q, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_closed_form_identity(self, profile):
+        # the two half-line energy moments sum to the Saint-Venant energy
+        # flux u (h u^2 / 2 + g h^2)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            h = rng.uniform(0.0, 10.0)
+            u = rng.uniform(-5.0, 5.0)
+            flux = halfline_energy_moment(profile, h, u, G, BOTH_SIDES).sum()
+            expected = u * (0.5 * h * u * u + G * h * h)
+            assert flux == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
 
 class TestHalflineFluxMoments:
     def test_still_rectangle_positive_side(self):
