@@ -43,7 +43,6 @@ from .metrics import (
     ErrorSeries,
     fit_log_slope,
     l1_absolute,
-    l1_relative,
     l2_absolute,
     sobolev_seminorm,
 )
@@ -154,7 +153,12 @@ class RunConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.obs_times is not None:
-            self.obs_times = np.asarray(self.obs_times, dtype=float)
+            times = self.obs_times = np.asarray(self.obs_times, dtype=float)
+            if times.ndim != 1 or not (
+                np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) > 0.0)
+            ):
+                raise ValueError("obs_times must be a 1-D array of finite, nonnegative, "
+                                 f"strictly increasing times, got {times!r}")
 
     def echo(self) -> dict:
         """Flat, reproducible summary of every resolved setting."""
@@ -207,8 +211,6 @@ class RunResult:
     config_echo: dict
     energy_observer: np.ndarray | None = None
     energy_truth: np.ndarray | None = None
-    trajectory_times: np.ndarray | None = None
-    trajectory_fields: np.ndarray | None = None
 
     @property
     def final_l1_rel(self) -> float:
@@ -238,7 +240,7 @@ class _Lane:
         self.initial, self.bound, self.step = initial, bound, step
         self.xi = xi  # kinetic-velocity grid the observations must fit in
 
-    def cfl(self, state, probe=None) -> float:
+    def cfl(self, state, obs=None) -> float:
         return self.bound(state)
 
     def observed(self, state):
@@ -292,10 +294,9 @@ class _SWLane(_Lane):
         self.initial = state0.copy()
         self.lam_cfl, self.safety, self.factor = lam_cfl, safety, factor
 
-    def cfl(self, state, probe=None) -> float:
-        """sv_cfl, tightened by the wet observed depths ``probe()`` returns."""
+    def cfl(self, state, obs=None) -> float:
+        """sv_cfl, tightened by the wet cells of the observed depth ``obs``."""
         bound = sv_cfl(state, self.lam_cfl, self.safety)
-        obs = None if probe is None else probe()
         wet = False if obs is None else np.isfinite(obs) & (obs > state.h_dry)
         if np.any(wet):
             speed = np.abs(state.velocity[wet]) + state.profile.support_halfwidth * np.sqrt(
@@ -338,10 +339,10 @@ def _lam_for_cfl(config: RunConfig) -> float:
     if times is None:
         raise ValueError("mollified gain needs explicit observation times")
     moll, sigma = Mollifier(gain.sigma), gain.sigma
-    probe = np.arange(times[0] - sigma, times[-1] + sigma + sigma / 64.0, sigma / 64.0)
-    total = np.zeros_like(probe)
+    samples = np.arange(times[0] - sigma, times[-1] + sigma + sigma / 64.0, sigma / 64.0)
+    total = np.zeros_like(samples)
     for tk in times:
-        total += moll.value(probe - tk)
+        total += moll.value(samples - tk)
     return gain.lam * (float(np.max(total)) * 1.0001)
 
 
@@ -393,7 +394,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     return truth, _BGKLane(
         KineticField.from_macroscopic(u0s[1], xi, grid),
         truth.bound,
-        lambda f, dt, lam, obs: step_kinetic_burgers(f, obs, lam, dt, collapse=False),
+        lambda f, dt, lam, obs: step_kinetic_burgers(f, obs, lam, dt),
         xi,
     )
 
@@ -489,14 +490,22 @@ def _run_truth(config: RunConfig, lane: _Lane) -> _Truth:
 
 
 class _GainController:
-    """Resolves the active observation field and weight for each substep and
-    advances the observer lane with it.
+    """Resolves what nudges each observer window and advances the observer
+    lane under it.
 
-    At-observation-time nudging uses the truth state at the start of the step
-    that contains t_k (the explicit scheme's time level), so a twin started
-    from the truth's own state stays on it to machine precision.  Sampled
-    series feed the every-step (hold or interpolate) and mollified modes,
-    whose targets are genuinely stamped at the observation times.
+    ``resolve`` answers once per window: a relaxation target (NaN outside the
+    gain window, None when nothing is observed) or, under the mollified gain,
+    the kernel-weighted observations.  At-observation-time nudging uses the
+    truth state at the start of the step that contains t_k (the explicit
+    scheme's time level), so a twin started from the truth's own state stays
+    on it to machine precision.  A forward pointer walks the observation
+    times: a window fires when the next time falls before its end (the final
+    window takes every time left), and ``advance`` moves the pointer past
+    that end once the substep is done, so each observation time fires exactly
+    once, even where float substep windows overlap.  Sampled series, masked
+    to the gain window once, feed the every-step (hold or interpolate) and
+    mollified modes, whose targets are genuinely stamped at the observation
+    times.
 
     On a lane with a kinetic-velocity grid ``xi``, every target is checked to
     lie on it once, where it is built (``_refuse_saturation``).
@@ -515,61 +524,61 @@ class _GainController:
         )
         self.snapshots: list = []  # observer reference at each observation time
         self._noise = None if config.noise is None else noise_field(config.noise, grid)
-        self._key = self._target = None
-        # Sampled series for the modes that consume time-stamped observations;
-        # times past the horizon are dropped, they could never be assimilated.
+        # Observation times, those past the horizon dropped: they could never
+        # be assimilated.  None observes the truth exactly at every step.
+        self.times, self._next = config.obs_times, 0  # _next: first time not passed
+        if self.times is not None:
+            self.times = self.times[self.times <= config.t_final * (1.0 + _TIME_TOL)]
+        self.at_times = (
+            self.times is not None
+            and gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES
+        )
+        # Sampled series for the modes that consume time-stamped observations.
         self.series = None
-        if config.obs_times is not None and (
-            gain.temporal_mode is not TemporalMode.AT_OBSERVATION_TIMES
-        ):
-            times = config.obs_times[config.obs_times <= config.t_final * (1.0 + _TIME_TOL)]
-            if times.size:
-                self.series = sample_observations(
-                    truth, times, mask_interval=config.obs_mask, noise=config.noise,
-                    clamp_nonnegative=clamp,
-                )
-                _refuse_saturation(self.series.fields, xi)
+        if self.times is not None and self.times.size and not self.at_times:
+            series = sample_observations(
+                truth, self.times, mask_interval=config.obs_mask, noise=config.noise,
+                clamp_nonnegative=clamp,
+            )
+            _refuse_saturation(series.fields, xi)
+            series.fields = observe(series.fields, None, self.gain_mask)
+            series.mask, self.series = self.gain_mask, series
 
-    def relax_target(self, t_lo: float, t_hi: float, step_index: int,
-                     is_last: bool):
-        """(weight, field) for relaxation-form nudging; weight 0 means off.
+    def _skip_to(self, t: float) -> int:
+        """Move the pointer past the observation times below t."""
+        times, k = self.times, self._next
+        while k < len(times) and times[k] < t:
+            k += 1
+        self._next = k
+        return k
 
-        Stateless in (t_lo, t_hi): substep windows partition the time axis
-        half-open on the right (closed on the final step), so each
-        observation time fires exactly once.  The last answer is kept, so an
-        undivided step fetches its target once for the CFL probe and the step.
-        """
-        key = (t_lo, t_hi, step_index, is_last)
-        if key != self._key:
-            self._key, self._target = key, self._relax_target(*key)
-        return self._target
-
-    def _relax_target(self, t_lo, t_hi, step_index, is_last):
-        cfg = self.config
-        if cfg.gain.lam == 0.0:
-            return 0.0, None
-        times = cfg.obs_times
-        if times is None or cfg.gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES:
-            if times is not None:
-                hi = t_hi + _TIME_TOL * max(1.0, cfg.t_final) if is_last else t_hi
-                if np.searchsorted(times, hi) == np.searchsorted(times, t_lo):
-                    return 0.0, None
-            values = self.truth.trajectory_fields[step_index]
-            target = observe(values, self._noise, self.gain_mask, self.clamp)
-            _refuse_saturation(target, self.xi)
-            return 1.0, target
-        # EVERY_STEP against a sampled series
-        if self.series is None:  # nothing observable inside the horizon
-            return 0.0, None
-        times = self.series.times
-        if t_lo < times[0] - _TIME_TOL:
-            return 0.0, None
-        if cfg.interpolate:
-            values = interpolate_in_time(self.series, min(t_lo, times[-1]))
-        else:
-            k = int(np.searchsorted(times, t_lo + _TIME_TOL)) - 1
-            values = self.series.fields[max(k, 0)]
-        return 1.0, observe(values, None, self.gain_mask)
+    def resolve(self, t_lo: float, t_hi: float, step_index: int, is_last: bool):
+        """What nudges the window [t_lo, t_hi] of truth step ``step_index``:
+        a list of (weight, field, snapshot) under the mollified gain, else a
+        relaxation target or None.  The firing check only peeks at the
+        pointer; the hold path moves it up to t_lo, which never decreases."""
+        if self.mollifier is not None:
+            return self.mollified_pairs(t_lo)
+        if self.config.gain.lam == 0.0:
+            return None
+        times, series = self.times, self.series
+        if series is not None:  # every step, against the sampled series
+            if t_lo < times[0] - _TIME_TOL:
+                return None
+            if self.config.interpolate:
+                return interpolate_in_time(series, min(t_lo, times[-1]))
+            return series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)]
+        if self.at_times:
+            if not (self._next < len(times) and (is_last or times[self._next] < t_hi)):
+                return None
+        elif times is not None:  # no sampled time inside the horizon
+            return None
+        target = observe(
+            self.truth.trajectory_fields[step_index], self._noise, self.gain_mask,
+            self.clamp,
+        )
+        _refuse_saturation(target, self.xi)
+        return target
 
     def mollified_pairs(self, t: float):
         """[(weight, field, snapshot)] of kernel contributions at time t; the
@@ -578,29 +587,25 @@ class _GainController:
             return []
         _, pairs = mollified_gain(self.series, self.mollifier, t)
         snaps = self.snapshots
-        return [
-            (w, observe(f, None, self.gain_mask), snaps[k] if k < len(snaps) else None)
-            for k, w, f in pairs
-        ]
+        return [(w, f, snaps[k] if k < len(snaps) else None) for k, w, f in pairs]
 
-    def probe(self, t_lo, t_hi, step_index, is_last):
-        """An observed field active on [t_lo, t_hi], for the observer's CFL."""
+    def cfl_field(self, nudge):
+        """The observed field of a resolved ``nudge`` the observer's CFL bound
+        must allow for: the target, or the first kernel term's field."""
         if self.mollifier is None:
-            return self.relax_target(t_lo, t_hi, step_index, is_last)[1]
-        pairs = self.mollified_pairs(t_lo)
-        return pairs[0][1] if pairs else None
+            return nudge
+        return nudge[0][1] if nudge else None
 
-    def advance(self, lane: _Lane, state, t: float, dt: float, step_index: int,
-                is_last: bool):
-        """One observer substep over [t, t + dt]."""
+    def advance(self, lane: _Lane, state, t: float, dt: float, nudge):
+        """One observer substep over [t, t + dt] under its resolved ``nudge``."""
         lam = self.config.gain.lam
         if self.mollifier is None:
-            weight, target = self.relax_target(t, t + dt, step_index, is_last)
-            gain = lam * weight if target is not None else 0.0
-            return lane.step(state, dt, gain, target if gain > 0.0 else None)
-        pairs = self.mollified_pairs(t)
-        if pairs:
-            state = lane.mollified_step(state, dt, lam, pairs)
+            state = lane.step(state, dt, lam if nudge is not None else 0.0, nudge)
+            if nudge is not None and self.at_times:
+                self._skip_to(t + dt)
+            return state
+        if nudge:
+            state = lane.mollified_step(state, dt, lam, nudge)
         else:
             state = lane.step(state, dt, 0.0, None)
         times = [] if self.series is None else self.series.times
@@ -629,9 +634,9 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
 
     def record(n):
         obs, ref = lane.observed(state), fields[n]
+        l1, norm = l1_absolute(obs, ref, grid.dx), float(np.sum(np.abs(ref)) * grid.dx)
         rows.append((
-            times[n], dts[n - 1] if n else math.nan,
-            l1_relative(obs, ref, grid.dx), l1_absolute(obs, ref, grid.dx),
+            times[n], dts[n - 1] if n else math.nan, l1 / norm if norm else l1, l1,
             l2_absolute(obs, ref, grid.dx), sobolev_seminorm(obs - ref, order, grid),
         ))
         energies.append(lane.energy(state))
@@ -640,9 +645,9 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
     budget, substeps = _STEP_BUDGET * len(dts), 0
     for n, dt in enumerate(dts):
         last = n == len(dts) - 1
+        nudge = controller.resolve(times[n], times[n + 1], n, last)
         bound = _checked_bound(
-            lane.cfl(state, lambda: controller.probe(times[n], times[n + 1], n, last)),
-            "observer", times[n],
+            lane.cfl(state, controller.cfl_field(nudge)), "observer", times[n]
         )
         m = 1 if bound >= dt * (1.0 - 1e-9) else math.ceil(min(dt / bound, budget + 1.0))
         substeps += m
@@ -651,10 +656,12 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
                 f"observer run used up its budget of {budget} substeps at "
                 f"t={times[n]:g} (CFL bound {bound:g})"
             )
+        sub = dt / m
         for j in range(m):
-            state = controller.advance(
-                lane, state, times[n] + j * (dt / m), dt / m, n, last and j == m - 1
-            )
+            t, closes = times[n] + j * sub, last and j == m - 1
+            if m > 1:  # each substep resolves its own window
+                nudge = controller.resolve(t, t + sub, n, closes)
+            state = controller.advance(lane, state, t, sub, nudge)
         if (n + 1) % config.record_every == 0 or last:
             record(n + 1)
     table = np.asarray(rows)
@@ -671,18 +678,14 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
     )
 
 
-def run_twin(config: RunConfig, store_truth: bool = False) -> RunResult:
+def run_twin(config: RunConfig) -> RunResult:
     """Run the full twin experiment described by ``config``."""
     truth_lane, observer_lane = _lanes(config)
     truth = _run_truth(config, truth_lane)
     controller = _GainController(
         config, truth, truth_lane.clamp_nonnegative, observer_lane.xi
     )
-    result = _run_observer(config, observer_lane, truth, controller)
-    if store_truth:
-        result.trajectory_times = truth.trajectory_times
-        result.trajectory_fields = np.asarray(truth.trajectory_fields)
-    return result
+    return _run_observer(config, observer_lane, truth, controller)
 
 
 # --- sweeps and decay fits ------------------------------------------------------

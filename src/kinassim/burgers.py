@@ -4,13 +4,12 @@ Three discrete lanes solve the nudged Burgers problem:
 
 * ``step_kinetic_burgers`` advances a full kinetic density f(x, xi) by upwind
   transport plus relaxation toward the indicator density of the observed
-  field.  Without the collapse flag, f evolves freely (the BGK observer);
-  with it, f is projected back to an indicator of its own xi-integral after
-  every step.
+  field; f evolves freely (the BGK observer).
 * ``step_collapse_macroscopic`` is the moment form of the collapsed kinetic
-  scheme: it never stores f, only its xi-integral, with fluxes evaluated by
-  midpoint quadrature on the xi grid, read in closed form from prefix sums
-  over the nodes.
+  scheme, whose f is projected back to an indicator of its own xi-integral
+  after every step: it never stores f, only its xi-integral, with fluxes
+  evaluated by midpoint quadrature on the xi grid, read in closed form from
+  prefix sums over the nodes.
 * ``step_macroscopic_burgers`` is the Engquist-Osher flux-splitting scheme
   with a nudging source, i.e. the exact xi-integral of the collapsed scheme.
 
@@ -85,7 +84,6 @@ def step_kinetic_burgers(
     obs_u: np.ndarray | None,
     lam: float,
     dt: float,
-    collapse: bool = False,
 ) -> KineticField:
     """One explicit upwind step of the kinetic observer.
 
@@ -114,9 +112,6 @@ def step_kinetic_burgers(
         new = new + np.where(
             observed[:, None], lam * dt * (target - f.values), 0.0
         )
-    if collapse:
-        u_hat = new @ f.xi.weights
-        new = chi_indicator(xi[None, :], u_hat[:, None])
     return replace(f, values=new)
 
 
@@ -182,10 +177,10 @@ def step_collapse_macroscopic(
 ) -> np.ndarray:
     """Moment form of the collapsed kinetic step.
 
-    Equivalent to ``step_kinetic_burgers(..., collapse=True)`` followed by the
-    xi-integral, without storing f.  Fluxes and the nudging term carry the
-    midpoint xi-quadrature of the indicator, so this lane agrees with
-    ``step_macroscopic_burgers`` to O(dxi) per step.
+    Equivalent to a ``step_kinetic_burgers`` step from the indicator of u
+    followed by the xi-integral, without storing f.  Fluxes and the nudging
+    term carry the midpoint xi-quadrature of the indicator, so this lane
+    agrees with ``step_macroscopic_burgers`` to O(dxi) per step.
 
     The quadrature is read from prefix sums over the sorted nodes
     (``XiGrid.indicator_tables``) instead of summing dense indicator arrays:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,8 @@ from kinassim.assimilation import (
 )
 from kinassim.config import fixture_path, parse_config
 from kinassim.grid import BoundaryKind, Grid1D
-from kinassim.kinetic import ChiProfile
-from kinassim.observation import NoiseSpec, sample_observations
-from kinassim.shallow_water import SWState, dam_break_state, sv_cfl
+from kinassim.observation import NoiseSpec
+from kinassim.shallow_water import dam_break_state, sv_cfl
 
 
 def square_pulse(grid, lo, hi, value):
@@ -101,13 +101,6 @@ class TestTwinBasics:
         result = run_twin(cfg)
         assert result.config_echo["lambda"] == 3.0
         assert result.config_echo["model"] == "burgers"
-
-    def test_store_truth_trajectory(self):
-        cfg = burgers_config(lam=0.0, t_final=0.1)
-        result = run_twin(cfg, store_truth=True)
-        assert result.trajectory_fields.shape[0] == len(result.trajectory_times)
-        series = sample_observations(result, [0.05])
-        assert series.fields.shape == (1, cfg.grid.n_cells)
 
 
 class TestGainMasking:
@@ -382,6 +375,91 @@ class TestNonFiniteInputRefused:
                 gain=GainSchedule(0.0), cfl_safety=math.nan,
             )
 
+    @pytest.mark.parametrize("times", [
+        [0.3, 0.1], [0.1, 0.1], [-0.1, 0.1], [0.1, math.nan],
+    ])
+    def test_observation_times(self, times):
+        # unsorted, repeated, negative or NaN times fired once at observation
+        # times and failed only inside the sampling of the every-step modes
+        with pytest.raises(ValueError, match="obs_times"):
+            replace(burgers_config(), obs_times=np.array(times))
+
+
+class TestObservationFiring:
+    def test_each_observation_time_fires_once_under_substepping(self, monkeypatch):
+        # consecutive substep windows [t, t + dt/m] may overlap in floating
+        # point; an observation time in the overlap fired in both windows
+        cfg = burgers_config(100.0, BurgersObserverMode.MACROSCOPIC, t_final=1.0)
+        windows = []
+        advance = assimilation._GainController.advance
+
+        def record_window(self, lane, state, t, dt, *rest):
+            windows.append((t, t + dt))
+            return advance(self, lane, state, t, dt, *rest)
+
+        monkeypatch.setattr(assimilation._GainController, "advance", record_window)
+        run_twin(cfg)
+        monkeypatch.undo()
+        overlap = next(
+            i for i in range(len(windows) - 1) if windows[i][1] > windows[i + 1][0]
+        )
+        cfg = replace(
+            cfg, obs_times=np.sort(np.append(cfg.obs_times, windows[overlap + 1][0]))
+        )
+        nudged = []
+        step = assimilation.step_macroscopic_burgers
+
+        def count_nudged(u, obs_u, lam, dt, grid):
+            nudged.append(obs_u is not None and lam > 0.0)
+            return step(u, obs_u, lam, dt, grid)
+
+        monkeypatch.setattr(assimilation, "step_macroscopic_burgers", count_nudged)
+        run_twin(cfg)
+        assert sum(nudged) == np.count_nonzero(cfg.obs_times <= cfg.t_final) == 16
+
+
+class TestObservedDepthCFL:
+    """The Saint-Venant observer's bound allows for the depth it is nudged
+    toward, not only for its own state."""
+
+    def test_deeper_observation_tightens_the_bound(self):
+        cfg = small_sw_config()
+        lane = assimilation._lanes(cfg)[1]
+        state = cfg.observer_state.copy()
+        n, dx = cfg.grid.n_cells, cfg.grid.dx
+        state.q = np.linspace(-0.5, 0.5, n) * state.h
+        obs = np.full(n, 4.0)
+        obs[2], obs[5], obs[9] = math.nan, 0.0, -1.0  # unobserved, dry, dry
+        wet = np.isfinite(obs) & (obs > state.h_dry)
+        speed = np.abs(state.velocity[wet]) + state.profile.support_halfwidth * np.sqrt(
+            state.g * obs[wet] / 2.0
+        )
+        expected = cfg.cfl_safety * dx / (cfg.gain.lam * dx + np.max(speed))
+        own = sv_cfl(state, cfg.gain.lam, cfg.cfl_safety)
+        assert expected < own
+        assert lane.cfl(state) == lane.cfl(state, None) == own
+        with np.errstate(invalid="raise"):  # no square root of a dry depth
+            assert lane.cfl(state, obs) == expected
+
+    def test_observer_bound_sees_each_target(self, monkeypatch):
+        # exact observations every step: the target of step n is the truth's
+        # depth at its start, and the observer's bound receives it
+        cfg = small_sw_config()
+        truth = assimilation._run_truth(cfg, assimilation._lanes(cfg)[0])
+        seen = []
+        cfl = assimilation._SWLane.cfl
+
+        def record_obs(self, state, obs=None):
+            if obs is not None:
+                seen.append(obs)
+            return cfl(self, state, obs)
+
+        monkeypatch.setattr(assimilation._SWLane, "cfl", record_obs)
+        run_twin(cfg)
+        assert len(seen) == len(truth.dts)
+        for obs, field in zip(seen, truth.trajectory_fields):
+            np.testing.assert_array_equal(obs, field)
+
 
 def collapsing_bound(collapses=lambda state: True):
     """An sv_cfl stand-in whose bound shrinks like 1/k^3 with the call count
@@ -466,8 +544,4 @@ def test_truth_phase_holds_the_trajectory_once():
     held = sum(field.nbytes for field in truth.trajectory_fields)
     assert len(truth.trajectory_fields) > 3 * assimilation._BLOCK_ROWS
     assert peak < 1.75 * held
-    cfg.t_final = 0.05
-    stored = run_twin(cfg, store_truth=True)
-    rows = assimilation._run_truth(cfg, truth_lane).trajectory_fields
-    np.testing.assert_array_equal(stored.trajectory_fields, np.asarray(rows))
-    np.testing.assert_array_equal(stored.trajectory_fields[-1], stored.final_truth.h)
+    np.testing.assert_array_equal(truth.trajectory_fields[-1], truth.final.h)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kinassim
-from kinassim.assimilation import BurgersObserverMode, RunConfig, TemporalMode, run_twin
+from kinassim.assimilation import BurgersObserverMode, run_twin
 from kinassim.config import (
     ConfigError,
     emit_csv,
@@ -68,6 +68,11 @@ class TestParseConfig:
         message = rf"\[{section}\] {key}: expected a finite number"
         with pytest.raises(ConfigError, match=message):
             parse_config(str(path))
+
+    def test_decreasing_observation_times_rejected(self, tmp_path):
+        body = MINIMAL + "\n[observations]\ncount = 3\nt_first = 0.5\nt_last = 0.1\n"
+        with pytest.raises(ConfigError, match="obs_times"):
+            parse_config(write_cfg(tmp_path, body))
 
     def test_unknown_key_rejected(self, tmp_path):
         body = MINIMAL + "\n[gain]\nlambdah = 2.0\n"
