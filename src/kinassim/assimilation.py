@@ -38,7 +38,7 @@ from .burgers import (
     step_macroscopic_burgers,
 )
 from .grid import Grid1D, XiGrid
-from .kinetic import GRAVITY, ChiProfile, chi_indicator
+from .kinetic import chi_indicator
 from .metrics import (
     ErrorSeries,
     fit_log_slope,
@@ -81,9 +81,13 @@ class SolverError(RuntimeError):
 
 
 class TemporalMode(Enum):
-    EVERY_STEP = "every_step"
-    AT_OBSERVATION_TIMES = "at_observation_times"
-    MOLLIFIED = "mollified"
+    """When the gain acts.  Without observation times, EVERY_STEP and
+    INTERPOLATED nudge toward the truth's own state at every step."""
+
+    EVERY_STEP = "every_step"  # every step, toward the last observation (hold)
+    INTERPOLATED = "interpolated"  # every step, linear in time between observations
+    AT_OBSERVATION_TIMES = "at_observation_times"  # only in the step holding each t_k
+    MOLLIFIED = "mollified"  # kernel-weighted observations within sigma of t
 
 
 class BurgersObserverMode(Enum):
@@ -94,10 +98,9 @@ class BurgersObserverMode(Enum):
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Nudging gain with optional spatial window and temporal activation."""
+    """Nudging gain and its temporal activation."""
 
     lam: float
-    spatial_mask: tuple[float, float] | None = None
     temporal_mode: TemporalMode = TemporalMode.EVERY_STEP
     sigma: float | None = None
 
@@ -120,17 +123,14 @@ class RunConfig:
     grid: Grid1D
     t_final: float
     gain: GainSchedule
-    g: float = GRAVITY
-    profile: ChiProfile = ChiProfile.SEMICIRCLE
     cfl_safety: float = 0.95
     record_every: int = 1
     sobolev_order: float = 0.125
     # observation protocol; obs_times None means the truth state is observed
-    # exactly at every step
+    # exactly at every step, obs_mask is the one spatial window (None: all cells)
     obs_times: np.ndarray | None = None
     obs_mask: tuple[float, float] | None = None
     noise: NoiseSpec | None = None
-    interpolate: bool = False
     # Burgers lane
     truth_u0: np.ndarray | None = None
     observer_u0: np.ndarray | None = None
@@ -152,6 +152,10 @@ class RunConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not 0.0 <= self.sobolev_order < 1.0:  # NaN fails too
+            raise ValueError(
+                f"sobolev_order must lie in [0, 1), got {self.sobolev_order!r}"
+            )
         if self.obs_times is not None:
             times = self.obs_times = np.asarray(self.obs_times, dtype=float)
             if times.ndim != 1 or not (
@@ -159,6 +163,26 @@ class RunConfig:
             ):
                 raise ValueError("obs_times must be a 1-D array of finite, nonnegative, "
                                  f"strictly increasing times, got {times!r}")
+        if self.gain.temporal_mode is TemporalMode.MOLLIFIED and (
+            self.obs_times is None or not self.obs_times.size
+        ):
+            raise ValueError(f"a mollified gain needs obs_times, got {self.obs_times!r}")
+        if self.model == "shallow_water":
+            if self.truth_resolution_factor < 1:
+                raise ValueError("truth_resolution_factor must be >= 1, got "
+                                 f"{self.truth_resolution_factor!r}")
+            fine = self.grid.refined(self.truth_resolution_factor)
+            for name, grid in (("observer_state", self.grid), ("truth_state", fine)):
+                state = getattr(self, name)
+                if state is None or state.grid != grid:
+                    raise ValueError(f"{name} must lie on {grid}, got "
+                                     f"{None if state is None else state.grid}")
+            return
+        for name in ("truth_u0", "observer_u0"):
+            u0 = getattr(self, name)
+            shape = None if u0 is None else np.shape(u0)
+            if shape != (self.grid.n_cells,):
+                raise ValueError(f"{name} must have shape ({self.grid.n_cells},), got {shape}")
 
     def echo(self) -> dict:
         """Flat, reproducible summary of every resolved setting."""
@@ -169,18 +193,14 @@ class RunConfig:
             "x_max": self.grid.x_max,
             "bc": self.grid.bc.value,
             "t_final": self.t_final,
-            "g": self.g,
-            "profile": self.profile.value,
             "cfl_safety": self.cfl_safety,
             "record_every": self.record_every,
             "sobolev_order": self.sobolev_order,
             "lambda": self.gain.lam,
             "temporal_mode": self.gain.temporal_mode.value,
             "sigma": self.gain.sigma,
-            "gain_mask": self.gain.spatial_mask,
             "obs_count": None if self.obs_times is None else len(self.obs_times),
             "obs_mask": self.obs_mask,
-            "interpolate": self.interpolate,
             "noise_epsilon": None if self.noise is None else self.noise.epsilon,
             "noise_r": None if self.noise is None else self.noise.r,
             "noise_alpha": None if self.noise is None else self.noise.alpha,
@@ -194,7 +214,8 @@ class RunConfig:
                 fixed_xi=self.fixed_xi,
             )
         else:
-            out.update(truth_resolution_factor=self.truth_resolution_factor)
+            out.update(g=self.truth_state.g, profile=self.truth_state.profile.value,
+                       truth_resolution_factor=self.truth_resolution_factor)
         return out
 
 
@@ -336,8 +357,6 @@ def _lam_for_cfl(config: RunConfig) -> float:
     gain, times = config.gain, config.obs_times
     if gain.temporal_mode is not TemporalMode.MOLLIFIED:
         return gain.lam
-    if times is None:
-        raise ValueError("mollified gain needs explicit observation times")
     moll, sigma = Mollifier(gain.sigma), gain.sigma
     samples = np.arange(times[0] - sigma, times[-1] + sigma + sigma / 64.0, sigma / 64.0)
     total = np.zeros_like(samples)
@@ -494,18 +513,18 @@ class _GainController:
     lane under it.
 
     ``resolve`` answers once per window: a relaxation target (NaN outside the
-    gain window, None when nothing is observed) or, under the mollified gain,
-    the kernel-weighted observations.  At-observation-time nudging uses the
-    truth state at the start of the step that contains t_k (the explicit
-    scheme's time level), so a twin started from the truth's own state stays
-    on it to machine precision.  A forward pointer walks the observation
+    observation window ``obs_mask``, None when nothing is observed) or, under
+    the mollified gain, the kernel-weighted observations.  At-observation-time
+    nudging uses the truth state at the start of the step that contains t_k
+    (the explicit scheme's time level), so a twin started from the truth's own
+    state stays on it to machine precision.  A forward pointer walks the observation
     times: a window fires when the next time falls before its end (the final
     window takes every time left), and ``advance`` moves the pointer past
     that end once the substep is done, so each observation time fires exactly
-    once, even where float substep windows overlap.  Sampled series, masked
-    to the gain window once, feed the every-step (hold or interpolate) and
-    mollified modes, whose targets are genuinely stamped at the observation
-    times.
+    once, even where float substep windows overlap.  Sampled series, already
+    masked to the window by ``sample_observations``, feed the every-step
+    (hold), interpolated and mollified modes, whose targets are genuinely
+    stamped at the observation times.
 
     On a lane with a kinetic-velocity grid ``xi``, every target is checked to
     lie on it once, where it is built (``_refuse_saturation``).
@@ -514,11 +533,10 @@ class _GainController:
     def __init__(self, config: RunConfig, truth: _Truth, clamp: bool,
                  xi: XiGrid | None):
         self.config, self.truth, self.clamp, self.xi = config, truth, clamp, xi
-        grid, gain = config.grid, config.gain
-        self.gain_mask = np.ones(grid.n_cells, dtype=bool)
-        for interval in (gain.spatial_mask, config.obs_mask):
-            if interval is not None:
-                self.gain_mask &= grid.interval_mask(*interval)
+        grid, gain, window = config.grid, config.gain, config.obs_mask
+        self.mask = (
+            np.ones(grid.n_cells, dtype=bool) if window is None else grid.interval_mask(*window)
+        )
         self.mollifier = (
             Mollifier(gain.sigma) if gain.temporal_mode is TemporalMode.MOLLIFIED else None
         )
@@ -541,8 +559,7 @@ class _GainController:
                 clamp_nonnegative=clamp,
             )
             _refuse_saturation(series.fields, xi)
-            series.fields = observe(series.fields, None, self.gain_mask)
-            series.mask, self.series = self.gain_mask, series
+            self.series = series
 
     def _skip_to(self, t: float) -> int:
         """Move the pointer past the observation times below t."""
@@ -565,7 +582,7 @@ class _GainController:
         if series is not None:  # every step, against the sampled series
             if t_lo < times[0] - _TIME_TOL:
                 return None
-            if self.config.interpolate:
+            if self.config.gain.temporal_mode is TemporalMode.INTERPOLATED:
                 return interpolate_in_time(series, min(t_lo, times[-1]))
             return series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)]
         if self.at_times:
@@ -574,7 +591,7 @@ class _GainController:
         elif times is not None:  # no sampled time inside the horizon
             return None
         target = observe(
-            self.truth.trajectory_fields[step_index], self._noise, self.gain_mask,
+            self.truth.trajectory_fields[step_index], self._noise, self.mask,
             self.clamp,
         )
         _refuse_saturation(target, self.xi)
@@ -680,6 +697,7 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
 
 def run_twin(config: RunConfig) -> RunResult:
     """Run the full twin experiment described by ``config``."""
+    config = replace(config)  # checks again a config changed after construction
     truth_lane, observer_lane = _lanes(config)
     truth = _run_truth(config, truth_lane)
     controller = _GainController(

@@ -45,9 +45,8 @@ _SECTION_KEYS = {
               "h_right", "x_split", "resolution_factor"},
     "observer": {"ic", "lo", "hi", "value", "amplitude", "mean", "eta", "h_left",
                  "h_right", "x_split", "mode", "n_xi", "xi_margin"},
-    "gain": {"lambda", "temporal", "sigma", "mask_lo", "mask_hi"},
-    "observations": {"count", "t_first", "t_last", "every", "mask_lo", "mask_hi",
-                     "interpolate"},
+    "gain": {"lambda", "temporal", "sigma"},
+    "observations": {"count", "t_first", "t_last", "every", "mask_lo", "mask_hi"},
     "noise": {"epsilon", "r", "alpha", "kind", "seed"},
     "output": {"record_every", "sobolev_order"},
 }
@@ -82,17 +81,6 @@ class _Section:
 
     def text(self, key, default=None):
         return self._get(key, str, default)
-
-    def boolean(self, key, default=False):
-        def cast(v):
-            v = v.strip().lower()
-            if v in ("true", "yes", "1", "on"):
-                return True
-            if v in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"expected a boolean, got {v!r}")
-
-        return self._get(key, cast, default)
 
     def require(self, value, key):
         if value is None:
@@ -217,16 +205,8 @@ def parse_config(path: str) -> RunConfig:
         {m.value: m for m in TemporalMode},
     )
     sigma = gain_sec.real("sigma")
-    mask_lo, mask_hi = gain_sec.real("mask_lo"), gain_sec.real("mask_hi")
-    if (mask_lo is None) != (mask_hi is None):
-        raise ConfigError("[gain] mask_lo and mask_hi must be given together")
     try:
-        gain = GainSchedule(
-            lam,
-            spatial_mask=None if mask_lo is None else (mask_lo, mask_hi),
-            temporal_mode=temporal,
-            sigma=sigma,
-        )
+        gain = GainSchedule(lam, temporal_mode=temporal, sigma=sigma)
     except ValueError as exc:
         raise ConfigError(f"[gain] {exc}") from None
 
@@ -244,11 +224,10 @@ def parse_config(path: str) -> RunConfig:
         t_last = obs_sec.real("t_last", t_final)
         t_first = obs_sec.real("t_first", t_last / count)
         obs_times = np.linspace(t_first, t_last, count)
-    omask_lo, omask_hi = obs_sec.real("mask_lo"), obs_sec.real("mask_hi")
-    if (omask_lo is None) != (omask_hi is None):
+    mask_lo, mask_hi = obs_sec.real("mask_lo"), obs_sec.real("mask_hi")
+    if (mask_lo is None) != (mask_hi is None):
         raise ConfigError("[observations] mask_lo and mask_hi must be given together")
-    obs_mask = None if omask_lo is None else (omask_lo, omask_hi)
-    interpolate = obs_sec.boolean("interpolate", False)
+    obs_mask = None if mask_lo is None else (mask_lo, mask_hi)
 
     noise = None
     if parser.has_section("noise"):
@@ -275,15 +254,12 @@ def parse_config(path: str) -> RunConfig:
         grid=grid,
         t_final=t_final,
         gain=gain,
-        g=g,
-        profile=profile,
         cfl_safety=cfl_safety,
         record_every=record_every,
         sobolev_order=sobolev_order,
         obs_times=obs_times,
         obs_mask=obs_mask,
         noise=noise,
-        interpolate=interpolate,
     )
     try:
         if kind == "burgers":

@@ -109,14 +109,8 @@ class TestGainMasking:
         # the window (and not yet reached by its wrapped-around influence)
         # never feel the correction.  The baseline keeps the same gain in the
         # CFL but an empty window, so both runs share the time grid exactly.
-        cfg = linear_config(6.0, t_final=0.3)
-        cfg.gain = GainSchedule(
-            6.0, spatial_mask=(0.7, 0.9), temporal_mode=TemporalMode.EVERY_STEP
-        )
-        base = linear_config(6.0, t_final=0.3)
-        base.gain = GainSchedule(
-            6.0, spatial_mask=(2.0, 3.0), temporal_mode=TemporalMode.EVERY_STEP
-        )
+        cfg = replace(linear_config(6.0, t_final=0.3), obs_mask=(0.7, 0.9))
+        base = replace(linear_config(6.0, t_final=0.3), obs_mask=(2.0, 3.0))
         nudged = run_twin(cfg)
         free = run_twin(base)
         x = cfg.grid.centers
@@ -269,10 +263,9 @@ class TestShallowWaterTwin:
         # no nudging anywhere
         free = self.make_config(
             lam=5.0,
-            gain=GainSchedule(
-                5.0, spatial_mask=(5.0, 6.0), temporal_mode=TemporalMode.EVERY_STEP
-            ),
+            gain=GainSchedule(5.0, temporal_mode=TemporalMode.EVERY_STEP),
             obs_times=np.array([0.4, 0.9]),
+            obs_mask=(5.0, 6.0),
         )
         np.testing.assert_array_equal(
             run_twin(all_late).errors.l1_rel, run_twin(free).errors.l1_rel
@@ -383,6 +376,100 @@ class TestNonFiniteInputRefused:
         # times and failed only inside the sampling of the every-step modes
         with pytest.raises(ValueError, match="obs_times"):
             replace(burgers_config(), obs_times=np.array(times))
+
+
+class TestInitialDataOnTheGrid:
+    """Initial data must lie on the configured grid; before, a mismatch ran
+    silently or failed far from its cause."""
+
+    def test_shallow_water_observer_off_the_grid(self):
+        # dam-break states on [0, 2] under a [0, 1] config ran to completion
+        wide = Grid1D(20, 0.0, 2.0, BoundaryKind.REFLECTIVE_WALL)
+        with pytest.raises(ValueError, match="observer_state must lie on"):
+            replace(small_sw_config(), truth_state=dam_break_state(wide, 2.0, 1.0, 1.0),
+                    observer_state=dam_break_state(wide, 1.5, 1.5, 1.0))
+
+    def test_shallow_water_truth_not_refined(self):
+        cfg = small_sw_config()
+        with pytest.raises(ValueError, match="truth_state must lie on"):
+            replace(cfg, truth_resolution_factor=2)
+
+    def test_burgers_initial_field_of_the_wrong_length(self):
+        # a half-length u0 died in a numpy broadcast
+        cfg = burgers_config()
+        with pytest.raises(ValueError, match=r"observer_u0 must have shape \(100,\), got \(50,\)"):
+            replace(cfg, observer_u0=cfg.observer_u0[::2])
+
+    def test_burgers_initial_field_missing(self):
+        # a missing u0 raised "xi_max must exceed xi_min"
+        with pytest.raises(ValueError, match="truth_u0 must have shape"):
+            replace(burgers_config(), truth_u0=None)
+
+
+class TestSettingsRefused:
+    def test_sobolev_order(self):
+        # accepted before; the run then failed at its first recorded row
+        with pytest.raises(ValueError, match="sobolev_order"):
+            replace(burgers_config(), sobolev_order=1.5)
+
+    @pytest.mark.parametrize("times", [None, []])
+    def test_mollified_gain_without_observation_times(self, times):
+        # None failed inside the run, an empty array with a bare IndexError
+        cfg = burgers_config(temporal=TemporalMode.MOLLIFIED, sigma=0.04)
+        with pytest.raises(ValueError, match="mollified gain needs obs_times"):
+            replace(cfg, obs_times=times)
+
+    def test_config_changed_after_construction(self):
+        # run_twin checks the settings again before the truth phase
+        cfg = burgers_config()
+        cfg.sobolev_order = 1.5
+        with pytest.raises(ValueError, match="sobolev_order"):
+            run_twin(cfg)
+
+
+class TestEveryStepModes:
+    """EVERY_STEP holds the last observation; INTERPOLATED interpolates
+    between observations on every nudged step."""
+
+    def run(self, temporal, monkeypatch):
+        calls, seen = [], []
+        interpolate = assimilation.interpolate_in_time
+
+        def counted(series, t):
+            calls.append(interpolate(series, t))
+            return calls[-1]
+
+        advance = assimilation._GainController.advance
+
+        def record(self, lane, state, t, dt, nudge):
+            seen.append((t, nudge, self.series))
+            return advance(self, lane, state, t, dt, nudge)
+
+        monkeypatch.setattr(assimilation, "interpolate_in_time", counted)
+        monkeypatch.setattr(assimilation._GainController, "advance", record)
+        run_twin(burgers_config(100.0, BurgersObserverMode.MACROSCOPIC,
+                                temporal=temporal, t_final=1.0))
+        return calls, seen
+
+    def test_every_step_holds_the_last_observation(self, monkeypatch):
+        calls, seen = self.run(TemporalMode.EVERY_STEP, monkeypatch)
+        assert calls == []
+        series = seen[0][2]
+        rows = set()
+        for t, nudge, _ in seen:
+            if t < series.times[0] - 1e-12:
+                assert nudge is None
+                continue
+            k = max(int(np.searchsorted(series.times, t + 1e-12)) - 1, 0)
+            np.testing.assert_array_equal(nudge, series.fields[k])
+            rows.add(k)
+        assert rows == set(range(len(series.times) - 1))  # no step starts at t_final
+
+    def test_interpolated_interpolates_on_every_nudged_step(self, monkeypatch):
+        calls, seen = self.run(TemporalMode.INTERPOLATED, monkeypatch)
+        nudged = [id(nudge) for _, nudge, _ in seen if nudge is not None]
+        assert 0 < len(nudged) <= len(calls)
+        assert set(nudged) <= {id(c) for c in calls}  # calls keeps each result alive
 
 
 class TestObservationFiring:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kinassim
-from kinassim.assimilation import BurgersObserverMode, run_twin
+from kinassim.assimilation import BurgersObserverMode, TemporalMode, run_twin
 from kinassim.config import (
     ConfigError,
     emit_csv,
@@ -74,9 +74,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="obs_times"):
             parse_config(write_cfg(tmp_path, body))
 
-    def test_unknown_key_rejected(self, tmp_path):
-        body = MINIMAL + "\n[gain]\nlambdah = 2.0\n"
-        with pytest.raises(ConfigError, match="unknown key 'lambdah'"):
+    @pytest.mark.parametrize("section,key", [
+        ("gain", "lambdah"),
+        # removed: the window is [observations] mask_lo/mask_hi, and
+        # interpolation is temporal = interpolated
+        ("gain", "mask_lo"),
+        ("gain", "mask_hi"),
+        ("observations", "interpolate"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        body = MINIMAL + f"\n[{section}]\n{key} = 2.0\n"
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
+            parse_config(write_cfg(tmp_path, body))
+
+    @pytest.mark.parametrize("old,new", [
+        # thacker_setup builds its states on [0, x_max - x_min] with walls:
+        # the window shifted by 1 m, and a periodic grid ran with walls
+        ("x_min = 0.0\nx_max = 4.0", "x_min = 1.0\nx_max = 5.0"),
+        ("bc = reflective_wall", "bc = periodic"),
+    ], ids=["shifted", "periodic"])
+    def test_states_off_the_configured_grid_rejected(self, tmp_path, old, new):
+        body = Path(fixture_path("thacker.cfg")).read_text()
+        assert old in body
+        path = tmp_path / "thacker.cfg"
+        path.write_text(body.replace(old, new))
+        with pytest.raises(ConfigError, match="observer_state must lie on"):
+            parse_config(str(path))
+
+    def test_mollified_gain_without_observations_rejected(self, tmp_path):
+        body = MINIMAL + "\n[gain]\nlambda = 1.0\ntemporal = mollified\nsigma = 0.1\n"
+        with pytest.raises(ConfigError, match="mollified gain needs obs_times"):
             parse_config(write_cfg(tmp_path, body))
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -100,6 +127,7 @@ class TestParseConfig:
         assert cfg.grid.n_cells == 300
         assert cfg.t_final == 15.0
         assert cfg.obs_mask == (1.5, 2.5)
+        assert cfg.gain.temporal_mode is TemporalMode.INTERPOLATED
         # 0.05 s cadence over [0, 15]
         assert len(cfg.obs_times) == 301
         assert cfg.obs_times[1] - cfg.obs_times[0] == pytest.approx(0.05)
@@ -243,6 +271,13 @@ class TestCli:
         proc = run_cli("run-burgers", cfg)
         assert proc.returncode == 1
         assert "[gain] lambda" in proc.stderr
+
+    def test_bad_sobolev_order_is_config_error(self, tmp_path):
+        # refused before the truth phase runs; it used to exit 2 after it
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsobolev_order = 1.5\n")
+        proc = run_cli("run-burgers", cfg)
+        assert proc.returncode == 1
+        assert "sobolev_order must lie in [0, 1)" in proc.stderr
 
     def test_model_mismatch_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
