@@ -318,8 +318,10 @@ class _SWLane(_Lane):
     def cfl(self, state, obs=None) -> float:
         """sv_cfl, tightened by the wet cells of the observed depth ``obs``."""
         bound = sv_cfl(state, self.lam_cfl, self.safety)
-        wet = False if obs is None else np.isfinite(obs) & (obs > state.h_dry)
-        if np.any(wet):
+        if obs is None:
+            return bound
+        wet = np.isfinite(obs) & (obs > state.h_dry)
+        if wet.any():
             speed = np.abs(state.velocity[wet]) + state.profile.support_halfwidth * np.sqrt(
                 state.g * obs[wet] / 2.0
             )

@@ -51,6 +51,16 @@ _SECTION_KEYS = {
     "output": {"record_every", "sobolev_order"},
 }
 
+# Keys that act on one model kind only, refused in a file of the other kind.
+_KIND_ONLY_KEYS = {
+    "shallow_water": {
+        "model": {"g", "profile"},
+        "grid": {"bathymetry", "bowl_a", "bowl_hm"},
+        "truth": {"resolution_factor"},
+    },
+    "burgers": {"observer": {"mode", "n_xi", "xi_margin"}},
+}
+
 
 class _Section:
     """Typed access to one config section with named-field errors."""
@@ -96,6 +106,20 @@ def _enum_lookup(section, key, value, table):
             f"[{section}] {key}: unknown value {value!r} "
             f"(expected one of {sorted(table)})"
         ) from None
+
+
+def _refuse_other_kind_keys(parser: configparser.ConfigParser, kind: str):
+    for owner, sections in _KIND_ONLY_KEYS.items():
+        if owner == kind:
+            continue
+        for section, keys in sections.items():
+            if parser.has_section(section):
+                for key in parser[section]:
+                    if key in keys:
+                        raise ConfigError(
+                            f"[{section}] {key} does nothing for kind = {kind} "
+                            f"(only for kind = {owner})"
+                        )
 
 
 def _validate_keys(parser: configparser.ConfigParser):
@@ -170,6 +194,7 @@ def parse_config(path: str) -> RunConfig:
     kind = model_sec.require(model_sec.text("kind"), "kind")
     if kind not in ("burgers", "shallow_water"):
         raise ConfigError(f"[model] kind must be burgers or shallow_water, got {kind!r}")
+    _refuse_other_kind_keys(parser, kind)
     g = model_sec.real("g", GRAVITY)
     profile = _enum_lookup(
         "model", "profile", model_sec.text("profile", "semicircle"),

@@ -89,11 +89,33 @@ def chi_cube_integral(profile: ChiProfile) -> float:
 _J_FULL = (1.0, 0.0, 1.0, 0.0)
 
 
-def _rectangle_partial(a, kmax: int):
+def _scratch(*arrays):
+    """Supplier of fresh float arrays of the broadcast shape of ``arrays``:
+    the buffers of a call that is not given a step's work buffers."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    return lambda: np.empty(shape)
+
+
+def _power(a, e: int, out):
+    """a ** e into ``out``, through the ufunc the ``**`` operator picks."""
+    if e == 1:
+        return np.positive(a, out=out)
+    if e == 2:
+        return np.square(a, out=out)
+    return np.power(a, e, out=out)
+
+
+def _rectangle_partial(a, kmax: int, take):
     w = math.sqrt(3.0)
     r = 1.0 / (2.0 * w)
-    a = np.clip(np.asarray(a, dtype=float), -w, w)
-    return [r * (w ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(kmax + 1)]
+    a = np.clip(a, -w, w, out=take())
+    out = []
+    for k in range(kmax + 1):
+        p = _power(a, k + 1, take())
+        np.subtract(w ** (k + 1), p, out=p)
+        np.multiply(r, p, out=p)
+        out.append(np.divide(p, k + 1, out=p))
+    return out
 
 
 def _rectangle_partial_cube(a):
@@ -103,23 +125,35 @@ def _rectangle_partial_cube(a):
     return [r3 * (w - a), r3 * (w * w - a * a) / 2.0]
 
 
-def _semicircle_partial(a, kmax: int):
+def _semicircle_partial(a, kmax: int, take):
     # z = 2 sin(th): with s = sin(th) and c = cos(th) (c >= 0 on the clipped
     # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2)
-    s = np.minimum(np.maximum(a, -2.0), 2.0) / 2.0
-    th = np.arcsin(s)
-    s2 = s * s
-    c = np.sqrt(1.0 - s2)
-    rest = 0.5 * math.pi - th  # angle from the bound to the end of the support
-    sc = s * c
-    out = [(rest - sc) / math.pi]
+    s = np.maximum(a, -2.0, out=take())
+    np.minimum(s, 2.0, out=s)
+    np.multiply(s, 0.5, out=s)  # halving by * 0.5 is exact
+    rest = np.arcsin(s, out=take())
+    s2 = np.multiply(s, s, out=take())
+    c = np.subtract(1.0, s2, out=take())
+    np.sqrt(c, out=c)
+    np.subtract(0.5 * math.pi, rest, out=rest)  # angle from the bound to the end of the support
+    sc = np.multiply(s, c, out=take())
+    j0 = np.subtract(rest, sc, out=take())
+    out = [np.divide(j0, math.pi, out=j0)]
     if kmax >= 1:
-        c3 = c**3
-        out.append(4.0 / (3.0 * math.pi) * c3)
+        c3 = _power(c, 3, take())
+        out.append(np.multiply(4.0 / (3.0 * math.pi), c3, out=c3 if kmax < 3 else take()))
     if kmax >= 2:
-        out.append((rest + sc * (1.0 - 2.0 * s2)) / math.pi)
+        j2 = np.multiply(2.0, s2, out=s2)
+        np.subtract(1.0, j2, out=j2)
+        np.multiply(sc, j2, out=j2)
+        np.add(rest, j2, out=j2)
+        out.append(np.divide(j2, math.pi, out=j2))
     if kmax >= 3:
-        out.append(16.0 / math.pi * (c3 / 3.0 - c**5 / 5.0))
+        j3 = np.divide(c3, 3.0, out=c3)
+        c5 = _power(c, 5, take())
+        np.divide(c5, 5.0, out=c5)
+        np.subtract(j3, c5, out=j3)
+        out.append(np.multiply(16.0 / math.pi, j3, out=j3))
     return out
 
 
@@ -135,11 +169,13 @@ def _semicircle_partial_cube(a):
     return [k0, k1]
 
 
+_PARTIAL = {ChiProfile.RECTANGLE: _rectangle_partial, ChiProfile.SEMICIRCLE: _semicircle_partial}
+
+
 def profile_partial_moments(profile: ChiProfile, a, kmax: int = 3):
     """Moments of z^k chi(z) over [a, support end], k = 0..kmax (vectorised in a)."""
-    if profile is ChiProfile.RECTANGLE:
-        return _rectangle_partial(a, kmax)
-    return _semicircle_partial(a, kmax)
+    a = np.asarray(a, dtype=float)
+    return _PARTIAL[profile](a, kmax, _scratch(a))
 
 
 def profile_partial_cube_moments(profile: ChiProfile, a):
@@ -152,7 +188,7 @@ def profile_partial_cube_moments(profile: ChiProfile, a):
 _BINOM = {0: (1.0,), 1: (1.0, 1.0), 2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0)}
 
 
-def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
+def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None):
     """[H * integral of (u + z c)^k chi(z) dz over a half-line, for k in powers].
 
     The partial moments J_0..J_max(powers) are evaluated once and shared by
@@ -160,27 +196,46 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
     boolean array broadcasting against h selects the side entry by entry.
     Each binomial term C(k, j) u^(k-j) c^j J_j is the left-to-right product
     with its unit factors (C = 1, u^0, c^0) left out, which is exact.
+
+    ``take`` supplies the buffers every intermediate and result is written
+    into (a Saint-Venant step's work buffers, of the broadcast shape); by
+    default each is a fresh array.
     """
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
+    take = take or _scratch(h, u, c, positive)
     wet = h > 0.0
-    safe_c = np.where(wet, c, 1.0)
+    dry = ~wet
+    safe_c = take()
+    safe_c[...] = c
+    np.copyto(safe_c, 1.0, where=dry)
     kmax = max(powers)
-    part = profile_partial_moments(profile, -u / safe_c, kmax)
-    mom = [np.where(positive, p, full - p) for full, p in zip(_J_FULL, part)]
-    u_pow = [None, u] + [u**i for i in range(2, kmax + 1)]
-    c_pow = [None, safe_c] + [safe_c**i for i in range(2, kmax + 1)]
-    out = []
+    a = np.negative(u, out=take())
+    np.divide(a, safe_c, out=a)
+    mom = _PARTIAL[profile](a, kmax, take)
+    negative = np.logical_not(positive)
+    for full, p in zip(_J_FULL, mom):  # the complement on the negative half-line
+        np.subtract(full, p, out=p, where=negative)
+    u_pow = [None, u] + [_power(u, i, take()) for i in range(2, kmax + 1)]
+    c_pow = [None, safe_c] + [_power(safe_c, i, take()) for i in range(2, kmax + 1)]
+    out, term = [], take()
     for k in powers:
-        acc = None
+        acc = take()
         for j, coeff in enumerate(_BINOM[k]):
+            into = term if j else acc
             prefix = None
             for factor in (None if coeff == 1.0 else coeff, u_pow[k - j], c_pow[j]):
                 if factor is not None:
-                    prefix = factor if prefix is None else prefix * factor
-            term = mom[j] if prefix is None else prefix * mom[j]
-            acc = term if acc is None else acc + term
-        out.append(np.where(wet, h * acc, 0.0))
+                    prefix = factor if prefix is None else np.multiply(prefix, factor, out=into)
+            if prefix is None:
+                np.copyto(into, mom[j])
+            else:
+                np.multiply(prefix, mom[j], out=into)
+            if j:
+                np.add(acc, into, out=acc)
+        np.multiply(h, acc, out=acc)
+        np.copyto(acc, 0.0, where=dry)
+        out.append(acc)
     return out
 
 
@@ -195,14 +250,15 @@ def upwind_power_moment(profile: ChiProfile, h, u, c, power: int, positive: bool
     return _upwind_moments(profile, h, u, c, (power,), positive)[0]
 
 
-def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive):
+def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive, *, take=None):
     """``upwind_power_moment`` at powers 1 and 2 (the mass and momentum
     fluxes of one interface side) from one partial-moment evaluation.
 
     ``positive`` may be a boolean array, so both sides of every interface
-    can be evaluated in one call on stacked arrays.
+    can be evaluated in one call on stacked arrays.  ``take`` supplies the
+    buffers as in ``_upwind_moments``; the default returns fresh arrays.
     """
-    return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive))
+    return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive, take))
 
 
 def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):

@@ -16,11 +16,20 @@ inherited from the kinetic form:
 The observer adds the exact xi-moments of lam * (M_obs - f), where M_obs is
 the Gibbs density built from the observed depth and the observer's own
 velocity: dH += lam dt (H_obs - H), dq += lam dt u (H_obs - H).
+
+A state is immutable and computes its velocity and CFL wave speed once.  The
+states a step produces from one another share a workspace: the bathymetry's
+interface pairs and work buffers that every step reuses through ufunc
+``out=``.  A step never returns a work buffer; its new depth and discharge
+are fresh arrays.  The states of one chain share those buffers, so they are
+stepped from one thread.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +37,7 @@ from .grid import BoundaryKind, Grid1D
 from .kinetic import (
     GRAVITY,
     ChiProfile,
+    _scratch,
     halfline_energy_moment,
     upwind_mass_momentum,
 )
@@ -36,9 +46,14 @@ DRY_DEPTH = 1e-8
 _CFL_TOL = 1.0 + 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SWState:
-    """Cell-averaged shallow-water state over a fixed bathymetry."""
+    """Cell-averaged shallow-water state over a fixed bathymetry.
+
+    Immutable: ``dataclasses.replace`` derives a changed state (and checks it
+    again).  ``velocity`` and ``max_wave_speed`` are computed on first use and
+    kept, so the arrays must not be changed in place either.
+    """
 
     h: np.ndarray
     q: np.ndarray
@@ -49,9 +64,8 @@ class SWState:
     h_dry: float = DRY_DEPTH
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        self.z_b = np.asarray(self.z_b, dtype=float)
+        for name in ("h", "q", "z_b"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.grid.n_cells
         if not (self.h.shape == self.q.shape == self.z_b.shape == (n,)):
             raise ValueError("state arrays must match the grid size")
@@ -60,11 +74,22 @@ class SWState:
                 f"water depth h must be nonnegative, got min {np.min(self.h)}"
             )
 
-    @property
+    @cached_property
     def velocity(self) -> np.ndarray:
         """q / H on wet cells, zero on cells below the dry threshold."""
-        wet = self.h >= self.h_dry
-        return np.where(wet, self.q / np.maximum(self.h, self.h_dry), 0.0)
+        u = np.maximum(self.h, self.h_dry)
+        np.divide(self.q, u, out=u)
+        np.copyto(u, 0.0, where=self.h < self.h_dry)  # h is never NaN
+        return u
+
+    @cached_property
+    def max_wave_speed(self) -> float:
+        """max |u| + w_chi c over the cells, at least the dry-threshold speed."""
+        return _max_wave_speed(self)
+
+    @cached_property
+    def _work(self) -> _Workspace:
+        return _Workspace(self.z_b, self.grid.bc)
 
     @property
     def surface(self) -> np.ndarray:
@@ -75,6 +100,58 @@ class SWState:
 
     def copy(self) -> "SWState":
         return replace(self, h=self.h.copy(), q=self.q.copy())
+
+    def _successor(self, h: np.ndarray, q: np.ndarray) -> "SWState":
+        """The state (h, q) on this bathymetry and workspace, built without
+        the checks: only for depths ``_settle`` has just proven finite and
+        nonnegative, on this grid."""
+        new = object.__new__(SWState)
+        new.__dict__.update(h=h, q=q, z_b=self.z_b, grid=self.grid, profile=self.profile,
+                            g=self.g, h_dry=self.h_dry, _work=self._work)
+        return new
+
+
+def _max_wave_speed(state: SWState) -> float:
+    # Maximum over every cell: a dry cell (u = 0, h < h_dry) is slower than
+    # the dry-threshold speed and no wet cell is, so this is the maximum over
+    # the wet cells, or the threshold speed when none is wet.
+    w = state.profile.support_halfwidth
+    c = np.multiply(state.g, state.h)
+    np.multiply(c, 0.5, out=c)  # halving by * 0.5 is exact
+    np.sqrt(c, out=c)
+    np.multiply(w, c, out=c)
+    speed = np.abs(state.velocity)
+    np.add(speed, c, out=speed)
+    return max(float(speed.max()), w * math.sqrt(state.g * state.h_dry / 2.0))
+
+
+def _grow(pool: list, shape: tuple):
+    """New buffers, each appended to ``pool`` as it is handed out."""
+    while True:
+        pool.append(np.empty(shape))
+        yield pool[-1]
+
+
+class _Workspace:
+    """What the steps of one chain of states share: the bathymetry's
+    interface pairs with z_int = max(z_L, z_R), and work buffers.
+
+    ``begin`` starts a step: ``wide`` then hands out the (2, n+1) interface
+    buffers and ``cells`` the (n,) cell buffers, each from the first one
+    again.  A buffer lives until the next ``begin``.
+    """
+
+    def __init__(self, z_b: np.ndarray, bc: BoundaryKind):
+        self.z_cells = _interface_pairs(z_b, bc)
+        self.z_int = np.maximum(self.z_cells[0], self.z_cells[1])
+        self._pools = ([], [])
+        self.begin()
+
+    def begin(self) -> _Workspace:
+        wide, cells = self.z_cells.shape, (self.z_cells.shape[1] - 1,)
+        self.wide = chain(self._pools[0], _grow(self._pools[0], wide)).__next__
+        self.cells = chain(self._pools[1], _grow(self._pools[1], cells)).__next__
+        return self
 
 
 @dataclass
@@ -101,11 +178,13 @@ class EnergyBudget:
     flux: np.ndarray
 
 
-def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False) -> np.ndarray:
+def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """(2, n+1) values of the cells left (row 0) and right (row 1) of every
     interface, ghost cells included; ``mirror`` flips the sign of the wall
-    ghosts (velocity)."""
-    out = np.empty((2, a.size + 1))
+    ghosts (velocity).  Written into ``out`` when given."""
+    if out is None:
+        out = np.empty((2, a.size + 1))
     out[0, 1:] = a
     out[1, :-1] = a
     if bc is BoundaryKind.REFLECTIVE_WALL:
@@ -119,14 +198,20 @@ def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False) -> n
     return out
 
 
-def hydrostatic_reconstruct(state: SWState) -> InterfaceReconstruction:
+def hydrostatic_reconstruct(state: SWState, *, take=None) -> InterfaceReconstruction:
     """Interface depths limited by the higher of the two neighbouring bottoms,
-    truncated at zero so reconstructed depths stay admissible."""
-    bc = state.grid.bc
-    h_cells = _interface_pairs(state.h, bc)
-    z_cells = _interface_pairs(state.z_b, bc)
-    z_int = np.maximum(z_cells[0], z_cells[1])
-    return InterfaceReconstruction(np.maximum(0.0, h_cells + z_cells - z_int), h_cells)
+    truncated at zero so reconstructed depths stay admissible.
+
+    ``take`` supplies (2, n+1) buffers for the result (a step's work
+    buffers); by default the arrays are fresh.
+    """
+    work = state._work
+    take = take or _scratch(work.z_cells)
+    h_cells = _interface_pairs(state.h, state.grid.bc, out=take())
+    h_sides = np.add(h_cells, work.z_cells, out=take())
+    np.subtract(h_sides, work.z_int, out=h_sides)
+    np.maximum(0.0, h_sides, out=h_sides)
+    return InterfaceReconstruction(h_sides, h_cells)
 
 
 def sv_interface_flux(
@@ -135,6 +220,8 @@ def sv_interface_flux(
     u_right: np.ndarray,
     profile: ChiProfile,
     g: float = GRAVITY,
+    *,
+    take=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kinetic interface fluxes (mass, momentum-left, momentum-right).
 
@@ -145,26 +232,29 @@ def sv_interface_flux(
     written on the interface depths it is the usual g dz/2 (H_cell + H_rec)
     topography term, but this form stays exactly balanced for still water
     even when the nonnegativity truncation is active at a wet/dry front.
+
+    ``take`` supplies (2, n+1) buffers for every intermediate and result (a
+    step's work buffers); by default the arrays are fresh.
     """
     h = rec.h_sides
-    u = np.empty_like(h)
+    take = take or _scratch(h)
+    u = take()
     u[0], u[1] = u_left, u_right
-    c = np.sqrt(g * h / 2.0)
-    mass, momentum = upwind_mass_momentum(profile, h, u, c, _UPWIND_SIDE)
-    f_q = momentum[0] + momentum[1]
-    f_q_sides = f_q + 0.5 * g * (rec.h_cells**2 - h**2)
-    return mass[0] + mass[1], f_q_sides[0], f_q_sides[1]
+    c = np.multiply(g, h, out=take())
+    np.multiply(c, 0.5, out=c)  # halving by * 0.5 is exact
+    np.sqrt(c, out=c)
+    mass, momentum = upwind_mass_momentum(profile, h, u, c, _UPWIND_SIDE, take=take)
+    f_q = np.add(momentum[0], momentum[1], out=momentum[0])
+    f_q_sides = np.square(rec.h_cells, out=take())
+    np.subtract(f_q_sides, np.square(h, out=c), out=f_q_sides)  # c is spent
+    np.multiply(0.5 * g, f_q_sides, out=f_q_sides)
+    np.add(f_q, f_q_sides, out=f_q_sides)
+    return np.add(mass[0], mass[1], out=mass[0]), f_q_sides[0], f_q_sides[1]
 
 
-def _cfl_bound(state: SWState, u: np.ndarray, lam: float, safety: float) -> float:
-    # Maximum over every cell: a dry cell (u = 0, h < h_dry) is slower than
-    # the dry-threshold speed and no wet cell is, so this is the maximum over
-    # the wet cells, or the threshold speed when none is wet.
-    w = state.profile.support_halfwidth
-    speed = np.abs(u) + w * np.sqrt(state.g * state.h / 2.0)
-    speed_max = max(float(speed.max()), w * math.sqrt(state.g * state.h_dry / 2.0))
+def _cfl_bound(state: SWState, lam: float, safety: float) -> float:
     dx = state.grid.dx
-    return safety * dx / (lam * dx + speed_max)
+    return safety * dx / (lam * dx + state.max_wave_speed)
 
 
 def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
@@ -179,59 +269,65 @@ def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
         raise ValueError("lambda must be nonnegative")
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    return _cfl_bound(state, state.velocity, lam, safety)
+    return _cfl_bound(state, lam, safety)
 
 
-def _check_cfl(state: SWState, u: np.ndarray, lam: float, dt: float):
-    bound = _cfl_bound(state, u, lam, 1.0)
+def _check_cfl(state: SWState, lam: float, dt: float):
+    bound = _cfl_bound(state, lam, 1.0)
     if not dt <= bound * _CFL_TOL:  # a NaN dt or bound fails too
         raise ValueError(f"dt={dt:g} violates the CFL bound {bound:g}")
 
 
-def _flux_divergence(state: SWState, u: np.ndarray):
-    u_left, u_right = _interface_pairs(u, state.grid.bc, mirror=True)
+def _flux_divergence(state: SWState, work: _Workspace):
+    u_sides = _interface_pairs(state.velocity, state.grid.bc, mirror=True, out=work.wide())
     f_h, f_q_left, f_q_right = sv_interface_flux(
-        hydrostatic_reconstruct(state), u_left, u_right, state.profile, state.g
+        hydrostatic_reconstruct(state, take=work.wide), u_sides[0], u_sides[1],
+        state.profile, state.g, take=work.wide,
     )
-    div_h = f_h[1:] - f_h[:-1]
-    div_q = f_q_left[1:] - f_q_right[:-1]
+    div_h = np.subtract(f_h[1:], f_h[:-1], out=work.cells())
+    div_q = np.subtract(f_q_left[1:], f_q_right[:-1], out=work.cells())
     return div_h, div_q
 
 
 def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
-    """Clear roundoff-negative depths and the momentum of dry cells.
+    """Clear roundoff-negative depths and the momentum of dry cells; the
+    results are fresh arrays.
 
     The scheme is nonnegativity preserving in exact arithmetic; anything
     below -1e3 eps of the depth scale indicates a genuine CFL or flux bug and
     is reported instead of masked.
     """
     floor = -1e-13 * max(1.0, float(h.max(initial=0.0)))
-    if not (h >= floor).all():  # NaN fails too
+    if not h.min() >= floor:  # NaN fails too
         raise FloatingPointError(f"negative depth {float(np.min(h)):g} after update")
     h = np.maximum(h, 0.0)
     q = np.where(h >= h_dry, q, 0.0)
     return h, q
 
 
-def _sv_update(state: SWState, dt: float, lam: float, dh: np.ndarray | None) -> SWState:
+def _sv_update(state: SWState, work: _Workspace, dt: float, lam: float,
+               dh: np.ndarray | None) -> SWState:
     """Transport step, plus the nudging source lam dt (dh, u dh) unless dh is
     None, then the depth settle."""
-    u = state.velocity
-    _check_cfl(state, u, lam, dt)
+    _check_cfl(state, lam, dt)
     sigma = dt / state.grid.dx
-    div_h, div_q = _flux_divergence(state, u)
-    h = state.h - sigma * div_h
-    q = state.q - sigma * div_q
+    h, q = _flux_divergence(state, work)
+    np.multiply(sigma, h, out=h)
+    np.subtract(state.h, h, out=h)
+    np.multiply(sigma, q, out=q)
+    np.subtract(state.q, q, out=q)
     if dh is not None:
-        h = h + lam * dt * dh
-        q = q + lam * dt * u * dh
-    h, q = _settle(h, q, state.h_dry)
-    return replace(state, h=h, q=q)
+        source = np.multiply(lam * dt, dh, out=work.cells())
+        np.add(h, source, out=h)
+        np.multiply(lam * dt, state.velocity, out=source)
+        np.multiply(source, dh, out=source)
+        np.add(q, source, out=q)
+    return state._successor(*_settle(h, q, state.h_dry))
 
 
 def sv_forward_step(state: SWState, dt: float) -> SWState:
     """One conservative step of the forward (unassimilated) scheme."""
-    return _sv_update(state, dt, 0.0, None)
+    return _sv_update(state, state._work.begin(), dt, 0.0, None)
 
 
 def sv_observer_step(
@@ -253,13 +349,15 @@ def sv_observer_step(
     innovations, each against the observer's depth at its observation time,
     with ``lam`` the total weighted gain.
     """
+    work = state._work.begin()
     if dh is None:
         obs_h = np.asarray(obs_h, dtype=float)
         observed = np.isfinite(obs_h)
-        if np.any(obs_h[observed] < 0.0):
+        if (observed & (obs_h < 0.0)).any():
             raise ValueError("observed depths must be nonnegative")
-        dh = np.where(observed, obs_h - state.h, 0.0)
-    return _sv_update(state, dt, lam, dh)
+        dh = np.subtract(obs_h, state.h, out=work.cells())
+        np.copyto(dh, 0.0, where=~observed)
+    return _sv_update(state, work, dt, lam, dh)
 
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:

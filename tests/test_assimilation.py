@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kinassim.assimilation as assimilation
+import kinassim.shallow_water as shallow_water
 from kinassim import cli
 from kinassim.assimilation import (
     BurgersObserverMode,
@@ -512,9 +513,9 @@ class TestObservedDepthCFL:
     def test_deeper_observation_tightens_the_bound(self):
         cfg = small_sw_config()
         lane = assimilation._lanes(cfg)[1]
-        state = cfg.observer_state.copy()
+        state = cfg.observer_state
         n, dx = cfg.grid.n_cells, cfg.grid.dx
-        state.q = np.linspace(-0.5, 0.5, n) * state.h
+        state = replace(state, q=np.linspace(-0.5, 0.5, n) * state.h)
         obs = np.full(n, 4.0)
         obs[2], obs[5], obs[9] = math.nan, 0.0, -1.0  # unobserved, dry, dry
         wet = np.isfinite(obs) & (obs > state.h_dry)
@@ -546,6 +547,33 @@ class TestObservedDepthCFL:
         assert len(seen) == len(truth.dts)
         for obs, field in zip(seen, truth.trajectory_fields):
             np.testing.assert_array_equal(obs, field)
+
+
+def test_one_speed_evaluation_per_stepped_state(monkeypatch):
+    # the driver's bound, the observed-depth probe and the step's CFL check
+    # share one evaluation of each stepped state's wave speed (they made two
+    # or three); an observer deeper than the truth divides the truth's steps
+    cfg = small_sw_config(t_final=0.05)
+    cfg = replace(cfg, observer_state=dam_break_state(cfg.grid, 3.0, 3.0, 0.5))
+    evaluations, stepped = [], []
+    speed = shallow_water._max_wave_speed
+
+    def counted_speed(state):
+        evaluations.append(state)
+        return speed(state)
+
+    monkeypatch.setattr(shallow_water, "_max_wave_speed", counted_speed)
+    for name in ("sv_forward_step", "sv_observer_step"):
+        def counted_step(state, *args, _step=getattr(assimilation, name), **kwargs):
+            stepped.append(state)
+            return _step(state, *args, **kwargs)
+
+        monkeypatch.setattr(assimilation, name, counted_step)
+    result = run_twin(cfg)
+    truth_steps = len(result.dt_history)
+    assert len(stepped) - truth_steps > truth_steps
+    assert len(evaluations) == len(stepped)
+    assert {id(s) for s in evaluations} == {id(s) for s in stepped}
 
 
 def collapsing_bound(collapses=lambda state: True):

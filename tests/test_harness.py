@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import kinassim
+from kinassim import cli
 from kinassim.assimilation import BurgersObserverMode, TemporalMode, run_twin
 from kinassim.config import (
     ConfigError,
@@ -86,6 +87,29 @@ class TestParseConfig:
         body = MINIMAL + f"\n[{section}]\n{key} = 2.0\n"
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
             parse_config(write_cfg(tmp_path, body))
+
+    @pytest.mark.parametrize("kind,section,key,value", [
+        ("burgers", "model", "g", "3.0"),
+        ("burgers", "model", "profile", "rectangle"),
+        ("burgers", "grid", "bathymetry", "flat"),
+        ("burgers", "grid", "bowl_a", "1.0"),
+        ("burgers", "grid", "bowl_hm", "0.5"),
+        ("burgers", "truth", "resolution_factor", "2"),
+        ("shallow_water", "observer", "mode", "bgk"),
+        ("shallow_water", "observer", "n_xi", "64"),
+        ("shallow_water", "observer", "xi_margin", "1.0"),
+    ])
+    def test_key_of_the_other_model_kind_rejected(self, tmp_path, kind, section, key, value):
+        # accepted before, and acting on nothing
+        fixture = "burgers_clean.cfg" if kind == "burgers" else "thacker.cfg"
+        body = Path(fixture_path(fixture)).read_text()
+        assert f"[{section}]\n" in body and f"\n{key} =" not in body
+        path = tmp_path / "other_kind.cfg"
+        path.write_text(body.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} does nothing for kind = {kind}"):
+            parse_config(str(path))
+        assert cli.main(["run-burgers" if kind == "burgers" else "run-sv", str(path),
+                         "--quiet"]) == 1
 
     @pytest.mark.parametrize("old,new", [
         # thacker_setup builds its states on [0, x_max - x_min] with walls:

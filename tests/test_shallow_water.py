@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -378,6 +379,78 @@ class TestFusedStepMatchesReference:
             np.testing.assert_array_equal(given.h, want[0])
             np.testing.assert_array_equal(given.q, want[1])
             state = got
+
+
+def stepper(kind, lam=6.0):
+    """One step of the given kind: forward, nudged toward an observed depth
+    (NaN outside a window), or nudged by a given depth innovation dh."""
+    def step(state):
+        dt = sv_cfl(state, lam)
+        if kind == "forward":
+            return sv_forward_step(state, dt)
+        if kind == "observed":
+            obs_h = np.full(state.grid.n_cells, np.nan)
+            obs_h[10:45] = state.h[10:45] * 1.2 + 0.01
+            return sv_observer_step(state, obs_h, lam, dt)
+        dh = 0.3 * state.h * np.cos(2.0 * np.pi * state.grid.centers)
+        return sv_observer_step(state, None, lam, dt, dh=dh)
+
+    return step
+
+
+STEP_KINDS = ["forward", "observed", "dh"]
+
+
+class TestStatesAndWorkBuffers:
+    """Steps reuse work buffers and each state caches its velocity and CFL
+    speed; neither may leak from one state into another."""
+
+    @pytest.mark.parametrize("kind", STEP_KINDS)
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_kept_state_unchanged_by_later_steps(self, profile, bc, kind):
+        step = stepper(kind)
+        states = [rough_state(bc, profile)]
+        for _ in range(4):
+            states.append(step(states[-1]))
+        kept = [(s.h.copy(), s.q.copy(), s.velocity.copy(), s.max_wave_speed) for s in states]
+        state = states[-1]
+        for _ in range(4):
+            state = step(state)
+        for s, (h, q, u, speed) in zip(states, kept):
+            np.testing.assert_array_equal(s.h, h)
+            np.testing.assert_array_equal(s.q, q)
+            np.testing.assert_array_equal(s.velocity, u)
+            assert s.max_wave_speed == speed
+            fresh = dataclasses.replace(s)  # the same fields, nothing cached
+            np.testing.assert_array_equal(fresh.velocity, u)
+            assert fresh.max_wave_speed == speed
+
+    @pytest.mark.parametrize("kind", STEP_KINDS)
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_stepping_a_state_twice_gives_equal_results(self, profile, bc, kind):
+        step = stepper(kind)
+        state = step(rough_state(bc, profile))
+        first = step(state)
+        step(step(first))  # the buffers now hold other states' values
+        again = step(state)
+        assert np.array_equal(first.h, again.h) and np.array_equal(first.q, again.q)
+        assert not np.shares_memory(first.h, again.h)
+        assert not np.shares_memory(first.q, again.q)
+
+    def test_fields_cannot_be_assigned(self):
+        built = rough_state(BoundaryKind.REFLECTIVE_WALL, ChiProfile.SEMICIRCLE)
+        stepped = sv_forward_step(built, sv_cfl(built, 0.0))
+        for state in (built, stepped):
+            for field in dataclasses.fields(SWState):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(state, field.name, getattr(state, field.name))
+
+    def test_replace_checks_the_new_state(self):
+        state = sv_forward_step(flat_state(np.ones(10)), 1e-3)
+        with pytest.raises(ValueError, match="water depth h"):
+            dataclasses.replace(state, h=-state.h)
 
 
 class TestNonFiniteRefused:
