@@ -17,12 +17,12 @@ The observer adds the exact xi-moments of lam * (M_obs - f), where M_obs is
 the Gibbs density built from the observed depth and the observer's own
 velocity: dH += lam dt (H_obs - H), dq += lam dt u (H_obs - H).
 
-A state is immutable and computes its velocity and CFL wave speed once.  The
-states a step produces from one another share a workspace: the bathymetry's
-interface pairs and work buffers that every step reuses through ufunc
-``out=``.  A step never returns a work buffer; its new depth and discharge
-are fresh arrays.  The states of one chain share those buffers, so they are
-stepped from one thread.
+A state is immutable, arrays included, and computes its velocity and CFL
+wave speed once.  The states a step produces from one another share a
+workspace: the bathymetry's interface pairs and work buffers that every step
+reuses through ufunc ``out=``.  A step never returns a work buffer; its new
+depth and discharge are fresh arrays.  The states of one chain share those
+buffers, so they are stepped from one thread.
 """
 from __future__ import annotations
 
@@ -50,9 +50,9 @@ _CFL_TOL = 1.0 + 1e-12
 class SWState:
     """Cell-averaged shallow-water state over a fixed bathymetry.
 
-    Immutable: ``dataclasses.replace`` derives a changed state (and checks it
-    again).  ``velocity`` and ``max_wave_speed`` are computed on first use and
-    kept, so the arrays must not be changed in place either.
+    Immutable: the state holds read-only copies of its arrays, and
+    ``dataclasses.replace`` derives a changed state (and checks it again).
+    ``velocity`` and ``max_wave_speed`` are computed on first use and kept.
     """
 
     h: np.ndarray
@@ -65,7 +65,7 @@ class SWState:
 
     def __post_init__(self):
         for name in ("h", "q", "z_b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         n = self.grid.n_cells
         if not (self.h.shape == self.q.shape == self.z_b.shape == (n,)):
             raise ValueError("state arrays must match the grid size")
@@ -80,7 +80,7 @@ class SWState:
         u = np.maximum(self.h, self.h_dry)
         np.divide(self.q, u, out=u)
         np.copyto(u, 0.0, where=self.h < self.h_dry)  # h is never NaN
-        return u
+        return _read_only(u)
 
     @cached_property
     def max_wave_speed(self) -> float:
@@ -99,16 +99,22 @@ class SWState:
         return float(np.sum(self.h) * self.grid.dx)
 
     def copy(self) -> "SWState":
-        return replace(self, h=self.h.copy(), q=self.q.copy())
+        """The same state, checked again."""
+        return replace(self)
 
     def _successor(self, h: np.ndarray, q: np.ndarray) -> "SWState":
         """The state (h, q) on this bathymetry and workspace, built without
         the checks: only for depths ``_settle`` has just proven finite and
         nonnegative, on this grid."""
         new = object.__new__(SWState)
-        new.__dict__.update(h=h, q=q, z_b=self.z_b, grid=self.grid, profile=self.profile,
-                            g=self.g, h_dry=self.h_dry, _work=self._work)
+        new.__dict__.update(h=_read_only(h), q=_read_only(q), z_b=self.z_b, grid=self.grid,
+                            profile=self.profile, g=self.g, h_dry=self.h_dry, _work=self._work)
         return new
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _max_wave_speed(state: SWState) -> float:

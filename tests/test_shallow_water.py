@@ -439,13 +439,23 @@ class TestStatesAndWorkBuffers:
         assert not np.shares_memory(first.h, again.h)
         assert not np.shares_memory(first.q, again.q)
 
-    def test_fields_cannot_be_assigned(self):
+    def test_fields_and_arrays_cannot_be_changed(self):
         built = rough_state(BoundaryKind.REFLECTIVE_WALL, ChiProfile.SEMICIRCLE)
         stepped = sv_forward_step(built, sv_cfl(built, 0.0))
         for state in (built, stepped):
             for field in dataclasses.fields(SWState):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(state, field.name, getattr(state, field.name))
+            # an array changed in place would leave the cached speeds stale
+            for array in (state.h, state.q, state.z_b, state.velocity):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    def test_state_copies_the_arrays_it_is_given(self):
+        h = np.ones(10)
+        state = flat_state(h)
+        h[0] = 2.0  # the caller's array stays writeable and apart
+        assert state.h[0] == 1.0
 
     def test_replace_checks_the_new_state(self):
         state = sv_forward_step(flat_state(np.ones(10)), 1e-3)
