@@ -89,7 +89,7 @@ def chi_cube_integral(profile: ChiProfile) -> float:
 _J_FULL = (1.0, 0.0, 1.0, 0.0)
 
 
-def _scratch(*arrays):
+def _fresh_buffers(*arrays):
     """Supplier of fresh float arrays of the broadcast shape of ``arrays``:
     the buffers of a call that is not given a step's work buffers."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
@@ -175,7 +175,7 @@ _PARTIAL = {ChiProfile.RECTANGLE: _rectangle_partial, ChiProfile.SEMICIRCLE: _se
 def profile_partial_moments(profile: ChiProfile, a, kmax: int = 3):
     """Moments of z^k chi(z) over [a, support end], k = 0..kmax (vectorised in a)."""
     a = np.asarray(a, dtype=float)
-    return _PARTIAL[profile](a, kmax, _scratch(a))
+    return _PARTIAL[profile](a, kmax, _fresh_buffers(a))
 
 
 def profile_partial_cube_moments(profile: ChiProfile, a):
@@ -203,7 +203,7 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None):
     """
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
-    take = take or _scratch(h, u, c, positive)
+    take = take or _fresh_buffers(h, u, c, positive)
     wet = h > 0.0
     dry = ~wet
     safe_c = take()

@@ -37,7 +37,7 @@ from .grid import BoundaryKind, Grid1D
 from .kinetic import (
     GRAVITY,
     ChiProfile,
-    _scratch,
+    _fresh_buffers,
     halfline_energy_moment,
     upwind_mass_momentum,
 )
@@ -212,7 +212,7 @@ def hydrostatic_reconstruct(state: SWState, *, take=None) -> InterfaceReconstruc
     buffers); by default the arrays are fresh.
     """
     work = state._work
-    take = take or _scratch(work.z_cells)
+    take = take or _fresh_buffers(work.z_cells)
     h_cells = _interface_pairs(state.h, state.grid.bc, out=take())
     h_sides = np.add(h_cells, work.z_cells, out=take())
     np.subtract(h_sides, work.z_int, out=h_sides)
@@ -243,7 +243,7 @@ def sv_interface_flux(
     step's work buffers); by default the arrays are fresh.
     """
     h = rec.h_sides
-    take = take or _scratch(h)
+    take = take or _fresh_buffers(h)
     u = take()
     u[0], u[1] = u_left, u_right
     c = np.multiply(g, h, out=take())

@@ -550,9 +550,10 @@ class TestObservedDepthCFL:
 
 
 def test_one_speed_evaluation_per_stepped_state(monkeypatch):
-    # the driver's bound, the observed-depth probe and the step's CFL check
-    # share one evaluation of each stepped state's wave speed (they made two
-    # or three); an observer deeper than the truth divides the truth's steps
+    # the time loop's bound, the observed-depth probe and the step's CFL
+    # check share one evaluation of each stepped state's wave speed (they
+    # made two or three); an observer deeper than the truth divides the
+    # truth's steps
     cfg = small_sw_config(t_final=0.05)
     cfg = replace(cfg, observer_state=dam_break_state(cfg.grid, 3.0, 3.0, 0.5))
     evaluations, stepped = [], []
