@@ -1,4 +1,13 @@
-"""Error norms, spectral seminorms, log-slope fits and sweep analysis."""
+"""Error norms, spectral seminorms, log-slope fits and sweep analysis.
+
+The 1-D functions (``l1_absolute``, ``l2_absolute``, ``l1_relative``,
+``sobolev_seminorm``) measure one field.  ``ErrorRecorder`` measures the
+error rows of a whole run a block of rows at a time: it buffers each row's
+difference and reference and, when a block fills, computes every row's norms
+in one vectorised pass whose temporaries live in work buffers allocated once.
+Both give the same values bit for bit; ``sobolev_seminorm`` is a one-row call
+of the block's Sobolev pass.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -59,23 +68,103 @@ def sobolev_seminorm(values: np.ndarray, s: float, grid: Grid1D) -> float:
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"order s must lie in [0, 1), got {s}")
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    coeff = np.fft.fft(values) / n
-    keep, weights = _sobolev_weights(n, grid.length, s)
-    return float(np.sqrt(np.sum(weights * np.abs(coeff[keep]) ** 2)))
+    row = np.asarray(values, dtype=float).reshape(1, -1)
+    n = row.shape[1]
+    out = np.empty(1)
+    _sobolev_rows(row, _sobolev_weights(n, grid.length, s), out,
+                  np.empty((1, n), dtype=complex), np.empty((1, n - 1)))
+    return float(out[0])
+
+
+def _sobolev_rows(diff, weights, out, spectrum, modes) -> None:
+    """The Sobolev seminorm of each row of ``diff`` into ``out``.
+
+    ``spectrum`` (complex, the shape of ``diff``) and ``modes`` (one column
+    fewer) are work buffers.  The transform runs in place on the complex
+    copy: transforming the real rows would allocate their complex cast.
+    """
+    n = diff.shape[1]
+    spectrum[...] = diff
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    np.divide(spectrum, n, out=spectrum)
+    np.abs(spectrum[:, 1:], out=modes)  # every mode but k = 0
+    np.square(modes, out=modes)
+    np.multiply(weights, modes, out=modes)
+    np.sum(modes, axis=1, out=out)
+    np.sqrt(out, out=out)
 
 
 @lru_cache(maxsize=64)
-def _sobolev_weights(n: int, length: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(mask of the nonzero modes, |omega|^(2s) on them), read-only; computed
-    once per (n, length, s) because every recorded row needs them."""
-    k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumber index
+def _sobolev_weights(n: int, length: float, s: float) -> np.ndarray:
+    """|omega|^(2s) on the modes k = 1 .. n - 1 of the FFT's order, read-only;
+    computed once per (n, length, s) because every recorded row needs them."""
+    k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumber index, 0 only first
     omega = 2.0 * np.pi * k / length
-    keep = k != 0
-    weights = np.abs(omega[keep]) ** (2.0 * s)
-    keep.flags.writeable = weights.flags.writeable = False
-    return keep, weights
+    weights = np.abs(omega[1:]) ** (2.0 * s)
+    weights.flags.writeable = False
+    return weights
+
+
+# Byte budget of one (rows, n_cells) float block of an ErrorRecorder: a block
+# holds at most 256 rows and at least one.  The recorder's buffers (three real
+# blocks, a complex one and one a column narrower) take about six blocks.
+_BLOCK_BYTES = 128 * 1024
+
+
+class ErrorRecorder:
+    """Error norms of up to ``n_rows`` (field, reference) pairs on ``grid``,
+    computed a block of rows at a time.
+
+    ``add`` writes a pair's difference and reference into the next row of the
+    block.  When the block fills, and once more in ``norms``, one vectorised
+    pass gives every held row its L1 error relative to the reference's L1
+    norm (the absolute error where that norm vanishes), its L1 and L2 errors
+    and the order-``order`` Sobolev seminorm of the difference.  Each value
+    equals the 1-D function's bit for bit: every row is reduced as a
+    C-contiguous row, by the same pairwise sum, and transformed on its own.
+    """
+
+    def __init__(self, n_rows: int, grid: Grid1D, order: float):
+        n = grid.n_cells
+        rows = max(1, min(256, _BLOCK_BYTES // (8 * n)))
+        self.diff, self.ref, self.work = np.empty((3, rows, n))
+        self.spectrum = np.empty((rows, n), dtype=complex)
+        self.modes = np.empty((rows, n - 1))
+        self.dx, self.weights = grid.dx, _sobolev_weights(n, grid.length, order)
+        self.table = np.empty((4, n_rows))  # l1_rel, l1_abs, l2_abs, sobolev
+        self.done = self.held = 0  # rows measured, rows waiting in the block
+
+    def add(self, field: np.ndarray, ref: np.ndarray) -> None:
+        np.subtract(field, ref, out=self.diff[self.held])
+        self.ref[self.held] = ref
+        self.held += 1
+        if self.held == len(self.diff):
+            self._flush()
+
+    def norms(self) -> np.ndarray:
+        """(l1_rel, l1_abs, l2_abs, sobolev) of every row added, as a
+        (4, rows) array."""
+        self._flush()
+        return self.table[:, :self.done]
+
+    def _flush(self) -> None:
+        k, dx = self.held, self.dx
+        diff, ref, work = self.diff[:k], self.ref[:k], self.work[:k]
+        rel, l1, l2, sobolev = self.table[:, self.done:self.done + k]
+        np.abs(ref, out=work)
+        np.sum(work, axis=1, out=rel)
+        np.multiply(rel, dx, out=rel)  # the reference's L1 norm, for now
+        np.abs(diff, out=work)
+        np.sum(work, axis=1, out=l1)
+        np.multiply(l1, dx, out=l1)
+        np.multiply(diff, diff, out=work)
+        np.sum(work, axis=1, out=l2)
+        np.multiply(l2, dx, out=l2)
+        np.sqrt(l2, out=l2)
+        np.copyto(rel, 1.0, where=rel == 0.0)  # l1 / 1.0 is l1 exactly
+        np.divide(l1, rel, out=rel)
+        _sobolev_rows(diff, self.weights, sobolev, self.spectrum[:k], self.modes[:k])
+        self.done, self.held = self.done + k, 0
 
 
 def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:

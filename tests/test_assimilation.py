@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kinassim.assimilation as assimilation
+import kinassim.metrics as metrics
 import kinassim.shallow_water as shallow_water
 from kinassim import cli
 from kinassim.assimilation import (
@@ -638,6 +639,39 @@ class TestTimeLoopsTerminate:
         )
         with pytest.raises(SolverError, match="observer run used up its budget"):
             run_twin(cfg)
+
+
+class TestErrorsDoNotDependOnBlockSize:
+    """One-row blocks record the same errors as the default blocks."""
+
+    def assert_same(self, result, other):
+        for name in ("times", "l1_rel", "l1_abs", "l2_abs", "sobolev"):
+            assert np.array_equal(getattr(result.errors, name), getattr(other.errors, name))
+        assert np.array_equal(result.recorded_dt, other.recorded_dt, equal_nan=True)
+
+    def one_row_blocks(self, cfg, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_BLOCK_BYTES", 0)
+            return run_twin(cfg)
+
+    def test_burgers_run_one_row_past_a_full_block(self, monkeypatch):
+        cfg = linear_config(10.0, n=64)
+        rows = len(metrics.ErrorRecorder(1, cfg.grid, cfg.sobolev_order).diff)
+        dt = run_twin(replace(cfg, t_final=0.05)).dt_history[0]
+        cfg = replace(cfg, t_final=(rows - 0.5) * dt)  # rows steps after t = 0
+        default = run_twin(cfg)
+        assert len(default.errors.times) == rows + 1
+        self.assert_same(self.one_row_blocks(cfg, monkeypatch), default)
+
+    def test_saint_venant_run_with_a_final_partial_row(self, monkeypatch):
+        cfg = replace(small_sw_config(t_final=0.1), record_every=10)
+        default = run_twin(cfg)
+        assert len(default.dt_history) % 10  # the last row closes a partial stride
+        self.assert_same(self.one_row_blocks(cfg, monkeypatch), default)
+
+    def test_refined_truth_run(self, monkeypatch):
+        cfg = small_sw_config(t_final=0.05, factor=2)
+        self.assert_same(self.one_row_blocks(cfg, monkeypatch), run_twin(cfg))
 
 
 def test_truth_phase_holds_the_trajectory_once():

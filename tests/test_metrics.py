@@ -3,8 +3,11 @@ import pytest
 
 from kinassim.grid import Grid1D
 from kinassim.metrics import (
+    ErrorRecorder,
     fit_log_slope,
+    l1_absolute,
     l1_relative,
+    l2_absolute,
     sobolev_seminorm,
     sweep_minimum,
 )
@@ -23,6 +26,15 @@ def direct_seminorm(values, s, length):
         omega = 2.0 * np.pi * k_signed / length
         total += abs(omega) ** (2 * s) * abs(coeff) ** 2
     return float(np.sqrt(total))
+
+
+def fft_seminorm(values, s, grid):
+    """The seminorm by one 1-D FFT of the field, in the order of operations
+    that the block pass must reproduce bit for bit."""
+    n = len(values)
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.length
+    coeff = np.fft.fft(values) / n
+    return float(np.sqrt(np.sum(np.abs(omega[1:]) ** (2.0 * s) * np.abs(coeff[1:]) ** 2)))
 
 
 class TestL1Relative:
@@ -86,6 +98,42 @@ class TestSobolevSeminorm:
         grid = Grid1D(16, 0.0, 1.0)
         with pytest.raises(ValueError):
             sobolev_seminorm(np.zeros(16), 1.5, grid)
+
+
+class TestErrorRecorder:
+    """The block pass gives every row what the 1-D functions give, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 99, 100, 300, 4000])
+    @pytest.mark.parametrize("extra", [None, 0, 1])  # one row, a full block, one past it
+    def test_rows_match_the_one_dimensional_norms(self, n, extra):
+        grid = Grid1D(n, -1.0, 2.5)
+        rows = 1 if extra is None else len(ErrorRecorder(1, grid, 0.125).diff) + extra
+        rng = np.random.default_rng(n)
+        fields, refs = rng.normal(size=(2, rows, n))
+        refs[-1] = 0.0  # the reference norm vanishes: the relative error falls back
+        recorder = ErrorRecorder(rows, grid, 0.125)
+        for field, ref in zip(fields, refs):
+            recorder.add(field, ref)
+        rel, l1, l2, sobolev = recorder.norms()
+        dx = grid.dx
+        norm = [np.sum(np.abs(r)) * dx for r in refs]
+        expect_l1 = [l1_absolute(f, r, dx) for f, r in zip(fields, refs)]
+        assert norm[-1] == 0.0
+        assert np.array_equal(rel, [a / b if b else a for a, b in zip(expect_l1, norm)])
+        assert np.array_equal(rel, [l1_relative(f, r, dx) for f, r in zip(fields, refs)])
+        assert np.array_equal(l1, expect_l1)
+        assert np.array_equal(l2, [l2_absolute(f, r, dx) for f, r in zip(fields, refs)])
+        assert np.array_equal(
+            sobolev, [sobolev_seminorm(f - r, 0.125, grid) for f, r in zip(fields, refs)]
+        )
+        assert np.array_equal(
+            sobolev, [fft_seminorm(f - r, 0.125, grid) for f, r in zip(fields, refs)]
+        )
+
+    @pytest.mark.parametrize("n, rows", [(2, 256), (100, 163), (4000, 4), (40000, 1)])
+    def test_block_stays_within_its_byte_budget(self, n, rows):
+        recorder = ErrorRecorder(1, Grid1D(n, 0.0, 1.0), 0.125)
+        assert recorder.diff.shape == (rows, n)
 
 
 class TestFitDecayRate:
