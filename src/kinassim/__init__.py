@@ -21,7 +21,6 @@ from .burgers import (
     KineticField,
     burgers_cfl,
     engquist_osher_flux,
-    exact_relaxation_solution,
     step_collapse_macroscopic,
     step_kinetic_burgers,
     step_kinetic_linear,
@@ -33,7 +32,6 @@ from .kinetic import (
     ChiProfile,
     chi_cube_integral,
     chi_indicator,
-    chi_profile_value,
 )
 from .metrics import (
     ErrorSeries,
@@ -51,7 +49,6 @@ from .observation import (
     interpolate_in_time,
     mollified_gain,
     noise_field,
-    noise_l2_closed_form,
     observability_check,
     sample_observations,
 )

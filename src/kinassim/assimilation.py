@@ -150,6 +150,8 @@ class RunConfig:
             raise ValueError(
                 f"sobolev_order must lie in [0, 1), got {self.sobolev_order!r}"
             )
+        if not (math.isfinite(self.xi_margin) and self.xi_margin >= 0.0):
+            raise ValueError(f"xi_margin must be finite and nonnegative, got {self.xi_margin!r}")
         if self.obs_times is not None:
             times = self.obs_times = np.asarray(self.obs_times, dtype=float)
             if times.ndim != 1 or not (
@@ -740,8 +742,8 @@ def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoin
     lam_values = [float(v) for v in lam_values]
     if not lam_values:
         raise ValueError("sweep needs at least one gain value")
-    if any(v < 0.0 for v in lam_values):
-        raise ValueError("gains must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0.0 for v in lam_values):
+        raise ValueError(f"gains must be finite and nonnegative, got {lam_values!r}")
     tasks = [(config, lam) for lam in lam_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

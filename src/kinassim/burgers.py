@@ -12,11 +12,6 @@ Three discrete lanes solve the nudged Burgers problem:
   prefix sums over the nodes.
 * ``step_macroscopic_burgers`` is the Engquist-Osher flux-splitting scheme
   with a nudging source, i.e. the exact xi-integral of the collapsed scheme.
-
-``exact_relaxation_solution`` evaluates the closed-form solution of the
-relaxation equation (transport of the initial data decayed by exp(-lambda t)
-plus an exponentially weighted memory of the target density); it serves as an
-independent oracle for the discrete steppers.
 """
 from __future__ import annotations
 
@@ -210,49 +205,3 @@ def step_collapse_macroscopic(
         own = t0[0, kl[1:-1]] + t0[1, kr[1:-1]]
         new = new + np.where(observed, lam * dt * (target - own), 0.0)
     return new
-
-
-def exact_relaxation_solution(f0: KineticField, M, lam: float, t: float) -> KineticField:
-    """Closed-form solution of  df/dt + xi df/dx = lam (M - f)  at time t.
-
-    f(t, x, xi) = f0(x - xi t, xi) exp(-lam t)
-                  + lam * integral_0^t exp(-lam s) M(t - s, x - xi s, xi) ds
-
-    ``M`` is a callable M(t, x, xi); the memory integral is evaluated by
-    adaptive quadrature (absolute/relative tolerance 1e-8).  f0 is looked up
-    as a piecewise-constant cell field, wrapped periodically or extended by
-    zero according to the grid's boundary kind.
-    """
-    from scipy.integrate import quad  # deferred: scipy.integrate dominates import time
-
-    grid, xig = f0.grid, f0.xi
-    n, m = grid.n_cells, xig.n_xi
-    centers, nodes = grid.centers, xig.nodes
-
-    def lookup_f0(x: float, j: int) -> float:
-        if grid.bc is BoundaryKind.PERIODIC:
-            x = grid.x_min + (x - grid.x_min) % grid.length
-        elif not (grid.x_min <= x <= grid.x_max):
-            return 0.0
-        idx = min(int((x - grid.x_min) / grid.dx), n - 1)
-        return float(f0.values[idx, j])
-
-    out = np.empty((n, m))
-    decay = np.exp(-lam * t)
-    for j in range(m):
-        xi_j = nodes[j]
-        for i in range(n):
-            x_i = centers[i]
-            base = lookup_f0(x_i - xi_j * t, j) * decay
-            if lam > 0.0 and t > 0.0:
-                mem, _ = quad(
-                    lambda s: np.exp(-lam * s) * M(t - s, x_i - xi_j * s, xi_j),
-                    0.0,
-                    t,
-                    epsabs=1e-8,
-                    epsrel=1e-8,
-                    limit=200,
-                )
-                base += lam * mem
-            out[i, j] = base
-    return replace(f0, values=out)

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime/solver error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -85,9 +86,10 @@ def _run_sweep(args) -> int:
     try:
         lam_values = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}")
-    if not lam_values:
-        raise ConfigError("--lambdas must list at least one value")
+        lam_values = []  # refused below
+    if not lam_values or not all(math.isfinite(v) and v >= 0.0 for v in lam_values):
+        raise ConfigError("--lambdas must be comma-separated finite, nonnegative gains, "
+                          f"got {args.lambdas!r}")
     config = _load(args.config, None, args.seed)
     points = sweep_lambda(config, lam_values, jobs=args.jobs)
     if args.out:

@@ -292,12 +292,15 @@ def parse_config(path: str) -> RunConfig:
                 "observer", "mode", observer_sec.text("mode", "bgk"),
                 {m.value: m for m in BurgersObserverMode},
             )
+            xi_margin = observer_sec.real("xi_margin", 1.0)
+            if xi_margin < 0.0:
+                raise ConfigError("[observer] xi_margin must be nonnegative")
             return RunConfig(
                 truth_u0=_burgers_ic(truth_sec, grid),
                 observer_u0=_burgers_ic(observer_sec, grid),
                 observer_mode=mode,
                 n_xi=observer_sec.integer("n_xi", 64),
-                xi_margin=observer_sec.real("xi_margin", 1.0),
+                xi_margin=xi_margin,
                 **common,
             )
         bathy_kind = grid_sec.text("bathymetry", "flat")

@@ -57,20 +57,6 @@ def chi_indicator(xi, u):
     return out
 
 
-def chi_profile_value(profile: ChiProfile, z):
-    """Pointwise value of the shape profile (zero outside its support)."""
-    z = np.asarray(z, dtype=float)
-    if profile is ChiProfile.RECTANGLE:
-        w = math.sqrt(3.0)
-        out = np.where(np.abs(z) <= w, 1.0 / (2.0 * w), 0.0)
-    else:
-        inside = 1.0 - z * z / 4.0
-        out = np.where(np.abs(z) <= 2.0, np.sqrt(np.maximum(inside, 0.0)) / math.pi, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def chi_cube_integral(profile: ChiProfile) -> float:
     """Integral of chi^3 over the real line (closed form)."""
     if profile is ChiProfile.RECTANGLE:
@@ -170,12 +156,6 @@ def _semicircle_partial_cube(a):
 
 
 _PARTIAL = {ChiProfile.RECTANGLE: _rectangle_partial, ChiProfile.SEMICIRCLE: _semicircle_partial}
-
-
-def profile_partial_moments(profile: ChiProfile, a, kmax: int = 3):
-    """Moments of z^k chi(z) over [a, support end], k = 0..kmax (vectorised in a)."""
-    a = np.asarray(a, dtype=float)
-    return _PARTIAL[profile](a, kmax, _fresh_buffers(a))
 
 
 def profile_partial_cube_moments(profile: ChiProfile, a):

@@ -28,10 +28,12 @@ class NoiseSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.alpha < 0.5:
-            raise ValueError("alpha must lie in [0, 1/2)")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r!r}")
+        if not 0.0 <= self.alpha < 0.5:  # NaN fails too
+            raise ValueError(f"alpha must lie in [0, 1/2), got {self.alpha!r}")
         if self.kind not in ("oscillatory", "uniform"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -44,12 +46,6 @@ def noise_field(spec: NoiseSpec, grid: Grid1D) -> np.ndarray:
         return amp * np.cos(x / spec.epsilon + spec.alpha * math.pi / 2.0)
     rng = np.random.default_rng(spec.seed)
     return spec.epsilon * rng.uniform(-1.0, 1.0, size=grid.n_cells)
-
-
-def noise_l2_closed_form(spec: NoiseSpec) -> float:
-    """L2([0,1]) norm of the oscillatory noise, (eps^(r-a)/2) sqrt(2 + eps sin(2/eps))."""
-    amp = spec.epsilon ** (spec.r - spec.alpha)
-    return 0.5 * amp * math.sqrt(2.0 + spec.epsilon * math.sin(2.0 / spec.epsilon))
 
 
 @dataclass

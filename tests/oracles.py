@@ -1,0 +1,84 @@
+"""Closed-form oracles the tests check the library against.
+
+They are independent of the solvers they check and are not part of the
+library: ``exact_relaxation_solution`` is the representation formula of the
+relaxation equation (scipy quadrature), ``chi_profile_value`` the pointwise
+shape profile and ``noise_l2_closed_form`` the L2 norm of the oscillatory
+observation noise.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from scipy.integrate import quad
+
+from kinassim.burgers import KineticField
+from kinassim.grid import BoundaryKind
+from kinassim.kinetic import ChiProfile
+from kinassim.observation import NoiseSpec
+
+
+def exact_relaxation_solution(f0: KineticField, M, lam: float, t: float) -> KineticField:
+    """Closed-form solution of  df/dt + xi df/dx = lam (M - f)  at time t.
+
+    f(t, x, xi) = f0(x - xi t, xi) exp(-lam t)
+                  + lam * integral_0^t exp(-lam s) M(t - s, x - xi s, xi) ds
+
+    ``M`` is a callable M(t, x, xi); the memory integral is evaluated by
+    adaptive quadrature (absolute/relative tolerance 1e-8).  f0 is looked up
+    as a piecewise-constant cell field, wrapped periodically or extended by
+    zero according to the grid's boundary kind.
+    """
+    grid, xig = f0.grid, f0.xi
+    n, m = grid.n_cells, xig.n_xi
+    centers, nodes = grid.centers, xig.nodes
+
+    def lookup_f0(x: float, j: int) -> float:
+        if grid.bc is BoundaryKind.PERIODIC:
+            x = grid.x_min + (x - grid.x_min) % grid.length
+        elif not (grid.x_min <= x <= grid.x_max):
+            return 0.0
+        idx = min(int((x - grid.x_min) / grid.dx), n - 1)
+        return float(f0.values[idx, j])
+
+    out = np.empty((n, m))
+    decay = np.exp(-lam * t)
+    for j in range(m):
+        xi_j = nodes[j]
+        for i in range(n):
+            x_i = centers[i]
+            base = lookup_f0(x_i - xi_j * t, j) * decay
+            if lam > 0.0 and t > 0.0:
+                mem, _ = quad(
+                    lambda s: np.exp(-lam * s) * M(t - s, x_i - xi_j * s, xi_j),
+                    0.0,
+                    t,
+                    epsabs=1e-8,
+                    epsrel=1e-8,
+                    limit=200,
+                )
+                base += lam * mem
+            out[i, j] = base
+    return replace(f0, values=out)
+
+
+def chi_profile_value(profile: ChiProfile, z):
+    """Pointwise value of the shape profile (zero outside its support)."""
+    z = np.asarray(z, dtype=float)
+    if profile is ChiProfile.RECTANGLE:
+        w = math.sqrt(3.0)
+        out = np.where(np.abs(z) <= w, 1.0 / (2.0 * w), 0.0)
+    else:
+        inside = 1.0 - z * z / 4.0
+        out = np.where(np.abs(z) <= 2.0, np.sqrt(np.maximum(inside, 0.0)) / math.pi, 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def noise_l2_closed_form(spec: NoiseSpec) -> float:
+    """L2([0,1]) norm of the oscillatory noise, (eps^(r-a)/2) sqrt(2 + eps sin(2/eps))."""
+    amp = spec.epsilon ** (spec.r - spec.alpha)
+    return 0.5 * amp * math.sqrt(2.0 + spec.epsilon * math.sin(2.0 / spec.epsilon))

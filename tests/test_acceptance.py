@@ -21,14 +21,13 @@ from kinassim.assimilation import (
     run_twin,
     sweep_lambda,
 )
-from kinassim.burgers import KineticField, exact_relaxation_solution
+from kinassim.burgers import KineticField
 from kinassim.config import fixture_path, parse_config
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import (
     GRAVITY,
     ChiProfile,
     chi_cube_integral,
-    chi_profile_value,
     profile_partial_cube_moments,
     upwind_power_moment,
 )
@@ -45,6 +44,7 @@ from kinassim.shallow_water import (
     sv_observer_step,
     total_energy,
 )
+from oracles import chi_profile_value, exact_relaxation_solution
 
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
 

@@ -197,6 +197,13 @@ class TestSweep:
         assert "FloatingPointError" in points[1].failed
         assert np.isnan(points[1].final_l1_rel)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_gain_refused_up_front(self, lam):
+        # a NaN gain used to come back as a failed point
+        cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=0.1)
+        with pytest.raises(ValueError, match="gains must be finite and nonnegative"):
+            sweep_lambda(cfg, [0.0, lam])
+
     def test_parallel_matches_sequential(self):
         cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=0.2)
         seq = sweep_lambda(cfg, [0.0, 50.0])
@@ -336,6 +343,13 @@ class TestXiGridSaturationRefused:
         cfg = burgers_config(mode=BurgersObserverMode.COLLAPSE)
         cfg.xi_margin = 0.0
         assert math.isfinite(run_twin(cfg).final_l1_rel)
+
+    @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_margin_refused(self, margin):
+        # a negative margin cut the grid to [0.1, 0.9] and the truth's
+        # maximum from 1.0 to 0.33, silently
+        with pytest.raises(ValueError, match="xi_margin must be finite and nonnegative"):
+            replace(burgers_config(), xi_margin=margin)
 
 
 def small_sw_config(t_final=0.02, factor=1):

@@ -5,7 +5,6 @@ from kinassim.burgers import (
     KineticField,
     burgers_cfl,
     engquist_osher_flux,
-    exact_relaxation_solution,
     step_collapse_macroscopic,
     step_kinetic_burgers,
     step_kinetic_linear,
@@ -13,6 +12,7 @@ from kinassim.burgers import (
 )
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import chi_indicator
+from oracles import exact_relaxation_solution
 
 
 def make_grid(n=100, bc=BoundaryKind.PERIODIC):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -60,6 +61,7 @@ class TestParseConfig:
         ("gain", "lambda", "inf"),
         ("grid", "x_max", "-inf"),
         ("output", "sobolev_order", "nan"),
+        ("observer", "xi_margin", "inf"),
     ])
     def test_non_finite_real_rejected_with_field_name(self, tmp_path, section, key, value):
         path = tmp_path / "nonfinite.cfg"
@@ -69,6 +71,15 @@ class TestParseConfig:
         message = rf"\[{section}\] {key}: expected a finite number"
         with pytest.raises(ConfigError, match=message):
             parse_config(str(path))
+
+    def test_negative_xi_margin_rejected_with_field_name(self, tmp_path):
+        body = MINIMAL + "\n[observer]\nxi_margin = -0.1\n"
+        with pytest.raises(ConfigError, match=r"\[observer\] xi_margin"):
+            parse_config(write_cfg(tmp_path, body))
+
+    def test_zero_xi_margin_accepted(self, tmp_path):
+        body = MINIMAL + "\n[observer]\nxi_margin = 0\n"
+        assert parse_config(write_cfg(tmp_path, body)).xi_margin == 0.0
 
     def test_decreasing_observation_times_rejected(self, tmp_path):
         body = MINIMAL + "\n[observations]\ncount = 3\nt_first = 0.5\nt_last = 0.1\n"
@@ -224,14 +235,18 @@ class TestEmitCsv:
         assert rows.size == 0
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports the kinassim under test, installed or not
     src = os.path.dirname(os.path.dirname(kinassim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "kinassim", *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "kinassim", *args)
 
 
 class TestCli:
@@ -358,6 +373,14 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "lambda_opt=" in proc.stdout
 
+    @pytest.mark.parametrize("lambdas", ["nan", "1,inf", "-1"])
+    def test_sweep_bad_gain_is_config_error(self, tmp_path, lambdas):
+        # a NaN gain used to come back as a failed point with exit code 0
+        cfg = write_cfg(tmp_path, MINIMAL)
+        proc = run_cli("sweep-lambda", cfg, "--lambdas", lambdas)
+        assert proc.returncode == 1
+        assert "config error: --lambdas" in proc.stderr
+
     def test_quiet_suppresses_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL, name="quiet.cfg")
         proc = run_cli("run-burgers", cfg, "--quiet")
@@ -388,3 +411,33 @@ class TestBenchmarkTracer:
         from kinassim.kinetic import upwind_power_moment
 
         assert list(inspect.signature(upwind_power_moment).parameters)[1] == "h"
+
+
+class TestRuntimeDependencies:
+    """The package needs numpy alone at run time; scipy is for the tests."""
+
+    def test_source_imports_only_stdlib_numpy_and_itself(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy", "kinassim"}
+        for path in sorted(Path(kinassim.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+    def test_twins_run_without_scipy(self):
+        code = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None  # any scipy import now raises ImportError
+            import kinassim
+            from kinassim.config import fixture_path, parse_config
+            for name in ("lake_at_rest.cfg", "burgers_clean.cfg"):
+                print(name, kinassim.run_twin(parse_config(fixture_path(name))).final_l1_rel)
+        """)
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(".cfg ") == 2

@@ -9,11 +9,11 @@ from kinassim.kinetic import (
     ChiProfile,
     chi_cube_integral,
     chi_indicator,
-    chi_profile_value,
     halfline_energy_moment,
     upwind_mass_momentum,
     upwind_power_moment,
 )
+from oracles import chi_profile_value
 
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
 

@@ -12,10 +12,10 @@ from kinassim.observation import (
     interpolate_in_time,
     mollified_gain,
     noise_field,
-    noise_l2_closed_form,
     observability_check,
     sample_observations,
 )
+from oracles import noise_l2_closed_form
 
 
 class FakeTruth:
@@ -62,6 +62,14 @@ class TestNoiseField:
             NoiseSpec(epsilon=0.1, alpha=0.5)
         with pytest.raises(ValueError):
             NoiseSpec(epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["epsilon", "r", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_refused(self, field, value):
+        # a NaN epsilon made every observation NaN, i.e. unobserved, and the
+        # twin quietly returned the free run's error
+        with pytest.raises(ValueError, match=f"{field} must"):
+            NoiseSpec(**{"epsilon": 0.1, field: value})
 
     def test_seeded_uniform_reproducible(self):
         grid = unit_grid(32)

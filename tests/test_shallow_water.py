@@ -9,7 +9,6 @@ from kinassim.grid import BoundaryKind, Grid1D
 from kinassim.kinetic import (
     ChiProfile,
     chi_cube_integral,
-    chi_profile_value,
     upwind_power_moment,
 )
 from kinassim.shallow_water import (
@@ -27,6 +26,7 @@ from kinassim.shallow_water import (
     thacker_setup,
     total_energy,
 )
+from oracles import chi_profile_value
 
 G = 9.81
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
