@@ -14,9 +14,12 @@ builds the truth and observer lanes from the configuration, and each phase
 has one time loop over its lane.  The truth lane is the observer's scheme at
 lam = 0, except that the BGK observer's truth runs the collapsed lane.
 
-Truth and observer share the truth's time grid, with the gain-augmented CFL
-applied to both; the observer subdivides a truth step only when its own
-transient state demands a shorter step.  Both loops stop with a
+Truth and observer share the truth's time grid; the observer subdivides a
+truth step only when its own transient state demands a shorter step.  The
+Burgers lanes relax exactly after transport (``burgers._relax``), so their
+bounds, and with them the time grid, do not depend on the gain: every gain of
+a sweep runs on the same grid.  The Saint-Venant lane keeps its explicit
+source, under a CFL bound augmented by the gain.  Both loops stop with a
 ``SolverError`` when a CFL bound is not a positive finite step or a step
 budget runs out, so every run terminates.
 """
@@ -38,7 +41,6 @@ from .burgers import (
     step_macroscopic_burgers,
 )
 from .grid import Grid1D, XiGrid
-from .kinetic import chi_indicator
 from .metrics import ErrorRecorder, ErrorSeries, fit_log_slope
 from .observation import (
     Mollifier,
@@ -246,12 +248,18 @@ class _Lane:
 
     ``step(state, dt, lam, target)`` relaxes toward ``target`` (NaN marks
     unobserved cells) at gain ``lam``; target None is the unnudged step.
-    ``mollified_step`` adds the kernel-weighted sources of
-    ``_GainController.mollified_pairs`` instead.  The base class is a Burgers
-    lane on the scalar field u, given its bound and step as callables.
+    ``mollified_step`` applies the kernel-weighted sources of
+    ``_GainController.mollified_pairs`` instead: after transport, an exact
+    relaxation at gain lam * W toward the kernel-weighted mean innovation,
+    W being the total kernel weight.  The base class is a Burgers lane on
+    the scalar field u, given its bound and step as callables.
     """
 
     clamp_nonnegative = False  # truncate negative noisy observations
+    # the truth field a target is taken from: the end of the step (1) for the
+    # exact relaxation of the Burgers lanes, its start (0) for the explicit
+    # source of the Saint-Venant lane
+    target_level = 1
 
     def __init__(self, initial, bound, step, xi: XiGrid | None = None):
         self.initial, self.bound, self.step = initial, bound, step
@@ -263,19 +271,23 @@ class _Lane:
     def observed(self, state):
         return state
 
+    def reference(self, state):
+        """The field an innovation is measured against."""
+        return self.observed(state)
+
     def snapshot(self, state):
-        return self.observed(state).copy()
+        return self.reference(state).copy()
+
+    def innovation(self, obs_field, ref):
+        return np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
 
     def energy(self, state):
         return None
 
     def mollified_step(self, state, dt, lam, pairs):
-        ref_now = self.observed(state)
-        source = np.zeros_like(ref_now)
-        for w, obs_field, ref in pairs:
-            ref = ref_now if ref is None else ref
-            source += w * np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
-        return self.step(state, dt, 0.0, None) + lam * dt * source
+        new = self.step(state, dt, 0.0, None)
+        mean, weight = _mean_innovation(self, pairs, self.reference(new))
+        return new - np.expm1(-lam * weight * dt) * mean
 
 
 class _BGKLane(_Lane):
@@ -284,20 +296,27 @@ class _BGKLane(_Lane):
     def observed(self, state):
         return state.macroscopic()
 
-    def snapshot(self, state):
-        return state.values.copy()
+    def reference(self, state):
+        return state.values
+
+    def innovation(self, obs_field, ref):
+        gap = self.xi.indicator(obs_field) - ref
+        return np.where(np.isfinite(gap), gap, 0.0)
 
     def mollified_step(self, state, dt, lam, pairs):
-        nodes = state.xi.nodes[None, :]
-        source = np.zeros_like(state.values)
-        for w, obs_field, ref in pairs:
-            observed = np.isfinite(obs_field)
-            target = chi_indicator(nodes, np.where(observed, obs_field, 0.0)[:, None])
-            ref = state.values if ref is None else ref
-            source += w * np.where(observed[:, None], target - ref, 0.0)
         new = self.step(state, dt, 0.0, None)
-        new.values = new.values + lam * dt * source
-        return new
+        mean, weight = _mean_innovation(self, pairs, new.values)
+        return replace(new, values=new.values - np.expm1(-lam * weight * dt) * mean)
+
+
+def _mean_innovation(lane: _Lane, pairs, ref_now):
+    """(sum_k w_k (obs_k - ref_k) / W, W) over the kernel terms ``pairs``,
+    W = sum_k w_k; a term without a snapshot is measured against ``ref_now``."""
+    total, weight = np.zeros_like(ref_now), 0.0
+    for w, obs_field, ref in pairs:
+        total += w * lane.innovation(obs_field, ref_now if ref is None else ref)
+        weight += w
+    return total / weight, weight
 
 
 class _SWLane(_Lane):
@@ -305,6 +324,7 @@ class _SWLane(_Lane):
     over ``factor`` cells when the truth runs on a refined grid."""
 
     clamp_nonnegative = True
+    target_level = 0
     xi = None
 
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
@@ -351,17 +371,13 @@ class _SWLane(_Lane):
     def mollified_step(self, state, dt, lam, pairs):
         # one source-and-settle update at the total weighted gain, so the CFL
         # bound and the positivity check see the gain actually applied
-        dh, weight = np.zeros_like(state.h), 0.0
-        for w, obs_field, ref in pairs:
-            ref = state.h if ref is None else ref
-            dh += w * np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
-            weight += w
-        return sv_observer_step(state, None, lam * weight, dt, dh=dh / weight)
+        dh, weight = _mean_innovation(self, pairs, state.h)
+        return sv_observer_step(state, None, lam * weight, dt, dh=dh)
 
 
 def _lam_for_cfl(config: RunConfig) -> float:
-    """The gain the CFL bound allows for: lam times the largest total kernel
-    weight under the mollified gain."""
+    """The gain the Saint-Venant CFL bound allows for: lam times the largest
+    total kernel weight under the mollified gain."""
     gain, times = config.gain, config.obs_times
     if gain.temporal_mode is not TemporalMode.MOLLIFIED:
         return gain.lam
@@ -374,9 +390,11 @@ def _lam_for_cfl(config: RunConfig) -> float:
 
 
 def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
-    """(truth lane, observer lane); both take the gain-augmented CFL bound."""
-    lam_cfl, safety, grid = _lam_for_cfl(config), config.cfl_safety, config.grid
+    """(truth lane, observer lane), under one CFL bound: gain-augmented on
+    Saint-Venant, gain-free on Burgers."""
+    safety, grid = config.cfl_safety, config.grid
     if config.model == "shallow_water":
+        lam_cfl = _lam_for_cfl(config)
         return (
             _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor),
             _SWLane(config.observer_state, lam_cfl, safety),
@@ -384,25 +402,20 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     u0s = [np.asarray(u, dtype=float).copy() for u in (config.truth_u0, config.observer_u0)]
     if config.fixed_xi is not None:
         speed = config.fixed_xi
-        fixed = safety / (lam_cfl + abs(speed) / grid.dx)
-
-        def linear(f, dt, lam, target):
-            if target is None:
-                return step_kinetic_linear(f, speed, None, 0.0, dt, grid)
-            observed = np.isfinite(target)
-            return step_kinetic_linear(
-                f, speed, np.where(observed, target, 0.0), np.where(observed, lam, 0.0),
-                dt, grid,
+        fixed = burgers_cfl(grid.dx, max(abs(speed), 1e-12), safety)
+        return tuple(
+            _Lane(
+                u0,
+                lambda f: fixed,
+                lambda f, dt, lam, target: step_kinetic_linear(f, speed, target, lam, dt, grid),
             )
-
-        return tuple(_Lane(u0, lambda f: fixed, linear) for u0 in u0s)
+            for u0 in u0s
+        )
     if config.observer_mode is BurgersObserverMode.MACROSCOPIC:
         return tuple(
             _Lane(
                 u0,
-                lambda u: burgers_cfl(
-                    lam_cfl, grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety
-                ),
+                lambda u: burgers_cfl(grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety),
                 lambda u, dt, lam, obs: step_macroscopic_burgers(u, obs, lam, dt, grid),
             )
             for u0 in u0s
@@ -410,7 +423,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     lo = min(float(np.min(u0)) for u0 in u0s)
     hi = max(float(np.max(u0)) for u0 in u0s)
     xi = XiGrid.spanning(lo, hi, config.xi_margin, config.n_xi)
-    fixed = burgers_cfl(lam_cfl, grid.dx, xi.speed_sup, safety)
+    fixed = burgers_cfl(grid.dx, xi.speed_sup, safety)
     truth = _Lane(
         u0s[0],
         lambda u: fixed,
@@ -522,25 +535,31 @@ class _GainController:
 
     ``resolve`` answers once per window: a relaxation target (NaN outside the
     observation window ``obs_mask``, None when nothing is observed) or, under
-    the mollified gain, the kernel-weighted observations.  At-observation-time
-    nudging uses the truth state at the start of the step that contains t_k
-    (the explicit scheme's time level), so a twin started from the truth's own
-    state stays on it to machine precision.  A forward pointer walks the observation
-    times: a window fires when the next time falls before its end (the final
-    window takes every time left), and ``advance`` moves the pointer past
-    that end once the substep is done, so each observation time fires exactly
-    once, even where float substep windows overlap.  Sampled series, already
-    masked to the window by ``sample_observations``, feed the every-step
-    (hold), interpolated and mollified modes, whose targets are genuinely
-    stamped at the observation times.
+    the mollified gain, the kernel-weighted observations.  A target read from
+    the truth trajectory (at-observation-time nudging, and every-step nudging
+    without observation times) is the truth state at the time level of the
+    lane's source (``_Lane.target_level``): for the Burgers lanes, which relax
+    exactly after transport, the end t_{n+1} of truth step n; for the
+    Saint-Venant lane, whose source is explicit, its start t_n.  Either way a
+    twin started from the truth's own state stays on it to machine
+    precision.  At observation times the step is the one that contains t_k.
+    A forward pointer walks the observation times: a window fires when the
+    next time falls before its end (the final window takes every time left),
+    and ``advance`` moves the pointer past that end once the substep is done,
+    so each observation time fires exactly once, even where float substep
+    windows overlap; a window holding two times nudges once.  Sampled series,
+    already masked to the window by ``sample_observations``, feed the
+    every-step (hold), interpolated and mollified modes, whose targets are
+    genuinely stamped at the observation times and are resolved at the start
+    of the window on both models.
 
     On a lane with a kinetic-velocity grid ``xi``, every target is checked to
     lie on it once, where it is built (``_refuse_saturation``).
     """
 
-    def __init__(self, config: RunConfig, truth: _Truth, clamp: bool,
-                 xi: XiGrid | None):
-        self.config, self.truth, self.clamp, self.xi = config, truth, clamp, xi
+    def __init__(self, config: RunConfig, truth: _Truth, lane: _Lane):
+        self.config, self.truth = config, truth
+        self.clamp, self.xi, self.level = lane.clamp_nonnegative, lane.xi, lane.target_level
         grid, gain, window = config.grid, config.gain, config.obs_mask
         self.mask = (
             np.ones(grid.n_cells, dtype=bool) if window is None else grid.interval_mask(*window)
@@ -564,9 +583,9 @@ class _GainController:
         if self.times is not None and self.times.size and not self.at_times:
             series = sample_observations(
                 truth, self.times, mask_interval=config.obs_mask, noise=config.noise,
-                clamp_nonnegative=clamp,
+                clamp_nonnegative=self.clamp,
             )
-            _refuse_saturation(series.fields, xi)
+            _refuse_saturation(series.fields, self.xi)
             self.series = series
 
     def _skip_to(self, t: float) -> int:
@@ -599,7 +618,7 @@ class _GainController:
         elif times is not None:  # no sampled time inside the horizon
             return None
         target = observe(
-            self.truth.trajectory_fields[step_index], self._noise, self.mask,
+            self.truth.trajectory_fields[step_index + self.level], self._noise, self.mask,
             self.clamp,
         )
         _refuse_saturation(target, self.xi)
@@ -711,9 +730,7 @@ def run_twin(config: RunConfig) -> RunResult:
     config = replace(config)  # checks again a config changed after construction
     truth_lane, observer_lane = _lanes(config)
     truth = _run_truth(config, truth_lane)
-    controller = _GainController(
-        config, truth, truth_lane.clamp_nonnegative, observer_lane.xi
-    )
+    controller = _GainController(config, truth, observer_lane)
     return _run_observer(config, observer_lane, truth, controller)
 
 

@@ -1,17 +1,28 @@
 """Kinetic BGK observer solver for 1D Burgers and its macroscopic equivalent.
 
+Every step transports, then relaxes exactly: u* = transport(u), then
+u_new = u* + (1 - exp(-lam dt)) (target - u*) on the observed cells
+(``_relax``).  This is the Lie splitting of the BGK relaxation source with
+the stiff part integrated exactly, a convex combination for any lam dt, so
+the CFL bounds hold transport alone and do not depend on the gain.
+
 Three discrete lanes solve the nudged Burgers problem:
 
 * ``step_kinetic_burgers`` advances a full kinetic density f(x, xi) by upwind
-  transport plus relaxation toward the indicator density of the observed
-  field; f evolves freely (the BGK observer).
+  transport plus relaxation toward the cell-averaged indicator density of the
+  observed field (``XiGrid.indicator``); f evolves freely (the BGK observer).
 * ``step_collapse_macroscopic`` is the moment form of the collapsed kinetic
-  scheme, whose f is projected back to an indicator of its own xi-integral
-  after every step: it never stores f, only its xi-integral, with fluxes
-  evaluated by midpoint quadrature on the xi grid, read in closed form from
-  prefix sums over the nodes.
-* ``step_macroscopic_burgers`` is the Engquist-Osher flux-splitting scheme
-  with a nudging source, i.e. the exact xi-integral of the collapsed scheme.
+  scheme, whose f is projected back to the cell-averaged indicator of its own
+  xi-integral after every step: it never stores f, only its xi-integral.  The
+  cell average of chi(., u) integrates to u exactly, so for u on the xi grid
+  the step is exactly the xi-moment of a kinetic step from that indicator;
+  its upwind flux is piecewise linear in u and read from one edge table per
+  grid (``XiGrid.flux_table``).
+* ``step_macroscopic_burgers`` is the Engquist-Osher flux-splitting scheme,
+  the n_xi -> infinity limit of the collapsed scheme.
+
+The collapse and Engquist-Osher steps share one conservative update and
+differ only in their interface flux.
 """
 from __future__ import annotations
 
@@ -20,20 +31,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import BoundaryKind, Grid1D, XiGrid
-from .kinetic import chi_indicator
 
 _CFL_TOL = 1.0 + 1e-12
 
 
-def burgers_cfl(lam: float, dx: float, xi_sup: float, safety: float = 0.95) -> float:
-    """Largest stable time step: safety / (lambda + xi_sup / dx)."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+def burgers_cfl(dx: float, xi_sup: float, safety: float = 0.95) -> float:
+    """Largest stable time step: safety * dx / xi_sup.  The relaxation is
+    integrated exactly, so the gain does not enter."""
     if dx <= 0.0 or xi_sup <= 0.0:
         raise ValueError("dx and xi_sup must be positive")
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    return safety / (lam + xi_sup / dx)
+    return safety * dx / xi_sup
 
 
 @dataclass
@@ -58,8 +67,9 @@ class KineticField:
 
     @staticmethod
     def from_macroscopic(u: np.ndarray, xi: XiGrid, grid: Grid1D) -> "KineticField":
-        values = chi_indicator(xi.nodes[None, :], np.asarray(u, dtype=float)[:, None])
-        return KineticField(values, xi, grid)
+        """The cell-averaged indicator density of u, whose xi-integral is u
+        for u on the xi grid."""
+        return KineticField(xi.indicator(u), xi, grid)
 
 
 def _pad(values: np.ndarray, bc: BoundaryKind) -> np.ndarray:
@@ -74,13 +84,26 @@ def _pad(values: np.ndarray, bc: BoundaryKind) -> np.ndarray:
     raise ValueError(f"boundary kind {bc} is not supported by the Burgers solvers")
 
 
+def _relax(u, target, lam, dt):
+    """Exact relaxation of du/dt = lam (target - u) over dt:
+    u + (1 - exp(-lam dt)) (target - u) where the target is finite (NaN
+    marks unobserved cells), u elsewhere.  ``lam`` may be a scalar or an
+    array broadcasting against u; target None leaves u as it is."""
+    if target is None or not np.any(lam):
+        return u
+    gap = target - u
+    return u + np.where(np.isfinite(gap), -np.expm1(-lam * dt) * gap, 0.0)
+
+
 def step_kinetic_burgers(
     f: KineticField,
     obs_u: np.ndarray | None,
     lam: float,
     dt: float,
 ) -> KineticField:
-    """One explicit upwind step of the kinetic observer.
+    """One upwind transport step of the kinetic observer, then exact
+    relaxation toward the cell-averaged indicator density of ``obs_u`` (NaN
+    marks unobserved cells).
 
     Pass lam = 0 (or obs_u = None) on steps without an active observation.
     The step refuses time steps above the stability bound instead of
@@ -88,11 +111,9 @@ def step_kinetic_burgers(
     """
     xi = f.xi.nodes
     dx = f.grid.dx
-    if dt > burgers_cfl(lam, dx, max(f.xi.speed_sup, 1e-300), safety=1.0) * _CFL_TOL:
-        raise ValueError(
-            f"dt={dt:g} violates the CFL bound "
-            f"{burgers_cfl(lam, dx, f.xi.speed_sup, safety=1.0):g}"
-        )
+    bound = burgers_cfl(dx, max(f.xi.speed_sup, 1e-300), safety=1.0)
+    if dt > bound * _CFL_TOL:
+        raise ValueError(f"dt={dt:g} violates the CFL bound {bound:g}")
     fp = _pad(f.values, f.grid.bc)
     div = np.where(
         xi[None, :] >= 0.0,
@@ -101,12 +122,7 @@ def step_kinetic_burgers(
     )
     new = f.values - (dt / dx) * div
     if lam > 0.0 and obs_u is not None:
-        obs = np.asarray(obs_u, dtype=float)
-        observed = np.isfinite(obs)
-        target = chi_indicator(xi[None, :], np.where(observed, obs, 0.0)[:, None])
-        new = new + np.where(
-            observed[:, None], lam * dt * (target - f.values), 0.0
-        )
+        new = _relax(new, f.xi.indicator(obs_u), lam, dt)
     return replace(f, values=new)
 
 
@@ -118,26 +134,31 @@ def step_kinetic_linear(
     dt: float,
     grid: Grid1D,
 ) -> np.ndarray:
-    """Upwind transport at a single fixed velocity with relaxation toward a
-    kinetic observation field.  ``lam`` may be a scalar or a per-cell array
-    (space-masked gain)."""
-    lam_arr = np.asarray(lam, dtype=float)
-    if dt * (float(np.max(lam_arr)) + abs(speed) / grid.dx) > _CFL_TOL:
+    """Upwind transport at a single fixed velocity, then exact relaxation
+    toward a kinetic observation field (NaN marks unobserved cells).
+    ``lam`` may be a scalar or a per-cell array (space-masked gain)."""
+    if dt * abs(speed) / grid.dx > _CFL_TOL:
         raise ValueError("dt violates the CFL bound for the linear step")
-    fp = _pad(f[:, None], grid.bc)[:, 0]
+    fp = _pad(f, grid.bc)
     if speed >= 0.0:
         div = speed * (fp[1:-1] - fp[:-2])
     else:
         div = speed * (fp[2:] - fp[1:-1])
     new = f - (dt / grid.dx) * div
-    if f_obs is not None:
-        new = new + lam_arr * dt * (f_obs - f)
-    return new
+    return _relax(new, f_obs, np.asarray(lam, dtype=float), dt)
 
 
 def engquist_osher_flux(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
     """Engquist-Osher interface flux for the u^2/2 flux function."""
     return 0.5 * np.maximum(u_left, 0.0) * u_left + 0.5 * np.minimum(u_right, 0.0) * u_right
+
+
+def _conservative_step(u, target, lam, dt, grid, flux):
+    """u - dt/dx (F_{i+1/2} - F_{i-1/2}), with ``flux`` mapping the padded
+    cell values to the n_cells + 1 interface fluxes, then exact relaxation
+    toward ``target``."""
+    f = flux(_pad(u, grid.bc))
+    return _relax(u - (dt / grid.dx) * (f[1:] - f[:-1]), target, lam, dt)
 
 
 def step_macroscopic_burgers(
@@ -147,19 +168,14 @@ def step_macroscopic_burgers(
     dt: float,
     grid: Grid1D,
 ) -> np.ndarray:
-    """Engquist-Osher step with nudging source lam*dt*(obs - u)."""
+    """Engquist-Osher step, then exact relaxation toward ``obs_u``."""
     u = np.asarray(u, dtype=float)
-    up = _pad(u[:, None], grid.bc)[:, 0]
-    u_sup = float(np.max(np.abs(up))) if up.size else 0.0
-    if u_sup > 0.0 and dt > burgers_cfl(lam, grid.dx, u_sup, safety=1.0) * _CFL_TOL:
+    u_sup = float(np.max(np.abs(u)))
+    if u_sup > 0.0 and dt > burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL:
         raise ValueError("dt violates the CFL bound for the macroscopic step")
-    flux = engquist_osher_flux(up[:-1], up[1:])
-    new = u - (dt / grid.dx) * (flux[1:] - flux[:-1])
-    if lam > 0.0 and obs_u is not None:
-        obs = np.asarray(obs_u, dtype=float)
-        observed = np.isfinite(obs)
-        new = new + np.where(observed, lam * dt * (obs - u), 0.0)
-    return new
+    return _conservative_step(
+        u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[:-1], up[1:])
+    )
 
 
 def step_collapse_macroscopic(
@@ -172,36 +188,33 @@ def step_collapse_macroscopic(
 ) -> np.ndarray:
     """Moment form of the collapsed kinetic step.
 
-    Equivalent to a ``step_kinetic_burgers`` step from the indicator of u
-    followed by the xi-integral, without storing f.  Fluxes and the nudging
-    term carry the midpoint xi-quadrature of the indicator, so this lane
-    agrees with ``step_macroscopic_burgers`` to O(dxi) per step.
+    For u and obs_u on the xi grid this is exactly the xi-integral of a
+    kinetic step (upwind transport, then exact relaxation) from the
+    cell-averaged indicator of u toward that of obs_u, without storing f:
+    the cell-averaged indicator of a value integrates to the value itself,
+    and its upwind flux is G+(u_L) + G-(u_R), with G+- the piecewise-linear
+    half-line fluxes of ``XiGrid.flux_table``.  Reading them costs one
+    ``searchsorted`` on the cell edges, a gather and a multiply-add, so a step
+    costs O(n_cells log n_xi) instead of O(n_cells n_xi).
 
-    The quadrature is read from prefix sums over the sorted nodes
-    (``XiGrid.indicator_tables``) instead of summing dense indicator arrays:
-    the upwind flux sum_{xi_j >= 0} w_j xi_j chi(xi_j, u_L)
-    + sum_{xi_j < 0} w_j xi_j chi(xi_j, u_R) is T1[0, kl(u_L)] + T1[1, kr(u_R)],
-    and the nudging moment (chi(., obs) - chi(., u)) @ w is the same over T0,
-    with kl, kr the left/right ``searchsorted`` positions of each value among
-    the nodes.  A step costs O(n_cells log n_xi) instead of O(n_cells n_xi).
+    Values past the grid are clamped to [xi_min, xi_max] where the flux is
+    read and the target taken, as the grid cuts off their indicator; the
+    cell keeps its own value u.
     """
     u = np.asarray(u, dtype=float)
-    if dt > burgers_cfl(lam, grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL:
+    if dt > burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL:
         raise ValueError("dt violates the CFL bound for the collapsed step")
-    nodes, t0, t1 = xi.indicator_tables
-    up = _pad(u, grid.bc)
-    kl = nodes.searchsorted(up, side="left")
-    kr = nodes.searchsorted(up, side="right")
-    flux = t1[0, kl[:-1]] + t1[1, kr[1:]]
-    new = u - (dt / grid.dx) * (flux[1:] - flux[:-1])
-    if lam > 0.0 and obs_u is not None:
-        obs = np.asarray(obs_u, dtype=float)
-        observed = np.isfinite(obs)
-        obs = np.where(observed, obs, 0.0)
-        target = (
-            t0[0, nodes.searchsorted(obs, side="left")]
-            + t0[1, nodes.searchsorted(obs, side="right")]
+    inner, intercept, slope = xi.flux_table
+    lo, hi = xi.xi_min, xi.xi_max
+
+    def flux(up):
+        v = np.minimum(np.maximum(up, lo), hi)  # np.clip's dispatch costs more
+        cell = inner.searchsorted(v, side="right")
+        left, right = cell[:-1], cell[1:]
+        return (
+            intercept[0].take(left) + slope[0].take(left) * v[:-1]
+            + intercept[1].take(right) + slope[1].take(right) * v[1:]
         )
-        own = t0[0, kl[1:-1]] + t0[1, kr[1:-1]]
-        new = new + np.where(observed, lam * dt * (target - own), 0.0)
-    return new
+
+    target = None if obs_u is None else np.clip(obs_u, lo, hi)
+    return _conservative_step(u, target, lam, dt, grid, flux)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +53,13 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class XiGrid:
-    """Midpoint discretisation of a kinetic-velocity interval."""
+    """Midpoint discretisation of a kinetic-velocity interval into n_xi
+    cells of equal width dxi, one node at the centre of each.
+
+    The Burgers lanes that read ``flux_table`` (the collapse lane and every
+    Burgers truth on a xi grid) need 0 in [xi_min, xi_max], so that both
+    upwind directions are represented; ``spanning`` builds such grids.
+    """
 
     xi_min: float
     xi_max: float
@@ -73,48 +80,80 @@ class XiGrid:
         return self.xi_min + (np.arange(self.n_xi) + 0.5) * self.dxi
 
     @property
+    def edges(self) -> np.ndarray:
+        """The n_xi + 1 cell edges, from xi_min to xi_max exactly."""
+        return np.linspace(self.xi_min, self.xi_max, self.n_xi + 1)
+
+    @property
     def weights(self) -> np.ndarray:
         return np.full(self.n_xi, self.dxi)
+
+    def indicator(self, values) -> np.ndarray:
+        """Cell averages of the indicator chi(xi, v) (+1 on (0, v), -1 on
+        (v, 0)) over the xi cells, of shape values.shape + (n_xi,).
+
+        The integral of chi(., v) over the cell [a, b] is
+        clip(v, a, b) - clip(0, a, b), so the averages of a value on the grid
+        integrate to the value itself; a value past the grid is cut off at
+        its end, and NaN gives NaN.
+        """
+        edges = self.edges
+        a, b = edges[:-1], edges[1:]
+        v = np.asarray(values, dtype=float)[..., None]
+        return (np.clip(v, a, b) - np.clip(0.0, a, b)) / self.dxi
 
     @property
     def speed_sup(self) -> float:
         return max(abs(self.xi_min), abs(self.xi_max))
 
     @cached_property
-    def indicator_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(nodes, T0, T1)``: the quadrature moments of the indicator
-        chi(xi, v) = +1 on (0, v), -1 on (v, 0), tabulated once per grid.
+    def flux_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(inner_edges, intercept, slope)``: the upwind half-line fluxes
+        of the cell-averaged indicator, tabulated once per grid.
 
-        The nodes are sorted with constant weight, so the nodes inside the
-        support of chi(., v) form one index range: [p, kl) above zero and
-        [kr, p0) below, where kl = searchsorted(nodes, v, "left"),
-        kr = searchsorted(nodes, v, "right"), p is the first node > 0 and
-        p0 the first node >= 0.  With the prefix sums C_m = cumsum(w xi^m)
-        (leading 0), T_m[0, k] = C_m[max(k, p)] - C_m[p] and
-        T_m[1, k] = C_m[min(k, p0)] - C_m[p0], so that
+        The cell averages chi_j(v) of the indicator (``indicator``) have the
+        xi-integral v itself, and the quadrature flux sum_j w_j xi_j chi_j(v)
+        over the nodes of one sign is
 
-            sum_j w_j xi_j^m chi(xi_j, v) = T_m[0, kl] + T_m[1, kr].
+            G+(v) = integral_0^v xi_node(s) [xi_node(s) >= 0] ds,
+            G-(v) = integral_0^v xi_node(s) [xi_node(s) < 0] ds,
 
-        The arrays are read-only.
+        with xi_node(s) the node of the cell holding s: piecewise linear in
+        v, with a kink at every cell edge.  For v in [xi_min, xi_max],
+        j = searchsorted(inner_edges, v, "right") is its cell and
+        G(v) = intercept[:, j] + slope[:, j] * v, row 0 holding G+ and
+        row 1 G-.  The intercepts vanish in the cell holding 0, so
+        G(0) = 0 exactly.  The arrays are read-only.
         """
+        if not self.xi_min <= 0.0 <= self.xi_max:
+            raise ValueError(
+                f"the indicator flux needs 0 in [xi_min, xi_max], got "
+                f"[{self.xi_min:g}, {self.xi_max:g}]"
+            )
+        edges = self.edges
         nodes = self.nodes
-        k = np.arange(self.n_xi + 1)
-        p = int(np.searchsorted(nodes, 0.0, side="right"))
-        p0 = int(np.searchsorted(nodes, 0.0, side="left"))
-        tables = [nodes]
-        for c in (np.cumsum(self.weights), np.cumsum(self.weights * nodes)):
-            c = np.concatenate(([0.0], c))
-            tables.append(np.stack([c[np.maximum(k, p)] - c[p], c[np.minimum(k, p0)] - c[p0]]))
+        slope = np.stack([np.where(nodes >= 0.0, nodes, 0.0), np.where(nodes < 0.0, nodes, 0.0)])
+        # the antiderivative from xi_min at each cell's left edge, then
+        # shifted so that it vanishes at 0
+        left = np.concatenate(([[0.0], [0.0]], np.cumsum(slope * self.dxi, axis=1)[:, :-1]), axis=1)
+        intercept = left - slope * edges[:-1]
+        zero = int(np.searchsorted(edges[1:-1], 0.0, side="right"))
+        intercept = intercept - intercept[:, zero : zero + 1]
+        inner = edges[1:-1].copy()
+        tables = (inner, intercept, slope)
         for table in tables:
             table.flags.writeable = False
-        return tuple(tables)
+        return tables
 
     @staticmethod
     def spanning(values_min: float, values_max: float, margin: float = 1.0,
                  n_xi: int = 64) -> "XiGrid":
         """Grid covering [min - margin, max + margin]; the margin keeps the
         indicator densities of transient states inside the grid.  The result
-        straddles zero so both upwind directions are represented."""
+        contains zero so both upwind directions are represented.  The margin
+        must be finite and nonnegative."""
+        if not (math.isfinite(margin) and margin >= 0.0):
+            raise ValueError(f"margin must be finite and nonnegative, got {margin!r}")
         lo = min(values_min - margin, -margin)
         hi = max(values_max + margin, margin)
         return XiGrid(lo, hi, n_xi)

@@ -1,7 +1,9 @@
 """Kinetic building blocks: shape profiles and vectorised half-line moments.
 
 A scalar value u is represented kinetically by the signed indicator
-``chi_indicator(xi, u)`` (+1 between 0 and u, -1 between u and 0).  A
+``chi_indicator(xi, u)`` (+1 between 0 and u, -1 between u and 0); the
+Burgers lanes use its averages over the cells of a xi grid
+(``XiGrid.indicator``), which integrate to u exactly.  A
 shallow-water state (H, u) is represented by the Gibbs density
 
     M(xi) = (H / c) * chi((xi - u) / c),      c = sqrt(g * H / 2),

@@ -3,8 +3,10 @@
 They are independent of the solvers they check and are not part of the
 library: ``exact_relaxation_solution`` is the representation formula of the
 relaxation equation (scipy quadrature), ``chi_profile_value`` the pointwise
-shape profile and ``noise_l2_closed_form`` the L2 norm of the oscillatory
-observation noise.
+shape profile, ``noise_l2_closed_form`` the L2 norm of the oscillatory
+observation noise, and ``dense_collapse_step`` the collapsed Burgers step
+summed over dense arrays of cell-averaged indicators
+(``cell_averaged_indicator``).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from kinassim.burgers import KineticField
-from kinassim.grid import BoundaryKind
+from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import ChiProfile
 from kinassim.observation import NoiseSpec
 
@@ -82,3 +84,38 @@ def noise_l2_closed_form(spec: NoiseSpec) -> float:
     """L2([0,1]) norm of the oscillatory noise, (eps^(r-a)/2) sqrt(2 + eps sin(2/eps))."""
     amp = spec.epsilon ** (spec.r - spec.alpha)
     return 0.5 * amp * math.sqrt(2.0 + spec.epsilon * math.sin(2.0 / spec.epsilon))
+
+
+def cell_averaged_indicator(xi: XiGrid, u) -> np.ndarray:
+    """(len(u), n_xi) averages of chi(., u) over the xi cells.
+
+    chi(., u) is sign(u) on the interval between 0 and u, so its integral
+    over a cell is sign(u) times the length of the cell's overlap with that
+    interval; a value past the grid is cut off at its end.
+    """
+    edges = np.linspace(xi.xi_min, xi.xi_max, xi.n_xi + 1)
+    u = np.asarray(u, dtype=float)[:, None]
+    overlap = np.minimum(edges[1:], np.maximum(u, 0.0)) - np.maximum(edges[:-1], np.minimum(u, 0.0))
+    return np.sign(u) * np.maximum(overlap, 0.0) / xi.dxi
+
+
+def dense_collapse_step(u, obs_u, lam: float, dt: float, grid: Grid1D, xi: XiGrid) -> np.ndarray:
+    """The collapse step as the xi-moment of a dense kinetic step from the
+    cell-averaged indicator of u: upwind transport of the density of every
+    node, then exact relaxation toward the cell-averaged indicator of obs_u
+    (NaN marks unobserved cells).  The cell keeps its own value u as the base
+    of the transport update, which is the moment of the indicator for u on
+    the grid."""
+    nodes, w = xi.nodes, xi.weights
+    chi = cell_averaged_indicator(xi, u)
+    if grid.bc is BoundaryKind.PERIODIC:
+        chip = np.concatenate([chi[-1:], chi, chi[:1]])
+    else:
+        chip = np.concatenate([np.zeros((1, xi.n_xi)), chi, np.zeros((1, xi.n_xi))])
+    flux = (np.where(nodes[None, :] >= 0.0, chip[:-1], chip[1:]) * nodes[None, :]) @ w
+    new = u - (dt / grid.dx) * (flux[1:] - flux[:-1])
+    if lam > 0.0 and obs_u is not None:
+        observed = np.isfinite(obs_u)
+        target = cell_averaged_indicator(xi, np.where(observed, obs_u, 0.0)) @ w
+        new = np.where(observed, new + (1.0 - np.exp(-lam * dt)) * (target - new), new)
+    return new

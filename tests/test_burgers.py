@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from kinassim.burgers import (
     step_macroscopic_burgers,
 )
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
-from kinassim.kinetic import chi_indicator
-from oracles import exact_relaxation_solution
+from oracles import cell_averaged_indicator, dense_collapse_step, exact_relaxation_solution
 
 
 def make_grid(n=100, bc=BoundaryKind.PERIODIC):
@@ -29,24 +30,46 @@ class TestXiGrid:
         xi = XiGrid.spanning(0.2, 0.9, margin=0.5, n_xi=32)
         assert xi.xi_min < 0.0 < xi.xi_max
 
+    @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf])
+    def test_spanning_refuses_a_negative_or_non_finite_margin(self, margin):
+        # a margin of -0.1 gave [0.1, 0.9]: a grid that neither contains zero
+        # nor covers the values
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative"):
+            XiGrid.spanning(0.0, 1.0, margin, 8)
+
 
 class TestCfl:
     def test_pure_advection_limit(self):
-        assert burgers_cfl(0.0, 0.01, 2.0, safety=1.0) == pytest.approx(0.005)
+        assert burgers_cfl(0.01, 2.0, safety=1.0) == pytest.approx(0.005)
 
-    def test_gain_augmented(self):
-        assert burgers_cfl(100.0, 0.01, 2.0, safety=1.0) == pytest.approx(1.0 / 300.0)
+    def test_gain_free(self):
+        # the relaxation is exact, so a large gain no longer shortens the
+        # step: every step accepts the transport bound
+        grid = make_grid(100)
+        xi = XiGrid(-1.0, 2.0, 16)
+        dt = burgers_cfl(grid.dx, xi.speed_sup, safety=1.0)
+        assert dt == pytest.approx(0.005)
+        u = np.linspace(-0.5, 1.0, 100)
+        obs = u[::-1].copy()
+        f = KineticField.from_macroscopic(u, xi, grid)
+        assert np.all(np.isfinite(step_kinetic_burgers(f, obs, 1e4, dt).values))
+        for out in (
+            step_collapse_macroscopic(u, obs, 1e4, dt, grid, xi),
+            step_macroscopic_burgers(u, obs, 1e4, dt, grid),
+            step_kinetic_linear(u, 2.0, obs, 1e4, dt, grid),
+        ):
+            np.testing.assert_allclose(out, obs, rtol=0.0, atol=1e-15)
 
     def test_safety_scaling(self):
-        assert burgers_cfl(100.0, 0.01, 2.0, safety=0.9) == pytest.approx(0.003)
+        assert burgers_cfl(0.01, 2.0, safety=0.9) == pytest.approx(0.0045)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            burgers_cfl(0.0, -0.1, 1.0)
+            burgers_cfl(-0.1, 1.0)
         with pytest.raises(ValueError):
-            burgers_cfl(0.0, 0.1, 0.0)
+            burgers_cfl(0.1, 0.0)
         with pytest.raises(ValueError):
-            burgers_cfl(-1.0, 0.1, 1.0)
+            burgers_cfl(0.1, 1.0, safety=1.5)
 
 
 class TestKineticStep:
@@ -54,7 +77,7 @@ class TestKineticStep:
         grid = make_grid()
         xi = XiGrid(-1.0, 2.0, 16)
         f = KineticField(np.full((100, 16), 0.3), xi, grid)
-        out = step_kinetic_burgers(f, None, 0.0, burgers_cfl(0.0, grid.dx, 2.0))
+        out = step_kinetic_burgers(f, None, 0.0, burgers_cfl(grid.dx, 2.0))
         np.testing.assert_allclose(out.values, f.values)
 
     def test_cfl_violation_rejected(self):
@@ -85,8 +108,8 @@ class TestKineticStep:
         obs = np.full(50, 0.8)
         lam, dt = 10.0, 1e-3
         out = step_kinetic_burgers(f, obs, lam, dt)
-        target = chi_indicator(xi.nodes[None, :], obs[:, None])
-        expected = f.values + lam * dt * (target - f.values)
+        target = cell_averaged_indicator(xi, obs)
+        expected = f.values + (1.0 - math.exp(-lam * dt)) * (target - f.values)
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
 
     def test_convex_combination_bounds(self):
@@ -99,9 +122,9 @@ class TestKineticStep:
         f = KineticField(vals, xi, grid)
         obs = rng.uniform(-1.0, 1.0, 60)
         lam = 30.0
-        dt = burgers_cfl(lam, grid.dx, xi.speed_sup, safety=1.0)
+        dt = burgers_cfl(grid.dx, xi.speed_sup, safety=1.0)
         out = step_kinetic_burgers(f, obs, lam, dt)
-        target = chi_indicator(xi.nodes[None, :], obs[:, None])
+        target = cell_averaged_indicator(xi, obs)
         padded = np.vstack([vals[-1:], vals, vals[:1]])
         stacked = np.stack([padded[:-2], padded[1:-1], padded[2:], target])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
@@ -113,7 +136,7 @@ class TestKineticStep:
         grid = make_grid(80)
         xi = XiGrid(-1.5, 1.5, 16)
         f = KineticField(rng.uniform(-1.0, 1.0, (80, 16)), xi, grid)
-        dt = burgers_cfl(0.0, grid.dx, xi.speed_sup)
+        dt = burgers_cfl(grid.dx, xi.speed_sup)
         mass0 = float(np.sum(f.macroscopic()) * grid.dx)
         for _ in range(20):
             f = step_kinetic_burgers(f, None, 0.0, dt)
@@ -190,7 +213,7 @@ class TestMacroscopicStep:
         grid = Grid1D(400, 0.0, 1.0, BoundaryKind.DIRICHLET_ZERO)
         x = grid.centers
         u = (x < 0.25).astype(float)
-        dt = burgers_cfl(0.0, grid.dx, 1.0)
+        dt = burgers_cfl(grid.dx, 1.0)
         for _ in range(100):
             u = step_macroscopic_burgers(u, None, 0.0, dt, grid)
         t = 100 * dt
@@ -199,29 +222,27 @@ class TestMacroscopicStep:
 
     def test_collapse_lane_is_moment_of_kinetic_step(self):
         # stepping the indicator field and integrating equals the moment
-        # recursion up to the quadrature offset of the *current* state:
-        # the field's own moment is the node-quantised Q(u), the moment lane
-        # carries u itself, and flux and relaxation terms are identical
+        # recursion: the field is the cell-averaged indicator, whose moment
+        # is u itself, and flux and relaxation terms are identical
         rng = np.random.default_rng(10)
         grid = make_grid(40)
         xi = XiGrid(-1.5, 1.5, 48)
         u = rng.uniform(-0.6, 0.9, 40)
         obs = rng.uniform(-0.6, 0.9, 40)
         lam = 20.0
-        dt = burgers_cfl(lam, grid.dx, xi.speed_sup)
+        dt = burgers_cfl(grid.dx, xi.speed_sup)
         f = KineticField.from_macroscopic(u, xi, grid)
         kin = step_kinetic_burgers(f, obs, lam, dt).macroscopic()
         mom = step_collapse_macroscopic(u, obs, lam, dt, grid, xi)
-        q_of_u = f.macroscopic()
-        np.testing.assert_allclose(kin - mom, q_of_u - u, atol=1e-13)
-        assert np.max(np.abs(q_of_u - u)) <= xi.dxi  # quantisation bound
+        np.testing.assert_allclose(f.macroscopic(), u, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(kin, mom, rtol=0.0, atol=1e-13)
 
     def test_collapse_lane_matches_macroscopic_to_quadrature(self):
         rng = np.random.default_rng(2)
         grid = make_grid(60)
         u = rng.uniform(-0.8, 0.9, 60)
         xi = XiGrid(-2.0, 2.0, 512)
-        dt = burgers_cfl(0.0, grid.dx, 2.0)
+        dt = burgers_cfl(grid.dx, 2.0)
         coarse = step_collapse_macroscopic(u, None, 0.0, dt, grid, xi)
         exact = step_macroscopic_burgers(u, None, 0.0, dt, grid)
         # one step differs by the xi-quadrature of the indicator flux: O(dxi)
@@ -237,25 +258,6 @@ class TestMacroscopicStep:
         assert engquist_osher_flux(np.array([2.0]), np.array([3.0]))[0] == 2.0
         assert engquist_osher_flux(np.array([-2.0]), np.array([-3.0]))[0] == 4.5
         assert engquist_osher_flux(np.array([-1.0]), np.array([1.0]))[0] == 0.0
-
-
-def dense_collapse_step(u, obs_u, lam, dt, grid, xi):
-    """The collapse step as dense quadrature over (n_cells, n_xi) indicator
-    arrays: the reference for the prefix-sum form."""
-    nodes, w = xi.nodes, xi.weights
-    chi = chi_indicator(nodes[None, :], u[:, None])
-    if grid.bc is BoundaryKind.PERIODIC:
-        chip = np.concatenate([chi[-1:], chi, chi[:1]])
-    else:
-        chip = np.concatenate([np.zeros((1, xi.n_xi)), chi, np.zeros((1, xi.n_xi))])
-    flux = np.where(nodes[None, :] >= 0.0, chip[:-1], chip[1:]) * nodes[None, :]
-    flux_m = flux @ w
-    new = u - (dt / grid.dx) * (flux_m[1:] - flux_m[:-1])
-    if lam > 0.0 and obs_u is not None:
-        observed = np.isfinite(obs_u)
-        target = chi_indicator(nodes[None, :], np.where(observed, obs_u, 0.0)[:, None])
-        new = new + np.where(observed, lam * dt * ((target - chi) @ w), 0.0)
-    return new
 
 
 class TestCollapseClosedForm:
@@ -283,7 +285,7 @@ class TestCollapseClosedForm:
     def test_matches_dense_quadrature(self, bc, xi, lam):
         rng = np.random.default_rng(xi.n_xi + int(lam))
         grid = make_grid(60, bc)
-        dt = burgers_cfl(lam, grid.dx, xi.speed_sup)
+        dt = burgers_cfl(grid.dx, xi.speed_sup)
         for _ in range(20):
             u = self.values(rng, xi, 60)
             obs = self.values(rng, xi, 60)
@@ -295,12 +297,83 @@ class TestCollapseClosedForm:
                     rtol=0.0, atol=1e-13,
                 )
 
+    @pytest.mark.parametrize("n_xi", [1, 2, 7, 16])
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 0.0), (0.0, 1.0)])
+    def test_edge_table_with_zero_at_an_end(self, lo, hi, n_xi):
+        # the cell holding 0 is the first or the last one; values run past
+        # both ends of the grid
+        xi = XiGrid(lo, hi, n_xi)
+        grid = make_grid(40, BoundaryKind.DIRICHLET_ZERO)
+        dt = burgers_cfl(grid.dx, xi.speed_sup)
+        u = np.linspace(lo - 0.5, hi + 0.5, 40)
+        obs = u[::-1].copy()
+        for lam in (0.0, 30.0):
+            np.testing.assert_allclose(
+                step_collapse_macroscopic(u, obs, lam, dt, grid, xi),
+                dense_collapse_step(u, obs, lam, dt, grid, xi),
+                rtol=0.0, atol=1e-13,
+            )
+        _, intercept, _ = xi.flux_table
+        zero = 0 if lo == 0.0 else n_xi - 1
+        assert np.all(intercept[:, zero] == 0.0)  # G(0) = 0 exactly
+
+    def test_edge_table_needs_zero_on_the_grid(self):
+        with pytest.raises(ValueError, match=r"needs 0 in \[xi_min, xi_max\]"):
+            XiGrid(0.5, 1.5, 4).flux_table
+
     def test_tables_are_read_only(self):
         xi = XiGrid(-1.0, 2.0, 24)
-        assert xi.indicator_tables is xi.indicator_tables  # built once per grid
-        for table in xi.indicator_tables:
+        assert xi.flux_table is xi.flux_table  # built once per grid
+        for table in xi.flux_table:
             with pytest.raises(ValueError):
                 table[0] = 1.0
+
+
+def step_data(rng, n, lo, hi):
+    """Piecewise-constant values in [lo, hi]: a few plateaus, some at the
+    ends of the range."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(1, 6), replace=False))
+    levels = rng.uniform(lo, hi, len(cuts) + 1)
+    levels[rng.random(len(levels)) < 0.3] = hi
+    levels[rng.random(len(levels)) < 0.2] = lo
+    return np.repeat(levels, np.diff(np.concatenate(([0], cuts, [n]))))
+
+
+class TestCollapseMaxPrinciple:
+    """Without a gain the collapse step stays inside the range of its data
+    (and of the zero ghost cells under Dirichlet boundaries).  The staircase
+    quadrature flux it replaced overshot by up to half a xi cell near CFL
+    number 1."""
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO])
+    @pytest.mark.parametrize("margin", [0.0, 1.0])
+    def test_top_hat(self, bc, margin):
+        # the truth of the Burgers fixtures: a unit top hat on [1/8, 1/4]
+        grid = make_grid(100, bc)
+        x = grid.centers
+        u = np.where((x >= 0.125) & (x <= 0.25), 1.0, 0.0)
+        xi = XiGrid.spanning(0.0, 1.0, margin, 64)
+        dt = burgers_cfl(grid.dx, xi.speed_sup, 0.95)
+        for _ in range(400):
+            u = step_collapse_macroscopic(u, None, 0.0, dt, grid, xi)
+            assert u.max() <= 1.0 and u.min() >= 0.0
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO])
+    @pytest.mark.parametrize("margin", [0.0, 1.0])
+    def test_random_steps(self, bc, margin):
+        rng = np.random.default_rng(int(margin) + 2 * (bc is BoundaryKind.PERIODIC))
+        grid = make_grid(60, bc)
+        for _ in range(50):
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2))
+            u = step_data(rng, 60, lo, hi)
+            xi = XiGrid.spanning(lo, hi, margin, int(rng.integers(1, 65)))
+            dt = burgers_cfl(grid.dx, xi.speed_sup, rng.uniform(0.5, 1.0))
+            top, bottom = u.max(), u.min()
+            if bc is BoundaryKind.DIRICHLET_ZERO:
+                top, bottom = max(top, 0.0), min(bottom, 0.0)
+            for _ in range(20):
+                u = step_collapse_macroscopic(u, None, 0.0, dt, grid, xi)
+                assert u.max() <= top and u.min() >= bottom
 
 
 class TestDiscreteVsOracle:
@@ -317,10 +390,10 @@ class TestDiscreteVsOracle:
                 return np.sin(2 * np.pi * (xx - xi.nodes[0] * t))
 
             f = KineticField(np.zeros((n, 1)), xi, grid)
-            dt = burgers_cfl(lam, grid.dx, xi.speed_sup, safety=0.9)
+            dt = burgers_cfl(grid.dx, xi.speed_sup, safety=0.9)
             steps = 30
             for k in range(steps):
-                obs = target(k * dt, x, None)  # kinetic target via indicator? no:
+                obs = target((k + 1) * dt, x, None)  # the target at the step's end
                 f = KineticField(
                     step_kinetic_linear(f.values[:, 0], float(xi.nodes[0]), obs, lam, dt, grid)[:, None],
                     xi,
@@ -336,8 +409,9 @@ class TestDiscreteVsOracle:
 
 class TestLinearStep:
     def test_single_signed_error_contracts_exactly(self):
-        # one-signed error under periodic transport: the L1 norm shrinks by
-        # exactly (1 - lam dt) per step
+        # one-signed error under periodic transport, relaxed toward the
+        # truth at the step's end: the L1 norm shrinks by exactly
+        # exp(-lam dt) per step
         grid = make_grid(128)
         rng = np.random.default_rng(7)
         truth = rng.normal(size=128)
@@ -347,10 +421,10 @@ class TestLinearStep:
         dt = 0.9 / (lam + speed / grid.dx)
         norm = float(np.sum(err0) * grid.dx)
         for _ in range(20):
-            f = step_kinetic_linear(f, speed, truth, lam, dt, grid)
             truth = step_kinetic_linear(truth, speed, None, 0.0, dt, grid)
+            f = step_kinetic_linear(f, speed, truth, lam, dt, grid)
             new_norm = float(np.sum(np.abs(f - truth)) * grid.dx)
-            assert new_norm == pytest.approx((1.0 - lam * dt) * norm, rel=1e-12)
+            assert new_norm == pytest.approx(math.exp(-lam * dt) * norm, rel=1e-12)
             norm = new_norm
 
     def test_reflective_walls_rejected(self):
