@@ -3,7 +3,8 @@
 A twin run advances a reference ("truth") trajectory, synthesises
 observations from it (masking, subsampling, deterministic noise), then
 advances the observer against those observations, recording error norms
-along the way.
+along the way.  A gain sweep is the same run with a stack of observers, one
+gain per row, against one truth; a single twin is the sweep of one gain.
 
 Every model is the same kinetic equation with the relaxation source
 lam (M_obs - f); only the transport and the closure differ.  A *lane* holds
@@ -18,10 +19,14 @@ Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
 Burgers lanes relax exactly after transport (``burgers._relax``), so their
 bounds, and with them the time grid, do not depend on the gain: every gain of
-a sweep runs on the same grid.  The Saint-Venant lane keeps its explicit
-source, under a CFL bound augmented by the gain.  Both loops stop with a
-``SolverError`` when a CFL bound is not a positive finite step or a step
-budget runs out, so every run terminates.
+a sweep runs on the same grid.  Where the observer's bound is a constant too
+(the collapse, BGK and linear lanes), a sweep runs one truth and steps its
+observers as one (k, n) stack (``sweep_lambda``).  The Engquist-Osher bound
+follows the state, and the Saint-Venant lane keeps its explicit source under
+a CFL bound augmented by the gain, so each of their gains runs its own truth
+and a stack of one observer.  Both loops stop with a ``SolverError`` when a
+CFL bound is not a positive finite step or a step budget runs out, so every
+run terminates.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ import numpy as np
 
 from .burgers import (
     KineticField,
+    _relax,
     burgers_cfl,
     step_collapse_macroscopic,
     step_kinetic_burgers,
@@ -243,16 +249,29 @@ class RunResult:
 # --- lanes ---------------------------------------------------------------------
 
 
+def _per_row(lams: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The gains ``lams``, one per row of ``state``, shaped to broadcast
+    against it."""
+    return lams.reshape((-1,) + (1,) * (state.ndim - 1))
+
+
 class _Lane:
     """One model's scheme, shared by the truth and the observer phase.
 
-    ``step(state, dt, lam, target)`` relaxes toward ``target`` (NaN marks
-    unobserved cells) at gain ``lam``; target None is the unnudged step.
-    ``mollified_step`` applies the kernel-weighted sources of
+    The truth phase steps one field.  The observer phase steps a stack of k
+    observers with one gain per row (``stack``, ``row``), k = 1 for a single
+    twin.  ``step(state, dt, lams, obs)`` transports, then
+    relaxes each row toward the target of the observed field ``obs`` (NaN
+    marks unobserved cells) at its gain in ``lams``; obs None is transport
+    alone.  ``mollified_step`` applies the kernel-weighted sources of
     ``_GainController.mollified_pairs`` instead: after transport, an exact
     relaxation at gain lam * W toward the kernel-weighted mean innovation,
-    W being the total kernel weight.  The base class is a Burgers lane on
-    the scalar field u, given its bound and step as callables.
+    W being the total kernel weight.
+
+    The base class is a Burgers lane on the field u, one row per observer,
+    given its bound, its gain-free transport and the relaxation target of an
+    observed field as callables.  Every Burgers lane relaxes the whole stack
+    with one ``_relax``.
     """
 
     clamp_nonnegative = False  # truncate negative noisy observations
@@ -261,12 +280,26 @@ class _Lane:
     # source of the Saint-Venant lane
     target_level = 1
 
-    def __init__(self, initial, bound, step, xi: XiGrid | None = None):
-        self.initial, self.bound, self.step = initial, bound, step
+    def __init__(self, initial, bound, transport, xi: XiGrid | None = None, target=None):
+        self.initial, self.bound, self.transport = initial, bound, transport
         self.xi = xi  # kinetic-velocity grid the observations must fit in
+        self.target = (lambda obs: obs) if target is None else target
+
+    def stack(self, k: int):
+        """k copies of the initial state, one row each."""
+        return np.repeat(self.initial[None], k, axis=0)
+
+    def row(self, state, r: int):
+        return state[r].copy()
 
     def cfl(self, state, obs=None) -> float:
         return self.bound(state)
+
+    def step(self, state, dt, lams=None, obs=None):
+        new = self.transport(state, dt)
+        if obs is None:
+            return new
+        return _relax(new, self.target(obs), _per_row(lams, new), dt)
 
     def observed(self, state):
         return state
@@ -284,29 +317,33 @@ class _Lane:
     def energy(self, state):
         return None
 
-    def mollified_step(self, state, dt, lam, pairs):
-        new = self.step(state, dt, 0.0, None)
+    def mollified_step(self, state, dt, lams, pairs):
+        new = self.transport(state, dt)
         mean, weight = _mean_innovation(self, pairs, self.reference(new))
-        return new - np.expm1(-lam * weight * dt) * mean
+        return new - np.expm1(-_per_row(lams, new) * weight * dt) * mean
 
 
 class _BGKLane(_Lane):
-    """Burgers, free kinetic density f(x, xi): the source acts in kinetic space."""
+    """Burgers, free kinetic density f(x, xi), stepped as the values of a
+    KineticField, (k, n_cells, n_xi) for k rows: the source acts in kinetic
+    space."""
+
+    def __init__(self, field: KineticField, bound, transport):
+        super().__init__(field.values, bound, transport, field.xi, field.xi.indicator)
+        self.field = field
+
+    def row(self, state, r: int):
+        return replace(self.field, values=state[r].copy())
 
     def observed(self, state):
-        return state.macroscopic()
+        return state @ self.xi.weights
 
     def reference(self, state):
-        return state.values
+        return state
 
     def innovation(self, obs_field, ref):
         gap = self.xi.indicator(obs_field) - ref
         return np.where(np.isfinite(gap), gap, 0.0)
-
-    def mollified_step(self, state, dt, lam, pairs):
-        new = self.step(state, dt, 0.0, None)
-        mean, weight = _mean_innovation(self, pairs, new.values)
-        return replace(new, values=new.values - np.expm1(-lam * weight * dt) * mean)
 
 
 def _mean_innovation(lane: _Lane, pairs, ref_now):
@@ -321,7 +358,8 @@ def _mean_innovation(lane: _Lane, pairs, ref_now):
 
 class _SWLane(_Lane):
     """Kinetic Saint-Venant scheme; the observed field is the depth, averaged
-    over ``factor`` cells when the truth runs on a refined grid."""
+    over ``factor`` cells when the truth runs on a refined grid.  Its time
+    grid depends on the gain, so it steps a stack of one observer."""
 
     clamp_nonnegative = True
     target_level = 0
@@ -330,6 +368,14 @@ class _SWLane(_Lane):
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
         self.initial = state0.copy()
         self.lam_cfl, self.safety, self.factor = lam_cfl, safety, factor
+
+    def stack(self, k: int):
+        if k != 1:
+            raise ValueError(f"a Saint-Venant lane steps one observer, not {k}")
+        return self.initial
+
+    def row(self, state, r: int):
+        return state
 
     def cfl(self, state, obs=None) -> float:
         """sv_cfl, tightened by the wave speed of the observed depth ``obs`` on
@@ -355,10 +401,10 @@ class _SWLane(_Lane):
             bound = min(bound, self.safety * dx / (self.lam_cfl * dx + float(top)))
         return bound
 
-    def step(self, state, dt, lam, target):
-        if target is None:
+    def step(self, state, dt, lams=None, obs=None):
+        if obs is None:
             return sv_forward_step(state, dt)
-        return sv_observer_step(state, target, lam, dt)
+        return sv_observer_step(state, obs, float(lams[0]), dt)
 
     def observed(self, state):
         if self.factor == 1:
@@ -368,11 +414,11 @@ class _SWLane(_Lane):
     def energy(self, state):
         return total_energy(state)
 
-    def mollified_step(self, state, dt, lam, pairs):
+    def mollified_step(self, state, dt, lams, pairs):
         # one source-and-settle update at the total weighted gain, so the CFL
         # bound and the positivity check see the gain actually applied
         dh, weight = _mean_innovation(self, pairs, state.h)
-        return sv_observer_step(state, None, lam * weight, dt, dh=dh)
+        return sv_observer_step(state, None, float(lams[0]) * weight, dt, dh=dh)
 
 
 def _lam_for_cfl(config: RunConfig) -> float:
@@ -407,7 +453,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
             _Lane(
                 u0,
                 lambda f: fixed,
-                lambda f, dt, lam, target: step_kinetic_linear(f, speed, target, lam, dt, grid),
+                lambda f, dt: step_kinetic_linear(f, speed, None, 0.0, dt, grid),
             )
             for u0 in u0s
         )
@@ -416,7 +462,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
             _Lane(
                 u0,
                 lambda u: burgers_cfl(grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety),
-                lambda u, dt, lam, obs: step_macroscopic_burgers(u, obs, lam, dt, grid),
+                lambda u, dt: step_macroscopic_burgers(u, None, 0.0, dt, grid),
             )
             for u0 in u0s
         )
@@ -424,18 +470,19 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     hi = max(float(np.max(u0)) for u0 in u0s)
     xi = XiGrid.spanning(lo, hi, config.xi_margin, config.n_xi)
     fixed = burgers_cfl(grid.dx, xi.speed_sup, safety)
+    # the collapsed step's target, clamped to the grid as its flux is
     truth = _Lane(
         u0s[0],
         lambda u: fixed,
-        lambda u, dt, lam, obs: step_collapse_macroscopic(u, obs, lam, dt, grid, xi),
+        lambda u, dt: step_collapse_macroscopic(u, None, 0.0, dt, grid, xi),
+        target=lambda obs: np.clip(obs, xi.xi_min, xi.xi_max),
     )
     if config.observer_mode is BurgersObserverMode.COLLAPSE:
-        return truth, _Lane(u0s[1], truth.bound, truth.step, xi)
+        return truth, _Lane(u0s[1], truth.bound, truth.transport, xi, truth.target)
     return truth, _BGKLane(
         KineticField.from_macroscopic(u0s[1], xi, grid),
         truth.bound,
-        lambda f, dt, lam, obs: step_kinetic_burgers(f, obs, lam, dt),
-        xi,
+        lambda f, dt: step_kinetic_burgers(KineticField(f, xi, grid), None, 0.0, dt).values,
     )
 
 
@@ -512,7 +559,7 @@ def _run_truth(config: RunConfig, lane: _Lane) -> _Truth:
                 f"(CFL bound {bound:g})"
             )
         dt = min(bound, config.t_final - t)
-        state = lane.step(state, dt, 0.0, None)
+        state = lane.step(state, dt)
         t += dt
         times.append(t)
         dts.append(dt)
@@ -531,35 +578,41 @@ def _run_truth(config: RunConfig, lane: _Lane) -> _Truth:
 
 class _GainController:
     """Resolves what nudges each observer window and advances the observer
-    lane under it.
+    lane under it, for a stack of observers with one gain per row.
 
     ``resolve`` answers once per window: a relaxation target (NaN outside the
-    observation window ``obs_mask``, None when nothing is observed) or, under
-    the mollified gain, the kernel-weighted observations.  A target read from
-    the truth trajectory (at-observation-time nudging, and every-step nudging
-    without observation times) is the truth state at the time level of the
-    lane's source (``_Lane.target_level``): for the Burgers lanes, which relax
-    exactly after transport, the end t_{n+1} of truth step n; for the
-    Saint-Venant lane, whose source is explicit, its start t_n.  Either way a
-    twin started from the truth's own state stays on it to machine
-    precision.  At observation times the step is the one that contains t_k.
-    A forward pointer walks the observation times: a window fires when the
-    next time falls before its end (the final window takes every time left),
-    and ``advance`` moves the pointer past that end once the substep is done,
-    so each observation time fires exactly once, even where float substep
-    windows overlap; a window holding two times nudges once.  Sampled series,
-    already masked to the window by ``sample_observations``, feed the
-    every-step (hold), interpolated and mollified modes, whose targets are
-    genuinely stamped at the observation times and are resolved at the start
-    of the window on both models.
+    observation window ``obs_mask``, None when nothing is observed or no row
+    has a positive gain) or, under the mollified gain, the kernel-weighted
+    observations.  A target read from the truth trajectory (at-observation-time
+    nudging, and every-step nudging without observation times) is the truth
+    state at the time level of the lane's source (``_Lane.target_level``): for
+    the Burgers lanes, which relax exactly after transport, the end t_{n+1}
+    of truth step n; for the Saint-Venant lane, whose source is explicit, its
+    start t_n.  Either way a twin started from the truth's own state stays on
+    it to machine precision.  At observation times the step is the one that
+    contains t_k.  A forward pointer walks the observation times: a window
+    fires when the next time falls before its end (the final window takes
+    every time left), and ``advance`` moves the pointer past that end once the
+    substep is done, so each observation time fires exactly once, even where
+    float substep windows overlap; a window holding two times nudges once.
+    Sampled series, already masked to the window by ``sample_observations``,
+    feed the every-step (hold), interpolated and mollified modes, whose
+    targets are genuinely stamped at the observation times and are resolved at
+    the start of the window on both models.
+
+    Every row of the stack takes the same windows, so the pointer and the
+    mollified snapshots serve all of them: a row with a zero gain is relaxed
+    by nothing where a window fires.
 
     On a lane with a kinetic-velocity grid ``xi``, every target is checked to
     lie on it once, where it is built (``_refuse_saturation``).
     """
 
-    def __init__(self, config: RunConfig, truth: _Truth, lane: _Lane):
+    def __init__(self, config: RunConfig, truth: _Truth, lane: _Lane, lams):
         self.config, self.truth = config, truth
         self.clamp, self.xi, self.level = lane.clamp_nonnegative, lane.xi, lane.target_level
+        self.lams = np.asarray(lams, dtype=float)  # one gain per row
+        self._gained = bool(np.any(self.lams > 0.0))
         grid, gain, window = config.grid, config.gain, config.obs_mask
         self.mask = (
             np.ones(grid.n_cells, dtype=bool) if window is None else grid.interval_mask(*window)
@@ -567,7 +620,8 @@ class _GainController:
         self.mollifier = (
             Mollifier(gain.sigma) if gain.temporal_mode is TemporalMode.MOLLIFIED else None
         )
-        self.snapshots: list = []  # observer reference at each observation time
+        # observer references at each observation time, one row per observer
+        self.snapshots: list = []
         self._noise = None if config.noise is None else noise_field(config.noise, grid)
         # Observation times, those past the horizon dropped: they could never
         # be assimilated.  None observes the truth exactly at every step.
@@ -603,7 +657,7 @@ class _GainController:
         pointer; the hold path moves it up to t_lo, which never decreases."""
         if self.mollifier is not None:
             return self.mollified_pairs(t_lo)
-        if self.config.gain.lam == 0.0:
+        if not self._gained:
             return None
         times, series = self.times, self.series
         if series is not None:  # every step, against the sampled series
@@ -626,7 +680,7 @@ class _GainController:
 
     def mollified_pairs(self, t: float):
         """[(weight, field, snapshot)] of kernel contributions at time t; the
-        snapshot is None until the observer has reached that observation."""
+        snapshot is None until the observers have reached that observation."""
         if self.series is None:
             return []
         _, pairs = mollified_gain(self.series, self.mollifier, t)
@@ -641,17 +695,17 @@ class _GainController:
         return nudge[0][1] if nudge else None
 
     def advance(self, lane: _Lane, state, t: float, dt: float, nudge):
-        """One observer substep over [t, t + dt] under its resolved ``nudge``."""
-        lam = self.config.gain.lam
+        """One substep of the observers over [t, t + dt] under their resolved
+        ``nudge``."""
         if self.mollifier is None:
-            state = lane.step(state, dt, lam if nudge is not None else 0.0, nudge)
+            state = lane.step(state, dt, self.lams, nudge)
             if nudge is not None and self.at_times:
                 self._skip_to(t + dt)
             return state
         if nudge:
-            state = lane.mollified_step(state, dt, lam, nudge)
+            state = lane.mollified_step(state, dt, self.lams, nudge)
         else:
-            state = lane.step(state, dt, 0.0, None)
+            state = lane.step(state, dt)
         times = [] if self.series is None else self.series.times
         while len(self.snapshots) < len(times) and (
             times[len(self.snapshots)] <= t + dt + _TIME_TOL
@@ -668,20 +722,24 @@ def _energies(values: list) -> np.ndarray | None:
 
 
 def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
-                  controller: _GainController) -> RunResult:
-    """Advance the observer lane on the truth's time grid, recording the
-    errors (L1 relative, L1, L2, Sobolev) and the energy of every
-    record_every-th step and of the last.
+                  controller: _GainController) -> list[RunResult]:
+    """Advance the stack of observers, one per gain of ``controller.lams``,
+    on the truth's time grid, recording the errors (L1 relative, L1, L2,
+    Sobolev) and the energy of every record_every-th step and of the last;
+    one RunResult per row.  A truth step longer than the observer's CFL bound
+    is divided into m substeps, each resolving its own window.
 
-    ``record`` only copies the observed and the truth field into an
+    ``record`` only copies the observed fields and the truth field into an
     ``ErrorRecorder``, which measures a whole block of rows in one vectorised
     pass; the energies are computed row by row.
     """
     times, fields, dts = truth.trajectory_times, truth.trajectory_fields, truth.dts
-    grid, order = config.grid, config.sobolev_order
-    state = lane.initial
+    grid, order, lams = config.grid, config.sobolev_order, controller.lams
+    state = lane.stack(len(lams))
     recorded, energies = [], []  # step indices, energies of the recorded rows
-    errors = ErrorRecorder(1 + math.ceil(len(dts) / config.record_every), grid, order)
+    errors = ErrorRecorder(
+        1 + math.ceil(len(dts) / config.record_every), grid, order, stack=len(lams)
+    )
 
     def record(n):
         recorded.append(n)
@@ -712,26 +770,39 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
         if (n + 1) % config.record_every == 0 or last:
             record(n + 1)
     recorded = np.asarray(recorded)
-    return RunResult(
-        errors=ErrorSeries(times[recorded], *errors.norms(), order=order),
-        dt_history=dts,
-        recorded_dt=np.concatenate(([math.nan], dts[recorded[1:] - 1])),
-        final_truth=truth.final,
-        final_observer=state,
-        grid=grid,
-        config_echo=config.echo(),
-        energy_observer=_energies(energies),
-        energy_truth=_energies(truth.energies),
-    )
+    recorded_dt = np.concatenate(([math.nan], dts[recorded[1:] - 1]))
+    norms, echo = errors.norms(), config.echo()
+    return [
+        RunResult(
+            errors=ErrorSeries(times[recorded], *norms[:, r], order=order),
+            dt_history=dts,
+            recorded_dt=recorded_dt,
+            final_truth=truth.final,
+            final_observer=lane.row(state, r),
+            grid=grid,
+            config_echo={**echo, "lambda": float(lam)},
+            energy_observer=_energies(energies),
+            energy_truth=_energies(truth.energies),
+        )
+        for r, lam in enumerate(lams)
+    ]
 
 
-def run_twin(config: RunConfig) -> RunResult:
-    """Run the full twin experiment described by ``config``."""
+def _run_group(config: RunConfig, lams) -> list[RunResult]:
+    """One truth, then the observers of every gain in ``lams`` stepped as one
+    stack.  The gains must share the truth's time grid and the observer's
+    substeps, as the gains of a group of ``_groups`` do."""
     config = replace(config)  # checks again a config changed after construction
     truth_lane, observer_lane = _lanes(config)
     truth = _run_truth(config, truth_lane)
-    controller = _GainController(config, truth, observer_lane)
+    controller = _GainController(config, truth, observer_lane, lams)
     return _run_observer(config, observer_lane, truth, controller)
+
+
+def run_twin(config: RunConfig) -> RunResult:
+    """Run the full twin experiment described by ``config``: the sweep of its
+    one gain."""
+    return _run_group(config, [config.gain.lam])[0]
 
 
 # --- sweeps and decay fits ------------------------------------------------------
@@ -745,27 +816,63 @@ class SweepPoint:
     failed: str | None = None
 
 
-def _sweep_worker(args) -> SweepPoint:
-    config, lam = args
+def _groups(config: RunConfig, lams: list[float]) -> list[list[float]]:
+    """The sweep's gains in groups that share one truth and take the same
+    substeps.  Every Burgers gain runs on the gain-free time grid, and on the
+    collapse, BGK and linear lanes the observer's bound is the truth's
+    constant one, so all their gains form one group.  The Engquist-Osher
+    bound follows each observer's own state, and a Saint-Venant gain's grid
+    follows its gain (``_lam_for_cfl``), so each of their gains is a group
+    of its own."""
+    if config.model == "burgers" and (
+        config.fixed_xi is not None
+        or config.observer_mode is not BurgersObserverMode.MACROSCOPIC
+    ):
+        return [lams]
+    return [[lam] for lam in lams]
+
+
+def _sweep_worker(args) -> list[SweepPoint]:
+    """The points of one group of gains.  If the group raises, its gains run
+    again one at a time, so each point reports its own result or error."""
+    config, lams = args
     try:
-        result = run_twin(replace(config, gain=replace(config.gain, lam=lam)))
-        return SweepPoint(lam, result.final_l1_rel, result.final_sobolev)
+        results = _run_group(replace(config, gain=replace(config.gain, lam=lams[0])), lams)
     except Exception as exc:  # per-run failures must not abort the sweep
-        return SweepPoint(lam, math.nan, math.nan, failed=f"{type(exc).__name__}: {exc}")
+        if len(lams) > 1:
+            return [point for lam in lams for point in _sweep_worker((config, [lam]))]
+        return [SweepPoint(lams[0], math.nan, math.nan, failed=f"{type(exc).__name__}: {exc}")]
+    return [SweepPoint(lam, r.final_l1_rel, r.final_sobolev) for lam, r in zip(lams, results)]
 
 
 def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoint]:
-    """Independent twin runs over a list of gains, order preserved."""
+    """Twin runs over a list of gains, order preserved.
+
+    The gains are split into groups that share one truth (``_groups``): a
+    Burgers sweep on the collapse, BGK or linear lane runs one truth and
+    steps the observers of all its gains as one stack, one gain per row; each
+    Engquist-Osher or Saint-Venant gain runs its own twin.
+    With ``jobs`` > 1 each group is cut into at most ``jobs`` contiguous
+    chunks, each running its own truth, on a process pool.  A group that
+    raises runs again one gain at a time, so a failure marks only its own
+    point (``SweepPoint.failed``).  Every point equals ``run_twin`` at its
+    gain, whatever the grouping.
+    """
     lam_values = [float(v) for v in lam_values]
     if not lam_values:
         raise ValueError("sweep needs at least one gain value")
     if not all(math.isfinite(v) and v >= 0.0 for v in lam_values):
         raise ValueError(f"gains must be finite and nonnegative, got {lam_values!r}")
-    tasks = [(config, lam) for lam in lam_values]
+    tasks = []
+    for group in _groups(config, lam_values):
+        size = math.ceil(len(group) / max(jobs, 1))
+        tasks += [(config, group[i:i + size]) for i in range(0, len(group), size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, tasks))
-    return [_sweep_worker(t) for t in tasks]
+            chunks = list(pool.map(_sweep_worker, tasks))
+    else:
+        chunks = [_sweep_worker(t) for t in tasks]
+    return [point for chunk in chunks for point in chunk]
 
 
 @dataclass
@@ -788,6 +895,11 @@ def decay_study(config: RunConfig, window: tuple[float, float] | None = None,
     result = run_twin(config)
     series = result.errors
     t = series.times
+    if len(t) < 3:  # a fit needs three rows; a row is recorded per truth step
+        raise ValueError(
+            f"decay study needs at least 3 recorded error rows, but the run recorded "
+            f"{len(t)} over {len(result.dt_history)} truth steps"
+        )
     v = np.asarray(getattr(series, which), dtype=float)
     if window is None:
         window = (float(t[0]), float(t[-1]))

@@ -23,6 +23,12 @@ Three discrete lanes solve the nudged Burgers problem:
 
 The collapse and Engquist-Osher steps share one conservative update and
 differ only in their interface flux.
+
+Every step takes a leading row axis: u of shape (k, n_cells), a kinetic
+density of shape (k, n_cells, n_xi), steps k fields at once, each row exactly
+as its one-row call.  Padding, flux and relaxation act on the cell axis, and
+``lam`` broadcasts against the field (a (k, 1) column gives each row its own
+gain).
 """
 from __future__ import annotations
 
@@ -49,13 +55,13 @@ def burgers_cfl(dx: float, xi_sup: float, safety: float = 0.95) -> float:
 class KineticField:
     """Cell-by-velocity kinetic density values on a grid pair."""
 
-    values: np.ndarray  # shape (n_cells, n_xi)
+    values: np.ndarray  # shape (n_cells, n_xi), or (k, n_cells, n_xi) for k rows
     xi: XiGrid
     grid: Grid1D
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_cells, self.xi.n_xi):
+        if self.values.shape[-2:] != (self.grid.n_cells, self.xi.n_xi) or self.values.ndim > 3:
             raise ValueError(
                 f"field shape {self.values.shape} does not match "
                 f"({self.grid.n_cells}, {self.xi.n_xi})"
@@ -72,15 +78,19 @@ class KineticField:
         return KineticField(xi.indicator(u), xi, grid)
 
 
-def _pad(values: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    """Ghost-padded copy along axis 0."""
+def _pad(values: np.ndarray, bc: BoundaryKind, axis: int = -1) -> np.ndarray:
+    """Ghost-padded copy along the cell axis ``axis`` (-1 for u, -2 for a
+    kinetic density)."""
+    tail = (slice(None),) * (-1 - axis)
     if bc is BoundaryKind.DIRICHLET_ZERO:
-        shape = (values.shape[0] + 2,) + values.shape[1:]
+        shape = list(values.shape)
+        shape[axis] += 2
         out = np.zeros(shape)
-        out[1:-1] = values
+        out[(..., slice(1, -1)) + tail] = values
         return out
     if bc is BoundaryKind.PERIODIC:
-        return np.concatenate([values[-1:], values, values[:1]], axis=0)
+        first, last = (..., slice(None, 1)) + tail, (..., slice(-1, None)) + tail
+        return np.concatenate([values[last], values, values[first]], axis=axis)
     raise ValueError(f"boundary kind {bc} is not supported by the Burgers solvers")
 
 
@@ -98,7 +108,7 @@ def _relax(u, target, lam, dt):
 def step_kinetic_burgers(
     f: KineticField,
     obs_u: np.ndarray | None,
-    lam: float,
+    lam: float | np.ndarray,
     dt: float,
 ) -> KineticField:
     """One upwind transport step of the kinetic observer, then exact
@@ -114,14 +124,14 @@ def step_kinetic_burgers(
     bound = burgers_cfl(dx, max(f.xi.speed_sup, 1e-300), safety=1.0)
     if dt > bound * _CFL_TOL:
         raise ValueError(f"dt={dt:g} violates the CFL bound {bound:g}")
-    fp = _pad(f.values, f.grid.bc)
+    fp = _pad(f.values, f.grid.bc, axis=-2)
     div = np.where(
-        xi[None, :] >= 0.0,
-        xi[None, :] * (fp[1:-1] - fp[:-2]),
-        xi[None, :] * (fp[2:] - fp[1:-1]),
+        xi >= 0.0,
+        xi * (fp[..., 1:-1, :] - fp[..., :-2, :]),
+        xi * (fp[..., 2:, :] - fp[..., 1:-1, :]),
     )
     new = f.values - (dt / dx) * div
-    if lam > 0.0 and obs_u is not None:
+    if obs_u is not None:
         new = _relax(new, f.xi.indicator(obs_u), lam, dt)
     return replace(f, values=new)
 
@@ -141,9 +151,9 @@ def step_kinetic_linear(
         raise ValueError("dt violates the CFL bound for the linear step")
     fp = _pad(f, grid.bc)
     if speed >= 0.0:
-        div = speed * (fp[1:-1] - fp[:-2])
+        div = speed * (fp[..., 1:-1] - fp[..., :-2])
     else:
-        div = speed * (fp[2:] - fp[1:-1])
+        div = speed * (fp[..., 2:] - fp[..., 1:-1])
     new = f - (dt / grid.dx) * div
     return _relax(new, f_obs, np.asarray(lam, dtype=float), dt)
 
@@ -158,13 +168,13 @@ def _conservative_step(u, target, lam, dt, grid, flux):
     cell values to the n_cells + 1 interface fluxes, then exact relaxation
     toward ``target``."""
     f = flux(_pad(u, grid.bc))
-    return _relax(u - (dt / grid.dx) * (f[1:] - f[:-1]), target, lam, dt)
+    return _relax(u - (dt / grid.dx) * (f[..., 1:] - f[..., :-1]), target, lam, dt)
 
 
 def step_macroscopic_burgers(
     u: np.ndarray,
     obs_u: np.ndarray | None,
-    lam: float,
+    lam: float | np.ndarray,
     dt: float,
     grid: Grid1D,
 ) -> np.ndarray:
@@ -174,14 +184,14 @@ def step_macroscopic_burgers(
     if u_sup > 0.0 and dt > burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL:
         raise ValueError("dt violates the CFL bound for the macroscopic step")
     return _conservative_step(
-        u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[:-1], up[1:])
+        u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])
     )
 
 
 def step_collapse_macroscopic(
     u: np.ndarray,
     obs_u: np.ndarray | None,
-    lam: float,
+    lam: float | np.ndarray,
     dt: float,
     grid: Grid1D,
     xi: XiGrid,
@@ -210,10 +220,10 @@ def step_collapse_macroscopic(
     def flux(up):
         v = np.minimum(np.maximum(up, lo), hi)  # np.clip's dispatch costs more
         cell = inner.searchsorted(v, side="right")
-        left, right = cell[:-1], cell[1:]
+        left, right = cell[..., :-1], cell[..., 1:]
         return (
-            intercept[0].take(left) + slope[0].take(left) * v[:-1]
-            + intercept[1].take(right) + slope[1].take(right) * v[1:]
+            intercept[0].take(left) + slope[0].take(left) * v[..., :-1]
+            + intercept[1].take(right) + slope[1].take(right) * v[..., 1:]
         )
 
     target = None if obs_u is None else np.clip(obs_u, lo, hi)

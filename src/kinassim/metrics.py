@@ -2,9 +2,10 @@
 
 The 1-D functions (``l1_absolute``, ``l2_absolute``, ``l1_relative``,
 ``sobolev_seminorm``) measure one field.  ``ErrorRecorder`` measures the
-error rows of a whole run a block of rows at a time: it buffers each row's
-difference and reference and, when a block fills, computes every row's norms
-in one vectorised pass whose temporaries live in work buffers allocated once.
+error rows of a whole run, or of a stack of runs sharing one reference, a
+block of rows at a time: it buffers each row's differences and reference
+and, when a block fills, computes every row's norms in one vectorised pass
+whose temporaries live in work buffers allocated once.
 Both give the same values bit for bit; ``sobolev_seminorm`` is a one-row call
 of the block's Sobolev pass.
 """
@@ -105,55 +106,68 @@ def _sobolev_weights(n: int, length: float, s: float) -> np.ndarray:
     return weights
 
 
-# Byte budget of one (rows, n_cells) float block of an ErrorRecorder: a block
-# holds at most 256 rows and at least one.  The recorder's buffers (three real
-# blocks, a complex one and one a column narrower) take about six blocks.
+# Byte budget of one (fields, n_cells) float block of an ErrorRecorder: a
+# block holds at most 256 fields and at least one row of them.  The recorder's
+# buffers (two real blocks, the references, a complex block and one a column
+# narrower) take about six blocks.
 _BLOCK_BYTES = 128 * 1024
 
 
 class ErrorRecorder:
-    """Error norms of up to ``n_rows`` (field, reference) pairs on ``grid``,
-    computed a block of rows at a time.
+    """Error norms of up to ``n_rows`` recorded rows on ``grid``, computed a
+    block of rows at a time.
 
-    ``add`` writes a pair's difference and reference into the next row of the
+    A row is a stack of ``stack`` fields against one reference: the
+    observers of a sweep at one time, one field for a single run.  ``add``
+    writes a row's differences and its reference into the next row of the
     block.  When the block fills, and once more in ``norms``, one vectorised
-    pass gives every held row its L1 error relative to the reference's L1
-    norm (the absolute error where that norm vanishes), its L1 and L2 errors
-    and the order-``order`` Sobolev seminorm of the difference.  Each value
-    equals the 1-D function's bit for bit: every row is reduced as a
-    C-contiguous row, by the same pairwise sum, and transformed on its own.
+    pass gives every field its L1 error relative to
+    the reference's L1 norm (the absolute error where that norm vanishes),
+    its L1 and L2 errors and the order-``order`` Sobolev seminorm of the
+    difference.  Each value equals the 1-D function's bit for bit: every
+    field is reduced as a C-contiguous row, by the same pairwise sum, and
+    transformed on its own.
     """
 
-    def __init__(self, n_rows: int, grid: Grid1D, order: float):
-        n = grid.n_cells
-        rows = max(1, min(256, _BLOCK_BYTES // (8 * n)))
-        self.diff, self.ref, self.work = np.empty((3, rows, n))
-        self.spectrum = np.empty((rows, n), dtype=complex)
-        self.modes = np.empty((rows, n - 1))
+    def __init__(self, n_rows: int, grid: Grid1D, order: float, stack: int = 1):
+        n, k = grid.n_cells, stack
+        adds = max(1, min(256, _BLOCK_BYTES // (8 * n)) // k)  # rows per block
+        self.diff, self.work = np.empty((2, adds * k, n))  # one line per field
+        self.ref = np.empty((adds, n))
+        self.ref_norm = np.empty(adds)
+        self.spectrum = np.empty((adds * k, n), dtype=complex)
+        self.modes = np.empty((adds * k, n - 1))
         self.dx, self.weights = grid.dx, _sobolev_weights(n, grid.length, order)
-        self.table = np.empty((4, n_rows))  # l1_rel, l1_abs, l2_abs, sobolev
+        self.stack = stack
+        self.table = np.empty((4, n_rows * k))  # l1_rel, l1_abs, l2_abs, sobolev
         self.done = self.held = 0  # rows measured, rows waiting in the block
 
     def add(self, field: np.ndarray, ref: np.ndarray) -> None:
-        np.subtract(field, ref, out=self.diff[self.held])
-        self.ref[self.held] = ref
+        """Record one row: ``field`` of shape (stack, n_cells), or (n_cells,)
+        for a stack of one."""
+        row, k = self.held, self.stack
+        np.subtract(field, ref, out=self.diff[row * k:(row + 1) * k])
+        self.ref[row] = ref
         self.held += 1
-        if self.held == len(self.diff):
+        if self.held == len(self.ref):
             self._flush()
 
     def norms(self) -> np.ndarray:
-        """(l1_rel, l1_abs, l2_abs, sobolev) of every row added, as a
-        (4, rows) array."""
+        """(l1_rel, l1_abs, l2_abs, sobolev) of every field of every row
+        added, as a (4, stack, rows) array."""
         self._flush()
-        return self.table[:, :self.done]
+        table = self.table[:, :self.done * self.stack]
+        return table.reshape(4, self.done, self.stack).transpose(0, 2, 1).copy()
 
     def _flush(self) -> None:
-        k, dx = self.held, self.dx
-        diff, ref, work = self.diff[:k], self.ref[:k], self.work[:k]
-        rel, l1, l2, sobolev = self.table[:, self.done:self.done + k]
-        np.abs(ref, out=work)
-        np.sum(work, axis=1, out=rel)
-        np.multiply(rel, dx, out=rel)  # the reference's L1 norm, for now
+        rows, k, dx = self.held, self.stack, self.dx
+        diff, work = self.diff[:rows * k], self.work[:rows * k]
+        rel, l1, l2, sobolev = self.table[:, self.done * k:(self.done + rows) * k]
+        norm = self.ref_norm[:rows]  # each reference's L1 norm
+        np.abs(self.ref[:rows], out=work[:rows])
+        np.sum(work[:rows], axis=1, out=norm)
+        np.multiply(norm, dx, out=norm)
+        rel.reshape(rows, k)[...] = norm[:, None]  # for now
         np.abs(diff, out=work)
         np.sum(work, axis=1, out=l1)
         np.multiply(l1, dx, out=l1)
@@ -163,8 +177,8 @@ class ErrorRecorder:
         np.sqrt(l2, out=l2)
         np.copyto(rel, 1.0, where=rel == 0.0)  # l1 / 1.0 is l1 exactly
         np.divide(l1, rel, out=rel)
-        _sobolev_rows(diff, self.weights, sobolev, self.spectrum[:k], self.modes[:k])
-        self.done, self.held = self.done + k, 0
+        _sobolev_rows(diff, self.weights, sobolev, self.spectrum[:rows * k], self.modes[:rows * k])
+        self.done, self.held = self.done + rows, 0
 
 
 def fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:

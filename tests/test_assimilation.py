@@ -172,6 +172,13 @@ class TestDecayStudy:
         fit = decay_study(cfg)
         assert fit.relative_deviation < 0.10
 
+    def test_too_few_rows_refused_with_their_counts(self):
+        # a zero speed takes one step over the horizon and records two rows;
+        # the fit used to fail with "not enough positive error samples"
+        with pytest.raises(ValueError, match="at least 3 recorded error rows, but the run "
+                                             "recorded 2 over 1 truth steps"):
+            decay_study(linear_config(5.0, speed=0.0))
+
 
 class TestSweep:
     def test_sweep_preserves_order_and_survives_failures(self):
@@ -181,18 +188,20 @@ class TestSweep:
         assert all(p.failed is None for p in points)
 
     def test_failures_recorded_as_sentinels(self, monkeypatch):
-        import kinassim.assimilation as mod
+        # the three gains step as one stack; the lambda = 50 row's failure
+        # fails the stack, whose gains then run again one at a time
+        relax, stacks = assimilation._relax, []
 
-        real = mod.run_twin
-
-        def flaky(config, **kwargs):
-            if config.gain.lam == 50.0:
+        def flaky(u, target, lam, dt):
+            stacks.append(len(lam))
+            if np.any(lam == 50.0):
                 raise FloatingPointError("synthetic blow-up")
-            return real(config, **kwargs)
+            return relax(u, target, lam, dt)
 
-        monkeypatch.setattr(mod, "run_twin", flaky)
-        cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=0.1)
+        monkeypatch.setattr(assimilation, "_relax", flaky)
+        cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.1)
         points = sweep_lambda(cfg, [0.0, 50.0, 100.0])
+        assert stacks[0] == 3 and set(stacks[1:]) == {1}
         assert points[0].failed is None and points[2].failed is None
         assert "FloatingPointError" in points[1].failed
         assert np.isnan(points[1].final_l1_rel)
@@ -210,6 +219,27 @@ class TestSweep:
         par = sweep_lambda(cfg, [0.0, 50.0], jobs=2)
         for a, b in zip(seq, par):
             assert a.final_l1_rel == b.final_l1_rel
+
+    def test_parallel_chunks_match_sequential(self):
+        # two chunks of the one Burgers group, of three gains and of two
+        cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.2)
+        lams = [0.0, 10.0, 50.0, 100.0, 300.0]
+        assert sweep_lambda(cfg, lams, jobs=2) == sweep_lambda(cfg, lams)
+
+    def test_one_truth_per_burgers_sweep_and_per_saint_venant_gain(self, monkeypatch):
+        truths = []
+        run_truth = assimilation._run_truth
+
+        def counted(config, lane):
+            truths.append(config.model)
+            return run_truth(config, lane)
+
+        monkeypatch.setattr(assimilation, "_run_truth", counted)
+        sweep_lambda(burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.1),
+                     [0.0, 10.0, 100.0, 1000.0])
+        assert truths == ["burgers"]
+        sweep_lambda(small_sw_config(t_final=0.01), [0.0, 5.0, 50.0])
+        assert truths == ["burgers"] + ["shallow_water"] * 3
 
 
 class TestShallowWaterTwin:
@@ -526,10 +556,8 @@ class TestEveryStepModes:
 
 
 class TestObservationFiring:
-    def test_each_observation_time_fires_once_under_substepping(self, monkeypatch):
-        # consecutive substep windows [t, t + dt/m] may overlap in floating
-        # point; an observation time in the overlap fired in both windows
-        cfg = burgers_config(100.0, BurgersObserverMode.MACROSCOPIC, t_final=1.0)
+    def windows(self, cfg, monkeypatch):
+        """The observer's substep windows [t, t + dt] of one run, and the run."""
         windows = []
         advance = assimilation._GainController.advance
 
@@ -537,27 +565,41 @@ class TestObservationFiring:
             windows.append((t, t + dt))
             return advance(self, lane, state, t, dt, *rest)
 
-        monkeypatch.setattr(assimilation._GainController, "advance", record_window)
-        run_twin(cfg)
-        monkeypatch.undo()
-        overlap = next(
-            i for i in range(len(windows) - 1) if windows[i][1] > windows[i + 1][0]
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(assimilation._GainController, "advance", record_window)
+            return windows, run_twin(cfg)
+
+    def test_each_observation_time_fires_once_under_substepping(self, monkeypatch):
+        # consecutive substep windows [t, t + dt/m] may overlap in floating
+        # point; an observation time in the overlap fired in both windows.
+        # The observer carries an unobserved pulse of height 3 ahead of the
+        # observed window [0, 0.5]: its bound is about a third of the truth's,
+        # so it divides every truth step, and the nudges inside the window do
+        # not move its substeps.
+        cfg = burgers_config(100.0, BurgersObserverMode.MACROSCOPIC, t_final=0.3)
+        cfg = replace(cfg, observer_u0=cfg.observer_u0 + square_pulse(cfg.grid, 0.55, 0.7, 3.0),
+                      obs_mask=(0.0, 0.5))
+        windows, result = self.windows(cfg, monkeypatch)
+        assert len(windows) >= 2 * len(result.dt_history)  # m > 1 on every step
+        overlaps = [i for i in range(len(windows) - 1) if windows[i][1] > windows[i + 1][0]]
+        assert overlaps
         # a window with two observation times nudges once, so the times
-        # inside the two overlapping windows give way to the one in the overlap
-        lo, hi = windows[overlap][0], windows[overlap + 1][1]
-        times = cfg.obs_times[(cfg.obs_times < lo) | (cfg.obs_times > hi)]
-        cfg = replace(cfg, obs_times=np.sort(np.append(times, windows[overlap + 1][0])))
+        # inside two overlapping windows give way to the one in the overlap
+        times = cfg.obs_times
+        for i in overlaps:
+            times = times[(times < windows[i][0]) | (times > windows[i + 1][1])]
+        times = np.sort(np.append(times, [windows[i + 1][0] for i in overlaps]))
+        cfg = replace(cfg, obs_times=times)
         nudged = []
-        step = assimilation.step_macroscopic_burgers
+        relax = assimilation._relax
 
-        def count_nudged(u, obs_u, lam, dt, grid):
-            nudged.append(obs_u is not None and lam > 0.0)
-            return step(u, obs_u, lam, dt, grid)
+        def count_nudged(u, target, lam, dt):
+            nudged.append(target is not None and bool(np.all(lam > 0.0)))
+            return relax(u, target, lam, dt)
 
-        monkeypatch.setattr(assimilation, "step_macroscopic_burgers", count_nudged)
-        run_twin(cfg)
-        assert sum(nudged) == np.count_nonzero(cfg.obs_times <= cfg.t_final) == 15
+        monkeypatch.setattr(assimilation, "_relax", count_nudged)
+        assert self.windows(cfg, monkeypatch)[0] == windows
+        assert sum(nudged) == np.count_nonzero(cfg.obs_times <= cfg.t_final) == 8
 
 
 class TestObservedDepthCFL:

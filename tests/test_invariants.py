@@ -1,0 +1,219 @@
+"""Seeded invariants over random states.
+
+The batch property: a step of k stacked rows gives each row exactly what
+its one-row call gives, and a gain sweep, which steps the observers of each
+group of its gains as one stack on one truth, gives each gain exactly what
+``run_twin`` gives at that gain.  Random data come from numpy's seeded
+``Generator``: piecewise-constant fields of 2-4 levels plus a small ripple,
+and observations with NaN windows.
+"""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import kinassim.assimilation as assimilation
+from kinassim.assimilation import (
+    BurgersObserverMode,
+    GainSchedule,
+    RunConfig,
+    TemporalMode,
+    run_twin,
+    sweep_lambda,
+)
+from kinassim.burgers import (
+    KineticField,
+    burgers_cfl,
+    step_collapse_macroscopic,
+    step_kinetic_burgers,
+    step_kinetic_linear,
+    step_macroscopic_burgers,
+)
+from kinassim.grid import BoundaryKind, Grid1D, XiGrid
+from kinassim.observation import NoiseSpec
+
+BCS = [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO]
+
+
+def levels(rng, n, lo=-1.0, hi=1.0):
+    """A piecewise-constant field of 2-4 levels in [lo, hi] plus a small ripple."""
+    cuts = np.sort(rng.choice(np.arange(1, n), rng.integers(1, min(3, n - 1) + 1), replace=False))
+    values = rng.uniform(lo, hi, len(cuts) + 1)
+    field = np.repeat(values, np.diff(np.concatenate(([0], cuts, [n]))))
+    return field + 0.01 * (hi - lo) * rng.standard_normal(n)
+
+
+def observation(rng, n):
+    """Observed values with a NaN window (unobserved cells), or None."""
+    if rng.random() < 0.2:
+        return None
+    obs = levels(rng, n)
+    a, b = np.sort(rng.integers(0, n, 2))
+    obs[a:b] = np.nan
+    return obs
+
+
+def gains(rng, k):
+    """k per-row gains as a column, some of them zero."""
+    lam = rng.choice([0.0, 3.0, 40.0, 1e4], k) * rng.uniform(0.5, 1.5, k)
+    return lam[:, None]
+
+
+class TestStepBatches:
+    """Each row of a (k, n) step equals the one-row call bit for bit."""
+
+    cases = 60
+
+    def rows(self, rng, k, n):
+        return np.stack([levels(rng, n) for _ in range(k)])
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_collapse(self, bc):
+        rng = np.random.default_rng(11)
+        for _ in range(self.cases):
+            k, n = rng.integers(1, 7), rng.integers(2, 60)
+            grid, xi = Grid1D(n, 0.0, 1.0, bc), XiGrid(-1.5, 1.5, rng.integers(1, 40))
+            u, obs, lam = self.rows(rng, k, n), observation(rng, n), gains(rng, k)
+            dt = burgers_cfl(grid.dx, xi.speed_sup, rng.uniform(0.1, 1.0))
+            out = step_collapse_macroscopic(u, obs, lam, dt, grid, xi)
+            for r in range(k):
+                one = step_collapse_macroscopic(u[r], obs, lam[r, 0], dt, grid, xi)
+                assert np.array_equal(out[r], one)
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_engquist_osher(self, bc):
+        rng = np.random.default_rng(12)
+        for _ in range(self.cases):
+            k, n = rng.integers(1, 7), rng.integers(2, 60)
+            grid = Grid1D(n, 0.0, 1.0, bc)
+            u, obs, lam = self.rows(rng, k, n), observation(rng, n), gains(rng, k)
+            dt = burgers_cfl(grid.dx, float(np.max(np.abs(u))), rng.uniform(0.1, 1.0))
+            out = step_macroscopic_burgers(u, obs, lam, dt, grid)
+            for r in range(k):
+                assert np.array_equal(out[r], step_macroscopic_burgers(u[r], obs, lam[r, 0], dt, grid))
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_linear(self, bc):
+        rng = np.random.default_rng(13)
+        for _ in range(self.cases):
+            k, n = rng.integers(1, 7), rng.integers(2, 60)
+            grid, speed = Grid1D(n, 0.0, 1.0, bc), rng.uniform(-2.0, 2.0)
+            u, obs, lam = self.rows(rng, k, n), observation(rng, n), gains(rng, k)
+            dt = burgers_cfl(grid.dx, abs(speed), rng.uniform(0.1, 1.0))
+            out = step_kinetic_linear(u, speed, obs, lam, dt, grid)
+            for r in range(k):
+                one = step_kinetic_linear(u[r], speed, obs, lam[r, 0], dt, grid)
+                assert np.array_equal(out[r], one)
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_kinetic(self, bc):
+        rng = np.random.default_rng(14)
+        for _ in range(self.cases // 2):
+            k, n = rng.integers(1, 5), rng.integers(2, 40)
+            grid, xi = Grid1D(n, 0.0, 1.0, bc), XiGrid(-1.5, 1.5, rng.integers(1, 24))
+            values = rng.uniform(-1.0, 1.0, (k, n, xi.n_xi))
+            obs, lam = observation(rng, n), gains(rng, k)[:, :, None]
+            dt = burgers_cfl(grid.dx, xi.speed_sup, rng.uniform(0.1, 1.0))
+            out = step_kinetic_burgers(KineticField(values, xi, grid), obs, lam, dt)
+            assert out.values.shape == (k, n, xi.n_xi)
+            for r in range(k):
+                one = step_kinetic_burgers(KineticField(values[r], xi, grid), obs, lam[r, 0, 0], dt)
+                assert np.array_equal(out.values[r], one.values)
+
+
+def pulse(grid, lo, hi, value):
+    x = grid.centers
+    return np.where((x >= lo) & (x <= hi), value, 0.0)
+
+
+LANES = {
+    "collapse": dict(observer_mode=BurgersObserverMode.COLLAPSE),
+    "bgk": dict(observer_mode=BurgersObserverMode.BGK, n_xi=24),
+    "engquist_osher": dict(observer_mode=BurgersObserverMode.MACROSCOPIC),
+    "linear": dict(fixed_xi=0.8),
+}
+MODES = {
+    "at_times": dict(temporal_mode=TemporalMode.AT_OBSERVATION_TIMES),
+    "every_step": dict(temporal_mode=TemporalMode.EVERY_STEP),
+    "interpolated": dict(temporal_mode=TemporalMode.INTERPOLATED),
+    "mollified": dict(temporal_mode=TemporalMode.MOLLIFIED, sigma=0.03),
+}
+SWEEP = [0.0, 20.0, 300.0]
+
+
+def twin_config(lane, mode, observed, observer_height=0.75, t_final=0.15):
+    """A small Burgers twin: a unit top hat observed every 0.03, with a mask
+    and noise when ``observed`` says so."""
+    grid = Grid1D(48, 0.0, 1.0, BoundaryKind.DIRICHLET_ZERO)
+    return RunConfig(
+        model="burgers",
+        grid=grid,
+        t_final=t_final,
+        gain=GainSchedule(1.0, **MODES[mode]),
+        truth_u0=pulse(grid, 0.125, 0.25, 1.0),
+        observer_u0=pulse(grid, 1.0 / 12.0, 1.0 / 6.0, observer_height),
+        obs_times=0.03 * np.arange(1, 6),
+        obs_mask=(0.05, 0.45) if observed else None,
+        noise=NoiseSpec(0.02, r=1.0, alpha=0.25) if observed else None,
+        **LANES[lane],
+    )
+
+
+def assert_same_run(stacked, alone):
+    for name in ("times", "l1_rel", "l1_abs", "l2_abs", "sobolev"):
+        assert np.array_equal(getattr(stacked.errors, name), getattr(alone.errors, name)), name
+    assert np.array_equal(stacked.dt_history, alone.dt_history)
+    assert np.array_equal(stacked.recorded_dt, alone.recorded_dt, equal_nan=True)
+    final = [np.asarray(getattr(r.final_observer, "values", r.final_observer))
+             for r in (stacked, alone)]
+    assert final[0].shape == final[1].shape and np.array_equal(*final)
+    assert stacked.config_echo == alone.config_echo
+
+
+class TestSweepBatches:
+    """Every row of a stacked sweep equals run_twin at its gain."""
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["full", "masked_noisy"])
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("lane", list(LANES))
+    def test_rows_equal_single_twins(self, lane, mode, observed):
+        cfg = twin_config(lane, mode, observed)
+        groups = assimilation._groups(cfg, SWEEP)
+        assert len(groups) == (len(SWEEP) if lane == "engquist_osher" else 1)
+        stacked = [r for group in groups for r in assimilation._run_group(cfg, group)]
+        for lam, result in zip(SWEEP, stacked):
+            assert_same_run(result, run_twin(replace(cfg, gain=replace(cfg.gain, lam=lam))))
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_engquist_osher_gains_substepping_apart(self, mode, monkeypatch):
+        # the observer starts twice as high as the truth, so it divides the
+        # truth's steps until its gain pulls it down: the strong gains stop
+        # substepping first, the zero gain never does
+        cfg = replace(twin_config("engquist_osher", mode, False, observer_height=2.0, t_final=0.3),
+                      obs_times=0.02 * np.arange(1, 16))
+        lams = [0.0, 30.0, 3000.0]
+        substeps, alone = [], []
+        advance = assimilation._GainController.advance
+
+        def count(self, *args):
+            substeps[-1] += 1
+            return advance(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(assimilation._GainController, "advance", count)
+            for lam in lams:
+                substeps.append(0)
+                alone.append(run_twin(replace(cfg, gain=replace(cfg.gain, lam=lam))))
+        assert len(set(substeps)) > 1
+        for point, result in zip(sweep_lambda(cfg, lams), alone):
+            assert (point.final_l1_rel, point.final_sobolev) == (
+                result.final_l1_rel, result.final_sobolev
+            )
+
+    def test_sweep_points_equal_single_twins(self):
+        cfg = twin_config("collapse", "at_times", True)
+        for point in sweep_lambda(cfg, SWEEP):
+            alone = run_twin(replace(cfg, gain=replace(cfg.gain, lam=point.lam)))
+            assert (point.final_l1_rel, point.final_sobolev) == (
+                alone.final_l1_rel, alone.final_sobolev
+            )

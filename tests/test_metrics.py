@@ -114,7 +114,7 @@ class TestErrorRecorder:
         recorder = ErrorRecorder(rows, grid, 0.125)
         for field, ref in zip(fields, refs):
             recorder.add(field, ref)
-        rel, l1, l2, sobolev = recorder.norms()
+        rel, l1, l2, sobolev = recorder.norms()[:, 0]  # a stack of one field
         dx = grid.dx
         norm = [np.sum(np.abs(r)) * dx for r in refs]
         expect_l1 = [l1_absolute(f, r, dx) for f, r in zip(fields, refs)]
@@ -129,6 +129,26 @@ class TestErrorRecorder:
         assert np.array_equal(
             sobolev, [fft_seminorm(f - r, 0.125, grid) for f, r in zip(fields, refs)]
         )
+
+    @pytest.mark.parametrize("n, stack", [(99, 3), (4000, 5), (100, 300)])
+    def test_stacked_fields_match_single_fields(self, n, stack):
+        # a stack of fields against one reference per row, one row past a
+        # full block, gives each field what its own recorder gives
+        grid = Grid1D(n, -1.0, 2.5)
+        rows = len(ErrorRecorder(1, grid, 0.125, stack).ref) + 1
+        rng = np.random.default_rng(n + stack)
+        fields, refs = rng.normal(size=(rows, stack, n)), rng.normal(size=(rows, n))
+        refs[-1] = 0.0
+        stacked = ErrorRecorder(rows, grid, 0.125, stack)
+        singles = [ErrorRecorder(rows, grid, 0.125) for _ in range(stack)]
+        for row, ref in zip(fields, refs):
+            stacked.add(row, ref)
+            for single, field in zip(singles, row):
+                single.add(field, ref)
+        norms = stacked.norms()
+        assert norms.shape == (4, stack, rows)
+        for j, single in enumerate(singles):
+            assert np.array_equal(norms[:, j], single.norms()[:, 0])
 
     @pytest.mark.parametrize("n, rows", [(2, 256), (100, 163), (4000, 4), (40000, 1)])
     def test_block_stays_within_its_byte_budget(self, n, rows):
