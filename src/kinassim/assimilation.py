@@ -8,12 +8,18 @@ gain per row, against one truth; a single twin is the sweep of one gain.
 
 Every model is the same kinetic equation with the relaxation source
 lam (M_obs - f); only the transport and the closure differ.  A *lane* holds
-that per-model part: its CFL bound, one step with an optional source toward
-an observed field, the field it observes and is compared on, the mollified
-source with its snapshots, and the energy (Saint-Venant only).  ``_lanes``
-builds the truth and observer lanes from the configuration, and each phase
-has one time loop over its lane.  The truth lane is the observer's scheme at
-lam = 0, except that the BGK observer's truth runs the collapsed lane.
+that per-model part: its CFL bound, one step that transports and then nudges
+toward the weighted mean of a list of innovation terms, the field it
+observes and is compared on, and the energy (Saint-Venant only).  Every
+temporal mode resolves to such terms (``_GainController.resolve``): one term
+of weight 1 toward the held, interpolated or truth-read target, or one
+kernel-weighted term per observation time under the mollified gain.  The
+Burgers lanes relax exactly toward the mean innovation with one
+``burgers._relax`` on the gap; the Saint-Venant lane adds it as an explicit
+source.  ``_lanes`` builds the truth and observer lanes from the
+configuration, and each phase has one time loop over its lane.  The truth
+lane is the observer's scheme at lam = 0, except that the BGK observer's
+truth runs the collapsed lane.
 
 Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
@@ -160,6 +166,8 @@ class RunConfig:
             )
         if not (math.isfinite(self.xi_margin) and self.xi_margin >= 0.0):
             raise ValueError(f"xi_margin must be finite and nonnegative, got {self.xi_margin!r}")
+        if self.n_xi < 1:
+            raise ValueError(f"n_xi must be >= 1, got {self.n_xi!r}")
         if self.obs_times is not None:
             times = self.obs_times = np.asarray(self.obs_times, dtype=float)
             if times.ndim != 1 or not (
@@ -208,7 +216,6 @@ class RunConfig:
             "noise_epsilon": None if self.noise is None else self.noise.epsilon,
             "noise_r": None if self.noise is None else self.noise.r,
             "noise_alpha": None if self.noise is None else self.noise.alpha,
-            "noise_kind": None if self.noise is None else self.noise.kind,
         }
         if self.model == "burgers":
             out.update(
@@ -260,18 +267,16 @@ class _Lane:
 
     The truth phase steps one field.  The observer phase steps a stack of k
     observers with one gain per row (``stack``, ``row``), k = 1 for a single
-    twin.  ``step(state, dt, lams, obs)`` transports, then
-    relaxes each row toward the target of the observed field ``obs`` (NaN
-    marks unobserved cells) at its gain in ``lams``; obs None is transport
-    alone.  ``mollified_step`` applies the kernel-weighted sources of
-    ``_GainController.mollified_pairs`` instead: after transport, an exact
-    relaxation at gain lam * W toward the kernel-weighted mean innovation,
-    W being the total kernel weight.
+    twin.  ``step(state, dt, lams, terms)`` transports, then nudges each row
+    at its gain in ``lams`` times the total weight W of the innovation terms
+    ``terms`` (``_GainController.resolve``) toward their weighted mean
+    (``_mean_innovation``); terms None is transport alone.
 
     The base class is a Burgers lane on the field u, one row per observer,
     given its bound, its gain-free transport and the relaxation target of an
-    observed field as callables.  Every Burgers lane relaxes the whole stack
-    with one ``_relax``.
+    observed field as callables.  Every Burgers lane measures its
+    innovations after transport and relaxes the whole stack exactly with one
+    ``_relax``.
     """
 
     clamp_nonnegative = False  # truncate negative noisy observations
@@ -283,7 +288,12 @@ class _Lane:
     def __init__(self, initial, bound, transport, xi: XiGrid | None = None, target=None):
         self.initial, self.bound, self.transport = initial, bound, transport
         self.xi = xi  # kinetic-velocity grid the observations must fit in
-        self.target = (lambda obs: obs) if target is None else target
+        if target is not None:
+            self.target = target
+
+    def target(self, obs):
+        """What the lane relaxes toward for the observed field ``obs``."""
+        return obs
 
     def stack(self, k: int):
         """k copies of the initial state, one row each."""
@@ -295,11 +305,12 @@ class _Lane:
     def cfl(self, state, obs=None) -> float:
         return self.bound(state)
 
-    def step(self, state, dt, lams=None, obs=None):
+    def step(self, state, dt, lams=None, terms=None):
         new = self.transport(state, dt)
-        if obs is None:
+        if terms is None:
             return new
-        return _relax(new, self.target(obs), _per_row(lams, new), dt)
+        gap, weight = _mean_innovation(self, terms, self.reference(new))
+        return _relax(new, gap, _per_row(lams, new) * weight, dt)
 
     def observed(self, state):
         return state
@@ -311,21 +322,14 @@ class _Lane:
     def snapshot(self, state):
         return self.reference(state).copy()
 
-    def innovation(self, obs_field, ref):
-        return np.where(np.isfinite(obs_field), obs_field - ref, 0.0)
-
     def energy(self, state):
         return None
-
-    def mollified_step(self, state, dt, lams, pairs):
-        new = self.transport(state, dt)
-        mean, weight = _mean_innovation(self, pairs, self.reference(new))
-        return new - np.expm1(-_per_row(lams, new) * weight * dt) * mean
 
 
 class _BGKLane(_Lane):
     """Burgers, free kinetic density f(x, xi), stepped as the values of a
-    KineticField, (k, n_cells, n_xi) for k rows: the source acts in kinetic
+    KineticField, (k, n_cells, n_xi) for k rows: the target of an observed
+    field is its cell-averaged indicator, so the source acts in kinetic
     space."""
 
     def __init__(self, field: KineticField, bound, transport):
@@ -341,17 +345,16 @@ class _BGKLane(_Lane):
     def reference(self, state):
         return state
 
-    def innovation(self, obs_field, ref):
-        gap = self.xi.indicator(obs_field) - ref
-        return np.where(np.isfinite(gap), gap, 0.0)
 
-
-def _mean_innovation(lane: _Lane, pairs, ref_now):
-    """(sum_k w_k (obs_k - ref_k) / W, W) over the kernel terms ``pairs``,
-    W = sum_k w_k; a term without a snapshot is measured against ``ref_now``."""
-    total, weight = np.zeros_like(ref_now), 0.0
-    for w, obs_field, ref in pairs:
-        total += w * lane.innovation(obs_field, ref_now if ref is None else ref)
+def _mean_innovation(lane: _Lane, terms, ref_now):
+    """(sum_k w_k g_k / W, W) over the innovation terms (w_k, obs_k, ref_k),
+    W = sum_k w_k, with g_k = lane.target(obs_k) - ref_k where finite and 0
+    on unobserved cells; a term without a snapshot ref_k is measured against
+    ``ref_now``."""
+    total, weight = 0.0, 0.0
+    for w, obs_field, ref in terms:
+        gap = lane.target(obs_field) - (ref_now if ref is None else ref)
+        total = total + w * np.where(np.isfinite(gap), gap, 0.0)
         weight += w
     return total / weight, weight
 
@@ -359,7 +362,11 @@ def _mean_innovation(lane: _Lane, pairs, ref_now):
 class _SWLane(_Lane):
     """Kinetic Saint-Venant scheme; the observed field is the depth, averaged
     over ``factor`` cells when the truth runs on a refined grid.  Its time
-    grid depends on the gain, so it steps a stack of one observer."""
+    grid depends on the gain, so it steps a stack of one observer.  Its
+    innovations are measured against the depth before the step, and its
+    source is explicit: one source-and-settle update at the gain times the
+    total weight, so the CFL bound and the positivity check see the gain
+    actually applied."""
 
     clamp_nonnegative = True
     target_level = 0
@@ -401,10 +408,11 @@ class _SWLane(_Lane):
             bound = min(bound, self.safety * dx / (self.lam_cfl * dx + float(top)))
         return bound
 
-    def step(self, state, dt, lams=None, obs=None):
-        if obs is None:
+    def step(self, state, dt, lams=None, terms=None):
+        if terms is None:
             return sv_forward_step(state, dt)
-        return sv_observer_step(state, obs, float(lams[0]), dt)
+        dh, weight = _mean_innovation(self, terms, state.h)
+        return sv_observer_step(state, None, float(lams[0]) * weight, dt, dh=dh)
 
     def observed(self, state):
         if self.factor == 1:
@@ -413,12 +421,6 @@ class _SWLane(_Lane):
 
     def energy(self, state):
         return total_energy(state)
-
-    def mollified_step(self, state, dt, lams, pairs):
-        # one source-and-settle update at the total weighted gain, so the CFL
-        # bound and the positivity check see the gain actually applied
-        dh, weight = _mean_innovation(self, pairs, state.h)
-        return sv_observer_step(state, None, float(lams[0]) * weight, dt, dh=dh)
 
 
 def _lam_for_cfl(config: RunConfig) -> float:
@@ -580,16 +582,22 @@ class _GainController:
     """Resolves what nudges each observer window and advances the observer
     lane under it, for a stack of observers with one gain per row.
 
-    ``resolve`` answers once per window: a relaxation target (NaN outside the
-    observation window ``obs_mask``, None when nothing is observed or no row
-    has a positive gain) or, under the mollified gain, the kernel-weighted
-    observations.  A target read from the truth trajectory (at-observation-time
-    nudging, and every-step nudging without observation times) is the truth
-    state at the time level of the lane's source (``_Lane.target_level``): for
-    the Burgers lanes, which relax exactly after transport, the end t_{n+1}
-    of truth step n; for the Saint-Venant lane, whose source is explicit, its
-    start t_n.  Either way a twin started from the truth's own state stays on
-    it to machine precision.  At observation times the step is the one that
+    ``resolve`` answers once per window with the innovation terms of
+    ``_Lane.step``, a list of (weight, observed field, snapshot), or None when
+    nothing is observed or no row has a positive gain.  Every temporal mode
+    but the mollified gain resolves one term (1.0, target, None): a target
+    NaN outside the observation window ``obs_mask`` and measured against the
+    observer's current state.  The mollified gain resolves one term per
+    observation time within sigma, its kernel weight and field, measured
+    against the observers' snapshot at that time once they have reached it.
+
+    A target read from the truth trajectory (at-observation-time nudging, and
+    every-step nudging without observation times) is the truth state at the
+    time level of the lane's source (``_Lane.target_level``): for the Burgers
+    lanes, which relax exactly after transport, the end t_{n+1} of truth step
+    n; for the Saint-Venant lane, whose source is explicit, its start t_n.
+    Either way a twin started from the truth's own state stays on it to
+    machine precision.  At observation times the step is the one that
     contains t_k.  A forward pointer walks the observation times: a window
     fires when the next time falls before its end (the final window takes
     every time left), and ``advance`` moves the pointer past that end once the
@@ -620,8 +628,6 @@ class _GainController:
         self.mollifier = (
             Mollifier(gain.sigma) if gain.temporal_mode is TemporalMode.MOLLIFIED else None
         )
-        # observer references at each observation time, one row per observer
-        self.snapshots: list = []
         self._noise = None if config.noise is None else noise_field(config.noise, grid)
         # Observation times, those past the horizon dropped: they could never
         # be assimilated.  None observes the truth exactly at every step.
@@ -641,6 +647,12 @@ class _GainController:
             )
             _refuse_saturation(series.fields, self.xi)
             self.series = series
+        # observer references at each observation time, one row per observer,
+        # taken under the mollified gain only
+        self.snapshots: list = []
+        self._snapshot_times = (
+            self.series.times if self.mollifier is not None and self.series is not None else ()
+        )
 
     def _skip_to(self, t: float) -> int:
         """Move the pointer past the observation times below t."""
@@ -651,21 +663,24 @@ class _GainController:
         return k
 
     def resolve(self, t_lo: float, t_hi: float, step_index: int, is_last: bool):
-        """What nudges the window [t_lo, t_hi] of truth step ``step_index``:
-        a list of (weight, field, snapshot) under the mollified gain, else a
-        relaxation target or None.  The firing check only peeks at the
+        """The innovation terms that nudge the window [t_lo, t_hi] of truth
+        step ``step_index``, or None.  The firing check only peeks at the
         pointer; the hold path moves it up to t_lo, which never decreases."""
+        times, series = self.times, self.series
         if self.mollifier is not None:
-            return self.mollified_pairs(t_lo)
+            if series is None:
+                return None
+            _, pairs = mollified_gain(series, self.mollifier, t_lo)
+            snaps = self.snapshots
+            return [(w, f, snaps[k] if k < len(snaps) else None) for k, w, f in pairs] or None
         if not self._gained:
             return None
-        times, series = self.times, self.series
         if series is not None:  # every step, against the sampled series
             if t_lo < times[0] - _TIME_TOL:
                 return None
             if self.config.gain.temporal_mode is TemporalMode.INTERPOLATED:
-                return interpolate_in_time(series, min(t_lo, times[-1]))
-            return series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)]
+                return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])), None)]
+            return [(1.0, series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)], None)]
         if self.at_times:
             if not (self._next < len(times) and (is_last or times[self._next] < t_hi)):
                 return None
@@ -676,41 +691,18 @@ class _GainController:
             self.clamp,
         )
         _refuse_saturation(target, self.xi)
-        return target
+        return [(1.0, target, None)]
 
-    def mollified_pairs(self, t: float):
-        """[(weight, field, snapshot)] of kernel contributions at time t; the
-        snapshot is None until the observers have reached that observation."""
-        if self.series is None:
-            return []
-        _, pairs = mollified_gain(self.series, self.mollifier, t)
-        snaps = self.snapshots
-        return [(w, f, snaps[k] if k < len(snaps) else None) for k, w, f in pairs]
-
-    def cfl_field(self, nudge):
-        """The observed field of a resolved ``nudge`` the observer's CFL bound
-        must allow for: the target, or the first kernel term's field."""
-        if self.mollifier is None:
-            return nudge
-        return nudge[0][1] if nudge else None
-
-    def advance(self, lane: _Lane, state, t: float, dt: float, nudge):
+    def advance(self, lane: _Lane, state, t: float, dt: float, terms):
         """One substep of the observers over [t, t + dt] under their resolved
-        ``nudge``."""
-        if self.mollifier is None:
-            state = lane.step(state, dt, self.lams, nudge)
-            if nudge is not None and self.at_times:
-                self._skip_to(t + dt)
-            return state
-        if nudge:
-            state = lane.mollified_step(state, dt, self.lams, nudge)
-        else:
-            state = lane.step(state, dt)
-        times = [] if self.series is None else self.series.times
-        while len(self.snapshots) < len(times) and (
-            times[len(self.snapshots)] <= t + dt + _TIME_TOL
-        ):
-            self.snapshots.append(lane.snapshot(state))
+        innovation ``terms``, then the snapshots of the observation times it
+        has reached."""
+        state = lane.step(state, dt, self.lams, terms)
+        if terms is not None and self.at_times:
+            self._skip_to(t + dt)
+        times, snaps = self._snapshot_times, self.snapshots
+        while len(snaps) < len(times) and times[len(snaps)] <= t + dt + _TIME_TOL:
+            snaps.append(lane.snapshot(state))
         return state
 
 
@@ -750,10 +742,10 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
     budget, substeps = _STEP_BUDGET * len(dts), 0
     for n, dt in enumerate(dts):
         last = n == len(dts) - 1
-        nudge = controller.resolve(times[n], times[n + 1], n, last)
-        bound = _checked_bound(
-            lane.cfl(state, controller.cfl_field(nudge)), "observer", times[n]
-        )
+        terms = controller.resolve(times[n], times[n + 1], n, last)
+        # the observed field the observer's bound must allow for
+        probe = None if terms is None else terms[0][1]
+        bound = _checked_bound(lane.cfl(state, probe), "observer", times[n])
         m = 1 if bound >= dt * (1.0 - 1e-9) else math.ceil(min(dt / bound, budget + 1.0))
         substeps += m
         if substeps > budget:
@@ -765,8 +757,8 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
         for j in range(m):
             t, closes = times[n] + j * sub, last and j == m - 1
             if m > 1:  # each substep resolves its own window
-                nudge = controller.resolve(t, t + sub, n, closes)
-            state = controller.advance(lane, state, t, sub, nudge)
+                terms = controller.resolve(t, t + sub, n, closes)
+            state = controller.advance(lane, state, t, sub, terms)
         if (n + 1) % config.record_every == 0 or last:
             record(n + 1)
     recorded = np.asarray(recorded)

@@ -1,10 +1,12 @@
 """Kinetic BGK observer solver for 1D Burgers and its macroscopic equivalent.
 
 Every step transports, then relaxes exactly: u* = transport(u), then
-u_new = u* + (1 - exp(-lam dt)) (target - u*) on the observed cells
-(``_relax``).  This is the Lie splitting of the BGK relaxation source with
-the stiff part integrated exactly, a convex combination for any lam dt, so
-the CFL bounds hold transport alone and do not depend on the gain.
+u_new = u* + (1 - exp(-lam dt)) gap on the observed cells, where the gap is
+target - u*.  ``_relax`` takes the gap, not the target, so the twin driver
+relaxes through it toward any mean innovation.  This is the Lie splitting
+of the BGK relaxation source with the stiff part integrated exactly, a
+convex combination for any lam dt, so the CFL bounds hold transport alone
+and do not depend on the gain.
 
 Three discrete lanes solve the nudged Burgers problem:
 
@@ -94,14 +96,13 @@ def _pad(values: np.ndarray, bc: BoundaryKind, axis: int = -1) -> np.ndarray:
     raise ValueError(f"boundary kind {bc} is not supported by the Burgers solvers")
 
 
-def _relax(u, target, lam, dt):
-    """Exact relaxation of du/dt = lam (target - u) over dt:
-    u + (1 - exp(-lam dt)) (target - u) where the target is finite (NaN
-    marks unobserved cells), u elsewhere.  ``lam`` may be a scalar or an
-    array broadcasting against u; target None leaves u as it is."""
-    if target is None or not np.any(lam):
+def _relax(u, gap, lam, dt):
+    """Exact relaxation of du/dt = lam (target - u) over dt, given the gap
+    target - u: u + (1 - exp(-lam dt)) gap where the gap is finite (NaN marks
+    unobserved cells), u elsewhere.  ``lam`` may be a scalar or an array
+    broadcasting against u; gap None leaves u as it is."""
+    if gap is None or not np.any(lam):
         return u
-    gap = target - u
     return u + np.where(np.isfinite(gap), -np.expm1(-lam * dt) * gap, 0.0)
 
 
@@ -132,7 +133,7 @@ def step_kinetic_burgers(
     )
     new = f.values - (dt / dx) * div
     if obs_u is not None:
-        new = _relax(new, f.xi.indicator(obs_u), lam, dt)
+        new = _relax(new, f.xi.indicator(obs_u) - new, lam, dt)
     return replace(f, values=new)
 
 
@@ -155,7 +156,8 @@ def step_kinetic_linear(
     else:
         div = speed * (fp[..., 2:] - fp[..., 1:-1])
     new = f - (dt / grid.dx) * div
-    return _relax(new, f_obs, np.asarray(lam, dtype=float), dt)
+    gap = None if f_obs is None else f_obs - new
+    return _relax(new, gap, np.asarray(lam, dtype=float), dt)
 
 
 def engquist_osher_flux(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -168,7 +170,8 @@ def _conservative_step(u, target, lam, dt, grid, flux):
     cell values to the n_cells + 1 interface fluxes, then exact relaxation
     toward ``target``."""
     f = flux(_pad(u, grid.bc))
-    return _relax(u - (dt / grid.dx) * (f[..., 1:] - f[..., :-1]), target, lam, dt)
+    new = u - (dt / grid.dx) * (f[..., 1:] - f[..., :-1])
+    return _relax(new, None if target is None else target - new, lam, dt)
 
 
 def step_macroscopic_burgers(

@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .assimilation import run_twin, sweep_lambda
 from .config import ConfigError, emit_csv, parse_config
@@ -22,10 +21,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p):
         p.add_argument("--out", help="write a CSV report to this path")
-        if seeded:
-            p.add_argument("--seed", type=int, help="seed for stochastic noise")
         p.add_argument("--quiet", action="store_true", help="suppress the summary")
 
     p_burgers = sub.add_parser("run-burgers", help="run a Burgers twin experiment")
@@ -50,24 +47,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--speed", type=float, required=True)
     p_obs.add_argument("--interval", required=True, help="a,b with 0 < a < b < 1")
     p_obs.add_argument("--horizon", type=float, required=True)
-    common(p_obs, seeded=False)
+    common(p_obs)
     return parser
 
 
-def _load(path: str, expected_model: str | None, seed):
+def _load(path: str, expected_model: str | None = None):
     config = parse_config(path)
     if expected_model is not None and config.model != expected_model:
         raise ConfigError(
             f"config model is {config.model!r}; this subcommand expects "
             f"{expected_model!r}"
         )
-    if seed is not None and config.noise is not None:
-        config.noise = replace(config.noise, seed=seed)
     return config
 
 
 def _run_single(args, expected_model: str) -> int:
-    config = _load(args.config, expected_model, args.seed)
+    config = _load(args.config, expected_model)
     result = run_twin(config)
     if args.out:
         emit_csv(result, args.out)
@@ -90,7 +85,7 @@ def _run_sweep(args) -> int:
     if not lam_values or not all(math.isfinite(v) and v >= 0.0 for v in lam_values):
         raise ConfigError("--lambdas must be comma-separated finite, nonnegative gains, "
                           f"got {args.lambdas!r}")
-    config = _load(args.config, None, args.seed)
+    config = _load(args.config)
     points = sweep_lambda(config, lam_values, jobs=args.jobs)
     if args.out:
         emit_csv(points, args.out)

@@ -47,7 +47,7 @@ _SECTION_KEYS = {
                  "h_right", "x_split", "mode", "n_xi", "xi_margin"},
     "gain": {"lambda", "temporal", "sigma"},
     "observations": {"count", "t_first", "t_last", "every", "mask_lo", "mask_hi"},
-    "noise": {"epsilon", "r", "alpha", "kind", "seed"},
+    "noise": {"epsilon", "r", "alpha"},
     "output": {"record_every", "sobolev_order"},
 }
 
@@ -262,8 +262,6 @@ def parse_config(path: str) -> RunConfig:
                 epsilon=noise_sec.require(noise_sec.real("epsilon"), "epsilon"),
                 r=noise_sec.real("r", 1.0),
                 alpha=noise_sec.real("alpha", 0.0),
-                kind=noise_sec.text("kind", "oscillatory"),
-                seed=noise_sec.integer("seed"),
             )
         except ValueError as exc:
             raise ConfigError(f"[noise] {exc}") from None
@@ -295,11 +293,14 @@ def parse_config(path: str) -> RunConfig:
             xi_margin = observer_sec.real("xi_margin", 1.0)
             if xi_margin < 0.0:
                 raise ConfigError("[observer] xi_margin must be nonnegative")
+            n_xi = observer_sec.integer("n_xi", 64)
+            if n_xi < 1:
+                raise ConfigError("[observer] n_xi must be >= 1")
             return RunConfig(
                 truth_u0=_burgers_ic(truth_sec, grid),
                 observer_u0=_burgers_ic(observer_sec, grid),
                 observer_mode=mode,
-                n_xi=observer_sec.integer("n_xi", 64),
+                n_xi=n_xi,
                 xi_margin=xi_margin,
                 **common,
             )

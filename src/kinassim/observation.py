@@ -17,15 +17,11 @@ from .grid import Grid1D
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Deterministic oscillatory observation noise (optionally a seeded
-    uniform field for robustness experiments; that variant carries no
-    theoretical weight)."""
+    """Deterministic oscillatory observation noise."""
 
     epsilon: float
     r: float = 1.0
     alpha: float = 0.0
-    kind: str = "oscillatory"
-    seed: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -34,18 +30,12 @@ class NoiseSpec:
             raise ValueError(f"r must be finite, got {self.r!r}")
         if not 0.0 <= self.alpha < 0.5:  # NaN fails too
             raise ValueError(f"alpha must lie in [0, 1/2), got {self.alpha!r}")
-        if self.kind not in ("oscillatory", "uniform"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
 def noise_field(spec: NoiseSpec, grid: Grid1D) -> np.ndarray:
     """Noise values at cell centers."""
-    x = grid.centers
-    if spec.kind == "oscillatory":
-        amp = spec.epsilon ** (spec.r - spec.alpha)
-        return amp * np.cos(x / spec.epsilon + spec.alpha * math.pi / 2.0)
-    rng = np.random.default_rng(spec.seed)
-    return spec.epsilon * rng.uniform(-1.0, 1.0, size=grid.n_cells)
+    amp = spec.epsilon ** (spec.r - spec.alpha)
+    return amp * np.cos(grid.centers / spec.epsilon + spec.alpha * math.pi / 2.0)
 
 
 @dataclass

@@ -351,9 +351,10 @@ def sv_observer_step(
     convex-combination structure that yields the discrete energy inequality.
 
     ``dh`` replaces the depth innovation obs_h - H (``obs_h`` is then
-    ignored): the mollified gain passes the kernel-weighted mean of several
-    innovations, each against the observer's depth at its observation time,
-    with ``lam`` the total weighted gain.
+    ignored): the twin driver passes the weighted mean of its innovation
+    terms (under the mollified gain, several, each against the observer's
+    depth at its observation time), with ``lam`` the gain times their total
+    weight.
     """
     work = state._work.begin()
     if dh is None:

@@ -418,6 +418,11 @@ class TestXiGridSaturationRefused:
         with pytest.raises(ValueError, match="xi_margin must be finite and nonnegative"):
             replace(burgers_config(), xi_margin=margin)
 
+    @pytest.mark.parametrize("n_xi", [0, -1])
+    def test_n_xi_below_one_refused(self, n_xi):
+        with pytest.raises(ValueError, match=rf"n_xi must be >= 1, got {n_xi}"):
+            replace(burgers_config(), n_xi=n_xi)
+
 
 def small_sw_config(t_final=0.02, factor=1):
     grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
@@ -544,13 +549,13 @@ class TestEveryStepModes:
                 assert nudge is None
                 continue
             k = max(int(np.searchsorted(series.times, t + 1e-12)) - 1, 0)
-            np.testing.assert_array_equal(nudge, series.fields[k])
+            np.testing.assert_array_equal(nudge[0][1], series.fields[k])
             rows.add(k)
         assert rows == set(range(len(series.times) - 1))  # no step starts at t_final
 
     def test_interpolated_interpolates_on_every_nudged_step(self, monkeypatch):
         calls, seen = self.run(TemporalMode.INTERPOLATED, monkeypatch)
-        nudged = [id(nudge) for _, nudge, _ in seen if nudge is not None]
+        nudged = [id(nudge[0][1]) for _, nudge, _ in seen if nudge is not None]
         assert 0 < len(nudged) <= len(calls)
         assert set(nudged) <= {id(c) for c in calls}  # calls keeps each result alive
 

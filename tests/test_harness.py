@@ -81,6 +81,14 @@ class TestParseConfig:
         body = MINIMAL + "\n[observer]\nxi_margin = 0\n"
         assert parse_config(write_cfg(tmp_path, body)).xi_margin == 0.0
 
+    @pytest.mark.parametrize("n_xi", ["0", "-3"])
+    def test_n_xi_below_one_rejected_with_field_name(self, tmp_path, n_xi):
+        # refused with the key named (exit 1), not by the xi grid at run time (exit 2)
+        path = write_cfg(tmp_path, MINIMAL + f"\n[observer]\nn_xi = {n_xi}\n")
+        with pytest.raises(ConfigError, match=r"\[observer\] n_xi must be >= 1"):
+            parse_config(path)
+        assert cli.main(["run-burgers", path, "--quiet"]) == 1
+
     def test_decreasing_observation_times_rejected(self, tmp_path):
         body = MINIMAL + "\n[observations]\ncount = 3\nt_first = 0.5\nt_last = 0.1\n"
         with pytest.raises(ConfigError, match="obs_times"):
@@ -93,6 +101,9 @@ class TestParseConfig:
         ("gain", "mask_lo"),
         ("gain", "mask_hi"),
         ("observations", "interpolate"),
+        # removed with the seeded uniform noise variant
+        ("noise", "kind"),
+        ("noise", "seed"),
     ])
     def test_unknown_key_rejected(self, tmp_path, section, key):
         body = MINIMAL + f"\n[{section}]\n{key} = 2.0\n"
@@ -259,13 +270,17 @@ class TestCli:
         assert "observable=true" in proc.stdout
         assert "T_min=0.5" in proc.stdout
 
-    def test_observability_rejects_seed(self):
-        # the check is deterministic: a seed is a usage error, not ignored
-        proc = run_cli(
-            "observability", "--speed", "1", "--interval", "0.25,0.75",
-            "--horizon", "0.6", "--seed", "3",
-        )
+    @pytest.mark.parametrize("args", [
+        ("observability", "--speed", "1", "--interval", "0.25,0.75", "--horizon", "0.6"),
+        ("run-burgers", fixture_path("burgers_clean.cfg")),
+        ("run-sv", fixture_path("lake_at_rest.cfg")),
+        ("sweep-lambda", fixture_path("burgers_clean.cfg"), "--lambdas", "1"),
+    ], ids=lambda args: args[0])
+    def test_observability_rejects_seed(self, args):
+        # every run is deterministic: a seed is a usage error, not ignored
+        proc = run_cli(*args, "--quiet", "--seed", "3")
         assert proc.returncode == 1
+        assert "unrecognized arguments: --seed 3" in proc.stderr
 
     def test_run_sv_writes_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")

@@ -71,11 +71,6 @@ class TestNoiseField:
         with pytest.raises(ValueError, match=f"{field} must"):
             NoiseSpec(**{"epsilon": 0.1, field: value})
 
-    def test_seeded_uniform_reproducible(self):
-        grid = unit_grid(32)
-        spec = NoiseSpec(epsilon=0.1, kind="uniform", seed=42)
-        np.testing.assert_array_equal(noise_field(spec, grid), noise_field(spec, grid))
-
 
 class TestSampleObservations:
     def make_truth(self, n_steps=11, n=20):
