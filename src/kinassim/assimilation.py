@@ -1,7 +1,7 @@
 """Twin experiments: gain schedules, per-model lanes, twin runs, sweeps, decay fits.
 
 A twin run advances a reference ("truth") trajectory, synthesises
-observations from it (masking, subsampling, deterministic noise), then
+observations from it (masking, subsampling, deterministic noise), and
 advances the observer against those observations, recording error norms
 along the way.  A gain sweep is the same run with a stack of observers, one
 gain per row, against one truth; a single twin is the sweep of one gain.
@@ -17,9 +17,17 @@ kernel-weighted term per observation time under the mollified gain.  The
 Burgers lanes relax exactly toward the mean innovation with one
 ``burgers._relax`` on the gap; the Saint-Venant lane adds it as an explicit
 source.  ``_lanes`` builds the truth and observer lanes from the
-configuration, and each phase has one time loop over its lane.  The truth
-lane is the observer's scheme at lam = 0, except that the BGK observer's
-truth runs the collapsed lane.
+configuration.  The truth lane is the observer's scheme at lam = 0, except
+that the BGK observer's truth runs the collapsed lane.
+
+One time loop (``_run_lockstep``) advances both.  The truth leads: before
+the observers take a truth step, the truth has taken it and has passed every
+observation time that step's windows read (``_GainController.lead``), and
+each observation is sampled once the truth has passed it.  Each observer
+substep is then taken together with the truth's next step, while the truth
+has steps left (``_Lane.step_pair``): a Saint-Venant observer and a truth on
+its grid as one (2, n) update, the truth the row at gain 0; a refined truth
+and every Burgers lane as two calls.
 
 Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
@@ -30,13 +38,14 @@ a sweep runs on the same grid.  Where the observer's bound is a constant too
 observers as one (k, n) stack (``sweep_lambda``).  The Engquist-Osher bound
 follows the state, and the Saint-Venant lane keeps its explicit source under
 a CFL bound augmented by the gain, so each of their gains runs its own truth
-and a stack of one observer.  Both loops stop with a ``SolverError`` when a
+and a stack of one observer.  The loop stops with a ``SolverError`` when a
 CFL bound is not a positive finite step or a step budget runs out, so every
 run terminates.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -57,14 +66,16 @@ from .metrics import ErrorRecorder, ErrorSeries, fit_log_slope
 from .observation import (
     Mollifier,
     NoiseSpec,
+    ObservationSeries,
     interpolate_in_time,
     mollified_gain,
+    nearest_recorded,
     noise_field,
     observe,
-    sample_observations,
 )
 from .shallow_water import (
     SWState,
+    _same_bed,
     sv_cfl,
     sv_forward_step,
     sv_observer_step,
@@ -263,14 +274,15 @@ def _per_row(lams: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 class _Lane:
-    """One model's scheme, shared by the truth and the observer phase.
+    """One model's scheme, shared by the truth and the observers.
 
-    The truth phase steps one field.  The observer phase steps a stack of k
-    observers with one gain per row (``stack``, ``row``), k = 1 for a single
-    twin.  ``step(state, dt, lams, terms)`` transports, then nudges each row
-    at its gain in ``lams`` times the total weight W of the innovation terms
+    The truth is one field.  The observers are a stack of k with one gain
+    per row (``stack``, ``row``), k = 1 for a single twin.
+    ``step(state, dt, lams, terms)`` transports, then nudges each row at its
+    gain in ``lams`` times the total weight W of the innovation terms
     ``terms`` (``_GainController.resolve``) toward their weighted mean
-    (``_mean_innovation``); terms None is transport alone.
+    (``_mean_innovation``); terms None is transport alone.  ``step_pair``
+    takes the truth's next step together with an observer substep.
 
     The base class is a Burgers lane on the field u, one row per observer,
     given its bound, its gain-free transport and the relaxation target of an
@@ -311,6 +323,12 @@ class _Lane:
             return new
         gap, weight = _mean_innovation(self, terms, self.reference(new))
         return _relax(new, gap, _per_row(lams, new) * weight, dt)
+
+    def step_pair(self, truth_lane: _Lane, truth, truth_dt, state, dt, lams, terms):
+        """(the truth's step over truth_dt, this lane's ``step``): the
+        truth's next step taken together with an observer substep, here as
+        two calls."""
+        return truth_lane.step(truth, truth_dt), self.step(state, dt, lams, terms)
 
     def observed(self, state):
         return state
@@ -366,11 +384,16 @@ class _SWLane(_Lane):
     innovations are measured against the depth before the step, and its
     source is explicit: one source-and-settle update at the gain times the
     total weight, so the CFL bound and the positivity check see the gain
-    actually applied."""
+    actually applied.
+
+    An observer lane whose truth shares its grid and bathymetry
+    (``pairs``) steps each substep and the truth's next step as one (2, n)
+    update, the truth the row at gain 0."""
 
     clamp_nonnegative = True
     target_level = 0
     xi = None
+    pairs = False
 
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
         self.initial = state0.copy()
@@ -414,6 +437,15 @@ class _SWLane(_Lane):
         dh, weight = _mean_innovation(self, terms, state.h)
         return sv_observer_step(state, None, float(lams[0]) * weight, dt, dh=dh)
 
+    def step_pair(self, truth_lane, truth, truth_dt, state, dt, lams, terms):
+        if not self.pairs:
+            return super().step_pair(truth_lane, truth, truth_dt, state, dt, lams, terms)
+        if terms is None:
+            return sv_forward_step((truth, state), (truth_dt, dt))
+        dh, weight = _mean_innovation(self, terms, state.h)
+        return sv_observer_step((truth, state), None, (0.0, float(lams[0]) * weight),
+                                (truth_dt, dt), dh=dh)
+
     def observed(self, state):
         if self.factor == 1:
             return state.h
@@ -443,10 +475,10 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     safety, grid = config.cfl_safety, config.grid
     if config.model == "shallow_water":
         lam_cfl = _lam_for_cfl(config)
-        return (
-            _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor),
-            _SWLane(config.observer_state, lam_cfl, safety),
-        )
+        truth = _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor)
+        observer = _SWLane(config.observer_state, lam_cfl, safety)
+        observer.pairs = truth.factor == 1 and _same_bed(truth.initial, observer.initial)
+        return truth, observer
     u0s = [np.asarray(u, dtype=float).copy() for u in (config.truth_u0, config.observer_u0)]
     if config.fixed_xi is not None:
         speed = config.fixed_xi
@@ -488,20 +520,68 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     )
 
 
-# --- truth phase -------------------------------------------------------------
+# --- truth ---------------------------------------------------------------------
 
 
-@dataclass
 class _Truth:
-    """The truth's observed field at every step (duck-typed for
-    sample_observations), its steps, its energies when recorded, its end."""
+    """The truth run, unnudged, which the twin loop steps ahead of the
+    observers: its observed field at every step (duck-typed for
+    ``sample_observations``), its steps, its energies when recorded, and its
+    state, the final one once ``done``.
 
-    trajectory_times: np.ndarray
-    trajectory_fields: list
-    grid: Grid1D
-    dts: np.ndarray
-    energies: list
-    final: object
+    ``next_dt`` is the length of its next step, checked against its bound
+    and its step budget; ``take`` records that step, whether the truth took
+    it alone (``step``) or beside an observer substep.  Each step's observed
+    field is copied into a preallocated block of _BLOCK_ROWS rows and kept
+    as a row view of it, so the trajectory is held once.
+    """
+
+    def __init__(self, config: RunConfig, lane: _Lane):
+        self.lane, self.grid = lane, config.grid
+        self.t_final, self.record_every = config.t_final, config.record_every
+        self.state, self.t, self.done = lane.initial, 0.0, False
+        self.trajectory_times, self.trajectory_fields, self.dts = [0.0], [], []
+        self.energies = [lane.energy(self.state)]
+        self._block, self._budget = None, None
+        self._keep(lane.observed(self.state))
+
+    def _keep(self, field) -> None:
+        row = len(self.trajectory_fields) % _BLOCK_ROWS
+        if row == 0:
+            self._block = np.empty((_BLOCK_ROWS, len(field)))
+        self._block[row] = field
+        self.trajectory_fields.append(self._block[row])
+
+    def next_dt(self) -> float:
+        t = self.t
+        bound = _checked_bound(self.lane.cfl(self.state), "truth", t)
+        if self._budget is None:
+            implied = min(self.t_final / bound, _MAX_IMPLIED_STEPS)
+            self._budget = _STEP_BUDGET * math.ceil(implied)
+        elif len(self.dts) >= self._budget:
+            raise SolverError(
+                f"truth run used up its budget of {self._budget} steps at t={t:g} "
+                f"(CFL bound {bound:g})"
+            )
+        return min(bound, self.t_final - t)
+
+    def take(self, state, dt: float) -> None:
+        self.state = state
+        self.t += dt
+        self.done = not self.t < self.t_final * (1.0 - _TIME_TOL)
+        self.trajectory_times.append(self.t)
+        self.dts.append(dt)
+        self._keep(self.lane.observed(state))
+        if len(self.dts) % self.record_every == 0 or self.done:  # the final state too
+            self.energies.append(self.lane.energy(state))
+
+    def step(self) -> None:
+        dt = self.next_dt()
+        self.take(self.lane.step(self.state, dt), dt)
+
+    def finish(self) -> None:
+        while not self.done:
+            self.step()
 
 
 def _refuse_saturation(fields: np.ndarray, xi: XiGrid | None) -> None:
@@ -527,60 +607,19 @@ def _checked_bound(bound: float, phase: str, t: float) -> float:
     return bound
 
 
-def _run_truth(config: RunConfig, lane: _Lane) -> _Truth:
-    """Advance the truth lane unnudged to t_final.
-
-    Each step's observed field is copied into a preallocated block of
-    _BLOCK_ROWS rows and kept as a row view of it, so the trajectory is held
-    once (stacking a list of fields at the end held it twice).
-    """
-    fields, block = [], None
-
-    def keep(field):
-        nonlocal block
-        row = len(fields) % _BLOCK_ROWS
-        if row == 0:
-            block = np.empty((_BLOCK_ROWS, len(field)))
-        block[row] = field
-        fields.append(block[row])
-
-    state = lane.initial
-    keep(lane.observed(state))
-    energies = [lane.energy(state)]
-    times, dts = [0.0], []
-    t = 0.0
-    budget = None
-    while t < config.t_final * (1.0 - _TIME_TOL):
-        bound = _checked_bound(lane.cfl(state), "truth", t)
-        if budget is None:
-            implied = min(config.t_final / bound, _MAX_IMPLIED_STEPS)
-            budget = _STEP_BUDGET * math.ceil(implied)
-        elif len(dts) >= budget:
-            raise SolverError(
-                f"truth run used up its budget of {budget} steps at t={t:g} "
-                f"(CFL bound {bound:g})"
-            )
-        dt = min(bound, config.t_final - t)
-        state = lane.step(state, dt)
-        t += dt
-        times.append(t)
-        dts.append(dt)
-        keep(lane.observed(state))
-        if len(dts) % config.record_every == 0:
-            energies.append(lane.energy(state))
-    if len(dts) % config.record_every:  # the final state is always recorded
-        energies.append(lane.energy(state))
-    return _Truth(
-        np.asarray(times), fields, config.grid, np.asarray(dts), energies, state
-    )
-
-
 # --- gain control -------------------------------------------------------------
 
 
 class _GainController:
-    """Resolves what nudges each observer window and advances the observer
-    lane under it, for a stack of observers with one gain per row.
+    """Leads the truth, resolves what nudges each observer window and
+    advances the observer lane under it, for a stack of observers with one
+    gain per row.
+
+    ``lead`` is the one rule for how far the truth runs ahead of the
+    observers: before the observers take truth step n, the truth has taken
+    it, and a sampled series holds every observation the windows of that
+    step read.  ``advance`` then takes each observer substep together with
+    the truth's next step, while the truth has steps left.
 
     ``resolve`` answers once per window with the innovation terms of
     ``_Lane.step``, a list of (weight, observed field, snapshot), or None when
@@ -603,10 +642,14 @@ class _GainController:
     every time left), and ``advance`` moves the pointer past that end once the
     substep is done, so each observation time fires exactly once, even where
     float substep windows overlap; a window holding two times nudges once.
-    Sampled series, already masked to the window by ``sample_observations``,
-    feed the every-step (hold), interpolated and mollified modes, whose
+    Sampled series, masked to the window as ``sample_observations`` masks
+    them, feed the every-step (hold), interpolated and mollified modes, whose
     targets are genuinely stamped at the observation times and are resolved at
-    the start of the window on both models.
+    the start of the window on both models.  ``series`` holds every
+    observation time from the start, and each field once the truth has
+    passed its time: observed on the recorded state nearest to it
+    (``nearest_recorded``), it is what ``sample_observations`` gives over the
+    finished truth.
 
     Every row of the stack takes the same windows, so the pointer and the
     mollified snapshots serve all of them: a row with a zero gain is relaxed
@@ -638,21 +681,61 @@ class _GainController:
             self.times is not None
             and gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES
         )
-        # Sampled series for the modes that consume time-stamped observations.
-        self.series = None
+        # Sampled series for the modes that consume time-stamped observations,
+        # its fields NaN until sampled (_times: its times as floats, for
+        # bisect); a window reads up to _reach past its start.
+        self.series, self._times, self._sampled = None, [], 0
         if self.times is not None and self.times.size and not self.at_times:
-            series = sample_observations(
-                truth, self.times, mask_interval=config.obs_mask, noise=config.noise,
-                clamp_nonnegative=self.clamp,
-            )
-            _refuse_saturation(series.fields, self.xi)
-            self.series = series
+            fields = np.full((self.times.size, grid.n_cells), np.nan)
+            self.series = ObservationSeries(self.times, fields, self.mask, grid)
+            self._times = self.times.tolist()
+        self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
         # observer references at each observation time, one row per observer,
         # taken under the mollified gain only
         self.snapshots: list = []
         self._snapshot_times = (
             self.series.times if self.mollifier is not None and self.series is not None else ()
         )
+
+    def lead(self, n: int) -> bool:
+        """Step the truth alone until truth step n has been taken and, on a
+        sampled series, every observation is sampled up to the first one
+        after t_{n+1} + _reach (at least two): what the windows of step n
+        read.  False when the truth ended before step n."""
+        truth = self.truth
+        while len(truth.dts) <= n:
+            if truth.done:
+                return False
+            truth.step()
+        times, sampled = self._times, self._sampled
+        if sampled < len(times):
+            end = truth.trajectory_times[n + 1] + self._reach
+            if sampled < 2 or not times[sampled - 1] > end:  # else sampled past end
+                self._sample_through(min(max(bisect_right(times, end), 1), len(times) - 1))
+        return True
+
+    def _sample_through(self, last: int) -> None:
+        """Sample the observation times up to index ``last``, each once the
+        truth has passed it, from the recorded state nearest to it."""
+        truth = self.truth
+        while self._sampled <= last:
+            t_k = self._times[self._sampled]
+            while not (truth.t > t_k or truth.done):
+                truth.step()
+            # the nearest of the two recorded states around t_k, as
+            # sample_observations picks it
+            recorded = truth.trajectory_times
+            i = min(max(bisect_left(recorded, t_k), 1), len(recorded) - 1)
+            i += int(nearest_recorded(np.array(recorded[i - 1:i + 1]), t_k)) - 1
+            field = observe(truth.trajectory_fields[i], self._noise, self.mask, self.clamp)
+            _refuse_saturation(field, self.xi)
+            self.series.fields[self._sampled] = field
+            self._sampled += 1
+
+    def finish(self) -> None:
+        """Run the truth to its end and sample every observation time."""
+        self.truth.finish()
+        self._sample_through(len(self._times) - 1)
 
     def _skip_to(self, t: float) -> int:
         """Move the pointer past the observation times below t."""
@@ -670,7 +753,7 @@ class _GainController:
         if self.mollifier is not None:
             if series is None:
                 return None
-            _, pairs = mollified_gain(series, self.mollifier, t_lo)
+            pairs = mollified_gain(series, self.mollifier, t_lo)
             snaps = self.snapshots
             return [(w, f, snaps[k] if k < len(snaps) else None) for k, w, f in pairs] or None
         if not self._gained:
@@ -695,9 +778,17 @@ class _GainController:
 
     def advance(self, lane: _Lane, state, t: float, dt: float, terms):
         """One substep of the observers over [t, t + dt] under their resolved
-        innovation ``terms``, then the snapshots of the observation times it
-        has reached."""
-        state = lane.step(state, dt, self.lams, terms)
+        innovation ``terms``, taken with the truth's next step while the truth
+        has steps left, then the snapshots of the observation times it has
+        reached."""
+        truth = self.truth
+        if truth.done:
+            state = lane.step(state, dt, self.lams, terms)
+        else:
+            truth_dt = truth.next_dt()
+            stepped, state = lane.step_pair(truth.lane, truth.state, truth_dt, state, dt,
+                                            self.lams, terms)
+            truth.take(stepped, truth_dt)
         if terms is not None and self.at_times:
             self._skip_to(t + dt)
         times, snaps = self._snapshot_times, self.snapshots
@@ -706,20 +797,29 @@ class _GainController:
         return state
 
 
-# --- observer phase ------------------------------------------------------------
+# --- the twin loop -----------------------------------------------------------
 
 
 def _energies(values: list) -> np.ndarray | None:
     return None if values[0] is None else np.asarray(values)
 
 
-def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
+def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
                   controller: _GainController) -> list[RunResult]:
-    """Advance the stack of observers, one per gain of ``controller.lams``,
-    on the truth's time grid, recording the errors (L1 relative, L1, L2,
-    Sobolev) and the energy of every record_every-th step and of the last;
-    one RunResult per row.  A truth step longer than the observer's CFL bound
-    is divided into m substeps, each resolving its own window.
+    """Advance the truth and the stack of observers, one per gain of
+    ``controller.lams``, to t_final in one time loop: the observers step on
+    the truth's time grid, and the truth leads (``_GainController.lead``).
+    Records the errors (L1 relative, L1, L2, Sobolev) and the energy of
+    every record_every-th step and of the last; one RunResult per row.  A
+    truth step longer than the observer's CFL bound is divided into m
+    substeps, each resolving its own window.
+
+    The observers may take _STEP_BUDGET substeps per truth step over the
+    run; the truth runs to its end before a substep count past that share
+    of its steps so far is refused.  When the loop raises, the truth runs to
+    its end and every observation is sampled first, so a failing truth or
+    observation raises its own error, as when the truth ran before the
+    observers.
 
     ``record`` only copies the observed fields and the truth field into an
     ``ErrorRecorder``, which measures a whole block of rows in one vectorised
@@ -729,39 +829,51 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
     grid, order, lams = config.grid, config.sobolev_order, controller.lams
     state = lane.stack(len(lams))
     recorded, energies = [], []  # step indices, energies of the recorded rows
-    errors = ErrorRecorder(
-        1 + math.ceil(len(dts) / config.record_every), grid, order, stack=len(lams)
-    )
+    errors = ErrorRecorder(grid, order, stack=len(lams))
 
     def record(n):
         recorded.append(n)
         errors.add(lane.observed(state), fields[n])
         energies.append(lane.energy(state))
 
-    record(0)
-    budget, substeps = _STEP_BUDGET * len(dts), 0
-    for n, dt in enumerate(dts):
-        last = n == len(dts) - 1
-        terms = controller.resolve(times[n], times[n + 1], n, last)
-        # the observed field the observer's bound must allow for
-        probe = None if terms is None else terms[0][1]
-        bound = _checked_bound(lane.cfl(state, probe), "observer", times[n])
-        m = 1 if bound >= dt * (1.0 - 1e-9) else math.ceil(min(dt / bound, budget + 1.0))
-        substeps += m
-        if substeps > budget:
-            raise SolverError(
-                f"observer run used up its budget of {budget} substeps at "
-                f"t={times[n]:g} (CFL bound {bound:g})"
-            )
-        sub = dt / m
-        for j in range(m):
-            t, closes = times[n] + j * sub, last and j == m - 1
-            if m > 1:  # each substep resolves its own window
-                terms = controller.resolve(t, t + sub, n, closes)
-            state = controller.advance(lane, state, t, sub, terms)
-        if (n + 1) % config.record_every == 0 or last:
-            record(n + 1)
-    recorded = np.asarray(recorded)
+    def substeps_of(dt, bound):
+        if bound >= dt * (1.0 - 1e-9):
+            return 1
+        return math.ceil(min(dt / bound, _STEP_BUDGET * len(dts) + 1.0))
+
+    try:
+        record(0)
+        n, substeps = 0, 0
+        while controller.lead(n):
+            dt, last = dts[n], truth.done and n == len(dts) - 1
+            terms = controller.resolve(times[n], times[n + 1], n, last)
+            # the observed field the observer's bound must allow for
+            probe = None if terms is None else terms[0][1]
+            bound = _checked_bound(lane.cfl(state, probe), "observer", times[n])
+            m = substeps_of(dt, bound)
+            if substeps + m > _STEP_BUDGET * len(dts) and not truth.done:
+                truth.finish()  # the budget counts every truth step
+                m = substeps_of(dt, bound)
+            substeps += m
+            if substeps > _STEP_BUDGET * len(dts):
+                raise SolverError(
+                    f"observer run used up its budget of {_STEP_BUDGET * len(dts)} substeps at "
+                    f"t={times[n]:g} (CFL bound {bound:g})"
+                )
+            sub = dt / m
+            for j in range(m):
+                t, closes = times[n] + j * sub, last and j == m - 1
+                if m > 1:  # each substep resolves its own window
+                    terms = controller.resolve(t, t + sub, n, closes)
+                state = controller.advance(lane, state, t, sub, terms)
+            if (n + 1) % config.record_every == 0 or last:
+                record(n + 1)
+            n += 1
+    except Exception:
+        controller.finish()
+        raise
+    controller.finish()  # samples any observation time no window read
+    times, dts, recorded = np.asarray(times), np.asarray(dts), np.asarray(recorded)
     recorded_dt = np.concatenate(([math.nan], dts[recorded[1:] - 1]))
     norms, echo = errors.norms(), config.echo()
     return [
@@ -769,7 +881,7 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
             errors=ErrorSeries(times[recorded], *norms[:, r], order=order),
             dt_history=dts,
             recorded_dt=recorded_dt,
-            final_truth=truth.final,
+            final_truth=truth.state,
             final_observer=lane.row(state, r),
             grid=grid,
             config_echo={**echo, "lambda": float(lam)},
@@ -781,14 +893,14 @@ def _run_observer(config: RunConfig, lane: _Lane, truth: _Truth,
 
 
 def _run_group(config: RunConfig, lams) -> list[RunResult]:
-    """One truth, then the observers of every gain in ``lams`` stepped as one
-    stack.  The gains must share the truth's time grid and the observer's
-    substeps, as the gains of a group of ``_groups`` do."""
+    """One truth, and the observers of every gain in ``lams`` stepped as one
+    stack beside it.  The gains must share the truth's time grid and the
+    observer's substeps, as the gains of a group of ``_groups`` do."""
     config = replace(config)  # checks again a config changed after construction
     truth_lane, observer_lane = _lanes(config)
-    truth = _run_truth(config, truth_lane)
+    truth = _Truth(config, truth_lane)
     controller = _GainController(config, truth, observer_lane, lams)
-    return _run_observer(config, observer_lane, truth, controller)
+    return _run_lockstep(config, observer_lane, truth, controller)
 
 
 def run_twin(config: RunConfig) -> RunResult:

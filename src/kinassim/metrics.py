@@ -114,8 +114,8 @@ _BLOCK_BYTES = 128 * 1024
 
 
 class ErrorRecorder:
-    """Error norms of up to ``n_rows`` recorded rows on ``grid``, computed a
-    block of rows at a time.
+    """Error norms of the recorded rows on ``grid``, computed a block of rows
+    at a time, however many rows a run records.
 
     A row is a stack of ``stack`` fields against one reference: the
     observers of a sweep at one time, one field for a single run.  ``add``
@@ -129,7 +129,7 @@ class ErrorRecorder:
     transformed on its own.
     """
 
-    def __init__(self, n_rows: int, grid: Grid1D, order: float, stack: int = 1):
+    def __init__(self, grid: Grid1D, order: float, stack: int = 1):
         n, k = grid.n_cells, stack
         adds = max(1, min(256, _BLOCK_BYTES // (8 * n)) // k)  # rows per block
         self.diff, self.work = np.empty((2, adds * k, n))  # one line per field
@@ -139,7 +139,7 @@ class ErrorRecorder:
         self.modes = np.empty((adds * k, n - 1))
         self.dx, self.weights = grid.dx, _sobolev_weights(n, grid.length, order)
         self.stack = stack
-        self.table = np.empty((4, n_rows * k))  # l1_rel, l1_abs, l2_abs, sobolev
+        self.tables = []  # (l1_rel, l1_abs, l2_abs, sobolev) of each measured block
         self.done = self.held = 0  # rows measured, rows waiting in the block
 
     def add(self, field: np.ndarray, ref: np.ndarray) -> None:
@@ -156,13 +156,14 @@ class ErrorRecorder:
         """(l1_rel, l1_abs, l2_abs, sobolev) of every field of every row
         added, as a (4, stack, rows) array."""
         self._flush()
-        table = self.table[:, :self.done * self.stack]
+        table = np.concatenate(self.tables, axis=1)
         return table.reshape(4, self.done, self.stack).transpose(0, 2, 1).copy()
 
     def _flush(self) -> None:
         rows, k, dx = self.held, self.stack, self.dx
         diff, work = self.diff[:rows * k], self.work[:rows * k]
-        rel, l1, l2, sobolev = self.table[:, self.done * k:(self.done + rows) * k]
+        self.tables.append(np.empty((4, rows * k)))
+        rel, l1, l2, sobolev = self.tables[-1]
         norm = self.ref_norm[:rows]  # each reference's L1 norm
         np.abs(self.ref[:rows], out=work[:rows])
         np.sum(work[:rows], axis=1, out=norm)

@@ -101,14 +101,19 @@ def sample_observations(
         mask = np.ones(grid.n_cells, dtype=bool)
     else:
         mask = grid.interval_mask(*mask_interval)
+    noise_values = None if noise is None else noise_field(noise, grid)
+    picked = np.asarray([rec_f[i] for i in nearest_recorded(rec_t, times)], dtype=float)
+    fields = observe(picked, noise_values, mask, clamp_nonnegative)
+    return ObservationSeries(times, fields, mask, grid)
+
+
+def nearest_recorded(rec_t: np.ndarray, times) -> np.ndarray:
+    """Index of the recorded time in ``rec_t`` (increasing, at least two)
+    nearest each of ``times``, the earlier one on a tie."""
     idx = np.searchsorted(rec_t, times)
     idx = np.clip(idx, 1, len(rec_t) - 1)
     take_left = np.abs(times - rec_t[idx - 1]) <= np.abs(rec_t[idx] - times)
-    idx = np.where(take_left, idx - 1, idx)
-    noise_values = None if noise is None else noise_field(noise, grid)
-    picked = np.asarray([rec_f[i] for i in idx], dtype=float)
-    fields = observe(picked, noise_values, mask, clamp_nonnegative)
-    return ObservationSeries(times, fields, mask, grid)
+    return np.where(take_left, idx - 1, idx)
 
 
 def interpolate_in_time(series: ObservationSeries, t: float) -> np.ndarray:
@@ -147,17 +152,13 @@ class Mollifier:
 
 
 def mollified_gain(series: ObservationSeries, mollifier: Mollifier, t: float):
-    """Total kernel weight at time t and the contributing observations.
-
-    Returns ``(weight, pairs)`` where pairs lists ``(k, w_k, field_k)`` for
-    every observation time within the kernel support; the solver pairs each
-    entry with its own stored state snapshot at that time.
+    """The observations that contribute to the mollified gain at time t: a
+    list of ``(k, w_k, field_k)`` for every observation time within the
+    kernel support, whose weights w_k sum to the total kernel weight.  The
+    solver pairs each entry with its own stored state snapshot at that time.
     """
     w = mollifier.value(t - series.times)
-    pairs = [
-        (int(k), float(w[k]), series.fields[k]) for k in np.nonzero(w > 0.0)[0]
-    ]
-    return float(np.sum(w)), pairs
+    return [(int(k), float(w[k]), series.fields[k]) for k in np.nonzero(w > 0.0)[0]]
 
 
 @dataclass(frozen=True)

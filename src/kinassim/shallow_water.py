@@ -18,11 +18,20 @@ the Gibbs density built from the observed depth and the observer's own
 velocity: dH += lam dt (H_obs - H), dq += lam dt u (H_obs - H).
 
 A state is immutable, arrays included, and computes its velocity and CFL
-wave speed once.  The states a step produces from one another share a
-workspace: the bathymetry's interface pairs and work buffers that every step
-reuses through ufunc ``out=``.  A step never returns a work buffer; its new
-depth and discharge are fresh arrays.  The states of one chain share those
-buffers, so they are stepped from one thread.
+wave speed once.  The steps take a leading row axis: ``sv_forward_step`` and
+``sv_observer_step`` accept a sequence of k states on one bathymetry and
+advance them as one (k, n) update, with one dt and one gain per row, and each
+row equals its one-row call bit for bit.  The CFL check, the settle floor and
+the wave speed are per row; the successors' velocities and wave speeds are
+computed once on the stack, and each row's state keeps its own row of them.
+
+The states a step produces from one another share a workspace: the
+bathymetry's interface pairs and, per stack size k, work buffers of shape
+(2, k(n+1)) and (k, n) that every step reuses through ufunc ``out=``; the
+interfaces of the k rows lie side by side, so the flux sees one long row.
+States stacked together share one workspace from then on.  A step never returns a
+work buffer; its new depths and discharges are fresh arrays.  The states of
+one workspace share those buffers, so they are stepped from one thread.
 """
 from __future__ import annotations
 
@@ -69,7 +78,13 @@ class SWState:
         n = self.grid.n_cells
         if not (self.h.shape == self.q.shape == self.z_b.shape == (n,)):
             raise ValueError("state arrays must match the grid size")
-        if not (self.h >= 0.0).all():  # NaN fails too
+        for name, what in (("h", "water depth"), ("q", "discharge"), ("z_b", "bed elevation")):
+            values = getattr(self, name)
+            finite = np.isfinite(values)
+            if not finite.all():
+                cell = int(np.argmin(finite))
+                raise ValueError(f"{what} {name} must be finite, got {values[cell]} in cell {cell}")
+        if not (self.h >= 0.0).all():
             raise ValueError(
                 f"water depth h must be nonnegative, got min {np.min(self.h)}"
             )
@@ -85,7 +100,7 @@ class SWState:
     @cached_property
     def max_wave_speed(self) -> float:
         """max |u| + w_chi c over the cells, at least the dry-threshold speed."""
-        return _max_wave_speed(self)
+        return _max_wave_speeds([self], self.h, self.velocity)[0]
 
     @cached_property
     def _work(self) -> _Workspace:
@@ -102,13 +117,15 @@ class SWState:
         """The same state, checked again."""
         return replace(self)
 
-    def _successor(self, h: np.ndarray, q: np.ndarray) -> "SWState":
-        """The state (h, q) on this bathymetry and workspace, built without
-        the checks: only for depths ``_settle`` has just proven finite and
-        nonnegative, on this grid."""
+    def _successor(self, h: np.ndarray, q: np.ndarray, u: np.ndarray,
+                   work: _Workspace) -> "SWState":
+        """The state (h, q) of velocity u on this bathymetry and the
+        workspace ``work``, built without the checks: only for read-only
+        depths ``_settle`` has just proven finite and nonnegative, on this
+        grid."""
         new = object.__new__(SWState)
-        new.__dict__.update(h=_read_only(h), q=_read_only(q), z_b=self.z_b, grid=self.grid,
-                            profile=self.profile, g=self.g, h_dry=self.h_dry, _work=self._work)
+        new.__dict__.update(h=h, q=q, z_b=self.z_b, grid=self.grid, profile=self.profile,
+                            g=self.g, h_dry=self.h_dry, velocity=u, _work=work)
         return new
 
 
@@ -117,18 +134,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _max_wave_speed(state: SWState) -> float:
+def _max_wave_speeds(states, h: np.ndarray, u: np.ndarray) -> list[float]:
+    """The wave speed of each of ``states``, whose depths and velocities are
+    the rows of the (k, n) stacks h and u (or h and u of one state)."""
     # Maximum over every cell: a dry cell (u = 0, h < h_dry) is slower than
     # the dry-threshold speed and no wet cell is, so this is the maximum over
     # the wet cells, or the threshold speed when none is wet.
-    w = state.profile.support_halfwidth
-    c = np.multiply(state.g, state.h)
+    first = states[0]
+    w = first.profile.support_halfwidth
+    c = np.multiply(first.g, h)
     np.multiply(c, 0.5, out=c)  # halving by * 0.5 is exact
     np.sqrt(c, out=c)
     np.multiply(w, c, out=c)
-    speed = np.abs(state.velocity)
+    speed = np.abs(u)
     np.add(speed, c, out=speed)
-    return max(float(speed.max()), w * math.sqrt(state.g * state.h_dry / 2.0))
+    floor = w * math.sqrt(first.g * first.h_dry / 2.0)
+    return [max(top, floor) for top in speed.reshape(len(states), -1).max(axis=1).tolist()]
 
 
 def _grow(pool: list, shape: tuple):
@@ -139,25 +160,71 @@ def _grow(pool: list, shape: tuple):
 
 
 class _Workspace:
-    """What the steps of one chain of states share: the bathymetry's
-    interface pairs with z_int = max(z_L, z_R), and work buffers.
+    """What the steps of states on one bathymetry share: its interface pairs
+    with z_int = max(z_L, z_R), and work buffers for each stack size.
 
-    ``begin`` starts a step: ``wide`` then hands out the (2, n+1) interface
-    buffers and ``cells`` the (n,) cell buffers, each from the first one
-    again.  A buffer lives until the next ``begin``.
+    The interfaces of a stack of k rows lie side by side, k blocks of n+1
+    (``_interface_pairs``), so every interface buffer is a (2, k(n+1))
+    array and the flux sees one long row.  ``begin(k)`` starts a step of k
+    rows: ``wide`` then hands out those buffers and ``cells`` the (k, n) cell
+    buffers, each from the first one of that size again.  A buffer lives
+    until the next ``begin`` of its size.  ``bed`` gives the bathymetry's
+    pairs repeated for k rows.
     """
 
     def __init__(self, z_b: np.ndarray, bc: BoundaryKind):
-        self.z_cells = _interface_pairs(z_b, bc)
-        self.z_int = np.maximum(self.z_cells[0], self.z_cells[1])
-        self._pools = ([], [])
-        self.begin()
+        z_cells = _interface_pairs(z_b, bc)
+        self.n = z_b.size
+        self._beds = {1: (z_cells, np.maximum(z_cells[0], z_cells[1]))}
+        self._pools = {}
 
-    def begin(self) -> _Workspace:
-        wide, cells = self.z_cells.shape, (self.z_cells.shape[1] - 1,)
-        self.wide = chain(self._pools[0], _grow(self._pools[0], wide)).__next__
-        self.cells = chain(self._pools[1], _grow(self._pools[1], cells)).__next__
+    def bed(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(z_cells, z_int) of k rows, the one row's repeated."""
+        if k not in self._beds:
+            self._beds[k] = tuple(np.tile(z, k) for z in self._beds[1])
+        return self._beds[k]
+
+    def begin(self, k: int) -> _Workspace:
+        wide, cells = self._pools.setdefault(k, ([], []))
+        self.wide = chain(wide, _grow(wide, (2, k * (self.n + 1)))).__next__
+        self.cells = chain(cells, _grow(cells, (k, self.n))).__next__
         return self
+
+
+class _Rows:
+    """k states on one bathymetry, stepped as one: their depths, discharges
+    and velocities as (k, n) stacks, read by the step where it would read a
+    state.  The states share one workspace from then on, and the step is
+    begun on its buffers of size k."""
+
+    def __init__(self, states):
+        self.states = states = tuple(states)
+        if not states:
+            raise ValueError("a step needs at least one state")
+        first = states[0]
+        work = first._work
+        for state in states[1:]:
+            if state.__dict__.get("_work") is not work:
+                if not _same_bed(first, state):
+                    raise ValueError("stacked states must share their grid, bathymetry, "
+                                     "profile, g and h_dry")
+                state.__dict__["_work"] = work
+        self.grid, self.profile, self.g, self.h_dry = first.grid, first.profile, first.g, first.h_dry
+        self._work = work.begin(len(states))
+        if len(states) == 1:  # the state's own arrays, as one row
+            self.h, self.q, self.velocity = first.h[None], first.q[None], first.velocity[None]
+            return
+        self.h, self.q, self.velocity = work.cells(), work.cells(), work.cells()
+        for r, state in enumerate(states):
+            self.h[r], self.q[r], self.velocity[r] = state.h, state.q, state.velocity
+
+
+def _same_bed(a: SWState, b: SWState) -> bool:
+    """Whether a and b can be rows of one stack: one grid, bathymetry,
+    profile, g and dry threshold."""
+    return (a.grid, a.profile, a.g, a.h_dry) == (b.grid, b.profile, b.g, b.h_dry) and (
+        np.array_equal(a.z_b, b.z_b)
+    )
 
 
 @dataclass
@@ -166,8 +233,8 @@ class InterfaceReconstruction:
     interface (boundary interfaces included via ghost cells); row 0 is the
     left (minus) side of each interface, row 1 the right (plus) side."""
 
-    h_sides: np.ndarray  # (2, n+1) reconstructed depths
-    h_cells: np.ndarray  # (2, n+1) depths of the cells either side
+    h_sides: np.ndarray  # (2, n+1) reconstructed depths, (2, k(n+1)) for k rows
+    h_cells: np.ndarray  # (2, n+1) depths of the cells either side, likewise
 
 
 # positive half-line (xi >= 0) on the left side of an interface, negative on
@@ -187,20 +254,26 @@ class EnergyBudget:
 def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False,
                      out: np.ndarray | None = None) -> np.ndarray:
     """(2, n+1) values of the cells left (row 0) and right (row 1) of every
-    interface, ghost cells included; ``mirror`` flips the sign of the wall
-    ghosts (velocity).  Written into ``out`` when given."""
+    interface, ghost cells included; for the k rows of a (k, n) stack, their
+    k blocks of n+1 interfaces side by side, (2, k(n+1)).  ``mirror`` flips
+    the sign of the wall ghosts (velocity).  Written into ``out`` when
+    given."""
+    n = a.shape[-1]
     if out is None:
-        out = np.empty((2, a.size + 1))
-    out[0, 1:] = a
-    out[1, :-1] = a
+        out = np.empty((2, a.size // n * (n + 1)))
+    pairs = out.reshape(2, -1, n + 1)
+    pairs[0, :, 1:] = a
+    pairs[1, :, :-1] = a
+    first, last = a[..., 0], a[..., -1]
     if bc is BoundaryKind.REFLECTIVE_WALL:
-        out[0, 0], out[1, -1] = (-a[0], -a[-1]) if mirror else (a[0], a[-1])
+        ghosts = (-first, -last) if mirror else (first, last)
     elif bc is BoundaryKind.PERIODIC:
-        out[0, 0], out[1, -1] = a[-1], a[0]
+        ghosts = last, first
     else:
         raise ValueError(
             "shallow-water solver supports reflective_wall and periodic boundaries"
         )
+    pairs[0, :, 0], pairs[1, :, -1] = ghosts
     return out
 
 
@@ -208,14 +281,15 @@ def hydrostatic_reconstruct(state: SWState, *, take=None) -> InterfaceReconstruc
     """Interface depths limited by the higher of the two neighbouring bottoms,
     truncated at zero so reconstructed depths stay admissible.
 
-    ``take`` supplies (2, n+1) buffers for the result (a step's work
-    buffers); by default the arrays are fresh.
+    ``take`` supplies buffers for the result (a step's work buffers, of
+    shape (2, k(n+1)) when ``state`` is a step's stack of k rows); by
+    default the arrays are fresh.
     """
-    work = state._work
-    take = take or _fresh_buffers(work.z_cells)
+    z_cells, z_int = state._work.bed(state.h.size // state.grid.n_cells)
+    take = take or _fresh_buffers(z_cells)
     h_cells = _interface_pairs(state.h, state.grid.bc, out=take())
-    h_sides = np.add(h_cells, work.z_cells, out=take())
-    np.subtract(h_sides, work.z_int, out=h_sides)
+    h_sides = np.add(h_cells, z_cells, out=take())
+    np.subtract(h_sides, z_int, out=h_sides)
     np.maximum(0.0, h_sides, out=h_sides)
     return InterfaceReconstruction(h_sides, h_cells)
 
@@ -239,8 +313,10 @@ def sv_interface_flux(
     topography term, but this form stays exactly balanced for still water
     even when the nonnegativity truncation is active at a wet/dry front.
 
-    ``take`` supplies (2, n+1) buffers for every intermediate and result (a
-    step's work buffers); by default the arrays are fresh.
+    Every operation acts entry by entry, so the interfaces of a step's k
+    rows go through as one long row of k(n+1).  ``take`` supplies buffers of
+    the reconstruction's shape for every intermediate and result (a step's
+    work buffers); by default the arrays are fresh.
     """
     h = rec.h_sides
     take = take or _fresh_buffers(h)
@@ -278,71 +354,108 @@ def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
     return _cfl_bound(state, lam, safety)
 
 
-def _check_cfl(state: SWState, lam: float, dt: float):
-    bound = _cfl_bound(state, lam, 1.0)
-    if not dt <= bound * _CFL_TOL:  # a NaN dt or bound fails too
-        raise ValueError(f"dt={dt:g} violates the CFL bound {bound:g}")
+def _check_cfl(states, lam: list[float], dt: list[float]):
+    """Each state's step dt against its CFL bound at its gain lam."""
+    for state, lam_r, dt_r in zip(states, lam, dt):
+        bound = _cfl_bound(state, lam_r, 1.0)
+        if not dt_r <= bound * _CFL_TOL:  # a NaN dt or bound fails too
+            raise ValueError(f"dt={dt_r:g} violates the CFL bound {bound:g}")
 
 
-def _flux_divergence(state: SWState, work: _Workspace):
-    u_sides = _interface_pairs(state.velocity, state.grid.bc, mirror=True, out=work.wide())
-    f_h, f_q_left, f_q_right = sv_interface_flux(
-        hydrostatic_reconstruct(state, take=work.wide), u_sides[0], u_sides[1],
-        state.profile, state.g, take=work.wide,
+def _flux_divergence(rows: _Rows, work: _Workspace):
+    u_sides = _interface_pairs(rows.velocity, rows.grid.bc, mirror=True, out=work.wide())
+    fluxes = sv_interface_flux(
+        hydrostatic_reconstruct(rows, take=work.wide), u_sides[0], u_sides[1],
+        rows.profile, rows.g, take=work.wide,
     )
-    div_h = np.subtract(f_h[1:], f_h[:-1], out=work.cells())
-    div_q = np.subtract(f_q_left[1:], f_q_right[:-1], out=work.cells())
+    # the k blocks of n+1 interfaces, one row each
+    f_h, f_q_left, f_q_right = (f.reshape(len(rows.h), -1) for f in fluxes)
+    div_h = np.subtract(f_h[:, 1:], f_h[:, :-1], out=work.cells())
+    div_q = np.subtract(f_q_left[:, 1:], f_q_right[:, :-1], out=work.cells())
     return div_h, div_q
 
 
 def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
-    """Clear roundoff-negative depths and the momentum of dry cells; the
-    results are fresh arrays.
+    """Clear roundoff-negative depths and the momentum of dry cells of each
+    row of the (k, n) stacks h and q; the results are fresh arrays.
 
     The scheme is nonnegativity preserving in exact arithmetic; anything
-    below -1e3 eps of the depth scale indicates a genuine CFL or flux bug and
-    is reported instead of masked.
+    below -1e3 eps of a row's depth scale indicates a genuine CFL or flux bug
+    and is reported, with that row's minimum, instead of masked.  So is an
+    infinite depth, which would hide below no floor.
     """
-    floor = -1e-13 * max(1.0, float(h.max(initial=0.0)))
-    if not h.min() >= floor:  # NaN fails too
-        raise FloatingPointError(f"negative depth {float(np.min(h)):g} after update")
+    for low, top in zip(h.min(axis=1).tolist(), h.max(axis=1, initial=0.0).tolist()):
+        if not low >= -1e-13 * max(1.0, top):  # NaN fails too
+            raise FloatingPointError(f"negative depth {low:g} after update")
+        if top == math.inf:
+            raise FloatingPointError("infinite depth after update")
     h = np.maximum(h, 0.0)
     q = np.where(h >= h_dry, q, 0.0)
     return h, q
 
 
-def _sv_update(state: SWState, work: _Workspace, dt: float, lam: float,
-               dh: np.ndarray | None) -> SWState:
-    """Transport step, plus the nudging source lam dt (dh, u dh) unless dh is
-    None, then the depth settle."""
-    _check_cfl(state, lam, dt)
-    sigma = dt / state.grid.dx
-    h, q = _flux_divergence(state, work)
+def _sv_update(rows: _Rows, dt, lam, dh: np.ndarray | None) -> list[SWState]:
+    """Transport step of each row over its dt, plus the nudging source
+    lam dt (dh, u dh) at its gain lam unless dh is None, then the depth
+    settle; the successors of the rows' states.  ``dt`` and ``lam`` hold one
+    float per row."""
+    work, states = rows._work, rows.states
+    _check_cfl(states, lam, dt)
+    dt, lam = np.array(dt)[:, None], np.array(lam)[:, None]  # columns, one value per row
+    sigma = dt / rows.grid.dx
+    h, q = _flux_divergence(rows, work)
     np.multiply(sigma, h, out=h)
-    np.subtract(state.h, h, out=h)
+    np.subtract(rows.h, h, out=h)
     np.multiply(sigma, q, out=q)
-    np.subtract(state.q, q, out=q)
+    np.subtract(rows.q, q, out=q)
     if dh is not None:
         source = np.multiply(lam * dt, dh, out=work.cells())
         np.add(h, source, out=h)
-        np.multiply(lam * dt, state.velocity, out=source)
+        np.multiply(lam * dt, rows.velocity, out=source)
         np.multiply(source, dh, out=source)
         np.add(q, source, out=q)
-    return state._successor(*_settle(h, q, state.h_dry))
+    h, q = _settle(h, q, rows.h_dry)
+    # the velocity: dry cells need no zeroing, their settled q is +0.0
+    u = np.maximum(h, rows.h_dry)
+    np.divide(q, u, out=u)
+    h.flags.writeable = q.flags.writeable = u.flags.writeable = False
+    new = [state._successor(h[r], q[r], u[r], work) for r, state in enumerate(states)]
+    for state, speed in zip(new, _max_wave_speeds(new, h, u)):
+        state.__dict__["max_wave_speed"] = speed
+    return new
 
 
-def sv_forward_step(state: SWState, dt: float) -> SWState:
-    """One conservative step of the forward (unassimilated) scheme."""
-    return _sv_update(state, state._work.begin(), dt, 0.0, None)
+def _per_row(values, k: int) -> list[float]:
+    """``values``, one per row of k or one for all of them, as k floats."""
+    if isinstance(values, (int, float, np.number)):
+        return [float(values)] * k
+    values = [float(v) for v in values]
+    if len(values) != k:
+        raise ValueError(f"{len(values)} values for a stack of {k} rows")
+    return values
+
+
+def sv_forward_step(state, dt):
+    """One conservative step of the forward (unassimilated) scheme.
+
+    ``state`` is one state, or a sequence of k states on one bathymetry
+    stepped as one (k, n) update into a list of k successors; ``dt`` is then
+    one step per row, or one for all of them.  Each row equals its one-row
+    step bit for bit.
+    """
+    if isinstance(state, SWState):
+        return _sv_update(_Rows((state,)), (dt,), (0.0,), None)[0]
+    rows = _Rows(state)
+    return _sv_update(rows, _per_row(dt, len(rows.states)), [0.0] * len(rows.states), None)
 
 
 def sv_observer_step(
-    state: SWState,
+    state,
     obs_h: np.ndarray | None,
-    lam: float,
-    dt: float,
+    lam,
+    dt,
     dh: np.ndarray | None = None,
-) -> SWState:
+):
     """Transport step plus the nudging source of a depth observation.
 
     ``obs_h`` holds the observed depth per cell with NaN marking cells
@@ -355,16 +468,25 @@ def sv_observer_step(
     terms (under the mollified gain, several, each against the observer's
     depth at its observation time), with ``lam`` the gain times their total
     weight.
+
+    ``state`` may be a sequence of k states stepped as one (k, n) update, as
+    in ``sv_forward_step``, with ``lam`` and ``dt`` one per row or one for
+    all; ``obs_h`` and ``dh`` are one field for all rows or one per row.  A
+    row at gain 0 takes the forward step (up to the sign of a zero).
     """
-    work = state._work.begin()
+    single = isinstance(state, SWState)
+    rows = _Rows((state,) if single else state)
+    k = len(rows.states)
     if dh is None:
         obs_h = np.asarray(obs_h, dtype=float)
         observed = np.isfinite(obs_h)
         if (observed & (obs_h < 0.0)).any():
             raise ValueError("observed depths must be nonnegative")
-        dh = np.subtract(obs_h, state.h, out=work.cells())
+        dh = np.subtract(obs_h, rows.h, out=rows._work.cells())
         np.copyto(dh, 0.0, where=~observed)
-    return _sv_update(state, work, dt, lam, dh)
+    new = _sv_update(rows, (dt,) if single else _per_row(dt, k),
+                     (lam,) if single else _per_row(lam, k), dh)
+    return new[0] if single else new
 
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:

@@ -21,7 +21,14 @@ from kinassim.assimilation import (
 )
 from kinassim.config import fixture_path, parse_config
 from kinassim.grid import BoundaryKind, Grid1D
-from kinassim.observation import NoiseSpec
+from kinassim.observation import (
+    NoiseSpec,
+    interpolate_in_time,
+    mollified_gain,
+    nearest_recorded,
+    observe,
+    sample_observations,
+)
 from kinassim.shallow_water import dam_break_state, sv_cfl
 
 
@@ -228,13 +235,13 @@ class TestSweep:
 
     def test_one_truth_per_burgers_sweep_and_per_saint_venant_gain(self, monkeypatch):
         truths = []
-        run_truth = assimilation._run_truth
+        start_truth = assimilation._Truth.__init__
 
-        def counted(config, lane):
+        def counted(self, config, lane):
             truths.append(config.model)
-            return run_truth(config, lane)
+            start_truth(self, config, lane)
 
-        monkeypatch.setattr(assimilation, "_run_truth", counted)
+        monkeypatch.setattr(assimilation._Truth, "__init__", counted)
         sweep_lambda(burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.1),
                      [0.0, 10.0, 100.0, 1000.0])
         assert truths == ["burgers"]
@@ -560,6 +567,99 @@ class TestEveryStepModes:
         assert set(nudged) <= {id(c) for c in calls}  # calls keeps each result alive
 
 
+LEAD_MODES = {
+    "hold": TemporalMode.EVERY_STEP,
+    "interpolated": TemporalMode.INTERPOLATED,
+    "at_times": TemporalMode.AT_OBSERVATION_TIMES,
+    "mollified": TemporalMode.MOLLIFIED,
+}
+
+
+class TestTruthLeads:
+    """The one time loop steps the truth ahead of the observers: every
+    observed field a window uses equals what sample_observations gives over
+    the finished truth, and no window reads a truth state the truth has not
+    reached when the window is resolved."""
+
+    def sw_config(self, mode):
+        grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+        return RunConfig(
+            model="shallow_water", grid=grid, t_final=0.1,
+            gain=GainSchedule(5.0, temporal_mode=LEAD_MODES[mode],
+                              sigma=0.01 if mode == "mollified" else None),
+            truth_state=dam_break_state(grid, 2.0, 1.0, 0.5),
+            observer_state=dam_break_state(grid, 1.5, 1.5, 0.5),
+            obs_times=0.006 * np.arange(1, 17), obs_mask=(0.2, 0.7),
+            noise=NoiseSpec(0.02, r=1.0, alpha=0.25),
+        )
+
+    def burgers_config(self, mode):
+        return burgers_config(100.0, temporal=LEAD_MODES[mode],
+                              sigma=0.04 if mode == "mollified" else None, t_final=0.3,
+                              noise=NoiseSpec(0.02, r=1.0, alpha=0.25))
+
+    def reads(self, cfg, monkeypatch):
+        """The controller of a run of ``cfg``, and per resolved window its
+        start, its truth step, the truth's time then and the fields used."""
+        controllers, reads = [], []
+        resolve = assimilation._GainController.resolve
+
+        def record(self, t_lo, t_hi, step_index, is_last):
+            terms = resolve(self, t_lo, t_hi, step_index, is_last)
+            controllers.append(self)
+            used = None if terms is None else [np.array(field) for _, field, _ in terms]
+            reads.append((t_lo, step_index, self.truth.t, used))
+            return terms
+
+        monkeypatch.setattr(assimilation._GainController, "resolve", record)
+        run_twin(cfg)
+        assert len({id(c) for c in controllers}) == 1
+        return controllers[0], reads
+
+    def expected(self, controller, series, t_lo, step_index):
+        """(the indices of the recorded truth states the window at t_lo
+        reads, the fields it should use), from the finished truth."""
+        truth, times = controller.truth, controller.times
+        if series is None:  # the truth's own state at the lane's time level
+            index = step_index + controller.level
+            field = observe(truth.trajectory_fields[index], controller._noise,
+                            controller.mask, controller.clamp)
+            return [index], [field]
+        nearest = nearest_recorded(np.asarray(truth.trajectory_times), times)
+        if controller.mollifier is not None:
+            ks = [k for k, _, _ in mollified_gain(series, controller.mollifier, t_lo)]
+            return nearest[ks], [series.fields[k] for k in ks]
+        if controller.config.gain.temporal_mode is TemporalMode.INTERPOLATED:
+            t = min(t_lo, times[-1])
+            k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+            return nearest[k:k + 2], [interpolate_in_time(series, t)]
+        k = max(int(np.searchsorted(times, t_lo + 1e-12)) - 1, 0)  # the last time held
+        return nearest[[k]], [series.fields[k]]
+
+    @pytest.mark.parametrize("mode", list(LEAD_MODES))
+    @pytest.mark.parametrize("model", ["shallow_water", "burgers"])
+    def test_windows_read_what_the_truth_has_reached(self, model, mode, monkeypatch):
+        cfg = self.sw_config(mode) if model == "shallow_water" else self.burgers_config(mode)
+        controller, reads = self.reads(cfg, monkeypatch)
+        truth = controller.truth
+        assert truth.done
+        series = None
+        if controller.series is not None:
+            series = sample_observations(truth, controller.times, mask_interval=cfg.obs_mask,
+                                         noise=cfg.noise, clamp_nonnegative=controller.clamp)
+            assert np.array_equal(controller.series.fields, series.fields, equal_nan=True)
+        used = [r for r in reads if r[3] is not None]
+        assert len(used) > 3
+        for t_lo, step_index, truth_t, fields in used:
+            indices, expected = self.expected(controller, series, t_lo, step_index)
+            assert max(truth.trajectory_times[i] for i in indices) <= truth_t
+            assert len(fields) == len(expected)
+            for got, want in zip(fields, expected):
+                assert np.array_equal(got, want, equal_nan=True)
+        # the truth leads: some windows resolve while it is ahead of them
+        assert any(truth_t > t_lo for t_lo, _, truth_t, _ in reads)
+
+
 class TestObservationFiring:
     def windows(self, cfg, monkeypatch):
         """The observer's substep windows [t, t + dt] of one run, and the run."""
@@ -634,7 +734,8 @@ class TestObservedDepthCFL:
         # exact observations every step: the target of step n is the truth's
         # depth at its start, and the observer's bound receives it
         cfg = small_sw_config()
-        truth = assimilation._run_truth(cfg, assimilation._lanes(cfg)[0])
+        truth = assimilation._Truth(cfg, assimilation._lanes(cfg)[0])
+        truth.finish()
         seen = []
         cfl = assimilation._SWLane.cfl
 
@@ -653,29 +754,31 @@ class TestObservedDepthCFL:
 def test_one_speed_evaluation_per_stepped_state(monkeypatch):
     # the time loop's bound, the observed-depth probe and the step's CFL
     # check share one evaluation of each stepped state's wave speed (they
-    # made two or three); an observer deeper than the truth divides the
-    # truth's steps
+    # made two or three): an initial state's on first use, every other
+    # state's on the stack of the step that made it; an observer deeper than
+    # the truth divides the truth's steps
     cfg = small_sw_config(t_final=0.05)
     cfg = replace(cfg, observer_state=dam_break_state(cfg.grid, 3.0, 3.0, 0.5))
     evaluations, stepped = [], []
-    speed = shallow_water._max_wave_speed
+    speeds = shallow_water._max_wave_speeds
 
-    def counted_speed(state):
-        evaluations.append(state)
-        return speed(state)
+    def counted_speeds(states, h, u):
+        evaluations.extend(states)
+        return speeds(states, h, u)
 
-    monkeypatch.setattr(shallow_water, "_max_wave_speed", counted_speed)
+    monkeypatch.setattr(shallow_water, "_max_wave_speeds", counted_speeds)
     for name in ("sv_forward_step", "sv_observer_step"):
         def counted_step(state, *args, _step=getattr(assimilation, name), **kwargs):
-            stepped.append(state)
+            stepped.extend([state] if isinstance(state, shallow_water.SWState) else state)
             return _step(state, *args, **kwargs)
 
         monkeypatch.setattr(assimilation, name, counted_step)
     result = run_twin(cfg)
     truth_steps = len(result.dt_history)
     assert len(stepped) - truth_steps > truth_steps
-    assert len(evaluations) == len(stepped)
-    assert {id(s) for s in evaluations} == {id(s) for s in stepped}
+    assert len(evaluations) == len(stepped) + 2  # and the two final states
+    finals = {id(result.final_truth), id(result.final_observer)}
+    assert {id(s) for s in evaluations} == {id(s) for s in stepped} | finals
 
 
 def collapsing_bound(collapses=lambda state: True):
@@ -756,7 +859,7 @@ class TestErrorsDoNotDependOnBlockSize:
 
     def test_burgers_run_one_row_past_a_full_block(self, monkeypatch):
         cfg = linear_config(10.0, n=64)
-        rows = len(metrics.ErrorRecorder(1, cfg.grid, cfg.sobolev_order).diff)
+        rows = len(metrics.ErrorRecorder(cfg.grid, cfg.sobolev_order).diff)
         dt = run_twin(replace(cfg, t_final=0.05)).dt_history[0]
         cfg = replace(cfg, t_final=(rows - 0.5) * dt)  # rows steps after t = 0
         default = run_twin(cfg)
@@ -787,11 +890,12 @@ def test_truth_phase_holds_the_trajectory_once():
     truth_lane, _ = assimilation._lanes(cfg)
     tracemalloc.start()
     try:
-        truth = assimilation._run_truth(cfg, truth_lane)
+        truth = assimilation._Truth(cfg, truth_lane)
+        truth.finish()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     held = sum(field.nbytes for field in truth.trajectory_fields)
     assert len(truth.trajectory_fields) > 3 * assimilation._BLOCK_ROWS
     assert peak < 1.75 * held
-    np.testing.assert_array_equal(truth.trajectory_fields[-1], truth.final.h)
+    np.testing.assert_array_equal(truth.trajectory_fields[-1], truth.state.h)

@@ -1,7 +1,7 @@
 """Seeded invariants over random states.
 
 The batch property: a step of k stacked rows gives each row exactly what
-its one-row call gives, and a gain sweep, which steps the observers of each
+its one-row call gives (the Burgers and the Saint-Venant steps), and a gain sweep, which steps the observers of each
 group of its gains as one stack on one truth, gives each gain exactly what
 ``run_twin`` gives at that gain.  Random data come from numpy's seeded
 ``Generator``: piecewise-constant fields of 2-4 levels plus a small ripple,
@@ -30,9 +30,13 @@ from kinassim.burgers import (
     step_macroscopic_burgers,
 )
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
+from kinassim.kinetic import ChiProfile
 from kinassim.observation import NoiseSpec
+from kinassim.shallow_water import SWState, sv_cfl, sv_forward_step, sv_observer_step
 
 BCS = [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO]
+SW_BCS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE_WALL]
+PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
 
 
 def levels(rng, n, lo=-1.0, hi=1.0):
@@ -57,6 +61,27 @@ def gains(rng, k):
     """k per-row gains as a column, some of them zero."""
     lam = rng.choice([0.0, 3.0, 40.0, 1e4], k) * rng.uniform(0.5, 1.5, k)
     return lam[:, None]
+
+
+def sw_rows(rng, k, n, bc, profile):
+    """k states on one random bathymetry (up to 0.2 high): depths of 2-4
+    levels with a dry stretch on most rows, velocities of both signs."""
+    grid = Grid1D(n, 0.0, 1.0, bc)
+    z_b = 0.1 * (levels(rng, n) + 1.0)
+    states = []
+    for _ in range(k):
+        h = np.maximum(levels(rng, n, 0.0, 1.0), 0.0)
+        if rng.random() < 0.7:  # a dry front
+            a = rng.integers(0, n)
+            h[a:a + rng.integers(1, n)] = 0.0
+        states.append(SWState(h, h * levels(rng, n), z_b, grid, profile))
+    return states
+
+
+def assert_same_state(stacked, alone):
+    for name in ("h", "q", "velocity"):
+        assert np.array_equal(getattr(stacked, name), getattr(alone, name)), name
+    assert stacked.max_wave_speed == alone.max_wave_speed
 
 
 class TestStepBatches:
@@ -119,6 +144,75 @@ class TestStepBatches:
             for r in range(k):
                 one = step_kinetic_burgers(KineticField(values[r], xi, grid), obs, lam[r, 0, 0], dt)
                 assert np.array_equal(out.values[r], one.values)
+
+    def sw_draw(self, rng, bc, profile):
+        """k states on one bed, a gain and a step under each one's bound per row."""
+        k, n = rng.integers(1, 6), rng.integers(3, 60)
+        states = sw_rows(rng, k, n, bc, profile)
+        lam = gains(rng, k)[:, 0]
+        dt = [rng.uniform(0.1, 1.0) * sv_cfl(s, lam_r) for s, lam_r in zip(states, lam)]
+        return states, lam, dt
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("bc", SW_BCS)
+    def test_saint_venant_forward(self, bc, profile):
+        rng = np.random.default_rng(21)
+        for _ in range(self.cases // 2):
+            states, _, dt = self.sw_draw(rng, bc, profile)
+            out = sv_forward_step(states, dt)
+            assert len(out) == len(states)
+            for state, step, new in zip(states, dt, out):
+                assert_same_state(new, sv_forward_step(state, step))
+
+    @pytest.mark.parametrize("innovation", ["observed", "dh"])
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("bc", SW_BCS)
+    def test_saint_venant_observer(self, bc, profile, innovation):
+        rng = np.random.default_rng(22)
+        for _ in range(self.cases // 2):
+            states, lam, dt = self.sw_draw(rng, bc, profile)
+            n = states[0].grid.n_cells
+            if innovation == "observed":  # one NaN-masked observation for every row
+                obs = observation(rng, n)
+                obs = np.ones(n) if obs is None else np.abs(obs)
+                out = sv_observer_step(states, obs, lam, dt)
+                alone = [sv_observer_step(s, obs, lam_r, dt_r)
+                         for s, lam_r, dt_r in zip(states, lam, dt)]
+            else:  # a depth innovation per row, never deeper than the column
+                dh = np.stack([0.5 * s.h * levels(rng, n) for s in states])
+                out = sv_observer_step(states, None, lam, dt, dh=dh)
+                alone = [sv_observer_step(s, None, lam_r, dt_r, dh=d)
+                         for s, lam_r, dt_r, d in zip(states, lam, dt, dh)]
+            for new, one in zip(out, alone):
+                assert_same_state(new, one)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_saint_venant_failing_row_reports_its_own_minimum(self, profile):
+        # a source that drains more water than a column holds leaves a
+        # negative depth: the stack reports the first failing row's minimum,
+        # the one its one-row call reports
+        rng = np.random.default_rng(23)
+        for _ in range(self.cases // 2):
+            k, n = rng.integers(2, 6), rng.integers(3, 40)
+            states = sw_rows(rng, k, n, BoundaryKind.REFLECTIVE_WALL, profile)
+            failing = rng.random(k) < 0.5
+            failing[rng.integers(0, k)] = True
+            lam = np.full(k, 40.0)
+            dt = [0.9 * sv_cfl(s, 40.0) for s in states]
+            # the source lam dt dh drains 1.5 columns on a failing row, 0.25 else
+            dh = np.stack([-(1.5 if bad else 0.25) * s.h / (40.0 * d)
+                           for s, bad, d in zip(states, failing, dt)])
+            messages = []
+            for s, d, row in zip(states, dt, dh):
+                try:
+                    sv_observer_step(s, None, 40.0, d, dh=row)
+                    messages.append(None)
+                except FloatingPointError as exc:
+                    messages.append(str(exc))
+            first = next(m for m in messages if m is not None)
+            with pytest.raises(FloatingPointError) as raised:
+                sv_observer_step(states, None, lam, dt, dh=dh)
+            assert str(raised.value) == first
 
 
 def pulse(grid, lo, hi, value):

@@ -107,11 +107,11 @@ class TestErrorRecorder:
     @pytest.mark.parametrize("extra", [None, 0, 1])  # one row, a full block, one past it
     def test_rows_match_the_one_dimensional_norms(self, n, extra):
         grid = Grid1D(n, -1.0, 2.5)
-        rows = 1 if extra is None else len(ErrorRecorder(1, grid, 0.125).diff) + extra
+        rows = 1 if extra is None else len(ErrorRecorder(grid, 0.125).diff) + extra
         rng = np.random.default_rng(n)
         fields, refs = rng.normal(size=(2, rows, n))
         refs[-1] = 0.0  # the reference norm vanishes: the relative error falls back
-        recorder = ErrorRecorder(rows, grid, 0.125)
+        recorder = ErrorRecorder(grid, 0.125)
         for field, ref in zip(fields, refs):
             recorder.add(field, ref)
         rel, l1, l2, sobolev = recorder.norms()[:, 0]  # a stack of one field
@@ -135,12 +135,12 @@ class TestErrorRecorder:
         # a stack of fields against one reference per row, one row past a
         # full block, gives each field what its own recorder gives
         grid = Grid1D(n, -1.0, 2.5)
-        rows = len(ErrorRecorder(1, grid, 0.125, stack).ref) + 1
+        rows = len(ErrorRecorder(grid, 0.125, stack).ref) + 1
         rng = np.random.default_rng(n + stack)
         fields, refs = rng.normal(size=(rows, stack, n)), rng.normal(size=(rows, n))
         refs[-1] = 0.0
-        stacked = ErrorRecorder(rows, grid, 0.125, stack)
-        singles = [ErrorRecorder(rows, grid, 0.125) for _ in range(stack)]
+        stacked = ErrorRecorder(grid, 0.125, stack)
+        singles = [ErrorRecorder(grid, 0.125) for _ in range(stack)]
         for row, ref in zip(fields, refs):
             stacked.add(row, ref)
             for single, field in zip(singles, row):
@@ -152,7 +152,7 @@ class TestErrorRecorder:
 
     @pytest.mark.parametrize("n, rows", [(2, 256), (100, 163), (4000, 4), (40000, 1)])
     def test_block_stays_within_its_byte_budget(self, n, rows):
-        recorder = ErrorRecorder(1, Grid1D(n, 0.0, 1.0), 0.125)
+        recorder = ErrorRecorder(Grid1D(n, 0.0, 1.0), 0.125)
         assert recorder.diff.shape == (rows, n)
 
 

@@ -158,9 +158,11 @@ class TestMollifier:
         fields = np.zeros((3, 4))
         series = ObservationSeries(times, fields, np.ones(4, bool), grid)
         moll = Mollifier(0.25)
-        w_far, pairs = mollified_gain(series, moll, 0.2)
+        pairs = mollified_gain(series, moll, 0.2)
+        w_far = sum(w for _, w, _ in pairs)
         assert w_far == 0.0 and pairs == []
-        w_peak, pairs = mollified_gain(series, moll, 2.0)
+        pairs = mollified_gain(series, moll, 2.0)
+        w_peak = sum(w for _, w, _ in pairs)
         assert w_peak == pytest.approx(1.0 / 0.25)  # phi(0)/sigma
         assert [p[0] for p in pairs] == [1]
 

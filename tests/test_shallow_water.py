@@ -12,7 +12,9 @@ from kinassim.kinetic import (
     upwind_power_moment,
 )
 from kinassim.shallow_water import (
+    DRY_DEPTH,
     SWState,
+    _settle,
     cell_energy,
     dam_break_state,
     energy_budget,
@@ -471,6 +473,25 @@ class TestNonFiniteRefused:
             h[2] = bad
             with pytest.raises(ValueError, match="water depth h"):
                 SWState(h, np.zeros(5), np.zeros(5), wall_grid(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, name", [("h", "water depth h"), ("q", "discharge q"),
+                                             ("z_b", "bed elevation z_b")])
+    def test_state_rejects_non_finite_arrays(self, field, name, bad):
+        # a NaN discharge made sv_cfl return nan, an infinite bed made a step
+        # return a NaN discharge, an infinite depth was kept as it was
+        arrays = dict(h=np.ones(5), q=np.zeros(5), z_b=np.zeros(5))
+        arrays[field][3] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad} in cell 3"):
+            SWState(arrays["h"], arrays["q"], arrays["z_b"], wall_grid(5))
+
+    def test_settle_rejects_an_infinite_depth(self):
+        # the floor -1e-13 max(1, max h) let +inf through as it was
+        with pytest.raises(FloatingPointError, match="infinite depth after update"):
+            _settle(np.array([[1.0, math.inf]]), np.zeros((1, 2)), DRY_DEPTH)
+        stack = np.array([[1.0, 2.0], [1.0, math.inf]])  # the second of two rows
+        with pytest.raises(FloatingPointError, match="infinite depth after update"):
+            _settle(stack, np.zeros((2, 2)), DRY_DEPTH)
 
     def test_nan_time_step_fails_cfl_check(self):
         state = flat_state(np.ones(10))
