@@ -20,7 +20,12 @@ xi^k M, ``halfline_energy_moment`` that of xi e(M).  A boolean array selects
 the half-line entry by entry, so both sides of every interface go through one
 call.  The moments are closed forms (polynomial for the rectangle,
 trigonometric for the semicircle), so fluxes are bit-stable and independent
-of any xi discretisation.
+of any xi discretisation.  One kernel evaluates them: the moment of xi^k M
+over xi >= 0 is H times the sum over j of C(k, j) u^(k-j) c^j J_j, J_j the
+moment of z^j chi over [-u/c, w].  J_0..J_kmax are computed once, by
+products (no ``pow``), and complemented (J_full - J) on whole rows for
+xi <= 0; the recurrence T_j <- u T_j + c T_(j+1) then gives power k as
+H T_0 after k rounds.
 """
 from __future__ import annotations
 
@@ -84,25 +89,23 @@ def _fresh_buffers(*arrays):
     return lambda: np.empty(shape)
 
 
-def _power(a, e: int, out):
-    """a ** e into ``out``, through the ufunc the ``**`` operator picks."""
-    if e == 1:
-        return np.positive(a, out=out)
-    if e == 2:
-        return np.square(a, out=out)
-    return np.power(a, e, out=out)
+# The partial moments of the profiles at the bound a = -ratio, j = 0..kmax,
+# each written over ``ratio`` or into a buffer from ``take``.
 
 
-def _rectangle_partial(a, kmax: int, take):
+def _rectangle_partial(ratio, kmax: int, take):
+    # (w^(k+1) - a^(k+1)) / (2 w (k+1)), the powers of a as a running product
     w = math.sqrt(3.0)
     r = 1.0 / (2.0 * w)
-    a = np.clip(a, -w, w, out=take())
-    out = []
+    a = np.negative(ratio, out=ratio)
+    np.maximum(a, -w, out=a)
+    np.minimum(a, w, out=a)
+    power, out = a, []
     for k in range(kmax + 1):
-        p = _power(a, k + 1, take())
-        np.subtract(w ** (k + 1), p, out=p)
-        np.multiply(r, p, out=p)
-        out.append(np.divide(p, k + 1, out=p))
+        if k:
+            power = np.multiply(power, a, out=take() if k == 1 else power)
+        j = np.subtract(w ** (k + 1), power, out=power if 0 < k == kmax else take())
+        out.append(np.multiply(r / (k + 1), j, out=j))
     return out
 
 
@@ -113,33 +116,32 @@ def _rectangle_partial_cube(a):
     return [r3 * (w - a), r3 * (w * w - a * a) / 2.0]
 
 
-def _semicircle_partial(a, kmax: int, take):
+def _semicircle_partial(ratio, kmax: int, take):
     # z = 2 sin(th): with s = sin(th) and c = cos(th) (c >= 0 on the clipped
-    # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2)
-    s = np.maximum(a, -2.0, out=take())
-    np.minimum(s, 2.0, out=s)
-    np.multiply(s, 0.5, out=s)  # halving by * 0.5 is exact
-    rest = np.arcsin(s, out=take())
+    # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2);
+    # cos^3 and cos^5 are products of c^2 = 1 - s^2 and c
+    s = np.multiply(ratio, -0.5, out=ratio)  # a / 2; halving is exact
+    np.maximum(s, -1.0, out=s)
+    np.minimum(s, 1.0, out=s)
+    rest = np.arccos(s, out=take())  # angle from the bound to the end of the support
     s2 = np.multiply(s, s, out=take())
-    c = np.subtract(1.0, s2, out=take())
-    np.sqrt(c, out=c)
-    np.subtract(0.5 * math.pi, rest, out=rest)  # angle from the bound to the end of the support
-    sc = np.multiply(s, c, out=take())
+    c2 = np.subtract(1.0, s2, out=take())
+    c = np.sqrt(c2, out=take())
+    sc = np.multiply(s, c, out=s)
     j0 = np.subtract(rest, sc, out=take())
     out = [np.divide(j0, math.pi, out=j0)]
     if kmax >= 1:
-        c3 = _power(c, 3, take())
+        c3 = np.multiply(c2, c, out=c)
         out.append(np.multiply(4.0 / (3.0 * math.pi), c3, out=c3 if kmax < 3 else take()))
     if kmax >= 2:
-        j2 = np.multiply(2.0, s2, out=s2)
-        np.subtract(1.0, j2, out=j2)
+        j2 = np.subtract(c2, s2, out=s2)  # 1 - 2 s^2
         np.multiply(sc, j2, out=j2)
         np.add(rest, j2, out=j2)
         out.append(np.divide(j2, math.pi, out=j2))
     if kmax >= 3:
-        j3 = np.divide(c3, 3.0, out=c3)
-        c5 = _power(c, 5, take())
+        c5 = np.multiply(c3, c2, out=c2)
         np.divide(c5, 5.0, out=c5)
+        j3 = np.divide(c3, 3.0, out=c3)
         np.subtract(j3, c5, out=j3)
         out.append(np.multiply(16.0 / math.pi, j3, out=j3))
     return out
@@ -167,7 +169,20 @@ def profile_partial_cube_moments(profile: ChiProfile, a):
     return _semicircle_partial_cube(a)
 
 
-_BINOM = {0: (1.0,), 1: (1.0, 1.0), 2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0)}
+def _complement(mom, positive):
+    """J_full - J where ``positive`` is False: the negative half-line's
+    partial moments.  A scalar, or one value per row (the step's sides), goes
+    through row views; any other mask through a masked subtract."""
+    negative = np.logical_not(positive)
+    rows = negative.ndim == mom[0].ndim > 0 and negative.size == negative.shape[0] == len(mom[0])
+    if not (rows or negative.size == 1):
+        for full, p in zip(_J_FULL, mom):
+            np.subtract(full, p, out=p, where=negative)
+        return
+    parts = [slice(r, r + 1) for r in np.flatnonzero(negative)] if rows else [...] * bool(negative)
+    for part in parts:
+        for full, p in zip(_J_FULL, mom):
+            np.subtract(full, p[part], out=p[part])
 
 
 def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None):
@@ -176,48 +191,32 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None):
     The partial moments J_0..J_max(powers) are evaluated once and shared by
     every power.  ``positive`` selects xi >= 0 (True) or xi <= 0 (False); a
     boolean array broadcasting against h selects the side entry by entry.
-    Each binomial term C(k, j) u^(k-j) c^j J_j is the left-to-right product
-    with its unit factors (C = 1, u^0, c^0) left out, which is exact.
+    The sums over j of C(k, j) u^(k-j) c^j J_j come from the recurrence
+    T_j <- u T_j + c T_(j+1), started at T_j = J_j: after k rounds T_0 is
+    power k's.  Dry entries (h = 0) get c = 1, where every term is finite,
+    and the factor h zeroes them.
 
-    ``take`` supplies the buffers every intermediate and result is written
-    into (a Saint-Venant step's work buffers, of the broadcast shape); by
-    default each is a fresh array.
+    ``take`` supplies the buffers of every intermediate and result (a step's
+    work buffers, of the broadcast shape), ``c`` among them: the call
+    overwrites it.  By default the buffers are fresh and ``c`` is copied.
     """
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
-    take = take or _fresh_buffers(h, u, c, positive)
-    wet = h > 0.0
-    dry = ~wet
-    safe_c = take()
-    safe_c[...] = c
-    np.copyto(safe_c, 1.0, where=dry)
+    if take is None:
+        take = _fresh_buffers(h, u, c, positive)
+        c = np.positive(c, out=take())  # a copy to overwrite
+    np.copyto(c, 1.0, where=h <= 0.0)
     kmax = max(powers)
-    a = np.negative(u, out=take())
-    np.divide(a, safe_c, out=a)
-    mom = _PARTIAL[profile](a, kmax, take)
-    negative = np.logical_not(positive)
-    for full, p in zip(_J_FULL, mom):  # the complement on the negative half-line
-        np.subtract(full, p, out=p, where=negative)
-    u_pow = [None, u] + [_power(u, i, take()) for i in range(2, kmax + 1)]
-    c_pow = [None, safe_c] + [_power(safe_c, i, take()) for i in range(2, kmax + 1)]
-    out, term = [], take()
-    for k in powers:
-        acc = take()
-        for j, coeff in enumerate(_BINOM[k]):
-            into = term if j else acc
-            prefix = None
-            for factor in (None if coeff == 1.0 else coeff, u_pow[k - j], c_pow[j]):
-                if factor is not None:
-                    prefix = factor if prefix is None else np.multiply(prefix, factor, out=into)
-            if prefix is None:
-                np.copyto(into, mom[j])
-            else:
-                np.multiply(prefix, mom[j], out=into)
-            if j:
-                np.add(acc, into, out=acc)
-        np.multiply(h, acc, out=acc)
-        np.copyto(acc, 0.0, where=dry)
-        out.append(acc)
+    terms = _PARTIAL[profile](np.divide(u, c, out=take()), kmax, take)
+    _complement(terms, positive)
+    out, term = [], take() if kmax else None
+    for k in range(kmax + 1):
+        for j in range(kmax + 1 - k if k else 0):
+            np.multiply(c, terms[j + 1], out=term)
+            np.multiply(u, terms[j], out=terms[j])
+            np.add(terms[j], term, out=terms[j])
+        if k in powers:
+            out.append(np.multiply(h, terms[0], out=terms[0] if k == kmax else take()))
     return out
 
 
@@ -238,7 +237,7 @@ def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive, *, take=None):
 
     ``positive`` may be a boolean array, so both sides of every interface
     can be evaluated in one call on stacked arrays.  ``take`` supplies the
-    buffers as in ``_upwind_moments``; the default returns fresh arrays.
+    buffers, ``c`` among them, as in ``_upwind_moments``.
     """
     return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive, take))
 

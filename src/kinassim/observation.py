@@ -8,6 +8,7 @@ eps^r cos(x/eps), small in a weak norm while order-one in L2 for alpha > 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,7 @@ class ObservationSeries:
             raise ValueError("observation times must be strictly increasing")
         if self.fields.shape != (len(self.times), self.grid.n_cells):
             raise ValueError("fields shape must be (n_times, n_cells)")
+        self._time_list = self.times.tolist()  # for the bisections of interpolate_in_time
 
 
 def observe(values: np.ndarray, noise: np.ndarray | None, mask: np.ndarray,
@@ -118,14 +120,14 @@ def nearest_recorded(rec_t: np.ndarray, times) -> np.ndarray:
 
 def interpolate_in_time(series: ObservationSeries, t: float) -> np.ndarray:
     """Piecewise-linear interpolation of the series at time t (per cell)."""
-    times = series.times
+    times = series._time_list
     tol = 1e-9 * max(1.0, abs(times[-1]))
     if t < times[0] - tol or t > times[-1] + tol:
         raise ValueError(f"time {t} outside the observation span")
     if len(times) == 1:
         return series.fields[0].copy()
     t = min(max(t, times[0]), times[-1])
-    k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    k = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
     t0, t1 = times[k], times[k + 1]
     w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
     return (1.0 - w) * series.fields[k] + w * series.fields[k + 1]

@@ -322,8 +322,7 @@ def sv_interface_flux(
     take = take or _fresh_buffers(h)
     u = take()
     u[0], u[1] = u_left, u_right
-    c = np.multiply(g, h, out=take())
-    np.multiply(c, 0.5, out=c)  # halving by * 0.5 is exact
+    c = np.multiply(0.5 * g, h, out=take())  # halving g is exact: the bits of g h / 2
     np.sqrt(c, out=c)
     mass, momentum = upwind_mass_momentum(profile, h, u, c, _UPWIND_SIDE, take=take)
     f_q = np.add(momentum[0], momentum[1], out=momentum[0])

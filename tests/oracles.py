@@ -6,7 +6,10 @@ relaxation equation (scipy quadrature), ``chi_profile_value`` the pointwise
 shape profile, ``noise_l2_closed_form`` the L2 norm of the oscillatory
 observation noise, and ``dense_collapse_step`` the collapsed Burgers step
 summed over dense arrays of cell-averaged indicators
-(``cell_averaged_indicator``).
+(``cell_averaged_indicator``), and ``binomial_upwind_moments`` the
+half-line moments of a Gibbs density summed term by term from the binomial
+expansion, with libm ``pow`` and a masked complement on the negative
+half-line.
 """
 from __future__ import annotations
 
@@ -119,3 +122,52 @@ def dense_collapse_step(u, obs_u, lam: float, dt: float, grid: Grid1D, xi: XiGri
         target = cell_averaged_indicator(xi, np.where(observed, obs_u, 0.0)) @ w
         new = np.where(observed, new + (1.0 - np.exp(-lam * dt)) * (target - new), new)
     return new
+
+
+_BINOM = {0: (1.0,), 1: (1.0, 1.0), 2: (1.0, 2.0, 1.0), 3: (1.0, 3.0, 3.0, 1.0)}
+
+
+def _oracle_partial_moments(profile: ChiProfile, a, kmax: int) -> list:
+    """[integral of z^j chi(z) dz over [a, support end], j = 0..kmax], the
+    powers through ``np.power``."""
+    if profile is ChiProfile.RECTANGLE:
+        w = math.sqrt(3.0)
+        a = np.clip(a, -w, w)
+        return [(1.0 / (2.0 * w)) * (w ** (k + 1) - np.power(a, k + 1)) / (k + 1)
+                for k in range(kmax + 1)]
+    s = np.clip(a, -2.0, 2.0) * 0.5
+    rest = 0.5 * math.pi - np.arcsin(s)
+    s2 = s * s
+    c = np.sqrt(1.0 - s2)
+    sc = s * c
+    c3 = np.power(c, 3)
+    return [
+        (rest - sc) / math.pi,
+        4.0 / (3.0 * math.pi) * c3,
+        (rest + sc * (1.0 - 2.0 * s2)) / math.pi,
+        16.0 / math.pi * (c3 / 3.0 - np.power(c, 5) / 5.0),
+    ][: kmax + 1]
+
+
+def binomial_upwind_moments(profile: ChiProfile, h, u, c, powers, positive) -> list:
+    """[H * integral of (u + z c)^k chi(z) dz over a half-line, k in powers]
+    as the binomial sum over j of C(k, j) u^(k-j) c^j J_j, the powers through
+    ``np.power``.  The partial moments J_j are taken over [-u/c, support
+    end] and complemented to the negative half-line by a masked subtract
+    where ``positive`` (a bool or a boolean array) is False.  Dry entries
+    (h = 0) are zero; c may hold any placeholder value there."""
+    h, u, c = (np.asarray(a, dtype=float) for a in (h, u, c))
+    shape = np.broadcast_shapes(h.shape, u.shape, c.shape, np.shape(positive))
+    dry = np.broadcast_to(h <= 0.0, shape)
+    safe_c = np.where(dry, 1.0, c)
+    mom = [np.broadcast_to(p, shape).copy()
+           for p in _oracle_partial_moments(profile, -u / safe_c, max(powers))]
+    negative = np.broadcast_to(np.logical_not(positive), shape)
+    for full, p in zip((1.0, 0.0, 1.0, 0.0), mom):
+        np.subtract(full, p, out=p, where=negative)
+    out = []
+    for k in powers:
+        acc = sum(coeff * np.power(u, k - j) * np.power(safe_c, j) * mom[j]
+                  for j, coeff in enumerate(_BINOM[k]))
+        out.append(np.where(dry, 0.0, h * acc))
+    return out

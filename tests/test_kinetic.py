@@ -13,7 +13,7 @@ from kinassim.kinetic import (
     upwind_mass_momentum,
     upwind_power_moment,
 )
-from oracles import chi_profile_value
+from oracles import binomial_upwind_moments, chi_profile_value
 
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
 
@@ -284,3 +284,52 @@ class TestUpwindMassMomentum:
             )
             for got, want in zip(stacked, single):
                 np.testing.assert_array_equal(got[row], want)
+
+
+def random_interfaces(profile, n=2400, seed=16):
+    """Interface states: a tenth dry (c = 0, any velocity), depths from 1e-14
+    to 10, |u| from 0 to 3 w c of both signs, some exact zeros."""
+    rng = np.random.default_rng(seed)
+    h = 10.0 ** rng.uniform(-14.0, 1.0, n)
+    h[rng.random(n) < 0.1] = 0.0
+    c = np.sqrt(G * h / 2.0)
+    u = rng.uniform(-3.0, 3.0, n) * profile.support_halfwidth * c
+    u[::11] = 0.0
+    dry = h == 0.0
+    u[dry] = rng.uniform(-2.0, 2.0, np.count_nonzero(dry))
+    return h, u, c
+
+
+class TestAgainstBinomialOracle:
+    """The moment recurrence against the term-by-term binomial sum."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_powers_and_sides(self, profile):
+        h, u, c = random_interfaces(profile)
+        n, w = h.size, profile.support_halfwidth
+        assert np.count_nonzero(h == 0.0) >= n // 20 and h[h > 0.0].min() < 1e-13
+        mixed = np.random.default_rng(3).random(n) < 0.5
+        for positive in (True, False, mixed):
+            with np.errstate(all="raise"):
+                got = [upwind_power_moment(profile, h, u, c, k, positive) for k in range(4)]
+                got.append(upwind_mass_momentum(profile, h, u, c, positive))
+            want = binomial_upwind_moments(profile, h, u, c, range(4), positive)
+            for k in range(4):
+                scale = h * (np.abs(u) + w * c) ** k
+                assert np.all(np.abs(got[k] - want[k]) <= 1e-14 * scale), (k, positive)
+                np.testing.assert_array_equal(got[k][h == 0.0], 0.0)
+            np.testing.assert_array_equal(got[4][0], got[1])
+            np.testing.assert_array_equal(got[4][1], got[2])
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_row_sides(self, profile):
+        # one side per row, as the Saint-Venant step asks
+        h, u, c = (a.reshape(2, -1) for a in random_interfaces(profile, seed=17))
+        side = np.array([[True], [False]])
+        with np.errstate(all="raise"):
+            got = upwind_mass_momentum(profile, h, u, c, side)
+        want = binomial_upwind_moments(profile, h, u, c, (1, 2), side)
+        for k, got_k, want_k in zip((1, 2), got, want):
+            scale = h * (np.abs(u) + profile.support_halfwidth * c) ** k
+            assert np.all(np.abs(got_k - want_k) <= 1e-14 * scale)
+            np.testing.assert_array_equal(got_k[h == 0.0], 0.0)

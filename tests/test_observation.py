@@ -142,6 +142,28 @@ class TestInterpolateInTime:
         with pytest.raises(ValueError):
             interpolate_in_time(series, 2.5)
 
+    def test_equals_two_point_blend(self):
+        # on the stored times, between them and at both ends of the span
+        # (inside the tolerance), against the blend of the two fields whose
+        # times bracket t
+        rng = np.random.default_rng(16)
+        times = np.cumsum(rng.uniform(0.05, 0.5, 13))
+        fields = rng.normal(size=(13, 10))
+        series = ObservationSeries(times, fields, np.ones(10, bool), unit_grid(10))
+        tol = 1e-9 * max(1.0, times[-1])
+        ends = [times[0] - 0.5 * tol, times[0], times[-1], times[-1] + 0.5 * tol]
+        queries = np.concatenate([times, rng.uniform(times[0], times[-1], 183), ends])
+        for t in queries:
+            clamped = min(max(t, times[0]), times[-1])
+            k = min(max(np.count_nonzero(times <= clamped) - 1, 0), len(times) - 2)
+            w = (clamped - times[k]) / (times[k + 1] - times[k])
+            want = (1.0 - w) * fields[k] + w * fields[k + 1]
+            np.testing.assert_array_equal(interpolate_in_time(series, float(t)), want)
+            np.testing.assert_array_equal(interpolate_in_time(series, t), want)
+        for t in (times[0] - 2.0 * tol, times[-1] + 2.0 * tol, -1.0, 10.0):
+            with pytest.raises(ValueError, match="outside the observation span"):
+                interpolate_in_time(series, t)
+
 
 class TestMollifier:
     def test_unit_integral_and_compact_support(self):
