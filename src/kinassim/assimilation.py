@@ -27,7 +27,7 @@ each observation is sampled once the truth has passed it.  Each observer
 substep is then taken together with the truth's next step, while the truth
 has steps left (``_Lane.step_pair``): a Saint-Venant observer and a truth on
 its grid as one (2, n) update, the truth the row at gain 0; a refined truth
-and every Burgers lane as two calls.
+and every Burgers lane as two calls.  The loop releases passed truth fields.
 
 Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
@@ -90,8 +90,6 @@ _TIME_TOL = 1e-12
 # budget stays finite however small the first bound is.
 _STEP_BUDGET = 100
 _MAX_IMPLIED_STEPS = 10**6
-
-_BLOCK_ROWS = 256  # truth fields per storage block
 
 
 class SolverError(RuntimeError):
@@ -532,8 +530,8 @@ class _Truth:
     ``next_dt`` is the length of its next step, checked against its bound
     and its step budget; ``take`` records that step, whether the truth took
     it alone (``step``) or beside an observer substep.  Each step's observed
-    field is copied into a preallocated block of _BLOCK_ROWS rows and kept
-    as a row view of it, so the trajectory is held once.
+    field is an array of its own; ``release(k)`` sets those before k to None
+    (indices stay absolute, and reading one fails); ``finish`` keeps them all.
     """
 
     def __init__(self, config: RunConfig, lane: _Lane):
@@ -542,15 +540,20 @@ class _Truth:
         self.state, self.t, self.done = lane.initial, 0.0, False
         self.trajectory_times, self.trajectory_fields, self.dts = [0.0], [], []
         self.energies = [lane.energy(self.state)]
-        self._block, self._budget = None, None
+        self._budget, self._released, self._spare = None, 0, []
         self._keep(lane.observed(self.state))
 
     def _keep(self, field) -> None:
-        row = len(self.trajectory_fields) % _BLOCK_ROWS
-        if row == 0:
-            self._block = np.empty((_BLOCK_ROWS, len(field)))
-        self._block[row] = field
-        self.trajectory_fields.append(self._block[row])
+        kept = self._spare.pop() if self._spare else np.empty_like(field)
+        kept[...] = field
+        self.trajectory_fields.append(kept)
+
+    def release(self, k: int) -> None:
+        """Drop the fields before k; new fields reuse their arrays (fewer page faults)."""
+        while self._released < k:
+            self._spare.append(self.trajectory_fields[self._released])
+            self.trajectory_fields[self._released] = None
+            self._released += 1
 
     def next_dt(self) -> float:
         t = self.t
@@ -649,7 +652,7 @@ class _GainController:
     observation time from the start, and each field once the truth has
     passed its time: observed on the recorded state nearest to it
     (``nearest_recorded``), it is what ``sample_observations`` gives over the
-    finished truth.
+    same truth run on its own; ``floor`` is the first one it may still read.
 
     Every row of the stack takes the same windows, so the pointer and the
     mollified snapshots serve all of them: a row with a zero gain is relaxed
@@ -690,9 +693,10 @@ class _GainController:
             self.series = ObservationSeries(self.times, fields, self.mask, grid)
             self._times = self.times.tolist()
         self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
-        # observer references at each observation time, one row per observer,
-        # taken under the mollified gain only
-        self.snapshots: list = []
+        # mollified observer references by observation time (_taken), one row
+        # per observer; the first _dropped are deleted once the kernel is zero
+        self.snapshots: dict = {}
+        self._taken, self._dropped = 0, 0
         self._snapshot_times = (
             self.series.times if self.mollifier is not None and self.series is not None else ()
         )
@@ -732,6 +736,11 @@ class _GainController:
             self.series.fields[self._sampled] = field
             self._sampled += 1
 
+    def floor(self) -> int:
+        """The state before the first unsampled time (past the end once none is)."""
+        recorded, times, k = self.truth.trajectory_times, self._times, self._sampled
+        return len(recorded) if k == len(times) else bisect_left(recorded, times[k]) - 1
+
     def finish(self) -> None:
         """Run the truth to its end and sample every observation time."""
         self.truth.finish()
@@ -755,7 +764,10 @@ class _GainController:
                 return None
             pairs = mollified_gain(series, self.mollifier, t_lo)
             snaps = self.snapshots
-            return [(w, f, snaps[k] if k < len(snaps) else None) for k, w, f in pairs] or None
+            while self._dropped < self._taken and t_lo - self._times[self._dropped] >= self._reach:
+                del snaps[self._dropped]
+                self._dropped += 1
+            return [(w, f, snaps[k] if k < self._taken else None) for k, w, f in pairs] or None
         if not self._gained:
             return None
         if series is not None:  # every step, against the sampled series
@@ -791,9 +803,10 @@ class _GainController:
             truth.take(stepped, truth_dt)
         if terms is not None and self.at_times:
             self._skip_to(t + dt)
-        times, snaps = self._snapshot_times, self.snapshots
-        while len(snaps) < len(times) and times[len(snaps)] <= t + dt + _TIME_TOL:
-            snaps.append(lane.snapshot(state))
+        times = self._snapshot_times
+        while self._taken < len(times) and times[self._taken] <= t + dt + _TIME_TOL:
+            self.snapshots[self._taken] = lane.snapshot(state)
+            self._taken += 1
         return state
 
 
@@ -814,10 +827,11 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
     truth step longer than the observer's CFL bound is divided into m
     substeps, each resolving its own window.
 
-    The observers may take _STEP_BUDGET substeps per truth step over the
-    run; the truth runs to its end before a substep count past that share
-    of its steps so far is refused.  When the loop raises, the truth runs to
-    its end and every observation is sampled first, so a failing truth or
+    The truth's fields before min(n, ``controller.floor()``) are released
+    before step n.  The observers may take _STEP_BUDGET substeps per truth step
+    over the run; the truth runs to its end before a substep count past that
+    share of its steps so far is refused.  When the loop raises, the truth runs
+    to its end and every observation is sampled first, so a failing truth or
     observation raises its own error, as when the truth ran before the
     observers.
 
@@ -869,6 +883,7 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
             if (n + 1) % config.record_every == 0 or last:
                 record(n + 1)
             n += 1
+            truth.release(min(n, controller.floor()))
     except Exception:
         controller.finish()
         raise

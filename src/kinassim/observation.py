@@ -84,11 +84,11 @@ def sample_observations(
     """Extract an observation series from a recorded truth trajectory.
 
     ``truth`` must expose ``trajectory_times`` and ``trajectory_fields``
-    (states recorded at every solver step, as a 2-D array or a list of
-    fields); each requested time picks the nearest recorded state.  Where
-    observed, the noise field is added; ``clamp_nonnegative`` truncates
-    negative noisy values (used for water depths, which the observer rejects
-    if negative).
+    (states recorded at every solver step, as a 2-D array or a list of fields)
+    of a truth run on its own: a twin's truth releases its fields.  Each
+    requested time picks the nearest recorded state.  Where observed, the noise
+    field is added; ``clamp_nonnegative`` truncates negative noisy values (used
+    for water depths, which the observer rejects if negative).
     """
     rec_t = np.asarray(truth.trajectory_times, dtype=float)
     rec_f = truth.trajectory_fields

@@ -578,8 +578,8 @@ LEAD_MODES = {
 class TestTruthLeads:
     """The one time loop steps the truth ahead of the observers: every
     observed field a window uses equals what sample_observations gives over
-    the finished truth, and no window reads a truth state the truth has not
-    reached when the window is resolved."""
+    the truth run on its own to its end, and no window reads a truth state
+    the truth has not reached when the window is resolved."""
 
     def sw_config(self, mode):
         grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
@@ -616,10 +616,10 @@ class TestTruthLeads:
         assert len({id(c) for c in controllers}) == 1
         return controllers[0], reads
 
-    def expected(self, controller, series, t_lo, step_index):
+    def expected(self, controller, truth, series, t_lo, step_index):
         """(the indices of the recorded truth states the window at t_lo
-        reads, the fields it should use), from the finished truth."""
-        truth, times = controller.truth, controller.times
+        reads, the fields it should use), from the whole truth ``truth``."""
+        times = controller.times
         if series is None:  # the truth's own state at the lane's time level
             index = step_index + controller.level
             field = observe(truth.trajectory_fields[index], controller._noise,
@@ -643,15 +643,20 @@ class TestTruthLeads:
         controller, reads = self.reads(cfg, monkeypatch)
         truth = controller.truth
         assert truth.done
+        # the run releases the truth fields it has passed: read them from the
+        # same truth run on its own, which keeps them all
+        whole = assimilation._Truth(cfg, assimilation._lanes(cfg)[0])
+        whole.finish()
+        assert whole.trajectory_times == truth.trajectory_times and whole.dts == truth.dts
         series = None
         if controller.series is not None:
-            series = sample_observations(truth, controller.times, mask_interval=cfg.obs_mask,
+            series = sample_observations(whole, controller.times, mask_interval=cfg.obs_mask,
                                          noise=cfg.noise, clamp_nonnegative=controller.clamp)
             assert np.array_equal(controller.series.fields, series.fields, equal_nan=True)
         used = [r for r in reads if r[3] is not None]
         assert len(used) > 3
         for t_lo, step_index, truth_t, fields in used:
-            indices, expected = self.expected(controller, series, t_lo, step_index)
+            indices, expected = self.expected(controller, whole, series, t_lo, step_index)
             assert max(truth.trajectory_times[i] for i in indices) <= truth_t
             assert len(fields) == len(expected)
             for got, want in zip(fields, expected):
@@ -879,8 +884,8 @@ class TestErrorsDoNotDependOnBlockSize:
 
 def test_truth_phase_holds_the_trajectory_once():
     # stacking a list of per-step fields at the end of the phase held every
-    # field twice (a peak of 2.16 times the fields here); the row blocks add
-    # at most one block of unused rows
+    # field twice (a peak of 2.16 times the fields here); a truth run on its
+    # own keeps each step's field once, in an array of its own
     grid = Grid1D(200, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
     cfg = RunConfig(
         model="shallow_water", grid=grid, t_final=0.75, gain=GainSchedule(0.0),
@@ -896,6 +901,80 @@ def test_truth_phase_holds_the_trajectory_once():
     finally:
         tracemalloc.stop()
     held = sum(field.nbytes for field in truth.trajectory_fields)
-    assert len(truth.trajectory_fields) > 3 * assimilation._BLOCK_ROWS
+    assert len(truth.trajectory_fields) > 768
     assert peak < 1.75 * held
     np.testing.assert_array_equal(truth.trajectory_fields[-1], truth.state.h)
+
+
+def dam_break_twin(lam=20.0):
+    """The dam break of test_truth_phase_holds_the_trajectory_once, nudged at
+    ``lam`` on every step toward the truth's own depth."""
+    grid = Grid1D(200, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+    return RunConfig(
+        model="shallow_water", grid=grid, t_final=0.75, gain=GainSchedule(lam),
+        truth_state=dam_break_state(grid, 2.0, 1.0, 0.5),
+        observer_state=dam_break_state(grid, 1.5, 1.5, 0.5),
+    )
+
+
+class TestTruthWindow:
+    """A twin holds the truth fields of its lead over the observers, not
+    the whole trajectory: the loop releases every field behind the
+    observers' truth step and behind what sampling may still read."""
+
+    @pytest.mark.parametrize("case", ["dam_break", "thacker"])
+    def test_live_fields_stay_within_the_lead(self, case, monkeypatch):
+        if case == "dam_break":
+            cfg = dam_break_twin()
+        else:  # interpolated, read from an observation series
+            cfg = replace(parse_config(fixture_path("thacker.cfg")), t_final=3.0)
+        step, excess = [0], []
+        resolve, take = assimilation._GainController.resolve, assimilation._Truth.take
+
+        def note_step(self, t_lo, t_hi, step_index, is_last):
+            step[0] = step_index
+            return resolve(self, t_lo, t_hi, step_index, is_last)
+
+        def count_live(self, state, dt):
+            take(self, state, dt)
+            live = sum(field is not None for field in self.trajectory_fields)
+            excess.append(live - (len(self.dts) - step[0]))  # over the truth's lead
+
+        monkeypatch.setattr(assimilation._GainController, "resolve", note_step)
+        monkeypatch.setattr(assimilation._Truth, "take", count_live)
+        result = run_twin(cfg)
+        assert len(excess) == len(result.dt_history) > 768
+        assert max(excess) <= 3
+
+    def test_the_sampling_floor_keeps_what_sampling_reads(self, monkeypatch):
+        # observation times closer than a truth step, so that the first
+        # unsampled time often lies behind the truth's last recorded state:
+        # no field sampling reads lies below a floor reported before
+        cfg = TestTruthLeads().sw_config("interpolated")
+        cfg = replace(cfg, obs_times=0.0007 * np.arange(1, 143))
+        controllers, floors, reads = [], [], []
+        floor, sample_through = (assimilation._GainController.floor,
+                                 assimilation._GainController._sample_through)
+        observed = assimilation.observe
+
+        def noted_floor(self):
+            floors.append(floor(self))
+            return floors[-1]
+
+        def sampling(self, last):
+            controllers.append(self)
+            return sample_through(self, last)
+
+        def noted_observe(values, *args):
+            fields = controllers[-1].truth.trajectory_fields
+            index = next(i for i, field in enumerate(fields) if field is values)
+            reads.append((max(floors, default=0), index))
+            return observed(values, *args)
+
+        monkeypatch.setattr(assimilation._GainController, "floor", noted_floor)
+        monkeypatch.setattr(assimilation._GainController, "_sample_through", sampling)
+        monkeypatch.setattr(assimilation, "observe", noted_observe)
+        run_twin(cfg)
+        assert len(reads) == len(cfg.obs_times)
+        assert all(index >= low for low, index in reads)
+        assert any(index == low > 0 for low, index in reads)  # a read on the floor itself
