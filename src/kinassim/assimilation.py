@@ -117,7 +117,7 @@ class BurgersObserverMode(Enum):
 class GainSchedule:
     """Nudging gain and its temporal activation."""
 
-    lam: float
+    lam: float = 0.0
     temporal_mode: TemporalMode = TemporalMode.EVERY_STEP
     sigma: float | None = None
 
@@ -138,8 +138,8 @@ class RunConfig:
 
     model: str  # "burgers" | "shallow_water"
     grid: Grid1D
-    t_final: float
-    gain: GainSchedule
+    t_final: float = 1.0
+    gain: GainSchedule = GainSchedule()
     cfl_safety: float = 0.95
     record_every: int = 1
     sobolev_order: float = 0.125
@@ -184,14 +184,14 @@ class RunConfig:
             ):
                 raise ValueError("obs_times must be a 1-D array of finite, nonnegative, "
                                  f"strictly increasing times, got {times!r}")
+        if self.obs_mask is not None and not self.grid.interval_mask(*self.obs_mask).any():
+            raise ValueError(f"obs_mask {self.obs_mask} holds no cell centre of the grid on "
+                             f"[{self.grid.x_min:g}, {self.grid.x_max:g}]")
         if self.gain.temporal_mode is TemporalMode.MOLLIFIED and (
             self.obs_times is None or not self.obs_times.size
         ):
             raise ValueError(f"a mollified gain needs obs_times, got {self.obs_times!r}")
         if self.model == "shallow_water":
-            if self.truth_resolution_factor < 1:
-                raise ValueError("truth_resolution_factor must be >= 1, got "
-                                 f"{self.truth_resolution_factor!r}")
             fine = self.grid.refined(self.truth_resolution_factor)
             for name, grid in (("observer_state", self.grid), ("truth_state", fine)):
                 state = getattr(self, name)
@@ -964,6 +964,17 @@ def _sweep_worker(args) -> list[SweepPoint]:
     return [SweepPoint(lam, r.final_l1_rel, r.final_sobolev) for lam, r in zip(lams, results)]
 
 
+def gain_list(values) -> list[float]:
+    """The gains ``values`` as floats: at least one, each finite and
+    nonnegative."""
+    gains = [float(v) for v in values]
+    if not gains:
+        raise ValueError("sweep needs at least one gain value")
+    if not all(math.isfinite(v) and v >= 0.0 for v in gains):
+        raise ValueError(f"gains must be finite and nonnegative, got {gains!r}")
+    return gains
+
+
 def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoint]:
     """Twin runs over a list of gains, order preserved.
 
@@ -977,11 +988,7 @@ def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoin
     point (``SweepPoint.failed``).  Every point equals ``run_twin`` at its
     gain, whatever the grouping.
     """
-    lam_values = [float(v) for v in lam_values]
-    if not lam_values:
-        raise ValueError("sweep needs at least one gain value")
-    if not all(math.isfinite(v) and v >= 0.0 for v in lam_values):
-        raise ValueError(f"gains must be finite and nonnegative, got {lam_values!r}")
+    lam_values = gain_list(lam_values)
     tasks = []
     for group in _groups(config, lam_values):
         size = math.ceil(len(group) / max(jobs, 1))

@@ -5,10 +5,9 @@ Exit codes: 0 success, 1 configuration error, 2 runtime/solver error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .assimilation import run_twin, sweep_lambda
+from .assimilation import gain_list, run_twin, sweep_lambda
 from .config import ConfigError, emit_csv, parse_config
 from .metrics import sweep_minimum
 from .observation import observability_check
@@ -79,12 +78,9 @@ def _run_single(args, expected_model: str) -> int:
 
 def _run_sweep(args) -> int:
     try:
-        lam_values = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
-    except ValueError:
-        lam_values = []  # refused below
-    if not lam_values or not all(math.isfinite(v) and v >= 0.0 for v in lam_values):
-        raise ConfigError("--lambdas must be comma-separated finite, nonnegative gains, "
-                          f"got {args.lambdas!r}")
+        lam_values = gain_list(v for v in args.lambdas.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"--lambdas {args.lambdas!r}: {exc}") from None
     config = _load(args.config)
     points = sweep_lambda(config, lam_values, jobs=args.jobs)
     if args.out:

@@ -1,15 +1,23 @@
 """Sectioned key-value run configuration and CSV report emission.
 
-The config format is a flat INI document; every key is validated against a
-per-section whitelist and every physical quantity carries SI units (meters,
-seconds).  Reports embed the fully resolved configuration as ``# key = value``
-comment lines so a run is reproducible from its report alone.
+The config format is a flat INI document.  One table, ``_KEYS``, declares
+every ``[section] key``: the model kinds it acts on, how its text is read and
+the dataclass field it feeds.  The table gives the whitelist, the refusal of
+a key that does nothing for the file's model kind, and the ``[section] key``
+an error names.  The dataclasses (``RunConfig``, ``GainSchedule``,
+``NoiseSpec``, ``Grid1D``, ``SWState``) make every range check, and a key
+left out takes its field's default.  Every physical quantity carries SI units
+(meters, seconds).  Reports embed the fully resolved configuration as
+``# key = value`` comment lines so a run is reproducible from its report
+alone.
 """
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 import os
+import re
 import tempfile
 from importlib import resources
 
@@ -23,7 +31,7 @@ from .assimilation import (
     TemporalMode,
 )
 from .grid import BoundaryKind, Grid1D
-from .kinetic import GRAVITY, ChiProfile
+from .kinetic import ChiProfile
 from .observation import NoiseSpec
 from .shallow_water import (
     SWState,
@@ -38,146 +46,106 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_SECTION_KEYS = {
-    "model": {"kind", "g", "profile", "cfl_safety", "t_final"},
-    "grid": {"n_cells", "x_min", "x_max", "bc", "bathymetry", "bowl_a", "bowl_hm"},
-    "truth": {"ic", "lo", "hi", "value", "amplitude", "mean", "eta", "h_left",
-              "h_right", "x_split", "resolution_factor"},
-    "observer": {"ic", "lo", "hi", "value", "amplitude", "mean", "eta", "h_left",
-                 "h_right", "x_split", "mode", "n_xi", "xi_margin"},
-    "gain": {"lambda", "temporal", "sigma"},
-    "observations": {"count", "t_first", "t_last", "every", "mask_lo", "mask_hi"},
-    "noise": {"epsilon", "r", "alpha"},
-    "output": {"record_every", "sobolev_order"},
-}
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
-# Keys that act on one model kind only, refused in a file of the other kind.
-_KIND_ONLY_KEYS = {
-    "shallow_water": {
-        "model": {"g", "profile"},
-        "grid": {"bathymetry", "bowl_a", "bowl_hm"},
-        "truth": {"resolution_factor"},
+
+def _choice(enum):
+    """Reader of the value of one member of ``enum``."""
+    members = {m.value: m for m in enum}
+
+    def read(text: str):
+        if text not in members:
+            raise ValueError(f"unknown value {text!r} (expected one of {sorted(members)})")
+        return members[text]
+
+    return read
+
+
+_BURGERS, _SW = ("burgers",), ("shallow_water",)
+_BOTH = _BURGERS + _SW
+
+
+def _initial_keys(state: str) -> dict:
+    """The initial-condition keys of [truth] or [observer]; ``ic`` names the
+    errors of the field ``state``."""
+    return {
+        "ic": (_BOTH, str, state),
+        **{key: (_BURGERS, _real, None) for key in ("lo", "hi", "value", "amplitude", "mean")},
+        **{key: (_SW, _real, None) for key in ("eta", "h_left", "h_right", "x_split")},
+    }
+
+
+# [section] key -> (the model kinds it acts on, the reader of its text, the
+# dataclass field it feeds).  parse_config builds the fields in _BUILT from
+# their keys itself, and those keys name the field's errors; it reads the keys
+# of field None alone.
+_KEYS = {
+    "model": {
+        "kind": (_BOTH, str, "model"),
+        "g": (_SW, _real, "g"),
+        "profile": (_SW, _choice(ChiProfile), "profile"),
+        "cfl_safety": (_BOTH, _real, "cfl_safety"),
+        "t_final": (_BOTH, _real, "t_final"),
     },
-    "burgers": {"observer": {"mode", "n_xi", "xi_margin"}},
+    "grid": {
+        "n_cells": (_BOTH, int, "n_cells"),
+        "x_min": (_BOTH, _real, "x_min"),
+        "x_max": (_BOTH, _real, "x_max"),
+        "bc": (_BOTH, _choice(BoundaryKind), "bc"),
+        "bathymetry": (_SW, str, None),
+        "bowl_a": (_SW, _real, None),
+        "bowl_hm": (_SW, _real, None),
+    },
+    "truth": {
+        **_initial_keys("truth_state"),
+        "resolution_factor": (_SW, int, "resolution_factor"),
+    },
+    "observer": {
+        **_initial_keys("observer_state"),
+        "mode": (_BURGERS, _choice(BurgersObserverMode), "observer_mode"),
+        "n_xi": (_BURGERS, int, "n_xi"),
+        "xi_margin": (_BURGERS, _real, "xi_margin"),
+    },
+    "gain": {
+        "lambda": (_BOTH, _real, "lam"),
+        "temporal": (_BOTH, _choice(TemporalMode), "temporal_mode"),
+        "sigma": (_BOTH, _real, "sigma"),
+    },
+    "observations": {
+        "count": (_BOTH, int, "obs_times"),
+        "t_first": (_BOTH, _real, "obs_times"),
+        "t_last": (_BOTH, _real, "obs_times"),
+        "every": (_BOTH, _real, "obs_times"),
+        "mask_lo": (_BOTH, _real, "obs_mask"),
+        "mask_hi": (_BOTH, _real, "obs_mask"),
+    },
+    "noise": {
+        "epsilon": (_BOTH, _real, "epsilon"),
+        "r": (_BOTH, _real, "r"),
+        "alpha": (_BOTH, _real, "alpha"),
+    },
+    "output": {
+        "record_every": (_BOTH, int, "record_every"),
+        "sobolev_order": (_BOTH, _real, "sobolev_order"),
+    },
+}
+_BUILT = {"obs_times", "obs_mask", "truth_state", "observer_state", "resolution_factor"}
+
+# The defaults that differ from the dataclasses', by model kind.
+_KIND_DEFAULTS = {
+    "burgers": {"bc": BoundaryKind.DIRICHLET_ZERO,
+                "temporal_mode": TemporalMode.AT_OBSERVATION_TIMES},
+    "shallow_water": {"bc": BoundaryKind.REFLECTIVE_WALL,
+                      "temporal_mode": TemporalMode.AT_OBSERVATION_TIMES},
 }
 
 
-class _Section:
-    """Typed access to one config section with named-field errors."""
-
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
-
-    def _get(self, key, cast, default):
-        if key not in self.raw or self.raw[key] == "":
-            return default
-        try:
-            return cast(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key}: {exc}") from None
-
-    def real(self, key, default=None):
-        def cast(v):
-            value = float(v)
-            if not math.isfinite(value):
-                raise ValueError(f"expected a finite number, got {v!r}")
-            return value
-
-        return self._get(key, cast, default)
-
-    def integer(self, key, default=None):
-        return self._get(key, int, default)
-
-    def text(self, key, default=None):
-        return self._get(key, str, default)
-
-    def require(self, value, key):
-        if value is None:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return value
-
-
-def _enum_lookup(section, key, value, table):
-    try:
-        return table[value]
-    except KeyError:
-        raise ConfigError(
-            f"[{section}] {key}: unknown value {value!r} "
-            f"(expected one of {sorted(table)})"
-        ) from None
-
-
-def _refuse_other_kind_keys(parser: configparser.ConfigParser, kind: str):
-    for owner, sections in _KIND_ONLY_KEYS.items():
-        if owner == kind:
-            continue
-        for section, keys in sections.items():
-            if parser.has_section(section):
-                for key in parser[section]:
-                    if key in keys:
-                        raise ConfigError(
-                            f"[{section}] {key} does nothing for kind = {kind} "
-                            f"(only for kind = {owner})"
-                        )
-
-
-def _validate_keys(parser: configparser.ConfigParser):
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(
-                f"unknown section [{section}] (expected one of {sorted(_SECTION_KEYS)})"
-            )
-        allowed = _SECTION_KEYS[section]
-        for key in parser[section]:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}] (allowed: {sorted(allowed)})"
-                )
-
-
-def _burgers_ic(sec: _Section, grid: Grid1D) -> np.ndarray:
-    kind = sec.text("ic", "zero")
-    x = grid.centers
-    if kind == "zero":
-        return np.zeros(grid.n_cells)
-    if kind == "square_pulse":
-        lo = sec.require(sec.real("lo"), "lo")
-        hi = sec.require(sec.real("hi"), "hi")
-        value = sec.real("value", 1.0)
-        return np.where((x >= lo) & (x <= hi), value, 0.0)
-    if kind == "sine":
-        amp = sec.real("amplitude", 1.0)
-        mean = sec.real("mean", 0.0)
-        return mean + amp * np.sin(
-            2.0 * np.pi * (x - grid.x_min) / grid.length
-        )
-    raise ConfigError(f"[{sec.name}] unknown Burgers ic {kind!r}")
-
-
-def _sw_state(sec: _Section, grid: Grid1D, z_b, profile, g, bowl) -> SWState:
-    kind = sec.require(sec.text("ic"), "ic")
-    if kind == "lake_at_rest":
-        eta = sec.require(sec.real("eta"), "eta")
-        return lake_at_rest_state(grid, z_b, eta, profile, g)
-    if kind == "dam_break":
-        h_left = sec.require(sec.real("h_left"), "h_left")
-        h_right = sec.require(sec.real("h_right"), "h_right")
-        x_split = sec.require(sec.real("x_split"), "x_split")
-        return dam_break_state(grid, h_left, h_right, x_split, profile, g)
-    if kind in ("thacker_planar", "thacker_rest"):
-        if bowl is None:
-            raise ConfigError(
-                f"[{sec.name}] ic {kind!r} needs bathymetry = parabolic_bowl"
-            )
-        a, h_m = bowl
-        truth, rest = thacker_setup(a, grid.length, h_m, grid.n_cells, profile, g)
-        return truth if kind == "thacker_planar" else rest
-    raise ConfigError(f"[{sec.name}] unknown shallow-water ic {kind!r}")
-
-
-def parse_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration file."""
+def _read(path: str) -> tuple[str, dict[str, dict]]:
+    """The model kind and the values of the file, by section and key."""
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
@@ -188,155 +156,177 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from None
-    _validate_keys(parser)
-
-    model_sec = _Section(parser, "model")
-    kind = model_sec.require(model_sec.text("kind"), "kind")
-    if kind not in ("burgers", "shallow_water"):
+    kind = parser.get("model", "kind", fallback="")
+    if not kind:
+        raise ConfigError("[model] missing required key 'kind'")
+    if kind not in _KIND_DEFAULTS:
         raise ConfigError(f"[model] kind must be burgers or shallow_water, got {kind!r}")
-    _refuse_other_kind_keys(parser, kind)
-    g = model_sec.real("g", GRAVITY)
-    profile = _enum_lookup(
-        "model", "profile", model_sec.text("profile", "semicircle"),
-        {p.value: p for p in ChiProfile},
-    )
-    cfl_safety = model_sec.real("cfl_safety", 0.95)
-    if not 0.0 < cfl_safety <= 1.0:
-        raise ConfigError("[model] cfl_safety must lie in (0, 1]")
-    t_final = model_sec.real("t_final", 1.0)
-    if t_final <= 0.0:
-        raise ConfigError("[model] t_final must be positive")
+    given = {}
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(
+                f"unknown section [{section}] (expected one of {sorted(_KEYS)})"
+            )
+        rows = _KEYS[section]
+        given[section] = {}
+        for key, text in parser[section].items():
+            if key not in rows:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}] (allowed: {sorted(rows)})"
+                )
+            kinds, read, _ = rows[key]
+            if kind not in kinds:
+                raise ConfigError(
+                    f"[{section}] {key} does nothing for kind = {kind} "
+                    f"(only for kind = {kinds[0]})"
+                )
+            if text == "":  # left to its default
+                continue
+            try:
+                given[section][key] = read(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return kind, given
 
-    grid_sec = _Section(parser, "grid")
-    n_cells = grid_sec.require(grid_sec.integer("n_cells"), "n_cells")
-    x_min = grid_sec.real("x_min", 0.0)
-    x_max = grid_sec.real("x_max", 1.0)
-    default_bc = "reflective_wall" if kind == "shallow_water" else "dirichlet_zero"
-    bc = _enum_lookup(
-        "grid", "bc", grid_sec.text("bc", default_bc),
-        {b.value: b for b in BoundaryKind},
-    )
+
+def _need(given: dict, section: str, key: str):
     try:
-        grid = Grid1D(n_cells, x_min, x_max, bc)
-    except ValueError as exc:
-        raise ConfigError(f"[grid] {exc}") from None
+        return given[section][key]
+    except KeyError:
+        raise ConfigError(f"[{section}] missing required key {key!r}") from None
 
-    gain_sec = _Section(parser, "gain")
-    lam = gain_sec.real("lambda", 0.0)
-    if lam < 0.0:
-        raise ConfigError("[gain] lambda must be nonnegative")
-    temporal = _enum_lookup(
-        "gain", "temporal", gain_sec.text("temporal", "at_observation_times"),
-        {m.value: m for m in TemporalMode},
-    )
-    sigma = gain_sec.real("sigma")
-    try:
-        gain = GainSchedule(lam, temporal_mode=temporal, sigma=sigma)
-    except ValueError as exc:
-        raise ConfigError(f"[gain] {exc}") from None
 
-    obs_sec = _Section(parser, "observations")
-    obs_times = None
-    if "every" in obs_sec.raw:
-        every = obs_sec.real("every")
-        if every is None or every <= 0.0:
+def _named(exc: ValueError, given: dict) -> ConfigError:
+    """A dataclass's ``exc`` as the ConfigError that names the ``[section]
+    key`` of the first field its message names: the keys of that field given
+    in the file, or all of them."""
+    message = str(exc)
+    for word in re.findall(r"\w+", message):
+        rows = [(section, key) for section, keys in _KEYS.items()
+                for key, row in keys.items() if row[2] == word]
+        if rows:
+            section = rows[0][0]
+            keys = ", ".join(
+                [key for _, key in rows if key in given.get(section, {})]
+                or [key for _, key in rows]
+            )
+            if not message.startswith(f"{keys} "):
+                message = f"{keys}: {message}"
+            return ConfigError(f"[{section}] {message}")
+    return ConfigError(message)
+
+
+def _fields(cls, values: dict) -> dict:
+    """The entries of ``values`` that set a field of the dataclass ``cls``
+    as they are: those of a field in _BUILT are left to parse_config."""
+    return {f.name: values[f.name] for f in dataclasses.fields(cls)
+            if f.name in values and f.name not in _BUILT}
+
+
+def _burgers_ic(given: dict, section: str, grid: Grid1D) -> np.ndarray:
+    keys = given.get(section, {})
+    kind = keys.get("ic", "zero")
+    x = grid.centers
+    if kind == "zero":
+        return np.zeros(grid.n_cells)
+    if kind == "square_pulse":
+        lo, hi = _need(given, section, "lo"), _need(given, section, "hi")
+        return np.where((x >= lo) & (x <= hi), keys.get("value", 1.0), 0.0)
+    if kind == "sine":
+        return keys.get("mean", 0.0) + keys.get("amplitude", 1.0) * np.sin(
+            2.0 * np.pi * (x - grid.x_min) / grid.length
+        )
+    raise ConfigError(f"[{section}] unknown Burgers ic {kind!r}")
+
+
+def _sw_state(given: dict, section: str, grid: Grid1D, bowl, physics: dict) -> SWState:
+    kind = _need(given, section, "ic")
+    if kind == "lake_at_rest":
+        z_b = (parabolic_bowl_bathymetry(grid, *bowl) if bowl is not None
+               else np.zeros(grid.n_cells))
+        return lake_at_rest_state(grid, z_b, _need(given, section, "eta"), **physics)
+    if kind == "dam_break":
+        depths = (_need(given, section, key) for key in ("h_left", "h_right", "x_split"))
+        return dam_break_state(grid, *depths, **physics)
+    if kind in ("thacker_planar", "thacker_rest"):
+        if bowl is None:
+            raise ConfigError(
+                f"[{section}] ic {kind!r} needs bathymetry = parabolic_bowl"
+            )
+        a, h_m = bowl
+        truth, rest = thacker_setup(a, grid.length, h_m, grid.n_cells, **physics)
+        return truth if kind == "thacker_planar" else rest
+    raise ConfigError(f"[{section}] unknown shallow-water ic {kind!r}")
+
+
+def _observation_times(observations: dict, t_final: float) -> np.ndarray | None:
+    if "every" in observations:
+        clash = [key for key in ("count", "t_first", "t_last") if key in observations]
+        if clash:
+            raise ConfigError(f"[observations] every and {', '.join(clash)} cannot be "
+                              "combined: every sets the observation times on its own")
+        every = observations["every"]
+        if every <= 0.0:
             raise ConfigError("[observations] every must be positive")
-        obs_times = np.arange(0.0, t_final + every / 2.0, every)
-    elif "count" in obs_sec.raw:
-        count = obs_sec.integer("count")
-        if count is None or count < 1:
+        return np.arange(0.0, t_final + every / 2.0, every)
+    if "count" in observations:
+        count = observations["count"]
+        if count < 1:
             raise ConfigError("[observations] count must be >= 1")
-        t_last = obs_sec.real("t_last", t_final)
-        t_first = obs_sec.real("t_first", t_last / count)
-        obs_times = np.linspace(t_first, t_last, count)
-    mask_lo, mask_hi = obs_sec.real("mask_lo"), obs_sec.real("mask_hi")
-    if (mask_lo is None) != (mask_hi is None):
+        t_last = observations.get("t_last", t_final)
+        return np.linspace(observations.get("t_first", t_last / count), t_last, count)
+    return None
+
+
+def _build(kind: str, given: dict) -> RunConfig:
+    values = {**_KIND_DEFAULTS[kind], **{
+        _KEYS[section][key][2]: value for section, keys in given.items()
+        for key, value in keys.items()
+    }}
+    _need(given, "grid", "n_cells")
+    grid = Grid1D(**_fields(Grid1D, values))
+    observations = given.get("observations", {})
+    if ("mask_lo" in observations) != ("mask_hi" in observations):
         raise ConfigError("[observations] mask_lo and mask_hi must be given together")
-    obs_mask = None if mask_lo is None else (mask_lo, mask_hi)
-
-    noise = None
-    if parser.has_section("noise"):
-        noise_sec = _Section(parser, "noise")
-        try:
-            noise = NoiseSpec(
-                epsilon=noise_sec.require(noise_sec.real("epsilon"), "epsilon"),
-                r=noise_sec.real("r", 1.0),
-                alpha=noise_sec.real("alpha", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[noise] {exc}") from None
-
-    out_sec = _Section(parser, "output")
-    record_every = out_sec.integer("record_every", 1)
-    sobolev_order = out_sec.real("sobolev_order", 0.125)
-
-    truth_sec = _Section(parser, "truth")
-    observer_sec = _Section(parser, "observer")
-    common = dict(
-        model=kind,
+    run = dict(
         grid=grid,
-        t_final=t_final,
-        gain=gain,
-        cfl_safety=cfl_safety,
-        record_every=record_every,
-        sobolev_order=sobolev_order,
-        obs_times=obs_times,
-        obs_mask=obs_mask,
-        noise=noise,
+        gain=GainSchedule(**_fields(GainSchedule, values)),
+        obs_times=_observation_times(observations, values.get("t_final", RunConfig.t_final)),
+        obs_mask=(observations["mask_lo"], observations["mask_hi"])
+        if "mask_lo" in observations else None,
     )
-    try:
-        if kind == "burgers":
-            mode = _enum_lookup(
-                "observer", "mode", observer_sec.text("mode", "bgk"),
-                {m.value: m for m in BurgersObserverMode},
-            )
-            xi_margin = observer_sec.real("xi_margin", 1.0)
-            if xi_margin < 0.0:
-                raise ConfigError("[observer] xi_margin must be nonnegative")
-            n_xi = observer_sec.integer("n_xi", 64)
-            if n_xi < 1:
-                raise ConfigError("[observer] n_xi must be >= 1")
-            return RunConfig(
-                truth_u0=_burgers_ic(truth_sec, grid),
-                observer_u0=_burgers_ic(observer_sec, grid),
-                observer_mode=mode,
-                n_xi=n_xi,
-                xi_margin=xi_margin,
-                **common,
-            )
-        bathy_kind = grid_sec.text("bathymetry", "flat")
-        bowl = None
-        if bathy_kind == "parabolic_bowl":
-            bowl = (
-                grid_sec.require(grid_sec.real("bowl_a"), "bowl_a"),
-                grid_sec.require(grid_sec.real("bowl_hm"), "bowl_hm"),
-            )
-            z_b = parabolic_bowl_bathymetry(grid, *bowl)
-        elif bathy_kind == "flat":
-            z_b = np.zeros(grid.n_cells)
-        else:
-            raise ConfigError(f"[grid] unknown bathymetry {bathy_kind!r}")
-        factor = truth_sec.integer("resolution_factor", 1)
-        if factor < 1:
-            raise ConfigError("[truth] resolution_factor must be >= 1")
-        truth_grid = grid.refined(factor) if factor > 1 else grid
-        truth_zb = (
-            parabolic_bowl_bathymetry(truth_grid, *bowl)
-            if bowl is not None
-            else np.zeros(truth_grid.n_cells)
-        )
-        truth_state = _sw_state(truth_sec, truth_grid, truth_zb, profile, g, bowl)
-        observer_state = _sw_state(observer_sec, grid, z_b, profile, g, bowl)
-        return RunConfig(
-            truth_state=truth_state,
-            observer_state=observer_state,
+    if "noise" in given:
+        _need(given, "noise", "epsilon")
+        run["noise"] = NoiseSpec(**_fields(NoiseSpec, values))
+    if kind == "burgers":
+        run.update(truth_u0=_burgers_ic(given, "truth", grid),
+                   observer_u0=_burgers_ic(given, "observer", grid))
+    else:
+        bathymetry = given.get("grid", {}).get("bathymetry", "flat")
+        if bathymetry not in ("flat", "parabolic_bowl"):
+            raise ConfigError(f"[grid] unknown bathymetry {bathymetry!r}")
+        bowl = None if bathymetry == "flat" else (
+            _need(given, "grid", "bowl_a"), _need(given, "grid", "bowl_hm"))
+        factor = given.get("truth", {}).get("resolution_factor",
+                                            RunConfig.truth_resolution_factor)
+        physics = _fields(SWState, values)
+        run.update(
+            truth_state=_sw_state(given, "truth", grid.refined(factor), bowl, physics),
+            observer_state=_sw_state(given, "observer", grid, bowl, physics),
             truth_resolution_factor=factor,
-            **common,
         )
+    return RunConfig(**_fields(RunConfig, values), **run)
+
+
+def parse_config(path: str) -> RunConfig:
+    """Parse and validate a run configuration file."""
+    kind, given = _read(path)
+    try:
+        return _build(kind, given)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise _named(exc, given) from None
 
 
 def fixture_path(name: str) -> str:

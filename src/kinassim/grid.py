@@ -20,8 +20,8 @@ class Grid1D:
     """Uniform partition of [x_min, x_max] into n_cells cells."""
 
     n_cells: int
-    x_min: float
-    x_max: float
+    x_min: float = 0.0
+    x_max: float = 1.0
     bc: BoundaryKind = BoundaryKind.PERIODIC
 
     def __post_init__(self):
@@ -47,8 +47,11 @@ class Grid1D:
         x = self.centers
         return (x >= lo) & (x <= hi)
 
-    def refined(self, factor: int) -> "Grid1D":
-        return Grid1D(self.n_cells * factor, self.x_min, self.x_max, self.bc)
+    def refined(self, resolution_factor: int) -> "Grid1D":
+        """The same interval cut into resolution_factor times as many cells."""
+        if resolution_factor < 1:
+            raise ValueError(f"resolution_factor must be >= 1, got {resolution_factor!r}")
+        return Grid1D(self.n_cells * resolution_factor, self.x_min, self.x_max, self.bc)
 
 
 @dataclass(frozen=True)

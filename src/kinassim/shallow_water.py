@@ -73,6 +73,8 @@ class SWState:
     h_dry: float = DRY_DEPTH
 
     def __post_init__(self):
+        if not (math.isfinite(self.g) and self.g > 0.0):
+            raise ValueError(f"g must be positive and finite, got {self.g!r}")
         for name in ("h", "q", "z_b"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         n = self.grid.n_cells

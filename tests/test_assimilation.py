@@ -116,10 +116,11 @@ class TestGainMasking:
     def test_upstream_cells_bit_identical(self):
         # single positive speed, gain windowed on the right: cells upstream of
         # the window (and not yet reached by its wrapped-around influence)
-        # never feel the correction.  The baseline keeps the same gain in the
-        # CFL but an empty window, so both runs share the time grid exactly.
+        # never feel the correction.  The baseline runs at gain 0: a Burgers
+        # lane's CFL bound does not depend on the gain, so both runs share
+        # the time grid exactly.
         cfg = replace(linear_config(6.0, t_final=0.3), obs_mask=(0.7, 0.9))
-        base = replace(linear_config(6.0, t_final=0.3), obs_mask=(2.0, 3.0))
+        base = linear_config(0.0, t_final=0.3)
         nudged = run_twin(cfg)
         free = run_twin(base)
         x = cfg.grid.centers
@@ -305,17 +306,20 @@ class TestShallowWaterTwin:
             gain=GainSchedule(5.0, temporal_mode=TemporalMode.EVERY_STEP),
             obs_times=np.array([0.4, 0.9]),
         )
-        # same gain in the CFL but an empty window: identical time grid,
-        # no nudging anywhere
+        # same gain in the CFL, nudging only in the steps that hold an
+        # observation time: identical time grid, no nudging anywhere
         free = self.make_config(
             lam=5.0,
-            gain=GainSchedule(5.0, temporal_mode=TemporalMode.EVERY_STEP),
+            gain=GainSchedule(5.0, temporal_mode=TemporalMode.AT_OBSERVATION_TIMES),
             obs_times=np.array([0.4, 0.9]),
-            obs_mask=(5.0, 6.0),
         )
         np.testing.assert_array_equal(
             run_twin(all_late).errors.l1_rel, run_twin(free).errors.l1_rel
         )
+        # and the run at gain 0, on its own time grid, ends at the same error
+        unnudged = self.make_config(lam=0.0, gain=GainSchedule(0.0))
+        assert run_twin(all_late).final_l1_rel == pytest.approx(
+            run_twin(unnudged).final_l1_rel, rel=1e-4)
 
     def test_mollified_smoke(self):
         cfg = self.make_config(
@@ -471,6 +475,16 @@ class TestNonFiniteInputRefused:
         # times and failed only inside the sampling of the every-step modes
         with pytest.raises(ValueError, match="obs_times"):
             replace(burgers_config(), obs_times=np.array(times))
+
+    @pytest.mark.parametrize("window", [(0.8, 0.2), (5.0, 6.0), (0.3, math.nan)])
+    def test_observation_window_without_a_cell(self, window):
+        # reversed, off the grid or NaN: nothing was observed, nor nudged
+        with pytest.raises(ValueError, match="obs_mask .* holds no cell centre"):
+            replace(burgers_config(), obs_mask=window)
+
+    def test_truth_resolution_factor(self):
+        with pytest.raises(ValueError, match="resolution_factor must be >= 1, got 0"):
+            replace(small_sw_config(), truth_resolution_factor=0)
 
 
 class TestInitialDataOnTheGrid:

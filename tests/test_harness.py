@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -120,6 +121,13 @@ class TestParseConfig:
         ("shallow_water", "observer", "mode", "bgk"),
         ("shallow_water", "observer", "n_xi", "64"),
         ("shallow_water", "observer", "xi_margin", "1.0"),
+        # initial-condition keys of the other kind's ic
+        ("burgers", "truth", "eta", "1.0"),
+        ("burgers", "truth", "h_left", "2.0"),
+        ("burgers", "truth", "x_split", "0.5"),
+        ("shallow_water", "truth", "lo", "0.1"),
+        ("shallow_water", "truth", "value", "1.0"),
+        ("shallow_water", "truth", "amplitude", "1.0"),
     ])
     def test_key_of_the_other_model_kind_rejected(self, tmp_path, kind, section, key, value):
         # accepted before, and acting on nothing
@@ -132,6 +140,44 @@ class TestParseConfig:
             parse_config(str(path))
         assert cli.main(["run-burgers" if kind == "burgers" else "run-sv", str(path),
                          "--quiet"]) == 1
+
+    @pytest.mark.parametrize("fixture,section,keys,message", [
+        # a zero or negative g died at run time (exit 2) after a sqrt warning
+        ("dam_break.cfg", "model", {"g": "0"},
+         r"\[model\] g must be positive and finite, got 0\.0"),
+        ("dam_break.cfg", "model", {"g": "-9.81"}, r"\[model\] g must be positive"),
+        # a window holding no cell centre ran at the error of gain 0
+        ("burgers_clean.cfg", "observations", {"mask_lo": "0.8", "mask_hi": "0.2"},
+         r"\[observations\] mask_lo, mask_hi: obs_mask \(0\.8, 0\.2\) holds no cell centre"),
+        ("burgers_clean.cfg", "observations", {"mask_lo": "5", "mask_hi": "6"},
+         r"\[observations\] mask_lo, mask_hi: obs_mask \(5\.0, 6\.0\) holds no cell centre"),
+        # every won over count and t_last without a word
+        ("burgers_clean.cfg", "observations", {"every": "0.5"},
+         r"\[observations\] every and count, t_last cannot be combined"),
+        # the messages below named the field but not [section] key
+        ("burgers_clean.cfg", "output", {"record_every": "0"},
+         r"\[output\] record_every must be >= 1"),
+        ("burgers_clean.cfg", "output", {"sobolev_order": "1.5"},
+         r"\[output\] sobolev_order must lie in \[0, 1\)"),
+        ("burgers_clean.cfg", "observations", {"t_first": "1.5", "t_last": "0.5"},
+         r"\[observations\] count, t_first, t_last: obs_times must be"),
+        # refused before the refined grid of 0 cells could blame [grid] n_cells
+        ("dam_break.cfg", "truth", {"resolution_factor": "0"},
+         r"\[truth\] resolution_factor must be >= 1, got 0"),
+    ])
+    def test_refusal_names_section_key(self, tmp_path, capsys, fixture, section, keys, message):
+        body = Path(fixture_path(fixture)).read_text()
+        for key, value in keys.items():
+            edited, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", body, flags=re.M)
+            body = edited if count else body.replace(f"[{section}]\n",
+                                                     f"[{section}]\n{key} = {value}\n")
+        path = tmp_path / fixture
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+        command = "run-burgers" if fixture.startswith("burgers") else "run-sv"
+        assert cli.main([command, str(path), "--quiet"]) == 1
+        assert re.search(f"config error: {message}", capsys.readouterr().err)
 
     @pytest.mark.parametrize("old,new", [
         # thacker_setup builds its states on [0, x_max - x_min] with walls:

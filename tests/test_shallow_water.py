@@ -474,6 +474,12 @@ class TestNonFiniteRefused:
             with pytest.raises(ValueError, match="water depth h"):
                 SWState(h, np.zeros(5), np.zeros(5), wall_grid(5))
 
+    @pytest.mark.parametrize("g", [0.0, -9.81, math.nan, math.inf])
+    def test_state_rejects_bad_gravity(self, g):
+        # g = 0 divided by zero in the first step, g < 0 took a negative sqrt
+        with pytest.raises(ValueError, match="g must be positive and finite"):
+            SWState(np.ones(5), np.zeros(5), np.zeros(5), wall_grid(5), g=g)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, name", [("h", "water depth h"), ("q", "discharge q"),
                                              ("z_b", "bed elevation z_b")])
