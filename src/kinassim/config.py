@@ -259,6 +259,19 @@ def _sw_state(given: dict, section: str, grid: Grid1D, bowl, physics: dict) -> S
     raise ConfigError(f"[{section}] unknown shallow-water ic {kind!r}")
 
 
+def _bowl(given: dict, grid: Grid1D) -> tuple[float, float]:
+    """The (a, h_m) of [grid] bowl_a and bowl_hm.  parabolic_bowl_bathymetry
+    makes their range check; it runs once on ``grid`` before any state is
+    built, so that its refusal names the key whatever the ic."""
+    bowl = _need(given, "grid", "bowl_a"), _need(given, "grid", "bowl_hm")
+    try:
+        parabolic_bowl_bathymetry(grid, *bowl)
+    except ValueError as exc:
+        key = "bowl_hm" if "h_m" in str(exc) else "bowl_a"
+        raise ConfigError(f"[grid] {key}: {exc}") from None
+    return bowl
+
+
 def _observation_times(observations: dict, t_final: float) -> np.ndarray | None:
     if "every" in observations:
         clash = [key for key in ("count", "t_first", "t_last") if key in observations]
@@ -275,6 +288,10 @@ def _observation_times(observations: dict, t_final: float) -> np.ndarray | None:
             raise ConfigError("[observations] count must be >= 1")
         t_last = observations.get("t_last", t_final)
         return np.linspace(observations.get("t_first", t_last / count), t_last, count)
+    span = [key for key in ("t_first", "t_last") if key in observations]
+    if span:
+        raise ConfigError(f"[observations] {', '.join(span)} without count: the "
+                          "observation times are count points from t_first to t_last")
     return None
 
 
@@ -305,8 +322,7 @@ def _build(kind: str, given: dict) -> RunConfig:
         bathymetry = given.get("grid", {}).get("bathymetry", "flat")
         if bathymetry not in ("flat", "parabolic_bowl"):
             raise ConfigError(f"[grid] unknown bathymetry {bathymetry!r}")
-        bowl = None if bathymetry == "flat" else (
-            _need(given, "grid", "bowl_a"), _need(given, "grid", "bowl_hm"))
+        bowl = None if bathymetry == "flat" else _bowl(given, grid)
         factor = given.get("truth", {}).get("resolution_factor",
                                             RunConfig.truth_resolution_factor)
         physics = _fields(SWState, values)

@@ -3,8 +3,11 @@
 The scheme tracks cell averages of depth H and discharge q = H u.  Interface
 fluxes are exact half-line moments of Gibbs equilibria built on hydrostatically
 reconstructed depths, so the update is the moment form of an upwind kinetic
-transport step followed by a collapse back to Gibbs form.  Consequences
-inherited from the kinetic form:
+transport step followed by a collapse back to Gibbs form.  On a flat bed
+(every bed entry equal) the reconstruction is the identity, so both faces of
+a cell carry the cell's own equilibrium: the step then evaluates the positive
+half-line moments once per cell and takes the negative ones as the full
+moments less the positive ones.  Consequences inherited from the kinetic form:
 
 * depth nonnegativity under the CFL bound,
 * exact preservation of still water over arbitrary topography (including
@@ -26,9 +29,10 @@ the wave speed are per row; the successors' velocities and wave speeds are
 computed once on the stack, and each row's state keeps its own row of them.
 
 The states a step produces from one another share a workspace: the
-bathymetry's interface pairs and, per stack size k, work buffers of shape
-(2, k(n+1)) and (k, n) that every step reuses through ufunc ``out=``; the
-interfaces of the k rows lie side by side, so the flux sees one long row.
+bathymetry's interface pairs, whether it is flat, and, per stack size k, work
+buffers of shape (2, k(n+1)), (k, n) and (k, n+2) that every step reuses
+through ufunc ``out=``; the interfaces of the k rows lie side by side, so the
+flux sees one long row.
 States stacked together share one workspace from then on.  A step never returns a
 work buffer; its new depths and discharges are fresh arrays.  The states of
 one workspace share those buffers, so they are stepped from one thread.
@@ -163,20 +167,24 @@ def _grow(pool: list, shape: tuple):
 
 class _Workspace:
     """What the steps of states on one bathymetry share: its interface pairs
-    with z_int = max(z_L, z_R), and work buffers for each stack size.
+    with z_int = max(z_L, z_R), whether it is flat, and work buffers for each
+    stack size.
 
     The interfaces of a stack of k rows lie side by side, k blocks of n+1
     (``_interface_pairs``), so every interface buffer is a (2, k(n+1))
     array and the flux sees one long row.  ``begin(k)`` starts a step of k
-    rows: ``wide`` then hands out those buffers and ``cells`` the (k, n) cell
-    buffers, each from the first one of that size again.  A buffer lives
-    until the next ``begin`` of its size.  ``bed`` gives the bathymetry's
-    pairs repeated for k rows.
+    rows: ``wide`` then hands out those buffers, ``cells`` the (k, n) cell
+    buffers and ``ghosted`` the (k, n+2) buffers of the cells with their
+    ghosts (the flat-bed flux), each from the first one of that size again.
+    A buffer lives until the next ``begin`` of its size.  ``bed`` gives the
+    bathymetry's pairs repeated for k rows.  ``flat`` holds when every bed
+    entry is exactly equal: the reconstruction is then the identity.
     """
 
     def __init__(self, z_b: np.ndarray, bc: BoundaryKind):
         z_cells = _interface_pairs(z_b, bc)
         self.n = z_b.size
+        self.flat = bool((z_b == z_b[0]).all())
         self._beds = {1: (z_cells, np.maximum(z_cells[0], z_cells[1]))}
         self._pools = {}
 
@@ -187,9 +195,10 @@ class _Workspace:
         return self._beds[k]
 
     def begin(self, k: int) -> _Workspace:
-        wide, cells = self._pools.setdefault(k, ([], []))
+        wide, cells, ghosted = self._pools.setdefault(k, ([], [], []))
         self.wide = chain(wide, _grow(wide, (2, k * (self.n + 1)))).__next__
         self.cells = chain(cells, _grow(cells, (k, self.n))).__next__
+        self.ghosted = chain(ghosted, _grow(ghosted, (k, self.n + 2))).__next__
         return self
 
 
@@ -253,6 +262,20 @@ class EnergyBudget:
     flux: np.ndarray
 
 
+def _ghosts(a: np.ndarray, bc: BoundaryKind, mirror: bool):
+    """The (left, right) ghost cells of each row of ``a``: a wall repeats
+    the end cells, with the sign flipped under ``mirror`` (velocity); a
+    periodic domain wraps."""
+    first, last = a[..., 0], a[..., -1]
+    if bc is BoundaryKind.REFLECTIVE_WALL:
+        return (-first, -last) if mirror else (first, last)
+    if bc is BoundaryKind.PERIODIC:
+        return last, first
+    raise ValueError(
+        "shallow-water solver supports reflective_wall and periodic boundaries"
+    )
+
+
 def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False,
                      out: np.ndarray | None = None) -> np.ndarray:
     """(2, n+1) values of the cells left (row 0) and right (row 1) of every
@@ -266,16 +289,16 @@ def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False,
     pairs = out.reshape(2, -1, n + 1)
     pairs[0, :, 1:] = a
     pairs[1, :, :-1] = a
-    first, last = a[..., 0], a[..., -1]
-    if bc is BoundaryKind.REFLECTIVE_WALL:
-        ghosts = (-first, -last) if mirror else (first, last)
-    elif bc is BoundaryKind.PERIODIC:
-        ghosts = last, first
-    else:
-        raise ValueError(
-            "shallow-water solver supports reflective_wall and periodic boundaries"
-        )
-    pairs[0, :, 0], pairs[1, :, -1] = ghosts
+    pairs[0, :, 0], pairs[1, :, -1] = _ghosts(a, bc, mirror)
+    return out
+
+
+def _with_ghosts(a: np.ndarray, bc: BoundaryKind, mirror: bool = False, *,
+                 out: np.ndarray) -> np.ndarray:
+    """The rows of the (k, n) stack ``a`` with their two ghost cells, written
+    into the (k, n+2) buffer ``out``; ``mirror`` as in ``_interface_pairs``."""
+    out[:, 1:-1] = a
+    out[:, 0], out[:, -1] = _ghosts(a, bc, mirror)
     return out
 
 
@@ -302,8 +325,6 @@ def sv_interface_flux(
     u_right: np.ndarray,
     profile: ChiProfile,
     g: float = GRAVITY,
-    *,
-    take=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kinetic interface fluxes (mass, momentum-left, momentum-right).
 
@@ -314,16 +335,23 @@ def sv_interface_flux(
     written on the interface depths it is the usual g dz/2 (H_cell + H_rec)
     topography term, but this form stays exactly balanced for still water
     even when the nonnegativity truncation is active at a wet/dry front.
+    The results are fresh arrays.
+    """
+    u = np.empty_like(rec.h_sides)
+    u[0], u[1] = u_left, u_right
+    return _interface_flux(rec, u, profile, g, _fresh_buffers(u))
+
+
+def _interface_flux(rec: InterfaceReconstruction, u: np.ndarray, profile: ChiProfile,
+                    g: float, take) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sv_interface_flux`` on the velocities ``u`` of the left (row 0) and
+    right (row 1) sides, as one array of the reconstruction's shape.
 
     Every operation acts entry by entry, so the interfaces of a step's k
     rows go through as one long row of k(n+1).  ``take`` supplies buffers of
-    the reconstruction's shape for every intermediate and result (a step's
-    work buffers); by default the arrays are fresh.
+    that shape for every intermediate and result (a step's work buffers).
     """
     h = rec.h_sides
-    take = take or _fresh_buffers(h)
-    u = take()
-    u[0], u[1] = u_left, u_right
     c = np.multiply(0.5 * g, h, out=take())  # halving g is exact: the bits of g h / 2
     np.sqrt(c, out=c)
     mass, momentum = upwind_mass_momentum(profile, h, u, c, _UPWIND_SIDE, take=take)
@@ -364,16 +392,48 @@ def _check_cfl(states, lam: list[float], dt: list[float]):
 
 
 def _flux_divergence(rows: _Rows, work: _Workspace):
+    """The (k, n) differences of the mass and momentum fluxes across each
+    cell of the rows, in work buffers."""
+    if work.flat:
+        return _flat_flux_divergence(rows, work)
     u_sides = _interface_pairs(rows.velocity, rows.grid.bc, mirror=True, out=work.wide())
-    fluxes = sv_interface_flux(
-        hydrostatic_reconstruct(rows, take=work.wide), u_sides[0], u_sides[1],
-        rows.profile, rows.g, take=work.wide,
-    )
+    fluxes = _interface_flux(hydrostatic_reconstruct(rows, take=work.wide), u_sides,
+                             rows.profile, rows.g, work.wide)
     # the k blocks of n+1 interfaces, one row each
     f_h, f_q_left, f_q_right = (f.reshape(len(rows.h), -1) for f in fluxes)
     div_h = np.subtract(f_h[:, 1:], f_h[:, :-1], out=work.cells())
     div_q = np.subtract(f_q_left[:, 1:], f_q_right[:, :-1], out=work.cells())
     return div_h, div_q
+
+
+def _flat_flux_divergence(rows: _Rows, work: _Workspace):
+    """``_flux_divergence`` on a flat bed, one kernel call per cell.
+
+    The reconstruction is the identity and the hydrostatic correction zero,
+    so both faces of a cell carry its own Gibbs equilibrium: the kernel
+    gives the positive half-line moments P+ of the n+2 cells of each row
+    (ghosts included), the negative ones are the full moments less P+, and
+    the flux across i+1/2 is P+_i + (full - P+)_(i+1).  The full moments
+    h u and h (u^2 + c^2) are the kernel's own sums at J = J_full, so a side
+    whose particles all move one way gets an exact zero on the other.
+    """
+    bc = rows.grid.bc
+    h = _with_ghosts(rows.h, bc, out=work.ghosted())
+    u = _with_ghosts(rows.velocity, bc, mirror=True, out=work.ghosted())
+    c = np.multiply(0.5 * rows.g, h, out=work.ghosted())
+    np.sqrt(c, out=c)
+    c2 = np.multiply(c, c, out=work.ghosted())
+    full_q = np.multiply(u, u, out=work.ghosted())
+    np.add(full_q, c2, out=full_q)
+    np.multiply(h, full_q, out=full_q)
+    full_h = np.multiply(h, u, out=c2)  # c2 is spent
+    fluxes = upwind_mass_momentum(rows.profile, h, u, c, True, take=work.ghosted)
+    div = []
+    for full, positive in zip((full_h, full_q), fluxes):
+        negative = np.subtract(full, positive, out=full)
+        f = np.add(positive[:, :-1], negative[:, 1:], out=positive[:, :-1])
+        div.append(np.subtract(f[:, 1:], f[:, :-1], out=work.cells()))
+    return tuple(div)
 
 
 def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
@@ -534,6 +594,12 @@ def energy_budget(
 
 
 def parabolic_bowl_bathymetry(grid: Grid1D, a: float, h_m: float) -> np.ndarray:
+    """Bed of the bowl of half-width a and depth h_m centred on the domain:
+    (h_m / a^2)((x - mid)^2 - a^2), at -h_m in the middle and 0 at x = mid +- a."""
+    if not a > 0.0:
+        raise ValueError(f"bowl half-width a must be positive, got {a!r}")
+    if not h_m > 0.0:
+        raise ValueError(f"bowl depth h_m must be positive, got {h_m!r}")
     x = grid.centers
     mid = 0.5 * (grid.x_min + grid.x_max)
     return (h_m / a**2) * ((x - mid) ** 2 - a**2)
@@ -554,8 +620,6 @@ def thacker_setup(
     max(0, -(h_m/a^2)((x - L/2 + 1/2)^2 - a^2)), which keeps its free surface
     a straight line; both initial velocities vanish.
     """
-    if a <= 0.0 or h_m <= 0.0:
-        raise ValueError("bowl parameters must be positive")
     if length <= 2.0 * a:
         raise ValueError("domain must be longer than the bowl diameter")
     grid = Grid1D(n_cells, 0.0, length, BoundaryKind.REFLECTIVE_WALL)

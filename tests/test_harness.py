@@ -164,6 +164,15 @@ class TestParseConfig:
         # refused before the refined grid of 0 cells could blame [grid] n_cells
         ("dam_break.cfg", "truth", {"resolution_factor": "0"},
          r"\[truth\] resolution_factor must be >= 1, got 0"),
+        # a lake at rest divided by zero (exit 2); a Thacker ic named no key
+        ("lake_at_rest.cfg", "grid", {"bowl_a": "0"},
+         r"\[grid\] bowl_a: bowl half-width a must be positive, got 0\.0"),
+        ("thacker.cfg", "grid", {"bowl_a": "0"},
+         r"\[grid\] bowl_a: bowl half-width a must be positive, got 0\.0"),
+        ("lake_at_rest.cfg", "grid", {"bowl_hm": "-0.5"},
+         r"\[grid\] bowl_hm: bowl depth h_m must be positive, got -0\.5"),
+        ("thacker.cfg", "grid", {"bowl_hm": "0"},
+         r"\[grid\] bowl_hm: bowl depth h_m must be positive, got 0\.0"),
     ])
     def test_refusal_names_section_key(self, tmp_path, capsys, fixture, section, keys, message):
         body = Path(fixture_path(fixture)).read_text()
@@ -177,6 +186,22 @@ class TestParseConfig:
             parse_config(str(path))
         command = "run-burgers" if fixture.startswith("burgers") else "run-sv"
         assert cli.main([command, str(path), "--quiet"]) == 1
+        assert re.search(f"config error: {message}", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("keys", [["t_first"], ["t_last"], ["t_first", "t_last"]])
+    def test_observation_span_without_count_rejected(self, tmp_path, capsys, keys):
+        # parsed to no observation times, so the truth was observed at every step
+        body = Path(fixture_path("burgers_clean.cfg")).read_text().replace("count = 30\n", "")
+        body = re.sub(r"^t_last = .*\n", "", body, flags=re.M)
+        span = {"t_first": "0.5", "t_last": "1.5"}
+        body = body.replace("[observations]\n", "[observations]\n" + "".join(
+            f"{key} = {span[key]}\n" for key in keys))
+        path = tmp_path / "span.cfg"
+        path.write_text(body)
+        message = rf"\[observations\] {', '.join(keys)} without count"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+        assert cli.main(["run-burgers", str(path), "--quiet"]) == 1
         assert re.search(f"config error: {message}", capsys.readouterr().err)
 
     @pytest.mark.parametrize("old,new", [

@@ -14,6 +14,8 @@ from kinassim.kinetic import (
 from kinassim.shallow_water import (
     DRY_DEPTH,
     SWState,
+    _flux_divergence,
+    _Rows,
     _settle,
     cell_energy,
     dam_break_state,
@@ -295,16 +297,17 @@ class TestObserverStep:
             state = new
 
 
-def rough_state(bc, profile, n=60, seed=4):
+def rough_state(bc, profile, n=60, seed=4, flat=False):
     """Bathymetry with a dry bank, velocities of both signs, some of them
-    supercritical (|u| > w c), on the given boundary kind."""
+    supercritical (|u| > w c), on the given boundary kind; ``flat`` puts
+    the same depths and velocities on a constant bed."""
     rng = np.random.default_rng(seed)
     grid = Grid1D(n, 0.0, 2.0, bc)
     z_b = 0.3 * np.sin(2.0 * np.pi * grid.centers / 2.0) + 0.05 * rng.random(n)
     h = np.maximum(0.0, 0.25 - z_b) * rng.uniform(0.5, 1.5, n)
     c = np.sqrt(G * h / 2.0)
     u = rng.uniform(-1.5, 1.5, n) * profile.support_halfwidth * c
-    return SWState(h, h * u, z_b, grid, profile)
+    return SWState(h, h * u, np.full(n, 0.1) if flat else z_b, grid, profile)
 
 
 def reference_step(state, dt, lam=0.0, dh=None):
@@ -383,6 +386,89 @@ class TestFusedStepMatchesReference:
             state = got
 
 
+def reference_divergence(state):
+    """The (mass, momentum) flux differences across each cell of ``state``
+    from the public reconstruction and interface flux."""
+    u = state.velocity
+    if state.grid.bc is BoundaryKind.REFLECTIVE_WALL:
+        ux = np.concatenate([-u[:1], u, -u[-1:]])
+    else:
+        ux = np.concatenate([u[-1:], u, u[:1]])
+    fluxes = sv_interface_flux(hydrostatic_reconstruct(state), ux[:-1], ux[1:],
+                               state.profile, state.g)
+    f_h, f_q_left, f_q_right = fluxes
+    return f_h[1:] - f_h[:-1], f_q_left[1:] - f_q_right[:-1], max(np.max(np.abs(f)) for f in fluxes)
+
+
+def flat_bed_rows(rng, k, n, bc, profile):
+    """k random states on one constant bed: dry cells, and velocities up to
+    three times the support speed w c, so some sides move one way only."""
+    grid = Grid1D(n, 0.0, 1.0, bc)
+    z_b = np.full(n, rng.uniform(-1.0, 1.0))
+    states = []
+    for _ in range(k):
+        h = rng.uniform(0.0, 2.0, n)
+        h[rng.random(n) < 0.2] = 0.0
+        u = rng.uniform(-3.0, 3.0, n) * profile.support_halfwidth * np.sqrt(G * h / 2.0)
+        states.append(SWState(h, h * u, z_b, grid, profile))
+    return states
+
+
+class TestFlatBedForm:
+    """On a constant bed the step evaluates each cell's equilibrium once,
+    the negative half-line as the full moments less the positive ones; any
+    other bed takes the reconstruction and interface flux."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_divergence_matches_the_reference(self, profile, bc, k):
+        rng = np.random.default_rng(19 + k)
+        upwind = 0
+        for _ in range(20):
+            states = flat_bed_rows(rng, k, int(rng.integers(2, 50)), bc, profile)
+            rows = _Rows(states)
+            assert rows._work.flat
+            div_h, div_q = _flux_divergence(rows, rows._work)
+            for r, state in enumerate(states):
+                ref_h, ref_q, scale = reference_divergence(state)
+                # relative to the row's largest interface flux
+                assert np.max(np.abs(div_h[r] - ref_h)) <= 1e-13 * scale
+                assert np.max(np.abs(div_q[r] - ref_q)) <= 1e-13 * scale
+                c = np.sqrt(G * state.h / 2.0)
+                upwind += np.sum(np.abs(state.velocity) >= profile.support_halfwidth * c)
+        assert upwind > 0
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_still_water_on_a_raised_bed_stays_still(self, profile, bc):
+        grid = Grid1D(40, 0.0, 1.0, bc)
+        state = lake_at_rest_state(grid, np.full(40, 0.7), eta=2.0, profile=profile)
+        assert state._work.flat
+        h0 = state.h.copy()
+        for _ in range(30):
+            state = sv_forward_step(state, sv_cfl(state, 0.0))
+        np.testing.assert_array_equal(state.h, h0)
+        np.testing.assert_array_equal(state.q, 0.0)
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_one_bed_step_keeps_the_reference_bit_for_bit(self, profile, bc):
+        rng = np.random.default_rng(7)
+        n = 40
+        grid = Grid1D(n, 0.0, 1.0, bc)
+        z_b = np.where(grid.centers < 0.5, 0.0, 0.2)
+        h = np.maximum(0.0, 0.5 - z_b) * rng.uniform(0.5, 1.5, n)
+        state = SWState(h, h * rng.uniform(-1.0, 1.0, n), z_b, grid, profile)
+        assert not state._work.flat
+        for _ in range(5):
+            dt = sv_cfl(state, 0.0)
+            want = reference_step(state, dt)
+            state = sv_forward_step(state, dt)
+            np.testing.assert_array_equal(state.h, want[0])
+            np.testing.assert_array_equal(state.q, want[1])
+
+
 def stepper(kind, lam=6.0):
     """One step of the given kind: forward, nudged toward an observed depth
     (NaN outside a window), or nudged by a given depth innovation dh."""
@@ -412,34 +498,37 @@ class TestStatesAndWorkBuffers:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_kept_state_unchanged_by_later_steps(self, profile, bc, kind):
         step = stepper(kind)
-        states = [rough_state(bc, profile)]
-        for _ in range(4):
-            states.append(step(states[-1]))
-        kept = [(s.h.copy(), s.q.copy(), s.velocity.copy(), s.max_wave_speed) for s in states]
-        state = states[-1]
-        for _ in range(4):
-            state = step(state)
-        for s, (h, q, u, speed) in zip(states, kept):
-            np.testing.assert_array_equal(s.h, h)
-            np.testing.assert_array_equal(s.q, q)
-            np.testing.assert_array_equal(s.velocity, u)
-            assert s.max_wave_speed == speed
-            fresh = dataclasses.replace(s)  # the same fields, nothing cached
-            np.testing.assert_array_equal(fresh.velocity, u)
-            assert fresh.max_wave_speed == speed
+        for flat in (False, True):
+            states = [rough_state(bc, profile, flat=flat)]
+            for _ in range(4):
+                states.append(step(states[-1]))
+            kept = [(s.h.copy(), s.q.copy(), s.velocity.copy(), s.max_wave_speed)
+                    for s in states]
+            state = states[-1]
+            for _ in range(4):
+                state = step(state)
+            for s, (h, q, u, speed) in zip(states, kept):
+                np.testing.assert_array_equal(s.h, h)
+                np.testing.assert_array_equal(s.q, q)
+                np.testing.assert_array_equal(s.velocity, u)
+                assert s.max_wave_speed == speed
+                fresh = dataclasses.replace(s)  # the same fields, nothing cached
+                np.testing.assert_array_equal(fresh.velocity, u)
+                assert fresh.max_wave_speed == speed
 
     @pytest.mark.parametrize("kind", STEP_KINDS)
     @pytest.mark.parametrize("bc", BOUNDARIES)
     @pytest.mark.parametrize("profile", PROFILES)
     def test_stepping_a_state_twice_gives_equal_results(self, profile, bc, kind):
         step = stepper(kind)
-        state = step(rough_state(bc, profile))
-        first = step(state)
-        step(step(first))  # the buffers now hold other states' values
-        again = step(state)
-        assert np.array_equal(first.h, again.h) and np.array_equal(first.q, again.q)
-        assert not np.shares_memory(first.h, again.h)
-        assert not np.shares_memory(first.q, again.q)
+        for flat in (False, True):
+            state = step(rough_state(bc, profile, flat=flat))
+            first = step(state)
+            step(step(first))  # the buffers now hold other states' values
+            again = step(state)
+            assert np.array_equal(first.h, again.h) and np.array_equal(first.q, again.q)
+            assert not np.shares_memory(first.h, again.h)
+            assert not np.shares_memory(first.q, again.q)
 
     def test_fields_and_arrays_cannot_be_changed(self):
         built = rough_state(BoundaryKind.REFLECTIVE_WALL, ChiProfile.SEMICIRCLE)
@@ -614,6 +703,18 @@ class TestThackerSetup:
             thacker_setup(1.0, 1.5, 0.5, 100)
         with pytest.raises(ValueError):
             thacker_setup(-1.0, 4.0, 0.5, 100)
+
+    @pytest.mark.parametrize("a,h_m,message", [
+        (0.0, 0.5, "half-width a must be positive"),
+        (-1.0, 0.5, "half-width a must be positive"),
+        (math.nan, 0.5, "half-width a must be positive"),
+        (1.0, 0.0, "depth h_m must be positive"),
+        (1.0, -0.5, "depth h_m must be positive"),
+    ])
+    def test_bowl_refuses_a_non_positive_parameter(self, a, h_m, message):
+        # a = 0 divided by zero in the bed of a lake at rest
+        with pytest.raises(ValueError, match=message):
+            parabolic_bowl_bathymetry(wall_grid(10, 4.0), a, h_m)
 
 
 class TestThackerExactSolution:
