@@ -22,12 +22,13 @@ that the BGK observer's truth runs the collapsed lane.
 
 One time loop (``_run_lockstep``) advances both.  The truth leads: before
 the observers take a truth step, the truth has taken it and has passed every
-observation time that step's windows read (``_GainController.lead``), and
-each observation is sampled once the truth has passed it.  Each observer
-substep is then taken together with the truth's next step, while the truth
-has steps left (``_Lane.step_pair``): a Saint-Venant observer and a truth on
-its grid as one (2, n) update, the truth the row at gain 0; a refined truth
-and every Burgers lane as two calls.  The loop releases passed truth fields.
+observation time that step's windows read (``_GainController.lead``).  The
+truth samples each observation time as it steps past it (``_Truth.take``).
+It steps alone only to lead and to finish; a Saint-Venant observer whose
+truth shares its grid and bed takes the first substep of each truth step
+together with the truth's next step, as one (2, n) update in which the
+truth is the row at gain 0 (``_SWLane.step_pair``).  The loop releases the
+truth fields behind the observers.
 
 Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
@@ -45,7 +46,6 @@ run terminates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -74,6 +74,7 @@ from .observation import (
     observe,
 )
 from .shallow_water import (
+    DRY_DEPTH,
     SWState,
     _same_bed,
     sv_cfl,
@@ -279,8 +280,7 @@ class _Lane:
     ``step(state, dt, lams, terms)`` transports, then nudges each row at its
     gain in ``lams`` times the total weight W of the innovation terms
     ``terms`` (``_GainController.resolve``) toward their weighted mean
-    (``_mean_innovation``); terms None is transport alone.  ``step_pair``
-    takes the truth's next step together with an observer substep.
+    (``_mean_innovation``); terms None is transport alone.
 
     The base class is a Burgers lane on the field u, one row per observer,
     given its bound, its gain-free transport and the relaxation target of an
@@ -294,6 +294,7 @@ class _Lane:
     # exact relaxation of the Burgers lanes, its start (0) for the explicit
     # source of the Saint-Venant lane
     target_level = 1
+    pairs = False  # takes the truth's next step beside a substep (_SWLane.step_pair)
 
     def __init__(self, initial, bound, transport, xi: XiGrid | None = None, target=None):
         self.initial, self.bound, self.transport = initial, bound, transport
@@ -321,12 +322,6 @@ class _Lane:
             return new
         gap, weight = _mean_innovation(self, terms, self.reference(new))
         return _relax(new, gap, _per_row(lams, new) * weight, dt)
-
-    def step_pair(self, truth_lane: _Lane, truth, truth_dt, state, dt, lams, terms):
-        """(the truth's step over truth_dt, this lane's ``step``): the
-        truth's next step taken together with an observer substep, here as
-        two calls."""
-        return truth_lane.step(truth, truth_dt), self.step(state, dt, lams, terms)
 
     def observed(self, state):
         return state
@@ -384,14 +379,13 @@ class _SWLane(_Lane):
     total weight, so the CFL bound and the positivity check see the gain
     actually applied.
 
-    An observer lane whose truth shares its grid and bathymetry
-    (``pairs``) steps each substep and the truth's next step as one (2, n)
-    update, the truth the row at gain 0."""
+    An observer lane whose truth shares its grid and bathymetry (``pairs``)
+    can take a substep and the truth's next step as one (2, n) update, the
+    truth the row at gain 0 (``step_pair``)."""
 
     clamp_nonnegative = True
     target_level = 0
     xi = None
-    pairs = False
 
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
         self.initial = state0.copy()
@@ -417,7 +411,7 @@ class _SWLane(_Lane):
         if obs is None:
             return bound
         wet = np.isfinite(obs)
-        wet &= obs > state.h_dry
+        wet &= obs > DRY_DEPTH
         speed = np.multiply(state.g, obs)
         np.divide(speed, 2.0, out=speed)
         np.sqrt(speed, out=speed, where=wet)
@@ -435,9 +429,9 @@ class _SWLane(_Lane):
         dh, weight = _mean_innovation(self, terms, state.h)
         return sv_observer_step(state, None, float(lams[0]) * weight, dt, dh=dh)
 
-    def step_pair(self, truth_lane, truth, truth_dt, state, dt, lams, terms):
-        if not self.pairs:
-            return super().step_pair(truth_lane, truth, truth_dt, state, dt, lams, terms)
+    def step_pair(self, truth, truth_dt, state, dt, lams, terms):
+        """(the truth's step over truth_dt, this lane's ``step``) as one
+        (2, n) update; only where the lane ``pairs``."""
         if terms is None:
             return sv_forward_step((truth, state), (truth_dt, dt))
         dh, weight = _mean_innovation(self, terms, state.h)
@@ -524,14 +518,16 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
 class _Truth:
     """The truth run, unnudged, which the twin loop steps ahead of the
     observers: its observed field at every step (duck-typed for
-    ``sample_observations``), its steps, its energies when recorded, and its
-    state, the final one once ``done``.
+    ``sample_observations``), its steps, its energies when recorded, its
+    state, the final one once ``done``, and the observations sampled from it.
 
     ``next_dt`` is the length of its next step, checked against its bound
     and its step budget; ``take`` records that step, whether the truth took
-    it alone (``step``) or beside an observer substep.  Each step's observed
-    field is an array of its own; ``release(k)`` sets those before k to None
-    (indices stay absolute, and reading one fails); ``finish`` keeps them all.
+    it alone (``step``) or beside an observer substep, and samples every
+    observation time of ``sample_into`` the step has passed.  Each step's
+    observed field is an array of its own; ``release(k)`` sets those before
+    k to None (indices stay absolute, and reading one fails); ``finish``
+    keeps them all.
     """
 
     def __init__(self, config: RunConfig, lane: _Lane):
@@ -542,6 +538,14 @@ class _Truth:
         self.energies = [lane.energy(self.state)]
         self._budget, self._released, self._spare = None, 0, []
         self._keep(lane.observed(self.state))
+        self.sampled, self._obs_times = 0, []  # how many of the sample_into times are sampled
+
+    def sample_into(self, series: ObservationSeries, observe) -> None:
+        """Fill ``series.fields[k]`` with observe(field) of the recorded state
+        nearest its time, as soon as a step passes that time (every time left
+        once the truth is done): what ``sample_observations`` gives over the
+        same truth run on its own."""
+        self._series, self._observe, self._obs_times = series, observe, series.times.tolist()
 
     def _keep(self, field) -> None:
         kept = self._spare.pop() if self._spare else np.empty_like(field)
@@ -569,12 +573,20 @@ class _Truth:
         return min(bound, self.t_final - t)
 
     def take(self, state, dt: float) -> None:
-        self.state = state
-        self.t += dt
-        self.done = not self.t < self.t_final * (1.0 - _TIME_TOL)
-        self.trajectory_times.append(self.t)
+        t = self.t + dt
+        done = not t < self.t_final * (1.0 - _TIME_TOL)
+        field = self.lane.observed(state)
+        # sampled before the step is recorded: a refused observation leaves
+        # the truth as it was, and stepping it again refuses it again
+        times, k = self._obs_times, self.sampled
+        while k < len(times) and (times[k] < t or done):
+            newer = nearest_recorded(np.array([self.t, t]), times[k])
+            self._series.fields[k] = self._observe(field if newer else self.trajectory_fields[-1])
+            k = self.sampled = k + 1
+        self.state, self.t, self.done = state, t, done
+        self.trajectory_times.append(t)
         self.dts.append(dt)
-        self._keep(self.lane.observed(state))
+        self._keep(field)
         if len(self.dts) % self.record_every == 0 or self.done:  # the final state too
             self.energies.append(self.lane.energy(state))
 
@@ -621,8 +633,9 @@ class _GainController:
     ``lead`` is the one rule for how far the truth runs ahead of the
     observers: before the observers take truth step n, the truth has taken
     it, and a sampled series holds every observation the windows of that
-    step read.  ``advance`` then takes each observer substep together with
-    the truth's next step, while the truth has steps left.
+    step read.  ``advance`` then takes the observer substeps, the first of
+    each truth step together with the truth's next step on a lane that
+    ``pairs``.
 
     ``resolve`` answers once per window with the innovation terms of
     ``_Lane.step``, a list of (weight, observed field, snapshot), or None when
@@ -649,10 +662,8 @@ class _GainController:
     them, feed the every-step (hold), interpolated and mollified modes, whose
     targets are genuinely stamped at the observation times and are resolved at
     the start of the window on both models.  ``series`` holds every
-    observation time from the start, and each field once the truth has
-    passed its time: observed on the recorded state nearest to it
-    (``nearest_recorded``), it is what ``sample_observations`` gives over the
-    same truth run on its own; ``floor`` is the first one it may still read.
+    observation time from the start, and each field from the truth step
+    that passes its time on (``_Truth.sample_into``).
 
     Every row of the stack takes the same windows, so the pointer and the
     mollified snapshots serve all of them: a row with a zero gain is relaxed
@@ -685,13 +696,14 @@ class _GainController:
             and gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES
         )
         # Sampled series for the modes that consume time-stamped observations,
-        # its fields NaN until sampled (_times: its times as floats, for
-        # bisect); a window reads up to _reach past its start.
-        self.series, self._times, self._sampled = None, [], 0
+        # its fields NaN until the truth samples them (_times: its times as
+        # floats); a window reads up to _reach past its start.
+        self.series, self._times = None, []
         if self.times is not None and self.times.size and not self.at_times:
             fields = np.full((self.times.size, grid.n_cells), np.nan)
             self.series = ObservationSeries(self.times, fields, self.mask, grid)
             self._times = self.times.tolist()
+            truth.sample_into(self.series, self._observe)
         self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
         # mollified observer references by observation time (_taken), one row
         # per observer; the first _dropped are deleted once the kernel is zero
@@ -703,48 +715,25 @@ class _GainController:
 
     def lead(self, n: int) -> bool:
         """Step the truth alone until truth step n has been taken and, on a
-        sampled series, every observation is sampled up to the first one
-        after t_{n+1} + _reach (at least two): what the windows of step n
+        sampled series, the truth has passed the first observation time
+        after t_{n+1} + _reach and at least two: what the windows of step n
         read.  False when the truth ended before step n."""
-        truth = self.truth
-        while len(truth.dts) <= n:
+        truth, times = self.truth, self._times
+        while True:
+            k = truth.sampled  # every time once the truth is done
+            if len(truth.dts) > n and (k == len(times) or (
+                    k >= 2 and times[k - 1] > truth.trajectory_times[n + 1] + self._reach)):
+                return True
             if truth.done:
                 return False
             truth.step()
-        times, sampled = self._times, self._sampled
-        if sampled < len(times):
-            end = truth.trajectory_times[n + 1] + self._reach
-            if sampled < 2 or not times[sampled - 1] > end:  # else sampled past end
-                self._sample_through(min(max(bisect_right(times, end), 1), len(times) - 1))
-        return True
 
-    def _sample_through(self, last: int) -> None:
-        """Sample the observation times up to index ``last``, each once the
-        truth has passed it, from the recorded state nearest to it."""
-        truth = self.truth
-        while self._sampled <= last:
-            t_k = self._times[self._sampled]
-            while not (truth.t > t_k or truth.done):
-                truth.step()
-            # the nearest of the two recorded states around t_k, as
-            # sample_observations picks it
-            recorded = truth.trajectory_times
-            i = min(max(bisect_left(recorded, t_k), 1), len(recorded) - 1)
-            i += int(nearest_recorded(np.array(recorded[i - 1:i + 1]), t_k)) - 1
-            field = observe(truth.trajectory_fields[i], self._noise, self.mask, self.clamp)
-            _refuse_saturation(field, self.xi)
-            self.series.fields[self._sampled] = field
-            self._sampled += 1
-
-    def floor(self) -> int:
-        """The state before the first unsampled time (past the end once none is)."""
-        recorded, times, k = self.truth.trajectory_times, self._times, self._sampled
-        return len(recorded) if k == len(times) else bisect_left(recorded, times[k]) - 1
-
-    def finish(self) -> None:
-        """Run the truth to its end and sample every observation time."""
-        self.truth.finish()
-        self._sample_through(len(self._times) - 1)
+    def _observe(self, field):
+        """The observation of the truth field ``field``, checked to lie on
+        the lane's kinetic-velocity grid."""
+        observed = observe(field, self._noise, self.mask, self.clamp)
+        _refuse_saturation(observed, self.xi)
+        return observed
 
     def _skip_to(self, t: float) -> int:
         """Move the pointer past the observation times below t."""
@@ -781,26 +770,21 @@ class _GainController:
                 return None
         elif times is not None:  # no sampled time inside the horizon
             return None
-        target = observe(
-            self.truth.trajectory_fields[step_index + self.level], self._noise, self.mask,
-            self.clamp,
-        )
-        _refuse_saturation(target, self.xi)
-        return [(1.0, target, None)]
+        return [(1.0, self._observe(self.truth.trajectory_fields[step_index + self.level]), None)]
 
-    def advance(self, lane: _Lane, state, t: float, dt: float, terms):
+    def advance(self, lane: _Lane, state, t: float, dt: float, terms, first: bool):
         """One substep of the observers over [t, t + dt] under their resolved
-        innovation ``terms``, taken with the truth's next step while the truth
-        has steps left, then the snapshots of the observation times it has
-        reached."""
+        innovation ``terms``, then the snapshots of the observation times it
+        has reached.  The ``first`` substep of a truth step on a lane that
+        ``pairs`` takes the truth's next step beside it, while the truth has
+        steps left."""
         truth = self.truth
-        if truth.done:
-            state = lane.step(state, dt, self.lams, terms)
-        else:
+        if first and lane.pairs and not truth.done:
             truth_dt = truth.next_dt()
-            stepped, state = lane.step_pair(truth.lane, truth.state, truth_dt, state, dt,
-                                            self.lams, terms)
+            stepped, state = lane.step_pair(truth.state, truth_dt, state, dt, self.lams, terms)
             truth.take(stepped, truth_dt)
+        else:
+            state = lane.step(state, dt, self.lams, terms)
         if terms is not None and self.at_times:
             self._skip_to(t + dt)
         times = self._snapshot_times
@@ -827,13 +811,12 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
     truth step longer than the observer's CFL bound is divided into m
     substeps, each resolving its own window.
 
-    The truth's fields before min(n, ``controller.floor()``) are released
-    before step n.  The observers may take _STEP_BUDGET substeps per truth step
-    over the run; the truth runs to its end before a substep count past that
-    share of its steps so far is refused.  When the loop raises, the truth runs
-    to its end and every observation is sampled first, so a failing truth or
-    observation raises its own error, as when the truth ran before the
-    observers.
+    The truth's fields before n are released before step n.  The observers
+    may take _STEP_BUDGET substeps per truth step over the run; the truth runs
+    to its end before a substep count past that share of its steps so far is
+    refused.  When the loop raises, the truth runs to its end first, sampling
+    every observation on the way, so a failing truth or observation raises
+    its own error (the earlier in time) instead of the observers'.
 
     ``record`` only copies the observed fields and the truth field into an
     ``ErrorRecorder``, which measures a whole block of rows in one vectorised
@@ -879,15 +862,15 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
                 t, closes = times[n] + j * sub, last and j == m - 1
                 if m > 1:  # each substep resolves its own window
                     terms = controller.resolve(t, t + sub, n, closes)
-                state = controller.advance(lane, state, t, sub, terms)
+                state = controller.advance(lane, state, t, sub, terms, j == 0)
             if (n + 1) % config.record_every == 0 or last:
                 record(n + 1)
             n += 1
-            truth.release(min(n, controller.floor()))
+            truth.release(n)
     except Exception:
-        controller.finish()
+        truth.finish()
         raise
-    controller.finish()  # samples any observation time no window read
+    truth.finish()  # samples any observation time no window read
     times, dts, recorded = np.asarray(times), np.asarray(dts), np.asarray(recorded)
     recorded_dt = np.concatenate(([math.nan], dts[recorded[1:] - 1]))
     norms, echo = errors.norms(), config.echo()

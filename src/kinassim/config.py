@@ -74,15 +74,18 @@ def _initial_keys(state: str) -> dict:
     errors of the field ``state``."""
     return {
         "ic": (_BOTH, str, state),
-        **{key: (_BURGERS, _real, None) for key in ("lo", "hi", "value", "amplitude", "mean")},
-        **{key: (_SW, _real, None) for key in ("eta", "h_left", "h_right", "x_split")},
+        **{key: (_BURGERS, _real, None, ("square_pulse",)) for key in ("lo", "hi", "value")},
+        **{key: (_BURGERS, _real, None, ("sine",)) for key in ("amplitude", "mean")},
+        "eta": (_SW, _real, None, ("lake_at_rest",)),
+        **{key: (_SW, _real, None, ("dam_break",)) for key in ("h_left", "h_right", "x_split")},
     }
 
 
 # [section] key -> (the model kinds it acts on, the reader of its text, the
-# dataclass field it feeds).  parse_config builds the fields in _BUILT from
-# their keys itself, and those keys name the field's errors; it reads the keys
-# of field None alone.
+# dataclass field it feeds[, the values of its section's ic or bathymetry
+# that read it]).  parse_config builds the fields in _BUILT from their keys
+# itself, and those keys name the field's errors; it reads the keys of field
+# None alone.
 _KEYS = {
     "model": {
         "kind": (_BOTH, str, "model"),
@@ -97,8 +100,8 @@ _KEYS = {
         "x_max": (_BOTH, _real, "x_max"),
         "bc": (_BOTH, _choice(BoundaryKind), "bc"),
         "bathymetry": (_SW, str, None),
-        "bowl_a": (_SW, _real, None),
-        "bowl_hm": (_SW, _real, None),
+        "bowl_a": (_SW, _real, None, ("parabolic_bowl",)),
+        "bowl_hm": (_SW, _real, None, ("parabolic_bowl",)),
     },
     "truth": {
         **_initial_keys("truth_state"),
@@ -174,7 +177,7 @@ def _read(path: str) -> tuple[str, dict[str, dict]]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}] (allowed: {sorted(rows)})"
                 )
-            kinds, read, _ = rows[key]
+            kinds, read = rows[key][:2]
             if kind not in kinds:
                 raise ConfigError(
                     f"[{section}] {key} does nothing for kind = {kind} "
@@ -223,20 +226,33 @@ def _fields(cls, values: dict) -> dict:
             if f.name in values and f.name not in _BUILT}
 
 
+def _refuse_unread(given: dict, section: str, selector: str, choice: str) -> None:
+    """Refuse a key of [section] that ``selector = choice`` does not read,
+    as the last entry of its _KEYS row records."""
+    for key in given.get(section, {}):
+        row = _KEYS[section][key]
+        if len(row) > 3 and choice not in row[3]:
+            raise ConfigError(f"[{section}] {key} does nothing for {selector} = {choice} "
+                              f"(only for {selector} = {', '.join(row[3])})")
+
+
 def _burgers_ic(given: dict, section: str, grid: Grid1D) -> np.ndarray:
     keys = given.get(section, {})
     kind = keys.get("ic", "zero")
     x = grid.centers
     if kind == "zero":
-        return np.zeros(grid.n_cells)
-    if kind == "square_pulse":
+        u = np.zeros(grid.n_cells)
+    elif kind == "square_pulse":
         lo, hi = _need(given, section, "lo"), _need(given, section, "hi")
-        return np.where((x >= lo) & (x <= hi), keys.get("value", 1.0), 0.0)
-    if kind == "sine":
-        return keys.get("mean", 0.0) + keys.get("amplitude", 1.0) * np.sin(
+        u = np.where((x >= lo) & (x <= hi), keys.get("value", 1.0), 0.0)
+    elif kind == "sine":
+        u = keys.get("mean", 0.0) + keys.get("amplitude", 1.0) * np.sin(
             2.0 * np.pi * (x - grid.x_min) / grid.length
         )
-    raise ConfigError(f"[{section}] unknown Burgers ic {kind!r}")
+    else:
+        raise ConfigError(f"[{section}] unknown Burgers ic {kind!r}")
+    _refuse_unread(given, section, "ic", kind)
+    return u
 
 
 def _sw_state(given: dict, section: str, grid: Grid1D, bowl, physics: dict) -> SWState:
@@ -244,19 +260,27 @@ def _sw_state(given: dict, section: str, grid: Grid1D, bowl, physics: dict) -> S
     if kind == "lake_at_rest":
         z_b = (parabolic_bowl_bathymetry(grid, *bowl) if bowl is not None
                else np.zeros(grid.n_cells))
-        return lake_at_rest_state(grid, z_b, _need(given, section, "eta"), **physics)
-    if kind == "dam_break":
+        state = lake_at_rest_state(grid, z_b, _need(given, section, "eta"), **physics)
+    elif kind == "dam_break":
         depths = (_need(given, section, key) for key in ("h_left", "h_right", "x_split"))
-        return dam_break_state(grid, *depths, **physics)
-    if kind in ("thacker_planar", "thacker_rest"):
+        state = dam_break_state(grid, *depths, **physics)
+    elif kind in ("thacker_planar", "thacker_rest"):
         if bowl is None:
             raise ConfigError(
                 f"[{section}] ic {kind!r} needs bathymetry = parabolic_bowl"
             )
         a, h_m = bowl
-        truth, rest = thacker_setup(a, grid.length, h_m, grid.n_cells, **physics)
-        return truth if kind == "thacker_planar" else rest
-    raise ConfigError(f"[{section}] unknown shallow-water ic {kind!r}")
+        try:
+            truth, rest = thacker_setup(a, grid.length, h_m, grid.n_cells, **physics)
+        except ValueError as exc:
+            if "bowl diameter" not in str(exc):
+                raise
+            raise ConfigError(f"[grid] bowl_a: {exc}") from None
+        state = truth if kind == "thacker_planar" else rest
+    else:
+        raise ConfigError(f"[{section}] unknown shallow-water ic {kind!r}")
+    _refuse_unread(given, section, "ic", kind)
+    return state
 
 
 def _bowl(given: dict, grid: Grid1D) -> tuple[float, float]:
@@ -322,6 +346,7 @@ def _build(kind: str, given: dict) -> RunConfig:
         bathymetry = given.get("grid", {}).get("bathymetry", "flat")
         if bathymetry not in ("flat", "parabolic_bowl"):
             raise ConfigError(f"[grid] unknown bathymetry {bathymetry!r}")
+        _refuse_unread(given, "grid", "bathymetry", bathymetry)
         bowl = None if bathymetry == "flat" else _bowl(given, grid)
         factor = given.get("truth", {}).get("resolution_factor",
                                             RunConfig.truth_resolution_factor)

@@ -74,7 +74,6 @@ class SWState:
     grid: Grid1D
     profile: ChiProfile = ChiProfile.SEMICIRCLE
     g: float = GRAVITY
-    h_dry: float = DRY_DEPTH
 
     def __post_init__(self):
         if not (math.isfinite(self.g) and self.g > 0.0):
@@ -98,9 +97,9 @@ class SWState:
     @cached_property
     def velocity(self) -> np.ndarray:
         """q / H on wet cells, zero on cells below the dry threshold."""
-        u = np.maximum(self.h, self.h_dry)
+        u = np.maximum(self.h, DRY_DEPTH)
         np.divide(self.q, u, out=u)
-        np.copyto(u, 0.0, where=self.h < self.h_dry)  # h is never NaN
+        np.copyto(u, 0.0, where=self.h < DRY_DEPTH)  # h is never NaN
         return _read_only(u)
 
     @cached_property
@@ -131,7 +130,7 @@ class SWState:
         grid."""
         new = object.__new__(SWState)
         new.__dict__.update(h=h, q=q, z_b=self.z_b, grid=self.grid, profile=self.profile,
-                            g=self.g, h_dry=self.h_dry, velocity=u, _work=work)
+                            g=self.g, velocity=u, _work=work)
         return new
 
 
@@ -143,7 +142,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _max_wave_speeds(states, h: np.ndarray, u: np.ndarray) -> list[float]:
     """The wave speed of each of ``states``, whose depths and velocities are
     the rows of the (k, n) stacks h and u (or h and u of one state)."""
-    # Maximum over every cell: a dry cell (u = 0, h < h_dry) is slower than
+    # Maximum over every cell: a dry cell (u = 0, h < DRY_DEPTH) is slower than
     # the dry-threshold speed and no wet cell is, so this is the maximum over
     # the wet cells, or the threshold speed when none is wet.
     first = states[0]
@@ -154,7 +153,7 @@ def _max_wave_speeds(states, h: np.ndarray, u: np.ndarray) -> list[float]:
     np.multiply(w, c, out=c)
     speed = np.abs(u)
     np.add(speed, c, out=speed)
-    floor = w * math.sqrt(first.g * first.h_dry / 2.0)
+    floor = w * math.sqrt(first.g * DRY_DEPTH / 2.0)
     return [max(top, floor) for top in speed.reshape(len(states), -1).max(axis=1).tolist()]
 
 
@@ -218,9 +217,9 @@ class _Rows:
             if state.__dict__.get("_work") is not work:
                 if not _same_bed(first, state):
                     raise ValueError("stacked states must share their grid, bathymetry, "
-                                     "profile, g and h_dry")
+                                     "profile and g")
                 state.__dict__["_work"] = work
-        self.grid, self.profile, self.g, self.h_dry = first.grid, first.profile, first.g, first.h_dry
+        self.grid, self.profile, self.g = first.grid, first.profile, first.g
         self._work = work.begin(len(states))
         if len(states) == 1:  # the state's own arrays, as one row
             self.h, self.q, self.velocity = first.h[None], first.q[None], first.velocity[None]
@@ -232,8 +231,8 @@ class _Rows:
 
 def _same_bed(a: SWState, b: SWState) -> bool:
     """Whether a and b can be rows of one stack: one grid, bathymetry,
-    profile, g and dry threshold."""
-    return (a.grid, a.profile, a.g, a.h_dry) == (b.grid, b.profile, b.g, b.h_dry) and (
+    profile and g."""
+    return (a.grid, a.profile, a.g) == (b.grid, b.profile, b.g) and (
         np.array_equal(a.z_b, b.z_b)
     )
 
@@ -436,7 +435,7 @@ def _flat_flux_divergence(rows: _Rows, work: _Workspace):
     return tuple(div)
 
 
-def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
+def _settle(h: np.ndarray, q: np.ndarray):
     """Clear roundoff-negative depths and the momentum of dry cells of each
     row of the (k, n) stacks h and q; the results are fresh arrays.
 
@@ -451,7 +450,7 @@ def _settle(h: np.ndarray, q: np.ndarray, h_dry: float):
         if top == math.inf:
             raise FloatingPointError("infinite depth after update")
     h = np.maximum(h, 0.0)
-    q = np.where(h >= h_dry, q, 0.0)
+    q = np.where(h >= DRY_DEPTH, q, 0.0)
     return h, q
 
 
@@ -475,9 +474,9 @@ def _sv_update(rows: _Rows, dt, lam, dh: np.ndarray | None) -> list[SWState]:
         np.multiply(lam * dt, rows.velocity, out=source)
         np.multiply(source, dh, out=source)
         np.add(q, source, out=q)
-    h, q = _settle(h, q, rows.h_dry)
+    h, q = _settle(h, q)
     # the velocity: dry cells need no zeroing, their settled q is +0.0
-    u = np.maximum(h, rows.h_dry)
+    u = np.maximum(h, DRY_DEPTH)
     np.divide(q, u, out=u)
     h.flags.writeable = q.flags.writeable = u.flags.writeable = False
     new = [state._successor(h[r], q[r], u[r], work) for r, state in enumerate(states)]
@@ -559,31 +558,27 @@ def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:
     return e
 
 
-def total_energy(state: SWState, include_topography: bool = True) -> float:
-    return float(np.sum(cell_energy(state, include_topography)) * state.grid.dx)
+def total_energy(state: SWState) -> float:
+    """The energy of ``state``, its bed's potential energy included."""
+    return float(np.sum(cell_energy(state, include_topography=True)) * state.grid.dx)
 
 
-def energy_budget(
-    state: SWState,
-    obs_h: np.ndarray | None = None,
-    include_topography: bool = False,
-) -> EnergyBudget:
+def energy_budget(state: SWState, obs_h: np.ndarray | None = None) -> EnergyBudget:
     """Observer and observation energies per cell plus interface energy fluxes.
 
     The flux at interface i+1/2 is the upwind half-line energy moment of the
     reconstructed equilibria, the quantity whose telescoping sum bounds the
     total energy of the forward scheme.  The observation energy uses the
     Gibbs density built from the observed depth and the observer velocity;
-    it is NaN where no observation is available.
+    it is NaN where no observation is available.  Neither energy holds the
+    bed's potential energy g H z_b.
     """
-    zeta_hat = cell_energy(state, include_topography)
+    zeta_hat = cell_energy(state)
     zeta_tilde = None
     if obs_h is not None:
         obs_h = np.asarray(obs_h, dtype=float)
         u = state.velocity
         zeta_tilde = 0.5 * obs_h * u * u + 0.5 * state.g * obs_h * obs_h
-        if include_topography:
-            zeta_tilde = zeta_tilde + state.g * obs_h * state.z_b
     rec = hydrostatic_reconstruct(state)
     u_sides = _interface_pairs(state.velocity, state.grid.bc, mirror=True)
     flux = halfline_energy_moment(state.profile, rec.h_sides, u_sides, state.g, _UPWIND_SIDE)

@@ -34,6 +34,7 @@ from kinassim.kinetic import (
 from kinassim.metrics import sweep_minimum
 from kinassim.observation import NoiseSpec, noise_field, observability_check
 from kinassim.shallow_water import (
+    DRY_DEPTH,
     cell_energy,
     dam_break_state,
     energy_budget,
@@ -181,7 +182,7 @@ def test_criterion_5_observer_entropy_inequality():
                 - sigma * (budget.flux[1:] - budget.flux[:-1])
                 + lam * dt * (budget.zeta_tilde - budget.zeta_hat)
             )
-            wet = new.h >= new.h_dry
+            wet = new.h >= DRY_DEPTH
             worst = max(worst, float(np.max((cell_energy(new) - bound)[wet])))
             truth = sv_forward_step(truth, dt)
             observer = new

@@ -29,7 +29,7 @@ from kinassim.observation import (
     observe,
     sample_observations,
 )
-from kinassim.shallow_water import dam_break_state, sv_cfl
+from kinassim.shallow_water import DRY_DEPTH, dam_break_state, sv_cfl
 
 
 def square_pulse(grid, lo, hi, value):
@@ -343,7 +343,7 @@ class TestShallowWaterTwin:
         with pytest.raises(FloatingPointError, match="negative depth"):
             run_twin(thacker(10.0))
         observer = run_twin(thacker(1.0)).final_observer
-        dry = observer.h < observer.h_dry
+        dry = observer.h < DRY_DEPTH
         assert np.any(dry)
         assert np.all(observer.q[dry] == 0.0)
 
@@ -550,9 +550,9 @@ class TestEveryStepModes:
 
         advance = assimilation._GainController.advance
 
-        def record(self, lane, state, t, dt, nudge):
+        def record(self, lane, state, t, dt, nudge, first):
             seen.append((t, nudge, self.series))
-            return advance(self, lane, state, t, dt, nudge)
+            return advance(self, lane, state, t, dt, nudge, first)
 
         monkeypatch.setattr(assimilation, "interpolate_in_time", counted)
         monkeypatch.setattr(assimilation._GainController, "advance", record)
@@ -595,7 +595,7 @@ class TestTruthLeads:
     the truth run on its own to its end, and no window reads a truth state
     the truth has not reached when the window is resolved."""
 
-    def sw_config(self, mode):
+    def sw_config(self, mode, every=0.006):
         grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
         return RunConfig(
             model="shallow_water", grid=grid, t_final=0.1,
@@ -603,7 +603,7 @@ class TestTruthLeads:
                               sigma=0.01 if mode == "mollified" else None),
             truth_state=dam_break_state(grid, 2.0, 1.0, 0.5),
             observer_state=dam_break_state(grid, 1.5, 1.5, 0.5),
-            obs_times=0.006 * np.arange(1, 17), obs_mask=(0.2, 0.7),
+            obs_times=every * np.arange(1, math.floor(0.1 / every) + 1), obs_mask=(0.2, 0.7),
             noise=NoiseSpec(0.02, r=1.0, alpha=0.25),
         )
 
@@ -651,9 +651,12 @@ class TestTruthLeads:
         return nearest[[k]], [series.fields[k]]
 
     @pytest.mark.parametrize("mode", list(LEAD_MODES))
-    @pytest.mark.parametrize("model", ["shallow_water", "burgers"])
+    @pytest.mark.parametrize("model", ["shallow_water", "shallow_water_dense", "burgers"])
     def test_windows_read_what_the_truth_has_reached(self, model, mode, monkeypatch):
-        cfg = self.sw_config(mode) if model == "shallow_water" else self.burgers_config(mode)
+        if model == "burgers":
+            cfg = self.burgers_config(mode)
+        else:  # dense: observation times closer than a truth step
+            cfg = self.sw_config(mode, every=0.0007 if model.endswith("dense") else 0.006)
         controller, reads = self.reads(cfg, monkeypatch)
         truth = controller.truth
         assert truth.done
@@ -679,6 +682,15 @@ class TestTruthLeads:
         assert any(truth_t > t_lo for t_lo, _, truth_t, _ in reads)
 
 
+def dividing_engquist_osher_twin():
+    """An Engquist-Osher twin whose observer carries an unobserved pulse of
+    height 3 ahead of the observed window [0, 0.5]: its bound is about a
+    third of the truth's, so it divides every truth step."""
+    cfg = burgers_config(100.0, BurgersObserverMode.MACROSCOPIC, t_final=0.3)
+    return replace(cfg, observer_u0=cfg.observer_u0 + square_pulse(cfg.grid, 0.55, 0.7, 3.0),
+                   obs_mask=(0.0, 0.5))
+
+
 class TestObservationFiring:
     def windows(self, cfg, monkeypatch):
         """The observer's substep windows [t, t + dt] of one run, and the run."""
@@ -696,13 +708,8 @@ class TestObservationFiring:
     def test_each_observation_time_fires_once_under_substepping(self, monkeypatch):
         # consecutive substep windows [t, t + dt/m] may overlap in floating
         # point; an observation time in the overlap fired in both windows.
-        # The observer carries an unobserved pulse of height 3 ahead of the
-        # observed window [0, 0.5]: its bound is about a third of the truth's,
-        # so it divides every truth step, and the nudges inside the window do
-        # not move its substeps.
-        cfg = burgers_config(100.0, BurgersObserverMode.MACROSCOPIC, t_final=0.3)
-        cfg = replace(cfg, observer_u0=cfg.observer_u0 + square_pulse(cfg.grid, 0.55, 0.7, 3.0),
-                      obs_mask=(0.0, 0.5))
+        # The nudges inside the observed window do not move the substeps.
+        cfg = dividing_engquist_osher_twin()
         windows, result = self.windows(cfg, monkeypatch)
         assert len(windows) >= 2 * len(result.dt_history)  # m > 1 on every step
         overlaps = [i for i in range(len(windows) - 1) if windows[i][1] > windows[i + 1][0]]
@@ -738,7 +745,7 @@ class TestObservedDepthCFL:
         state = replace(state, q=np.linspace(-0.5, 0.5, n) * state.h)
         obs = np.full(n, 4.0)
         obs[2], obs[5], obs[9] = math.nan, 0.0, -1.0  # unobserved, dry, dry
-        wet = np.isfinite(obs) & (obs > state.h_dry)
+        wet = np.isfinite(obs) & (obs > DRY_DEPTH)
         speed = np.abs(state.velocity[wet]) + state.profile.support_halfwidth * np.sqrt(
             state.g * obs[wet] / 2.0
         )
@@ -934,15 +941,22 @@ def dam_break_twin(lam=20.0):
 class TestTruthWindow:
     """A twin holds the truth fields of its lead over the observers, not
     the whole trajectory: the loop releases every field behind the
-    observers' truth step and behind what sampling may still read."""
+    observers' truth step, and the truth steps alone only as far as the
+    observers' next windows read."""
 
-    @pytest.mark.parametrize("case", ["dam_break", "thacker"])
+    CASES = {  # name: (config, most live fields, least truth steps)
+        "dam_break": (dam_break_twin, 4, 768),
+        # interpolated, read from an observation series
+        "thacker": (lambda: parse_config(fixture_path("thacker.cfg")), 25, 768),
+        "thacker_noisy": (lambda: parse_config(fixture_path("thacker_noisy.cfg")), 25, 768),
+        # the Engquist-Osher observer that divides every truth step
+        "engquist_osher": (dividing_engquist_osher_twin, 4, 30),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
     def test_live_fields_stay_within_the_lead(self, case, monkeypatch):
-        if case == "dam_break":
-            cfg = dam_break_twin()
-        else:  # interpolated, read from an observation series
-            cfg = replace(parse_config(fixture_path("thacker.cfg")), t_final=3.0)
-        step, excess = [0], []
+        config, most, least = self.CASES[case]
+        step, excess, live, first = [0], [], [], [0]
         resolve, take = assimilation._GainController.resolve, assimilation._Truth.take
 
         def note_step(self, t_lo, t_hi, step_index, is_last):
@@ -951,44 +965,15 @@ class TestTruthWindow:
 
         def count_live(self, state, dt):
             take(self, state, dt)
-            live = sum(field is not None for field in self.trajectory_fields)
-            excess.append(live - (len(self.dts) - step[0]))  # over the truth's lead
+            fields = self.trajectory_fields
+            while fields[first[0]] is None:  # released fields are a prefix
+                first[0] += 1
+            live.append(len(fields) - first[0])  # fields from the first one held on
+            excess.append(live[-1] - (len(self.dts) - step[0]))  # over the truth's lead
 
         monkeypatch.setattr(assimilation._GainController, "resolve", note_step)
         monkeypatch.setattr(assimilation._Truth, "take", count_live)
-        result = run_twin(cfg)
-        assert len(excess) == len(result.dt_history) > 768
+        result = run_twin(config())
+        assert len(excess) == len(result.dt_history) > least
         assert max(excess) <= 3
-
-    def test_the_sampling_floor_keeps_what_sampling_reads(self, monkeypatch):
-        # observation times closer than a truth step, so that the first
-        # unsampled time often lies behind the truth's last recorded state:
-        # no field sampling reads lies below a floor reported before
-        cfg = TestTruthLeads().sw_config("interpolated")
-        cfg = replace(cfg, obs_times=0.0007 * np.arange(1, 143))
-        controllers, floors, reads = [], [], []
-        floor, sample_through = (assimilation._GainController.floor,
-                                 assimilation._GainController._sample_through)
-        observed = assimilation.observe
-
-        def noted_floor(self):
-            floors.append(floor(self))
-            return floors[-1]
-
-        def sampling(self, last):
-            controllers.append(self)
-            return sample_through(self, last)
-
-        def noted_observe(values, *args):
-            fields = controllers[-1].truth.trajectory_fields
-            index = next(i for i, field in enumerate(fields) if field is values)
-            reads.append((max(floors, default=0), index))
-            return observed(values, *args)
-
-        monkeypatch.setattr(assimilation._GainController, "floor", noted_floor)
-        monkeypatch.setattr(assimilation._GainController, "_sample_through", sampling)
-        monkeypatch.setattr(assimilation, "observe", noted_observe)
-        run_twin(cfg)
-        assert len(reads) == len(cfg.obs_times)
-        assert all(index >= low for low, index in reads)
-        assert any(index == low > 0 for low, index in reads)  # a read on the floor itself
+        assert max(live) <= most

@@ -173,6 +173,17 @@ class TestParseConfig:
          r"\[grid\] bowl_hm: bowl depth h_m must be positive, got -0\.5"),
         ("thacker.cfg", "grid", {"bowl_hm": "0"},
          r"\[grid\] bowl_hm: bowl depth h_m must be positive, got 0\.0"),
+        # a Thacker bowl as wide as the domain named no key
+        ("thacker.cfg", "grid", {"bowl_a": "2.5"},
+         r"\[grid\] bowl_a: domain must be longer than the bowl diameter"),
+        # keys the chosen ic or bathymetry never reads were accepted and ignored
+        ("dam_break.cfg", "truth", {"eta": "5.0"},
+         r"\[truth\] eta does nothing for ic = dam_break \(only for ic = lake_at_rest\)"),
+        ("burgers_clean.cfg", "observer", {"amplitude": "2.0"},
+         r"\[observer\] amplitude does nothing for ic = square_pulse \(only for ic = sine\)"),
+        ("dam_break.cfg", "grid", {"bowl_a": "1.0"},
+         r"\[grid\] bowl_a does nothing for bathymetry = flat "
+         r"\(only for bathymetry = parabolic_bowl\)"),
     ])
     def test_refusal_names_section_key(self, tmp_path, capsys, fixture, section, keys, message):
         body = Path(fixture_path(fixture)).read_text()

@@ -314,7 +314,7 @@ def reference_step(state, dt, lam=0.0, dh=None):
     """The kinetic step written out with one upwind_power_moment call per
     interface side and power, on ghost cells built by concatenation."""
     h, z, g, prof = state.h, state.z_b, state.g, state.profile
-    u = np.where(h >= state.h_dry, state.q / np.maximum(h, state.h_dry), 0.0)
+    u = np.where(h >= DRY_DEPTH, state.q / np.maximum(h, DRY_DEPTH), 0.0)
     if state.grid.bc is BoundaryKind.REFLECTIVE_WALL:
         def ext(a, sign):
             return np.concatenate([sign * a[:1], a, sign * a[-1:]])
@@ -341,7 +341,7 @@ def reference_step(state, dt, lam=0.0, dh=None):
         h_new = h_new + lam * dt * dh
         q_new = q_new + lam * dt * u * dh
     h_new = np.maximum(h_new, 0.0)
-    return h_new, np.where(h_new >= state.h_dry, q_new, 0.0)
+    return h_new, np.where(h_new >= DRY_DEPTH, q_new, 0.0)
 
 
 BOUNDARIES = [BoundaryKind.REFLECTIVE_WALL, BoundaryKind.PERIODIC]
@@ -583,10 +583,10 @@ class TestNonFiniteRefused:
     def test_settle_rejects_an_infinite_depth(self):
         # the floor -1e-13 max(1, max h) let +inf through as it was
         with pytest.raises(FloatingPointError, match="infinite depth after update"):
-            _settle(np.array([[1.0, math.inf]]), np.zeros((1, 2)), DRY_DEPTH)
+            _settle(np.array([[1.0, math.inf]]), np.zeros((1, 2)))
         stack = np.array([[1.0, 2.0], [1.0, math.inf]])  # the second of two rows
         with pytest.raises(FloatingPointError, match="infinite depth after update"):
-            _settle(stack, np.zeros((2, 2)), DRY_DEPTH)
+            _settle(stack, np.zeros((2, 2)))
 
     def test_nan_time_step_fails_cfl_check(self):
         state = flat_state(np.ones(10))
