@@ -26,9 +26,11 @@ observation time that step's windows read (``_GainController.lead``).  The
 truth samples each observation time as it steps past it (``_Truth.take``).
 It steps alone only to lead and to finish; a Saint-Venant observer whose
 truth shares its grid and bed takes the first substep of each truth step
-together with the truth's next step, as one (2, n) update in which the
+together with the truth's next step, as one two-row update in which the
 truth is the row at gain 0 (``_SWLane.step_pair``).  The loop releases the
-truth fields behind the observers.
+truth fields behind the observers.  The Saint-Venant lanes carry their
+states as rows of one array (``shallow_water._Rows``) from step to step,
+and hand out ``SWState``s only in a run's results.
 
 Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
@@ -46,7 +48,6 @@ run terminates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -73,15 +74,7 @@ from .observation import (
     noise_field,
     observe,
 )
-from .shallow_water import (
-    DRY_DEPTH,
-    SWState,
-    _same_bed,
-    sv_cfl,
-    sv_forward_step,
-    sv_observer_step,
-    total_energy,
-)
+from .shallow_water import DRY_DEPTH, SWState, _Rows, _same_bed, _step_pair, total_energy
 
 _TIME_TOL = 1e-12
 
@@ -313,6 +306,10 @@ class _Lane:
     def row(self, state, r: int):
         return state[r].copy()
 
+    def boundary(self, state):
+        """The unstacked ``state`` (the truth's) as a run result holds it."""
+        return state
+
     def cfl(self, state, obs=None) -> float:
         return self.bound(state)
 
@@ -361,26 +358,42 @@ def _mean_innovation(lane: _Lane, terms, ref_now):
     """(sum_k w_k g_k / W, W) over the innovation terms (w_k, obs_k, ref_k),
     W = sum_k w_k, with g_k = lane.target(obs_k) - ref_k where finite and 0
     on unobserved cells; a term without a snapshot ref_k is measured against
-    ``ref_now``."""
-    total, weight = 0.0, 0.0
-    for w, obs_field, ref in terms:
-        gap = lane.target(obs_field) - (ref_now if ref is None else ref)
-        total = total + w * np.where(np.isfinite(gap), gap, 0.0)
+    ``ref_now``.
+
+    The gaps of several terms are stacked and summed in one call, row after
+    row in the order of the terms, from 0.0; one term of weight 1 without a
+    snapshot (every temporal mode but the mollified gain) is its own gap."""
+    if len(terms) == 1 and terms[0][0] == 1.0 and terms[0][2] is None:
+        gap = np.subtract(lane.target(terms[0][1]), ref_now)
+        gap = np.where(np.isfinite(gap), gap, 0.0)
+        return np.add(0.0, gap, out=gap), 1.0  # 0.0 + x: no zero keeps its sign
+    targets = lane.target(np.array([obs for _, obs, _ in terms]))
+    refs = np.array([ref_now if ref is None else ref for _, _, ref in terms])
+    # one target per term against the rows of each reference
+    targets = targets.reshape(targets.shape[:1] + (1,) * (refs.ndim - targets.ndim)
+                              + targets.shape[1:])
+    gaps = np.subtract(targets, refs)
+    gaps = np.where(np.isfinite(gaps), gaps, 0.0)
+    weights = [w for w, _, _ in terms]
+    np.multiply(np.reshape(weights, (-1,) + (1,) * (gaps.ndim - 1)), gaps, out=gaps)
+    weight = 0.0
+    for w in weights:  # in order from 0.0, as the gaps (sum() may compensate)
         weight += w
-    return total / weight, weight
+    return np.add.reduce(gaps, axis=0, initial=0.0) / weight, weight
 
 
 class _SWLane(_Lane):
     """Kinetic Saint-Venant scheme; the observed field is the depth, averaged
-    over ``factor`` cells when the truth runs on a refined grid.  Its time
-    grid depends on the gain, so it steps a stack of one observer.  Its
-    innovations are measured against the depth before the step, and its
-    source is explicit: one source-and-settle update at the gain times the
-    total weight, so the CFL bound and the positivity check see the gain
-    actually applied.
+    over ``factor`` cells when the truth runs on a refined grid.  The lane
+    carries a state as one row of ``shallow_water._Rows`` and hands it out as
+    an ``SWState`` (``row``, ``boundary``).  Its time grid depends on the
+    gain, so it steps a stack of one observer.  Its innovations are measured
+    against the depth before the step, and its source is explicit: one
+    source-and-settle update at the gain times the total weight, so the CFL
+    bound and the positivity check see the gain actually applied.
 
     An observer lane whose truth shares its grid and bathymetry (``pairs``)
-    can take a substep and the truth's next step as one (2, n) update, the
+    can take a substep and the truth's next step as one two-row update, the
     truth the row at gain 0 (``step_pair``)."""
 
     clamp_nonnegative = True
@@ -388,7 +401,7 @@ class _SWLane(_Lane):
     xi = None
 
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
-        self.initial = state0.copy()
+        self.initial = _Rows.of((state0.copy(),))
         self.lam_cfl, self.safety, self.factor = lam_cfl, safety, factor
 
     def stack(self, k: int):
@@ -396,55 +409,64 @@ class _SWLane(_Lane):
             raise ValueError(f"a Saint-Venant lane steps one observer, not {k}")
         return self.initial
 
-    def row(self, state, r: int):
-        return state
+    def row(self, rows, r: int):
+        return rows.state(r)
 
-    def cfl(self, state, obs=None) -> float:
-        """sv_cfl, tightened by the wave speed of the observed depth ``obs`` on
-        its wet cells: those where it is finite and above the dry threshold.
+    def boundary(self, rows):
+        return rows.state(0)
+
+    def bound(self, rows) -> float:
+        """``sv_cfl`` of the row at the lane's gain and safety."""
+        dx = rows.bed.dx
+        return self.safety * dx / (self.lam_cfl * dx + rows.speed[0])
+
+    def cfl(self, rows, obs=None) -> float:
+        """``bound``, tightened by the wave speed of the observed depth
+        ``obs`` on its wet cells: those where it is finite and above the dry
+        threshold.
 
         The speed is evaluated on every cell and the other cells are left out
         of its maximum, which costs fewer numpy calls than gathering the wet
-        cells first.
+        cells first; obs (g / 2) is g obs / 2 to the bit on the wet cells.
         """
-        bound = sv_cfl(state, self.lam_cfl, self.safety)
+        bound = self.bound(rows)
         if obs is None:
             return bound
+        bed = rows.bed
         wet = np.isfinite(obs)
         wet &= obs > DRY_DEPTH
-        speed = np.multiply(state.g, obs)
-        np.divide(speed, 2.0, out=speed)
+        speed = np.multiply(obs, bed.half_g)
         np.sqrt(speed, out=speed, where=wet)
-        np.multiply(state.profile.support_halfwidth, speed, out=speed)
-        np.add(np.abs(state.velocity), speed, out=speed)
-        top = speed.max(where=wet, initial=-math.inf)
+        np.multiply(bed.w, speed, out=speed)
+        np.add(np.abs(rows.a[2, 0]), speed, out=speed)
+        top = np.maximum.reduce(speed, axis=None, where=wet, initial=-math.inf)
         if top > -math.inf:  # some cell is wet
-            dx = state.grid.dx
+            dx = bed.dx
             bound = min(bound, self.safety * dx / (self.lam_cfl * dx + float(top)))
         return bound
 
-    def step(self, state, dt, lams=None, terms=None):
+    def step(self, rows, dt, lams=None, terms=None):
         if terms is None:
-            return sv_forward_step(state, dt)
-        dh, weight = _mean_innovation(self, terms, state.h)
-        return sv_observer_step(state, None, float(lams[0]) * weight, dt, dh=dh)
+            return rows.step((dt,))
+        dh, weight = _mean_innovation(self, terms, rows.a[0, 0])
+        return rows.step((dt,), (float(lams[0]) * weight,), dh)
 
-    def step_pair(self, truth, truth_dt, state, dt, lams, terms):
+    def step_pair(self, truth, truth_dt, rows, dt, lams, terms):
         """(the truth's step over truth_dt, this lane's ``step``) as one
-        (2, n) update; only where the lane ``pairs``."""
+        two-row update; only where the lane ``pairs``."""
         if terms is None:
-            return sv_forward_step((truth, state), (truth_dt, dt))
-        dh, weight = _mean_innovation(self, terms, state.h)
-        return sv_observer_step((truth, state), None, (0.0, float(lams[0]) * weight),
-                                (truth_dt, dt), dh=dh)
+            return _step_pair(truth, rows, (truth_dt, dt))
+        dh, weight = _mean_innovation(self, terms, rows.a[0, 0])
+        return _step_pair(truth, rows, (truth_dt, dt), (0.0, float(lams[0]) * weight), dh)
 
-    def observed(self, state):
+    def observed(self, rows):
+        h = rows.a[0, 0]
         if self.factor == 1:
-            return state.h
-        return state.h.reshape(-1, self.factor).mean(axis=1)
+            return h
+        return h.reshape(-1, self.factor).mean(axis=1)
 
-    def energy(self, state):
-        return total_energy(state)
+    def energy(self, rows):
+        return total_energy(rows.state(0))
 
 
 def _lam_for_cfl(config: RunConfig) -> float:
@@ -469,7 +491,8 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
         lam_cfl = _lam_for_cfl(config)
         truth = _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor)
         observer = _SWLane(config.observer_state, lam_cfl, safety)
-        observer.pairs = truth.factor == 1 and _same_bed(truth.initial, observer.initial)
+        observer.pairs = truth.factor == 1 and _same_bed(config.truth_state,
+                                                         config.observer_state)
         return truth, observer
     u0s = [np.asarray(u, dtype=float).copy() for u in (config.truth_u0, config.observer_u0)]
     if config.fixed_xi is not None:
@@ -519,7 +542,9 @@ class _Truth:
     """The truth run, unnudged, which the twin loop steps ahead of the
     observers: its observed field at every step (duck-typed for
     ``sample_observations``), its steps, its energies when recorded, its
-    state, the final one once ``done``, and the observations sampled from it.
+    state as the lane carries it (``held``) and as a result holds it
+    (``state``), the final one once ``done``, and the observations sampled
+    from it.
 
     ``next_dt`` is the length of its next step, checked against its bound
     and its step budget; ``take`` records that step, whether the truth took
@@ -533,12 +558,16 @@ class _Truth:
     def __init__(self, config: RunConfig, lane: _Lane):
         self.lane, self.grid = lane, config.grid
         self.t_final, self.record_every = config.t_final, config.record_every
-        self.state, self.t, self.done = lane.initial, 0.0, False
+        self.held, self.t, self.done = lane.initial, 0.0, False
         self.trajectory_times, self.trajectory_fields, self.dts = [0.0], [], []
-        self.energies = [lane.energy(self.state)]
+        self.energies = [lane.energy(self.held)]
         self._budget, self._released, self._spare = None, 0, []
-        self._keep(lane.observed(self.state))
+        self._keep(lane.observed(self.held))
         self.sampled, self._obs_times = 0, []  # how many of the sample_into times are sampled
+
+    @property
+    def state(self):
+        return self.lane.boundary(self.held)
 
     def sample_into(self, series: ObservationSeries, observe) -> None:
         """Fill ``series.fields[k]`` with observe(field) of the recorded state
@@ -561,7 +590,7 @@ class _Truth:
 
     def next_dt(self) -> float:
         t = self.t
-        bound = _checked_bound(self.lane.cfl(self.state), "truth", t)
+        bound = _checked_bound(self.lane.cfl(self.held), "truth", t)
         if self._budget is None:
             implied = min(self.t_final / bound, _MAX_IMPLIED_STEPS)
             self._budget = _STEP_BUDGET * math.ceil(implied)
@@ -583,7 +612,7 @@ class _Truth:
             newer = nearest_recorded(np.array([self.t, t]), times[k])
             self._series.fields[k] = self._observe(field if newer else self.trajectory_fields[-1])
             k = self.sampled = k + 1
-        self.state, self.t, self.done = state, t, done
+        self.held, self.t, self.done = state, t, done
         self.trajectory_times.append(t)
         self.dts.append(dt)
         self._keep(field)
@@ -592,7 +621,7 @@ class _Truth:
 
     def step(self) -> None:
         dt = self.next_dt()
-        self.take(self.lane.step(self.state, dt), dt)
+        self.take(self.lane.step(self.held, dt), dt)
 
     def finish(self) -> None:
         while not self.done:
@@ -781,7 +810,7 @@ class _GainController:
         truth = self.truth
         if first and lane.pairs and not truth.done:
             truth_dt = truth.next_dt()
-            stepped, state = lane.step_pair(truth.state, truth_dt, state, dt, self.lams, terms)
+            stepped, state = lane.step_pair(truth.held, truth_dt, state, dt, self.lams, terms)
             truth.take(stepped, truth_dt)
         else:
             state = lane.step(state, dt, self.lams, terms)
@@ -821,6 +850,11 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
     ``record`` only copies the observed fields and the truth field into an
     ``ErrorRecorder``, which measures a whole block of rows in one vectorised
     pass; the energies are computed row by row.
+
+    ``state`` is the stack as the lane carries it (on Saint-Venant, one row
+    of ``shallow_water._Rows``, the array that each step replaces); the
+    lane turns it into the results' states (``row``, ``boundary``) only once
+    the loop is done.
     """
     times, fields, dts = truth.trajectory_times, truth.trajectory_fields, truth.dts
     grid, order, lams = config.grid, config.sobolev_order, controller.lams
@@ -977,6 +1011,9 @@ def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoin
         size = math.ceil(len(group) / max(jobs, 1))
         tasks += [(config, group[i:i + size]) for i in range(0, len(group), size)]
     if jobs > 1:
+        # imported here: it costs every import of the package otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_sweep_worker, tasks))
     else:

@@ -74,18 +74,20 @@ def _initial_keys(state: str) -> dict:
     errors of the field ``state``."""
     return {
         "ic": (_BOTH, str, state),
-        **{key: (_BURGERS, _real, None, ("square_pulse",)) for key in ("lo", "hi", "value")},
-        **{key: (_BURGERS, _real, None, ("sine",)) for key in ("amplitude", "mean")},
-        "eta": (_SW, _real, None, ("lake_at_rest",)),
-        **{key: (_SW, _real, None, ("dam_break",)) for key in ("h_left", "h_right", "x_split")},
+        **{key: (_BURGERS, _real, None, ("ic", "square_pulse"))
+           for key in ("lo", "hi", "value")},
+        **{key: (_BURGERS, _real, None, ("ic", "sine")) for key in ("amplitude", "mean")},
+        "eta": (_SW, _real, None, ("ic", "lake_at_rest")),
+        **{key: (_SW, _real, None, ("ic", "dam_break"))
+           for key in ("h_left", "h_right", "x_split")},
     }
 
 
 # [section] key -> (the model kinds it acts on, the reader of its text, the
-# dataclass field it feeds[, the values of its section's ic or bathymetry
-# that read it]).  parse_config builds the fields in _BUILT from their keys
-# itself, and those keys name the field's errors; it reads the keys of field
-# None alone.
+# dataclass field it feeds[, (the key of its section whose value decides
+# whether it is read, then the values that read it)]).  parse_config builds
+# the fields in _BUILT from their keys itself, and those keys name the
+# field's errors; it reads the keys of field None alone.
 _KEYS = {
     "model": {
         "kind": (_BOTH, str, "model"),
@@ -100,8 +102,8 @@ _KEYS = {
         "x_max": (_BOTH, _real, "x_max"),
         "bc": (_BOTH, _choice(BoundaryKind), "bc"),
         "bathymetry": (_SW, str, None),
-        "bowl_a": (_SW, _real, None, ("parabolic_bowl",)),
-        "bowl_hm": (_SW, _real, None, ("parabolic_bowl",)),
+        "bowl_a": (_SW, _real, None, ("bathymetry", "parabolic_bowl")),
+        "bowl_hm": (_SW, _real, None, ("bathymetry", "parabolic_bowl")),
     },
     "truth": {
         **_initial_keys("truth_state"),
@@ -110,13 +112,14 @@ _KEYS = {
     "observer": {
         **_initial_keys("observer_state"),
         "mode": (_BURGERS, _choice(BurgersObserverMode), "observer_mode"),
-        "n_xi": (_BURGERS, int, "n_xi"),
-        "xi_margin": (_BURGERS, _real, "xi_margin"),
+        # the Engquist-Osher lane (mode = macroscopic) has no xi grid
+        "n_xi": (_BURGERS, int, "n_xi", ("mode", "bgk", "collapse")),
+        "xi_margin": (_BURGERS, _real, "xi_margin", ("mode", "bgk", "collapse")),
     },
     "gain": {
         "lambda": (_BOTH, _real, "lam"),
         "temporal": (_BOTH, _choice(TemporalMode), "temporal_mode"),
-        "sigma": (_BOTH, _real, "sigma"),
+        "sigma": (_BOTH, _real, "sigma", ("temporal", "mollified")),
     },
     "observations": {
         "count": (_BOTH, int, "obs_times"),
@@ -231,9 +234,9 @@ def _refuse_unread(given: dict, section: str, selector: str, choice: str) -> Non
     as the last entry of its _KEYS row records."""
     for key in given.get(section, {}):
         row = _KEYS[section][key]
-        if len(row) > 3 and choice not in row[3]:
+        if len(row) > 3 and row[3][0] == selector and choice not in row[3][1:]:
             raise ConfigError(f"[{section}] {key} does nothing for {selector} = {choice} "
-                              f"(only for {selector} = {', '.join(row[3])})")
+                              f"(only for {selector} = {', '.join(row[3][1:])})")
 
 
 def _burgers_ic(given: dict, section: str, grid: Grid1D) -> np.ndarray:
@@ -325,6 +328,10 @@ def _build(kind: str, given: dict) -> RunConfig:
         for key, value in keys.items()
     }}
     _need(given, "grid", "n_cells")
+    _refuse_unread(given, "gain", "temporal", values["temporal_mode"].value)
+    if kind == "burgers":
+        mode = values.get("observer_mode", RunConfig.observer_mode)
+        _refuse_unread(given, "observer", "mode", mode.value)
     grid = Grid1D(**_fields(Grid1D, values))
     observations = given.get("observations", {})
     if ("mask_lo" in observations) != ("mask_hi" in observations):

@@ -30,6 +30,7 @@ H T_0 after k rounds.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -90,23 +91,24 @@ def _fresh_buffers(*arrays):
 
 
 # The partial moments of the profiles at the bound a = -ratio, j = 0..kmax,
-# each written over ``ratio`` or into a buffer from ``take``.
+# written into the rows of ``out`` (row j as out[j, ...]: an array even for
+# one interface); the intermediates overwrite ``ratio`` or take buffers from
+# ``take``.
 
 
-def _rectangle_partial(ratio, kmax: int, take):
+def _rectangle_partial(ratio, kmax: int, take, out):
     # (w^(k+1) - a^(k+1)) / (2 w (k+1)), the powers of a as a running product
     w = math.sqrt(3.0)
     r = 1.0 / (2.0 * w)
     a = np.negative(ratio, out=ratio)
     np.maximum(a, -w, out=a)
     np.minimum(a, w, out=a)
-    power, out = a, []
+    power = a
     for k in range(kmax + 1):
         if k:
             power = np.multiply(power, a, out=take() if k == 1 else power)
-        j = np.subtract(w ** (k + 1), power, out=power if 0 < k == kmax else take())
-        out.append(np.multiply(r / (k + 1), j, out=j))
-    return out
+        j = np.subtract(w ** (k + 1), power, out=out[k, ...])
+        np.multiply(r / (k + 1), j, out=j)
 
 
 def _rectangle_partial_cube(a):
@@ -116,7 +118,7 @@ def _rectangle_partial_cube(a):
     return [r3 * (w - a), r3 * (w * w - a * a) / 2.0]
 
 
-def _semicircle_partial(ratio, kmax: int, take):
+def _semicircle_partial(ratio, kmax: int, take, out):
     # z = 2 sin(th): with s = sin(th) and c = cos(th) (c >= 0 on the clipped
     # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2);
     # cos^3 and cos^5 are products of c^2 = 1 - s^2 and c
@@ -128,23 +130,22 @@ def _semicircle_partial(ratio, kmax: int, take):
     c2 = np.subtract(1.0, s2, out=take())
     c = np.sqrt(c2, out=take())
     sc = np.multiply(s, c, out=s)
-    j0 = np.subtract(rest, sc, out=take())
-    out = [np.divide(j0, math.pi, out=j0)]
+    j0 = np.subtract(rest, sc, out=out[0, ...])
+    np.divide(j0, math.pi, out=j0)
     if kmax >= 1:
         c3 = np.multiply(c2, c, out=c)
-        out.append(np.multiply(4.0 / (3.0 * math.pi), c3, out=c3 if kmax < 3 else take()))
+        np.multiply(4.0 / (3.0 * math.pi), c3, out=out[1, ...])
     if kmax >= 2:
         j2 = np.subtract(c2, s2, out=s2)  # 1 - 2 s^2
         np.multiply(sc, j2, out=j2)
         np.add(rest, j2, out=j2)
-        out.append(np.divide(j2, math.pi, out=j2))
+        np.divide(j2, math.pi, out=out[2, ...])
     if kmax >= 3:
         c5 = np.multiply(c3, c2, out=c2)
         np.divide(c5, 5.0, out=c5)
         j3 = np.divide(c3, 3.0, out=c3)
         np.subtract(j3, c5, out=j3)
-        out.append(np.multiply(16.0 / math.pi, j3, out=j3))
-    return out
+        np.multiply(16.0 / math.pi, j3, out=out[3, ...])
 
 
 def _semicircle_partial_cube(a):
@@ -169,54 +170,83 @@ def profile_partial_cube_moments(profile: ChiProfile, a):
     return _semicircle_partial_cube(a)
 
 
-def _complement(mom, positive):
-    """J_full - J where ``positive`` is False: the negative half-line's
-    partial moments.  A scalar, or one value per row (the step's sides), goes
-    through row views; any other mask through a masked subtract."""
-    negative = np.logical_not(positive)
-    rows = negative.ndim == mom[0].ndim > 0 and negative.size == negative.shape[0] == len(mom[0])
-    if not (rows or negative.size == 1):
-        for full, p in zip(_J_FULL, mom):
-            np.subtract(full, p, out=p, where=negative)
-        return
-    parts = [slice(r, r + 1) for r in np.flatnonzero(negative)] if rows else [...] * bool(negative)
+# Both sides of every interface in one stack: row 0 on the positive
+# half-line, row 1 on the negative one (the upwind split of a flux).
+UPWIND_SIDES = np.array([[True], [False]])
+
+
+@functools.cache
+def _full(m: int, ndim: int) -> np.ndarray:
+    """J_0..J_(m-1) over the whole support, shaped to broadcast against an
+    (m, ...) stack of ``ndim`` dimensions (read-only: every call shares it)."""
+    full = np.array(_J_FULL[:m]).reshape((m,) + (1,) * (ndim - 1))
+    full.flags.writeable = False
+    return full
+
+
+def _complement(terms, positive):
+    """J_full - J where ``positive`` is False, on the (m, ...) stack of
+    partial moments J_0..J_(m-1): the negative half-line's.
+    ``UPWIND_SIDES`` complements row 1 of every J and a plain bool all of
+    them or none, without looking at the mask; one value per row goes
+    through row views, any other mask through a masked subtract."""
+    if positive is UPWIND_SIDES:
+        parts = [terms[:, 1]]
+    elif isinstance(positive, bool):
+        parts = [] if positive else [terms]
+    else:
+        negative = np.logical_not(positive)
+        rows = (negative.ndim == terms.ndim - 1 > 0
+                and negative.size == negative.shape[0] == terms.shape[1])
+        if not (rows or negative.size == 1):
+            np.subtract(_full(len(terms), terms.ndim), terms, out=terms, where=negative)
+            return
+        parts = [terms[:, r:r + 1] for r in np.flatnonzero(negative)] if rows else (
+            [terms] * bool(negative))
     for part in parts:
-        for full, p in zip(_J_FULL, mom):
-            np.subtract(full, p[part], out=p[part])
+        np.subtract(_full(len(part), part.ndim), part, out=part)
 
 
-def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None):
+def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None, terms=None):
     """[H * integral of (u + z c)^k chi(z) dz over a half-line, for k in powers].
 
     The partial moments J_0..J_max(powers) are evaluated once and shared by
     every power.  ``positive`` selects xi >= 0 (True) or xi <= 0 (False); a
-    boolean array broadcasting against h selects the side entry by entry.
+    boolean array broadcasting against h selects the side entry by entry, and
+    ``UPWIND_SIDES`` xi >= 0 on row 0 and xi <= 0 on row 1 of any stack.
     The sums over j of C(k, j) u^(k-j) c^j J_j come from the recurrence
     T_j <- u T_j + c T_(j+1), started at T_j = J_j: after k rounds T_0 is
-    power k's.  Dry entries (h = 0) get c = 1, where every term is finite,
-    and the factor h zeroes them.
+    power k's.  The J_j are the rows of one stack, so a round updates all of
+    them in three calls.  Dry entries (h = 0) get c = 1, where every term is
+    finite, and the factor h zeroes them.
 
     ``take`` supplies the buffers of every intermediate and result (a step's
     work buffers, of the broadcast shape), ``c`` among them: the call
-    overwrites it.  By default the buffers are fresh and ``c`` is copied.
+    overwrites it, and h and u must then be float arrays.  ``terms`` is then
+    a (2 max(powers) + 1, ...) buffer of that shape for the recurrence.  By
+    default the buffers are fresh and ``c`` is copied.
     """
-    h = np.asarray(h, dtype=float)
-    u = np.asarray(u, dtype=float)
+    kmax = max(powers)
     if take is None:
+        h = np.asarray(h, dtype=float)
+        u = np.asarray(u, dtype=float)
         take = _fresh_buffers(h, u, c, positive)
         c = np.positive(c, out=take())  # a copy to overwrite
+        terms = np.empty((2 * kmax + 1,) + c.shape)
     np.copyto(c, 1.0, where=h <= 0.0)
-    kmax = max(powers)
-    terms = _PARTIAL[profile](np.divide(u, c, out=take()), kmax, take)
-    _complement(terms, positive)
-    out, term = [], take() if kmax else None
-    for k in range(kmax + 1):
-        for j in range(kmax + 1 - k if k else 0):
-            np.multiply(c, terms[j + 1], out=term)
-            np.multiply(u, terms[j], out=terms[j])
-            np.add(terms[j], term, out=terms[j])
+    m = kmax + 1
+    t, scratch = terms[:m], terms[m:]
+    _PARTIAL[profile](np.divide(u, c, out=take()), kmax, take, t)
+    _complement(t, positive)
+    out = []
+    for k in range(m):
+        if k:  # T_j <- u T_j + c T_(j+1), j < m - k, from the T_(j+1) before the round
+            r = m - k
+            term = np.multiply(c, t[1:r + 1], out=scratch[:r])
+            np.multiply(u, t[:r], out=t[:r])
+            np.add(t[:r], term, out=t[:r])
         if k in powers:
-            out.append(np.multiply(h, terms[0], out=terms[0] if k == kmax else take()))
+            out.append(np.multiply(h, t[0, ...], out=t[0, ...] if k == kmax else take()))
     return out
 
 
@@ -231,15 +261,16 @@ def upwind_power_moment(profile: ChiProfile, h, u, c, power: int, positive: bool
     return _upwind_moments(profile, h, u, c, (power,), positive)[0]
 
 
-def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive, *, take=None):
+def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive, *, take=None, terms=None):
     """``upwind_power_moment`` at powers 1 and 2 (the mass and momentum
     fluxes of one interface side) from one partial-moment evaluation.
 
     ``positive`` may be a boolean array, so both sides of every interface
     can be evaluated in one call on stacked arrays.  ``take`` supplies the
-    buffers, ``c`` among them, as in ``_upwind_moments``.
+    buffers, ``c`` among them, and ``terms`` a (5, ...) buffer, as in
+    ``_upwind_moments``.
     """
-    return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive, take))
+    return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive, take, terms))
 
 
 def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):

@@ -20,22 +20,26 @@ The observer adds the exact xi-moments of lam * (M_obs - f), where M_obs is
 the Gibbs density built from the observed depth and the observer's own
 velocity: dH += lam dt (H_obs - H), dq += lam dt u (H_obs - H).
 
-A state is immutable, arrays included, and computes its velocity and CFL
-wave speed once.  The steps take a leading row axis: ``sv_forward_step`` and
-``sv_observer_step`` accept a sequence of k states on one bathymetry and
-advance them as one (k, n) update, with one dt and one gain per row, and each
-row equals its one-row call bit for bit.  The CFL check, the settle floor and
-the wave speed are per row; the successors' velocities and wave speeds are
-computed once on the stack, and each row's state keeps its own row of them.
+A state (``SWState``) is immutable, arrays included, and computes its
+velocity and CFL wave speed once.  The steps work on rows (``_Rows``): k
+states on one bathymetry as one read-only (3, k, n) array of their depths,
+discharges and velocities, with the k wave speeds beside it.  A step writes
+the successors of its rows into one fresh array and computes their
+velocities and wave speeds once on it; the ghost cells, the update and the
+nudging source each act on two fields of every row in one call, and the
+settle checks all rows at once.  Each row equals its one-row step bit for bit, and the CFL check, the settle
+floor and the wave speed are per row.  ``sv_forward_step`` and
+``sv_observer_step`` take one state or a sequence of k states, with one dt
+and one gain per row, and return states; the twin driver carries rows from
+step to step and builds states only where it hands them out.
 
-The states a step produces from one another share a workspace: the
-bathymetry's interface pairs, whether it is flat, and, per stack size k, work
-buffers of shape (2, k(n+1)), (k, n) and (k, n+2) that every step reuses
-through ufunc ``out=``; the interfaces of the k rows lie side by side, so the
-flux sees one long row.
-States stacked together share one workspace from then on.  A step never returns a
-work buffer; its new depths and discharges are fresh arrays.  The states of
-one workspace share those buffers, so they are stepped from one thread.
+What the steps on one bathymetry share is a ``_Bed``: the bed's interface
+pairs, whether it is flat, and per stack size k a ``_Stack`` built once:
+its ghost-cell buffer and the interface view of it, its flux buffers, and
+its sigma and gain columns, written in place on every step.  Rows made by a
+step keep their bed; states stacked together share the first one's from then
+on.  A step never returns a work buffer, but the rows of one bed share those
+buffers, so they are stepped from one thread.
 """
 from __future__ import annotations
 
@@ -45,10 +49,12 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import BoundaryKind, Grid1D
 from .kinetic import (
     GRAVITY,
+    UPWIND_SIDES,
     ChiProfile,
     _fresh_buffers,
     halfline_energy_moment,
@@ -105,11 +111,11 @@ class SWState:
     @cached_property
     def max_wave_speed(self) -> float:
         """max |u| + w_chi c over the cells, at least the dry-threshold speed."""
-        return _max_wave_speeds([self], self.h, self.velocity)[0]
+        return _max_wave_speeds(self._bed, self.h[None], self.velocity[None])[0]
 
     @cached_property
-    def _work(self) -> _Workspace:
-        return _Workspace(self.z_b, self.grid.bc)
+    def _bed(self) -> _Bed:
+        return _Bed(self)
 
     @property
     def surface(self) -> np.ndarray:
@@ -122,111 +128,28 @@ class SWState:
         """The same state, checked again."""
         return replace(self)
 
-    def _successor(self, h: np.ndarray, q: np.ndarray, u: np.ndarray,
-                   work: _Workspace) -> "SWState":
-        """The state (h, q) of velocity u on this bathymetry and the
-        workspace ``work``, built without the checks: only for read-only
-        depths ``_settle`` has just proven finite and nonnegative, on this
-        grid."""
-        new = object.__new__(SWState)
-        new.__dict__.update(h=h, q=q, z_b=self.z_b, grid=self.grid, profile=self.profile,
-                            g=self.g, velocity=u, _work=work)
-        return new
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _max_wave_speeds(states, h: np.ndarray, u: np.ndarray) -> list[float]:
-    """The wave speed of each of ``states``, whose depths and velocities are
-    the rows of the (k, n) stacks h and u (or h and u of one state)."""
+def _max_wave_speeds(bed: _Bed, h: np.ndarray, u: np.ndarray, out=(None, None)) -> list[float]:
+    """The wave speed of each row of the (k, n) depths h and velocities u on
+    ``bed``, computed in the two (k, n) buffers ``out`` when given."""
     # Maximum over every cell: a dry cell (u = 0, h < DRY_DEPTH) is slower than
     # the dry-threshold speed and no wet cell is, so this is the maximum over
-    # the wet cells, or the threshold speed when none is wet.
-    first = states[0]
-    w = first.profile.support_halfwidth
-    c = np.multiply(first.g, h)
-    np.multiply(c, 0.5, out=c)  # halving by * 0.5 is exact
+    # the wet cells, or the threshold speed when none is wet.  h (g / 2) is
+    # g h / 2 to the bit on every cell of depth DRY_DEPTH or more (halving is
+    # exact above the subnormals), and a dry cell stays below the floor either
+    # way
+    c = np.multiply(h, bed.half_g, out=out[0])
     np.sqrt(c, out=c)
-    np.multiply(w, c, out=c)
-    speed = np.abs(u)
+    np.multiply(bed.w, c, out=c)
+    speed = np.abs(u, out=out[1])
     np.add(speed, c, out=speed)
-    floor = w * math.sqrt(first.g * DRY_DEPTH / 2.0)
-    return [max(top, floor) for top in speed.reshape(len(states), -1).max(axis=1).tolist()]
-
-
-def _grow(pool: list, shape: tuple):
-    """New buffers, each appended to ``pool`` as it is handed out."""
-    while True:
-        pool.append(np.empty(shape))
-        yield pool[-1]
-
-
-class _Workspace:
-    """What the steps of states on one bathymetry share: its interface pairs
-    with z_int = max(z_L, z_R), whether it is flat, and work buffers for each
-    stack size.
-
-    The interfaces of a stack of k rows lie side by side, k blocks of n+1
-    (``_interface_pairs``), so every interface buffer is a (2, k(n+1))
-    array and the flux sees one long row.  ``begin(k)`` starts a step of k
-    rows: ``wide`` then hands out those buffers, ``cells`` the (k, n) cell
-    buffers and ``ghosted`` the (k, n+2) buffers of the cells with their
-    ghosts (the flat-bed flux), each from the first one of that size again.
-    A buffer lives until the next ``begin`` of its size.  ``bed`` gives the
-    bathymetry's pairs repeated for k rows.  ``flat`` holds when every bed
-    entry is exactly equal: the reconstruction is then the identity.
-    """
-
-    def __init__(self, z_b: np.ndarray, bc: BoundaryKind):
-        z_cells = _interface_pairs(z_b, bc)
-        self.n = z_b.size
-        self.flat = bool((z_b == z_b[0]).all())
-        self._beds = {1: (z_cells, np.maximum(z_cells[0], z_cells[1]))}
-        self._pools = {}
-
-    def bed(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(z_cells, z_int) of k rows, the one row's repeated."""
-        if k not in self._beds:
-            self._beds[k] = tuple(np.tile(z, k) for z in self._beds[1])
-        return self._beds[k]
-
-    def begin(self, k: int) -> _Workspace:
-        wide, cells, ghosted = self._pools.setdefault(k, ([], [], []))
-        self.wide = chain(wide, _grow(wide, (2, k * (self.n + 1)))).__next__
-        self.cells = chain(cells, _grow(cells, (k, self.n))).__next__
-        self.ghosted = chain(ghosted, _grow(ghosted, (k, self.n + 2))).__next__
-        return self
-
-
-class _Rows:
-    """k states on one bathymetry, stepped as one: their depths, discharges
-    and velocities as (k, n) stacks, read by the step where it would read a
-    state.  The states share one workspace from then on, and the step is
-    begun on its buffers of size k."""
-
-    def __init__(self, states):
-        self.states = states = tuple(states)
-        if not states:
-            raise ValueError("a step needs at least one state")
-        first = states[0]
-        work = first._work
-        for state in states[1:]:
-            if state.__dict__.get("_work") is not work:
-                if not _same_bed(first, state):
-                    raise ValueError("stacked states must share their grid, bathymetry, "
-                                     "profile and g")
-                state.__dict__["_work"] = work
-        self.grid, self.profile, self.g = first.grid, first.profile, first.g
-        self._work = work.begin(len(states))
-        if len(states) == 1:  # the state's own arrays, as one row
-            self.h, self.q, self.velocity = first.h[None], first.q[None], first.velocity[None]
-            return
-        self.h, self.q, self.velocity = work.cells(), work.cells(), work.cells()
-        for r, state in enumerate(states):
-            self.h[r], self.q[r], self.velocity[r] = state.h, state.q, state.velocity
+    floor = bed.floor
+    return [max(top, floor) for top in np.maximum.reduce(speed, axis=1).tolist()]
 
 
 def _same_bed(a: SWState, b: SWState) -> bool:
@@ -237,19 +160,47 @@ def _same_bed(a: SWState, b: SWState) -> bool:
     )
 
 
+def _fill_ghosts(g: np.ndarray, bc: BoundaryKind, sign) -> None:
+    """Write the ghost cells (first and last column) of the rows of ``g``,
+    shaped (..., n+2), from their end cells: a wall repeats them times
+    ``sign`` (-1 mirrors a velocity; a column of signs acts row by row), a
+    periodic domain wraps."""
+    if bc is BoundaryKind.REFLECTIVE_WALL:
+        np.multiply(g[..., 1], sign, out=g[..., 0])
+        np.multiply(g[..., -2], sign, out=g[..., -1])
+    elif bc is BoundaryKind.PERIODIC:
+        g[..., 0] = g[..., -2]
+        g[..., -1] = g[..., 1]
+    else:
+        raise ValueError(
+            "shallow-water solver supports reflective_wall and periodic boundaries"
+        )
+
+
+def _ghosted(a: np.ndarray, bc: BoundaryKind, sign: float = 1.0) -> np.ndarray:
+    """``a`` (..., n) with its two ghost cells, a fresh (..., n+2) array."""
+    g = np.empty(a.shape[:-1] + (a.shape[-1] + 2,))
+    g[..., 1:-1] = a
+    _fill_ghosts(g, bc, sign)
+    return g
+
+
+def _sides(g: np.ndarray) -> np.ndarray:
+    """The read-only view of the cells left and right of every interface of
+    the rows of ``g`` (..., k, n+2), ghost cells included: (..., 2, k, n+1),
+    the left side first; (2, n+1) for one row (n+2,)."""
+    pairs = sliding_window_view(g, 2, axis=-1)
+    return np.moveaxis(pairs, -1, max(g.ndim - 2, 0))
+
+
 @dataclass
 class InterfaceReconstruction:
     """Hydrostatically reconstructed interface depths, one column per
     interface (boundary interfaces included via ghost cells); row 0 is the
     left (minus) side of each interface, row 1 the right (plus) side."""
 
-    h_sides: np.ndarray  # (2, n+1) reconstructed depths, (2, k(n+1)) for k rows
-    h_cells: np.ndarray  # (2, n+1) depths of the cells either side, likewise
-
-
-# positive half-line (xi >= 0) on the left side of an interface, negative on
-# the right: the upwind split of the kinetic flux
-_UPWIND_SIDE = np.array([[True], [False]])
+    h_sides: np.ndarray  # (2, n+1) reconstructed depths
+    h_cells: np.ndarray  # (2, n+1) depths of the cells either side
 
 
 @dataclass
@@ -261,58 +212,231 @@ class EnergyBudget:
     flux: np.ndarray
 
 
-def _ghosts(a: np.ndarray, bc: BoundaryKind, mirror: bool):
-    """The (left, right) ghost cells of each row of ``a``: a wall repeats
-    the end cells, with the sign flipped under ``mirror`` (velocity); a
-    periodic domain wraps."""
-    first, last = a[..., 0], a[..., -1]
-    if bc is BoundaryKind.REFLECTIVE_WALL:
-        return (-first, -last) if mirror else (first, last)
-    if bc is BoundaryKind.PERIODIC:
-        return last, first
-    raise ValueError(
-        "shallow-water solver supports reflective_wall and periodic boundaries"
-    )
+def _grow(pool: list, shape: tuple):
+    """New buffers, each appended to ``pool`` as it is handed out."""
+    while True:
+        pool.append(np.empty(shape))
+        yield pool[-1]
 
 
-def _interface_pairs(a: np.ndarray, bc: BoundaryKind, mirror: bool = False,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """(2, n+1) values of the cells left (row 0) and right (row 1) of every
-    interface, ghost cells included; for the k rows of a (k, n) stack, their
-    k blocks of n+1 interfaces side by side, (2, k(n+1)).  ``mirror`` flips
-    the sign of the wall ghosts (velocity).  Written into ``out`` when
-    given."""
-    n = a.shape[-1]
-    if out is None:
-        out = np.empty((2, a.size // n * (n + 1)))
-    pairs = out.reshape(2, -1, n + 1)
-    pairs[0, :, 1:] = a
-    pairs[1, :, :-1] = a
-    pairs[0, :, 0], pairs[1, :, -1] = _ghosts(a, bc, mirror)
-    return out
+class _Bed:
+    """What the steps of states on one grid, bathymetry, profile and g share:
+    the bed's interface pairs with z_int = max(z_L, z_R), whether it is flat
+    (every bed entry exactly equal: the reconstruction is then the
+    identity), the wave-speed constants, and one ``_Stack`` per stack size."""
+
+    def __init__(self, state: SWState):
+        grid, z_b = state.grid, state.z_b
+        self.grid, self.profile, self.g, self.z_b = grid, state.profile, state.g, z_b
+        self.n, self.dx, self.bc = grid.n_cells, grid.dx, grid.bc
+        self.flat = bool((z_b == z_b[0]).all())
+        self.half_g = 0.5 * state.g
+        self.w = state.profile.support_halfwidth
+        self.floor = self.w * math.sqrt(state.g * DRY_DEPTH / 2.0)
+        self._z = None
+        self._stacks = {}
+
+    @property
+    def z_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z_cells, z_int): the (2, n+1) bed either side of every interface
+        and its (n+1) maximum."""
+        if self._z is None:
+            z_cells = _sides(_ghosted(self.z_b, self.bc))
+            self._z = z_cells, np.maximum(z_cells[0], z_cells[1])
+        return self._z
+
+    def stack(self, k: int) -> _Stack:
+        stack = self._stacks.get(k)
+        if stack is None:
+            stack = self._stacks[k] = _Stack(self, k)
+        return stack
 
 
-def _with_ghosts(a: np.ndarray, bc: BoundaryKind, mirror: bool = False, *,
-                 out: np.ndarray) -> np.ndarray:
-    """The rows of the (k, n) stack ``a`` with their two ghost cells, written
-    into the (k, n+2) buffer ``out``; ``mirror`` as in ``_interface_pairs``."""
-    out[:, 1:-1] = a
-    out[:, 0], out[:, -1] = _ghosts(a, bc, mirror)
-    return out
+class _Stack:
+    """A step of k rows on one bed, with its constants and work buffers built
+    once.
 
-
-def hydrostatic_reconstruct(state: SWState, *, take=None) -> InterfaceReconstruction:
-    """Interface depths limited by the higher of the two neighbouring bottoms,
-    truncated at zero so reconstructed depths stay admissible.
-
-    ``take`` supplies buffers for the result (a step's work buffers, of
-    shape (2, k(n+1)) when ``state`` is a step's stack of k rows); by
-    default the arrays are fresh.
+    ``ghosted`` holds [h, u] of the rows with their ghost cells, (2, k, n+2),
+    and ``sides`` views it as the values left and right of every interface,
+    (2, 2, k, n+1), so the interface pairs cost no copy.  The flux takes its
+    buffers from ``_take``: (2, k, n+1) interface buffers on a sloped bed,
+    (k, n+2) cell buffers on a flat one (``_flat_divergence``), handed out in
+    turn from the first on every step; the pool grows to what the flux takes
+    until a step completes.  ``sigma`` and ``lam_dt`` are the (k, 1) columns
+    of dt / dx and lam dt, written in place.
     """
-    z_cells, z_int = state._work.bed(state.h.size // state.grid.n_cells)
-    take = take or _fresh_buffers(z_cells)
-    h_cells = _interface_pairs(state.h, state.grid.bc, out=take())
-    h_sides = np.add(h_cells, z_cells, out=take())
+
+    def __init__(self, bed: _Bed, k: int):
+        n = bed.n
+        self.bed, self.k = bed, k
+        self.ghosted = np.empty((2, k, n + 2))
+        self.sides = _sides(self.ghosted)
+        self.sign = np.array([[1.0], [-1.0]])  # a wall mirrors u, not h
+        self.gathered = np.empty((3, k, n))  # rows of several arrays (_step_pair)
+        self.div = np.empty((2, k, n))
+        self.source = np.empty((2, k, n))
+        self.speeds = (np.empty((k, n)), np.empty((k, n)))
+        self.dry = np.empty((k, n), dtype=bool)
+        self.sigma, self.lam_dt = np.empty((k, 1)), np.empty((k, 1))
+        if not bed.flat:  # the bed broadcasts over the rows
+            z_cells, z_int = bed.z_pairs
+            self.z_cells, self.z_int = z_cells[:, None], z_int
+            self.fluxes = np.empty((3, k, n + 1))  # f_h, then f_q on the left and right sides
+        self._shape = (k, n + 2) if bed.flat else (2, k, n + 1)
+        self._pool, self._sized = [], False
+        self.terms = np.empty((5,) + self._shape)  # the kernel's recurrence
+
+    def _take(self):
+        if self._sized:
+            return iter(self._pool).__next__
+        return chain(self._pool, _grow(self._pool, self._shape)).__next__
+
+    def step(self, a: np.ndarray, speed: list, dt, lam=None, dh=None) -> _Rows:
+        """The successors of the rows of ``a`` (3, k, n), of wave speeds
+        ``speed``, each over its dt in ``dt`` with the nudging source
+        lam dt (dh, u dh) at its gain in ``lam`` unless dh is None (then the
+        forward step), and settled."""
+        bed, k = self.bed, self.k
+        dx = bed.dx
+        sigma, lam_dt = self.sigma, self.lam_dt
+        for r in range(k):
+            lam_r, dt_r = (0.0 if dh is None else lam[r]), dt[r]
+            bound = dx / (lam_r * dx + speed[r])
+            if not dt_r <= bound * _CFL_TOL:  # a NaN dt or bound fails too
+                raise ValueError(f"dt={dt_r:g} violates the CFL bound {bound:g}")
+            sigma[r, 0] = dt_r / dx
+            lam_dt[r, 0] = lam_r * dt_r
+        new = np.empty((3, k, bed.n))
+        hq, h, q, u = new[:2], new[0], new[1], new[2]
+        div = self._divergence(a)
+        np.multiply(sigma, div, out=div)
+        np.subtract(a[:2], div, out=hq)
+        if dh is not None:  # lam dt dh, (lam dt u) dh
+            source = self.source
+            np.multiply(lam_dt, dh, out=source[0])
+            np.multiply(lam_dt, a[2], out=source[1])
+            np.multiply(source[1], dh, out=source[1])
+            np.add(hq, source, out=hq)
+        _settle(h, q, self.dry)
+        # the velocity: dry cells need no zeroing, their settled q is +0.0
+        np.maximum(h, DRY_DEPTH, out=u)
+        np.divide(q, u, out=u)
+        speeds = _max_wave_speeds(bed, h, u, self.speeds)
+        new.flags.writeable = False
+        self._sized = True
+        return _Rows(new, speeds, bed)
+
+    def _divergence(self, a: np.ndarray) -> np.ndarray:
+        """The (2, k, n) differences of the mass and momentum fluxes across
+        each cell of the rows of ``a``, in ``div``."""
+        bed, g = self.bed, self.ghosted
+        g[:, :, 1:-1] = a[::2]  # h and u
+        _fill_ghosts(g, bed.bc, self.sign)
+        if bed.flat:
+            return self._flat_divergence()
+        take = self._take()
+        h_cells, u = self.sides
+        h = np.add(h_cells, self.z_cells, out=take())
+        np.subtract(h, self.z_int, out=h)
+        np.maximum(0.0, h, out=h)
+        f = _interface_flux(h, h_cells, u, bed.profile, bed.g, take, self.terms, self.fluxes)
+        # f_h[i+1] - f_h[i], and f_q from the left side of i+1 less f_q from
+        # the right side of i
+        return np.subtract(f[0:2, :, 1:], f[0::2, :, :-1], out=self.div)
+
+    def _flat_divergence(self) -> np.ndarray:
+        """``_divergence`` on a flat bed, one kernel call per cell.
+
+        The reconstruction is the identity and the hydrostatic correction
+        zero, so both faces of a cell carry its own Gibbs equilibrium: the
+        kernel gives the positive half-line moments P+ of the n+2 cells of
+        each row (ghosts included), the negative ones are the full moments
+        less P+, and the flux across i+1/2 is P+_i + (full - P+)_(i+1).  The
+        full moments h u and h (u^2 + c^2) are the kernel's own sums at
+        J = J_full, so a side whose particles all move one way gets an exact
+        zero on the other.
+        """
+        bed, take = self.bed, self._take()
+        h, u = self.ghosted
+        c = np.multiply(0.5 * bed.g, h, out=take())
+        np.sqrt(c, out=c)
+        c2 = np.multiply(c, c, out=take())
+        full_q = np.multiply(u, u, out=take())
+        np.add(full_q, c2, out=full_q)
+        np.multiply(h, full_q, out=full_q)
+        full_h = np.multiply(h, u, out=c2)  # c2 is spent
+        fluxes = upwind_mass_momentum(bed.profile, h, u, c, True, take=take, terms=self.terms)
+        for div, full, positive in zip(self.div, (full_h, full_q), fluxes):
+            negative = np.subtract(full, positive, out=full)
+            f = np.add(positive[:, :-1], negative[:, 1:], out=positive[:, :-1])
+            np.subtract(f[:, 1:], f[:, :-1], out=div)
+        return self.div
+
+
+class _Rows:
+    """k states on one bed as one read-only array ``a`` (3, k, n): their
+    depths, discharges and velocities; ``speed`` holds their k wave
+    speeds.  What the twin driver carries from step to step."""
+
+    __slots__ = ("a", "speed", "bed")
+
+    def __init__(self, a: np.ndarray, speed: list, bed: _Bed):
+        self.a, self.speed, self.bed = a, speed, bed
+
+    @classmethod
+    def of(cls, states) -> _Rows:
+        """The states ``states`` as rows; they share the first one's bed from
+        then on."""
+        states = tuple(states)
+        if not states:
+            raise ValueError("a step needs at least one state")
+        first = states[0]
+        bed = first._bed
+        for state in states[1:]:
+            if state.__dict__.get("_bed") is not bed:
+                if not _same_bed(first, state):
+                    raise ValueError("stacked states must share their grid, bathymetry, "
+                                     "profile and g")
+                state.__dict__["_bed"] = bed
+        a = np.array([[s.h for s in states], [s.q for s in states],
+                      [s.velocity for s in states]])
+        return cls(_read_only(a), [s.max_wave_speed for s in states], bed)
+
+    def step(self, dt, lam=None, dh=None) -> _Rows:
+        """``_Stack.step`` of these rows."""
+        return self.bed.stack(len(self.speed)).step(self.a, self.speed, dt, lam, dh)
+
+    def split(self) -> list[_Rows]:
+        """Each row as rows of its own."""
+        a, bed = self.a, self.bed
+        return [_Rows(a[:, r:r + 1], [speed], bed) for r, speed in enumerate(self.speed)]
+
+    def state(self, r: int) -> SWState:
+        """Row r as a state, built without the checks: its depths have been
+        proven finite and nonnegative (``_settle``) or come from a state."""
+        a, bed = self.a, self.bed
+        new = object.__new__(SWState)
+        new.__dict__.update(h=a[0, r], q=a[1, r], z_b=bed.z_b, grid=bed.grid,
+                            profile=bed.profile, g=bed.g, velocity=a[2, r],
+                            max_wave_speed=self.speed[r], _bed=bed)
+        return new
+
+
+def _step_pair(first: _Rows, second: _Rows, dt, lam=None, dh=None) -> list[_Rows]:
+    """The one-row rows ``first`` and ``second``, on one bed, stepped as one
+    two-row stack (``_Stack.step``): their successors, one row each."""
+    stack = second.bed.stack(2)
+    both = np.concatenate((first.a, second.a), axis=1, out=stack.gathered)
+    return stack.step(both, first.speed + second.speed, dt, lam, dh).split()
+
+
+def hydrostatic_reconstruct(state: SWState) -> InterfaceReconstruction:
+    """Interface depths limited by the higher of the two neighbouring bottoms,
+    truncated at zero so reconstructed depths stay admissible.  ``h_cells``
+    is a read-only view of the depths with their ghost cells."""
+    z_cells, z_int = state._bed.z_pairs
+    h_cells = _sides(_ghosted(state.h, state.grid.bc))
+    h_sides = np.add(h_cells, z_cells)
     np.subtract(h_sides, z_int, out=h_sides)
     np.maximum(0.0, h_sides, out=h_sides)
     return InterfaceReconstruction(h_sides, h_cells)
@@ -338,33 +462,34 @@ def sv_interface_flux(
     """
     u = np.empty_like(rec.h_sides)
     u[0], u[1] = u_left, u_right
-    return _interface_flux(rec, u, profile, g, _fresh_buffers(u))
+    out = np.empty((3,) + u.shape[1:])
+    _interface_flux(rec.h_sides, rec.h_cells, u, profile, g, _fresh_buffers(u),
+                    np.empty((5,) + u.shape), out)
+    return out[0], out[1], out[2]
 
 
-def _interface_flux(rec: InterfaceReconstruction, u: np.ndarray, profile: ChiProfile,
-                    g: float, take) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``sv_interface_flux`` on the velocities ``u`` of the left (row 0) and
-    right (row 1) sides, as one array of the reconstruction's shape.
+def _interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile: ChiProfile,
+                    g: float, take, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sv_interface_flux`` on the reconstructed depths ``h``, the cell
+    depths ``h_cells`` and the velocities ``u`` of the left (row 0) and right
+    (row 1) sides of every interface, written into ``out``: the mass flux,
+    then the momentum flux of the left and of the right side.
 
-    Every operation acts entry by entry, so the interfaces of a step's k
-    rows go through as one long row of k(n+1).  ``take`` supplies buffers of
-    that shape for every intermediate and result (a step's work buffers).
+    Every operation acts entry by entry, so the interfaces of k rows go
+    through as one (2, k, n+1) stack.  ``take`` supplies buffers of that
+    shape for every intermediate, and ``terms`` the kernel's (5, ...) stack.
     """
-    h = rec.h_sides
     c = np.multiply(0.5 * g, h, out=take())  # halving g is exact: the bits of g h / 2
     np.sqrt(c, out=c)
-    mass, momentum = upwind_mass_momentum(profile, h, u, c, _UPWIND_SIDE, take=take)
+    mass, momentum = upwind_mass_momentum(profile, h, u, c, UPWIND_SIDES, take=take,
+                                          terms=terms)
     f_q = np.add(momentum[0], momentum[1], out=momentum[0])
-    f_q_sides = np.square(rec.h_cells, out=take())
+    f_q_sides = np.square(h_cells, out=out[1:])
     np.subtract(f_q_sides, np.square(h, out=c), out=f_q_sides)  # c is spent
     np.multiply(0.5 * g, f_q_sides, out=f_q_sides)
     np.add(f_q, f_q_sides, out=f_q_sides)
-    return np.add(mass[0], mass[1], out=mass[0]), f_q_sides[0], f_q_sides[1]
-
-
-def _cfl_bound(state: SWState, lam: float, safety: float) -> float:
-    dx = state.grid.dx
-    return safety * dx / (lam * dx + state.max_wave_speed)
+    np.add(mass[0], mass[1], out=out[0])
+    return out
 
 
 def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
@@ -379,110 +504,35 @@ def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
         raise ValueError("lambda must be nonnegative")
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    return _cfl_bound(state, lam, safety)
+    dx = state.grid.dx
+    return safety * dx / (lam * dx + state.max_wave_speed)
 
 
-def _check_cfl(states, lam: list[float], dt: list[float]):
-    """Each state's step dt against its CFL bound at its gain lam."""
-    for state, lam_r, dt_r in zip(states, lam, dt):
-        bound = _cfl_bound(state, lam_r, 1.0)
-        if not dt_r <= bound * _CFL_TOL:  # a NaN dt or bound fails too
-            raise ValueError(f"dt={dt_r:g} violates the CFL bound {bound:g}")
-
-
-def _flux_divergence(rows: _Rows, work: _Workspace):
-    """The (k, n) differences of the mass and momentum fluxes across each
-    cell of the rows, in work buffers."""
-    if work.flat:
-        return _flat_flux_divergence(rows, work)
-    u_sides = _interface_pairs(rows.velocity, rows.grid.bc, mirror=True, out=work.wide())
-    fluxes = _interface_flux(hydrostatic_reconstruct(rows, take=work.wide), u_sides,
-                             rows.profile, rows.g, work.wide)
-    # the k blocks of n+1 interfaces, one row each
-    f_h, f_q_left, f_q_right = (f.reshape(len(rows.h), -1) for f in fluxes)
-    div_h = np.subtract(f_h[:, 1:], f_h[:, :-1], out=work.cells())
-    div_q = np.subtract(f_q_left[:, 1:], f_q_right[:, :-1], out=work.cells())
-    return div_h, div_q
-
-
-def _flat_flux_divergence(rows: _Rows, work: _Workspace):
-    """``_flux_divergence`` on a flat bed, one kernel call per cell.
-
-    The reconstruction is the identity and the hydrostatic correction zero,
-    so both faces of a cell carry its own Gibbs equilibrium: the kernel
-    gives the positive half-line moments P+ of the n+2 cells of each row
-    (ghosts included), the negative ones are the full moments less P+, and
-    the flux across i+1/2 is P+_i + (full - P+)_(i+1).  The full moments
-    h u and h (u^2 + c^2) are the kernel's own sums at J = J_full, so a side
-    whose particles all move one way gets an exact zero on the other.
-    """
-    bc = rows.grid.bc
-    h = _with_ghosts(rows.h, bc, out=work.ghosted())
-    u = _with_ghosts(rows.velocity, bc, mirror=True, out=work.ghosted())
-    c = np.multiply(0.5 * rows.g, h, out=work.ghosted())
-    np.sqrt(c, out=c)
-    c2 = np.multiply(c, c, out=work.ghosted())
-    full_q = np.multiply(u, u, out=work.ghosted())
-    np.add(full_q, c2, out=full_q)
-    np.multiply(h, full_q, out=full_q)
-    full_h = np.multiply(h, u, out=c2)  # c2 is spent
-    fluxes = upwind_mass_momentum(rows.profile, h, u, c, True, take=work.ghosted)
-    div = []
-    for full, positive in zip((full_h, full_q), fluxes):
-        negative = np.subtract(full, positive, out=full)
-        f = np.add(positive[:, :-1], negative[:, 1:], out=positive[:, :-1])
-        div.append(np.subtract(f[:, 1:], f[:, :-1], out=work.cells()))
-    return tuple(div)
-
-
-def _settle(h: np.ndarray, q: np.ndarray):
+def _settle(h: np.ndarray, q: np.ndarray, dry: np.ndarray) -> None:
     """Clear roundoff-negative depths and the momentum of dry cells of each
-    row of the (k, n) stacks h and q; the results are fresh arrays.
+    row of the (k, n) stacks h and q, in place; ``dry`` is a (k, n) boolean
+    buffer.
 
     The scheme is nonnegativity preserving in exact arithmetic; anything
     below -1e3 eps of a row's depth scale indicates a genuine CFL or flux bug
     and is reported, with that row's minimum, instead of masked.  So is an
-    infinite depth, which would hide below no floor.
+    infinite depth, which would hide below no floor.  The rows are looked at
+    one by one only when some depth is negative, infinite or NaN.
     """
-    for low, top in zip(h.min(axis=1).tolist(), h.max(axis=1, initial=0.0).tolist()):
-        if not low >= -1e-13 * max(1.0, top):  # NaN fails too
-            raise FloatingPointError(f"negative depth {low:g} after update")
-        if top == math.inf:
-            raise FloatingPointError("infinite depth after update")
-    h = np.maximum(h, 0.0)
-    q = np.where(h >= DRY_DEPTH, q, 0.0)
-    return h, q
-
-
-def _sv_update(rows: _Rows, dt, lam, dh: np.ndarray | None) -> list[SWState]:
-    """Transport step of each row over its dt, plus the nudging source
-    lam dt (dh, u dh) at its gain lam unless dh is None, then the depth
-    settle; the successors of the rows' states.  ``dt`` and ``lam`` hold one
-    float per row."""
-    work, states = rows._work, rows.states
-    _check_cfl(states, lam, dt)
-    dt, lam = np.array(dt)[:, None], np.array(lam)[:, None]  # columns, one value per row
-    sigma = dt / rows.grid.dx
-    h, q = _flux_divergence(rows, work)
-    np.multiply(sigma, h, out=h)
-    np.subtract(rows.h, h, out=h)
-    np.multiply(sigma, q, out=q)
-    np.subtract(rows.q, q, out=q)
-    if dh is not None:
-        source = np.multiply(lam * dt, dh, out=work.cells())
-        np.add(h, source, out=h)
-        np.multiply(lam * dt, rows.velocity, out=source)
-        np.multiply(source, dh, out=source)
-        np.add(q, source, out=q)
-    h, q = _settle(h, q)
-    # the velocity: dry cells need no zeroing, their settled q is +0.0
-    u = np.maximum(h, DRY_DEPTH)
-    np.divide(q, u, out=u)
-    h.flags.writeable = q.flags.writeable = u.flags.writeable = False
-    new = [state._successor(h[r], q[r], u[r], work) for r, state in enumerate(states)]
-    for state, speed in zip(new, _max_wave_speeds(new, h, u)):
-        state.__dict__["max_wave_speed"] = speed
-    return new
+    low, top = np.minimum.reduce(h, axis=None), np.maximum.reduce(h, axis=None)
+    if not (low >= 0.0 and top < math.inf):
+        low, top = h.min(axis=1), h.max(axis=1, initial=0.0)
+        floor = np.maximum(top, 1.0)
+        floor *= -1e-13
+        if not ((low >= floor).all() and (top < math.inf).all()):  # NaN fails too
+            for low_r, floor_r, top_r in zip(low.tolist(), floor.tolist(), top.tolist()):
+                if not low_r >= floor_r:
+                    raise FloatingPointError(f"negative depth {low_r:g} after update")
+                if top_r == math.inf:
+                    raise FloatingPointError("infinite depth after update")
+    np.maximum(h, 0.0, out=h)
+    np.less(h, DRY_DEPTH, out=dry)
+    np.copyto(q, 0.0, where=dry)
 
 
 def _per_row(values, k: int) -> list[float]:
@@ -504,9 +554,11 @@ def sv_forward_step(state, dt):
     step bit for bit.
     """
     if isinstance(state, SWState):
-        return _sv_update(_Rows((state,)), (dt,), (0.0,), None)[0]
-    rows = _Rows(state)
-    return _sv_update(rows, _per_row(dt, len(rows.states)), [0.0] * len(rows.states), None)
+        return _Rows.of((state,)).step((dt,)).state(0)
+    rows = _Rows.of(state)
+    k = len(rows.speed)
+    new = rows.step(_per_row(dt, k))
+    return [new.state(r) for r in range(k)]
 
 
 def sv_observer_step(
@@ -535,18 +587,19 @@ def sv_observer_step(
     row at gain 0 takes the forward step (up to the sign of a zero).
     """
     single = isinstance(state, SWState)
-    rows = _Rows((state,) if single else state)
-    k = len(rows.states)
+    rows = _Rows.of((state,) if single else state)
+    k = len(rows.speed)
     if dh is None:
         obs_h = np.asarray(obs_h, dtype=float)
         observed = np.isfinite(obs_h)
         if (observed & (obs_h < 0.0)).any():
             raise ValueError("observed depths must be nonnegative")
-        dh = np.subtract(obs_h, rows.h, out=rows._work.cells())
+        dh = np.subtract(obs_h, rows.a[0])
         np.copyto(dh, 0.0, where=~observed)
-    new = _sv_update(rows, (dt,) if single else _per_row(dt, k),
-                     (lam,) if single else _per_row(lam, k), dh)
-    return new[0] if single else new
+    if single:
+        return rows.step((dt,), (lam,), dh).state(0)
+    new = rows.step(_per_row(dt, k), _per_row(lam, k), dh)
+    return [new.state(r) for r in range(k)]
 
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:
@@ -580,8 +633,8 @@ def energy_budget(state: SWState, obs_h: np.ndarray | None = None) -> EnergyBudg
         u = state.velocity
         zeta_tilde = 0.5 * obs_h * u * u + 0.5 * state.g * obs_h * obs_h
     rec = hydrostatic_reconstruct(state)
-    u_sides = _interface_pairs(state.velocity, state.grid.bc, mirror=True)
-    flux = halfline_energy_moment(state.profile, rec.h_sides, u_sides, state.g, _UPWIND_SIDE)
+    u_sides = _sides(_ghosted(state.velocity, state.grid.bc, -1.0))
+    flux = halfline_energy_moment(state.profile, rec.h_sides, u_sides, state.g, UPWIND_SIDES)
     return EnergyBudget(zeta_hat=zeta_hat, zeta_tilde=zeta_tilde, flux=flux[0] + flux[1])
 
 

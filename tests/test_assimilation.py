@@ -752,9 +752,10 @@ class TestObservedDepthCFL:
         expected = cfg.cfl_safety * dx / (cfg.gain.lam * dx + np.max(speed))
         own = sv_cfl(state, cfg.gain.lam, cfg.cfl_safety)
         assert expected < own
-        assert lane.cfl(state) == lane.cfl(state, None) == own
+        rows = shallow_water._Rows.of((state,))  # the state as the lane carries it
+        assert lane.cfl(rows) == lane.cfl(rows, None) == own
         with np.errstate(invalid="raise"):  # no square root of a dry depth
-            assert lane.cfl(state, obs) == expected
+            assert lane.cfl(rows, obs) == expected
 
     def test_observer_bound_sees_each_target(self, monkeypatch):
         # exact observations every step: the target of step n is the truth's
@@ -779,43 +780,51 @@ class TestObservedDepthCFL:
 
 def test_one_speed_evaluation_per_stepped_state(monkeypatch):
     # the time loop's bound, the observed-depth probe and the step's CFL
-    # check share one evaluation of each stepped state's wave speed (they
-    # made two or three): an initial state's on first use, every other
-    # state's on the stack of the step that made it; an observer deeper than
-    # the truth divides the truth's steps
+    # check share one evaluation of each stepped row's wave speed (they made
+    # two or three): an initial state's on first use, every other row's on
+    # the stack of the step that made it, one evaluation per step; an
+    # observer deeper than the truth divides the truth's steps
     cfg = small_sw_config(t_final=0.05)
     cfg = replace(cfg, observer_state=dam_break_state(cfg.grid, 3.0, 3.0, 0.5))
-    evaluations, stepped = [], []
-    speeds = shallow_water._max_wave_speeds
+    evaluations, stepped = [], []  # rows per evaluation, rows per step
+    speeds, step = shallow_water._max_wave_speeds, shallow_water._Stack.step
 
-    def counted_speeds(states, h, u):
-        evaluations.extend(states)
-        return speeds(states, h, u)
+    def counted_speeds(bed, h, u, *args):
+        evaluations.append(len(h))
+        return speeds(bed, h, u, *args)
+
+    def counted_step(stack, a, *args):
+        stepped.append(a.shape[1])
+        return step(stack, a, *args)
 
     monkeypatch.setattr(shallow_water, "_max_wave_speeds", counted_speeds)
-    for name in ("sv_forward_step", "sv_observer_step"):
-        def counted_step(state, *args, _step=getattr(assimilation, name), **kwargs):
-            stepped.extend([state] if isinstance(state, shallow_water.SWState) else state)
-            return _step(state, *args, **kwargs)
-
-        monkeypatch.setattr(assimilation, name, counted_step)
+    monkeypatch.setattr(shallow_water._Stack, "step", counted_step)
     result = run_twin(cfg)
     truth_steps = len(result.dt_history)
-    assert len(stepped) - truth_steps > truth_steps
-    assert len(evaluations) == len(stepped) + 2  # and the two final states
-    finals = {id(result.final_truth), id(result.final_observer)}
-    assert {id(s) for s in evaluations} == {id(s) for s in stepped} | finals
+    assert sum(stepped) - truth_steps > truth_steps
+    # the initial truth and observer, then one evaluation per step, on its
+    # rows; the two final rows are never stepped
+    assert evaluations == [1, 1] + stepped
+    assert 2 in stepped
 
 
-def collapsing_bound(collapses=lambda state: True):
-    """An sv_cfl stand-in whose bound shrinks like 1/k^3 with the call count
-    k on the states ``collapses`` picks, so their steps sum to less than any
-    horizon; other states get the true bound."""
+SW_BOUND = assimilation._SWLane.bound  # the Saint-Venant lane's own-state bound
+
+
+def n_cells(rows):
+    """The cell count of a Saint-Venant lane's rows."""
+    return rows.a.shape[-1]
+
+
+def collapsing_bound(collapses=lambda rows: True):
+    """A stand-in for the Saint-Venant lane's bound that shrinks like 1/k^3
+    with the call count k on the rows ``collapses`` picks, so their steps sum
+    to less than any horizon; other rows get the true bound."""
     calls = []
 
-    def bound(state, lam, safety=0.95):
-        value = sv_cfl(state, lam, safety)
-        if not collapses(state):
+    def bound(lane, rows):
+        value = SW_BOUND(lane, rows)
+        if not collapses(rows):
             return value
         calls.append(None)
         return value / len(calls) ** 3
@@ -825,12 +834,12 @@ def collapsing_bound(collapses=lambda state: True):
 
 class TestTimeLoopsTerminate:
     def test_nan_bound_is_a_solver_error(self, monkeypatch):
-        monkeypatch.setattr(assimilation, "sv_cfl", lambda *args, **kwargs: math.nan)
+        monkeypatch.setattr(assimilation._SWLane, "bound", lambda *args: math.nan)
         with pytest.raises(SolverError, match="truth CFL bound nan"):
             run_twin(small_sw_config())
 
     def test_nan_bound_exits_with_solver_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(assimilation, "sv_cfl", lambda *args, **kwargs: math.nan)
+        monkeypatch.setattr(assimilation._SWLane, "bound", lambda *args: math.nan)
         assert cli.main(["run-sv", fixture_path("dam_break.cfg"), "--quiet"]) == 2
         assert "CFL bound nan" in capsys.readouterr().err
 
@@ -838,23 +847,23 @@ class TestTimeLoopsTerminate:
         # before, this surfaced as "cannot convert float NaN to integer"
         cfg = small_sw_config(factor=2)
 
-        def nan_for_observer(state, lam, safety=0.95):
-            if state.grid.n_cells == cfg.grid.n_cells:
+        def nan_for_observer(lane, rows):
+            if n_cells(rows) == cfg.grid.n_cells:
                 return math.nan
-            return sv_cfl(state, lam, safety)
+            return SW_BOUND(lane, rows)
 
-        monkeypatch.setattr(assimilation, "sv_cfl", nan_for_observer)
+        monkeypatch.setattr(assimilation._SWLane, "bound", nan_for_observer)
         with pytest.raises(SolverError, match="observer CFL bound nan"):
             run_twin(cfg)
 
     @pytest.mark.parametrize("bound", [0.0, -1e-3])
     def test_nonpositive_bound_is_a_solver_error(self, monkeypatch, bound):
-        monkeypatch.setattr(assimilation, "sv_cfl", lambda *args, **kwargs: bound)
+        monkeypatch.setattr(assimilation._SWLane, "bound", lambda *args: bound)
         with pytest.raises(SolverError, match="not a positive finite step"):
             run_twin(small_sw_config())
 
     def test_collapsing_truth_bound_exhausts_the_budget(self, monkeypatch):
-        monkeypatch.setattr(assimilation, "sv_cfl", collapsing_bound())
+        monkeypatch.setattr(assimilation._SWLane, "bound", collapsing_bound())
         with pytest.raises(SolverError, match="truth run used up its budget"):
             run_twin(small_sw_config())
 
@@ -863,8 +872,8 @@ class TestTimeLoopsTerminate:
         # observer's bound collapses
         cfg = small_sw_config(t_final=0.04, factor=2)
         monkeypatch.setattr(
-            assimilation, "sv_cfl",
-            collapsing_bound(lambda state: state.grid.n_cells == cfg.grid.n_cells),
+            assimilation._SWLane, "bound",
+            collapsing_bound(lambda rows: n_cells(rows) == cfg.grid.n_cells),
         )
         with pytest.raises(SolverError, match="observer run used up its budget"):
             run_twin(cfg)

@@ -184,6 +184,21 @@ class TestParseConfig:
         ("dam_break.cfg", "grid", {"bowl_a": "1.0"},
          r"\[grid\] bowl_a does nothing for bathymetry = flat "
          r"\(only for bathymetry = parabolic_bowl\)"),
+        # keys the chosen observer or temporal mode never reads were accepted
+        # and ignored: the Engquist-Osher lane has no xi grid, and only the
+        # mollified gain reads sigma
+        ("burgers_clean.cfg", "observer", {"mode": "macroscopic", "xi_margin": "5.0"},
+         r"\[observer\] xi_margin does nothing for mode = macroscopic "
+         r"\(only for mode = bgk, collapse\)"),
+        ("burgers_clean.cfg", "observer", {"mode": "macroscopic"},  # beside n_xi = 64
+         r"\[observer\] n_xi does nothing for mode = macroscopic "
+         r"\(only for mode = bgk, collapse\)"),
+        ("burgers_clean.cfg", "gain", {"sigma": "0.3"},
+         r"\[gain\] sigma does nothing for temporal = at_observation_times "
+         r"\(only for temporal = mollified\)"),
+        ("thacker.cfg", "gain", {"sigma": "0.1"},
+         r"\[gain\] sigma does nothing for temporal = interpolated "
+         r"\(only for temporal = mollified\)"),
     ])
     def test_refusal_names_section_key(self, tmp_path, capsys, fixture, section, keys, message):
         body = Path(fixture_path(fixture)).read_text()
@@ -538,3 +553,10 @@ class TestRuntimeDependencies:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count(".cfg ") == 2
+
+    def test_import_leaves_out_the_process_pool(self):
+        # concurrent.futures.process cost about 19 ms of every import of the
+        # package; only a sweep on a pool (jobs > 1) needs it
+        code = "import kinassim, sys; sys.exit('concurrent.futures.process' in sys.modules)"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr

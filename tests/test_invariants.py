@@ -32,7 +32,7 @@ from kinassim.burgers import (
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import ChiProfile
 from kinassim.observation import NoiseSpec
-from kinassim.shallow_water import SWState, sv_cfl, sv_forward_step, sv_observer_step
+from kinassim.shallow_water import SWState, _Rows, sv_cfl, sv_forward_step, sv_observer_step
 
 BCS = [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO]
 SW_BCS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE_WALL]
@@ -312,3 +312,54 @@ class TestSweepBatches:
             assert (point.final_l1_rel, point.final_sobolev) == (
                 alone.final_l1_rel, alone.final_sobolev
             )
+
+
+class TestSaintVenantProperties:
+    """Seeded properties of the Saint-Venant step on random states with dry
+    stretches, on random bathymetry, through the stacked rows the twin
+    driver steps (``_Rows.step``) and through the public one-row calls."""
+
+    draws = 100
+
+    def draw(self, rng, bc):
+        k, n = rng.integers(1, 4), rng.integers(3, 50)
+        return sw_rows(rng, k, n, bc, PROFILES[rng.integers(2)])
+
+    @pytest.mark.parametrize("bc", SW_BCS)
+    def test_depths_stay_nonnegative_under_the_cfl_bound(self, bc):
+        # at any gain with dt <= sv_cfl at that gain, nudged toward a
+        # nonnegative observation with an unobserved window: the settle
+        # would raise below its roundoff floor
+        rng = np.random.default_rng(31)
+        for _ in range(self.draws):
+            states = self.draw(rng, bc)
+            k, n = len(states), states[0].grid.n_cells
+            lam = [float(v) for v in gains(rng, k)[:, 0]]
+            obs = observation(rng, n)
+            obs = np.zeros(n) if obs is None else np.abs(obs)
+            rows = _Rows.of(states)
+            for _ in range(3):
+                dt = [rng.uniform(0.1, 1.0) * sv_cfl(s, lam_r) for s, lam_r in zip(states, lam)]
+                dh = np.where(np.isfinite(obs), obs - rows.a[0], 0.0)
+                rows = rows.step(dt, lam, dh)
+                states = [sv_observer_step(s, obs, lam_r, dt_r)
+                          for s, lam_r, dt_r in zip(states, lam, dt)]
+                assert (rows.a[0] >= 0.0).all()
+                assert all((s.h >= 0.0).all() for s in states)
+                assert [rows.state(r).max_wave_speed for r in range(k)] == [
+                    s.max_wave_speed for s in states]
+
+    @pytest.mark.parametrize("bc", SW_BCS)
+    def test_mass_is_conserved_without_gain(self, bc):
+        # the fluxes telescope: at lam = 0 a step moves the total depth by
+        # roundoff alone, on walls (no flux through them) and periodic grids
+        rng = np.random.default_rng(32)
+        for _ in range(self.draws):
+            states = self.draw(rng, bc)
+            grid = states[0].grid
+            dt = [rng.uniform(0.1, 1.0) * sv_cfl(s, 0.0) for s in states]
+            rows = _Rows.of(states).step(dt)
+            for r, (state, dt_r) in enumerate(zip(states, dt)):
+                mass, scale = state.mass(), grid.length * max(1.0, float(np.max(state.h)))
+                for h in (rows.a[0, r], sv_forward_step(state, dt_r).h):
+                    assert abs(float(np.sum(h) * grid.dx) - mass) <= 1e-14 * scale

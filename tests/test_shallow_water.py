@@ -14,7 +14,6 @@ from kinassim.kinetic import (
 from kinassim.shallow_water import (
     DRY_DEPTH,
     SWState,
-    _flux_divergence,
     _Rows,
     _settle,
     cell_energy,
@@ -427,9 +426,9 @@ class TestFlatBedForm:
         upwind = 0
         for _ in range(20):
             states = flat_bed_rows(rng, k, int(rng.integers(2, 50)), bc, profile)
-            rows = _Rows(states)
-            assert rows._work.flat
-            div_h, div_q = _flux_divergence(rows, rows._work)
+            rows = _Rows.of(states)
+            assert rows.bed.flat
+            div_h, div_q = rows.bed.stack(k)._divergence(rows.a)
             for r, state in enumerate(states):
                 ref_h, ref_q, scale = reference_divergence(state)
                 # relative to the row's largest interface flux
@@ -444,7 +443,7 @@ class TestFlatBedForm:
     def test_still_water_on_a_raised_bed_stays_still(self, profile, bc):
         grid = Grid1D(40, 0.0, 1.0, bc)
         state = lake_at_rest_state(grid, np.full(40, 0.7), eta=2.0, profile=profile)
-        assert state._work.flat
+        assert state._bed.flat
         h0 = state.h.copy()
         for _ in range(30):
             state = sv_forward_step(state, sv_cfl(state, 0.0))
@@ -460,7 +459,7 @@ class TestFlatBedForm:
         z_b = np.where(grid.centers < 0.5, 0.0, 0.2)
         h = np.maximum(0.0, 0.5 - z_b) * rng.uniform(0.5, 1.5, n)
         state = SWState(h, h * rng.uniform(-1.0, 1.0, n), z_b, grid, profile)
-        assert not state._work.flat
+        assert not state._bed.flat
         for _ in range(5):
             dt = sv_cfl(state, 0.0)
             want = reference_step(state, dt)
@@ -583,10 +582,10 @@ class TestNonFiniteRefused:
     def test_settle_rejects_an_infinite_depth(self):
         # the floor -1e-13 max(1, max h) let +inf through as it was
         with pytest.raises(FloatingPointError, match="infinite depth after update"):
-            _settle(np.array([[1.0, math.inf]]), np.zeros((1, 2)))
+            _settle(np.array([[1.0, math.inf]]), np.zeros((1, 2)), np.empty((1, 2), bool))
         stack = np.array([[1.0, 2.0], [1.0, math.inf]])  # the second of two rows
         with pytest.raises(FloatingPointError, match="infinite depth after update"):
-            _settle(stack, np.zeros((2, 2)))
+            _settle(stack, np.zeros((2, 2)), np.empty((2, 2), bool))
 
     def test_nan_time_step_fails_cfl_check(self):
         state = flat_state(np.ones(10))
