@@ -3,8 +3,9 @@
 Each case is a shipped fixture with key edits, run through ``run_twin`` or
 ``sweep_lambda``.  The record keeps, for every array a case yields (error
 series, time steps, final states, energies, sweep points), its SHA-256 and a
-float summary (size, sum, sum of |x|, min, max, last value), and for a case
-that raises, its exception type and text.
+float summary (shape, NaN count, and over the other entries sum, sum of |x|,
+min and max; the last value), and for a case that raises, its exception
+type and text.
 
     python tests/record.py --check   # compare with tests/record.json
     python tests/record.py --write   # re-record (an output change)
@@ -16,7 +17,7 @@ on any difference.  Run it from the root of a checkout; it imports kinassim
 from ``src``.
 
 This file is not collected by pytest (its name does not start with
-``test_``): a full run takes about 35 s on a 2-core host.
+``test_``): a full run takes under a minute on a 2-core host.
 """
 from __future__ import annotations
 
@@ -152,15 +153,20 @@ def arrays_of(kind: str, fixture: str, edits: dict, gains) -> dict:
 
 
 def summary(a: np.ndarray) -> dict:
+    """The array's shape, SHA-256 and float summary; NaN entries (such as
+    ``recorded_dt`` at t = 0) are counted, and the sums and extremes are
+    taken over the others."""
     a = np.ascontiguousarray(a, dtype=float)
     flat = a.ravel()
+    values = flat[~np.isnan(flat)]
     return {
         "shape": list(a.shape),
         "sha256": hashlib.sha256(a.tobytes()).hexdigest(),
-        "sum": float(np.sum(flat)),
-        "abs_sum": float(np.sum(np.abs(flat))),
-        "min": float(np.min(flat)) if flat.size else None,
-        "max": float(np.max(flat)) if flat.size else None,
+        "nan": int(flat.size - values.size),
+        "sum": float(np.sum(values)),
+        "abs_sum": float(np.sum(np.abs(values))),
+        "min": float(np.min(values)) if values.size else None,
+        "max": float(np.max(values)) if values.size else None,
         "last": float(flat[-1]) if flat.size else None,
     }
 
@@ -208,8 +214,9 @@ def differences(name: str, want: dict, got: dict, exact: bool) -> list[str]:
             if w["sha256"] != g["sha256"] or w["shape"] != g["shape"]:
                 out.append(f"{name} {key}: sha256 differs")
             continue
-        if w["shape"] != g["shape"]:
-            out.append(f"{name} {key}: shape {w['shape']} -> {g['shape']}")
+        if (w["shape"], w["nan"]) != (g["shape"], g["nan"]):
+            out.append(f"{name} {key}: shape {w['shape']} -> {g['shape']}, "
+                       f"NaN entries {w['nan']} -> {g['nan']}")
             continue
         abs_sum = w["abs_sum"]
         scale = max(abs_sum, g["abs_sum"])
