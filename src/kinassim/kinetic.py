@@ -222,18 +222,18 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None, t
 
     ``take`` supplies the buffers of every intermediate and result (a step's
     work buffers, of the broadcast shape), ``c`` among them: the call
-    overwrites it, and h and u must then be float arrays.  ``terms`` is then
+    overwrites it, and h and u must then be float arrays, h of c's shape.  ``terms`` is then
     a (2 max(powers) + 1, ...) buffer of that shape for the recurrence.  By
     default the buffers are fresh and ``c`` is copied.
     """
     kmax = max(powers)
     if take is None:
-        h = np.asarray(h, dtype=float)
         u = np.asarray(u, dtype=float)
         take = _fresh_buffers(h, u, c, positive)
         c = np.positive(c, out=take())  # a copy to overwrite
+        h = np.broadcast_to(np.asarray(h, dtype=float), c.shape)  # as the mask of c
         terms = np.empty((2 * kmax + 1,) + c.shape)
-    np.copyto(c, 1.0, where=h <= 0.0)
+    np.putmask(c, h <= 0.0, 1.0)
     m = kmax + 1
     t, scratch = terms[:m], terms[m:]
     _PARTIAL[profile](np.divide(u, c, out=take()), kmax, take, t)

@@ -531,8 +531,7 @@ def _settle(h: np.ndarray, q: np.ndarray, dry: np.ndarray) -> None:
                 if top_r == math.inf:
                     raise FloatingPointError("infinite depth after update")
     np.maximum(h, 0.0, out=h)
-    np.less(h, DRY_DEPTH, out=dry)
-    np.copyto(q, 0.0, where=dry)
+    np.putmask(q, np.less(h, DRY_DEPTH, out=dry), 0.0)
 
 
 def _per_row(values, k: int) -> list[float]:
