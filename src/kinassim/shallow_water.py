@@ -336,9 +336,7 @@ class _Stack:
             return self._flat_divergence()
         take = self._take()
         h_cells, u = self.sides
-        h = np.add(h_cells, self.z_cells, out=take())
-        np.subtract(h, self.z_int, out=h)
-        np.maximum(0.0, h, out=h)
+        h = _reconstruct(h_cells, self.z_cells, self.z_int, take())
         f = _interface_flux(h, h_cells, u, bed.profile, bed.g, take, self.terms, self.fluxes)
         # f_h[i+1] - f_h[i], and f_q from the left side of i+1 less f_q from
         # the right side of i
@@ -434,12 +432,17 @@ def hydrostatic_reconstruct(state: SWState) -> InterfaceReconstruction:
     """Interface depths limited by the higher of the two neighbouring bottoms,
     truncated at zero so reconstructed depths stay admissible.  ``h_cells``
     is a read-only view of the depths with their ghost cells."""
-    z_cells, z_int = state._bed.z_pairs
     h_cells = _sides(_ghosted(state.h, state.grid.bc))
-    h_sides = np.add(h_cells, z_cells)
-    np.subtract(h_sides, z_int, out=h_sides)
-    np.maximum(0.0, h_sides, out=h_sides)
-    return InterfaceReconstruction(h_sides, h_cells)
+    return InterfaceReconstruction(_reconstruct(h_cells, *state._bed.z_pairs), h_cells)
+
+
+def _reconstruct(h_cells: np.ndarray, z_cells: np.ndarray, z_int: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """max(0, H + z - z_int) on both sides of every interface, from the
+    cell depths and beds either side, into ``out`` when given."""
+    h = np.add(h_cells, z_cells, out=out)
+    np.subtract(h, z_int, out=h)
+    return np.maximum(0.0, h, out=h)
 
 
 def sv_interface_flux(
