@@ -1,7 +1,9 @@
 """The output record: what a fixed set of twin runs and sweeps produce.
 
 Each case is a shipped fixture with key edits, run through ``run_twin`` or
-``sweep_lambda``.  The record keeps, for every array a case yields (error
+``sweep_lambda``, or a fixture's states stepped through the public
+Saint-Venant calls (``sv_forward_step``, ``sv_observer_step``,
+``sv_interface_flux`` and ``sv_cfl``).  The record keeps, for every array a case yields (error
 series, time steps, final states, energies, sweep points), its SHA-256 and a
 float summary (shape, NaN count, and over the other entries sum, sum of |x|,
 min and max; the last value), and for a case that raises, its exception
@@ -41,6 +43,15 @@ import numpy as np  # noqa: E402
 
 from kinassim import run_twin, sweep_lambda  # noqa: E402
 from kinassim.config import fixture_path, parse_config  # noqa: E402
+from kinassim.shallow_water import (  # noqa: E402
+    _ghosted,
+    _sides,
+    hydrostatic_reconstruct,
+    sv_cfl,
+    sv_forward_step,
+    sv_interface_flux,
+    sv_observer_step,
+)
 
 RECORD = Path(__file__).resolve().parent / "record.json"
 REL_TOL = 1e-12
@@ -85,8 +96,13 @@ def observer_mode(mode: str) -> dict:
     return edits
 
 
+PUBLIC_STEPS = 20
+PUBLIC_LAMBDA = 10.0
+
+
 def cases() -> dict:
-    """name -> (kind, fixture, edits, gains): kind "twin" or "sweep"."""
+    """name -> (kind, fixture, edits, gains): kind "twin", "sweep" or
+    "public" (then gains names the public call, see ``public_arrays``)."""
     out = {}
     for fixture in FIXTURES:
         modes = OBSERVER_MODES if fixture in BURGERS else (None,)
@@ -113,6 +129,15 @@ def cases() -> dict:
         **observer_mode("macroscopic"), ("observer", "value"): 2.0}, None)
     out["thacker/every_step_t3"] = ("twin", "thacker", {
         ("gain", "temporal"): "every_step", ("model", "t_final"): 3.0}, None)
+    for temporal in ("interpolated", "at_observation_times"):
+        # observation times 0.001 apart, closer than a truth step (about 0.004)
+        out[f"thacker/dense_observations/{temporal}"] = ("twin", "thacker", {
+            ("gain", "temporal"): temporal, ("observations", "every"): 0.001,
+            ("model", "t_final"): 0.3}, None)
+    for fixture in ("thacker", "dam_break"):
+        for call in ("forward", "observer", "observer_window"):
+            out[f"{fixture}/public_{call}"] = ("public", fixture, {}, call)
+    out["thacker/public_interface_flux"] = ("public", "thacker", {}, "interface_flux")
     for fixture in ("thacker", "thacker_noisy"):  # criterion 9
         out[f"{fixture}/sweep"] = ("sweep", fixture, {}, [1.0, 3.0, 10.0, 30.0, 100.0])
     for eps in (0.05, 0.02, 0.005):  # criterion 8
@@ -130,8 +155,48 @@ def state_arrays(prefix: str, state) -> dict:
     return {f"{prefix}.values": state.values}  # a kinetic field
 
 
+def public_arrays(config, call: str) -> dict:
+    """``PUBLIC_STEPS`` public calls on the fixture's states.
+
+    "forward" steps the truth at its ``sv_cfl`` bound; "observer" and
+    "observer_window" step the observer at gain ``PUBLIC_LAMBDA`` toward the
+    mirrored depth of that forward truth, observed everywhere or on the
+    middle third of the cells only (NaN elsewhere), at the smaller bound of
+    the two states.  Each records the depths, discharges and steps, and
+    ``sv_cfl`` at lambda 0 and ``PUBLIC_LAMBDA`` on every state it passes.
+    "interface_flux" is the reconstructed flux of the forward truth after
+    the steps."""
+    truth, observer = config.truth_state, config.observer_state
+    n = truth.grid.n_cells
+    window = np.full(n, np.nan)
+    window[n // 3:2 * n // 3] = 1.0
+    stepped = truth if call in ("forward", "interface_flux") else observer
+    h, q, dts, cfl = [stepped.h], [stepped.q], [], []
+    for _ in range(PUBLIC_STEPS):
+        cfl.append([sv_cfl(s, lam) for s in (truth, observer) for lam in (0.0, PUBLIC_LAMBDA)])
+        if stepped is truth:
+            dt = sv_cfl(truth, 0.0)
+            truth = stepped = sv_forward_step(truth, dt)
+        else:
+            dt = min(sv_cfl(truth, PUBLIC_LAMBDA), sv_cfl(observer, PUBLIC_LAMBDA))
+            obs = truth.h[::-1] * (window if call == "observer_window" else 1.0)
+            observer = stepped = sv_observer_step(observer, obs, PUBLIC_LAMBDA, dt)
+            truth = sv_forward_step(truth, dt)
+        h.append(stepped.h)
+        q.append(stepped.q)
+        dts.append(dt)
+    if call == "interface_flux":
+        rec = hydrostatic_reconstruct(truth)
+        u = _sides(_ghosted(truth.velocity, truth.grid.bc, -1.0))
+        f_h, f_q_left, f_q_right = sv_interface_flux(rec, u[0], u[1], truth.profile, truth.g)
+        return {"f_h": f_h, "f_q_left": f_q_left, "f_q_right": f_q_right}
+    return {"h": np.array(h), "q": np.array(q), "dt": np.array(dts), "sv_cfl": np.array(cfl)}
+
+
 def arrays_of(kind: str, fixture: str, edits: dict, gains) -> dict:
     config = load(fixture, edits)
+    if kind == "public":
+        return public_arrays(config, gains)
     if kind == "sweep":
         points = sweep_lambda(config, gains)
         failed = [p.failed for p in points if p.failed is not None]
