@@ -417,8 +417,7 @@ class _SWLane(_Lane):
 
     def bound(self, rows) -> float:
         """``sv_cfl`` of the row at the lane's gain and safety."""
-        dx = rows.bed.dx
-        return self.safety * dx / (self.lam_cfl * dx + rows.speed[0])
+        return rows.bed.bound(rows.speed[0], self.lam_cfl, self.safety)
 
     def cfl(self, rows, obs=None) -> float:
         """``bound``, tightened by the wave speed of the observed depth
@@ -441,8 +440,7 @@ class _SWLane(_Lane):
         np.add(np.abs(rows.a[2, 0]), speed, out=speed)
         top = np.maximum.reduce(speed, axis=None, where=wet, initial=-math.inf)
         if top > -math.inf:  # some cell is wet
-            dx = bed.dx
-            bound = min(bound, self.safety * dx / (self.lam_cfl * dx + float(top)))
+            bound = min(bound, bed.bound(float(top), self.lam_cfl, self.safety))
         return bound
 
     def step(self, rows, dt, lams=None, terms=None):

@@ -123,8 +123,8 @@ def step_kinetic_burgers(
     xi = f.xi.nodes
     dx = f.grid.dx
     bound = burgers_cfl(dx, max(f.xi.speed_sup, 1e-300), safety=1.0)
-    if dt > bound * _CFL_TOL:
-        raise ValueError(f"dt={dt:g} violates the CFL bound {bound:g}")
+    if not 0.0 <= dt <= bound * _CFL_TOL:  # a NaN dt fails too
+        raise ValueError(f"dt={dt:g} violates the CFL bound 0 <= dt <= {bound:g}")
     fp = _pad(f.values, f.grid.bc, axis=-2)
     div = np.where(
         xi >= 0.0,
@@ -148,8 +148,8 @@ def step_kinetic_linear(
     """Upwind transport at a single fixed velocity, then exact relaxation
     toward a kinetic observation field (NaN marks unobserved cells).
     ``lam`` may be a scalar or a per-cell array (space-masked gain)."""
-    if dt * abs(speed) / grid.dx > _CFL_TOL:
-        raise ValueError("dt violates the CFL bound for the linear step")
+    if not (0.0 <= dt and dt * abs(speed) / grid.dx <= _CFL_TOL):
+        raise ValueError(f"dt={dt:g} violates the CFL bound for the linear step")
     fp = _pad(f, grid.bc)
     if speed >= 0.0:
         div = speed * (fp[..., 1:-1] - fp[..., :-2])
@@ -184,8 +184,9 @@ def step_macroscopic_burgers(
     """Engquist-Osher step, then exact relaxation toward ``obs_u``."""
     u = np.asarray(u, dtype=float)
     u_sup = float(np.max(np.abs(u)))
-    if u_sup > 0.0 and dt > burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL:
-        raise ValueError("dt violates the CFL bound for the macroscopic step")
+    if not 0.0 <= dt or (u_sup > 0.0
+                         and not dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL):
+        raise ValueError(f"dt={dt:g} violates the CFL bound for the macroscopic step")
     return _conservative_step(
         u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])
     )
@@ -215,8 +216,8 @@ def step_collapse_macroscopic(
     cell keeps its own value u.
     """
     u = np.asarray(u, dtype=float)
-    if dt > burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL:
-        raise ValueError("dt violates the CFL bound for the collapsed step")
+    if not 0.0 <= dt <= burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL:
+        raise ValueError(f"dt={dt:g} violates the CFL bound for the collapsed step")
     inner, intercept, slope = xi.flux_table
     lo, hi = xi.xi_min, xi.xi_max
 

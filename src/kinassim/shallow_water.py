@@ -27,14 +27,15 @@ discharges and velocities, with the k wave speeds beside it.  A step writes
 the successors of its rows into one fresh array and computes their
 velocities and wave speeds once on it; the ghost cells, the update and the
 nudging source each act on two fields of every row in one call, and the
-settle checks all rows at once.  Each row equals its one-row step bit for bit, and the CFL check, the settle
-floor and the wave speed are per row.  ``sv_forward_step`` and
-``sv_observer_step`` take one state or a sequence of k states, with one dt
-and one gain per row, and return states; the twin driver carries rows from
-step to step and builds states only where it hands them out.
+settle checks all rows at once.  Each row equals its one-row step bit for
+bit, and the CFL check, the settle floor and the wave speed are per row.
+``sv_forward_step`` and ``sv_observer_step`` take one state and return its
+successor, a step of one row; the twin driver carries rows from step to step
+and builds states only where it hands them out.
 
 What the steps on one bathymetry share is a ``_Bed``: the bed's interface
-pairs, whether it is flat, and per stack size k a ``_Stack`` built once:
+pairs, whether it is flat, its CFL bound formula, and per stack size k a
+``_Stack`` built once:
 its ghost-cell buffer and the interface view of it, its flux buffers, and
 its sigma and gain columns, written in place on every step.  Rows made by a
 step keep their bed; states stacked together share the first one's from then
@@ -223,7 +224,8 @@ class _Bed:
     """What the steps of states on one grid, bathymetry, profile and g share:
     the bed's interface pairs with z_int = max(z_L, z_R), whether it is flat
     (every bed entry exactly equal: the reconstruction is then the
-    identity), the wave-speed constants, and one ``_Stack`` per stack size."""
+    identity), the wave-speed constants, the CFL bound, and one ``_Stack``
+    per stack size."""
 
     def __init__(self, state: SWState):
         grid, z_b = state.grid, state.z_b
@@ -244,6 +246,12 @@ class _Bed:
             z_cells = _sides(_ghosted(self.z_b, self.bc))
             self._z = z_cells, np.maximum(z_cells[0], z_cells[1])
         return self._z
+
+    def bound(self, speed: float, lam: float = 0.0, safety: float = 1.0) -> float:
+        """The CFL bound safety dx / (lam dx + speed) of a row of wave speed
+        ``speed`` at gain ``lam``."""
+        dx = self.dx
+        return safety * dx / (lam * dx + speed)
 
     def stack(self, k: int) -> _Stack:
         stack = self._stacks.get(k)
@@ -301,9 +309,9 @@ class _Stack:
         sigma, lam_dt = self.sigma, self.lam_dt
         for r in range(k):
             lam_r, dt_r = (0.0 if dh is None else lam[r]), dt[r]
-            bound = dx / (lam_r * dx + speed[r])
-            if not dt_r <= bound * _CFL_TOL:  # a NaN dt or bound fails too
-                raise ValueError(f"dt={dt_r:g} violates the CFL bound {bound:g}")
+            bound = bed.bound(speed[r], lam_r)
+            if not 0.0 <= dt_r <= bound * _CFL_TOL:  # a NaN dt or bound fails too
+                raise ValueError(f"dt={dt_r:g} violates the CFL bound 0 <= dt <= {bound:g}")
             sigma[r, 0] = dt_r / dx
             lam_dt[r, 0] = lam_r * dt_r
         new = np.empty((3, k, bed.n))
@@ -337,7 +345,7 @@ class _Stack:
         take = self._take()
         h_cells, u = self.sides
         h = _reconstruct(h_cells, self.z_cells, self.z_int, take())
-        f = _interface_flux(h, h_cells, u, bed.profile, bed.g, take, self.terms, self.fluxes)
+        f = sv_interface_flux(h, h_cells, u, bed.profile, bed.g, take, self.terms, self.fluxes)
         # f_h[i+1] - f_h[i], and f_q from the left side of i+1 less f_q from
         # the right side of i
         return np.subtract(f[0:2, :, 1:], f[0::2, :, :-1], out=self.div)
@@ -445,14 +453,14 @@ def _reconstruct(h_cells: np.ndarray, z_cells: np.ndarray, z_int: np.ndarray,
     return np.maximum(0.0, h, out=h)
 
 
-def sv_interface_flux(
-    rec: InterfaceReconstruction,
-    u_left: np.ndarray,
-    u_right: np.ndarray,
-    profile: ChiProfile,
-    g: float = GRAVITY,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kinetic interface fluxes (mass, momentum-left, momentum-right).
+def sv_interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile: ChiProfile,
+                      g: float = GRAVITY, take=None, terms: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Kinetic interface fluxes on the reconstructed depths ``h``, the cell
+    depths ``h_cells`` and the velocities ``u`` of the left (row 0) and right
+    (row 1) sides of every interface (float arrays, (2, ...) each; see
+    ``hydrostatic_reconstruct``): the mass flux, then the momentum flux of
+    the left and of the right side, as the rows of one (3, ...) array.
 
     Both sides of every interface go through one partial-moment evaluation,
     which yields the mass (power 1) and momentum (power 2) half-line moments.
@@ -461,27 +469,18 @@ def sv_interface_flux(
     written on the interface depths it is the usual g dz/2 (H_cell + H_rec)
     topography term, but this form stays exactly balanced for still water
     even when the nonnegativity truncation is active at a wet/dry front.
-    The results are fresh arrays.
-    """
-    u = np.empty_like(rec.h_sides)
-    u[0], u[1] = u_left, u_right
-    out = np.empty((3,) + u.shape[1:])
-    _interface_flux(rec.h_sides, rec.h_cells, u, profile, g, _fresh_buffers(u),
-                    np.empty((5,) + u.shape), out)
-    return out[0], out[1], out[2]
-
-
-def _interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile: ChiProfile,
-                    g: float, take, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sv_interface_flux`` on the reconstructed depths ``h``, the cell
-    depths ``h_cells`` and the velocities ``u`` of the left (row 0) and right
-    (row 1) sides of every interface, written into ``out``: the mass flux,
-    then the momentum flux of the left and of the right side.
 
     Every operation acts entry by entry, so the interfaces of k rows go
-    through as one (2, k, n+1) stack.  ``take`` supplies buffers of that
-    shape for every intermediate, and ``terms`` the kernel's (5, ...) stack.
+    through as one (2, k, n+1) stack.  ``take`` supplies buffers of h's shape
+    for every intermediate, ``terms`` the kernel's (5, ...) stack and ``out``
+    the result; each is fresh by default.
     """
+    if take is None:
+        take = _fresh_buffers(h)
+    if terms is None:
+        terms = np.empty((5,) + h.shape)
+    if out is None:
+        out = np.empty((3,) + h.shape[1:])
     c = np.multiply(0.5 * g, h, out=take())  # halving g is exact: the bits of g h / 2
     np.sqrt(c, out=c)
     mass, momentum = upwind_mass_momentum(profile, h, u, c, UPWIND_SIDES, take=take,
@@ -495,6 +494,11 @@ def _interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile: 
     return out
 
 
+def _check_gain(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"gain lam must be nonnegative and finite, got {lam!r}")
+
+
 def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
     """Stable time step min_i dx / (lam dx + |u_i| + w_chi c_i) over wet cells.
 
@@ -503,12 +507,10 @@ def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
     An entirely dry state falls back to the gravity-wave speed of the dry
     threshold depth.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    _check_gain(lam)
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    dx = state.grid.dx
-    return safety * dx / (lam * dx + state.max_wave_speed)
+    return state._bed.bound(state.max_wave_speed, lam, safety)
 
 
 def _settle(h: np.ndarray, q: np.ndarray, dry: np.ndarray) -> None:
@@ -537,71 +539,30 @@ def _settle(h: np.ndarray, q: np.ndarray, dry: np.ndarray) -> None:
     np.putmask(q, np.less(h, DRY_DEPTH, out=dry), 0.0)
 
 
-def _per_row(values, k: int) -> list[float]:
-    """``values``, one per row of k or one for all of them, as k floats."""
-    if isinstance(values, (int, float, np.number)):
-        return [float(values)] * k
-    values = [float(v) for v in values]
-    if len(values) != k:
-        raise ValueError(f"{len(values)} values for a stack of {k} rows")
-    return values
+def sv_forward_step(state: SWState, dt: float) -> SWState:
+    """One conservative step of the forward (unassimilated) scheme."""
+    return _Rows.of((state,)).step((dt,)).state(0)
 
 
-def sv_forward_step(state, dt):
-    """One conservative step of the forward (unassimilated) scheme.
-
-    ``state`` is one state, or a sequence of k states on one bathymetry
-    stepped as one (k, n) update into a list of k successors; ``dt`` is then
-    one step per row, or one for all of them.  Each row equals its one-row
-    step bit for bit.
-    """
-    if isinstance(state, SWState):
-        return _Rows.of((state,)).step((dt,)).state(0)
-    rows = _Rows.of(state)
-    k = len(rows.speed)
-    new = rows.step(_per_row(dt, k))
-    return [new.state(r) for r in range(k)]
-
-
-def sv_observer_step(
-    state,
-    obs_h: np.ndarray | None,
-    lam,
-    dt,
-    dh: np.ndarray | None = None,
-):
-    """Transport step plus the nudging source of a depth observation.
+def sv_observer_step(state: SWState, obs_h: np.ndarray, lam: float, dt: float) -> SWState:
+    """Transport step plus the nudging source of a depth observation at the
+    nonnegative finite gain ``lam``.
 
     ``obs_h`` holds the observed depth per cell with NaN marking cells
     outside the observation mask; masked cells receive no source.  The source
     is applied in the same explicit update as the transport, matching the
     convex-combination structure that yields the discrete energy inequality.
-
-    ``dh`` replaces the depth innovation obs_h - H (``obs_h`` is then
-    ignored): the twin driver passes the weighted mean of its innovation
-    terms (under the mollified gain, several, each against the observer's
-    depth at its observation time), with ``lam`` the gain times their total
-    weight.
-
-    ``state`` may be a sequence of k states stepped as one (k, n) update, as
-    in ``sv_forward_step``, with ``lam`` and ``dt`` one per row or one for
-    all; ``obs_h`` and ``dh`` are one field for all rows or one per row.  A
-    row at gain 0 takes the forward step (up to the sign of a zero).
+    At gain 0 the step is the forward step (up to the sign of a zero).
     """
-    single = isinstance(state, SWState)
-    rows = _Rows.of((state,) if single else state)
-    k = len(rows.speed)
-    if dh is None:
-        obs_h = np.asarray(obs_h, dtype=float)
-        observed = np.isfinite(obs_h)
-        if (observed & (obs_h < 0.0)).any():
-            raise ValueError("observed depths must be nonnegative")
-        dh = np.subtract(obs_h, rows.a[0])
-        np.copyto(dh, 0.0, where=~observed)
-    if single:
-        return rows.step((dt,), (lam,), dh).state(0)
-    new = rows.step(_per_row(dt, k), _per_row(lam, k), dh)
-    return [new.state(r) for r in range(k)]
+    _check_gain(lam)
+    rows = _Rows.of((state,))
+    obs_h = np.asarray(obs_h, dtype=float)
+    observed = np.isfinite(obs_h)
+    if (observed & (obs_h < 0.0)).any():
+        raise ValueError("observed depths must be nonnegative")
+    dh = np.subtract(obs_h, rows.a[0])
+    np.copyto(dh, 0.0, where=~observed)
+    return rows.step((dt,), (lam,), dh).state(0)
 
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:

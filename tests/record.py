@@ -44,8 +44,6 @@ import numpy as np  # noqa: E402
 from kinassim import run_twin, sweep_lambda  # noqa: E402
 from kinassim.config import fixture_path, parse_config  # noqa: E402
 from kinassim.shallow_water import (  # noqa: E402
-    _ghosted,
-    _sides,
     hydrostatic_reconstruct,
     sv_cfl,
     sv_forward_step,
@@ -187,8 +185,11 @@ def public_arrays(config, call: str) -> dict:
         dts.append(dt)
     if call == "interface_flux":
         rec = hydrostatic_reconstruct(truth)
-        u = _sides(_ghosted(truth.velocity, truth.grid.bc, -1.0))
-        f_h, f_q_left, f_q_right = sv_interface_flux(rec, u[0], u[1], truth.profile, truth.g)
+        u = truth.velocity
+        u = np.concatenate([-u[:1], u, -u[-1:]])  # the wall ghosts mirror u
+        f_h, f_q_left, f_q_right = sv_interface_flux(rec.h_sides, rec.h_cells,
+                                                     np.stack([u[:-1], u[1:]]),
+                                                     truth.profile, truth.g)
         return {"f_h": f_h, "f_q_left": f_q_left, "f_q_right": f_q_right}
     return {"h": np.array(h), "q": np.array(q), "dt": np.array(dts), "sv_cfl": np.array(cfl)}
 

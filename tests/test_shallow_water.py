@@ -35,6 +35,12 @@ G = 9.81
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
 
 
+def innovation_step(state, dh, lam, dt):
+    """The observer step by the given depth innovation ``dh`` in place of
+    obs_h - H: the one row of ``_Rows.step``."""
+    return _Rows.of((state,)).step((dt,), (lam,), dh).state(0)
+
+
 def wall_grid(n, length=1.0):
     return Grid1D(n, 0.0, length, BoundaryKind.REFLECTIVE_WALL)
 
@@ -77,7 +83,8 @@ class TestInterfaceFlux:
     def test_dry_interface(self):
         state = flat_state([0.0, 0.0])
         rec = hydrostatic_reconstruct(state)
-        f_h, f_q_l, f_q_r = sv_interface_flux(rec, np.zeros(3), np.zeros(3), state.profile)
+        f_h, f_q_l, f_q_r = sv_interface_flux(rec.h_sides, rec.h_cells, np.zeros((2, 3)),
+                                              state.profile)
         np.testing.assert_allclose([f_h, f_q_l, f_q_r], 0.0)
 
     @pytest.mark.parametrize("profile", PROFILES)
@@ -85,7 +92,7 @@ class TestInterfaceFlux:
         h = 1.3
         state = flat_state([h, h], profile=profile)
         rec = hydrostatic_reconstruct(state)
-        f_h, f_q_l, f_q_r = sv_interface_flux(rec, np.zeros(3), np.zeros(3), profile)
+        f_h, f_q_l, f_q_r = sv_interface_flux(rec.h_sides, rec.h_cells, np.zeros((2, 3)), profile)
         np.testing.assert_allclose(f_h, 0.0, atol=1e-14)
         np.testing.assert_allclose(f_q_l, G * h * h / 2.0, rtol=1e-12)
         np.testing.assert_allclose(f_q_r, G * h * h / 2.0, rtol=1e-12)
@@ -100,7 +107,7 @@ class TestInterfaceFlux:
         state = SWState(h, h * u, np.zeros(2), grid, profile)
         rec = hydrostatic_reconstruct(state)
         f_h, f_q_l, f_q_r = sv_interface_flux(
-            rec, np.array([-u[0], u[0], u[1]]), np.array([u[0], u[1], -u[1]]),
+            rec.h_sides, rec.h_cells, np.array([[-u[0], u[0], u[1]], [u[0], u[1], -u[1]]]),
             profile,
         )
         c = np.sqrt(G * h / 2.0)
@@ -243,9 +250,18 @@ class TestObserverStep:
         dt = sv_cfl(state, 4.0)
         dh = np.where(np.isfinite(obs_h), obs_h - state.h, 0.0)
         direct = sv_observer_step(state, obs_h, 4.0, dt)
-        given = sv_observer_step(state, None, 4.0, dt, dh=dh)
+        given = innovation_step(state, dh, 4.0, dt)
         np.testing.assert_array_equal(given.h, direct.h)
         np.testing.assert_array_equal(given.q, direct.q)
+
+    @pytest.mark.parametrize("lam", [-5.0, math.nan, math.inf])
+    def test_bad_gain_rejected_by_name(self, lam):
+        # -5 was accepted, and NaN refused only as "violates the CFL bound nan"
+        state = flat_state(np.ones(10))
+        with pytest.raises(ValueError, match="gain lam must be nonnegative and finite"):
+            sv_observer_step(state, np.ones(10), lam, 1e-4)
+        with pytest.raises(ValueError, match="gain lam must be nonnegative and finite"):
+            sv_cfl(state, lam)
 
     def test_negative_observation_rejected(self):
         state = flat_state(np.ones(10))
@@ -379,7 +395,7 @@ class TestFusedStepMatchesReference:
             np.testing.assert_array_equal(got.h, want[0])
             np.testing.assert_array_equal(got.q, want[1])
             want = reference_step(state, dt, lam, dh_given)
-            given = sv_observer_step(state, None, lam, dt, dh=dh_given)
+            given = innovation_step(state, dh_given, lam, dt)
             np.testing.assert_array_equal(given.h, want[0])
             np.testing.assert_array_equal(given.q, want[1])
             state = got
@@ -393,7 +409,8 @@ def reference_divergence(state):
         ux = np.concatenate([-u[:1], u, -u[-1:]])
     else:
         ux = np.concatenate([u[-1:], u, u[:1]])
-    fluxes = sv_interface_flux(hydrostatic_reconstruct(state), ux[:-1], ux[1:],
+    rec = hydrostatic_reconstruct(state)
+    fluxes = sv_interface_flux(rec.h_sides, rec.h_cells, np.stack([ux[:-1], ux[1:]]),
                                state.profile, state.g)
     f_h, f_q_left, f_q_right = fluxes
     return f_h[1:] - f_h[:-1], f_q_left[1:] - f_q_right[:-1], max(np.max(np.abs(f)) for f in fluxes)
@@ -480,7 +497,7 @@ def stepper(kind, lam=6.0):
             obs_h[10:45] = state.h[10:45] * 1.2 + 0.01
             return sv_observer_step(state, obs_h, lam, dt)
         dh = 0.3 * state.h * np.cos(2.0 * np.pi * state.grid.centers)
-        return sv_observer_step(state, None, lam, dt, dh=dh)
+        return innovation_step(state, dh, lam, dt)
 
     return step
 
@@ -597,7 +614,7 @@ class TestNonFiniteRefused:
         dh = np.zeros(10)
         dh[4] = np.nan
         with pytest.raises(FloatingPointError, match="depth nan"):
-            sv_observer_step(state, None, 1.0, 0.5 * sv_cfl(state, 1.0), dh=dh)
+            innovation_step(state, dh, 1.0, 0.5 * sv_cfl(state, 1.0))
 
 
 class TestEnergyBudget:
