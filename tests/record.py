@@ -1,7 +1,8 @@
 """The output record: what a fixed set of twin runs and sweeps produce.
 
-Each case is a shipped fixture with key edits, run through ``run_twin`` or
-``sweep_lambda``, or a fixture's states stepped through the public
+Each case is a shipped fixture with key edits, run through ``run_twin`` (its
+loaded configuration edited further by a function where the keys cannot say
+it) or ``sweep_lambda``, or a fixture's states stepped through the public
 Saint-Venant calls (``sv_forward_step``, ``sv_observer_step``,
 ``sv_interface_flux`` and ``sv_cfl``).  The record keeps, for every array a case yields (error
 series, time steps, final states, energies, sweep points), its SHA-256 and a
@@ -94,13 +95,24 @@ def observer_mode(mode: str) -> dict:
     return edits
 
 
+def dividing(config):
+    """The Engquist-Osher observer of ``config`` with an unobserved pulse of
+    height 3 ahead of the observed window [0, 0.5]: its bound is about a
+    third of the truth's, so it divides every truth step."""
+    x = config.grid.centers
+    config.observer_u0 = config.observer_u0 + np.where((x >= 0.55) & (x <= 0.7), 3.0, 0.0)
+    config.obs_mask = (0.0, 0.5)
+    return config
+
+
 PUBLIC_STEPS = 20
 PUBLIC_LAMBDA = 10.0
 
 
 def cases() -> dict:
-    """name -> (kind, fixture, edits, gains): kind "twin", "sweep" or
-    "public" (then gains names the public call, see ``public_arrays``)."""
+    """name -> (kind, fixture, edits, extra): kind "twin" (extra None, or a
+    function that edits the loaded configuration), "sweep" (extra the gains)
+    or "public" (extra names the public call, see ``public_arrays``)."""
     out = {}
     for fixture in FIXTURES:
         modes = OBSERVER_MODES if fixture in BURGERS else (None,)
@@ -121,6 +133,20 @@ def cases() -> dict:
         ("model", "t_final"): 3.0}, None)
     out["burgers_clean/mollified"] = ("twin", "burgers_clean", {
         ("gain", "temporal"): "mollified", ("gain", "sigma"): 0.04}, None)
+    for lam in (1.0, 10.0):
+        out[f"thacker_noisy/mollified_lambda{lam:g}_t3"] = ("twin", "thacker_noisy", {
+            ("gain", "temporal"): "mollified", ("gain", "sigma"): 0.1, ("gain", "lambda"): lam,
+            ("model", "t_final"): 3.0}, None)
+    mollified = {("gain", "temporal"): "mollified", ("gain", "sigma"): 0.04}
+    for fixture in ("burgers_noisy_eps0002", "burgers_noisy_eps002"):
+        out[f"{fixture}/mollified"] = ("twin", fixture, mollified, None)
+    for mode in ("collapse", "macroscopic"):
+        out[f"burgers_clean/mollified/{mode}"] = ("twin", "burgers_clean", {
+            **mollified, **observer_mode(mode)}, None)
+    for temporal in TEMPORAL:
+        out[f"burgers_clean/dividing_engquist_osher/{temporal}"] = ("twin", "burgers_clean", {
+            **observer_mode("macroscopic"), ("gain", "temporal"): temporal,
+            ("model", "t_final"): 0.3}, dividing)
     out["dam_break/refined_truth_lambda20"] = ("twin", "dam_break", {
         ("gain", "lambda"): 20.0, ("truth", "resolution_factor"): 2}, None)
     out["burgers_clean/engquist_osher_pulse2"] = ("twin", "burgers_clean", {
@@ -194,18 +220,18 @@ def public_arrays(config, call: str) -> dict:
     return {"h": np.array(h), "q": np.array(q), "dt": np.array(dts), "sv_cfl": np.array(cfl)}
 
 
-def arrays_of(kind: str, fixture: str, edits: dict, gains) -> dict:
+def arrays_of(kind: str, fixture: str, edits: dict, extra) -> dict:
     config = load(fixture, edits)
     if kind == "public":
-        return public_arrays(config, gains)
+        return public_arrays(config, extra)
     if kind == "sweep":
-        points = sweep_lambda(config, gains)
+        points = sweep_lambda(config, extra)
         failed = [p.failed for p in points if p.failed is not None]
         if failed:
             raise RuntimeError(f"sweep points failed: {failed}")
         return {"final_l1_rel": np.array([p.final_l1_rel for p in points]),
                 "final_sobolev": np.array([p.final_sobolev for p in points])}
-    result = run_twin(config)
+    result = run_twin(config if extra is None else extra(config))
     errors = result.errors
     out = {f"errors.{name}": getattr(errors, name)
            for name in ("times", "l1_rel", "l1_abs", "l2_abs", "sobolev")}
