@@ -13,12 +13,15 @@ toward the weighted mean of a list of innovation terms, the field it
 observes and is compared on, and the energy (Saint-Venant only).  Every
 temporal mode resolves to such terms (``_GainController.resolve``): one term
 of weight 1 toward the held, interpolated or truth-read target, or one
-kernel-weighted term per observation time under the mollified gain.  The
-Burgers lanes relax exactly toward the mean innovation with one
-``burgers._relax`` on the gap; the Saint-Venant lane adds it as an explicit
-source.  ``_lanes`` builds the truth and observer lanes from the
-configuration.  The truth lane is the observer's scheme at lam = 0, except
-that the BGK observer's truth runs the collapsed lane.
+kernel-weighted term per observation time under the mollified gain.  Every
+term is measured against the observer's current state, so the nudge is the
+BGK relaxation lam W (M_obs - f) toward the weighted mean of the
+observations, W the total weight of the terms.  The Burgers lanes relax
+exactly toward the mean innovation with one ``burgers._relax`` on the
+gap; the Saint-Venant lane adds it as an explicit source.  ``_lanes`` builds
+the truth and observer lanes from the configuration.  The truth lane is the
+observer's scheme at lam = 0, except that the BGK observer's truth runs the
+collapsed lane.
 
 One time loop (``_run_lockstep``) advances both.  The truth leads: before
 the observers take a truth step, the truth has taken it and has passed every
@@ -317,18 +320,11 @@ class _Lane:
         new = self.transport(state, dt)
         if terms is None:
             return new
-        gap, weight = _mean_innovation(self, terms, self.reference(new))
+        gap, weight = _mean_innovation(self, terms, new)
         return _relax(new, gap, _per_row(lams, new) * weight, dt)
 
     def observed(self, state):
         return state
-
-    def reference(self, state):
-        """The field an innovation is measured against."""
-        return self.observed(state)
-
-    def snapshot(self, state):
-        return self.reference(state).copy()
 
     def energy(self, state):
         return None
@@ -350,31 +346,27 @@ class _BGKLane(_Lane):
     def observed(self, state):
         return state @ self.xi.weights
 
-    def reference(self, state):
-        return state
 
-
-def _mean_innovation(lane: _Lane, terms, ref_now):
-    """(sum_k w_k g_k / W, W) over the innovation terms (w_k, obs_k, ref_k),
-    W = sum_k w_k, with g_k = lane.target(obs_k) - ref_k where finite and 0
-    on unobserved cells; a term without a snapshot ref_k is measured against
-    ``ref_now``.
+def _mean_innovation(lane: _Lane, terms, ref):
+    """(sum_k w_k g_k / W, W) over the innovation terms (w_k, obs_k),
+    W = sum_k w_k, with g_k = lane.target(obs_k) - ref where finite and 0
+    on unobserved cells: every term is measured against the one current
+    state ``ref``.
 
     The gaps of several terms are stacked and summed in one call, row after
-    row in the order of the terms, from 0.0; one term of weight 1 without a
-    snapshot (every temporal mode but the mollified gain) is its own gap."""
-    if len(terms) == 1 and terms[0][0] == 1.0 and terms[0][2] is None:
-        gap = np.subtract(lane.target(terms[0][1]), ref_now)
+    row in the order of the terms, from 0.0; one term of weight 1 (every
+    temporal mode but the mollified gain) is its own gap."""
+    if len(terms) == 1 and terms[0][0] == 1.0:
+        gap = np.subtract(lane.target(terms[0][1]), ref)
         gap = np.where(np.isfinite(gap), gap, 0.0)
         return np.add(0.0, gap, out=gap), 1.0  # 0.0 + x: no zero keeps its sign
-    targets = lane.target(np.array([obs for _, obs, _ in terms]))
-    refs = np.array([ref_now if ref is None else ref for _, _, ref in terms])
-    # one target per term against the rows of each reference
-    targets = targets.reshape(targets.shape[:1] + (1,) * (refs.ndim - targets.ndim)
+    targets = lane.target(np.array([obs for _, obs in terms]))
+    # one target per term against every row of the reference
+    targets = targets.reshape(targets.shape[:1] + (1,) * (ref.ndim + 1 - targets.ndim)
                               + targets.shape[1:])
-    gaps = np.subtract(targets, refs)
+    gaps = np.subtract(targets, ref)
     gaps = np.where(np.isfinite(gaps), gaps, 0.0)
-    weights = [w for w, _, _ in terms]
+    weights = [w for w, _ in terms]
     np.multiply(np.reshape(weights, (-1,) + (1,) * (gaps.ndim - 1)), gaps, out=gaps)
     weight = 0.0
     for w in weights:  # in order from 0.0, as the gaps (sum() may compensate)
@@ -665,13 +657,12 @@ class _GainController:
     ``pairs``.
 
     ``resolve`` answers once per window with the innovation terms of
-    ``_Lane.step``, a list of (weight, observed field, snapshot), or None when
-    nothing is observed or no row has a positive gain.  Every temporal mode
-    but the mollified gain resolves one term (1.0, target, None): a target
-    NaN outside the observation window ``obs_mask`` and measured against the
-    observer's current state.  The mollified gain resolves one term per
-    observation time within sigma, its kernel weight and field, measured
-    against the observers' snapshot at that time once they have reached it.
+    ``_Lane.step``, a list of (weight, observed field), or None when nothing
+    is observed or no row has a positive gain.  Every temporal mode but the
+    mollified gain resolves one term (1.0, target): a target NaN outside the
+    observation window ``obs_mask``.  The mollified gain resolves one term
+    per observation time within sigma, its kernel weight and field.  The lane
+    measures every term against the observer's current state.
 
     A target read from the truth trajectory (at-observation-time nudging, and
     every-step nudging without observation times) is the truth state at the
@@ -692,9 +683,9 @@ class _GainController:
     observation time from the start, and each field from the truth step
     that passes its time on (``_Truth.sample_into``).
 
-    Every row of the stack takes the same windows, so the pointer and the
-    mollified snapshots serve all of them: a row with a zero gain is relaxed
-    by nothing where a window fires.
+    Every row of the stack takes the same windows, so one pointer serves all
+    of them: a row with a zero gain is relaxed by nothing where a window
+    fires.
 
     On a lane with a kinetic-velocity grid ``xi``, every target is checked to
     lie on it once, where it is built (``_refuse_saturation``).
@@ -732,13 +723,6 @@ class _GainController:
             self._times = self.times.tolist()
             truth.sample_into(self.series, self._observe)
         self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
-        # mollified observer references by observation time (_taken), one row
-        # per observer; the first _dropped are deleted once the kernel is zero
-        self.snapshots: dict = {}
-        self._taken, self._dropped = 0, 0
-        self._snapshot_times = (
-            self.series.times if self.mollifier is not None and self.series is not None else ()
-        )
 
     def lead(self, n: int) -> bool:
         """Step the truth alone until truth step n has been taken and, on a
@@ -775,36 +759,30 @@ class _GainController:
         step ``step_index``, or None.  The firing check only peeks at the
         pointer; the hold path moves it up to t_lo, which never decreases."""
         times, series = self.times, self.series
+        if not self._gained:
+            return None
         if self.mollifier is not None:
             if series is None:
                 return None
-            pairs = mollified_gain(series, self.mollifier, t_lo)
-            snaps = self.snapshots
-            while self._dropped < self._taken and t_lo - self._times[self._dropped] >= self._reach:
-                del snaps[self._dropped]
-                self._dropped += 1
-            return [(w, f, snaps[k] if k < self._taken else None) for k, w, f in pairs] or None
-        if not self._gained:
-            return None
+            return [(w, f) for _, w, f in mollified_gain(series, self.mollifier, t_lo)] or None
         if series is not None:  # every step, against the sampled series
             if t_lo < times[0] - _TIME_TOL:
                 return None
             if self.config.gain.temporal_mode is TemporalMode.INTERPOLATED:
-                return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])), None)]
-            return [(1.0, series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)], None)]
+                return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
+            return [(1.0, series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)])]
         if self.at_times:
             if not (self._next < len(times) and (is_last or times[self._next] < t_hi)):
                 return None
         elif times is not None:  # no sampled time inside the horizon
             return None
-        return [(1.0, self._observe(self.truth.trajectory_fields[step_index + self.level]), None)]
+        return [(1.0, self._observe(self.truth.trajectory_fields[step_index + self.level]))]
 
     def advance(self, lane: _Lane, state, t: float, dt: float, terms, first: bool):
         """One substep of the observers over [t, t + dt] under their resolved
-        innovation ``terms``, then the snapshots of the observation times it
-        has reached.  The ``first`` substep of a truth step on a lane that
-        ``pairs`` takes the truth's next step beside it, while the truth has
-        steps left."""
+        innovation ``terms``.  The ``first`` substep of a truth step on a lane
+        that ``pairs`` takes the truth's next step beside it, while the truth
+        has steps left."""
         truth = self.truth
         if first and lane.pairs and not truth.done:
             truth_dt = truth.next_dt()
@@ -814,10 +792,6 @@ class _GainController:
             state = lane.step(state, dt, self.lams, terms)
         if terms is not None and self.at_times:
             self._skip_to(t + dt)
-        times = self._snapshot_times
-        while self._taken < len(times) and times[self._taken] <= t + dt + _TIME_TOL:
-            self.snapshots[self._taken] = lane.snapshot(state)
-            self._taken += 1
         return state
 
 

@@ -184,7 +184,8 @@ def step_macroscopic_burgers(
     """Engquist-Osher step, then exact relaxation toward ``obs_u``."""
     u = np.asarray(u, dtype=float)
     u_sup = float(np.max(np.abs(u)))
-    if not 0.0 <= dt or (u_sup > 0.0
+    # a NaN u_sup is not 0 and gives a NaN bound, which no dt passes
+    if not 0.0 <= dt or (u_sup != 0.0
                          and not dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL):
         raise ValueError(f"dt={dt:g} violates the CFL bound for the macroscopic step")
     return _conservative_step(

@@ -156,8 +156,7 @@ class Mollifier:
 def mollified_gain(series: ObservationSeries, mollifier: Mollifier, t: float):
     """The observations that contribute to the mollified gain at time t: a
     list of ``(k, w_k, field_k)`` for every observation time within the
-    kernel support, whose weights w_k sum to the total kernel weight.  The
-    solver pairs each entry with its own stored state snapshot at that time.
+    kernel support, whose weights w_k sum to the total kernel weight.
     """
     w = mollifier.value(t - series.times)
     return [(int(k), float(w[k]), series.fields[k]) for k in np.nonzero(w > 0.0)[0]]

@@ -127,17 +127,17 @@ def cases() -> dict:
     out["thacker/mollified_lambda1_t3"] = ("twin", "thacker", {
         ("gain", "temporal"): "mollified", ("gain", "sigma"): 0.1, ("gain", "lambda"): 1.0,
         ("model", "t_final"): 3.0}, None)
-    # the positivity refusal of the mollified snapshot reference
+    # a strong mollified gain: its depths stay nonnegative because every
+    # innovation is measured against the observer's current depth
     out["thacker/mollified_lambda10_t3"] = ("twin", "thacker", {
         ("gain", "temporal"): "mollified", ("gain", "sigma"): 0.1, ("gain", "lambda"): 10.0,
         ("model", "t_final"): 3.0}, None)
-    out["burgers_clean/mollified"] = ("twin", "burgers_clean", {
-        ("gain", "temporal"): "mollified", ("gain", "sigma"): 0.04}, None)
+    mollified = {("gain", "temporal"): "mollified", ("gain", "sigma"): 0.04}
+    out["burgers_clean/mollified"] = ("twin", "burgers_clean", mollified, None)
     for lam in (1.0, 10.0):
         out[f"thacker_noisy/mollified_lambda{lam:g}_t3"] = ("twin", "thacker_noisy", {
             ("gain", "temporal"): "mollified", ("gain", "sigma"): 0.1, ("gain", "lambda"): lam,
             ("model", "t_final"): 3.0}, None)
-    mollified = {("gain", "temporal"): "mollified", ("gain", "sigma"): 0.04}
     for fixture in ("burgers_noisy_eps0002", "burgers_noisy_eps002"):
         out[f"{fixture}/mollified"] = ("twin", fixture, mollified, None)
     for mode in ("collapse", "macroscopic"):

@@ -330,19 +330,25 @@ class TestShallowWaterTwin:
         result = run_twin(cfg)
         assert np.isfinite(result.errors.l1_rel).all()
 
-    def test_mollified_nudging_settles_depths(self):
-        # the mollified source goes through the observer step's
-        # source-and-settle update: a negative depth is reported where it
-        # happens instead of being clamped away, and dry cells keep no momentum
-        def thacker(lam):
-            cfg = parse_config(fixture_path("thacker.cfg"))
-            cfg.t_final = 3.0
-            cfg.gain = GainSchedule(lam, temporal_mode=TemporalMode.MOLLIFIED, sigma=0.1)
-            return cfg
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
+    def test_mollified_nudging_settles_depths(self, lam, monkeypatch):
+        # every mollified innovation is measured against the observer's
+        # current depth, so under the gain-augmented CFL bound the update is
+        # a convex combination of nonnegative depths: none goes negative
+        # before the settle at any gain, and dry cells keep no momentum
+        cfg = parse_config(fixture_path("thacker.cfg"))
+        cfg.t_final = 3.0
+        cfg.gain = GainSchedule(lam, temporal_mode=TemporalMode.MOLLIFIED, sigma=0.1)
+        lows = []
+        settle = shallow_water._settle
 
-        with pytest.raises(FloatingPointError, match="negative depth"):
-            run_twin(thacker(10.0))
-        observer = run_twin(thacker(1.0)).final_observer
+        def keep_low(h, q, dry):
+            lows.append(float(h.min()))
+            settle(h, q, dry)
+
+        monkeypatch.setattr(shallow_water, "_settle", keep_low)
+        observer = run_twin(cfg).final_observer
+        assert len(lows) > 1000 and min(lows) >= 0.0
         dry = observer.h < DRY_DEPTH
         assert np.any(dry)
         assert np.all(observer.q[dry] == 0.0)
@@ -621,7 +627,7 @@ class TestTruthLeads:
         def record(self, t_lo, t_hi, step_index, is_last):
             terms = resolve(self, t_lo, t_hi, step_index, is_last)
             controllers.append(self)
-            used = None if terms is None else [np.array(field) for _, field, _ in terms]
+            used = None if terms is None else [np.array(field) for _, field in terms]
             reads.append((t_lo, step_index, self.truth.t, used))
             return terms
 
