@@ -4,7 +4,7 @@ Each case is a shipped fixture with key edits, run through ``run_twin`` (its
 loaded configuration edited further by a function where the keys cannot say
 it) or ``sweep_lambda``, or a fixture's states stepped through the public
 Saint-Venant calls (``sv_forward_step``, ``sv_observer_step``,
-``sv_interface_flux`` and ``sv_cfl``).  The record keeps, for every array a case yields (error
+``sv_interface_flux``, ``sv_cfl`` and ``energy_budget``).  The record keeps, for every array a case yields (error
 series, time steps, final states, energies, sweep points), its SHA-256 and a
 float summary (shape, NaN count, and over the other entries sum, sum of |x|,
 min and max; the last value), and for a case that raises, its exception
@@ -45,6 +45,7 @@ import numpy as np  # noqa: E402
 from kinassim import run_twin, sweep_lambda  # noqa: E402
 from kinassim.config import fixture_path, parse_config  # noqa: E402
 from kinassim.shallow_water import (  # noqa: E402
+    energy_budget,
     hydrostatic_reconstruct,
     sv_cfl,
     sv_forward_step,
@@ -162,6 +163,10 @@ def cases() -> dict:
         for call in ("forward", "observer", "observer_window"):
             out[f"{fixture}/public_{call}"] = ("public", fixture, {}, call)
     out["thacker/public_interface_flux"] = ("public", "thacker", {}, "interface_flux")
+    for fixture in ("thacker", "dam_break"):
+        for profile in ("semicircle", "rectangle"):
+            out[f"{fixture}/public_energy_budget/{profile}"] = (
+                "public", fixture, {("model", "profile"): profile}, "energy_budget")
     for fixture in ("thacker", "thacker_noisy"):  # criterion 9
         out[f"{fixture}/sweep"] = ("sweep", fixture, {}, [1.0, 3.0, 10.0, 30.0, 100.0])
     for eps in (0.05, 0.02, 0.005):  # criterion 8
@@ -189,13 +194,15 @@ def public_arrays(config, call: str) -> dict:
     the two states.  Each records the depths, discharges and steps, and
     ``sv_cfl`` at lambda 0 and ``PUBLIC_LAMBDA`` on every state it passes.
     "interface_flux" is the reconstructed flux of the forward truth after
-    the steps."""
+    the steps.  "energy_budget" steps as "observer" and records the
+    observer's ``energy_budget`` against the observed depth before every
+    step."""
     truth, observer = config.truth_state, config.observer_state
     n = truth.grid.n_cells
     window = np.full(n, np.nan)
     window[n // 3:2 * n // 3] = 1.0
     stepped = truth if call in ("forward", "interface_flux") else observer
-    h, q, dts, cfl = [stepped.h], [stepped.q], [], []
+    h, q, dts, cfl, budgets = [stepped.h], [stepped.q], [], [], []
     for _ in range(PUBLIC_STEPS):
         cfl.append([sv_cfl(s, lam) for s in (truth, observer) for lam in (0.0, PUBLIC_LAMBDA)])
         if stepped is truth:
@@ -204,6 +211,7 @@ def public_arrays(config, call: str) -> dict:
         else:
             dt = min(sv_cfl(truth, PUBLIC_LAMBDA), sv_cfl(observer, PUBLIC_LAMBDA))
             obs = truth.h[::-1] * (window if call == "observer_window" else 1.0)
+            budgets.append(energy_budget(observer, obs_h=obs))
             observer = stepped = sv_observer_step(observer, obs, PUBLIC_LAMBDA, dt)
             truth = sv_forward_step(truth, dt)
         h.append(stepped.h)
@@ -217,6 +225,9 @@ def public_arrays(config, call: str) -> dict:
                                                      np.stack([u[:-1], u[1:]]),
                                                      truth.profile, truth.g)
         return {"f_h": f_h, "f_q_left": f_q_left, "f_q_right": f_q_right}
+    if call == "energy_budget":
+        return {name: np.array([getattr(b, name) for b in budgets])
+                for name in ("zeta_hat", "zeta_tilde", "flux")}
     return {"h": np.array(h), "q": np.array(q), "dt": np.array(dts), "sv_cfl": np.array(cfl)}
 
 
