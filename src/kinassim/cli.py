@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .assimilation import gain_list, run_twin, sweep_lambda
-from .config import ConfigError, emit_csv, parse_config
+from .config import ConfigError, _atomic_write, emit_csv, parse_config
 from .metrics import sweep_minimum
 from .observation import observability_check
 
@@ -114,9 +114,8 @@ def _run_observability(args) -> int:
             f"T_min={res.t_min:g} X_inf={res.x_inf:g}"
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("observable,t_min,x_inf\n")
-            fh.write(f"{int(res.observable)},{res.t_min!r},{res.x_inf!r}\n")
+        _atomic_write(args.out, ["observable,t_min,x_inf",
+                                 f"{int(res.observable)},{res.t_min!r},{res.x_inf!r}"])
     return 0
 
 

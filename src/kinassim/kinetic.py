@@ -15,17 +15,17 @@ energy functional among densities with prescribed mass and momentum).
 
 The finite-volume fluxes are half-line moments of these densities, taken over
 xi >= 0 or xi <= 0 and evaluated on whole arrays of interfaces at once:
-``upwind_power_moment`` and ``upwind_mass_momentum`` give the moments of
-xi^k M, ``halfline_energy_moment`` that of xi e(M).  A boolean array selects
-the half-line entry by entry, so both sides of every interface go through one
-call.  The moments are closed forms (polynomial for the rectangle,
-trigonometric for the semicircle), so fluxes are bit-stable and independent
-of any xi discretisation.  One kernel evaluates them: the moment of xi^k M
-over xi >= 0 is H times the sum over j of C(k, j) u^(k-j) c^j J_j, J_j the
-moment of z^j chi over [-u/c, w].  J_0..J_kmax are computed once, by
-products (no ``pow``), and complemented (J_full - J) on whole rows for
-xi <= 0; the recurrence T_j <- u T_j + c T_(j+1) then gives power k as
-H T_0 after k rounds.
+``upwind_power_moment`` and ``upwind_mass_momentum`` give the moments P_k of
+xi^k M, ``halfline_energy_moment`` that of xi e(M), a combination of P_1,
+P_2 and P_3.  A boolean array selects the half-line entry by entry, so both
+sides of every interface go through one call.  The moments are closed forms
+(polynomial for the rectangle, trigonometric for the semicircle), so fluxes
+are bit-stable and independent of any xi discretisation.  One kernel
+evaluates them all: the moment of xi^k M over xi >= 0 is H times the sum
+over j of C(k, j) u^(k-j) c^j J_j, J_j the moment of z^j chi over [-u/c, w].
+J_0..J_kmax are computed once, by products (no ``pow``), and complemented
+(J_full - J) for xi <= 0; the recurrence T_j <- u T_j + c T_(j+1) then gives
+power k as H T_0 after k rounds.
 """
 from __future__ import annotations
 
@@ -74,11 +74,8 @@ def chi_cube_integral(profile: ChiProfile) -> float:
 
 # --- partial moments of the profiles -------------------------------------
 #
-# J_k(a)  = integral over z in [a, w] of z^k chi(z) dz        (k = 0..3)
-# K_k(a)  = integral over z in [a, w] of z^k chi(z)^3 dz       (k = 0, 1)
-#
-# Complements over [-w, a] follow from the full-line values
-# (1, 0, 1, 0) for J and (k3, 0) for K.
+# J_k(a) = integral over z in [a, w] of z^k chi(z) dz   (k = 0..3); the
+# complement over [-w, a] follows from the full-line values (1, 0, 1, 0).
 
 _J_FULL = (1.0, 0.0, 1.0, 0.0)
 
@@ -111,13 +108,6 @@ def _rectangle_partial(ratio, kmax: int, take, out):
         np.multiply(r / (k + 1), j, out=j)
 
 
-def _rectangle_partial_cube(a):
-    w = math.sqrt(3.0)
-    r3 = (1.0 / (2.0 * w)) ** 3
-    a = np.clip(np.asarray(a, dtype=float), -w, w)
-    return [r3 * (w - a), r3 * (w * w - a * a) / 2.0]
-
-
 def _semicircle_partial(ratio, kmax: int, take, out):
     # z = 2 sin(th): with s = sin(th) and c = cos(th) (c >= 0 on the clipped
     # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2);
@@ -148,26 +138,7 @@ def _semicircle_partial(ratio, kmax: int, take, out):
         np.multiply(16.0 / math.pi, j3, out=out[3, ...])
 
 
-def _semicircle_partial_cube(a):
-    a = np.clip(np.asarray(a, dtype=float), -2.0, 2.0)
-    th = np.arcsin(a / 2.0)
-    s, c = a / 2.0, np.sqrt(np.maximum(1.0 - a * a / 4.0, 0.0))
-    sin2 = 2.0 * s * c
-    cos2 = 1.0 - 2.0 * s * s
-    sin4 = 2.0 * sin2 * cos2
-    k0 = 2.0 / math.pi**3 * (3.0 * math.pi / 16.0 - (3.0 * th / 8.0 + sin2 / 4.0 + sin4 / 32.0))
-    k1 = 4.0 / (5.0 * math.pi**3) * c**5
-    return [k0, k1]
-
-
 _PARTIAL = {ChiProfile.RECTANGLE: _rectangle_partial, ChiProfile.SEMICIRCLE: _semicircle_partial}
-
-
-def profile_partial_cube_moments(profile: ChiProfile, a):
-    """Moments of z^k chi(z)^3 over [a, support end], k = 0, 1 (vectorised in a)."""
-    if profile is ChiProfile.RECTANGLE:
-        return _rectangle_partial_cube(a)
-    return _semicircle_partial_cube(a)
 
 
 # Both sides of every interface in one stack: row 0 on the positive
@@ -188,21 +159,16 @@ def _complement(terms, positive):
     """J_full - J where ``positive`` is False, on the (m, ...) stack of
     partial moments J_0..J_(m-1): the negative half-line's.
     ``UPWIND_SIDES`` complements row 1 of every J and a plain bool all of
-    them or none, without looking at the mask; one value per row goes
-    through row views, any other mask through a masked subtract."""
+    them or none, without looking at the mask; any array mask goes through
+    a masked subtract."""
     if positive is UPWIND_SIDES:
         parts = [terms[:, 1]]
     elif isinstance(positive, bool):
         parts = [] if positive else [terms]
     else:
-        negative = np.logical_not(positive)
-        rows = (negative.ndim == terms.ndim - 1 > 0
-                and negative.size == negative.shape[0] == terms.shape[1])
-        if not (rows or negative.size == 1):
-            np.subtract(_full(len(terms), terms.ndim), terms, out=terms, where=negative)
-            return
-        parts = [terms[:, r:r + 1] for r in np.flatnonzero(negative)] if rows else (
-            [terms] * bool(negative))
+        np.subtract(_full(len(terms), terms.ndim), terms, out=terms,
+                    where=np.logical_not(positive))
+        return
     for part in parts:
         np.subtract(_full(len(part), part.ndim), part, out=part)
 
@@ -278,19 +244,19 @@ def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):
     interface arrays, where e(f) = xi^2/2 f + g^2/(8 k3) f^3.
 
     This is the kinetic energy flux carried by particles of one sign of xi.
+    Since chi^2 is 1/12 on the rectangle and (4 - z^2)/(4 pi^2) on the
+    semicircle, chi^3 = chi^2 chi makes the cube term a moment of M itself:
+    with c^2 = g H/2 and P_k the half-line moment of xi^k M, the flux is
+    P_3/2 + c^2 P_1/2 (rectangle) or (P_3 + u P_2)/3 + (2c^2/3 - u^2/6) P_1
+    (semicircle), the P_k from one ``_upwind_moments`` evaluation.
     ``positive`` selects the half-line as in ``upwind_mass_momentum``: a
     boolean array broadcasting against h selects it entry by entry.  Dry
     entries (h = 0) contribute zero.
     """
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
-    wet = h > 0.0
-    c = np.sqrt(g * np.where(wet, h, 1.0) / 2.0)
-    cubic = upwind_power_moment(profile, h, u, c, 3, positive)
-    k0_part, k1_part = profile_partial_cube_moments(profile, -u / c)
-    k3 = chi_cube_integral(profile)
-    k0 = np.where(positive, k0_part, k3 - k0_part)
-    k1 = np.where(positive, k1_part, -k1_part)
-    kappa = g**2 / (8.0 * k3)
-    cube_term = kappa * h**3 / c**2 * (u * k0 + c * k1)
-    return np.where(wet, 0.5 * cubic + cube_term, 0.0)
+    c2 = 0.5 * g * h
+    p1, p2, p3 = _upwind_moments(profile, h, u, np.sqrt(c2), (1, 2, 3), positive)
+    if profile is ChiProfile.RECTANGLE:
+        return 0.5 * (p3 + c2 * p1)
+    return (p3 + u * p2) / 3.0 + (2.0 * c2 / 3.0 - u * u / 6.0) * p1

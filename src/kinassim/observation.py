@@ -176,11 +176,15 @@ def observability_check(speed: float, interval: tuple[float, float], horizon: fl
 
     The minimal horizon is (1 - (b - a)) / |speed| (the slowest characteristic
     must wrap into the window); ``x_inf`` is the least time any characteristic
-    spends inside [a, b], in closed form.
+    spends inside [a, b], in closed form.  A non-finite speed or horizon, or
+    a distance speed * horizon beyond the float range, is refused by name.
     """
     a, b = interval
     if not 0.0 < a < b < 1.0:
         raise ValueError("interval must satisfy 0 < a < b < 1")
+    for name, value in (("speed", speed), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
     width = b - a
@@ -189,6 +193,8 @@ def observability_check(speed: float, interval: tuple[float, float], horizon: fl
         return ObservabilityResult(False, math.inf, 0.0)
     t_min = (1.0 - width) / c
     dist = c * horizon
+    if dist == math.inf:
+        raise ValueError(f"speed * horizon overflows: speed={speed!r}, horizon={horizon!r}")
     wraps = math.floor(dist)
     frac = dist - wraps
     x_inf = (wraps * width + max(0.0, frac - (1.0 - width))) / c

@@ -379,6 +379,24 @@ class TestCli:
         assert proc.returncode == 1
         assert "unrecognized arguments: --seed 3" in proc.stderr
 
+    @pytest.mark.parametrize("speed, horizon, message", [
+        ("nan", "1", "speed must be finite, got nan"),
+        ("1", "nan", "horizon must be finite, got nan"),
+        ("inf", "1", "speed must be finite, got inf"),
+        ("-inf", "1", "speed must be finite, got -inf"),
+        ("1", "inf", "horizon must be finite, got inf"),
+        ("1e308", "1e308", r"speed \* horizon overflows"),
+    ])
+    def test_observability_refuses_non_finite_input(self, tmp_path, capsys, speed, horizon,
+                                                    message):
+        # a NaN failed on float-to-integer conversion with no field named,
+        # and an infinite speed, horizon or distance left as an OverflowError
+        out = tmp_path / "obs.csv"
+        assert cli.main(["observability", f"--speed={speed}", "--interval", "0.25,0.75",
+                         f"--horizon={horizon}", "--out", str(out)]) == 1
+        assert re.search(f"config error: {message}", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_run_sv_writes_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")
         cfg = write_cfg(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -206,21 +207,39 @@ class TestHalflineFluxMoments:
 class TestHalflineEnergyFlux:
     @pytest.mark.parametrize("profile", PROFILES)
     def test_against_quadrature(self, profile):
+        # e(f) integrated as written, chi^3 and all, over the part of the
+        # support on each half-line; the last entries lie wholly on one side
+        # of xi = 0 (|u| > w c, the bound -u/c clipped)
         rng = np.random.default_rng(13)
         k3 = chi_cube_integral(profile)
-        for _ in range(5):
-            h = rng.uniform(0.05, 5.0)
-            u = rng.uniform(-4.0, 4.0)
-            c, w = math.sqrt(G * h / 2.0), profile.support_halfwidth
+        w = profile.support_halfwidth
+        draws = [(rng.uniform(0.05, 5.0), rng.uniform(-4.0, 4.0)) for _ in range(5)]
+        draws += [(h, sign * 1.5 * w * math.sqrt(G * h / 2.0))
+                  for h in (0.3, 2.0) for sign in (1.0, -1.0)]
+        for (h, u), positive in itertools.product(draws, (True, False)):
+            c = math.sqrt(G * h / 2.0)
 
             def integrand(xi):
                 f = h / c * chi_profile_value(profile, (xi - u) / c)
                 return xi * (0.5 * xi * xi * f + G**2 / (8.0 * k3) * f**3)
 
-            hi = max(u + w * c, 0.0)
-            oracle, _ = quad(integrand, 0.0, hi, limit=300)
-            got = halfline_energy_moment(profile, h, u, G, True)
+            side = max if positive else min  # the support's part on the half-line
+            lo, hi = (side(b, 0.0) for b in (u - w * c, u + w * c))
+            oracle = quad(integrand, lo, hi, limit=300)[0] if hi > lo else 0.0
+            got = halfline_energy_moment(profile, h, u, G, positive)
             assert got == pytest.approx(oracle, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_half_lines_sum_to_the_full_flux(self, profile):
+        # entry by entry, on depths from 1e-14 to 10 with dry and clipped
+        # entries and the side drawn per entry: u (h u^2 / 2 + g h^2)
+        h, u, c = random_interfaces(profile)
+        positive = np.random.default_rng(4).random(h.size) < 0.5
+        with np.errstate(all="raise"):
+            total = (halfline_energy_moment(profile, h, u, G, positive)
+                     + halfline_energy_moment(profile, h, u, G, ~positive))
+        scale = h * (np.abs(u) + profile.support_halfwidth * c) ** 3
+        assert np.all(np.abs(total - (0.5 * h * u**3 + G * h * h * u)) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_still_fluxes_cancel(self, profile):
