@@ -159,6 +159,20 @@ def cases() -> dict:
         out[f"thacker/dense_observations/{temporal}"] = ("twin", "thacker", {
             ("gain", "temporal"): temporal, ("observations", "every"): 0.001,
             ("model", "t_final"): 0.3}, None)
+    # the rectangle profile, a periodic domain, a refined truth on a bowl and
+    # a truth-read target NaN outside its window through the stacked step
+    out["thacker/rectangle_t1"] = ("twin", "thacker", {
+        ("model", "profile"): "rectangle", ("model", "t_final"): 1.0}, None)
+    out["thacker/refined_truth_t1"] = ("twin", "thacker", {
+        ("truth", "resolution_factor"): 2, ("model", "t_final"): 1.0}, None)
+    rectangle_dam_break = {("model", "profile"): "rectangle", ("gain", "lambda"): 20.0,
+                           ("observer", "h_left"): 1.5, ("observer", "h_right"): 1.5}
+    out["dam_break/rectangle_lambda20"] = ("twin", "dam_break", rectangle_dam_break, None)
+    out["dam_break/rectangle_lambda20_periodic_t0.2"] = ("twin", "dam_break", {
+        **rectangle_dam_break, ("grid", "bc"): "periodic", ("model", "t_final"): 0.2}, None)
+    out["dam_break/rectangle_lambda20_window"] = ("twin", "dam_break", {
+        **rectangle_dam_break, ("observations", "mask_lo"): 0.3,
+        ("observations", "mask_hi"): 0.6}, None)
     for fixture in ("thacker", "dam_break"):
         for call in ("forward", "observer", "observer_window"):
             out[f"{fixture}/public_{call}"] = ("public", fixture, {}, call)
