@@ -77,7 +77,14 @@ from .observation import (
     noise_field,
     observe,
 )
-from .shallow_water import DRY_DEPTH, SWState, _Rows, _same_bed, _step_pair, total_energy
+from .shallow_water import (
+    _DRY,
+    SWState,
+    _Rows,
+    _same_bed,
+    _step_pair,
+    _total_energy,
+)
 
 _TIME_TOL = 1e-12
 
@@ -347,19 +354,24 @@ class _BGKLane(_Lane):
         return state @ self.xi.weights
 
 
-def _mean_innovation(lane: _Lane, terms, ref):
+def _mean_innovation(lane: _Lane, terms, ref, out=None):
     """(sum_k w_k g_k / W, W) over the innovation terms (w_k, obs_k),
     W = sum_k w_k, with g_k = lane.target(obs_k) - ref where finite and 0
     on unobserved cells: every term is measured against the one current
     state ``ref``.
 
     The gaps of several terms are stacked and summed in one call, row after
-    row in the order of the terms, from 0.0; one term of weight 1 (every
-    temporal mode but the mollified gain) is its own gap."""
+    row in the order of the terms, from 0.0.  One term of weight 1 (every
+    temporal mode but the mollified gain) is its own gap, written into
+    ``out`` when given: a float and a bool buffer of ref's shape."""
     if len(terms) == 1 and terms[0][0] == 1.0:
-        gap = np.subtract(lane.target(terms[0][1]), ref)
-        gap = np.where(np.isfinite(gap), gap, 0.0)
-        return np.add(0.0, gap, out=gap), 1.0  # 0.0 + x: no zero keeps its sign
+        gap, unseen = (np.empty(ref.shape), np.empty(ref.shape, dtype=bool)) if out is None \
+            else out
+        np.subtract(lane.target(terms[0][1]), ref, gap)
+        np.isfinite(gap, unseen)
+        np.logical_not(unseen, unseen)
+        np.putmask(gap, unseen, 0.0)
+        return np.add(0.0, gap, gap), 1.0  # 0.0 + x: no zero keeps its sign
     targets = lane.target(np.array([obs for _, obs in terms]))
     # one target per term against every row of the reference
     targets = targets.reshape(targets.shape[:1] + (1,) * (ref.ndim + 1 - targets.ndim)
@@ -386,15 +398,24 @@ class _SWLane(_Lane):
 
     An observer lane whose truth shares its grid and bathymetry (``pairs``)
     can take a substep and the truth's next step as one two-row update, the
-    truth the row at gain 0 (``step_pair``)."""
+    truth the row at gain 0 (``step_pair``).  ``window`` is the slice of the
+    cells observed (every observed field is NaN outside it), and the lane
+    holds the buffers of its probe, its single-term innovation and its
+    energy."""
 
     clamp_nonnegative = True
     target_level = 0
     xi = None
 
-    def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1):
+    def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1,
+                 window: slice = slice(None)):
         self.initial = _Rows.of((state0.copy(),))
-        self.lam_cfl, self.safety, self.factor = lam_cfl, safety, factor
+        self.lam_cfl, self.safety, self.factor, self.window = lam_cfl, safety, factor, window
+        n = state0.grid.n_cells
+        width = len(range(n)[window])
+        self._probe = np.empty(width, dtype=bool), np.empty(width), np.empty(width)
+        self._innovation = np.empty(n), np.empty(n, dtype=bool)
+        self._energy = np.empty(n), np.empty(n)
 
     def stack(self, k: int):
         if k != 1:
@@ -413,24 +434,28 @@ class _SWLane(_Lane):
 
     def cfl(self, rows, obs=None) -> float:
         """``bound``, tightened by the wave speed of the observed depth
-        ``obs`` on its wet cells: those where it is finite and above the dry
+        ``obs`` on its wet cells: those of the window above the dry
         threshold.
 
-        The speed is evaluated on every cell and the other cells are left out
-        of its maximum, which costs fewer numpy calls than gathering the wet
-        cells first; obs (g / 2) is g obs / 2 to the bit on the wet cells.
+        The speed is evaluated on every cell of the window: a dry cell's
+        depth counts as 0 under the square root and its speed as -inf, and
+        an unobserved cell's NaN (which compares False) is passed over by
+        the maximum; obs (g / 2) is g obs / 2 to the bit on the wet cells.
         """
         bound = self.bound(rows)
         if obs is None:
             return bound
-        bed = rows.bed
-        wet = np.isfinite(obs)
-        wet &= obs > DRY_DEPTH
-        speed = np.multiply(obs, bed.half_g)
-        np.sqrt(speed, out=speed, where=wet)
-        np.multiply(bed.w, speed, out=speed)
-        np.add(np.abs(rows.a[2, 0]), speed, out=speed)
-        top = np.maximum.reduce(speed, axis=None, where=wet, initial=-math.inf)
+        bed, window = rows.bed, self.window
+        dry, speed, u = self._probe
+        obs = obs[window]
+        np.less_equal(obs, _DRY, dry)
+        np.multiply(obs, bed.half_g, speed)
+        np.putmask(speed, dry, 0.0)
+        np.sqrt(speed, speed)
+        np.multiply(bed.w, speed, speed)
+        np.add(np.abs(rows.a[2, 0, window], u), speed, speed)
+        np.putmask(speed, dry, -math.inf)
+        top = np.fmax.reduce(speed)
         if top > -math.inf:  # some cell is wet
             bound = min(bound, bed.bound(float(top), self.lam_cfl, self.safety))
         return bound
@@ -438,7 +463,7 @@ class _SWLane(_Lane):
     def step(self, rows, dt, lams=None, terms=None):
         if terms is None:
             return rows.step((dt,))
-        dh, weight = _mean_innovation(self, terms, rows.a[0, 0])
+        dh, weight = _mean_innovation(self, terms, rows.a[0, 0], self._innovation)
         return rows.step((dt,), (float(lams[0]) * weight,), dh)
 
     def step_pair(self, truth, truth_dt, rows, dt, lams, terms):
@@ -446,7 +471,7 @@ class _SWLane(_Lane):
         two-row update; only where the lane ``pairs``."""
         if terms is None:
             return _step_pair(truth, rows, (truth_dt, dt))
-        dh, weight = _mean_innovation(self, terms, rows.a[0, 0])
+        dh, weight = _mean_innovation(self, terms, rows.a[0, 0], self._innovation)
         return _step_pair(truth, rows, (truth_dt, dt), (0.0, float(lams[0]) * weight), dh)
 
     def observed(self, rows):
@@ -456,7 +481,9 @@ class _SWLane(_Lane):
         return h.reshape(-1, self.factor).mean(axis=1)
 
     def energy(self, rows):
-        return total_energy(rows.state(0))
+        """``total_energy`` of the row, in the lane's buffers."""
+        bed = rows.bed
+        return _total_energy(bed, rows.a[0, 0], rows.a[2, 0], self._energy)
 
 
 def _lam_for_cfl(config: RunConfig) -> float:
@@ -480,7 +507,10 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     if config.model == "shallow_water":
         lam_cfl = _lam_for_cfl(config)
         truth = _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor)
-        observer = _SWLane(config.observer_state, lam_cfl, safety)
+        observed = np.flatnonzero(grid.interval_mask(*config.obs_mask)) \
+            if config.obs_mask is not None else [0, grid.n_cells - 1]
+        observer = _SWLane(config.observer_state, lam_cfl, safety,
+                           window=slice(observed[0], observed[-1] + 1))
         observer.pairs = truth.factor == 1 and _same_bed(config.truth_state,
                                                          config.observer_state)
         return truth, observer
@@ -580,7 +610,7 @@ class _Truth:
 
     def next_dt(self) -> float:
         t = self.t
-        bound = _checked_bound(self.lane.cfl(self.held), "truth", t)
+        bound = _checked_bound(self.lane.bound(self.held), "truth", t)
         if self._budget is None:
             implied = min(self.t_final / bound, _MAX_IMPLIED_STEPS)
             self._budget = _STEP_BUDGET * math.ceil(implied)
@@ -721,7 +751,9 @@ class _GainController:
             fields = np.full((self.times.size, grid.n_cells), np.nan)
             self.series = ObservationSeries(self.times, fields, self.mask, grid)
             self._times = self.times.tolist()
+            self._span = self._times[0] - _TIME_TOL, self._times[-1]
             truth.sample_into(self.series, self._observe)
+        self._interpolated = gain.temporal_mode is TemporalMode.INTERPOLATED
         self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
 
     def lead(self, n: int) -> bool:
@@ -766,10 +798,11 @@ class _GainController:
                 return None
             return [(w, f) for _, w, f in mollified_gain(series, self.mollifier, t_lo)] or None
         if series is not None:  # every step, against the sampled series
-            if t_lo < times[0] - _TIME_TOL:
+            first, last = self._span
+            if t_lo < first:
                 return None
-            if self.config.gain.temporal_mode is TemporalMode.INTERPOLATED:
-                return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
+            if self._interpolated:
+                return [(1.0, interpolate_in_time(series, min(t_lo, last)))]
             return [(1.0, series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)])]
         if self.at_times:
             if not (self._next < len(times) and (is_last or times[self._next] < t_hi)):
@@ -810,7 +843,10 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
     Records the errors (L1 relative, L1, L2, Sobolev) and the energy of
     every record_every-th step and of the last; one RunResult per row.  A
     truth step longer than the observer's CFL bound is divided into m
-    substeps, each resolving its own window.
+    substeps, each resolving its own window; the first starts where the
+    step does and takes the step's window, which its bound was probed on,
+    except at the observation times (their firing depends on the window's
+    end).
 
     The truth's fields before n are released before step n.  The observers
     may take _STEP_BUDGET substeps per truth step over the run; the truth runs
@@ -866,7 +902,10 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
             sub = dt / m
             for j in range(m):
                 t, closes = times[n] + j * sub, last and j == m - 1
-                if m > 1:  # each substep resolves its own window
+                # each substep resolves its own window; the first starts where
+                # the step's does, so it reuses that one unless firing at the
+                # observation times looks at the window's end
+                if m > 1 and (j or controller.at_times):
                     terms = controller.resolve(t, t + sub, n, closes)
                 state = controller.advance(lane, state, t, sub, terms, j == 0)
             if (n + 1) % config.record_every == 0 or last:

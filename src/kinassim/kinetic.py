@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from functools import partial
 
 import numpy as np
 
@@ -80,62 +81,71 @@ def chi_cube_integral(profile: ChiProfile) -> float:
 _J_FULL = (1.0, 0.0, 1.0, 0.0)
 
 
-def _fresh_buffers(*arrays):
-    """Supplier of fresh float arrays of the broadcast shape of ``arrays``:
-    the buffers of a call that is not given a step's work buffers."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
-    return lambda: np.empty(shape)
+def _run(calls) -> None:
+    """Make the numpy calls of a bound kernel or step, in order."""
+    for call in calls:
+        call()
 
 
-# The partial moments of the profiles at the bound a = -ratio, j = 0..kmax,
-# written into the rows of ``out`` (row j as out[j, ...]: an array even for
-# one interface); the intermediates overwrite ``ratio`` or take buffers from
-# ``take``.
+def _scalar(value: float) -> np.ndarray:
+    """``value`` as a 0-d float array, for a bound call: a ufunc takes it
+    faster than a Python float, and computes the same bits."""
+    return np.array(value, dtype=float)
 
 
-def _rectangle_partial(ratio, kmax: int, take, out):
+# The calls that write the partial moments of the profiles at the bound
+# a = -ratio, j = 0..kmax, into the rows of ``out`` (row j as out[j, ...]: an
+# array even for one interface); the intermediates overwrite ``ratio`` or
+# take buffers from ``spare``.
+
+
+def _rectangle_partial(ratio, kmax: int, spare, out) -> list:
     # (w^(k+1) - a^(k+1)) / (2 w (k+1)), the powers of a as a running product
     w = math.sqrt(3.0)
     r = 1.0 / (2.0 * w)
-    a = np.negative(ratio, out=ratio)
-    np.maximum(a, -w, out=a)
-    np.minimum(a, w, out=a)
-    power = a
+    a = power = ratio
+    calls = [partial(np.negative, ratio, a), partial(np.maximum, a, _scalar(-w), out=a),
+             partial(np.minimum, a, _scalar(w), out=a)]
     for k in range(kmax + 1):
-        if k:
-            power = np.multiply(power, a, out=take() if k == 1 else power)
-        j = np.subtract(w ** (k + 1), power, out=out[k, ...])
-        np.multiply(r / (k + 1), j, out=j)
+        if k == 1:
+            power = spare()
+            calls.append(partial(np.multiply, a, a, power))
+        elif k:
+            calls.append(partial(np.multiply, power, a, power))
+        j = out[k, ...]
+        calls += [partial(np.subtract, _scalar(w ** (k + 1)), power, j),
+                  partial(np.multiply, _scalar(r / (k + 1)), j, j)]
+    return calls
 
 
-def _semicircle_partial(ratio, kmax: int, take, out):
+def _semicircle_partial(ratio, kmax: int, spare, out) -> list:
     # z = 2 sin(th): with s = sin(th) and c = cos(th) (c >= 0 on the clipped
     # range), sin(2 th)/2 = s c and sin(4 th)/4 = s c cos(2 th) = s c (1 - 2 s^2);
     # cos^3 and cos^5 are products of c^2 = 1 - s^2 and c
-    s = np.multiply(ratio, -0.5, out=ratio)  # a / 2; halving is exact
-    np.maximum(s, -1.0, out=s)
-    np.minimum(s, 1.0, out=s)
-    rest = np.arccos(s, out=take())  # angle from the bound to the end of the support
-    s2 = np.multiply(s, s, out=take())
-    c2 = np.subtract(1.0, s2, out=take())
-    c = np.sqrt(c2, out=take())
-    sc = np.multiply(s, c, out=s)
-    j0 = np.subtract(rest, sc, out=out[0, ...])
-    np.divide(j0, math.pi, out=j0)
+    s = sc = ratio  # a / 2 (halving is exact), then s c
+    rest, s2, c2, c = spare(), spare(), spare(), spare()  # rest: angle from the bound to the end
+    j0, one, pi = out[0, ...], _scalar(1.0), _scalar(math.pi)
+    calls = [partial(np.multiply, ratio, _scalar(-0.5), s),
+             partial(np.maximum, s, _scalar(-1.0), out=s), partial(np.minimum, s, one, out=s),
+             partial(np.arccos, s, rest), partial(np.multiply, s, s, s2),
+             partial(np.subtract, one, s2, c2), partial(np.sqrt, c2, c),
+             partial(np.multiply, s, c, sc), partial(np.subtract, rest, sc, j0),
+             partial(np.divide, j0, pi, j0)]
+    c3 = c
     if kmax >= 1:
-        c3 = np.multiply(c2, c, out=c)
-        np.multiply(4.0 / (3.0 * math.pi), c3, out=out[1, ...])
+        calls += [partial(np.multiply, c2, c, c3),
+                  partial(np.multiply, _scalar(4.0 / (3.0 * math.pi)), c3, out[1, ...])]
     if kmax >= 2:
-        j2 = np.subtract(c2, s2, out=s2)  # 1 - 2 s^2
-        np.multiply(sc, j2, out=j2)
-        np.add(rest, j2, out=j2)
-        np.divide(j2, math.pi, out=out[2, ...])
+        j2 = s2
+        calls += [partial(np.subtract, c2, s2, j2),  # 1 - 2 s^2
+                  partial(np.multiply, sc, j2, j2), partial(np.add, rest, j2, j2),
+                  partial(np.divide, j2, pi, out[2, ...])]
     if kmax >= 3:
-        c5 = np.multiply(c3, c2, out=c2)
-        np.divide(c5, 5.0, out=c5)
-        j3 = np.divide(c3, 3.0, out=c3)
-        np.subtract(j3, c5, out=j3)
-        np.multiply(16.0 / math.pi, j3, out=out[3, ...])
+        c5, j3 = c2, c3
+        calls += [partial(np.multiply, c3, c2, c5), partial(np.divide, c5, _scalar(5.0), c5),
+                  partial(np.divide, c3, _scalar(3.0), j3), partial(np.subtract, j3, c5, j3),
+                  partial(np.multiply, _scalar(16.0 / math.pi), j3, out[3, ...])]
+    return calls
 
 
 _PARTIAL = {ChiProfile.RECTANGLE: _rectangle_partial, ChiProfile.SEMICIRCLE: _semicircle_partial}
@@ -155,26 +165,33 @@ def _full(m: int, ndim: int) -> np.ndarray:
     return full
 
 
-def _complement(terms, positive):
-    """J_full - J where ``positive`` is False, on the (m, ...) stack of
-    partial moments J_0..J_(m-1): the negative half-line's.
+def _complement(terms, positive) -> list:
+    """The calls that write J_full - J where ``positive`` is False, on the
+    (m, ...) stack of partial moments J_0..J_(m-1): the negative half-line's.
     ``UPWIND_SIDES`` complements row 1 of every J and a plain bool all of
     them or none, without looking at the mask; any array mask goes through
     a masked subtract."""
     if positive is UPWIND_SIDES:
-        parts = [terms[:, 1]]
+        part = terms[:, 1]
     elif isinstance(positive, bool):
-        parts = [] if positive else [terms]
+        if positive:
+            return []
+        part = terms
     else:
-        np.subtract(_full(len(terms), terms.ndim), terms, out=terms,
-                    where=np.logical_not(positive))
-        return
-    for part in parts:
-        np.subtract(_full(len(part), part.ndim), part, out=part)
+        return [partial(np.subtract, _full(len(terms), terms.ndim), terms, terms,
+                        where=np.logical_not(positive))]
+    return [partial(np.subtract, _full(len(part), part.ndim), part, part)]
 
 
-def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None, terms=None):
-    """[H * integral of (u + z c)^k chi(z) dz over a half-line, for k in powers].
+def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
+    """The kernel of [H * integral of (u + z c)^k chi(z) dz over a half-line,
+    for k in powers], bound to the arrays h, u and c: (calls, moments).
+
+    ``calls`` are the numpy calls of one evaluation, on views and buffers
+    bound here, and ``moments`` the arrays they leave the moments in; each
+    run of the calls (``_run``) reads h, u and c as they are then and
+    overwrites c.  c is a float array of the kernel's shape, h a float array
+    of that shape (a broadcast view will do) and u broadcasts against it.
 
     The partial moments J_0..J_max(powers) are evaluated once and shared by
     every power.  ``positive`` selects xi >= 0 (True) or xi <= 0 (False); a
@@ -185,35 +202,44 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive, take=None, t
     power k's.  The J_j are the rows of one stack, so a round updates all of
     them in three calls.  Dry entries (h = 0) get c = 1, where every term is
     finite, and the factor h zeroes them.
-
-    ``take`` supplies the buffers of every intermediate and result (a step's
-    work buffers, of the broadcast shape), ``c`` among them: the call
-    overwrites it, and h and u must then be float arrays, h of c's shape.  ``terms`` is then
-    a (2 max(powers) + 1, ...) buffer of that shape for the recurrence.  By
-    default the buffers are fresh and ``c`` is copied.
     """
     kmax = max(powers)
-    if take is None:
-        u = np.asarray(u, dtype=float)
-        take = _fresh_buffers(h, u, c, positive)
-        c = np.positive(c, out=take())  # a copy to overwrite
-        h = np.broadcast_to(np.asarray(h, dtype=float), c.shape)  # as the mask of c
-        terms = np.empty((2 * kmax + 1,) + c.shape)
-    np.putmask(c, h <= 0.0, 1.0)
     m = kmax + 1
+
+    def spare():
+        return np.empty(c.shape)
+
+    terms = np.empty((2 * kmax + 1,) + c.shape)  # the recurrence's
     t, scratch = terms[:m], terms[m:]
-    _PARTIAL[profile](np.divide(u, c, out=take()), kmax, take, t)
-    _complement(t, positive)
-    out = []
+    dry, ratio = np.empty(c.shape, dtype=bool), spare()
+    calls = [partial(np.less_equal, h, _scalar(0.0), dry), partial(np.putmask, c, dry, 1.0),
+             partial(np.divide, u, c, ratio)]
+    calls += _PARTIAL[profile](ratio, kmax, spare, t)
+    calls += _complement(t, positive)
+    moments = []
     for k in range(m):
         if k:  # T_j <- u T_j + c T_(j+1), j < m - k, from the T_(j+1) before the round
             r = m - k
-            term = np.multiply(c, t[1:r + 1], out=scratch[:r])
-            np.multiply(u, t[:r], out=t[:r])
-            np.add(t[:r], term, out=t[:r])
+            calls += [partial(np.multiply, c, t[1:r + 1], scratch[:r]),
+                      partial(np.multiply, u, t[:r], t[:r]),
+                      partial(np.add, t[:r], scratch[:r], t[:r])]
         if k in powers:
-            out.append(np.multiply(h, t[0, ...], out=t[0, ...] if k == kmax else take()))
-    return out
+            moment = t[0, ...] if k == kmax else spare()
+            calls.append(partial(np.multiply, h, t[0, ...], moment))
+            moments.append(moment)
+    return tuple(calls), moments
+
+
+def _evaluate(profile: ChiProfile, h, u, c, powers, positive) -> list:
+    """The moments of ``_upwind_moments`` for one call: the kernel bound to
+    fresh buffers of the broadcast shape, c copied and h broadcast to it."""
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(np.shape(h), u.shape, np.shape(c), np.shape(positive))
+    c = np.positive(c, out=np.empty(shape))  # a copy to overwrite
+    h = np.broadcast_to(np.asarray(h, dtype=float), shape)
+    calls, moments = _upwind_moments(profile, h, u, c, powers, positive)
+    _run(calls)
+    return moments
 
 
 def upwind_power_moment(profile: ChiProfile, h, u, c, power: int, positive: bool):
@@ -224,19 +250,17 @@ def upwind_power_moment(profile: ChiProfile, h, u, c, power: int, positive: bool
     is measure-zero and only fixes the clipped closed forms.  Dry entries
     (h = 0) contribute zero; c may hold any placeholder value there.
     """
-    return _upwind_moments(profile, h, u, c, (power,), positive)[0]
+    return _evaluate(profile, h, u, c, (power,), positive)[0]
 
 
-def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive, *, take=None, terms=None):
+def upwind_mass_momentum(profile: ChiProfile, h, u, c, positive):
     """``upwind_power_moment`` at powers 1 and 2 (the mass and momentum
     fluxes of one interface side) from one partial-moment evaluation.
 
     ``positive`` may be a boolean array, so both sides of every interface
-    can be evaluated in one call on stacked arrays.  ``take`` supplies the
-    buffers, ``c`` among them, and ``terms`` a (5, ...) buffer, as in
-    ``_upwind_moments``.
+    can be evaluated in one call on stacked arrays.
     """
-    return tuple(_upwind_moments(profile, h, u, c, (1, 2), positive, take, terms))
+    return tuple(_evaluate(profile, h, u, c, (1, 2), positive))
 
 
 def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):
@@ -248,7 +272,7 @@ def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):
     semicircle, chi^3 = chi^2 chi makes the cube term a moment of M itself:
     with c^2 = g H/2 and P_k the half-line moment of xi^k M, the flux is
     P_3/2 + c^2 P_1/2 (rectangle) or (P_3 + u P_2)/3 + (2c^2/3 - u^2/6) P_1
-    (semicircle), the P_k from one ``_upwind_moments`` evaluation.
+    (semicircle), the P_k from one evaluation of the kernel.
     ``positive`` selects the half-line as in ``upwind_mass_momentum``: a
     boolean array broadcasting against h selects it entry by entry.  Dry
     entries (h = 0) contribute zero.
@@ -256,7 +280,7 @@ def halfline_energy_moment(profile: ChiProfile, h, u, g: float, positive):
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
     c2 = 0.5 * g * h
-    p1, p2, p3 = _upwind_moments(profile, h, u, np.sqrt(c2), (1, 2, 3), positive)
+    p1, p2, p3 = _evaluate(profile, h, u, np.sqrt(c2), (1, 2, 3), positive)
     if profile is ChiProfile.RECTANGLE:
         return 0.5 * (p3 + c2 * p1)
     return (p3 + u * p2) / 3.0 + (2.0 * c2 / 3.0 - u * u / 6.0) * p1

@@ -122,7 +122,7 @@ def interpolate_in_time(series: ObservationSeries, t: float) -> np.ndarray:
     """Piecewise-linear interpolation of the series at time t (per cell)."""
     times = series._time_list
     tol = 1e-9 * max(1.0, abs(times[-1]))
-    if t < times[0] - tol or t > times[-1] + tol:
+    if not times[0] - tol <= t <= times[-1] + tol:  # NaN fails too
         raise ValueError(f"time {t} outside the observation span")
     if len(times) == 1:
         return series.fields[0].copy()

@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,13 +56,15 @@ from .kinetic import (
     GRAVITY,
     UPWIND_SIDES,
     ChiProfile,
-    _fresh_buffers,
+    _run,
+    _scalar,
+    _upwind_moments,
     halfline_energy_moment,
-    upwind_mass_momentum,
 )
 
 DRY_DEPTH = 1e-8
 _CFL_TOL = 1.0 + 1e-12
+_DRY, _ZERO = _scalar(DRY_DEPTH), _scalar(0.0)  # ufunc operands
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,11 @@ def _max_wave_speeds(bed: _Bed, h: np.ndarray, u: np.ndarray, out=(None, None)) 
     # g h / 2 to the bit on every cell of depth DRY_DEPTH or more (halving is
     # exact above the subnormals), and a dry cell stays below the floor either
     # way
-    c = np.multiply(h, bed.half_g, out=out[0])
-    np.sqrt(c, out=c)
-    np.multiply(bed.w, c, out=c)
-    speed = np.abs(u, out=out[1])
-    np.add(speed, c, out=speed)
+    c = np.multiply(h, bed.half_g, out[0])
+    np.sqrt(c, c)
+    np.multiply(bed.w, c, c)
+    speed = np.abs(u, out[1])
+    np.add(speed, c, speed)
     floor = bed.floor
     return [max(top, floor) for top in np.maximum.reduce(speed, axis=1).tolist()]
 
@@ -161,28 +162,27 @@ def _same_bed(a: SWState, b: SWState) -> bool:
     )
 
 
-def _fill_ghosts(g: np.ndarray, bc: BoundaryKind, sign) -> None:
-    """Write the ghost cells (first and last column) of the rows of ``g``,
-    shaped (..., n+2), from their end cells: a wall repeats them times
-    ``sign`` (-1 mirrors a velocity; a column of signs acts row by row), a
-    periodic domain wraps."""
+def _ghost_calls(g: np.ndarray, bc: BoundaryKind, sign) -> list:
+    """The calls that write the ghost cells (first and last column) of the
+    rows of ``g``, shaped (..., n+2), from their end cells: a wall repeats
+    them times ``sign`` (-1 mirrors a velocity; a column of signs acts row by
+    row), a periodic domain wraps."""
+    first, last = g[..., 0], g[..., -1]
     if bc is BoundaryKind.REFLECTIVE_WALL:
-        np.multiply(g[..., 1], sign, out=g[..., 0])
-        np.multiply(g[..., -2], sign, out=g[..., -1])
-    elif bc is BoundaryKind.PERIODIC:
-        g[..., 0] = g[..., -2]
-        g[..., -1] = g[..., 1]
-    else:
-        raise ValueError(
-            "shallow-water solver supports reflective_wall and periodic boundaries"
-        )
+        return [partial(np.multiply, g[..., 1], sign, first),
+                partial(np.multiply, g[..., -2], sign, last)]
+    if bc is BoundaryKind.PERIODIC:
+        return [partial(np.copyto, first, g[..., -2]), partial(np.copyto, last, g[..., 1])]
+    raise ValueError(
+        "shallow-water solver supports reflective_wall and periodic boundaries"
+    )
 
 
 def _ghosted(a: np.ndarray, bc: BoundaryKind, sign: float = 1.0) -> np.ndarray:
     """``a`` (..., n) with its two ghost cells, a fresh (..., n+2) array."""
     g = np.empty(a.shape[:-1] + (a.shape[-1] + 2,))
     g[..., 1:-1] = a
-    _fill_ghosts(g, bc, sign)
+    _run(_ghost_calls(g, bc, sign))
     return g
 
 
@@ -213,13 +213,6 @@ class EnergyBudget:
     flux: np.ndarray
 
 
-def _grow(pool: list, shape: tuple):
-    """New buffers, each appended to ``pool`` as it is handed out."""
-    while True:
-        pool.append(np.empty(shape))
-        yield pool[-1]
-
-
 class _Bed:
     """What the steps of states on one grid, bathymetry, profile and g share:
     the bed's interface pairs with z_int = max(z_L, z_R), whether it is flat
@@ -232,9 +225,9 @@ class _Bed:
         self.grid, self.profile, self.g, self.z_b = grid, state.profile, state.g, z_b
         self.n, self.dx, self.bc = grid.n_cells, grid.dx, grid.bc
         self.flat = bool((z_b == z_b[0]).all())
-        self.half_g = 0.5 * state.g
-        self.w = state.profile.support_halfwidth
-        self.floor = self.w * math.sqrt(state.g * DRY_DEPTH / 2.0)
+        w = state.profile.support_halfwidth
+        self.floor = w * math.sqrt(state.g * DRY_DEPTH / 2.0)
+        self.half_g, self.w = _scalar(0.5 * state.g), _scalar(w)  # ufunc operands
         self._z = None
         self._stacks = {}
 
@@ -261,49 +254,46 @@ class _Bed:
 
 
 class _Stack:
-    """A step of k rows on one bed, with its constants and work buffers built
-    once.
+    """A step of k rows on one bed, bound once: its constants, its work
+    buffers, and the numpy calls of its flux divergence on fixed views of
+    them.
 
-    ``ghosted`` holds [h, u] of the rows with their ghost cells, (2, k, n+2),
-    and ``sides`` views it as the values left and right of every interface,
-    (2, 2, k, n+1), so the interface pairs cost no copy.  The flux takes its
-    buffers from ``_take``: (2, k, n+1) interface buffers on a sloped bed,
-    (k, n+2) cell buffers on a flat one (``_flat_divergence``), handed out in
-    turn from the first on every step; the pool grows to what the flux takes
-    until a step completes.  ``sigma`` and ``lam_dt`` are the (k, 1) columns
-    of dt / dx and lam dt, written in place.
+    ``cells`` holds [h, q, u] of the rows with their ghost cells, (3, k,
+    n+2); a step loads its input into ``rows``, the view of the rows' own
+    cells, and every other call reads and writes views bound here: the
+    ghost cells, the interface sides (h and u left and right of every
+    interface, (2, 2, k, n+1), no copy), the reconstruction, the kernel
+    (``kinetic._upwind_moments``), the flux and its differences ``div``.
+    ``sigma`` and ``lam_dt`` are the (k, 1) columns of dt / dx and lam dt,
+    written in place; the nudging source, the settle and the wave speeds
+    have their buffers here too.  A warm step allocates only its result.
     """
 
     def __init__(self, bed: _Bed, k: int):
         n = bed.n
         self.bed, self.k = bed, k
-        self.ghosted = np.empty((2, k, n + 2))
-        self.sides = _sides(self.ghosted)
-        self.sign = np.array([[1.0], [-1.0]])  # a wall mirrors u, not h
-        self.gathered = np.empty((3, k, n))  # rows of several arrays (_step_pair)
+        cells = np.empty((3, k, n + 2))
+        self.rows = cells[:, :, 1:-1]
+        self.hq, self.u = self.rows[:2], self.rows[2]
         self.div = np.empty((2, k, n))
         self.source = np.empty((2, k, n))
         self.speeds = (np.empty((k, n)), np.empty((k, n)))
         self.dry = np.empty((k, n), dtype=bool)
         self.sigma, self.lam_dt = np.empty((k, 1)), np.empty((k, 1))
-        if not bed.flat:  # the bed broadcasts over the rows
-            z_cells, z_int = bed.z_pairs
-            self.z_cells, self.z_int = z_cells[:, None], z_int
-            self.fluxes = np.empty((3, k, n + 1))  # f_h, then f_q on the left and right sides
-        self._shape = (k, n + 2) if bed.flat else (2, k, n + 1)
-        self._pool, self._sized = [], False
-        self.terms = np.empty((5,) + self._shape)  # the kernel's recurrence
-
-    def _take(self):
-        if self._sized:
-            return iter(self._pool).__next__
-        return chain(self._pool, _grow(self._pool, self._shape)).__next__
+        ghosted = cells[::2]  # h and u; a wall mirrors u, not h
+        calls = _ghost_calls(ghosted, bed.bc, np.array([[1.0], [-1.0]]))
+        calls += (self._flat_divergence if bed.flat else self._sloped_divergence)(ghosted)
+        self._divergence_calls = tuple(calls)
+        self._calls = self._divergence_calls + (
+            partial(np.multiply, self.sigma, self.div, self.div),)
+        self._source_rows = tuple(self.source)
+        self._shape = (3, k, n)
 
     def step(self, a: np.ndarray, speed: list, dt, lam=None, dh=None) -> _Rows:
         """The successors of the rows of ``a`` (3, k, n), of wave speeds
         ``speed``, each over its dt in ``dt`` with the nudging source
         lam dt (dh, u dh) at its gain in ``lam`` unless dh is None (then the
-        forward step), and settled."""
+        forward step), and settled.  ``a`` may be ``rows``, loaded already."""
         bed, k = self.bed, self.k
         dx = bed.dx
         sigma, lam_dt = self.sigma, self.lam_dt
@@ -314,44 +304,51 @@ class _Stack:
                 raise ValueError(f"dt={dt_r:g} violates the CFL bound 0 <= dt <= {bound:g}")
             sigma[r, 0] = dt_r / dx
             lam_dt[r, 0] = lam_r * dt_r
-        new = np.empty((3, k, bed.n))
-        hq, h, q, u = new[:2], new[0], new[1], new[2]
-        div = self._divergence(a)
-        np.multiply(sigma, div, out=div)
-        np.subtract(a[:2], div, out=hq)
+        if a is not self.rows:
+            np.copyto(self.rows, a)
+        for call in self._calls:
+            call()
+        new = np.empty(self._shape)
+        hq = new[:2]
+        h, q, u = new
+        np.subtract(self.hq, self.div, hq)
         if dh is not None:  # lam dt dh, (lam dt u) dh
-            source = self.source
-            np.multiply(lam_dt, dh, out=source[0])
-            np.multiply(lam_dt, a[2], out=source[1])
-            np.multiply(source[1], dh, out=source[1])
-            np.add(hq, source, out=hq)
+            source_h, source_q = self._source_rows
+            np.multiply(lam_dt, dh, source_h)
+            np.multiply(lam_dt, self.u, source_q)
+            np.multiply(source_q, dh, source_q)
+            np.add(hq, self.source, hq)
         _settle(h, q, self.dry)
         # the velocity: dry cells need no zeroing, their settled q is +0.0
-        np.maximum(h, DRY_DEPTH, out=u)
-        np.divide(q, u, out=u)
+        np.maximum(h, _DRY, out=u)
+        np.divide(q, u, u)
         speeds = _max_wave_speeds(bed, h, u, self.speeds)
         new.flags.writeable = False
-        self._sized = True
         return _Rows(new, speeds, bed)
 
     def _divergence(self, a: np.ndarray) -> np.ndarray:
         """The (2, k, n) differences of the mass and momentum fluxes across
         each cell of the rows of ``a``, in ``div``."""
-        bed, g = self.bed, self.ghosted
-        g[:, :, 1:-1] = a[::2]  # h and u
-        _fill_ghosts(g, bed.bc, self.sign)
-        if bed.flat:
-            return self._flat_divergence()
-        take = self._take()
-        h_cells, u = self.sides
-        h = _reconstruct(h_cells, self.z_cells, self.z_int, take())
-        f = sv_interface_flux(h, h_cells, u, bed.profile, bed.g, take, self.terms, self.fluxes)
+        np.copyto(self.rows, a)
+        _run(self._divergence_calls)
+        return self.div
+
+    def _sloped_divergence(self, ghosted: np.ndarray) -> list:
+        """The calls from the ghosted h and u to ``div`` on a sloped bed:
+        the reconstruction and the interface flux of every side."""
+        h_cells, u = _sides(ghosted)
+        z_cells, z_int = self.bed.z_pairs
+        h = np.empty(h_cells.shape)
+        f = np.empty((3,) + h.shape[1:])  # f_h, then f_q on the left and right sides
+        calls = _reconstruct(h_cells, z_cells[:, None], z_int, h)
+        calls += _interface_flux(h, h_cells, u, self.bed.profile, self.bed.g, f)
         # f_h[i+1] - f_h[i], and f_q from the left side of i+1 less f_q from
         # the right side of i
-        return np.subtract(f[0:2, :, 1:], f[0::2, :, :-1], out=self.div)
+        return calls + [partial(np.subtract, f[0:2, :, 1:], f[0::2, :, :-1], self.div)]
 
-    def _flat_divergence(self) -> np.ndarray:
-        """``_divergence`` on a flat bed, one kernel call per cell.
+    def _flat_divergence(self, ghosted: np.ndarray) -> list:
+        """The calls of ``_divergence`` on a flat bed, one kernel evaluation
+        per cell.
 
         The reconstruction is the identity and the hydrostatic correction
         zero, so both faces of a cell carry its own Gibbs equilibrium: the
@@ -362,21 +359,22 @@ class _Stack:
         J = J_full, so a side whose particles all move one way gets an exact
         zero on the other.
         """
-        bed, take = self.bed, self._take()
-        h, u = self.ghosted
-        c = np.multiply(0.5 * bed.g, h, out=take())
-        np.sqrt(c, out=c)
-        c2 = np.multiply(c, c, out=take())
-        full_q = np.multiply(u, u, out=take())
-        np.add(full_q, c2, out=full_q)
-        np.multiply(h, full_q, out=full_q)
-        full_h = np.multiply(h, u, out=c2)  # c2 is spent
-        fluxes = upwind_mass_momentum(bed.profile, h, u, c, True, take=take, terms=self.terms)
+        bed = self.bed
+        h, u = ghosted
+        c, full_h, full_q = (np.empty(h.shape) for _ in range(3))
+        c2 = full_h  # spent once full_q holds it
+        calls = [partial(np.multiply, _scalar(0.5 * bed.g), h, c), partial(np.sqrt, c, c),
+                 partial(np.multiply, c, c, c2), partial(np.multiply, u, u, full_q),
+                 partial(np.add, full_q, c2, full_q), partial(np.multiply, h, full_q, full_q),
+                 partial(np.multiply, h, u, full_h)]
+        kernel, fluxes = _upwind_moments(bed.profile, h, u, c, (1, 2), True)
+        calls += kernel
         for div, full, positive in zip(self.div, (full_h, full_q), fluxes):
-            negative = np.subtract(full, positive, out=full)
-            f = np.add(positive[:, :-1], negative[:, 1:], out=positive[:, :-1])
-            np.subtract(f[:, 1:], f[:, :-1], out=div)
-        return self.div
+            f = positive[:, :-1]
+            calls += [partial(np.subtract, full, positive, full),  # the negative half-line
+                      partial(np.add, f, full[:, 1:], f),
+                      partial(np.subtract, f[:, 1:], f[:, :-1], div)]
+        return calls
 
 
 class _Rows:
@@ -432,7 +430,7 @@ def _step_pair(first: _Rows, second: _Rows, dt, lam=None, dh=None) -> list[_Rows
     """The one-row rows ``first`` and ``second``, on one bed, stepped as one
     two-row stack (``_Stack.step``): their successors, one row each."""
     stack = second.bed.stack(2)
-    both = np.concatenate((first.a, second.a), axis=1, out=stack.gathered)
+    both = np.concatenate((first.a, second.a), axis=1, out=stack.rows)
     return stack.step(both, first.speed + second.speed, dt, lam, dh).split()
 
 
@@ -441,21 +439,40 @@ def hydrostatic_reconstruct(state: SWState) -> InterfaceReconstruction:
     truncated at zero so reconstructed depths stay admissible.  ``h_cells``
     is a read-only view of the depths with their ghost cells."""
     h_cells = _sides(_ghosted(state.h, state.grid.bc))
-    return InterfaceReconstruction(_reconstruct(h_cells, *state._bed.z_pairs), h_cells)
+    h = np.empty(h_cells.shape)
+    _run(_reconstruct(h_cells, *state._bed.z_pairs, h))
+    return InterfaceReconstruction(h, h_cells)
 
 
 def _reconstruct(h_cells: np.ndarray, z_cells: np.ndarray, z_int: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """max(0, H + z - z_int) on both sides of every interface, from the
-    cell depths and beds either side, into ``out`` when given."""
-    h = np.add(h_cells, z_cells, out=out)
-    np.subtract(h, z_int, out=h)
-    return np.maximum(0.0, h, out=h)
+                 out: np.ndarray) -> list:
+    """The calls that write max(0, H + z - z_int) on both sides of every
+    interface into ``out``, from the cell depths and beds either side."""
+    return [partial(np.add, h_cells, z_cells, out), partial(np.subtract, out, z_int, out),
+            partial(np.maximum, _ZERO, out, out=out)]
+
+
+def _interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile: ChiProfile,
+                    g: float, out: np.ndarray) -> list:
+    """The calls of ``sv_interface_flux`` into ``out``, bound to its
+    arguments and to buffers of h's shape."""
+    c, half_g = np.empty(h.shape), _scalar(0.5 * g)
+    calls = [partial(np.multiply, half_g, h, c),  # halving g is exact: the bits of g h / 2
+             partial(np.sqrt, c, c)]
+    kernel, (mass, momentum) = _upwind_moments(profile, h, u, c, (1, 2), UPWIND_SIDES)
+    f_q, f_q_sides = momentum[0], out[1:]
+    return calls + list(kernel) + [
+        partial(np.add, momentum[0], momentum[1], f_q),
+        partial(np.square, h_cells, f_q_sides),
+        partial(np.square, h, c),  # c is spent
+        partial(np.subtract, f_q_sides, c, f_q_sides),
+        partial(np.multiply, half_g, f_q_sides, f_q_sides),
+        partial(np.add, f_q, f_q_sides, f_q_sides),
+        partial(np.add, mass[0], mass[1], out[0])]
 
 
 def sv_interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile: ChiProfile,
-                      g: float = GRAVITY, take=None, terms: np.ndarray | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      g: float = GRAVITY) -> np.ndarray:
     """Kinetic interface fluxes on the reconstructed depths ``h``, the cell
     depths ``h_cells`` and the velocities ``u`` of the left (row 0) and right
     (row 1) sides of every interface (float arrays, (2, ...) each; see
@@ -471,26 +488,11 @@ def sv_interface_flux(h: np.ndarray, h_cells: np.ndarray, u: np.ndarray, profile
     even when the nonnegativity truncation is active at a wet/dry front.
 
     Every operation acts entry by entry, so the interfaces of k rows go
-    through as one (2, k, n+1) stack.  ``take`` supplies buffers of h's shape
-    for every intermediate, ``terms`` the kernel's (5, ...) stack and ``out``
-    the result; each is fresh by default.
+    through as one (2, k, n+1) stack: the step binds these calls once
+    (``_Stack``), and a call of this function binds them to fresh buffers.
     """
-    if take is None:
-        take = _fresh_buffers(h)
-    if terms is None:
-        terms = np.empty((5,) + h.shape)
-    if out is None:
-        out = np.empty((3,) + h.shape[1:])
-    c = np.multiply(0.5 * g, h, out=take())  # halving g is exact: the bits of g h / 2
-    np.sqrt(c, out=c)
-    mass, momentum = upwind_mass_momentum(profile, h, u, c, UPWIND_SIDES, take=take,
-                                          terms=terms)
-    f_q = np.add(momentum[0], momentum[1], out=momentum[0])
-    f_q_sides = np.square(h_cells, out=out[1:])
-    np.subtract(f_q_sides, np.square(h, out=c), out=f_q_sides)  # c is spent
-    np.multiply(0.5 * g, f_q_sides, out=f_q_sides)
-    np.add(f_q, f_q_sides, out=f_q_sides)
-    np.add(mass[0], mass[1], out=out[0])
+    out = np.empty((3,) + h.shape[1:])
+    _run(_interface_flux(h, h_cells, u, profile, g, out))
     return out
 
 
@@ -524,7 +526,7 @@ def _settle(h: np.ndarray, q: np.ndarray, dry: np.ndarray) -> None:
     infinite depth, which would hide below no floor.  The rows are looked at
     one by one only when some depth is negative, infinite or NaN.
     """
-    low, top = np.minimum.reduce(h, axis=None), np.maximum.reduce(h, axis=None)
+    low, top = np.minimum.reduce(h, None), np.maximum.reduce(h, None)
     if not (low >= 0.0 and top < math.inf):
         low, top = h.min(axis=1), h.max(axis=1, initial=0.0)
         floor = np.maximum(top, 1.0)
@@ -535,8 +537,8 @@ def _settle(h: np.ndarray, q: np.ndarray, dry: np.ndarray) -> None:
                     raise FloatingPointError(f"negative depth {low_r:g} after update")
                 if top_r == math.inf:
                     raise FloatingPointError("infinite depth after update")
-    np.maximum(h, 0.0, out=h)
-    np.putmask(q, np.less(h, DRY_DEPTH, out=dry), 0.0)
+    np.maximum(h, _ZERO, out=h)
+    np.putmask(q, np.less(h, _DRY, dry), 0.0)
 
 
 def sv_forward_step(state: SWState, dt: float) -> SWState:
@@ -567,16 +569,39 @@ def sv_observer_step(state: SWState, obs_h: np.ndarray, lam: float, dt: float) -
 
 def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:
     """Macroscopic energy H u^2/2 + g H^2/2 (+ g H z_b) per cell."""
-    u = state.velocity
-    e = 0.5 * state.h * u * u + 0.5 * state.g * state.h * state.h
-    if include_topography:
-        e = e + state.g * state.h * state.z_b
+    n = state.grid.n_cells
+    return _cell_energy(state.h, state.velocity, state.g,
+                        state.z_b if include_topography else None, (np.empty(n), np.empty(n)))
+
+
+def _cell_energy(h, u, g: float, z_b, out) -> np.ndarray:
+    """``cell_energy`` of the depths h and velocities u, with the bed's
+    potential energy unless z_b is None, in the first of the two buffers
+    ``out`` of h's shape."""
+    e, term = out
+    np.multiply(0.5, h, e)
+    np.multiply(e, u, e)
+    np.multiply(e, u, e)
+    np.multiply(0.5 * g, h, term)
+    np.multiply(term, h, term)
+    np.add(e, term, e)
+    if z_b is not None:
+        np.multiply(g, h, term)
+        np.multiply(term, z_b, term)
+        np.add(e, term, e)
     return e
 
 
 def total_energy(state: SWState) -> float:
     """The energy of ``state``, its bed's potential energy included."""
-    return float(np.sum(cell_energy(state, include_topography=True)) * state.grid.dx)
+    n = state.grid.n_cells
+    return _total_energy(state._bed, state.h, state.velocity, (np.empty(n), np.empty(n)))
+
+
+def _total_energy(bed: _Bed, h, u, out) -> float:
+    """``total_energy`` of the depths h and velocities u on ``bed``, in the
+    two buffers ``out`` of h's shape."""
+    return float(np.sum(_cell_energy(h, u, bed.g, bed.z_b, out)) * bed.dx)
 
 
 def energy_budget(state: SWState, obs_h: np.ndarray | None = None) -> EnergyBudget:
