@@ -34,6 +34,7 @@ gain).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,9 @@ _CFL_TOL = 1.0 + 1e-12
 def burgers_cfl(dx: float, xi_sup: float, safety: float = 0.95) -> float:
     """Largest stable time step: safety * dx / xi_sup.  The relaxation is
     integrated exactly, so the gain does not enter."""
+    for name, value in (("dx", dx), ("xi_sup", xi_sup)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if dx <= 0.0 or xi_sup <= 0.0:
         raise ValueError("dx and xi_sup must be positive")
     if not 0.0 < safety <= 1.0:
@@ -184,9 +188,9 @@ def step_macroscopic_burgers(
     """Engquist-Osher step, then exact relaxation toward ``obs_u``."""
     u = np.asarray(u, dtype=float)
     u_sup = float(np.max(np.abs(u)))
-    # a NaN u_sup is not 0 and gives a NaN bound, which no dt passes
-    if not 0.0 <= dt or (u_sup != 0.0
-                         and not dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL):
+    # a NaN or infinite u_sup (a NaN or infinite cell) allows no dt
+    if not 0.0 <= dt or (u_sup != 0.0 and not (
+            u_sup < math.inf and dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL)):
         raise ValueError(f"dt={dt:g} violates the CFL bound for the macroscopic step")
     return _conservative_step(
         u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])

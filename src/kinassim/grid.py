@@ -27,6 +27,9 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 2:
             raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 

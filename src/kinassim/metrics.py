@@ -11,6 +11,7 @@ of the block's Sobolev pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -205,6 +206,11 @@ def sweep_minimum(curve) -> tuple[float, float, bool]:
         raise ValueError("sweep needs at least 3 points")
     lams = np.asarray([p[0] for p in curve], dtype=float)
     errs = np.asarray([p[1] for p in curve], dtype=float)
+    for lam, err in zip(lams.tolist(), errs.tolist()):
+        if not math.isfinite(lam):
+            raise ValueError(f"sweep lambda values must be finite, got {lam!r}")
+        if not math.isfinite(err):
+            raise ValueError(f"sweep error at lambda {lam!r} must be finite, got {err!r}")
     if not np.all(np.diff(lams) > 0.0):
         raise ValueError("lambda values must be strictly increasing")
     idx = int(np.argmin(errs))  # argmin takes the first (smallest lambda) on ties

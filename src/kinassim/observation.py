@@ -52,6 +52,8 @@ class ObservationSeries:
         self.times = np.asarray(self.times, dtype=float)
         self.fields = np.asarray(self.fields, dtype=float)
         self.mask = np.asarray(self.mask, dtype=bool)
+        if not np.isfinite(self.times).all():
+            raise ValueError(f"observation times must be finite, got {self.times!r}")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("observation times must be strictly increasing")
         if self.fields.shape != (len(self.times), self.grid.n_cells):
@@ -140,8 +142,8 @@ class Mollifier:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:  # NaN fails too
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
     def value(self, s):
         """Kernel value phi_sigma(s) = (1/sigma) * (1 + cos(pi s/sigma)) / 2 on

@@ -763,6 +763,43 @@ class TestObservedDepthCFL:
         with np.errstate(invalid="raise"):  # no square root of a dry depth
             assert lane.cfl(rows, obs) == expected
 
+    def test_window_probe_equals_the_full_grid_probe(self):
+        # the probe reads only the cells of the observation window, outside
+        # which every target of a twin is NaN: on random windows, with wet,
+        # dry, negative and NaN cells, all-dry and all-NaN windows among
+        # them, its bound equals the one evaluated over the whole grid
+        rng = np.random.default_rng(53)
+        cfg = small_sw_config()
+        n = cfg.grid.n_cells
+        bound_by_kind = [0, 0]  # windows where the probe tightens the bound, and not
+        for trial in range(400):
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo + 1, n + 1))
+            lane = assimilation._SWLane(cfg.observer_state, 5.0, 0.95, window=slice(lo, hi))
+            h = rng.uniform(0.0, 2.0, n)
+            h[rng.random(n) < 0.2] = 0.0
+            rows = shallow_water._Rows.of(
+                (replace(cfg.observer_state, h=h, q=h * rng.uniform(-3.0, 3.0, n)),))
+            obs = np.full(n, math.nan)
+            obs[lo:hi] = rng.uniform(0.0, 8.0, hi - lo)
+            pick = rng.random(n)
+            obs[(pick < 0.15) & ~np.isnan(obs)] = rng.choice([0.0, DRY_DEPTH, 0.5 * DRY_DEPTH, -1.0])
+            obs[(pick > 0.9) & ~np.isnan(obs)] = math.nan
+            if trial % 5 == 0:  # every observed cell dry
+                obs[lo:hi] = 0.0
+            elif trial % 5 == 1:  # nothing observed
+                obs[lo:hi] = math.nan
+            wet = np.isfinite(obs) & (obs > DRY_DEPTH)
+            bed, want = rows.bed, lane.bound(rows)
+            if wet.any():
+                speed = np.abs(rows.a[2, 0][wet]) + bed.w * np.sqrt(obs[wet] * bed.half_g)
+                want = min(want, bed.bound(float(np.max(speed)), lane.lam_cfl, lane.safety))
+            with np.errstate(invalid="raise"):  # no square root of a dry depth
+                got = lane.cfl(rows, obs)
+            assert got == want
+            bound_by_kind[got == lane.bound(rows)] += 1
+        assert min(bound_by_kind) > 50
+
     def test_observer_bound_sees_each_target(self, monkeypatch):
         # exact observations every step: the target of step n is the truth's
         # depth at its start, and the observer's bound receives it

@@ -72,6 +72,24 @@ class TestCfl:
             burgers_cfl(0.1, 1.0, safety=1.5)
 
 
+@pytest.mark.parametrize("call, match", [
+    # accepted before: dx = inf, and a dam break on such a grid had sv_cfl nan
+    (lambda: Grid1D(10, 0.0, math.inf), "x_max must be finite, got inf"),
+    (lambda: Grid1D(10, -math.inf, 1.0), "x_min must be finite, got -inf"),
+    # refused before as "x_max must exceed x_min", which names no bad field
+    (lambda: Grid1D(10, math.nan, 1.0), "x_min must be finite, got nan"),
+    (lambda: Grid1D(10, 0.0, math.nan), "x_max must be finite, got nan"),
+    # returned nan before
+    (lambda: burgers_cfl(0.1, math.nan), "xi_sup must be finite, got nan"),
+    (lambda: burgers_cfl(math.nan, 1.0), "dx must be finite, got nan"),
+    (lambda: burgers_cfl(math.inf, 1.0), "dx must be finite, got inf"),
+], ids=["x_max_inf", "x_min_neg_inf", "x_min_nan", "x_max_nan", "cfl_xi_sup_nan", "cfl_dx_nan",
+        "cfl_dx_inf"])
+def test_grid_and_cfl_refuse_non_finite_input_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestKineticStep:
     def test_constant_field_invariant(self):
         grid = make_grid()

@@ -7,7 +7,10 @@ from scipy.integrate import quad
 
 from kinassim.kinetic import (
     GRAVITY as G,
+    UPWIND_SIDES,
     ChiProfile,
+    _run,
+    _upwind_moments,
     chi_cube_integral,
     chi_indicator,
     halfline_energy_moment,
@@ -296,13 +299,22 @@ class TestUpwindMassMomentum:
         stacked = upwind_mass_momentum(
             profile, h.reshape(2, -1), u.reshape(2, -1), c.reshape(2, -1), side
         )
+        # the kernel bound once to its arrays, as a Saint-Venant step binds
+        # it, and run twice: first on other values, then on these
+        arrays = [np.empty((2, 150)) for _ in range(3)]
+        calls, bound = _upwind_moments(profile, *arrays, (1, 2), UPWIND_SIDES)
+        for values in ((h[::-1], u[::-1], c[::-1]), (h, u, c)):
+            for array, value in zip(arrays, values):
+                array[...] = value.reshape(2, -1)
+            _run(calls)
         for row, positive in enumerate((True, False)):
             single = upwind_mass_momentum(
                 profile, h.reshape(2, -1)[row], u.reshape(2, -1)[row],
                 c.reshape(2, -1)[row], positive,
             )
-            for got, want in zip(stacked, single):
+            for got, kernel, want in zip(stacked, bound, single):
                 np.testing.assert_array_equal(got[row], want)
+                np.testing.assert_array_equal(kernel[row], want)
 
 
 def random_interfaces(profile, n=2400, seed=16):

@@ -15,7 +15,35 @@ from kinassim.observation import (
     observability_check,
     sample_observations,
 )
+from kinassim.metrics import sweep_minimum
 from oracles import noise_l2_closed_form
+
+
+def three_times_series(times):
+    grid = Grid1D(4, 0.0, 1.0)
+    return ObservationSeries(times, np.zeros((len(times), 4)), np.ones(4, dtype=bool), grid)
+
+
+@pytest.mark.parametrize("call, match", [
+    # Mollifier(nan) had NaN values, Mollifier(inf) was 0 everywhere
+    (lambda: Mollifier(math.nan), "sigma must be positive and finite, got nan"),
+    (lambda: Mollifier(math.inf), "sigma must be positive and finite, got inf"),
+    # accepted before
+    (lambda: three_times_series([math.nan, 1.0]), "observation times must be finite"),
+    (lambda: three_times_series([0.0, math.inf]), "observation times must be finite"),
+    # returned an all-NaN field before
+    (lambda: interpolate_in_time(three_times_series([0.0, 1.0]), math.nan),
+     "time nan outside the observation span"),
+    # returned (2.0, nan, True) before
+    (lambda: sweep_minimum([(1, 0.5), (2, math.nan), (3, 0.1)]),
+     "sweep error at lambda 2.0 must be finite, got nan"),
+    (lambda: sweep_minimum([(1, 0.5), (math.inf, 0.2), (3, 0.1)]),
+     "sweep lambda values must be finite, got inf"),
+], ids=["mollifier_nan", "mollifier_inf", "series_time_nan", "series_time_inf",
+        "interpolate_at_nan", "sweep_error_nan", "sweep_lambda_inf"])
+def test_observation_and_analysis_refuse_non_finite_input_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class FakeTruth:

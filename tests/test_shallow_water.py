@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kinassim import shallow_water
 from kinassim.grid import BoundaryKind, Grid1D
 from kinassim.kinetic import (
     ChiProfile,
@@ -568,6 +570,68 @@ class TestStatesAndWorkBuffers:
         state = sv_forward_step(flat_state(np.ones(10)), 1e-3)
         with pytest.raises(ValueError, match="water depth h"):
             dataclasses.replace(state, h=-state.h)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("nudged", [False, True])
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_warm_step_allocates_only_its_result(self, profile, flat, nudged, k, monkeypatch):
+        # a stack binds its step once: after the first step, a step of k rows
+        # of n cells allocates its (3, k, n) result and no other buffer of n
+        # or more elements (n bytes or more, a bool mask among them), before
+        # the result or after it.  A ufunc's iterator may take buffers of up
+        # to np.getbufsize() elements for each operand, which are not
+        # arrays; the smallest buffer size keeps them below that
+        n = 8000
+        if flat:
+            grid = wall_grid(n)
+            states = [dam_break_state(grid, 2.0, 1.0, 0.5, profile),
+                      dam_break_state(grid, 1.5, 1.5, 0.5, profile)]
+        else:
+            states = list(thacker_setup(1.0, 4.0, 0.5, n, profile))
+        rows = _Rows.of(states[:k])
+        stack = rows.bed.stack(k)
+        assert rows.bed.flat == flat
+        dt = [0.5 * min(sv_cfl(s, 10.0) for s in states)] * k
+        lam, dh = None, None
+        if nudged:  # each row toward its own mirrored depth
+            lam, dh = [10.0] * k, np.array([s.h[::-1] - s.h for s in states[:k]])
+        stack.step(rows.a, rows.speed, dt, lam, dh)  # warm
+        peaks = []
+
+        class Numpy:  # numpy, with np.empty (the result) noting the peak before it
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                out = np.empty(*args, **kwargs)
+                tracemalloc.reset_peak()
+                return out
+
+        def numpy_bytes():
+            domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            traces = tracemalloc.take_snapshot().filter_traces([domain])
+            return sum(stat.size for stat in traces.statistics("filename"))
+
+        monkeypatch.setattr(shallow_water, "np", Numpy())
+        bufsize = np.getbufsize()
+        np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            held = numpy_bytes()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            new = stack.step(rows.a, rows.speed, dt, lam, dh)
+            peak = tracemalloc.get_traced_memory()[1]
+            kept = numpy_bytes() - held
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert len(peaks) == 1  # one array made by np.empty: the result
+        assert new.a.shape == (3, k, n) and kept == new.a.nbytes
+        assert peaks[0] - before < n
+        assert peak - before - new.a.nbytes < n
 
 
 class TestNonFiniteRefused:
