@@ -199,9 +199,10 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
     ``UPWIND_SIDES`` xi >= 0 on row 0 and xi <= 0 on row 1 of any stack.
     The sums over j of C(k, j) u^(k-j) c^j J_j come from the recurrence
     T_j <- u T_j + c T_(j+1), started at T_j = J_j: after k rounds T_0 is
-    power k's.  The J_j are the rows of one stack, so a round updates all of
-    them in three calls.  Dry entries (h = 0) get c = 1, where every term is
-    finite, and the factor h zeroes them.
+    power k's.  A round updates T_0 first, so each T_(j+1) it reads is
+    still the one before the round, and every operand of its calls has the
+    kernel's shape (numpy's fast loop).  Dry entries (h = 0) get c = 1,
+    where every term is finite, and the factor h zeroes them.
     """
     kmax = max(powers)
     m = kmax + 1
@@ -209,8 +210,7 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
     def spare():
         return np.empty(c.shape)
 
-    terms = np.empty((2 * kmax + 1,) + c.shape)  # the recurrence's
-    t, scratch = terms[:m], terms[m:]
+    t, scratch = np.empty((m,) + c.shape), np.empty(c.shape)  # the recurrence's
     dry, ratio = np.empty(c.shape, dtype=bool), spare()
     calls = [partial(np.less_equal, h, _scalar(0.0), dry), partial(np.putmask, c, dry, 1.0),
              partial(np.divide, u, c, ratio)]
@@ -218,11 +218,10 @@ def _upwind_moments(profile: ChiProfile, h, u, c, powers, positive):
     calls += _complement(t, positive)
     moments = []
     for k in range(m):
-        if k:  # T_j <- u T_j + c T_(j+1), j < m - k, from the T_(j+1) before the round
-            r = m - k
-            calls += [partial(np.multiply, c, t[1:r + 1], scratch[:r]),
-                      partial(np.multiply, u, t[:r], t[:r]),
-                      partial(np.add, t[:r], scratch[:r], t[:r])]
+        for j in range(m - k if k else 0):  # round k: T_j for j < m - k
+            row, below = t[j, ...], t[j + 1, ...]
+            calls += [partial(np.multiply, c, below, scratch),
+                      partial(np.multiply, u, row, row), partial(np.add, row, scratch, row)]
         if k in powers:
             moment = t[0, ...] if k == kmax else spare()
             calls.append(partial(np.multiply, h, t[0, ...], moment))

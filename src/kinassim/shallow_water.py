@@ -262,8 +262,10 @@ class _Stack:
     n+2); a step loads its input into ``rows``, the view of the rows' own
     cells, and every other call reads and writes views bound here: the
     ghost cells, the interface sides (h and u left and right of every
-    interface, (2, 2, k, n+1), no copy), the reconstruction, the kernel
+    interface, (2, 2, k, n+1)), the reconstruction, the kernel
     (``kinetic._upwind_moments``), the flux and its differences ``div``.
+    Where it costs one copy, the operands of a call are arrays of one shape
+    (the sides, the bed of every row), on which numpy takes its fast loop.
     ``sigma`` and ``lam_dt`` are the (k, 1) columns of dt / dx and lam dt,
     written in place; the nudging source, the settle and the wave speeds
     have their buffers here too.  A warm step allocates only its result.
@@ -336,11 +338,15 @@ class _Stack:
     def _sloped_divergence(self, ghosted: np.ndarray) -> list:
         """The calls from the ghosted h and u to ``div`` on a sloped bed:
         the reconstruction and the interface flux of every side."""
-        h_cells, u = _sides(ghosted)
-        z_cells, z_int = self.bed.z_pairs
+        sides = _sides(ghosted)
+        copied = np.empty(sides.shape)
+        h_cells, u = copied
+        z_cells, z_int = (np.ascontiguousarray(np.broadcast_to(z, h_cells.shape))
+                          for z in (self.bed.z_pairs[0][:, None], self.bed.z_pairs[1]))
         h = np.empty(h_cells.shape)
         f = np.empty((3,) + h.shape[1:])  # f_h, then f_q on the left and right sides
-        calls = _reconstruct(h_cells, z_cells[:, None], z_int, h)
+        calls = [partial(np.copyto, copied, sides)]
+        calls += _reconstruct(h_cells, z_cells, z_int, h)
         calls += _interface_flux(h, h_cells, u, self.bed.profile, self.bed.g, f)
         # f_h[i+1] - f_h[i], and f_q from the left side of i+1 less f_q from
         # the right side of i
