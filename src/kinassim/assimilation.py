@@ -482,8 +482,7 @@ class _SWLane(_Lane):
 
     def energy(self, rows):
         """``total_energy`` of the row, in the lane's buffers."""
-        bed = rows.bed
-        return _total_energy(bed, rows.a[0, 0], rows.a[2, 0], self._energy)
+        return _total_energy(rows.bed, rows.a[0, 0], rows.a[2, 0], self._energy)
 
 
 def _lam_for_cfl(config: RunConfig) -> float:
@@ -507,10 +506,11 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     if config.model == "shallow_water":
         lam_cfl = _lam_for_cfl(config)
         truth = _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor)
-        observed = np.flatnonzero(grid.interval_mask(*config.obs_mask)) \
-            if config.obs_mask is not None else [0, grid.n_cells - 1]
-        observer = _SWLane(config.observer_state, lam_cfl, safety,
-                           window=slice(observed[0], observed[-1] + 1))
+        window = slice(None)
+        if config.obs_mask is not None:  # an interval: its cells are contiguous
+            cells = np.flatnonzero(grid.interval_mask(*config.obs_mask))
+            window = slice(cells[0], cells[-1] + 1)
+        observer = _SWLane(config.observer_state, lam_cfl, safety, window=window)
         observer.pairs = truth.factor == 1 and _same_bed(config.truth_state,
                                                          config.observer_state)
         return truth, observer
