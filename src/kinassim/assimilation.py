@@ -398,23 +398,24 @@ class _SWLane(_Lane):
 
     An observer lane whose truth shares its grid and bathymetry (``pairs``)
     can take a substep and the truth's next step as one two-row update, the
-    truth the row at gain 0 (``step_pair``).  ``window`` is the slice of the
-    cells observed (every observed field is NaN outside it), and the lane
-    holds the buffers of its probe, its single-term innovation and its
-    energy."""
+    truth the row at gain 0 (``step_pair``).  An observer lane has a
+    ``window``, the slice of the cells observed (every observed field is NaN
+    outside it), and the buffers of its probe and its single-term
+    innovation; every lane has those of its energy."""
 
     clamp_nonnegative = True
     target_level = 0
     xi = None
 
     def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1,
-                 window: slice = slice(None)):
+                 window: slice | None = None):
         self.initial = _Rows.of((state0.copy(),))
         self.lam_cfl, self.safety, self.factor, self.window = lam_cfl, safety, factor, window
         n = state0.grid.n_cells
-        width = len(range(n)[window])
-        self._probe = np.empty(width, dtype=bool), np.empty(width), np.empty(width)
-        self._innovation = np.empty(n), np.empty(n, dtype=bool)
+        if window is not None:  # an observer
+            width = len(range(n)[window])
+            self._probe = np.empty(width, dtype=bool), np.empty(width), np.empty(width)
+            self._innovation = np.empty(n), np.empty(n, dtype=bool)
         self._energy = np.empty(n), np.empty(n)
 
     def stack(self, k: int):

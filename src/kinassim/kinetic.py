@@ -26,6 +26,12 @@ over j of C(k, j) u^(k-j) c^j J_j, J_j the moment of z^j chi over [-u/c, w].
 J_0..J_kmax are computed once, by products (no ``pow``), and complemented
 (J_full - J) for xi <= 0; the recurrence T_j <- u T_j + c T_(j+1) then gives
 power k as H T_0 after k rounds.
+
+The kernel (``_upwind_moments``) is bound to arrays of one shape: it
+allocates its buffers and returns the numpy calls of one evaluation on
+fixed views of them, with the arrays the moments land in.  A Saint-Venant
+step binds it once and makes its calls on every step; the public functions
+bind it to fresh buffers on each call (``_evaluate``).
 """
 from __future__ import annotations
 
@@ -88,9 +94,11 @@ def _run(calls) -> None:
 
 
 def _scalar(value: float) -> np.ndarray:
-    """``value`` as a 0-d float array, for a bound call: a ufunc takes it
-    faster than a Python float, and computes the same bits."""
-    return np.array(value, dtype=float)
+    """``value`` as a read-only 0-d float array, for a bound call: a ufunc
+    takes it faster than a Python float, and computes the same bits."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 # The calls that write the partial moments of the profiles at the bound

@@ -35,12 +35,19 @@ and builds states only where it hands them out.
 
 What the steps on one bathymetry share is a ``_Bed``: the bed's interface
 pairs, whether it is flat, its CFL bound formula, and per stack size k a
-``_Stack`` built once:
-its ghost-cell buffer and the interface view of it, its flux buffers, and
-its sigma and gain columns, written in place on every step.  Rows made by a
-step keep their bed; states stacked together share the first one's from then
-on.  A step never returns a work buffer, but the rows of one bed share those
-buffers, so they are stepped from one thread.
+``_Stack`` that binds its step once.  It holds every buffer of the step (the
+cells with their ghosts, the interface sides, the reconstruction, the
+kernel's partial moments and recurrence, the fluxes and their differences,
+the source, settle and wave-speed buffers) and the step's flux divergence as
+a tuple of numpy calls on fixed views of them, the half-line kernel's among
+them (``kinetic._upwind_moments``).  A warm step loads its rows into the
+cells, makes those calls, and allocates only its result: no view is built,
+no buffer handed out, no branch taken on the profile or the kind of bed.
+The public ``hydrostatic_reconstruct`` and ``sv_interface_flux`` bind the
+same calls to fresh buffers on each call.  Rows made by a step keep their
+bed; states stacked together share the first one's from then on.  A step
+never returns a work buffer, but the rows of one bed share those buffers,
+so they are stepped from one thread.
 """
 from __future__ import annotations
 
