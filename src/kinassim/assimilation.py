@@ -23,14 +23,20 @@ the truth and observer lanes from the configuration.  The truth lane is the
 observer's scheme at lam = 0, except that the BGK observer's truth runs the
 collapsed lane.
 
-One time loop (``_run_lockstep``) advances both.  The truth leads: before
-the observers take a truth step, the truth has taken it and has passed every
-observation time that step's windows read (``_GainController.lead``).  The
-truth samples each observation time as it steps past it (``_Truth.take``).
-It steps alone only to lead and to finish; a Saint-Venant observer whose
-truth shares its grid and bed takes the first substep of each truth step
-together with the truth's next step, as one two-row update in which the
-truth is the row at gain 0 (``_SWLane.step_pair``).  The loop releases the
+The truth (``_Truth``) owns the twin's observation record, built once from
+the configuration: the observation times inside the horizon, the observed
+cells, the noise, the clamp, the kinetic-velocity grid every observation
+must lie on, and the series it samples; the gain controller
+(``_GainController``) holds only what differs per row or per temporal mode
+and resolves each window from that record.  One time loop
+(``_run_lockstep``) advances both.  The truth leads: before the observers
+take a truth step, the truth has taken it and has passed every observation
+time that step's windows read (``_Truth.lead``).  The truth samples each
+observation time as it steps past it (``_Truth.take``).  It steps alone
+only to lead and to finish; a Saint-Venant observer whose truth shares its
+grid and bed takes the first substep of each truth step together with the
+truth's next step, as one two-row update in which the truth is the row at
+gain 0 (``_Truth.step_beside``, ``_SWLane.step_pair``).  The loop releases the
 truth fields behind the observers.  The Saint-Venant lanes carry their
 states as rows of one array (``shallow_water._Rows``) from step to step,
 and hand out ``SWState``s only in a run's results.
@@ -51,6 +57,7 @@ run terminates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -65,7 +72,7 @@ from .burgers import (
     step_kinetic_linear,
     step_macroscopic_burgers,
 )
-from .grid import Grid1D, XiGrid
+from .grid import Grid1D, XiGrid, _check_count
 from .metrics import ErrorRecorder, ErrorSeries, fit_log_slope
 from .observation import (
     Mollifier,
@@ -136,6 +143,15 @@ class GainSchedule:
             raise ValueError("mollified gain requires a positive sigma")
 
 
+def _observed_cells(grid: Grid1D, interval: tuple[float, float] | None) -> slice:
+    """The cells whose centres lie in the observation ``interval`` (every
+    cell when None), as a slice: an interval's cells are contiguous."""
+    if interval is None:
+        return slice(0, grid.n_cells)
+    cells = np.flatnonzero(grid.interval_mask(*interval))
+    return slice(cells[0], cells[-1] + 1) if cells.size else slice(0, 0)
+
+
 @dataclass
 class RunConfig:
     """Complete description of a twin experiment."""
@@ -171,6 +187,7 @@ class RunConfig:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         if not 0.0 < self.cfl_safety <= 1.0:  # NaN fails too
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
+        _check_count("record_every", self.record_every)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if not 0.0 <= self.sobolev_order < 1.0:  # NaN fails too
@@ -179,6 +196,7 @@ class RunConfig:
             )
         if not (math.isfinite(self.xi_margin) and self.xi_margin >= 0.0):
             raise ValueError(f"xi_margin must be finite and nonnegative, got {self.xi_margin!r}")
+        _check_count("n_xi", self.n_xi)
         if self.n_xi < 1:
             raise ValueError(f"n_xi must be >= 1, got {self.n_xi!r}")
         if self.obs_times is not None:
@@ -188,7 +206,8 @@ class RunConfig:
             ):
                 raise ValueError("obs_times must be a 1-D array of finite, nonnegative, "
                                  f"strictly increasing times, got {times!r}")
-        if self.obs_mask is not None and not self.grid.interval_mask(*self.obs_mask).any():
+        cells = _observed_cells(self.grid, self.obs_mask)
+        if cells.start == cells.stop:
             raise ValueError(f"obs_mask {self.obs_mask} holds no cell centre of the grid on "
                              f"[{self.grid.x_min:g}, {self.grid.x_max:g}]")
         if self.gain.temporal_mode is TemporalMode.MOLLIFIED and (
@@ -208,6 +227,12 @@ class RunConfig:
             shape = None if u0 is None else np.shape(u0)
             if shape != (self.grid.n_cells,):
                 raise ValueError(f"{name} must have shape ({self.grid.n_cells},), got {shape}")
+            finite = np.isfinite(u0)
+            if not finite.all():
+                cell = int(np.argmin(finite))
+                raise ValueError(f"{name} must be finite, got {u0[cell]} in cell {cell}")
+        if self.fixed_xi is not None and not math.isfinite(self.fixed_xi):
+            raise ValueError(f"fixed_xi must be finite, got {self.fixed_xi!r}")
 
     def echo(self) -> dict:
         """Flat, reproducible summary of every resolved setting."""
@@ -507,11 +532,8 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     if config.model == "shallow_water":
         lam_cfl = _lam_for_cfl(config)
         truth = _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor)
-        window = slice(None)
-        if config.obs_mask is not None:  # an interval: its cells are contiguous
-            cells = np.flatnonzero(grid.interval_mask(*config.obs_mask))
-            window = slice(cells[0], cells[-1] + 1)
-        observer = _SWLane(config.observer_state, lam_cfl, safety, window=window)
+        observer = _SWLane(config.observer_state, lam_cfl, safety,
+                           window=_observed_cells(grid, config.obs_mask))
         observer.pairs = truth.factor == 1 and _same_bed(config.truth_state,
                                                          config.observer_state)
         return truth, observer
@@ -545,7 +567,8 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
         u0s[0],
         lambda u: fixed,
         lambda u, dt: step_collapse_macroscopic(u, None, 0.0, dt, grid, xi),
-        target=lambda obs: np.clip(obs, xi.xi_min, xi.xi_max),
+        xi,
+        lambda obs: np.clip(obs, xi.xi_min, xi.xi_max),
     )
     if config.observer_mode is BurgersObserverMode.COLLAPSE:
         return truth, _Lane(u0s[1], truth.bound, truth.transport, xi, truth.target)
@@ -561,41 +584,61 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
 
 class _Truth:
     """The truth run, unnudged, which the twin loop steps ahead of the
-    observers: its observed field at every step (duck-typed for
+    observers, and the twin's observation record.
+
+    The run: its observed field at every step (duck-typed for
     ``sample_observations``), its steps, its energies when recorded, its
     state as the lane carries it (``held``) and as a result holds it
-    (``state``), the final one once ``done``, and the observations sampled
-    from it.
+    (``state``), the final one once ``done``.  ``next_dt`` is the length of
+    its next step, checked against its bound and its step budget; ``take``
+    records that step, whether the truth took it alone (``step``) or beside
+    an observer substep (``step_beside``).  Each step's observed field is an
+    array of its own; ``release(k)`` sets those before k to None (indices
+    stay absolute, and reading one fails); ``finish`` keeps them all.
 
-    ``next_dt`` is the length of its next step, checked against its bound
-    and its step budget; ``take`` records that step, whether the truth took
-    it alone (``step``) or beside an observer substep, and samples every
-    observation time of ``sample_into`` the step has passed.  Each step's
-    observed field is an array of its own; ``release(k)`` sets those before
-    k to None (indices stay absolute, and reading one fails); ``finish``
-    keeps them all.
+    The record, built once from the configuration: the observation times
+    inside the horizon (``times``, one list; None observes the truth exactly
+    at every step), the observed cells (``mask``), the noise field, and the
+    lane's clamp and kinetic-velocity grid ``xi``, on which every
+    observation is checked to lie where it is made (``_refuse_saturation``).
+    The temporal modes that consume time-stamped observations read a sampled
+    ``series``: it holds every time from the start, each field NaN until a
+    step passes its time (``take``; every time left once the truth is done),
+    and then what ``sample_observations`` gives over the same run on its
+    own; ``sampled`` counts the times passed.
+
+    ``lead(n)`` is the one rule for how far the truth runs ahead of the
+    observers: before the observers take truth step n, the truth has taken
+    it, and the series holds every observation the windows of that step
+    read.  ``read(n)`` is the truth-read target of truth step n
+    (``_GainController.resolve``).
     """
 
     def __init__(self, config: RunConfig, lane: _Lane):
-        self.lane, self.grid = lane, config.grid
+        grid, gain = config.grid, config.gain
+        self.lane, self.grid = lane, grid
         self.t_final, self.record_every = config.t_final, config.record_every
         self.held, self.t, self.done = lane.initial, 0.0, False
         self.trajectory_times, self.trajectory_fields, self.dts = [0.0], [], []
         self.energies = [lane.energy(self.held)]
         self._budget, self._released, self._spare = None, 0, []
         self._keep(lane.observed(self.held))
-        self.sampled, self._obs_times = 0, []  # how many of the sample_into times are sampled
+        self.mask = np.zeros(grid.n_cells, dtype=bool)
+        self.mask[_observed_cells(grid, config.obs_mask)] = True
+        self._noise = None if config.noise is None else noise_field(config.noise, grid)
+        # times past the horizon are dropped: they could never be assimilated
+        self.times = None if config.obs_times is None else [
+            t for t in config.obs_times.tolist() if t <= config.t_final * (1.0 + _TIME_TOL)]
+        self.series, self.sampled = None, 0
+        if self.times and gain.temporal_mode is not TemporalMode.AT_OBSERVATION_TIMES:
+            fields = np.full((len(self.times), grid.n_cells), np.nan)
+            self.series = ObservationSeries(self.times, fields, self.mask, grid)
+        # a window reads up to _reach past its start
+        self._reach = gain.sigma if gain.temporal_mode is TemporalMode.MOLLIFIED else _TIME_TOL
 
     @property
     def state(self):
         return self.lane.boundary(self.held)
-
-    def sample_into(self, series: ObservationSeries, observe) -> None:
-        """Fill ``series.fields[k]`` with observe(field) of the recorded state
-        nearest its time, as soon as a step passes that time (every time left
-        once the truth is done): what ``sample_observations`` gives over the
-        same truth run on its own."""
-        self._series, self._observe, self._obs_times = series, observe, series.times.tolist()
 
     def _keep(self, field) -> None:
         kept = self._spare.pop() if self._spare else np.empty_like(field)
@@ -608,6 +651,34 @@ class _Truth:
             self._spare.append(self.trajectory_fields[self._released])
             self.trajectory_fields[self._released] = None
             self._released += 1
+
+    def _observe(self, field):
+        """The observation of the truth field ``field``, checked to lie on
+        the lane's kinetic-velocity grid."""
+        observed = observe(field, self._noise, self.mask, self.lane.clamp_nonnegative)
+        _refuse_saturation(observed, self.lane.xi)
+        return observed
+
+    def read(self, n: int):
+        """The truth-read target of truth step n: the observation of the
+        truth state at the time level of the lane's source
+        (``_Lane.target_level``)."""
+        return self._observe(self.trajectory_fields[n + self.lane.target_level])
+
+    def lead(self, n: int) -> bool:
+        """Step alone until truth step n has been taken and, on a sampled
+        series, the truth has passed the first observation time after
+        t_{n+1} + _reach and at least two: what the windows of step n read.
+        False when the truth ended before step n."""
+        times = self.times
+        while True:
+            k = self.sampled  # every time once the truth is done
+            if len(self.dts) > n and (self.series is None or k == len(times) or (
+                    k >= 2 and times[k - 1] > self.trajectory_times[n + 1] + self._reach)):
+                return True
+            if self.done:
+                return False
+            self.step()
 
     def next_dt(self) -> float:
         t = self.t
@@ -628,10 +699,10 @@ class _Truth:
         field = self.lane.observed(state)
         # sampled before the step is recorded: a refused observation leaves
         # the truth as it was, and stepping it again refuses it again
-        times, k = self._obs_times, self.sampled
-        while k < len(times) and (times[k] < t or done):
+        times, series, k = self.times, self.series, self.sampled
+        while series is not None and k < len(times) and (times[k] < t or done):
             newer = nearest_recorded(np.array([self.t, t]), times[k])
-            self._series.fields[k] = self._observe(field if newer else self.trajectory_fields[-1])
+            series.fields[k] = self._observe(field if newer else self.trajectory_fields[-1])
             k = self.sampled = k + 1
         self.held, self.t, self.done = state, t, done
         self.trajectory_times.append(t)
@@ -643,6 +714,15 @@ class _Truth:
     def step(self) -> None:
         dt = self.next_dt()
         self.take(self.lane.step(self.held, dt), dt)
+
+    def step_beside(self, lane: _Lane, state, dt: float, lams, terms):
+        """Take the next step beside the observers' substep of ``lane`` over
+        dt from ``state`` under ``terms``, as one two-row update
+        (``_SWLane.step_pair``); returns their new state."""
+        truth_dt = self.next_dt()
+        stepped, state = lane.step_pair(self.held, truth_dt, state, dt, lams, terms)
+        self.take(stepped, truth_dt)
+        return state
 
     def finish(self) -> None:
         while not self.done:
@@ -676,122 +756,57 @@ def _checked_bound(bound: float, phase: str, t: float) -> float:
 
 
 class _GainController:
-    """Leads the truth, resolves what nudges each observer window and
-    advances the observer lane under it, for a stack of observers with one
-    gain per row.
-
-    ``lead`` is the one rule for how far the truth runs ahead of the
-    observers: before the observers take truth step n, the truth has taken
-    it, and a sampled series holds every observation the windows of that
-    step read.  ``advance`` then takes the observer substeps, the first of
-    each truth step together with the truth's next step on a lane that
-    ``pairs``.
+    """Resolves what nudges each observer window, from the truth's
+    observation record (``_Truth``), and advances the observer lane under it,
+    for a stack of observers with one gain per row (``lams``).
 
     ``resolve`` answers once per window with the innovation terms of
     ``_Lane.step``, a list of (weight, observed field), or None when nothing
     is observed or no row has a positive gain.  Every temporal mode but the
     mollified gain resolves one term (1.0, target): a target NaN outside the
-    observation window ``obs_mask``.  The mollified gain resolves one term
-    per observation time within sigma, its kernel weight and field.  The lane
-    measures every term against the observer's current state.
+    observed cells.  The mollified gain resolves one term per observation
+    time within sigma of the window's start, its kernel weight and field.
+    The lane measures every term against the observer's current state.
+    ``advance`` takes an observer substep, the first of each truth step
+    beside the truth's next step on a lane that ``pairs``.
 
     A target read from the truth trajectory (at-observation-time nudging, and
-    every-step nudging without observation times) is the truth state at the
-    time level of the lane's source (``_Lane.target_level``): for the Burgers
-    lanes, which relax exactly after transport, the end t_{n+1} of truth step
-    n; for the Saint-Venant lane, whose source is explicit, its start t_n.
-    Either way a twin started from the truth's own state stays on it to
-    machine precision.  At observation times the step is the one that
-    contains t_k.  A forward pointer walks the observation times: a window
-    fires when the next time falls before its end (the final window takes
-    every time left), and ``advance`` moves the pointer past that end once the
-    substep is done, so each observation time fires exactly once, even where
-    float substep windows overlap; a window holding two times nudges once.
-    Sampled series, masked to the window as ``sample_observations`` masks
-    them, feed the every-step (hold), interpolated and mollified modes, whose
-    targets are genuinely stamped at the observation times and are resolved at
-    the start of the window on both models.  ``series`` holds every
-    observation time from the start, and each field from the truth step
-    that passes its time on (``_Truth.sample_into``).
+    every-step nudging without observation times) is ``_Truth.read``: for
+    the Burgers lanes, which relax exactly after transport, the truth state
+    at the end t_{n+1} of truth step n; for the Saint-Venant lane, whose
+    source is explicit, at its start t_n.  Either way a twin started from the
+    truth's own state stays on it to machine precision.  At observation times
+    the step is the one that contains t_k.  A forward pointer walks the
+    observation times: a window fires when the next time falls before its
+    end (the final window takes every time left), and ``advance`` moves the
+    pointer past that end once the substep is done, so each observation time
+    fires exactly once, even where float substep windows overlap; a window
+    holding two times nudges once.  The sampled series feeds the every-step
+    (hold), interpolated and mollified modes, whose targets are genuinely
+    stamped at the observation times and are resolved at the start of the
+    window on both models; the hold takes the last time at or before it.
 
     Every row of the stack takes the same windows, so one pointer serves all
     of them: a row with a zero gain is relaxed by nothing where a window
     fires.
-
-    On a lane with a kinetic-velocity grid ``xi``, every target is checked to
-    lie on it once, where it is built (``_refuse_saturation``).
     """
 
-    def __init__(self, config: RunConfig, truth: _Truth, lane: _Lane, lams):
-        self.config, self.truth = config, truth
-        self.clamp, self.xi, self.level = lane.clamp_nonnegative, lane.xi, lane.target_level
+    def __init__(self, gain: GainSchedule, truth: _Truth, lams):
+        self.truth = truth
         self.lams = np.asarray(lams, dtype=float)  # one gain per row
         self._gained = bool(np.any(self.lams > 0.0))
-        grid, gain, window = config.grid, config.gain, config.obs_mask
-        self.mask = (
-            np.ones(grid.n_cells, dtype=bool) if window is None else grid.interval_mask(*window)
-        )
-        self.mollifier = (
-            Mollifier(gain.sigma) if gain.temporal_mode is TemporalMode.MOLLIFIED else None
-        )
-        self._noise = None if config.noise is None else noise_field(config.noise, grid)
-        # Observation times, those past the horizon dropped: they could never
-        # be assimilated.  None observes the truth exactly at every step.
-        self.times, self._next = config.obs_times, 0  # _next: first time not passed
-        if self.times is not None:
-            self.times = self.times[self.times <= config.t_final * (1.0 + _TIME_TOL)]
-        self.at_times = (
-            self.times is not None
-            and gain.temporal_mode is TemporalMode.AT_OBSERVATION_TIMES
-        )
-        # Sampled series for the modes that consume time-stamped observations,
-        # its fields NaN until the truth samples them (_times: its times as
-        # floats); a window reads up to _reach past its start.
-        self.series, self._times = None, []
-        if self.times is not None and self.times.size and not self.at_times:
-            fields = np.full((self.times.size, grid.n_cells), np.nan)
-            self.series = ObservationSeries(self.times, fields, self.mask, grid)
-            self._times = self.times.tolist()
-            self._span = self._times[0] - _TIME_TOL, self._times[-1]
-            truth.sample_into(self.series, self._observe)
-        self._interpolated = gain.temporal_mode is TemporalMode.INTERPOLATED
-        self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
-
-    def lead(self, n: int) -> bool:
-        """Step the truth alone until truth step n has been taken and, on a
-        sampled series, the truth has passed the first observation time
-        after t_{n+1} + _reach and at least two: what the windows of step n
-        read.  False when the truth ended before step n."""
-        truth, times = self.truth, self._times
-        while True:
-            k = truth.sampled  # every time once the truth is done
-            if len(truth.dts) > n and (k == len(times) or (
-                    k >= 2 and times[k - 1] > truth.trajectory_times[n + 1] + self._reach)):
-                return True
-            if truth.done:
-                return False
-            truth.step()
-
-    def _observe(self, field):
-        """The observation of the truth field ``field``, checked to lie on
-        the lane's kinetic-velocity grid."""
-        observed = observe(field, self._noise, self.mask, self.clamp)
-        _refuse_saturation(observed, self.xi)
-        return observed
-
-    def _skip_to(self, t: float) -> int:
-        """Move the pointer past the observation times below t."""
-        times, k = self.times, self._next
-        while k < len(times) and times[k] < t:
-            k += 1
-        self._next = k
-        return k
+        mode = gain.temporal_mode
+        self.mollifier = Mollifier(gain.sigma) if mode is TemporalMode.MOLLIFIED else None
+        self._interpolated = mode is TemporalMode.INTERPOLATED
+        self.at_times = truth.times is not None and mode is TemporalMode.AT_OBSERVATION_TIMES
+        self._next = 0  # the first observation time not passed, at the observation times
 
     def resolve(self, t_lo: float, t_hi: float, step_index: int, is_last: bool):
         """The innovation terms that nudge the window [t_lo, t_hi] of truth
         step ``step_index``, or None.  The firing check only peeks at the
-        pointer; the hold path moves it up to t_lo, which never decreases."""
-        times, series = self.times, self.series
+        pointer."""
+        truth = self.truth
+        times, series = truth.times, truth.series
         if not self._gained:
             return None
         if self.mollifier is not None:
@@ -799,18 +814,17 @@ class _GainController:
                 return None
             return [(w, f) for _, w, f in mollified_gain(series, self.mollifier, t_lo)] or None
         if series is not None:  # every step, against the sampled series
-            first, last = self._span
-            if t_lo < first:
+            if t_lo < times[0] - _TIME_TOL:
                 return None
             if self._interpolated:
-                return [(1.0, interpolate_in_time(series, min(t_lo, last)))]
-            return [(1.0, series.fields[max(self._skip_to(t_lo + _TIME_TOL) - 1, 0)])]
+                return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
+            return [(1.0, series.fields[max(bisect_left(times, t_lo + _TIME_TOL) - 1, 0)])]
         if self.at_times:
             if not (self._next < len(times) and (is_last or times[self._next] < t_hi)):
                 return None
         elif times is not None:  # no sampled time inside the horizon
             return None
-        return [(1.0, self._observe(self.truth.trajectory_fields[step_index + self.level]))]
+        return [(1.0, truth.read(step_index))]
 
     def advance(self, lane: _Lane, state, t: float, dt: float, terms, first: bool):
         """One substep of the observers over [t, t + dt] under their resolved
@@ -819,13 +833,11 @@ class _GainController:
         has steps left."""
         truth = self.truth
         if first and lane.pairs and not truth.done:
-            truth_dt = truth.next_dt()
-            stepped, state = lane.step_pair(truth.held, truth_dt, state, dt, self.lams, terms)
-            truth.take(stepped, truth_dt)
+            state = truth.step_beside(lane, state, dt, self.lams, terms)
         else:
             state = lane.step(state, dt, self.lams, terms)
-        if terms is not None and self.at_times:
-            self._skip_to(t + dt)
+        if terms is not None and self.at_times:  # past the times before t + dt
+            self._next = max(self._next, bisect_left(truth.times, t + dt))
         return state
 
 
@@ -840,7 +852,7 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
                   controller: _GainController) -> list[RunResult]:
     """Advance the truth and the stack of observers, one per gain of
     ``controller.lams``, to t_final in one time loop: the observers step on
-    the truth's time grid, and the truth leads (``_GainController.lead``).
+    the truth's time grid, and the truth leads (``_Truth.lead``).
     Records the errors (L1 relative, L1, L2, Sobolev) and the energy of
     every record_every-th step and of the last; one RunResult per row.  A
     truth step longer than the observer's CFL bound is divided into m
@@ -884,7 +896,7 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
     try:
         record(0)
         n, substeps = 0, 0
-        while controller.lead(n):
+        while truth.lead(n):
             dt, last = dts[n], truth.done and n == len(dts) - 1
             terms = controller.resolve(times[n], times[n + 1], n, last)
             # the observed field the observer's bound must allow for
@@ -943,7 +955,7 @@ def _run_group(config: RunConfig, lams) -> list[RunResult]:
     config = replace(config)  # checks again a config changed after construction
     truth_lane, observer_lane = _lanes(config)
     truth = _Truth(config, truth_lane)
-    controller = _GainController(config, truth, observer_lane, lams)
+    controller = _GainController(config.gain, truth, lams)
     return _run_lockstep(config, observer_lane, truth, controller)
 
 
@@ -1010,17 +1022,20 @@ def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoin
     The gains are split into groups that share one truth (``_groups``): a
     Burgers sweep on the collapse, BGK or linear lane runs one truth and
     steps the observers of all its gains as one stack, one gain per row; each
-    Engquist-Osher or Saint-Venant gain runs its own twin.
-    With ``jobs`` > 1 each group is cut into at most ``jobs`` contiguous
-    chunks, each running its own truth, on a process pool.  A group that
-    raises runs again one gain at a time, so a failure marks only its own
-    point (``SweepPoint.failed``).  Every point equals ``run_twin`` at its
-    gain, whatever the grouping.
+    Engquist-Osher or Saint-Venant gain runs its own twin.  ``jobs`` is an
+    integer of at least 1; with ``jobs`` > 1 each group is cut into at most
+    ``jobs`` contiguous chunks, each running its own truth, on a process
+    pool.  A group that raises runs again one gain at a time, so a failure
+    marks only its own point (``SweepPoint.failed``).  Every point equals
+    ``run_twin`` at its gain, whatever the grouping.
     """
     lam_values = gain_list(lam_values)
+    _check_count("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     tasks = []
     for group in _groups(config, lam_values):
-        size = math.ceil(len(group) / max(jobs, 1))
+        size = math.ceil(len(group) / jobs)
         tasks += [(config, group[i:i + size]) for i in range(0, len(group), size)]
     if jobs > 1:
         # imported here: it costs every import of the package otherwise
@@ -1041,10 +1056,9 @@ class DecayFit:
     floor_limited: bool
 
 
-def decay_study(config: RunConfig, window: tuple[float, float] | None = None,
-                which: str = "l1_abs") -> DecayFit:
-    """Fit the exponential decay rate of the observer error and compare it to
-    the configured gain.
+def decay_study(config: RunConfig) -> DecayFit:
+    """Fit the exponential decay rate of the observer's absolute L1 error and
+    compare it to the configured gain.
 
     Works on collision-free configurations (fixed-speed linear transport, or
     smooth pre-shock Burgers).  Points at or below the numerical error floor
@@ -1058,11 +1072,7 @@ def decay_study(config: RunConfig, window: tuple[float, float] | None = None,
             f"decay study needs at least 3 recorded error rows, but the run recorded "
             f"{len(t)} over {len(result.dt_history)} truth steps"
         )
-    v = np.asarray(getattr(series, which), dtype=float)
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
-    inside = (t >= window[0]) & (t <= window[1])
-    t, v = t[inside], v[inside]
+    v = np.asarray(series.l1_abs, dtype=float)
     positive = v[v > 0.0]
     if positive.size < 3:
         raise ValueError("not enough positive error samples to fit a decay rate")

@@ -81,6 +81,8 @@ def _run_sweep(args) -> int:
         lam_values = gain_list(v for v in args.lambdas.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"--lambdas {args.lambdas!r}: {exc}") from None
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load(args.config)
     points = sweep_lambda(config, lam_values, jobs=args.jobs)
     if args.out:

@@ -3,10 +3,18 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer (a float, even a whole one), by
+    name."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class BoundaryKind(enum.Enum):
@@ -25,6 +33,7 @@ class Grid1D:
     bc: BoundaryKind = BoundaryKind.PERIODIC
 
     def __post_init__(self):
+        _check_count("n_cells", self.n_cells)
         if self.n_cells < 2:
             raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
         for name in ("x_min", "x_max"):
@@ -52,6 +61,7 @@ class Grid1D:
 
     def refined(self, resolution_factor: int) -> "Grid1D":
         """The same interval cut into resolution_factor times as many cells."""
+        _check_count("resolution_factor", resolution_factor)
         if resolution_factor < 1:
             raise ValueError(f"resolution_factor must be >= 1, got {resolution_factor!r}")
         return Grid1D(self.n_cells * resolution_factor, self.x_min, self.x_max, self.bc)
@@ -72,8 +82,12 @@ class XiGrid:
     n_xi: int
 
     def __post_init__(self):
+        for name in ("xi_min", "xi_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.xi_max > self.xi_min:
             raise ValueError("xi_max must exceed xi_min")
+        _check_count("n_xi", self.n_xi)
         if self.n_xi < 1:
             raise ValueError("n_xi must be >= 1")
 

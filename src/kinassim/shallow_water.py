@@ -580,17 +580,17 @@ def sv_observer_step(state: SWState, obs_h: np.ndarray, lam: float, dt: float) -
     return rows.step((dt,), (lam,), dh).state(0)
 
 
-def cell_energy(state: SWState, include_topography: bool = False) -> np.ndarray:
-    """Macroscopic energy H u^2/2 + g H^2/2 (+ g H z_b) per cell."""
+def cell_energy(state: SWState) -> np.ndarray:
+    """Macroscopic energy H u^2/2 + g H^2/2 per cell, without the bed's
+    potential energy."""
     n = state.grid.n_cells
-    return _cell_energy(state.h, state.velocity, state.g,
-                        state.z_b if include_topography else None, (np.empty(n), np.empty(n)))
+    return _cell_energy(state.h, state.velocity, state.g, None, (np.empty(n), np.empty(n)))
 
 
 def _cell_energy(h, u, g: float, z_b, out) -> np.ndarray:
-    """``cell_energy`` of the depths h and velocities u, with the bed's
-    potential energy unless z_b is None, in the first of the two buffers
-    ``out`` of h's shape."""
+    """The energy H u^2/2 + g H^2/2 of the depths h and velocities u per
+    cell, plus the bed's potential energy g H z_b unless z_b is None, in the
+    first of the two buffers ``out`` of h's shape."""
     e, term = out
     np.multiply(0.5, h, e)
     np.multiply(e, u, e)
@@ -631,8 +631,8 @@ def energy_budget(state: SWState, obs_h: np.ndarray | None = None) -> EnergyBudg
     zeta_tilde = None
     if obs_h is not None:
         obs_h = np.asarray(obs_h, dtype=float)
-        u = state.velocity
-        zeta_tilde = 0.5 * obs_h * u * u + 0.5 * state.g * obs_h * obs_h
+        out = np.empty(obs_h.shape), np.empty(obs_h.shape)
+        zeta_tilde = _cell_energy(obs_h, state.velocity, state.g, None, out)
     rec = hydrostatic_reconstruct(state)
     u_sides = _sides(_ghosted(state.velocity, state.grid.bc, -1.0))
     flux = halfline_energy_moment(state.profile, rec.h_sides, u_sides, state.g, UPWIND_SIDES)

@@ -20,7 +20,7 @@ from kinassim.assimilation import (
     sweep_lambda,
 )
 from kinassim.config import fixture_path, parse_config
-from kinassim.grid import BoundaryKind, Grid1D
+from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.observation import (
     NoiseSpec,
     interpolate_in_time,
@@ -220,6 +220,13 @@ class TestSweep:
         cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=0.1)
         with pytest.raises(ValueError, match="gains must be finite and nonnegative"):
             sweep_lambda(cfg, [0.0, lam])
+
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5])
+    def test_jobs_below_one_refused(self, jobs):
+        # 0 and -3 ran sequentially
+        cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.1)
+        with pytest.raises(ValueError, match=r"jobs must be (an integer|>= 1), got"):
+            sweep_lambda(cfg, [0.0, 1.0], jobs=jobs)
 
     def test_parallel_matches_sequential(self):
         cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=0.2)
@@ -493,6 +500,59 @@ class TestNonFiniteInputRefused:
             replace(small_sw_config(), truth_resolution_factor=0)
 
 
+class TestNonFiniteBurgersInputRefused:
+    """A NaN truth_u0 was refused as "xi_max must exceed xi_min", an
+    infinite observer_u0 and a non-finite fixed_xi as "xi_sup must be
+    finite", and XiGrid(-inf, 1, 4) was accepted with dxi = inf."""
+
+    @pytest.mark.parametrize("name", ["truth_u0", "observer_u0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_initial_field(self, name, value):
+        cfg = burgers_config()
+        u0 = getattr(cfg, name).copy()
+        u0[7] = value
+        with pytest.raises(ValueError, match=rf"{name} must be finite, got {value} in cell 7"):
+            replace(cfg, **{name: u0})
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_fixed_speed(self, speed):
+        with pytest.raises(ValueError, match=rf"fixed_xi must be finite, got {speed}"):
+            replace(linear_config(1.0), fixed_xi=speed)
+
+    @pytest.mark.parametrize("bounds,name", [
+        ((-math.inf, 1.0), "xi_min"), ((-1.0, math.inf), "xi_max"), ((math.nan, 1.0), "xi_min"),
+    ], ids=["minus_inf", "inf", "nan"])
+    def test_xi_grid(self, bounds, name):
+        with pytest.raises(ValueError, match=rf"{name} must be finite"):
+            XiGrid(*bounds, 4)
+
+
+class TestNonIntegerCountsRefused:
+    """Non-integer counts were accepted: Grid1D(2.5) gave 3 centres with the
+    last on x_max, refined(1.5) a grid of 15.0 cells, record_every=1.5
+    recorded as every 3 steps; a fractional n_xi failed deep in the run."""
+
+    @pytest.mark.parametrize("build,name", [
+        pytest.param(lambda: Grid1D(2.5), "n_cells", id="grid"),
+        pytest.param(lambda: Grid1D(10.0), "n_cells", id="grid_whole_float"),
+        pytest.param(lambda: Grid1D(10).refined(1.5), "resolution_factor", id="refined"),
+        pytest.param(lambda: XiGrid(-1.0, 1.0, 2.5), "n_xi", id="xi_grid"),
+        pytest.param(lambda: replace(burgers_config(), n_xi=2.5), "n_xi", id="run_n_xi"),
+        pytest.param(lambda: replace(burgers_config(), record_every=1.5), "record_every",
+                     id="record_every"),
+        pytest.param(lambda: replace(small_sw_config(), truth_resolution_factor=2.0),
+                     "resolution_factor", id="truth_resolution_factor"),
+    ])
+    def test_refused_by_name(self, build, name):
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        grid = Grid1D(np.int64(10))
+        assert grid.refined(np.int32(2)).n_cells == 20
+        assert XiGrid(-1.0, 1.0, np.int64(4)).n_xi == 4
+
+
 class TestInitialDataOnTheGrid:
     """Initial data must lie on the configured grid; before, a mismatch ran
     silently or failed far from its cause."""
@@ -557,7 +617,7 @@ class TestEveryStepModes:
         advance = assimilation._GainController.advance
 
         def record(self, lane, state, t, dt, nudge, first):
-            seen.append((t, nudge, self.series))
+            seen.append((t, nudge, self.truth.series))
             return advance(self, lane, state, t, dt, nudge, first)
 
         monkeypatch.setattr(assimilation, "interpolate_in_time", counted)
@@ -636,20 +696,21 @@ class TestTruthLeads:
         assert len({id(c) for c in controllers}) == 1
         return controllers[0], reads
 
-    def expected(self, controller, truth, series, t_lo, step_index):
+    def expected(self, cfg, controller, truth, series, t_lo, step_index):
         """(the indices of the recorded truth states the window at t_lo
         reads, the fields it should use), from the whole truth ``truth``."""
-        times = controller.times
+        record = controller.truth  # the run's truth holds the observation record
+        times = np.asarray(record.times)
         if series is None:  # the truth's own state at the lane's time level
-            index = step_index + controller.level
-            field = observe(truth.trajectory_fields[index], controller._noise,
-                            controller.mask, controller.clamp)
+            index = step_index + record.lane.target_level
+            field = observe(truth.trajectory_fields[index], record._noise,
+                            record.mask, record.lane.clamp_nonnegative)
             return [index], [field]
         nearest = nearest_recorded(np.asarray(truth.trajectory_times), times)
         if controller.mollifier is not None:
             ks = [k for k, _, _ in mollified_gain(series, controller.mollifier, t_lo)]
             return nearest[ks], [series.fields[k] for k in ks]
-        if controller.config.gain.temporal_mode is TemporalMode.INTERPOLATED:
+        if cfg.gain.temporal_mode is TemporalMode.INTERPOLATED:
             t = min(t_lo, times[-1])
             k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
             return nearest[k:k + 2], [interpolate_in_time(series, t)]
@@ -672,14 +733,15 @@ class TestTruthLeads:
         whole.finish()
         assert whole.trajectory_times == truth.trajectory_times and whole.dts == truth.dts
         series = None
-        if controller.series is not None:
-            series = sample_observations(whole, controller.times, mask_interval=cfg.obs_mask,
-                                         noise=cfg.noise, clamp_nonnegative=controller.clamp)
-            assert np.array_equal(controller.series.fields, series.fields, equal_nan=True)
+        if truth.series is not None:
+            series = sample_observations(whole, truth.times, mask_interval=cfg.obs_mask,
+                                         noise=cfg.noise,
+                                         clamp_nonnegative=truth.lane.clamp_nonnegative)
+            assert np.array_equal(truth.series.fields, series.fields, equal_nan=True)
         used = [r for r in reads if r[3] is not None]
         assert len(used) > 3
         for t_lo, step_index, truth_t, fields in used:
-            indices, expected = self.expected(controller, whole, series, t_lo, step_index)
+            indices, expected = self.expected(cfg, controller, whole, series, t_lo, step_index)
             assert max(truth.trajectory_times[i] for i in indices) <= truth_t
             assert len(fields) == len(expected)
             for got, want in zip(fields, expected):

@@ -511,6 +511,14 @@ class TestCli:
         assert proc.returncode == 1
         assert "config error: --lambdas" in proc.stderr
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        # ran sequentially and exited 0
+        cfg = write_cfg(tmp_path, MINIMAL)
+        assert cli.main(["sweep-lambda", cfg, "--lambdas", "0,1", "--jobs", jobs,
+                         "--quiet"]) == 1
+        assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_quiet_suppresses_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL, name="quiet.cfg")
         proc = run_cli("run-burgers", cfg, "--quiet")
