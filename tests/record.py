@@ -35,6 +35,7 @@ import platform
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +107,22 @@ def dividing(config):
     return config
 
 
+def fixed_speed(config):
+    """``config`` on the single-speed linear lane at speed 0.5."""
+    config.fixed_xi = 0.5
+    return config
+
+
+def bumped_observer_bed(config):
+    """The observer of ``config`` on its truth's grid over a bed with a bump
+    of height 0.05 at x = 0.25: the two share no bed, so they step apart."""
+    state = config.observer_state
+    x = state.grid.centers
+    config.observer_state = replace(
+        state, z_b=state.z_b + 0.05 * np.exp(-(((x - 0.25) / 0.05) ** 2)))
+    return config
+
+
 PUBLIC_STEPS = 20
 PUBLIC_LAMBDA = 10.0
 
@@ -173,6 +190,13 @@ def cases() -> dict:
     out["dam_break/rectangle_lambda20_window"] = ("twin", "dam_break", {
         **rectangle_dam_break, ("observations", "mask_lo"): 0.3,
         ("observations", "mask_hi"): 0.6}, None)
+    # the fixed-speed linear lane, and a Saint-Venant observer on a bed of its
+    # own over the truth's grid
+    for temporal in ("every_step", "at_observation_times"):
+        out[f"burgers_clean/fixed_speed/{temporal}"] = ("twin", "burgers_clean", {
+            ("gain", "temporal"): temporal}, fixed_speed)
+    out["dam_break/bumped_observer_bed_lambda20_t0.2"] = ("twin", "dam_break", {
+        ("gain", "lambda"): 20.0, ("model", "t_final"): 0.2}, bumped_observer_bed)
     for fixture in ("thacker", "dam_break"):
         for call in ("forward", "observer", "observer_window"):
             out[f"{fixture}/public_{call}"] = ("public", fixture, {}, call)
@@ -183,6 +207,9 @@ def cases() -> dict:
                 "public", fixture, {("model", "profile"): profile}, "energy_budget")
     for fixture in ("thacker", "thacker_noisy"):  # criterion 9
         out[f"{fixture}/sweep"] = ("sweep", fixture, {}, [1.0, 3.0, 10.0, 30.0, 100.0])
+    for mode in ("bgk", "macroscopic"):  # one stacked group, one group per gain
+        out[f"burgers_clean/sweep_t0.3/{mode}"] = ("sweep", "burgers_clean", {
+            **observer_mode(mode), ("model", "t_final"): 0.3}, [0.0, 10.0, 100.0])
     for eps in (0.05, 0.02, 0.005):  # criterion 8
         out[f"burgers_noisy_eps002/sweep_eps{eps:g}"] = (
             "sweep", "burgers_noisy_eps002", {("noise", "epsilon"): eps},
