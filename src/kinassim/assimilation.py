@@ -7,10 +7,11 @@ along the way.  A gain sweep is the same run with a stack of observers, one
 gain per row, against one truth; a single twin is the sweep of one gain.
 
 Every model is the same kinetic equation with the relaxation source
-lam (M_obs - f); only the transport and the closure differ.  A *lane* holds
-that per-model part: its CFL bound, one step that transports and then nudges
-toward the weighted mean of a list of innovation terms, the field it
-observes and is compared on, and the energy (Saint-Venant only).  Every
+lam (M_obs - f); only the transport and the closure differ.  A *lane* is
+that per-model part, a scheme that holds no state: its CFL bound, one step
+that transports and then nudges toward the weighted mean of a list of
+innovation terms, the field it observes and is compared on, and the energy
+(Saint-Venant only).  Every
 temporal mode resolves to such terms (``_GainController.resolve``): one term
 of weight 1 toward the held, interpolated or truth-read target, or one
 kernel-weighted term per observation time under the mollified gain.  Every
@@ -18,10 +19,10 @@ term is measured against the observer's current state, so the nudge is the
 BGK relaxation lam W (M_obs - f) toward the weighted mean of the
 observations, W the total weight of the terms.  The Burgers lanes relax
 exactly toward the mean innovation with one ``burgers._relax`` on the
-gap; the Saint-Venant lane adds it as an explicit source.  ``_lanes`` builds
-the truth and observer lanes from the configuration.  The truth lane is the
-observer's scheme at lam = 0, except that the BGK observer's truth runs the
-collapsed lane.
+gap; the Saint-Venant lane adds it as an explicit source.  The truth is the
+scheme at lam = 0: ``_lanes`` gives it its observers' lane object wherever
+it runs their scheme on their grid and bed.  Every lane state, the truth's
+included, is a stack of rows (``_Lane.stack``).
 
 The truth (``_Truth``) owns the twin's observation record, built once from
 the configuration: the observation times inside the horizon, the observed
@@ -33,9 +34,9 @@ and resolves each window from that record.  One time loop
 take a truth step, the truth has taken it and has passed every observation
 time that step's windows read (``_Truth.lead``).  The truth samples each
 observation time as it steps past it (``_Truth.take``).  It steps alone
-only to lead and to finish; a Saint-Venant observer whose truth shares its
-grid and bed takes the first substep of each truth step together with the
-truth's next step, as one two-row update in which the truth is the row at
+only to lead and to finish; a Saint-Venant observer whose truth steps
+through its lane takes the first substep of each truth step together with
+the truth's next step, as one two-row update in which the truth is the row at
 gain 0 (``_Truth.step_beside``, ``_SWLane.step_pair``).  The loop releases the
 truth fields behind the observers.  The Saint-Venant lanes carry their
 states as rows of one array (``shallow_water._Rows``) from step to step,
@@ -301,20 +302,22 @@ def _per_row(lams: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 class _Lane:
-    """One model's scheme, shared by the truth and the observers.
+    """One model's scheme, holding no state: the truth and the observers step
+    through it, the truth as the scheme at lam = 0.
 
-    The truth is one field.  The observers are a stack of k with one gain
-    per row (``stack``, ``row``), k = 1 for a single twin.
-    ``step(state, dt, lams, terms)`` transports, then nudges each row at its
-    gain in ``lams`` times the total weight W of the innovation terms
-    ``terms`` (``_GainController.resolve``) toward their weighted mean
-    (``_mean_innovation``); terms None is transport alone.
+    Every state is a stack of rows: ``stack(initial, k)`` builds k rows from
+    the configured initial value (``_initial``), the truth a stack of one and
+    the observers one row per gain, k = 1 for a single twin; ``observed``
+    gives one field per row, and ``row(state, r)`` hands row r out as a run
+    result holds it.  ``step(state, dt, lams, terms)`` transports, then
+    nudges each row at its gain in ``lams`` times the total weight W of the
+    innovation terms ``terms`` (``_GainController.resolve``) toward their
+    weighted mean (``_mean_innovation``); terms None is transport alone.
 
-    The base class is a Burgers lane on the field u, one row per observer,
-    given its bound, its gain-free transport and the relaxation target of an
-    observed field as callables.  Every Burgers lane measures its
-    innovations after transport and relaxes the whole stack exactly with one
-    ``_relax``.
+    The base class is a Burgers lane on the field u, given its bound, its
+    gain-free transport and the relaxation target of an observed field as
+    callables.  Every Burgers lane measures its innovations after transport
+    and relaxes the whole stack exactly with one ``_relax``.
     """
 
     clamp_nonnegative = False  # truncate negative noisy observations
@@ -322,10 +325,13 @@ class _Lane:
     # exact relaxation of the Burgers lanes, its start (0) for the explicit
     # source of the Saint-Venant lane
     target_level = 1
-    pairs = False  # takes the truth's next step beside a substep (_SWLane.step_pair)
+    # the first observer substep of each truth step takes the truth's next
+    # step beside it where the truth steps through the same lane object
+    # (_SWLane.step_pair)
+    pairs = False
 
-    def __init__(self, initial, bound, transport, xi: XiGrid | None = None, target=None):
-        self.initial, self.bound, self.transport = initial, bound, transport
+    def __init__(self, bound, transport, xi: XiGrid | None = None, target=None):
+        self.bound, self.transport = bound, transport
         self.xi = xi  # kinetic-velocity grid the observations must fit in
         if target is not None:
             self.target = target
@@ -334,16 +340,12 @@ class _Lane:
         """What the lane relaxes toward for the observed field ``obs``."""
         return obs
 
-    def stack(self, k: int):
-        """k copies of the initial state, one row each."""
-        return np.repeat(self.initial[None], k, axis=0)
+    def stack(self, initial, k: int):
+        """k copies of the initial field, one row each."""
+        return np.repeat(np.asarray(initial, dtype=float)[None], k, axis=0)
 
     def row(self, state, r: int):
         return state[r].copy()
-
-    def boundary(self, state):
-        """The unstacked ``state`` (the truth's) as a run result holds it."""
-        return state
 
     def cfl(self, state, obs=None) -> float:
         return self.bound(state)
@@ -364,16 +366,19 @@ class _Lane:
 
 class _BGKLane(_Lane):
     """Burgers, free kinetic density f(x, xi), stepped as the values of a
-    KineticField, (k, n_cells, n_xi) for k rows: the target of an observed
-    field is its cell-averaged indicator, so the source acts in kinetic
-    space."""
+    KineticField, (k, n_cells, n_xi) for k rows: a row starts as the
+    cell-averaged indicator of the initial field, and the target of an
+    observed field is its indicator, so the source acts in kinetic space."""
 
-    def __init__(self, field: KineticField, bound, transport):
-        super().__init__(field.values, bound, transport, field.xi, field.xi.indicator)
-        self.field = field
+    def __init__(self, xi: XiGrid, grid: Grid1D, bound, transport):
+        super().__init__(bound, transport, xi, xi.indicator)
+        self.grid = grid
+
+    def stack(self, initial, k: int):
+        return super().stack(self.xi.indicator(np.asarray(initial, dtype=float)), k)
 
     def row(self, state, r: int):
-        return replace(self.field, values=state[r].copy())
+        return KineticField(state[r].copy(), self.xi, self.grid)
 
     def observed(self, state):
         return state @ self.xi.weights
@@ -414,45 +419,44 @@ def _mean_innovation(lane: _Lane, terms, ref, out=None):
 class _SWLane(_Lane):
     """Kinetic Saint-Venant scheme; the observed field is the depth, averaged
     over ``factor`` cells when the truth runs on a refined grid.  The lane
-    carries a state as one row of ``shallow_water._Rows`` and hands it out as
-    an ``SWState`` (``row``, ``boundary``).  Its time grid depends on the
-    gain, so it steps a stack of one observer.  Its innovations are measured
-    against the depth before the step, and its source is explicit: one
-    source-and-settle update at the gain times the total weight, so the CFL
-    bound and the positivity check see the gain actually applied.
+    carries a state as one row of ``shallow_water._Rows`` (``stack`` refuses
+    any other k) and hands it out as an ``SWState`` (``row``).  Its time grid
+    depends on the gain, so it steps a stack of one observer.  Its
+    innovations are measured against the depth before the step, and its
+    source is explicit: one source-and-settle update at the gain times the
+    total weight, so the CFL bound and the positivity check see the gain
+    actually applied.
 
-    An observer lane whose truth shares its grid and bathymetry (``pairs``)
-    can take a substep and the truth's next step as one two-row update, the
-    truth the row at gain 0 (``step_pair``).  An observer lane has a
-    ``window``, the slice of the cells observed (every observed field is NaN
-    outside it), and the buffers of its probe and its single-term
-    innovation; every lane has those of its energy."""
+    Where the truth steps through the same lane object as its observer, the
+    two share a grid and a bathymetry, and a substep and the truth's next
+    step go as one two-row update, the truth the row at gain 0
+    (``pairs``, ``step_pair``).  The observers' lane has a ``window``, the
+    slice of the cells observed (every observed field is NaN outside it),
+    and the buffers of its probe and its single-term innovation; every lane
+    has those of its energy."""
 
     clamp_nonnegative = True
     target_level = 0
+    pairs = True
     xi = None
 
-    def __init__(self, state0: SWState, lam_cfl: float, safety: float, factor: int = 1,
+    def __init__(self, grid: Grid1D, lam_cfl: float, safety: float, factor: int = 1,
                  window: slice | None = None):
-        self.initial = _Rows.of((state0.copy(),))
         self.lam_cfl, self.safety, self.factor, self.window = lam_cfl, safety, factor, window
-        n = state0.grid.n_cells
-        if window is not None:  # an observer
+        n = grid.n_cells
+        if window is not None:  # the observers' lane
             width = len(range(n)[window])
             self._probe = np.empty(width, dtype=bool), np.empty(width), np.empty(width)
             self._innovation = np.empty(n), np.empty(n, dtype=bool)
         self._energy = np.empty(n), np.empty(n)
 
-    def stack(self, k: int):
+    def stack(self, initial: SWState, k: int):
         if k != 1:
             raise ValueError(f"a Saint-Venant lane steps one observer, not {k}")
-        return self.initial
+        return _Rows.of((initial.copy(),))
 
     def row(self, rows, r: int):
         return rows.state(r)
-
-    def boundary(self, rows):
-        return rows.state(0)
 
     def bound(self, rows) -> float:
         """``sv_cfl`` of the row at the lane's gain and safety."""
@@ -494,29 +498,41 @@ class _SWLane(_Lane):
 
     def step_pair(self, truth, truth_dt, rows, dt, lams, terms):
         """(the truth's step over truth_dt, this lane's ``step``) as one
-        two-row update; only where the lane ``pairs``."""
+        two-row update; only for a truth on this lane."""
         if terms is None:
             return _step_pair(truth, rows, (truth_dt, dt))
         dh, weight = _mean_innovation(self, terms, rows.a[0, 0], self._innovation)
         return _step_pair(truth, rows, (truth_dt, dt), (0.0, float(lams[0]) * weight), dh)
 
     def observed(self, rows):
-        h = rows.a[0, 0]
+        h = rows.a[0]
         if self.factor == 1:
             return h
-        return h.reshape(-1, self.factor).mean(axis=1)
+        return h.reshape(len(h), -1, self.factor).mean(axis=2)
 
     def energy(self, rows):
         """``total_energy`` of the row, in the lane's buffers."""
         return _total_energy(rows.bed, rows.a[0, 0], rows.a[2, 0], self._energy)
 
 
+def _horizon_times(config: RunConfig) -> list[float] | None:
+    """The observation times inside the horizon, as one list (None observes
+    the truth exactly at every step): later times are never assimilated."""
+    if config.obs_times is None:
+        return None
+    return [t for t in config.obs_times.tolist() if t <= config.t_final * (1.0 + _TIME_TOL)]
+
+
 def _lam_for_cfl(config: RunConfig) -> float:
     """The gain the Saint-Venant CFL bound allows for: lam times the largest
-    total kernel weight under the mollified gain."""
-    gain, times = config.gain, config.obs_times
+    total kernel weight of the observation times inside the horizon under
+    the mollified gain (0 where none is: nothing nudges)."""
+    gain = config.gain
     if gain.temporal_mode is not TemporalMode.MOLLIFIED:
         return gain.lam
+    times = _horizon_times(config)
+    if not times:
+        return 0.0
     moll, sigma = Mollifier(gain.sigma), gain.sigma
     samples = np.arange(times[0] - sigma, times[-1] + sigma + sigma / 64.0, sigma / 64.0)
     total = np.zeros_like(samples)
@@ -525,56 +541,57 @@ def _lam_for_cfl(config: RunConfig) -> float:
     return gain.lam * (float(np.max(total)) * 1.0001)
 
 
+def _initial(config: RunConfig) -> tuple:
+    """The configured initial values of the truth and of the observers, from
+    which ``_Lane.stack`` builds their states: ``SWState``s on
+    Saint-Venant, fields u on Burgers."""
+    if config.model == "shallow_water":
+        return config.truth_state, config.observer_state
+    return config.truth_u0, config.observer_u0
+
+
 def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     """(truth lane, observer lane), under one CFL bound: gain-augmented on
-    Saint-Venant, gain-free on Burgers."""
+    Saint-Venant, gain-free on Burgers.  One object twice wherever the truth
+    runs the observers' scheme on their grid and bed; two only for the BGK
+    observer, whose truth runs the collapsed lane, and for a Saint-Venant
+    truth on a refined grid or on another bed."""
     safety, grid = config.cfl_safety, config.grid
+    truth_initial, observer_initial = _initial(config)
     if config.model == "shallow_water":
         lam_cfl = _lam_for_cfl(config)
-        truth = _SWLane(config.truth_state, lam_cfl, safety, config.truth_resolution_factor)
-        observer = _SWLane(config.observer_state, lam_cfl, safety,
-                           window=_observed_cells(grid, config.obs_mask))
-        observer.pairs = truth.factor == 1 and _same_bed(config.truth_state,
-                                                         config.observer_state)
-        return truth, observer
-    u0s = [np.asarray(u, dtype=float).copy() for u in (config.truth_u0, config.observer_u0)]
+        lane = _SWLane(grid, lam_cfl, safety, window=_observed_cells(grid, config.obs_mask))
+        factor = config.truth_resolution_factor
+        if factor == 1 and _same_bed(truth_initial, observer_initial):
+            return lane, lane
+        return _SWLane(truth_initial.grid, lam_cfl, safety, factor), lane
     if config.fixed_xi is not None:
         speed = config.fixed_xi
         fixed = burgers_cfl(grid.dx, max(abs(speed), 1e-12), safety)
-        return tuple(
-            _Lane(
-                u0,
-                lambda f: fixed,
-                lambda f, dt: step_kinetic_linear(f, speed, None, 0.0, dt, grid),
-            )
-            for u0 in u0s
-        )
+        lane = _Lane(lambda f: fixed,
+                     lambda f, dt: step_kinetic_linear(f, speed, None, 0.0, dt, grid))
+        return lane, lane
     if config.observer_mode is BurgersObserverMode.MACROSCOPIC:
-        return tuple(
-            _Lane(
-                u0,
-                lambda u: burgers_cfl(grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety),
-                lambda u, dt: step_macroscopic_burgers(u, None, 0.0, dt, grid),
-            )
-            for u0 in u0s
+        lane = _Lane(
+            lambda u: burgers_cfl(grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety),
+            lambda u, dt: step_macroscopic_burgers(u, None, 0.0, dt, grid),
         )
-    lo = min(float(np.min(u0)) for u0 in u0s)
-    hi = max(float(np.max(u0)) for u0 in u0s)
+        return lane, lane
+    lo = min(float(np.min(u0)) for u0 in (truth_initial, observer_initial))
+    hi = max(float(np.max(u0)) for u0 in (truth_initial, observer_initial))
     xi = XiGrid.spanning(lo, hi, config.xi_margin, config.n_xi)
     fixed = burgers_cfl(grid.dx, xi.speed_sup, safety)
     # the collapsed step's target, clamped to the grid as its flux is
-    truth = _Lane(
-        u0s[0],
+    lane = _Lane(
         lambda u: fixed,
         lambda u, dt: step_collapse_macroscopic(u, None, 0.0, dt, grid, xi),
         xi,
         lambda obs: np.clip(obs, xi.xi_min, xi.xi_max),
     )
     if config.observer_mode is BurgersObserverMode.COLLAPSE:
-        return truth, _Lane(u0s[1], truth.bound, truth.transport, xi, truth.target)
-    return truth, _BGKLane(
-        KineticField.from_macroscopic(u0s[1], xi, grid),
-        truth.bound,
+        return lane, lane
+    return lane, _BGKLane(
+        xi, grid, lane.bound,
         lambda f, dt: step_kinetic_burgers(KineticField(f, xi, grid), None, 0.0, dt).values,
     )
 
@@ -588,19 +605,20 @@ class _Truth:
 
     The run: its observed field at every step (duck-typed for
     ``sample_observations``), its steps, its energies when recorded, its
-    state as the lane carries it (``held``) and as a result holds it
-    (``state``), the final one once ``done``.  ``next_dt`` is the length of
-    its next step, checked against its bound and its step budget; ``take``
-    records that step, whether the truth took it alone (``step``) or beside
-    an observer substep (``step_beside``).  Each step's observed field is an
-    array of its own; ``release(k)`` sets those before k to None (indices
-    stay absolute, and reading one fails); ``finish`` keeps them all.
+    state as the lane carries it, a stack of one row from the initial value
+    ``initial`` (``held``), and as a result holds it (``state``), the final
+    one once ``done``.  ``next_dt`` is the length of its next step, checked
+    against its bound and its step budget; ``take`` records that step,
+    whether the truth took it alone (``step``) or beside an observer substep
+    (``step_beside``).  Each step's observed field is an array of its own;
+    ``release(k)`` sets those before k to None (indices stay absolute, and
+    reading one fails); ``finish`` keeps them all.
 
     The record, built once from the configuration: the observation times
-    inside the horizon (``times``, one list; None observes the truth exactly
-    at every step), the observed cells (``mask``), the noise field, and the
-    lane's clamp and kinetic-velocity grid ``xi``, on which every
-    observation is checked to lie where it is made (``_refuse_saturation``).
+    inside the horizon (``times``, ``_horizon_times``), the observed cells
+    (``mask``), the noise field, and the lane's clamp and kinetic-velocity
+    grid ``xi``, on which every observation is checked to lie where it is
+    made (``_refuse_saturation``).
     The temporal modes that consume time-stamped observations read a sampled
     ``series``: it holds every time from the start, each field NaN until a
     step passes its time (``take``; every time left once the truth is done),
@@ -614,21 +632,19 @@ class _Truth:
     (``_GainController.resolve``).
     """
 
-    def __init__(self, config: RunConfig, lane: _Lane):
+    def __init__(self, config: RunConfig, lane: _Lane, initial):
         grid, gain = config.grid, config.gain
         self.lane, self.grid = lane, grid
         self.t_final, self.record_every = config.t_final, config.record_every
-        self.held, self.t, self.done = lane.initial, 0.0, False
+        self.held, self.t, self.done = lane.stack(initial, 1), 0.0, False
         self.trajectory_times, self.trajectory_fields, self.dts = [0.0], [], []
         self.energies = [lane.energy(self.held)]
         self._budget, self._released, self._spare = None, 0, []
-        self._keep(lane.observed(self.held))
+        self._keep(lane.observed(self.held)[0])
         self.mask = np.zeros(grid.n_cells, dtype=bool)
         self.mask[_observed_cells(grid, config.obs_mask)] = True
         self._noise = None if config.noise is None else noise_field(config.noise, grid)
-        # times past the horizon are dropped: they could never be assimilated
-        self.times = None if config.obs_times is None else [
-            t for t in config.obs_times.tolist() if t <= config.t_final * (1.0 + _TIME_TOL)]
+        self.times = _horizon_times(config)
         self.series, self.sampled = None, 0
         if self.times and gain.temporal_mode is not TemporalMode.AT_OBSERVATION_TIMES:
             fields = np.full((len(self.times), grid.n_cells), np.nan)
@@ -638,7 +654,7 @@ class _Truth:
 
     @property
     def state(self):
-        return self.lane.boundary(self.held)
+        return self.lane.row(self.held, 0)
 
     def _keep(self, field) -> None:
         kept = self._spare.pop() if self._spare else np.empty_like(field)
@@ -696,7 +712,7 @@ class _Truth:
     def take(self, state, dt: float) -> None:
         t = self.t + dt
         done = not t < self.t_final * (1.0 - _TIME_TOL)
-        field = self.lane.observed(state)
+        field = self.lane.observed(state)[0]
         # sampled before the step is recorded: a refused observation leaves
         # the truth as it was, and stepping it again refuses it again
         times, series, k = self.times, self.series, self.sampled
@@ -715,12 +731,12 @@ class _Truth:
         dt = self.next_dt()
         self.take(self.lane.step(self.held, dt), dt)
 
-    def step_beside(self, lane: _Lane, state, dt: float, lams, terms):
-        """Take the next step beside the observers' substep of ``lane`` over
-        dt from ``state`` under ``terms``, as one two-row update
-        (``_SWLane.step_pair``); returns their new state."""
+    def step_beside(self, state, dt: float, lams, terms):
+        """Take the next step beside the observers' substep, on the truth's
+        own lane, over dt from ``state`` under ``terms``, as one two-row
+        update (``_SWLane.step_pair``); returns their new state."""
         truth_dt = self.next_dt()
-        stepped, state = lane.step_pair(self.held, truth_dt, state, dt, lams, terms)
+        stepped, state = self.lane.step_pair(self.held, truth_dt, state, dt, lams, terms)
         self.take(stepped, truth_dt)
         return state
 
@@ -768,7 +784,8 @@ class _GainController:
     time within sigma of the window's start, its kernel weight and field.
     The lane measures every term against the observer's current state.
     ``advance`` takes an observer substep, the first of each truth step
-    beside the truth's next step on a lane that ``pairs``.
+    beside the truth's next step where the truth steps through the same
+    lane object and that lane ``pairs``.
 
     A target read from the truth trajectory (at-observation-time nudging, and
     every-step nudging without observation times) is ``_Truth.read``: for
@@ -828,12 +845,12 @@ class _GainController:
 
     def advance(self, lane: _Lane, state, t: float, dt: float, terms, first: bool):
         """One substep of the observers over [t, t + dt] under their resolved
-        innovation ``terms``.  The ``first`` substep of a truth step on a lane
-        that ``pairs`` takes the truth's next step beside it, while the truth
-        has steps left."""
+        innovation ``terms``.  The ``first`` substep of a truth step takes
+        the truth's next step beside it, while the truth has steps left,
+        where the truth steps through this lane and the lane ``pairs``."""
         truth = self.truth
-        if first and lane.pairs and not truth.done:
-            state = truth.step_beside(lane, state, dt, self.lams, terms)
+        if first and lane is truth.lane and lane.pairs and not truth.done:
+            state = truth.step_beside(state, dt, self.lams, terms)
         else:
             state = lane.step(state, dt, self.lams, terms)
         if terms is not None and self.at_times:  # past the times before t + dt
@@ -848,11 +865,11 @@ def _energies(values: list) -> np.ndarray | None:
     return None if values[0] is None else np.asarray(values)
 
 
-def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
+def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
                   controller: _GainController) -> list[RunResult]:
-    """Advance the truth and the stack of observers, one per gain of
-    ``controller.lams``, to t_final in one time loop: the observers step on
-    the truth's time grid, and the truth leads (``_Truth.lead``).
+    """Advance the truth and the stack of observers ``state``, one row per
+    gain of ``controller.lams``, to t_final in one time loop: the observers
+    step on the truth's time grid, and the truth leads (``_Truth.lead``).
     Records the errors (L1 relative, L1, L2, Sobolev) and the energy of
     every record_every-th step and of the last; one RunResult per row.  A
     truth step longer than the observer's CFL bound is divided into m
@@ -874,12 +891,11 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
 
     ``state`` is the stack as the lane carries it (on Saint-Venant, one row
     of ``shallow_water._Rows``, the array that each step replaces); the
-    lane turns it into the results' states (``row``, ``boundary``) only once
-    the loop is done.
+    lane turns its rows into the results' states (``row``) only once the
+    loop is done.
     """
     times, fields, dts = truth.trajectory_times, truth.trajectory_fields, truth.dts
     grid, order, lams = config.grid, config.sobolev_order, controller.lams
-    state = lane.stack(len(lams))
     recorded, energies = [], []  # step indices, energies of the recorded rows
     errors = ErrorRecorder(grid, order, stack=len(lams))
 
@@ -931,13 +947,13 @@ def _run_lockstep(config: RunConfig, lane: _Lane, truth: _Truth,
     truth.finish()  # samples any observation time no window read
     times, dts, recorded = np.asarray(times), np.asarray(dts), np.asarray(recorded)
     recorded_dt = np.concatenate(([math.nan], dts[recorded[1:] - 1]))
-    norms, echo = errors.norms(), config.echo()
+    norms, echo, final_truth = errors.norms(), config.echo(), truth.state
     return [
         RunResult(
             errors=ErrorSeries(times[recorded], *norms[:, r], order=order),
             dt_history=dts,
             recorded_dt=recorded_dt,
-            final_truth=truth.state,
+            final_truth=final_truth,
             final_observer=lane.row(state, r),
             grid=grid,
             config_echo={**echo, "lambda": float(lam)},
@@ -953,10 +969,10 @@ def _run_group(config: RunConfig, lams) -> list[RunResult]:
     stack beside it.  The gains must share the truth's time grid and the
     observer's substeps, as the gains of a group of ``_groups`` do."""
     config = replace(config)  # checks again a config changed after construction
-    truth_lane, observer_lane = _lanes(config)
-    truth = _Truth(config, truth_lane)
+    (truth_lane, lane), (truth_initial, initial) = _lanes(config), _initial(config)
+    truth = _Truth(config, truth_lane, truth_initial)
     controller = _GainController(config.gain, truth, lams)
-    return _run_lockstep(config, observer_lane, truth, controller)
+    return _run_lockstep(config, lane, lane.stack(initial, len(lams)), truth, controller)
 
 
 def run_twin(config: RunConfig) -> RunResult:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import BoundaryKind, Grid1D, XiGrid
+from .grid import BoundaryKind, Grid1D, XiGrid, _refuse_infinite
 
 _CFL_TOL = 1.0 + 1e-12
 
@@ -118,7 +118,7 @@ def step_kinetic_burgers(
 ) -> KineticField:
     """One upwind transport step of the kinetic observer, then exact
     relaxation toward the cell-averaged indicator density of ``obs_u`` (NaN
-    marks unobserved cells).
+    marks unobserved cells; an infinite value is refused).
 
     Pass lam = 0 (or obs_u = None) on steps without an active observation.
     The step refuses time steps above the stability bound instead of
@@ -137,6 +137,7 @@ def step_kinetic_burgers(
     )
     new = f.values - (dt / dx) * div
     if obs_u is not None:
+        _refuse_infinite("obs_u", obs_u)
         new = _relax(new, f.xi.indicator(obs_u) - new, lam, dt)
     return replace(f, values=new)
 
@@ -150,7 +151,8 @@ def step_kinetic_linear(
     grid: Grid1D,
 ) -> np.ndarray:
     """Upwind transport at a single fixed velocity, then exact relaxation
-    toward a kinetic observation field (NaN marks unobserved cells).
+    toward a kinetic observation field (NaN marks unobserved cells; an
+    infinite value is refused).
     ``lam`` may be a scalar or a per-cell array (space-masked gain)."""
     if not (0.0 <= dt and dt * abs(speed) / grid.dx <= _CFL_TOL):
         raise ValueError(f"dt={dt:g} violates the CFL bound for the linear step")
@@ -160,8 +162,10 @@ def step_kinetic_linear(
     else:
         div = speed * (fp[..., 2:] - fp[..., 1:-1])
     new = f - (dt / grid.dx) * div
-    gap = None if f_obs is None else f_obs - new
-    return _relax(new, gap, np.asarray(lam, dtype=float), dt)
+    if f_obs is None:
+        return new
+    _refuse_infinite("f_obs", f_obs)
+    return _relax(new, f_obs - new, np.asarray(lam, dtype=float), dt)
 
 
 def engquist_osher_flux(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -185,13 +189,16 @@ def step_macroscopic_burgers(
     dt: float,
     grid: Grid1D,
 ) -> np.ndarray:
-    """Engquist-Osher step, then exact relaxation toward ``obs_u``."""
+    """Engquist-Osher step, then exact relaxation toward ``obs_u`` (NaN
+    marks unobserved cells; an infinite value is refused)."""
     u = np.asarray(u, dtype=float)
     u_sup = float(np.max(np.abs(u)))
     # a NaN or infinite u_sup (a NaN or infinite cell) allows no dt
     if not 0.0 <= dt or (u_sup != 0.0 and not (
             u_sup < math.inf and dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL)):
         raise ValueError(f"dt={dt:g} violates the CFL bound for the macroscopic step")
+    if obs_u is not None:
+        _refuse_infinite("obs_u", obs_u)
     return _conservative_step(
         u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])
     )
@@ -218,7 +225,8 @@ def step_collapse_macroscopic(
 
     Values past the grid are clamped to [xi_min, xi_max] where the flux is
     read and the target taken, as the grid cuts off their indicator; the
-    cell keeps its own value u.
+    cell keeps its own value u.  NaN in ``obs_u`` marks an unobserved cell,
+    and an infinite value is refused.
     """
     u = np.asarray(u, dtype=float)
     if not 0.0 <= dt <= burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL:
@@ -235,5 +243,8 @@ def step_collapse_macroscopic(
             + intercept[1].take(right) + slope[1].take(right) * v[..., 1:]
         )
 
-    target = None if obs_u is None else np.clip(obs_u, lo, hi)
+    target = None
+    if obs_u is not None:
+        _refuse_infinite("obs_u", obs_u)
+        target = np.clip(obs_u, lo, hi)
     return _conservative_step(u, target, lam, dt, grid, flux)

@@ -17,6 +17,18 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _refuse_infinite(name: str, obs) -> None:
+    """Refuse an observed field holding +-inf, by name: NaN marks an
+    unobserved cell, and an infinite value is no observation of a finite
+    field."""
+    obs = np.atleast_1d(obs)
+    infinite = np.isinf(obs)
+    if infinite.any():
+        where = np.unravel_index(np.argmax(infinite), infinite.shape)
+        raise ValueError(f"{name} must be finite or NaN (unobserved), got "
+                         f"{float(obs[where])} in cell {where[-1]}")
+
+
 class BoundaryKind(enum.Enum):
     DIRICHLET_ZERO = "dirichlet_zero"
     PERIODIC = "periodic"

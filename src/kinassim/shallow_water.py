@@ -58,7 +58,7 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import BoundaryKind, Grid1D
+from .grid import BoundaryKind, Grid1D, _refuse_infinite
 from .kinetic import (
     GRAVITY,
     UPWIND_SIDES,
@@ -564,14 +564,16 @@ def sv_observer_step(state: SWState, obs_h: np.ndarray, lam: float, dt: float) -
     nonnegative finite gain ``lam``.
 
     ``obs_h`` holds the observed depth per cell with NaN marking cells
-    outside the observation mask; masked cells receive no source.  The source
-    is applied in the same explicit update as the transport, matching the
-    convex-combination structure that yields the discrete energy inequality.
+    outside the observation mask; masked cells receive no source, and an
+    infinite depth is refused.  The source is applied in the same explicit
+    update as the transport, matching the convex-combination structure that
+    yields the discrete energy inequality.
     At gain 0 the step is the forward step (up to the sign of a zero).
     """
     _check_gain(lam)
     rows = _Rows.of((state,))
     obs_h = np.asarray(obs_h, dtype=float)
+    _refuse_infinite("obs_h", obs_h)
     observed = np.isfinite(obs_h)
     if (observed & (obs_h < 0.0)).any():
         raise ValueError("observed depths must be nonnegative")

@@ -245,9 +245,9 @@ class TestSweep:
         truths = []
         start_truth = assimilation._Truth.__init__
 
-        def counted(self, config, lane):
+        def counted(self, config, *args):
             truths.append(config.model)
-            start_truth(self, config, lane)
+            start_truth(self, config, *args)
 
         monkeypatch.setattr(assimilation._Truth, "__init__", counted)
         sweep_lambda(burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.1),
@@ -327,6 +327,33 @@ class TestShallowWaterTwin:
         unnudged = self.make_config(lam=0.0, gain=GainSchedule(0.0))
         assert run_twin(all_late).final_l1_rel == pytest.approx(
             run_twin(unnudged).final_l1_rel, rel=1e-4)
+
+    def test_mollified_times_beyond_horizon_leave_the_bound(self):
+        # the mollified CFL gain was sized from every configured time: ten
+        # inert times at 0.50-0.518 raised it from 2 500 to 20 492 and took
+        # the run from 278 truth steps to 2 171
+        grid = Grid1D(20, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+        cfg = RunConfig(
+            model="shallow_water", grid=grid, t_final=0.1,
+            gain=GainSchedule(50.0, temporal_mode=TemporalMode.MOLLIFIED, sigma=0.02),
+            truth_state=dam_break_state(grid, 2.0, 1.0, 0.5),
+            observer_state=dam_break_state(grid, 1.5, 1.5, 0.5),
+            obs_times=np.array([0.05]),
+        )
+        inert = replace(cfg, obs_times=np.concatenate(([0.05], np.linspace(0.5, 0.518, 10))))
+        assert assimilation._lam_for_cfl(inert) == assimilation._lam_for_cfl(cfg)
+        alone, beside = run_twin(cfg), run_twin(inert)
+        assert len(beside.dt_history) == len(alone.dt_history) == 278
+        np.testing.assert_array_equal(beside.dt_history, alone.dt_history)
+        np.testing.assert_array_equal(beside.errors.l1_rel, alone.errors.l1_rel)
+        np.testing.assert_array_equal(beside.final_observer.h, alone.final_observer.h)
+        np.testing.assert_array_equal(beside.final_observer.q, alone.final_observer.q)
+        # with no time inside the horizon nothing nudges, and the bound is
+        # the gain-free one
+        late = replace(cfg, obs_times=np.linspace(0.5, 0.518, 10))
+        assert assimilation._lam_for_cfl(late) == 0.0
+        np.testing.assert_array_equal(run_twin(late).dt_history,
+                                      run_twin(replace(cfg, gain=GainSchedule(0.0))).dt_history)
 
     def test_mollified_smoke(self):
         cfg = self.make_config(
@@ -729,7 +756,8 @@ class TestTruthLeads:
         assert truth.done
         # the run releases the truth fields it has passed: read them from the
         # same truth run on its own, which keeps them all
-        whole = assimilation._Truth(cfg, assimilation._lanes(cfg)[0])
+        whole = assimilation._Truth(cfg, assimilation._lanes(cfg)[0],
+                                    assimilation._initial(cfg)[0])
         whole.finish()
         assert whole.trajectory_times == truth.trajectory_times and whole.dts == truth.dts
         series = None
@@ -801,6 +829,73 @@ class TestObservationFiring:
         assert sum(nudged) == np.count_nonzero(cfg.obs_times <= cfg.t_final) == 8
 
 
+def bumped_observer_bed(cfg):
+    """``cfg`` with its observer on a bed with a bump of height 0.05 at
+    x = 0.25, over the truth's grid."""
+    state = cfg.observer_state
+    x = state.grid.centers
+    bump = 0.05 * np.exp(-(((x - 0.25) / 0.05) ** 2))
+    return replace(cfg, observer_state=replace(state, z_b=state.z_b + bump))
+
+
+class TestLanes:
+    """A lane is a scheme and holds no state: the truth steps through its
+    observers' lane object wherever it runs their scheme on their grid and
+    bed, and every state, the truth's included, is a stack of rows."""
+
+    SHARED = {
+        "linear": lambda: linear_config(1.0),
+        "engquist_osher": lambda: burgers_config(mode=BurgersObserverMode.MACROSCOPIC),
+        "collapse": lambda: burgers_config(mode=BurgersObserverMode.COLLAPSE),
+        "saint_venant": small_sw_config,
+    }
+    APART = {
+        "bgk": lambda: burgers_config(mode=BurgersObserverMode.BGK),
+        "refined_saint_venant": lambda: small_sw_config(factor=2),
+        "saint_venant_on_another_bed": lambda: bumped_observer_bed(small_sw_config()),
+    }
+
+    @pytest.mark.parametrize("case", list(SHARED))
+    def test_one_lane_where_the_truth_runs_the_observers_scheme(self, case):
+        truth, observer = assimilation._lanes(self.SHARED[case]())
+        assert truth is observer
+
+    @pytest.mark.parametrize("case", list(APART))
+    def test_two_lanes_otherwise(self, case):
+        truth, observer = assimilation._lanes(self.APART[case]())
+        assert truth is not observer
+
+    @pytest.mark.parametrize("case", list(SHARED) + list(APART))
+    def test_every_state_is_a_stack_of_rows(self, case):
+        cfg = {**self.SHARED, **self.APART}[case]()
+        k = 1 if cfg.model == "shallow_water" else 3
+        for lane, initial, rows in zip(assimilation._lanes(cfg), assimilation._initial(cfg),
+                                       (1, k)):
+            state = lane.stack(initial, rows)
+            assert lane.observed(state).shape == (rows, cfg.grid.n_cells)
+            assert not any(hasattr(lane, name) for name in ("initial", "boundary", "field"))
+        if cfg.model == "shallow_water":
+            with pytest.raises(ValueError, match="steps one observer, not 2"):
+                lane.stack(initial, 2)
+
+    @pytest.mark.parametrize("case", ["saint_venant", "refined_saint_venant",
+                                      "saint_venant_on_another_bed"])
+    def test_a_truth_steps_beside_its_observer_only_on_their_lane(self, case, monkeypatch):
+        cfg = {**self.SHARED, **self.APART}[case]()
+        pairs, step_pair = [], assimilation._step_pair
+
+        def counted(*args, **kwargs):
+            pairs.append(1)
+            return step_pair(*args, **kwargs)
+
+        monkeypatch.setattr(assimilation, "_step_pair", counted)
+        steps = len(run_twin(cfg).dt_history)
+        if case == "saint_venant":  # the truth leads by one step
+            assert len(pairs) == steps - 1 > 0
+        else:
+            assert not pairs
+
+
 class TestObservedDepthCFL:
     """The Saint-Venant observer's bound allows for the depth it is nudged
     toward, not only for its own state."""
@@ -837,7 +932,7 @@ class TestObservedDepthCFL:
         for trial in range(400):
             lo = int(rng.integers(0, n))
             hi = int(rng.integers(lo + 1, n + 1))
-            lane = assimilation._SWLane(cfg.observer_state, 5.0, 0.95, window=slice(lo, hi))
+            lane = assimilation._SWLane(cfg.grid, 5.0, 0.95, window=slice(lo, hi))
             h = rng.uniform(0.0, 2.0, n)
             h[rng.random(n) < 0.2] = 0.0
             rows = shallow_water._Rows.of(
@@ -866,7 +961,8 @@ class TestObservedDepthCFL:
         # exact observations every step: the target of step n is the truth's
         # depth at its start, and the observer's bound receives it
         cfg = small_sw_config()
-        truth = assimilation._Truth(cfg, assimilation._lanes(cfg)[0])
+        truth = assimilation._Truth(cfg, assimilation._lanes(cfg)[0],
+                                    assimilation._initial(cfg)[0])
         truth.finish()
         seen = []
         cfl = assimilation._SWLane.cfl
@@ -1030,7 +1126,7 @@ def test_truth_phase_holds_the_trajectory_once():
     truth_lane, _ = assimilation._lanes(cfg)
     tracemalloc.start()
     try:
-        truth = assimilation._Truth(cfg, truth_lane)
+        truth = assimilation._Truth(cfg, truth_lane, cfg.truth_state)
         truth.finish()
         _, peak = tracemalloc.get_traced_memory()
     finally:

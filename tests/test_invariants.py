@@ -484,3 +484,54 @@ def test_step_refuses_a_negative_or_nan_dt(name, dt):
         step(0.0)  # a zero step is allowed
     with pytest.raises(ValueError, match="CFL"):
         step(dt)
+
+
+def nudged_step(name: str, cell_value: float):
+    """The public step ``name`` at gain 10 over a short step toward the
+    mirrored state, ``cell_value`` observed in cell 2, and the same step
+    with nothing observed: a dam break on 10 cells between walls for the
+    Saint-Venant observer, a ramp from 0 to 1 on 10 periodic cells for the
+    Burgers steps."""
+    if name == "sv_observer_step":
+        state = dam_break_state(Grid1D(10, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL),
+                                2.0, 1.0, 0.5)
+        obs = state.h[::-1].copy()
+        obs[2] = cell_value
+        dt = 0.5 * sv_cfl(state, 10.0)
+        return (sv_observer_step(state, obs, 10.0, dt).h,
+                sv_observer_step(state, np.full(10, math.nan), 10.0, dt).h)
+    grid, xi = Grid1D(10, 0.0, 1.0, BoundaryKind.PERIODIC), XiGrid(-1.5, 1.5, 16)
+    u = np.linspace(0.0, 1.0, 10)
+    obs = u[::-1].copy()
+    obs[2] = cell_value
+    step = {
+        "step_kinetic_burgers": lambda target: step_kinetic_burgers(
+            KineticField(xi.indicator(u), xi, grid), target, 10.0, 0.01).macroscopic(),
+        "step_kinetic_linear": lambda target: step_kinetic_linear(
+            u, 0.8, target, 10.0, 0.01, grid),
+        "step_macroscopic_burgers": lambda target: step_macroscopic_burgers(
+            u, target, 10.0, 0.01, grid),
+        "step_collapse_macroscopic": lambda target: step_collapse_macroscopic(
+            u, target, 10.0, 0.01, grid, xi),
+    }[name]
+    return step(obs), step(np.full(10, math.nan))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name, argument", [
+    ("sv_observer_step", "obs_h"), ("step_kinetic_burgers", "obs_u"),
+    ("step_kinetic_linear", "f_obs"), ("step_macroscopic_burgers", "obs_u"),
+    ("step_collapse_macroscopic", "obs_u"),
+])
+def test_step_refuses_an_infinite_observation(name, argument, value):
+    # an infinite observation was taken for an unobserved cell (the
+    # Saint-Venant observer, the linear and the Engquist-Osher steps) or
+    # clipped to the xi grid and nudged toward (the collapsed and the
+    # kinetic step: cell 2 of the ramp ended at 0.342 under +inf, at 0.221
+    # under NaN); NaN still marks an unobserved cell
+    with pytest.raises(ValueError, match=rf"{argument} must be finite or NaN \(unobserved\), "
+                                         rf"got {value} in cell 2"):
+        nudged_step(name, value)
+    nudged, unobserved = nudged_step(name, math.nan)
+    assert np.all(np.isfinite(nudged))
+    assert nudged[2] == unobserved[2] and not np.array_equal(nudged, unobserved)
