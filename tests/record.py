@@ -4,7 +4,9 @@ Each case is a shipped fixture with key edits, run through ``run_twin`` (its
 loaded configuration edited further by a function where the keys cannot say
 it) or ``sweep_lambda``, or a fixture's states stepped through the public
 Saint-Venant calls (``sv_forward_step``, ``sv_observer_step``,
-``sv_interface_flux``, ``sv_cfl`` and ``energy_budget``).  The record keeps, for every array a case yields (error
+``sv_interface_flux``, ``sv_cfl`` and ``energy_budget``), or a fixture's
+truth field stepped through one public Burgers step.  The record keeps, for
+every array a case yields (error
 series, time steps, final states, energies, sweep points), its SHA-256 and a
 float summary (shape, NaN count, and over the other entries sum, sum of |x|,
 min and max; the last value), and for a case that raises, its exception
@@ -44,7 +46,16 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from kinassim import run_twin, sweep_lambda  # noqa: E402
+from kinassim.burgers import (  # noqa: E402
+    KineticField,
+    burgers_cfl,
+    step_collapse_macroscopic,
+    step_kinetic_burgers,
+    step_kinetic_linear,
+    step_macroscopic_burgers,
+)
 from kinassim.config import fixture_path, parse_config  # noqa: E402
+from kinassim.grid import XiGrid  # noqa: E402
 from kinassim.shallow_water import (  # noqa: E402
     energy_budget,
     hydrostatic_reconstruct,
@@ -125,12 +136,16 @@ def bumped_observer_bed(config):
 
 PUBLIC_STEPS = 20
 PUBLIC_LAMBDA = 10.0
+LINEAR_SPEED = 0.5
+BURGERS_STEPS = ("kinetic_burgers", "kinetic_linear", "macroscopic_burgers", "collapse",
+                 "collapse_nudged")
 
 
 def cases() -> dict:
     """name -> (kind, fixture, edits, extra): kind "twin" (extra None, or a
     function that edits the loaded configuration), "sweep" (extra the gains)
-    or "public" (extra names the public call, see ``public_arrays``)."""
+    or "public" (extra names the public call, see ``public_arrays`` and
+    ``burgers_arrays``)."""
     out = {}
     for fixture in FIXTURES:
         modes = OBSERVER_MODES if fixture in BURGERS else (None,)
@@ -201,6 +216,8 @@ def cases() -> dict:
         for call in ("forward", "observer", "observer_window"):
             out[f"{fixture}/public_{call}"] = ("public", fixture, {}, call)
     out["thacker/public_interface_flux"] = ("public", "thacker", {}, "interface_flux")
+    for call in BURGERS_STEPS:
+        out[f"burgers_clean/public_{call}"] = ("public", "burgers_clean", {}, call)
     for fixture in ("thacker", "dam_break"):
         for profile in ("semicircle", "rectangle"):
             out[f"{fixture}/public_energy_budget/{profile}"] = (
@@ -272,10 +289,49 @@ def public_arrays(config, call: str) -> dict:
     return {"h": np.array(h), "q": np.array(q), "dt": np.array(dts), "sv_cfl": np.array(cfl)}
 
 
+def burgers_arrays(config, call: str) -> dict:
+    """``PUBLIC_STEPS`` transport steps of one public Burgers step from the
+    truth field, each at the bound of the twin's lane for that step.
+
+    "kinetic_burgers" starts from the cell-averaged indicator of the truth
+    on the xi grid the twin spans, and "collapse" and "collapse_nudged" step
+    on that grid, the latter at gain ``PUBLIC_LAMBDA`` toward the observer's
+    initial field; "kinetic_linear" transports at ``LINEAR_SPEED``, and
+    "macroscopic_burgers" is the Engquist-Osher step.  Each records the
+    field after every step (the xi-integral of the kinetic density, whose
+    final values are recorded too) and the steps."""
+    grid, safety, u, obs = config.grid, config.cfl_safety, config.truth_u0, config.observer_u0
+    xi = XiGrid.spanning(min(float(np.min(u)), float(np.min(obs))),
+                         max(float(np.max(u)), float(np.max(obs))), config.xi_margin, config.n_xi)
+    state = KineticField.from_macroscopic(u, xi, grid) if call == "kinetic_burgers" else u
+    fields, dts = [u], []
+    for _ in range(PUBLIC_STEPS):
+        if call == "macroscopic_burgers":
+            dt = burgers_cfl(grid.dx, max(float(np.max(np.abs(state))), 1e-12), safety)
+            state = step_macroscopic_burgers(state, None, 0.0, dt, grid)
+        elif call == "kinetic_linear":
+            dt = burgers_cfl(grid.dx, LINEAR_SPEED, safety)
+            state = step_kinetic_linear(state, LINEAR_SPEED, None, 0.0, dt, grid)
+        else:
+            dt = burgers_cfl(grid.dx, xi.speed_sup, safety)
+            if call == "kinetic_burgers":
+                state = step_kinetic_burgers(state, None, 0.0, dt)
+            elif call == "collapse":
+                state = step_collapse_macroscopic(state, None, 0.0, dt, grid, xi)
+            else:
+                state = step_collapse_macroscopic(state, obs, PUBLIC_LAMBDA, dt, grid, xi)
+        fields.append(state.macroscopic() if call == "kinetic_burgers" else state)
+        dts.append(dt)
+    out = {"u": np.array(fields), "dt": np.array(dts)}
+    if call == "kinetic_burgers":
+        out["values"] = state.values
+    return out
+
+
 def arrays_of(kind: str, fixture: str, edits: dict, extra) -> dict:
     config = load(fixture, edits)
     if kind == "public":
-        return public_arrays(config, extra)
+        return (burgers_arrays if config.model == "burgers" else public_arrays)(config, extra)
     if kind == "sweep":
         points = sweep_lambda(config, extra)
         failed = [p.failed for p in points if p.failed is not None]
