@@ -65,6 +65,7 @@ from enum import Enum
 import numpy as np
 
 from .burgers import (
+    BOUNDARY_KINDS as BURGERS_BOUNDARY_KINDS,
     KineticField,
     _relax,
     burgers_cfl,
@@ -86,6 +87,7 @@ from .observation import (
     observe,
 )
 from .shallow_water import (
+    BOUNDARY_KINDS as SW_BOUNDARY_KINDS,
     _DRY,
     SWState,
     _Rows,
@@ -207,6 +209,10 @@ class RunConfig:
             ):
                 raise ValueError("obs_times must be a 1-D array of finite, nonnegative, "
                                  f"strictly increasing times, got {times!r}")
+        kinds = SW_BOUNDARY_KINDS if self.model == "shallow_water" else BURGERS_BOUNDARY_KINDS
+        if self.grid.bc not in kinds:
+            raise ValueError(f"bc {self.grid.bc.value} is not supported by the {self.model} "
+                             f"solver (supported: {', '.join(kind.value for kind in kinds)})")
         cells = _observed_cells(self.grid, self.obs_mask)
         if cells.start == cells.stop:
             raise ValueError(f"obs_mask {self.obs_mask} holds no cell centre of the grid on "
@@ -569,12 +575,12 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
         speed = config.fixed_xi
         fixed = burgers_cfl(grid.dx, max(abs(speed), 1e-12), safety)
         lane = _Lane(lambda f: fixed,
-                     lambda f, dt: step_kinetic_linear(f, speed, None, 0.0, dt, grid))
+                     lambda f, dt: step_kinetic_linear(f, speed, dt, grid))
         return lane, lane
     if config.observer_mode is BurgersObserverMode.MACROSCOPIC:
         lane = _Lane(
             lambda u: burgers_cfl(grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety),
-            lambda u, dt: step_macroscopic_burgers(u, None, 0.0, dt, grid),
+            lambda u, dt: step_macroscopic_burgers(u, dt, grid),
         )
         return lane, lane
     lo = min(float(np.min(u0)) for u0 in (truth_initial, observer_initial))
@@ -592,7 +598,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
         return lane, lane
     return lane, _BGKLane(
         xi, grid, lane.bound,
-        lambda f, dt: step_kinetic_burgers(KineticField(f, xi, grid), None, 0.0, dt).values,
+        lambda f, dt: step_kinetic_burgers(KineticField(f, xi, grid), dt).values,
     )
 
 
@@ -1022,13 +1028,16 @@ def _sweep_worker(args) -> list[SweepPoint]:
 
 
 def gain_list(values) -> list[float]:
-    """The gains ``values`` as floats: at least one, each finite and
-    nonnegative."""
+    """The gains ``values`` as floats: at least one, each finite,
+    nonnegative and given once."""
     gains = [float(v) for v in values]
     if not gains:
         raise ValueError("sweep needs at least one gain value")
     if not all(math.isfinite(v) and v >= 0.0 for v in gains):
         raise ValueError(f"gains must be finite and nonnegative, got {gains!r}")
+    repeated = next((v for i, v in enumerate(gains) if v in gains[i + 1:]), None)
+    if repeated is not None:
+        raise ValueError(f"gain {repeated:g} is given twice, got {gains!r}")
     return gains
 
 

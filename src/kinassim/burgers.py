@@ -1,18 +1,18 @@
 """Kinetic BGK observer solver for 1D Burgers and its macroscopic equivalent.
 
-Every step transports, then relaxes exactly: u* = transport(u), then
-u_new = u* + (1 - exp(-lam dt)) gap on the observed cells, where the gap is
-target - u*.  ``_relax`` takes the gap, not the target, so the twin driver
-relaxes through it toward any mean innovation.  This is the Lie splitting
-of the BGK relaxation source with the stiff part integrated exactly, a
-convex combination for any lam dt, so the CFL bounds hold transport alone
-and do not depend on the gain.
+The steps transport; a nudged lane relaxes the transported field u* exactly
+with one ``_relax``: u_new = u* + (1 - exp(-lam dt)) gap on the observed
+cells, where the gap is target - u*.  ``_relax`` takes the gap, not the
+target, so the twin driver relaxes through it toward any mean innovation.
+This is the Lie splitting of the BGK relaxation source with the stiff part
+integrated exactly, a convex combination for any lam dt, so the CFL bounds
+hold transport alone and do not depend on the gain.
 
 Three discrete lanes solve the nudged Burgers problem:
 
-* ``step_kinetic_burgers`` advances a full kinetic density f(x, xi) by upwind
-  transport plus relaxation toward the cell-averaged indicator density of the
-  observed field (``XiGrid.indicator``); f evolves freely (the BGK observer).
+* ``step_kinetic_burgers`` transports a full kinetic density f(x, xi) upwind;
+  the BGK observer relaxes it toward the cell-averaged indicator density of
+  the observed field (``XiGrid.indicator``), and f evolves freely.
 * ``step_collapse_macroscopic`` is the moment form of the collapsed kinetic
   scheme, whose f is projected back to the cell-averaged indicator of its own
   xi-integral after every step: it never stores f, only its xi-integral.  The
@@ -23,14 +23,17 @@ Three discrete lanes solve the nudged Burgers problem:
 * ``step_macroscopic_burgers`` is the Engquist-Osher flux-splitting scheme,
   the n_xi -> infinity limit of the collapsed scheme.
 
-The collapse and Engquist-Osher steps share one conservative update and
-differ only in their interface flux.
+``step_kinetic_linear`` transports at one fixed velocity (the single-speed
+linear lane).  The collapse and Engquist-Osher steps share one conservative
+update and differ only in their interface flux.  Only the collapse step
+still takes a target and a gain and relaxes after its transport, because
+the benchmark's tracer reads them by position; the library passes it none.
 
 Every step takes a leading row axis: u of shape (k, n_cells), a kinetic
 density of shape (k, n_cells, n_xi), steps k fields at once, each row exactly
 as its one-row call.  Padding, flux and relaxation act on the cell axis, and
 ``lam`` broadcasts against the field (a (k, 1) column gives each row its own
-gain).
+gain).  The steps run on the boundary kinds of ``BOUNDARY_KINDS``.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ import numpy as np
 from .grid import BoundaryKind, Grid1D, XiGrid, _refuse_infinite
 
 _CFL_TOL = 1.0 + 1e-12
+BOUNDARY_KINDS = (BoundaryKind.DIRICHLET_ZERO, BoundaryKind.PERIODIC)
 
 
 def burgers_cfl(dx: float, xi_sup: float, safety: float = 0.95) -> float:
@@ -87,17 +91,17 @@ class KineticField:
 def _pad(values: np.ndarray, bc: BoundaryKind, axis: int = -1) -> np.ndarray:
     """Ghost-padded copy along the cell axis ``axis`` (-1 for u, -2 for a
     kinetic density)."""
+    if bc not in BOUNDARY_KINDS:
+        raise ValueError(f"boundary kind {bc} is not supported by the Burgers solvers")
     tail = (slice(None),) * (-1 - axis)
-    if bc is BoundaryKind.DIRICHLET_ZERO:
-        shape = list(values.shape)
-        shape[axis] += 2
-        out = np.zeros(shape)
-        out[(..., slice(1, -1)) + tail] = values
-        return out
     if bc is BoundaryKind.PERIODIC:
         first, last = (..., slice(None, 1)) + tail, (..., slice(-1, None)) + tail
         return np.concatenate([values[last], values, values[first]], axis=axis)
-    raise ValueError(f"boundary kind {bc} is not supported by the Burgers solvers")
+    shape = list(values.shape)
+    shape[axis] += 2
+    out = np.zeros(shape)
+    out[(..., slice(1, -1)) + tail] = values
+    return out
 
 
 def _relax(u, gap, lam, dt):
@@ -110,20 +114,9 @@ def _relax(u, gap, lam, dt):
     return u + np.where(np.isfinite(gap), -np.expm1(-lam * dt) * gap, 0.0)
 
 
-def step_kinetic_burgers(
-    f: KineticField,
-    obs_u: np.ndarray | None,
-    lam: float | np.ndarray,
-    dt: float,
-) -> KineticField:
-    """One upwind transport step of the kinetic observer, then exact
-    relaxation toward the cell-averaged indicator density of ``obs_u`` (NaN
-    marks unobserved cells; an infinite value is refused).
-
-    Pass lam = 0 (or obs_u = None) on steps without an active observation.
-    The step refuses time steps above the stability bound instead of
-    clamping them.
-    """
+def step_kinetic_burgers(f: KineticField, dt: float) -> KineticField:
+    """One upwind transport step of the kinetic density.  The step refuses
+    time steps above the stability bound instead of clamping them."""
     xi = f.xi.nodes
     dx = f.grid.dx
     bound = burgers_cfl(dx, max(f.xi.speed_sup, 1e-300), safety=1.0)
@@ -135,25 +128,11 @@ def step_kinetic_burgers(
         xi * (fp[..., 1:-1, :] - fp[..., :-2, :]),
         xi * (fp[..., 2:, :] - fp[..., 1:-1, :]),
     )
-    new = f.values - (dt / dx) * div
-    if obs_u is not None:
-        _refuse_infinite("obs_u", obs_u)
-        new = _relax(new, f.xi.indicator(obs_u) - new, lam, dt)
-    return replace(f, values=new)
+    return replace(f, values=f.values - (dt / dx) * div)
 
 
-def step_kinetic_linear(
-    f: np.ndarray,
-    speed: float,
-    f_obs: np.ndarray | None,
-    lam,
-    dt: float,
-    grid: Grid1D,
-) -> np.ndarray:
-    """Upwind transport at a single fixed velocity, then exact relaxation
-    toward a kinetic observation field (NaN marks unobserved cells; an
-    infinite value is refused).
-    ``lam`` may be a scalar or a per-cell array (space-masked gain)."""
+def step_kinetic_linear(f: np.ndarray, speed: float, dt: float, grid: Grid1D) -> np.ndarray:
+    """Upwind transport at a single fixed velocity."""
     if not (0.0 <= dt and dt * abs(speed) / grid.dx <= _CFL_TOL):
         raise ValueError(f"dt={dt:g} violates the CFL bound for the linear step")
     fp = _pad(f, grid.bc)
@@ -161,11 +140,7 @@ def step_kinetic_linear(
         div = speed * (fp[..., 1:-1] - fp[..., :-2])
     else:
         div = speed * (fp[..., 2:] - fp[..., 1:-1])
-    new = f - (dt / grid.dx) * div
-    if f_obs is None:
-        return new
-    _refuse_infinite("f_obs", f_obs)
-    return _relax(new, f_obs - new, np.asarray(lam, dtype=float), dt)
+    return f - (dt / grid.dx) * div
 
 
 def engquist_osher_flux(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -173,34 +148,23 @@ def engquist_osher_flux(u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
     return 0.5 * np.maximum(u_left, 0.0) * u_left + 0.5 * np.minimum(u_right, 0.0) * u_right
 
 
-def _conservative_step(u, target, lam, dt, grid, flux):
+def _conservative_step(u, dt, grid, flux):
     """u - dt/dx (F_{i+1/2} - F_{i-1/2}), with ``flux`` mapping the padded
-    cell values to the n_cells + 1 interface fluxes, then exact relaxation
-    toward ``target``."""
+    cell values to the n_cells + 1 interface fluxes."""
     f = flux(_pad(u, grid.bc))
-    new = u - (dt / grid.dx) * (f[..., 1:] - f[..., :-1])
-    return _relax(new, None if target is None else target - new, lam, dt)
+    return u - (dt / grid.dx) * (f[..., 1:] - f[..., :-1])
 
 
-def step_macroscopic_burgers(
-    u: np.ndarray,
-    obs_u: np.ndarray | None,
-    lam: float | np.ndarray,
-    dt: float,
-    grid: Grid1D,
-) -> np.ndarray:
-    """Engquist-Osher step, then exact relaxation toward ``obs_u`` (NaN
-    marks unobserved cells; an infinite value is refused)."""
+def step_macroscopic_burgers(u: np.ndarray, dt: float, grid: Grid1D) -> np.ndarray:
+    """Engquist-Osher transport step."""
     u = np.asarray(u, dtype=float)
     u_sup = float(np.max(np.abs(u)))
     # a NaN or infinite u_sup (a NaN or infinite cell) allows no dt
     if not 0.0 <= dt or (u_sup != 0.0 and not (
             u_sup < math.inf and dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL)):
         raise ValueError(f"dt={dt:g} violates the CFL bound for the macroscopic step")
-    if obs_u is not None:
-        _refuse_infinite("obs_u", obs_u)
     return _conservative_step(
-        u, obs_u, lam, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])
+        u, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])
     )
 
 
@@ -243,8 +207,8 @@ def step_collapse_macroscopic(
             + intercept[1].take(right) + slope[1].take(right) * v[..., 1:]
         )
 
-    target = None
-    if obs_u is not None:
-        _refuse_infinite("obs_u", obs_u)
-        target = np.clip(obs_u, lo, hi)
-    return _conservative_step(u, target, lam, dt, grid, flux)
+    new = _conservative_step(u, dt, grid, flux)
+    if obs_u is None:
+        return new
+    _refuse_infinite("obs_u", obs_u)
+    return _relax(new, np.clip(obs_u, lo, hi) - new, lam, dt)

@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .assimilation import gain_list, run_twin, sweep_lambda
-from .config import ConfigError, _atomic_write, emit_csv, parse_config
+from .config import ConfigError, _atomic_write, _report_dir, emit_csv, parse_config
 from .metrics import sweep_minimum
 from .observation import observability_check
 
@@ -128,6 +128,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.out:  # refused before any run
+            try:
+                _report_dir(args.out)
+            except ValueError as exc:
+                raise ConfigError(f"--out: {exc}") from None
         if args.command == "run-burgers":
             return _run_single(args, "burgers")
         if args.command == "run-sv":

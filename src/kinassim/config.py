@@ -265,6 +265,9 @@ def _sw_state(given: dict, section: str, grid: Grid1D, bowl, physics: dict) -> S
                else np.zeros(grid.n_cells))
         state = lake_at_rest_state(grid, z_b, _need(given, section, "eta"), **physics)
     elif kind == "dam_break":
+        if bowl is not None:
+            raise ConfigError(f"[grid] bathymetry = parabolic_bowl does nothing for [{section}] "
+                              "ic = dam_break, a flat-bed state (use bathymetry = flat)")
         depths = (_need(given, section, key) for key in ("h_left", "h_right", "x_split"))
         state = dam_break_state(grid, *depths, **physics)
     elif kind in ("thacker_planar", "thacker_rest"):
@@ -394,9 +397,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: str, lines: list[str]):
+def _report_dir(path: str) -> str:
+    """The directory a report at ``path`` is written into; a ``path`` that
+    names a directory, or lies in one that does not exist, is refused."""
+    if os.path.isdir(path):
+        raise ValueError(f"{path!r} is a directory")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory)
+    if not os.path.isdir(directory):
+        raise ValueError(f"the directory of {path!r} does not exist")
+    return directory
+
+
+def _atomic_write(path: str, lines: list[str]):
+    fd, tmp_path = tempfile.mkstemp(dir=_report_dir(path))
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("\n".join(lines) + "\n")

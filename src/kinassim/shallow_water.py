@@ -71,6 +71,7 @@ from .kinetic import (
 
 DRY_DEPTH = 1e-8
 _CFL_TOL = 1.0 + 1e-12
+BOUNDARY_KINDS = (BoundaryKind.REFLECTIVE_WALL, BoundaryKind.PERIODIC)
 _DRY, _ZERO = _scalar(DRY_DEPTH), _scalar(0.0)  # ufunc operands
 
 
@@ -174,15 +175,14 @@ def _ghost_calls(g: np.ndarray, bc: BoundaryKind, sign) -> list:
     rows of ``g``, shaped (..., n+2), from their end cells: a wall repeats
     them times ``sign`` (-1 mirrors a velocity; a column of signs acts row by
     row), a periodic domain wraps."""
+    if bc not in BOUNDARY_KINDS:
+        raise ValueError(f"shallow-water solver supports "
+                         f"{' and '.join(kind.value for kind in BOUNDARY_KINDS)} boundaries")
     first, last = g[..., 0], g[..., -1]
-    if bc is BoundaryKind.REFLECTIVE_WALL:
-        return [partial(np.multiply, g[..., 1], sign, first),
-                partial(np.multiply, g[..., -2], sign, last)]
     if bc is BoundaryKind.PERIODIC:
         return [partial(np.copyto, first, g[..., -2]), partial(np.copyto, last, g[..., 1])]
-    raise ValueError(
-        "shallow-water solver supports reflective_wall and periodic boundaries"
-    )
+    return [partial(np.multiply, g[..., 1], sign, first),
+            partial(np.multiply, g[..., -2], sign, last)]
 
 
 def _ghosted(a: np.ndarray, bc: BoundaryKind, sign: float = 1.0) -> np.ndarray:

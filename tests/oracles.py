@@ -6,7 +6,8 @@ relaxation equation (scipy quadrature), ``chi_profile_value`` the pointwise
 shape profile, ``noise_l2_closed_form`` the L2 norm of the oscillatory
 observation noise, and ``dense_collapse_step`` the collapsed Burgers step
 summed over dense arrays of cell-averaged indicators
-(``cell_averaged_indicator``), and ``binomial_upwind_moments`` the
+(``cell_averaged_indicator``), ``relaxed`` a Burgers transport step's
+output relaxed as a nudged lane relaxes it, and ``binomial_upwind_moments`` the
 half-line moments of a Gibbs density summed term by term from the binomial
 expansion, with libm ``pow`` and a masked complement on the negative
 half-line.
@@ -19,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from kinassim.burgers import KineticField
+from kinassim.burgers import KineticField, _relax
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import ChiProfile
 from kinassim.observation import NoiseSpec
@@ -67,6 +68,18 @@ def exact_relaxation_solution(f0: KineticField, M, lam: float, t: float) -> Kine
                 base += lam * mem
             out[i, j] = base
     return replace(f0, values=out)
+
+
+def relaxed(new, target, lam, dt):
+    """The output ``new`` of a Burgers transport step (an array, or a
+    KineticField whose values are relaxed) relaxed exactly toward ``target``
+    over dt as ``_Lane.step`` composes them: ``burgers._relax`` on the gap
+    target - new (NaN marks unobserved cells; target None leaves new as it
+    is).  A kinetic target is a density, such as ``XiGrid.indicator`` of an
+    observed field."""
+    if isinstance(new, KineticField):
+        return replace(new, values=relaxed(new.values, target, lam, dt))
+    return _relax(new, None if target is None else target - new, lam, dt)
 
 
 def chi_profile_value(profile: ChiProfile, z):

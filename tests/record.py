@@ -308,14 +308,14 @@ def burgers_arrays(config, call: str) -> dict:
     for _ in range(PUBLIC_STEPS):
         if call == "macroscopic_burgers":
             dt = burgers_cfl(grid.dx, max(float(np.max(np.abs(state))), 1e-12), safety)
-            state = step_macroscopic_burgers(state, None, 0.0, dt, grid)
+            state = step_macroscopic_burgers(state, dt, grid)
         elif call == "kinetic_linear":
             dt = burgers_cfl(grid.dx, LINEAR_SPEED, safety)
-            state = step_kinetic_linear(state, LINEAR_SPEED, None, 0.0, dt, grid)
+            state = step_kinetic_linear(state, LINEAR_SPEED, dt, grid)
         else:
             dt = burgers_cfl(grid.dx, xi.speed_sup, safety)
             if call == "kinetic_burgers":
-                state = step_kinetic_burgers(state, None, 0.0, dt)
+                state = step_kinetic_burgers(state, dt)
             elif call == "collapse":
                 state = step_collapse_macroscopic(state, None, 0.0, dt, grid, xi)
             else:

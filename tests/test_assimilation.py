@@ -16,6 +16,7 @@ from kinassim.assimilation import (
     SolverError,
     TemporalMode,
     decay_study,
+    gain_list,
     run_twin,
     sweep_lambda,
 )
@@ -220,6 +221,16 @@ class TestSweep:
         cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.MACROSCOPIC, t_final=0.1)
         with pytest.raises(ValueError, match="gains must be finite and nonnegative"):
             sweep_lambda(cfg, [0.0, lam])
+
+    def test_repeated_gain_refused_up_front(self):
+        # a repeated gain ran its twin twice; the CLI's summary then stopped
+        # on "lambda values must be strictly increasing"
+        cfg = burgers_config(lam=1.0, mode=BurgersObserverMode.COLLAPSE, t_final=0.1)
+        with pytest.raises(ValueError, match=r"gain 10 is given twice, got \[1\.0, 10\.0, 10\.0"):
+            sweep_lambda(cfg, [1.0, 10.0, 10.0, 100.0])
+        assert gain_list(["1", "10", "100"]) == [1.0, 10.0, 100.0]
+        with pytest.raises(ValueError, match="gain 0 is given twice"):
+            gain_list([0.0, -0.0])
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5])
     def test_jobs_below_one_refused(self, jobs):

@@ -13,7 +13,12 @@ from kinassim.burgers import (
     step_macroscopic_burgers,
 )
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
-from oracles import cell_averaged_indicator, dense_collapse_step, exact_relaxation_solution
+from oracles import (
+    cell_averaged_indicator,
+    dense_collapse_step,
+    exact_relaxation_solution,
+    relaxed,
+)
 
 
 def make_grid(n=100, bc=BoundaryKind.PERIODIC):
@@ -52,11 +57,12 @@ class TestCfl:
         u = np.linspace(-0.5, 1.0, 100)
         obs = u[::-1].copy()
         f = KineticField.from_macroscopic(u, xi, grid)
-        assert np.all(np.isfinite(step_kinetic_burgers(f, obs, 1e4, dt).values))
+        assert np.all(np.isfinite(relaxed(step_kinetic_burgers(f, dt), xi.indicator(obs),
+                                          1e4, dt).values))
         for out in (
             step_collapse_macroscopic(u, obs, 1e4, dt, grid, xi),
-            step_macroscopic_burgers(u, obs, 1e4, dt, grid),
-            step_kinetic_linear(u, 2.0, obs, 1e4, dt, grid),
+            relaxed(step_macroscopic_burgers(u, dt, grid), obs, 1e4, dt),
+            relaxed(step_kinetic_linear(u, 2.0, dt, grid), obs, 1e4, dt),
         ):
             np.testing.assert_allclose(out, obs, rtol=0.0, atol=1e-15)
 
@@ -95,7 +101,7 @@ class TestKineticStep:
         grid = make_grid()
         xi = XiGrid(-1.0, 2.0, 16)
         f = KineticField(np.full((100, 16), 0.3), xi, grid)
-        out = step_kinetic_burgers(f, None, 0.0, burgers_cfl(grid.dx, 2.0))
+        out = step_kinetic_burgers(f, burgers_cfl(grid.dx, 2.0))
         np.testing.assert_allclose(out.values, f.values)
 
     def test_cfl_violation_rejected(self):
@@ -103,7 +109,7 @@ class TestKineticStep:
         xi = XiGrid(-1.0, 2.0, 16)
         f = KineticField(np.zeros((100, 16)), xi, grid)
         with pytest.raises(ValueError, match="CFL"):
-            step_kinetic_burgers(f, None, 0.0, 1.0)
+            step_kinetic_burgers(f, 1.0)
 
     def test_single_node_transport_first_order(self):
         # square pulse advected at a single positive speed vs exact shift
@@ -114,7 +120,7 @@ class TestKineticStep:
         pulse = ((x > 0.2) & (x < 0.4)).astype(float)
         f = KineticField(pulse[:, None].copy(), xi, grid)
         dt = 0.4 * grid.dx / speed
-        out = step_kinetic_burgers(f, None, 0.0, dt)
+        out = step_kinetic_burgers(f, dt)
         exact = ((np.mod(x - speed * dt, 1.0) > 0.2) & (np.mod(x - speed * dt, 1.0) < 0.4))
         err = np.sum(np.abs(out.values[:, 0] - exact.astype(float))) * grid.dx
         assert err <= 4.0 * grid.dx  # two smeared jumps, O(dx) each
@@ -125,7 +131,7 @@ class TestKineticStep:
         f = KineticField(np.full((50, 32), 0.2), xi, grid)
         obs = np.full(50, 0.8)
         lam, dt = 10.0, 1e-3
-        out = step_kinetic_burgers(f, obs, lam, dt)
+        out = relaxed(step_kinetic_burgers(f, dt), xi.indicator(obs), lam, dt)
         target = cell_averaged_indicator(xi, obs)
         expected = f.values + (1.0 - math.exp(-lam * dt)) * (target - f.values)
         np.testing.assert_allclose(out.values, expected, atol=1e-15)
@@ -141,7 +147,7 @@ class TestKineticStep:
         obs = rng.uniform(-1.0, 1.0, 60)
         lam = 30.0
         dt = burgers_cfl(grid.dx, xi.speed_sup, safety=1.0)
-        out = step_kinetic_burgers(f, obs, lam, dt)
+        out = relaxed(step_kinetic_burgers(f, dt), xi.indicator(obs), lam, dt)
         target = cell_averaged_indicator(xi, obs)
         padded = np.vstack([vals[-1:], vals, vals[:1]])
         stacked = np.stack([padded[:-2], padded[1:-1], padded[2:], target])
@@ -157,7 +163,7 @@ class TestKineticStep:
         dt = burgers_cfl(grid.dx, xi.speed_sup)
         mass0 = float(np.sum(f.macroscopic()) * grid.dx)
         for _ in range(20):
-            f = step_kinetic_burgers(f, None, 0.0, dt)
+            f = step_kinetic_burgers(f, dt)
             assert abs(float(np.sum(f.macroscopic()) * grid.dx) - mass0) < 1e-12
 
     def test_masked_observation_rows_untouched(self):
@@ -166,8 +172,8 @@ class TestKineticStep:
         f = KineticField(np.full((40, 8), 0.1), xi, grid)
         obs = np.full(40, np.nan)
         obs[10:20] = 0.9
-        out = step_kinetic_burgers(f, obs, 5.0, 1e-3)
-        ref = step_kinetic_burgers(f, None, 0.0, 1e-3)
+        out = relaxed(step_kinetic_burgers(f, 1e-3), xi.indicator(obs), 5.0, 1e-3)
+        ref = step_kinetic_burgers(f, 1e-3)
         np.testing.assert_allclose(out.values[:10], ref.values[:10])
         assert not np.allclose(out.values[10:20], ref.values[10:20])
 
@@ -219,7 +225,7 @@ class TestMacroscopicStep:
         grid = make_grid(50, BoundaryKind.DIRICHLET_ZERO)
         u = np.linspace(0.1, 1.0, 50)
         dt = 0.3 * grid.dx
-        out = step_macroscopic_burgers(u, None, 0.0, dt, grid)
+        out = step_macroscopic_burgers(u, dt, grid)
         up = np.concatenate([[0.0], u])
         flux = 0.5 * up * up
         expected = u - dt / grid.dx * (flux[1:] - flux[:-1])
@@ -233,7 +239,7 @@ class TestMacroscopicStep:
         u = (x < 0.25).astype(float)
         dt = burgers_cfl(grid.dx, 1.0)
         for _ in range(100):
-            u = step_macroscopic_burgers(u, None, 0.0, dt, grid)
+            u = step_macroscopic_burgers(u, dt, grid)
         t = 100 * dt
         front = x[np.nonzero(u > 0.5)[0][-1]]  # rightmost point above half height
         assert abs(front - (0.25 + 0.5 * t)) <= 1.5 * grid.dx
@@ -250,7 +256,7 @@ class TestMacroscopicStep:
         lam = 20.0
         dt = burgers_cfl(grid.dx, xi.speed_sup)
         f = KineticField.from_macroscopic(u, xi, grid)
-        kin = step_kinetic_burgers(f, obs, lam, dt).macroscopic()
+        kin = relaxed(step_kinetic_burgers(f, dt), xi.indicator(obs), lam, dt).macroscopic()
         mom = step_collapse_macroscopic(u, obs, lam, dt, grid, xi)
         np.testing.assert_allclose(f.macroscopic(), u, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(kin, mom, rtol=0.0, atol=1e-13)
@@ -262,7 +268,7 @@ class TestMacroscopicStep:
         xi = XiGrid(-2.0, 2.0, 512)
         dt = burgers_cfl(grid.dx, 2.0)
         coarse = step_collapse_macroscopic(u, None, 0.0, dt, grid, xi)
-        exact = step_macroscopic_burgers(u, None, 0.0, dt, grid)
+        exact = step_macroscopic_burgers(u, dt, grid)
         # one step differs by the xi-quadrature of the indicator flux: O(dxi)
         assert np.max(np.abs(coarse - exact)) <= 2.0 * (dt / grid.dx) * xi.dxi
 
@@ -270,7 +276,7 @@ class TestMacroscopicStep:
         grid = make_grid(50)
         u = np.full(50, 2.0)
         with pytest.raises(ValueError, match="CFL"):
-            step_macroscopic_burgers(u, None, 0.0, grid.dx, grid)
+            step_macroscopic_burgers(u, grid.dx, grid)
 
     def test_eo_flux_signs(self):
         assert engquist_osher_flux(np.array([2.0]), np.array([3.0]))[0] == 2.0
@@ -413,7 +419,8 @@ class TestDiscreteVsOracle:
             for k in range(steps):
                 obs = target((k + 1) * dt, x, None)  # the target at the step's end
                 f = KineticField(
-                    step_kinetic_linear(f.values[:, 0], float(xi.nodes[0]), obs, lam, dt, grid)[:, None],
+                    relaxed(step_kinetic_linear(f.values[:, 0], float(xi.nodes[0]), dt, grid),
+                            obs, lam, dt)[:, None],
                     xi,
                     grid,
                 )
@@ -439,8 +446,8 @@ class TestLinearStep:
         dt = 0.9 / (lam + speed / grid.dx)
         norm = float(np.sum(err0) * grid.dx)
         for _ in range(20):
-            truth = step_kinetic_linear(truth, speed, None, 0.0, dt, grid)
-            f = step_kinetic_linear(f, speed, truth, lam, dt, grid)
+            truth = step_kinetic_linear(truth, speed, dt, grid)
+            f = relaxed(step_kinetic_linear(f, speed, dt, grid), truth, lam, dt)
             new_norm = float(np.sum(np.abs(f - truth)) * grid.dx)
             assert new_norm == pytest.approx(math.exp(-lam * dt) * norm, rel=1e-12)
             norm = new_norm
@@ -448,13 +455,13 @@ class TestLinearStep:
     def test_reflective_walls_rejected(self):
         grid = make_grid(16, BoundaryKind.REFLECTIVE_WALL)
         with pytest.raises(ValueError, match="not supported"):
-            step_kinetic_linear(np.zeros(16), 1.0, None, 0.0, 1e-4, grid)
+            step_kinetic_linear(np.zeros(16), 1.0, 1e-4, grid)
 
     def test_masked_gain_field(self):
         grid = make_grid(50)
         f = np.zeros(50)
         obs = np.ones(50)
         lam_field = np.where(grid.centers > 0.5, 10.0, 0.0)
-        out = step_kinetic_linear(f, 1.0, obs, lam_field, 1e-3, grid)
+        out = relaxed(step_kinetic_linear(f, 1.0, 1e-3, grid), obs, lam_field, 1e-3)
         assert np.all(out[grid.centers <= 0.5] == 0.0)
         assert np.all(out[grid.centers > 0.5] > 0.0)

@@ -199,6 +199,13 @@ class TestParseConfig:
         ("thacker.cfg", "gain", {"sigma": "0.1"},
          r"\[gain\] sigma does nothing for temporal = interpolated "
          r"\(only for temporal = mollified\)"),
+        # a boundary kind the model's solver cannot run parsed, then exited 2
+        ("burgers_clean.cfg", "grid", {"bc": "reflective_wall"},
+         r"\[grid\] bc reflective_wall is not supported by the burgers solver "
+         r"\(supported: dirichlet_zero, periodic\)"),
+        ("dam_break.cfg", "grid", {"bc": "dirichlet_zero"},
+         r"\[grid\] bc dirichlet_zero is not supported by the shallow_water solver "
+         r"\(supported: reflective_wall, periodic\)"),
     ])
     def test_refusal_names_section_key(self, tmp_path, capsys, fixture, section, keys, message):
         body = Path(fixture_path(fixture)).read_text()
@@ -212,6 +219,22 @@ class TestParseConfig:
             parse_config(str(path))
         command = "run-burgers" if fixture.startswith("burgers") else "run-sv"
         assert cli.main([command, str(path), "--quiet"]) == 1
+        assert re.search(f"config error: {message}", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("section", ["truth", "observer"])
+    def test_bowl_under_a_dam_break_rejected(self, tmp_path, capsys, section):
+        # the flat-bed dam break dropped the bowl: both beds read 0.0
+        body = Path(fixture_path("dam_break.cfg")).read_text().replace(
+            "bathymetry = flat", "bathymetry = parabolic_bowl\nbowl_a = 0.3\nbowl_hm = 0.5")
+        if section == "observer":  # a truth that reads the bowl
+            body = re.sub(r"\[truth\]\n(.+\n)+", "[truth]\nic = lake_at_rest\neta = 1.0\n", body)
+        path = tmp_path / "bowl_dam_break.cfg"
+        path.write_text(body)
+        message = (rf"\[grid\] bathymetry = parabolic_bowl does nothing for \[{section}\] "
+                   r"ic = dam_break, a flat-bed state")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(path))
+        assert cli.main(["run-sv", str(path), "--quiet"]) == 1
         assert re.search(f"config error: {message}", capsys.readouterr().err)
 
     @pytest.mark.parametrize("keys", [["t_first"], ["t_last"], ["t_first", "t_last"]])
@@ -335,6 +358,16 @@ class TestEmitCsv:
         np.testing.assert_array_equal(rows[:, 0], [1.0, 10.0, 100.0])
         np.testing.assert_array_equal(rows[1], [10.0, 0.6, 0.3])
 
+    def test_missing_directory_or_a_directory_refused(self, tmp_path):
+        # a missing directory raised FileNotFoundError naming a temp file
+        missing = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(ValueError, match=f"the directory of {re.escape(repr(missing))} "
+                                             "does not exist"):
+            emit_csv([], missing)
+        with pytest.raises(ValueError, match=f"{re.escape(repr(str(tmp_path)))} is a directory"):
+            emit_csv([], str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_empty_sweep_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         emit_csv([], path)
@@ -355,6 +388,10 @@ def run_python(*args):
 
 def run_cli(*args):
     return run_python("-m", "kinassim", *args)
+
+
+def forbidden_run(*args, **kwargs):
+    raise AssertionError("a refused command ran")
 
 
 class TestCli:
@@ -454,8 +491,8 @@ class TestCli:
         assert proc.returncode == 1
 
     def test_solver_failure_exit_code(self, tmp_path):
-        # reflective walls are not implemented for the Burgers solvers: the
-        # config parses but the run fails
+        # the config parses but the run fails: a noisy observation of the
+        # sine lies past a xi grid spanned with no margin
         cfg = write_cfg(
             tmp_path,
             """
@@ -464,15 +501,29 @@ class TestCli:
 
             [grid]
             n_cells = 16
-            bc = reflective_wall
 
             [truth]
             ic = sine
+
+            [observer]
+            mode = collapse
+            xi_margin = 0
+
+            [gain]
+            lambda = 10
+
+            [observations]
+            count = 4
+            t_last = 0.04
+
+            [noise]
+            epsilon = 0.5
             """,
         )
         proc = run_cli("run-burgers", cfg)
         assert proc.returncode == 2
         assert "runtime error" in proc.stderr
+        assert "lies outside the xi grid" in proc.stderr
 
     def test_sweep_reports_optimum(self, tmp_path):
         cfg = write_cfg(
@@ -503,13 +554,15 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "lambda_opt=" in proc.stdout
 
-    @pytest.mark.parametrize("lambdas", ["nan", "1,inf", "-1"])
+    @pytest.mark.parametrize("lambdas", ["nan", "1,inf", "-1", "1,10,10,100", "0,1,1"])
     def test_sweep_bad_gain_is_config_error(self, tmp_path, lambdas):
-        # a NaN gain used to come back as a failed point with exit code 0
+        # a NaN gain used to come back as a failed point with exit code 0; a
+        # repeated gain ran and printed every twin, then the summary exited 2
         cfg = write_cfg(tmp_path, MINIMAL)
         proc = run_cli("sweep-lambda", cfg, "--lambdas", lambdas)
         assert proc.returncode == 1
         assert "config error: --lambdas" in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
@@ -518,6 +571,21 @@ class TestCli:
         assert cli.main(["sweep-lambda", cfg, "--lambdas", "0,1", "--jobs", jobs,
                          "--quiet"]) == 1
         assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-burgers", "sweep-lambda", "observability"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch, command, target):
+        # the run went to its end, then exited 2 naming a temp file
+        for name in ("run_twin", "sweep_lambda", "observability_check"):
+            monkeypatch.setattr(cli, name, forbidden_run)
+        out = str(tmp_path / "missing" / "x.csv") if target == "missing" else str(tmp_path)
+        args = {"run-burgers": [write_cfg(tmp_path, MINIMAL)],
+                "sweep-lambda": [write_cfg(tmp_path, MINIMAL), "--lambdas", "0,1"],
+                "observability": ["--speed", "1", "--interval", "0.25,0.75",
+                                  "--horizon", "2"]}[command]
+        assert cli.main([command, *args, "--out", out, "--quiet"]) == 1
+        reason = "does not exist" if target == "missing" else "is a directory"
+        assert re.search(rf"config error: --out: .*{reason}", capsys.readouterr().err)
 
     def test_quiet_suppresses_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL, name="quiet.cfg")
