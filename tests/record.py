@@ -143,9 +143,9 @@ BURGERS_STEPS = ("kinetic_burgers", "kinetic_linear", "macroscopic_burgers", "co
 
 def cases() -> dict:
     """name -> (kind, fixture, edits, extra): kind "twin" (extra None, or a
-    function that edits the loaded configuration), "sweep" (extra the gains)
-    or "public" (extra names the public call, see ``public_arrays`` and
-    ``burgers_arrays``)."""
+    function that edits the loaded configuration), "sweep" (extra the gains,
+    or the gains and such a function) or "public" (extra names the public
+    call, see ``public_arrays`` and ``burgers_arrays``)."""
     out = {}
     for fixture in FIXTURES:
         modes = OBSERVER_MODES if fixture in BURGERS else (None,)
@@ -180,6 +180,11 @@ def cases() -> dict:
         out[f"burgers_clean/dividing_engquist_osher/{temporal}"] = ("twin", "burgers_clean", {
             **observer_mode("macroscopic"), ("gain", "temporal"): temporal,
             ("model", "t_final"): 0.3}, dividing)
+    # nudged from the start of the hold: the first substep of a divided truth
+    # step nudges on 23 of its 31 steps
+    out["burgers_clean/dividing_engquist_osher/every_step_lambda30"] = ("twin", "burgers_clean", {
+        **observer_mode("macroscopic"), ("gain", "temporal"): "every_step",
+        ("gain", "lambda"): 30.0, ("model", "t_final"): 0.3}, dividing)
     out["dam_break/refined_truth_lambda20"] = ("twin", "dam_break", {
         ("gain", "lambda"): 20.0, ("truth", "resolution_factor"): 2}, None)
     out["burgers_clean/engquist_osher_pulse2"] = ("twin", "burgers_clean", {
@@ -227,6 +232,21 @@ def cases() -> dict:
     for mode in ("bgk", "macroscopic"):  # one stacked group, one group per gain
         out[f"burgers_clean/sweep_t0.3/{mode}"] = ("sweep", "burgers_clean", {
             **observer_mode(mode), ("model", "t_final"): 0.3}, [0.0, 10.0, 100.0])
+    # a sweep on the linear lane, a collapse sweep whose horizon leaves a short
+    # last step, an Engquist-Osher sweep whose observers divide the truth's
+    # steps, and Saint-Venant sweeps cut short
+    out["burgers_clean/sweep_t0.3/fixed_speed"] = ("sweep", "burgers_clean", {
+        ("model", "t_final"): 0.3}, ([0.0, 10.0, 100.0], fixed_speed))
+    out["burgers_clean/sweep_t0.31/collapse"] = ("sweep", "burgers_clean", {
+        **observer_mode("collapse"), ("model", "t_final"): 0.31}, [0.0, 10.0, 100.0])
+    out["burgers_clean/sweep_t0.3/dividing_engquist_osher"] = ("sweep", "burgers_clean", {
+        **observer_mode("macroscopic"), ("gain", "temporal"): "every_step",
+        ("model", "t_final"): 0.3}, ([0.0, 30.0, 300.0], dividing))
+    out["thacker/sweep_t1"] = ("sweep", "thacker", {("model", "t_final"): 1.0},
+                               [0.0, 10.0, 100.0])
+    out["dam_break/sweep_t0.2"] = ("sweep", "dam_break", {
+        ("model", "t_final"): 0.2, ("observer", "h_left"): 1.5, ("observer", "h_right"): 1.5},
+        [0.0, 20.0])
     for eps in (0.05, 0.02, 0.005):  # criterion 8
         out[f"burgers_noisy_eps002/sweep_eps{eps:g}"] = (
             "sweep", "burgers_noisy_eps002", {("noise", "epsilon"): eps},
@@ -333,7 +353,8 @@ def arrays_of(kind: str, fixture: str, edits: dict, extra) -> dict:
     if kind == "public":
         return (burgers_arrays if config.model == "burgers" else public_arrays)(config, extra)
     if kind == "sweep":
-        points = sweep_lambda(config, extra)
+        gains, edit = extra if isinstance(extra, tuple) else (extra, None)
+        points = sweep_lambda(config if edit is None else edit(config), gains)
         failed = [p.failed for p in points if p.failed is not None]
         if failed:
             raise RuntimeError(f"sweep points failed: {failed}")
