@@ -34,13 +34,15 @@ and resolves each window from that record.  One time loop
 take a truth step, the truth has taken it and has passed every observation
 time that step's windows read (``_Truth.lead``).  The truth samples each
 observation time as it steps past it (``_Truth.take``).  It steps alone
-only to lead and to finish; a Saint-Venant observer whose truth steps
-through its lane takes the first substep of each truth step together with
-the truth's next step, as one two-row update in which the truth is the row at
-gain 0 (``_Truth.step_beside``, ``_SWLane.step_pair``).  The loop releases the
-truth fields behind the observers.  The Saint-Venant lanes carry their
-states as rows of one array (``shallow_water._Rows``) from step to step,
-and hand out ``SWState``s only in a run's results.
+only to lead and to finish: wherever the truth steps through its observers'
+lane object (the linear, Engquist-Osher and collapse lanes, and Saint-Venant
+on the observers' grid and bed), the first observer substep of each truth
+step takes the truth's next step beside it, as one update in which the truth
+is the row at gain 0, each row at its own dt (``_Truth.step_beside``,
+``_Lane.step_pair``).  The loop releases the truth fields behind the
+observers.  The Saint-Venant lanes carry their states as rows of one array
+(``shallow_water._Rows``) from step to step, and hand out ``SWState``s only
+in a run's results.
 
 Truth and observer share the truth's time grid; the observer subdivides a
 truth step only when its own transient state demands a shorter step.  The
@@ -51,7 +53,9 @@ a sweep runs on the same grid.  Where the observer's bound is a constant too
 observers as one (k, n) stack (``sweep_lambda``).  The Engquist-Osher bound
 follows the state, and the Saint-Venant lane keeps its explicit source under
 a CFL bound augmented by the gain, so each of their gains runs its own truth
-and a stack of one observer.  The loop stops with a ``SolverError`` when a
+and a stack of one observer.  A sweep point is the final errors alone, so a
+sweep records only the rows at t = 0 and t_final of each run, each measured
+as ``run_twin`` measures it.  The loop stops with a ``SolverError`` when a
 CFL bound is not a positive finite step or a step budget runs out, so every
 run terminates.
 """
@@ -319,6 +323,8 @@ class _Lane:
     nudges each row at its gain in ``lams`` times the total weight W of the
     innovation terms ``terms`` (``_GainController.resolve``) toward their
     weighted mean (``_mean_innovation``); terms None is transport alone.
+    ``step_pair`` takes that step together with the next step of a truth on
+    the same lane, the truth one more row at its own dt.
 
     The base class is a Burgers lane on the field u, given its bound, its
     gain-free transport and the relaxation target of an observed field as
@@ -331,10 +337,6 @@ class _Lane:
     # exact relaxation of the Burgers lanes, its start (0) for the explicit
     # source of the Saint-Venant lane
     target_level = 1
-    # the first observer substep of each truth step takes the truth's next
-    # step beside it where the truth steps through the same lane object
-    # (_SWLane.step_pair)
-    pairs = False
 
     def __init__(self, bound, transport, xi: XiGrid | None = None, target=None):
         self.bound, self.transport = bound, transport
@@ -357,7 +359,20 @@ class _Lane:
         return self.bound(state)
 
     def step(self, state, dt, lams=None, terms=None):
-        new = self.transport(state, dt)
+        return self._relaxed(self.transport(state, dt), dt, lams, terms)
+
+    def step_pair(self, truth, truth_dt, state, dt, lams, terms):
+        """(the truth's step over truth_dt, this lane's ``step``) as one
+        transport of the truth's row on top of the observers' rows, each at
+        its own dt, then the observers' relaxation; only for a truth on this
+        lane."""
+        dts = np.full((len(state) + 1, 1), dt)
+        dts[0] = truth_dt
+        new = self.transport(np.concatenate((truth, state)), dts)
+        return new[:1], self._relaxed(new[1:], dt, lams, terms)
+
+    def _relaxed(self, new, dt, lams, terms):
+        """The transported stack ``new`` nudged under ``terms``."""
         if terms is None:
             return new
         gap, weight = _mean_innovation(self, terms, new)
@@ -436,14 +451,13 @@ class _SWLane(_Lane):
     Where the truth steps through the same lane object as its observer, the
     two share a grid and a bathymetry, and a substep and the truth's next
     step go as one two-row update, the truth the row at gain 0
-    (``pairs``, ``step_pair``).  The observers' lane has a ``window``, the
+    (``step_pair``).  The observers' lane has a ``window``, the
     slice of the cells observed (every observed field is NaN outside it),
     and the buffers of its probe and its single-term innovation; every lane
     has those of its energy."""
 
     clamp_nonnegative = True
     target_level = 0
-    pairs = True
     xi = None
 
     def __init__(self, grid: Grid1D, lam_cfl: float, safety: float, factor: int = 1,
@@ -739,8 +753,9 @@ class _Truth:
 
     def step_beside(self, state, dt: float, lams, terms):
         """Take the next step beside the observers' substep, on the truth's
-        own lane, over dt from ``state`` under ``terms``, as one two-row
-        update (``_SWLane.step_pair``); returns their new state."""
+        own lane, over dt from ``state`` under ``terms``, as one update in
+        which the truth is the row at gain 0 (``_Lane.step_pair``); returns
+        their new state."""
         truth_dt = self.next_dt()
         stepped, state = self.lane.step_pair(self.held, truth_dt, state, dt, lams, terms)
         self.take(stepped, truth_dt)
@@ -791,7 +806,7 @@ class _GainController:
     The lane measures every term against the observer's current state.
     ``advance`` takes an observer substep, the first of each truth step
     beside the truth's next step where the truth steps through the same
-    lane object and that lane ``pairs``.
+    lane object.
 
     A target read from the truth trajectory (at-observation-time nudging, and
     every-step nudging without observation times) is ``_Truth.read``: for
@@ -853,9 +868,9 @@ class _GainController:
         """One substep of the observers over [t, t + dt] under their resolved
         innovation ``terms``.  The ``first`` substep of a truth step takes
         the truth's next step beside it, while the truth has steps left,
-        where the truth steps through this lane and the lane ``pairs``."""
+        where the truth steps through this lane."""
         truth = self.truth
-        if first and lane is truth.lane and lane.pairs and not truth.done:
+        if first and lane is truth.lane and not truth.done:
             state = truth.step_beside(state, dt, self.lams, terms)
         else:
             state = lane.step(state, dt, self.lams, terms)
@@ -1019,7 +1034,11 @@ def _sweep_worker(args) -> list[SweepPoint]:
     again one at a time, so each point reports its own result or error."""
     config, lams = args
     try:
-        results = _run_group(replace(config, gain=replace(config.gain, lam=lams[0])), lams)
+        # a point is the final errors alone: a cadence past any step count
+        # (the truth's budget is at most _STEP_BUDGET * _MAX_IMPLIED_STEPS
+        # steps) records the rows at t = 0 and t_final only
+        results = _run_group(replace(config, gain=replace(config.gain, lam=lams[0]),
+                                     record_every=_STEP_BUDGET * _MAX_IMPLIED_STEPS + 1), lams)
     except Exception as exc:  # per-run failures must not abort the sweep
         if len(lams) > 1:
             return [point for lam in lams for point in _sweep_worker((config, [lam]))]
@@ -1047,7 +1066,11 @@ def sweep_lambda(config: RunConfig, lam_values, jobs: int = 1) -> list[SweepPoin
     The gains are split into groups that share one truth (``_groups``): a
     Burgers sweep on the collapse, BGK or linear lane runs one truth and
     steps the observers of all its gains as one stack, one gain per row; each
-    Engquist-Osher or Saint-Venant gain runs its own twin.  ``jobs`` is an
+    Engquist-Osher or Saint-Venant gain runs its own twin.  Wherever the
+    truth runs its observers' lane (every lane but BGK, and a refined or
+    differently bedded Saint-Venant truth), it steps as one more row of
+    their stack.  A group records its errors only at t = 0 and t_final,
+    which is all a point returns.  ``jobs`` is an
     integer of at least 1; with ``jobs`` > 1 each group is cut into at most
     ``jobs`` contiguous chunks, each running its own truth, on a process
     pool.  A group that raises runs again one gain at a time, so a failure

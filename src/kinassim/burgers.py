@@ -33,7 +33,11 @@ Every step takes a leading row axis: u of shape (k, n_cells), a kinetic
 density of shape (k, n_cells, n_xi), steps k fields at once, each row exactly
 as its one-row call.  Padding, flux and relaxation act on the cell axis, and
 ``lam`` broadcasts against the field (a (k, 1) column gives each row its own
-gain).  The steps run on the boundary kinds of ``BOUNDARY_KINDS``.
+gain).  So does ``dt`` in the linear, Engquist-Osher and collapse steps: a
+(k, 1) column gives each row its own step, checked against that row's bound
+(the Engquist-Osher bound follows each row's own maximum), so the twin steps
+its truth as one more row beside its observers.  The steps run on the
+boundary kinds of ``BOUNDARY_KINDS``.
 """
 from __future__ import annotations
 
@@ -131,10 +135,23 @@ def step_kinetic_burgers(f: KineticField, dt: float) -> KineticField:
     return replace(f, values=f.values - (dt / dx) * div)
 
 
-def step_kinetic_linear(f: np.ndarray, speed: float, dt: float, grid: Grid1D) -> np.ndarray:
-    """Upwind transport at a single fixed velocity."""
-    if not (0.0 <= dt and dt * abs(speed) / grid.dx <= _CFL_TOL):
-        raise ValueError(f"dt={dt:g} violates the CFL bound for the linear step")
+def _check_dt(ok, dt, step: str) -> None:
+    """Refuse ``dt`` where ``ok`` is False: a bool for a float dt, a bool per
+    row for a (k, 1) column of them (the text names the first row refused).
+    A NaN dt compares False, so it is refused too."""
+    if ok if isinstance(ok, bool) else ok.all():
+        return
+    if np.ndim(dt) == 0:
+        raise ValueError(f"dt={dt:g} violates the CFL bound for the {step} step")
+    row = int(np.argmin(ok[:, 0]))
+    raise ValueError(f"dt={dt[row, 0]:g} of row {row} violates the CFL bound for the {step} step")
+
+
+def step_kinetic_linear(f: np.ndarray, speed: float, dt: float | np.ndarray,
+                        grid: Grid1D) -> np.ndarray:
+    """Upwind transport at a single fixed velocity over ``dt``, a float or a
+    (k, 1) column."""
+    _check_dt((0.0 <= dt) & (dt * abs(speed) / grid.dx <= _CFL_TOL), dt, "linear")
     fp = _pad(f, grid.bc)
     if speed >= 0.0:
         div = speed * (fp[..., 1:-1] - fp[..., :-2])
@@ -155,14 +172,15 @@ def _conservative_step(u, dt, grid, flux):
     return u - (dt / grid.dx) * (f[..., 1:] - f[..., :-1])
 
 
-def step_macroscopic_burgers(u: np.ndarray, dt: float, grid: Grid1D) -> np.ndarray:
-    """Engquist-Osher transport step."""
+def step_macroscopic_burgers(u: np.ndarray, dt: float | np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Engquist-Osher transport step over ``dt``, a float or a (k, 1) column,
+    each row under the bound of its own maximum |u|."""
     u = np.asarray(u, dtype=float)
-    u_sup = float(np.max(np.abs(u)))
-    # a NaN or infinite u_sup (a NaN or infinite cell) allows no dt
-    if not 0.0 <= dt or (u_sup != 0.0 and not (
-            u_sup < math.inf and dt <= burgers_cfl(grid.dx, u_sup, safety=1.0) * _CFL_TOL)):
-        raise ValueError(f"dt={dt:g} violates the CFL bound for the macroscopic step")
+    u_sup = np.max(np.abs(u), axis=-1, keepdims=True)
+    # dx / u_sup, any dt on a row of zeros; a NaN or infinite u_sup (a NaN or
+    # infinite cell) allows its row no dt
+    bound = np.divide(grid.dx, u_sup, out=np.full(u_sup.shape, math.inf), where=u_sup > 0.0)
+    _check_dt((0.0 <= dt) & (u_sup < math.inf) & (dt <= bound * _CFL_TOL), dt, "macroscopic")
     return _conservative_step(
         u, dt, grid, lambda up: engquist_osher_flux(up[..., :-1], up[..., 1:])
     )
@@ -172,7 +190,7 @@ def step_collapse_macroscopic(
     u: np.ndarray,
     obs_u: np.ndarray | None,
     lam: float | np.ndarray,
-    dt: float,
+    dt: float | np.ndarray,
     grid: Grid1D,
     xi: XiGrid,
 ) -> np.ndarray:
@@ -190,11 +208,11 @@ def step_collapse_macroscopic(
     Values past the grid are clamped to [xi_min, xi_max] where the flux is
     read and the target taken, as the grid cuts off their indicator; the
     cell keeps its own value u.  NaN in ``obs_u`` marks an unobserved cell,
-    and an infinite value is refused.
+    and an infinite value is refused.  ``dt`` is a float or a (k, 1) column.
     """
     u = np.asarray(u, dtype=float)
-    if not 0.0 <= dt <= burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL:
-        raise ValueError(f"dt={dt:g} violates the CFL bound for the collapsed step")
+    bound = burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL
+    _check_dt((0.0 <= dt) & (dt <= bound), dt, "collapsed")
     inner, intercept, slope = xi.flux_table
     lo, hi = xi.xi_min, xi.xi_max
 

@@ -889,22 +889,39 @@ class TestLanes:
             with pytest.raises(ValueError, match="steps one observer, not 2"):
                 lane.stack(initial, 2)
 
-    @pytest.mark.parametrize("case", ["saint_venant", "refined_saint_venant",
-                                      "saint_venant_on_another_bed"])
+    # the transports of the lanes, each with the rows of a call when it is
+    # paired, else None: a Burgers call is paired when its dt is a column, one
+    # step per row, and every _step_pair call is
+    TRANSPORTS = {
+        "step_kinetic_linear": lambda args: len(args[0]) if np.ndim(args[2]) == 2 else None,
+        "step_macroscopic_burgers": lambda args: len(args[0]) if np.ndim(args[1]) == 2 else None,
+        "step_collapse_macroscopic": lambda args: len(args[0]) if np.ndim(args[3]) == 2 else None,
+        "step_kinetic_burgers": lambda args: None,
+        "_step_pair": lambda args: len(args[0].speed) + len(args[1].speed),
+    }
+
+    @pytest.mark.parametrize("case", list(SHARED) + list(APART))
     def test_a_truth_steps_beside_its_observer_only_on_their_lane(self, case, monkeypatch):
         cfg = {**self.SHARED, **self.APART}[case]()
-        pairs, step_pair = [], assimilation._step_pair
+        lams = [cfg.gain.lam] if cfg.model == "shallow_water" else [0.0, 5.0, 50.0]
+        paired = []  # the rows of each paired transport
 
-        def counted(*args, **kwargs):
-            pairs.append(1)
-            return step_pair(*args, **kwargs)
+        def counted(step, rows):
+            def call(*args):
+                seen = rows(args)
+                if seen is not None:
+                    paired.append(seen)
+                return step(*args)
+            return call
 
-        monkeypatch.setattr(assimilation, "_step_pair", counted)
-        steps = len(run_twin(cfg).dt_history)
-        if case == "saint_venant":  # the truth leads by one step
-            assert len(pairs) == steps - 1 > 0
+        for name, rows in self.TRANSPORTS.items():
+            monkeypatch.setattr(assimilation, name, counted(getattr(assimilation, name), rows))
+        steps = len(assimilation._run_group(cfg, lams)[0].dt_history)
+        if case in self.SHARED:  # the truth leads by one step
+            assert steps > 1
+            assert paired == [len(lams) + 1] * (steps - 1)
         else:
-            assert not pairs
+            assert not paired
 
 
 class TestObservedDepthCFL:

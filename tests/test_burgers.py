@@ -465,3 +465,85 @@ class TestLinearStep:
         out = relaxed(step_kinetic_linear(f, 1.0, 1e-3, grid), obs, lam_field, 1e-3)
         assert np.all(out[grid.centers <= 0.5] == 0.0)
         assert np.all(out[grid.centers > 0.5] > 0.0)
+
+
+class TestPerRowDt:
+    """The linear, Engquist-Osher and collapse steps take ``dt`` as a float
+    or as a (k, 1) column, one step per row, each checked against its row's
+    bound."""
+
+    GRID = make_grid(40)
+    XI = XiGrid(-1.5, 1.5, 24)
+
+    def fields(self, rng, k):
+        return rng.uniform(-1.0, 1.0, (k, self.GRID.n_cells))
+
+    def steps(self):
+        """name -> (step(u, dt), the largest dt of a row u)."""
+        grid, xi = self.GRID, self.XI
+        return {
+            "linear": (lambda u, dt: step_kinetic_linear(u, -0.8, dt, grid),
+                       lambda u: burgers_cfl(grid.dx, 0.8, safety=1.0)),
+            "engquist_osher": (lambda u, dt: step_macroscopic_burgers(u, dt, grid),
+                               lambda u: burgers_cfl(grid.dx, float(np.max(np.abs(u))), 1.0)),
+            "collapse": (lambda u, dt: step_collapse_macroscopic(u, None, 0.0, dt, grid, xi),
+                         lambda u: burgers_cfl(grid.dx, xi.speed_sup, safety=1.0)),
+        }
+
+    @pytest.mark.parametrize("name", ["linear", "engquist_osher", "collapse"])
+    def test_a_column_steps_each_row_as_its_float_call(self, name):
+        step, bound = self.steps()[name]
+        rng = np.random.default_rng(31)
+        for k in (1, 2, 7):
+            u = self.fields(rng, k)
+            dt = np.array([[rng.uniform(0.0, 1.0) * bound(row)] for row in u])
+            dt[0] = 0.0  # a zero step leaves its row as it is
+            out = step(u, dt)
+            assert out.shape == u.shape
+            for r in range(k):
+                assert np.array_equal(out[r], step(u[r], float(dt[r, 0])))
+            assert np.array_equal(out[0], u[0])
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    @pytest.mark.parametrize("name", ["linear", "engquist_osher", "collapse"])
+    def test_a_negative_or_nan_entry_is_refused(self, name, bad):
+        step, bound = self.steps()[name]
+        u = self.fields(np.random.default_rng(32), 3)
+        dt = np.array([[0.5 * bound(row)] for row in u])
+        step(u, dt)
+        dt[1] = bad
+        with pytest.raises(ValueError, match=rf"dt={bad:g} of row 1 violates the CFL bound"):
+            step(u, dt)
+
+    @pytest.mark.parametrize("name", ["linear", "engquist_osher", "collapse"])
+    def test_an_entry_past_its_bound_is_refused(self, name):
+        step, bound = self.steps()[name]
+        u = self.fields(np.random.default_rng(33), 3)
+        dt = np.array([[bound(row)] for row in u])
+        step(u, dt)  # every row at its own bound
+        dt[2] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="of row 2 violates the CFL bound"):
+            step(u, dt)
+
+    def test_an_engquist_osher_slow_row_takes_a_step_its_fast_neighbour_may_not(self):
+        grid = self.GRID
+        u = np.stack([np.full(grid.n_cells, 0.25), np.full(grid.n_cells, 2.0)])
+        slow, fast = (burgers_cfl(grid.dx, v, safety=1.0) for v in (0.25, 2.0))
+        out = step_macroscopic_burgers(u, np.array([[slow], [fast]]), grid)
+        assert np.array_equal(out[0], step_macroscopic_burgers(u[0], slow, grid))
+        # one float step for both rows is held to the fast row's bound
+        with pytest.raises(ValueError, match=f"dt={slow:g} violates the CFL bound for the "
+                                             "macroscopic step"):
+            step_macroscopic_burgers(u, slow, grid)
+        with pytest.raises(ValueError, match="of row 1 violates"):
+            step_macroscopic_burgers(u, np.array([[slow], [slow]]), grid)
+
+    @pytest.mark.parametrize("name, text", [
+        ("linear", "linear"), ("engquist_osher", "macroscopic"), ("collapse", "collapsed")])
+    def test_float_call_texts_are_unchanged(self, name, text):
+        step, bound = self.steps()[name]
+        u = self.fields(np.random.default_rng(34), 2)
+        for dt in (-1e-3, math.nan, 2.0 * bound(u)):
+            with pytest.raises(ValueError) as raised:
+                step(u, dt)
+            assert str(raised.value) == f"dt={dt:g} violates the CFL bound for the {text} step"

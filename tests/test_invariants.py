@@ -8,6 +8,7 @@ group of its gains as one stack on one truth, gives each gain exactly what
 and observations with NaN windows.
 """
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from kinassim.burgers import (
 )
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import ChiProfile
+from kinassim.metrics import ErrorRecorder
 from kinassim.observation import NoiseSpec
 from kinassim.shallow_water import (
     DRY_DEPTH,
@@ -45,6 +47,7 @@ from kinassim.shallow_water import (
     sv_observer_step,
 )
 from oracles import relaxed
+from test_assimilation import small_sw_config
 
 BCS = [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET_ZERO]
 SW_BCS = [BoundaryKind.PERIODIC, BoundaryKind.REFLECTIVE_WALL]
@@ -328,10 +331,27 @@ class TestSweepBatches:
                 result.final_l1_rel, result.final_sobolev
             )
 
-    def test_sweep_points_equal_single_twins(self):
-        cfg = twin_config("collapse", "at_times", True)
-        for point in sweep_lambda(cfg, SWEEP):
+    @pytest.mark.parametrize("lane", [*LANES, "saint_venant"])
+    def test_sweep_points_equal_single_twins(self, lane, monkeypatch):
+        # a sweep records only the rows at t = 0 and t_final of each group,
+        # where run_twin records every step
+        cfg = small_sw_config() if lane == "saint_venant" else twin_config(lane, "at_times", True)
+        recorders, add = [], ErrorRecorder.add
+
+        def counted(self, *args):
+            recorders.append(self)
+            return add(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ErrorRecorder, "add", counted)
+            points = sweep_lambda(cfg, SWEEP)
+        # the list keeps every recorder alive, so no two share an id
+        adds = Counter(map(id, recorders))
+        assert adds and set(adds.values()) == {2}
+        for point in points:
             alone = run_twin(replace(cfg, gain=replace(cfg.gain, lam=point.lam)))
+            assert len(alone.errors.times) > 2
+            assert point.failed is None
             assert (point.final_l1_rel, point.final_sobolev) == (
                 alone.final_l1_rel, alone.final_sobolev
             )
