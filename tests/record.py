@@ -139,6 +139,8 @@ PUBLIC_LAMBDA = 10.0
 LINEAR_SPEED = 0.5
 BURGERS_STEPS = ("kinetic_burgers", "kinetic_linear", "macroscopic_burgers", "collapse",
                  "collapse_nudged")
+# the observed cells: those of [0.1, 0.6], strictly inside a Burgers grid
+WINDOW = {("observations", "mask_lo"): 0.1, ("observations", "mask_hi"): 0.6}
 
 
 def cases() -> dict:
@@ -251,6 +253,21 @@ def cases() -> dict:
         out[f"burgers_noisy_eps002/sweep_eps{eps:g}"] = (
             "sweep", "burgers_noisy_eps002", {("noise", "epsilon"): eps},
             [10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0])
+    # the collapse, BGK and linear lanes, the mollified gain on every observer
+    # mode and a collapse sweep, each observed on a window strictly inside
+    # the grid
+    for fixture in ("burgers_clean", "burgers_noisy_eps002"):
+        for temporal in TEMPORAL:
+            edits = {**WINDOW, ("gain", "temporal"): temporal}
+            for mode in ("collapse", "bgk"):
+                out[f"{fixture}/window/{temporal}/{mode}"] = (
+                    "twin", fixture, {**edits, **observer_mode(mode)}, None)
+            out[f"{fixture}/window/{temporal}/fixed_speed"] = ("twin", fixture, edits, fixed_speed)
+    for mode in OBSERVER_MODES:
+        out[f"burgers_clean/window/mollified/{mode}"] = ("twin", "burgers_clean", {
+            **WINDOW, **mollified, **observer_mode(mode)}, None)
+    out["burgers_clean/window/sweep_t0.3/collapse"] = ("sweep", "burgers_clean", {
+        **WINDOW, **observer_mode("collapse"), ("model", "t_final"): 0.3}, [0.0, 10.0, 100.0])
     return out
 
 
