@@ -17,9 +17,12 @@ of weight 1 toward the held, interpolated or truth-read target, or one
 kernel-weighted term per observation time under the mollified gain.  Every
 term is measured against the observer's current state, so the nudge is the
 BGK relaxation lam W (M_obs - f) toward the weighted mean of the
-observations, W the total weight of the terms.  The Burgers lanes relax
-exactly toward the mean innovation with one ``burgers._relax`` on the
-gap; the Saint-Venant lane adds it as an explicit source.  The truth is the
+observations, W the total weight of the terms.  A lane reads each
+observation on the observed window alone (``_Lane.window``) and takes a gap
+of 0.0 off it, so NaN marks an unobserved cell only in the observation
+record and at the public steps.  The Burgers lanes relax exactly toward the
+mean innovation with one ``burgers._relax`` on the gap; the Saint-Venant
+lane adds it as an explicit source.  The truth is the
 scheme at lam = 0: ``_lanes`` gives it its observers' lane object wherever
 it runs their scheme on their grid and bed.  Every lane state, the truth's
 included, is a stack of rows (``_Lane.stack``).
@@ -326,6 +329,11 @@ class _Lane:
     ``step_pair`` takes that step together with the next step of a truth on
     the same lane, the truth one more row at its own dt.
 
+    The observers' lane has a ``window``, the slice of the cells observed
+    (``_observed_cells``): a nudge reads an observed field on the window
+    alone and leaves every other cell to its transport, so what a field
+    holds off the window is never read.
+
     The base class is a Burgers lane on the field u, given its bound, its
     gain-free transport and the relaxation target of an observed field as
     callables.  Every Burgers lane measures its innovations after transport
@@ -337,9 +345,12 @@ class _Lane:
     # exact relaxation of the Burgers lanes, its start (0) for the explicit
     # source of the Saint-Venant lane
     target_level = 1
+    # the axes of a state past its cell axis (a kinetic density's xi axis)
+    trailing = ()
 
-    def __init__(self, bound, transport, xi: XiGrid | None = None, target=None):
-        self.bound, self.transport = bound, transport
+    def __init__(self, bound, transport, window: slice, xi: XiGrid | None = None,
+                 target=None):
+        self.bound, self.transport, self.window = bound, transport, window
         self.xi = xi  # kinetic-velocity grid the observations must fit in
         if target is not None:
             self.target = target
@@ -389,10 +400,13 @@ class _BGKLane(_Lane):
     """Burgers, free kinetic density f(x, xi), stepped as the values of a
     KineticField, (k, n_cells, n_xi) for k rows: a row starts as the
     cell-averaged indicator of the initial field, and the target of an
-    observed field is its indicator, so the source acts in kinetic space."""
+    observed field is its indicator, so the source acts in kinetic space.
+    The window indexes the cell axis, the second last."""
 
-    def __init__(self, xi: XiGrid, grid: Grid1D, bound, transport):
-        super().__init__(bound, transport, xi, xi.indicator)
+    trailing = (slice(None),)
+
+    def __init__(self, xi: XiGrid, grid: Grid1D, bound, transport, window: slice):
+        super().__init__(bound, transport, window, xi, xi.indicator)
         self.grid = grid
 
     def stack(self, initial, k: int):
@@ -405,36 +419,21 @@ class _BGKLane(_Lane):
         return state @ self.xi.weights
 
 
-def _mean_innovation(lane: _Lane, terms, ref, out=None):
+def _mean_innovation(lane: _Lane, terms, ref):
     """(sum_k w_k g_k / W, W) over the innovation terms (w_k, obs_k),
-    W = sum_k w_k, with g_k = lane.target(obs_k) - ref where finite and 0
-    on unobserved cells: every term is measured against the one current
-    state ``ref``.
+    W = sum_k w_k, with g_k = lane.target(obs_k) - ref on the lane's window
+    and 0 off it: every term is measured against the one current state
+    ``ref``, on every row of it, and obs_k is read on the window alone.
 
-    The gaps of several terms are stacked and summed in one call, row after
-    row in the order of the terms, from 0.0.  One term of weight 1 (every
-    temporal mode but the mollified gain) is its own gap, written into
-    ``out`` when given: a float and a bool buffer of ref's shape."""
-    if len(terms) == 1 and terms[0][0] == 1.0:
-        gap, unseen = (np.empty(ref.shape), np.empty(ref.shape, dtype=bool)) if out is None \
-            else out
-        np.subtract(lane.target(terms[0][1]), ref, gap)
-        np.isfinite(gap, unseen)
-        np.logical_not(unseen, unseen)
-        np.putmask(gap, unseen, 0.0)
-        return np.add(0.0, gap, gap), 1.0  # 0.0 + x: no zero keeps its sign
-    targets = lane.target(np.array([obs for _, obs in terms]))
-    # one target per term against every row of the reference
-    targets = targets.reshape(targets.shape[:1] + (1,) * (ref.ndim + 1 - targets.ndim)
-                              + targets.shape[1:])
-    gaps = np.subtract(targets, ref)
-    gaps = np.where(np.isfinite(gaps), gaps, 0.0)
-    weights = [w for w, _ in terms]
-    np.multiply(np.reshape(weights, (-1,) + (1,) * (gaps.ndim - 1)), gaps, out=gaps)
-    weight = 0.0
-    for w in weights:  # in order from 0.0, as the gaps (sum() may compensate)
+    The weighted gaps are added into a zero gap in the order of the terms,
+    so each cell's sum starts from 0.0 and no zero keeps its sign."""
+    window = lane.window
+    cells = (..., window) + lane.trailing
+    gap, weight = np.zeros(ref.shape), 0.0
+    for w, obs in terms:
+        gap[cells] += w * (lane.target(obs[window]) - ref[cells])
         weight += w
-    return np.add.reduce(gaps, axis=0, initial=0.0) / weight, weight
+    return np.divide(gap, weight, gap), weight
 
 
 class _SWLane(_Lane):
@@ -452,9 +451,8 @@ class _SWLane(_Lane):
     two share a grid and a bathymetry, and a substep and the truth's next
     step go as one two-row update, the truth the row at gain 0
     (``step_pair``).  The observers' lane has a ``window``, the
-    slice of the cells observed (every observed field is NaN outside it),
-    and the buffers of its probe and its single-term innovation; every lane
-    has those of its energy."""
+    slice of the cells observed, which its nudge and its probe read alone,
+    and the buffers of its probe; every lane has those of its energy."""
 
     clamp_nonnegative = True
     target_level = 0
@@ -467,7 +465,6 @@ class _SWLane(_Lane):
         if window is not None:  # the observers' lane
             width = len(range(n)[window])
             self._probe = np.empty(width, dtype=bool), np.empty(width), np.empty(width)
-            self._innovation = np.empty(n), np.empty(n, dtype=bool)
         self._energy = np.empty(n), np.empty(n)
 
     def stack(self, initial: SWState, k: int):
@@ -513,7 +510,7 @@ class _SWLane(_Lane):
     def step(self, rows, dt, lams=None, terms=None):
         if terms is None:
             return rows.step((dt,))
-        dh, weight = _mean_innovation(self, terms, rows.a[0, 0], self._innovation)
+        dh, weight = _mean_innovation(self, terms, rows.a[0, 0])
         return rows.step((dt,), (float(lams[0]) * weight,), dh)
 
     def step_pair(self, truth, truth_dt, rows, dt, lams, terms):
@@ -521,7 +518,7 @@ class _SWLane(_Lane):
         two-row update; only for a truth on this lane."""
         if terms is None:
             return _step_pair(truth, rows, (truth_dt, dt))
-        dh, weight = _mean_innovation(self, terms, rows.a[0, 0], self._innovation)
+        dh, weight = _mean_innovation(self, terms, rows.a[0, 0])
         return _step_pair(truth, rows, (truth_dt, dt), (0.0, float(lams[0]) * weight), dh)
 
     def observed(self, rows):
@@ -572,15 +569,17 @@ def _initial(config: RunConfig) -> tuple:
 
 def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     """(truth lane, observer lane), under one CFL bound: gain-augmented on
-    Saint-Venant, gain-free on Burgers.  One object twice wherever the truth
-    runs the observers' scheme on their grid and bed; two only for the BGK
-    observer, whose truth runs the collapsed lane, and for a Saint-Venant
-    truth on a refined grid or on another bed."""
+    Saint-Venant, gain-free on Burgers, the observer lane on the observed
+    window.  One object twice wherever the truth runs the observers' scheme
+    on their grid and bed; two only for the BGK observer, whose truth runs
+    the collapsed lane, and for a Saint-Venant truth on a refined grid or on
+    another bed."""
     safety, grid = config.cfl_safety, config.grid
     truth_initial, observer_initial = _initial(config)
+    window = _observed_cells(grid, config.obs_mask)
     if config.model == "shallow_water":
         lam_cfl = _lam_for_cfl(config)
-        lane = _SWLane(grid, lam_cfl, safety, window=_observed_cells(grid, config.obs_mask))
+        lane = _SWLane(grid, lam_cfl, safety, window=window)
         factor = config.truth_resolution_factor
         if factor == 1 and _same_bed(truth_initial, observer_initial):
             return lane, lane
@@ -589,12 +588,13 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
         speed = config.fixed_xi
         fixed = burgers_cfl(grid.dx, max(abs(speed), 1e-12), safety)
         lane = _Lane(lambda f: fixed,
-                     lambda f, dt: step_kinetic_linear(f, speed, dt, grid))
+                     lambda f, dt: step_kinetic_linear(f, speed, dt, grid), window)
         return lane, lane
     if config.observer_mode is BurgersObserverMode.MACROSCOPIC:
         lane = _Lane(
             lambda u: burgers_cfl(grid.dx, max(float(np.max(np.abs(u))), 1e-12), safety),
             lambda u, dt: step_macroscopic_burgers(u, dt, grid),
+            window,
         )
         return lane, lane
     lo = min(float(np.min(u0)) for u0 in (truth_initial, observer_initial))
@@ -605,6 +605,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     lane = _Lane(
         lambda u: fixed,
         lambda u, dt: step_collapse_macroscopic(u, None, 0.0, dt, grid, xi),
+        window,
         xi,
         lambda obs: np.clip(obs, xi.xi_min, xi.xi_max),
     )
@@ -613,6 +614,7 @@ def _lanes(config: RunConfig) -> tuple[_Lane, _Lane]:
     return lane, _BGKLane(
         xi, grid, lane.bound,
         lambda f, dt: step_kinetic_burgers(KineticField(f, xi, grid), dt).values,
+        window,
     )
 
 
@@ -800,8 +802,8 @@ class _GainController:
     ``resolve`` answers once per window with the innovation terms of
     ``_Lane.step``, a list of (weight, observed field), or None when nothing
     is observed or no row has a positive gain.  Every temporal mode but the
-    mollified gain resolves one term (1.0, target): a target NaN outside the
-    observed cells.  The mollified gain resolves one term per observation
+    mollified gain resolves one term (1.0, target), NaN off the observed
+    cells, which the lane does not read.  The mollified gain resolves one term per observation
     time within sigma of the window's start, its kernel weight and field.
     The lane measures every term against the observer's current state.
     ``advance`` takes an observer substep, the first of each truth step

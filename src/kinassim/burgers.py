@@ -1,9 +1,12 @@
 """Kinetic BGK observer solver for 1D Burgers and its macroscopic equivalent.
 
 The steps transport; a nudged lane relaxes the transported field u* exactly
-with one ``_relax``: u_new = u* + (1 - exp(-lam dt)) gap on the observed
-cells, where the gap is target - u*.  ``_relax`` takes the gap, not the
-target, so the twin driver relaxes through it toward any mean innovation.
+with one ``_relax``: u_new = u* + (1 - exp(-lam dt)) gap, where the gap is
+target - u* on the observed cells and 0.0 on the others.  ``_relax`` takes
+the gap, not the target, so the twin driver relaxes through it toward any
+mean innovation.  The gap is finite: the twin driver builds it on the
+observed window alone, and only the public ``step_collapse_macroscopic``
+still reads NaN in an observed field as an unobserved cell.
 This is the Lie splitting of the BGK relaxation source with the stiff part
 integrated exactly, a convex combination for any lam dt, so the CFL bounds
 hold transport alone and do not depend on the gain.
@@ -110,12 +113,13 @@ def _pad(values: np.ndarray, bc: BoundaryKind, axis: int = -1) -> np.ndarray:
 
 def _relax(u, gap, lam, dt):
     """Exact relaxation of du/dt = lam (target - u) over dt, given the gap
-    target - u: u + (1 - exp(-lam dt)) gap where the gap is finite (NaN marks
-    unobserved cells), u elsewhere.  ``lam`` may be a scalar or an array
-    broadcasting against u; gap None leaves u as it is."""
-    if gap is None or not np.any(lam):
+    target - u: u + (1 - exp(-lam dt)) gap.  The gap is finite: an
+    unobserved cell's gap is 0.0, which leaves u + 0.0 there.  ``lam`` may be
+    a scalar or an array broadcasting against u; a zero gain everywhere
+    leaves u as it is."""
+    if not np.any(lam):
         return u
-    return u + np.where(np.isfinite(gap), -np.expm1(-lam * dt) * gap, 0.0)
+    return u - np.expm1(-lam * dt) * gap
 
 
 def step_kinetic_burgers(f: KineticField, dt: float) -> KineticField:
@@ -208,7 +212,8 @@ def step_collapse_macroscopic(
     Values past the grid are clamped to [xi_min, xi_max] where the flux is
     read and the target taken, as the grid cuts off their indicator; the
     cell keeps its own value u.  NaN in ``obs_u`` marks an unobserved cell,
-    and an infinite value is refused.  ``dt`` is a float or a (k, 1) column.
+    whose gap is 0.0, and an infinite value is refused.  ``dt`` is a float
+    or a (k, 1) column.
     """
     u = np.asarray(u, dtype=float)
     bound = burgers_cfl(grid.dx, xi.speed_sup, safety=1.0) * _CFL_TOL
@@ -229,4 +234,4 @@ def step_collapse_macroscopic(
     if obs_u is None:
         return new
     _refuse_infinite("obs_u", obs_u)
-    return _relax(new, np.clip(obs_u, lo, hi) - new, lam, dt)
+    return _relax(new, np.where(np.isnan(obs_u), 0.0, np.clip(obs_u, lo, hi) - new), lam, dt)

@@ -10,7 +10,9 @@ summed over dense arrays of cell-averaged indicators
 output relaxed as a nudged lane relaxes it, and ``binomial_upwind_moments`` the
 half-line moments of a Gibbs density summed term by term from the binomial
 expansion, with libm ``pow`` and a masked complement on the negative
-half-line.
+half-line.  ``stoker_middle_state`` and ``stoker_depth_averages`` are
+Stoker's dam break on a flat bed: its middle state, and the exact cell
+averages of its depth.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from kinassim.burgers import KineticField, _relax
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
@@ -74,12 +77,14 @@ def relaxed(new, target, lam, dt):
     """The output ``new`` of a Burgers transport step (an array, or a
     KineticField whose values are relaxed) relaxed exactly toward ``target``
     over dt as ``_Lane.step`` composes them: ``burgers._relax`` on the gap
-    target - new (NaN marks unobserved cells; target None leaves new as it
-    is).  A kinetic target is a density, such as ``XiGrid.indicator`` of an
-    observed field."""
+    target - new, which is 0.0 where the target is NaN (an unobserved cell;
+    target None leaves new as it is).  A kinetic target is a density, such
+    as ``XiGrid.indicator`` of an observed field."""
     if isinstance(new, KineticField):
         return replace(new, values=relaxed(new.values, target, lam, dt))
-    return _relax(new, None if target is None else target - new, lam, dt)
+    if target is None:
+        return new
+    return _relax(new, np.where(np.isnan(target), 0.0, target - new), lam, dt)
 
 
 def chi_profile_value(profile: ChiProfile, z):
@@ -184,3 +189,53 @@ def binomial_upwind_moments(profile: ChiProfile, h, u, c, powers, positive) -> l
                   for j, coeff in enumerate(_BINOM[k]))
         out.append(np.where(dry, 0.0, h * acc))
     return out
+
+
+def stoker_middle_state(h_left: float, h_right: float, g: float) -> tuple[float, float, float]:
+    """(h_m, u_m, shock speed) of Stoker's dam break from still water h_left
+    on the left of h_right > 0: the left rarefaction gives
+    u_m = 2 (sqrt(g h_left) - sqrt(g h_m)), the right shock
+    u_m = (h_m - h_right) sqrt(g (h_m + h_right) / (2 h_m h_right)), and
+    h_m is the root between the two depths (scipy's ``brentq``)."""
+    c_left = math.sqrt(g * h_left)
+
+    def rarefaction(h):
+        return 2.0 * (c_left - math.sqrt(g * h))
+
+    def shock(h):
+        return (h - h_right) * math.sqrt(g * (h + h_right) / (2.0 * h * h_right))
+
+    h_m = brentq(lambda h: rarefaction(h) - shock(h), h_right, h_left, xtol=1e-15, rtol=1e-15)
+    u_m = rarefaction(h_m)
+    return h_m, u_m, h_m * u_m / (h_m - h_right)
+
+
+def stoker_depth_averages(grid: Grid1D, h_left: float, h_right: float, x_split: float,
+                          t: float, g: float) -> np.ndarray:
+    """Exact cell averages of Stoker's depth at t > 0, before any wave
+    reaches the grid's ends.
+
+    The depth is h_left up to the rarefaction's head x_split - c_left t, then
+    (2 c_left - (x - x_split) / t)^2 / (9 g) up to its tail
+    x_split + (u_m - c_m) t, then h_m up to the shock, then h_right; each
+    cell average is the difference of its exact antiderivative over the
+    cell."""
+    h_m, u_m, speed = stoker_middle_state(h_left, h_right, g)
+    c_left = math.sqrt(g * h_left)
+    head = x_split - c_left * t
+    tail = x_split + (u_m - math.sqrt(g * h_m)) * t
+    front = x_split + speed * t
+
+    def fan(x):  # an antiderivative of the rarefaction's depth
+        return -t * (2.0 * c_left - (x - x_split) / t) ** 3 / (27.0 * g)
+
+    def integral(x):  # of the depth from the rarefaction's head to x
+        return np.select(
+            [x <= head, x <= tail, x <= front],
+            [h_left * (x - head), fan(x) - fan(head),
+             fan(tail) - fan(head) + h_m * (x - tail)],
+            fan(tail) - fan(head) + h_m * (front - tail) + h_right * (x - front),
+        )
+
+    edges = grid.x_min + grid.dx * np.arange(grid.n_cells + 1)
+    return np.diff(integral(edges)) / grid.dx

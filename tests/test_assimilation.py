@@ -923,6 +923,36 @@ class TestLanes:
         else:
             assert not paired
 
+    @pytest.mark.parametrize("off", ["nan", "inf", "-inf", "finite"])
+    @pytest.mark.parametrize("case", ["collapse", "bgk", "engquist_osher", "linear",
+                                      "saint_venant"])
+    def test_a_nudge_reads_only_the_observed_window(self, case, off):
+        # a nudged step toward the truth's field equals, bit for bit, the step
+        # toward that field with anything off the observed cells, under one
+        # term of weight 1 and under several weighted ones
+        cfg = replace({**self.SHARED, **self.APART}[case](), obs_mask=(0.3, 0.6))
+        truth_lane, lane = assimilation._lanes(cfg)
+        truth_initial, initial = assimilation._initial(cfg)
+        target = truth_lane.observed(truth_lane.stack(truth_initial, 1))[0]
+        off_window = ~cfg.grid.interval_mask(*cfg.obs_mask)
+        assert off_window.any() and not off_window.all()
+        rng = np.random.default_rng(7)
+        replaced = target.copy()
+        replaced[off_window] = {
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+            "finite": rng.uniform(target.min(), target.max(), off_window.sum()),
+        }[off]
+        lams = np.array([cfg.gain.lam] if cfg.model == "shallow_water" else [0.0, 5.0, 50.0])
+        state = lane.stack(initial, len(lams))
+        dt = 0.5 * lane.cfl(state, target)
+        for weights in ([1.0], [0.25, 0.5, 1.25]):
+            # a Saint-Venant state is its rows' array of depths, discharges
+            # and velocities
+            want, got = (getattr(stepped, "a", stepped) for stepped in (
+                lane.step(state, dt, lams, [(w, obs) for w in weights])
+                for obs in (target, replaced)))
+            np.testing.assert_array_equal(got, want)
+
 
 class TestObservedDepthCFL:
     """The Saint-Venant observer's bound allows for the depth it is nudged

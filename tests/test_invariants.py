@@ -34,7 +34,7 @@ from kinassim.burgers import (
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.kinetic import ChiProfile
 from kinassim.metrics import ErrorRecorder
-from kinassim.observation import NoiseSpec
+from kinassim.observation import NoiseSpec, noise_field
 from kinassim.shallow_water import (
     DRY_DEPTH,
     SWState,
@@ -355,6 +355,43 @@ class TestSweepBatches:
             assert (point.final_l1_rel, point.final_sobolev) == (
                 alone.final_l1_rel, alone.final_sobolev
             )
+
+
+class TestNoisyObservationBound:
+    """The paper's noisy-observation result as a per-step bound on the
+    collapse lane with complete observations (the truth observed with noise
+    at every step): its transport T is monotone and conservative, an L1
+    contraction, and its target clamp is 1-Lipschitz, so relaxing once per
+    truth step toward the noisy truth at the step's end gives
+
+        e_{n+1} <= exp(-lam dt_n) e_n + (1 - exp(-lam dt_n)) ||eta||_L1
+
+    with e_n the L1 error and eta the noise field; summed over the steps it
+    is the README's bound."""
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
+    def test_the_error_obeys_the_noise_bound_at_every_step(self, lam):
+        # the largest e_{n+1} - bound over these draws is -1.1e-5; relaxing
+        # toward the truth at the step's start instead (target_level 0)
+        # exceeds the bound by up to 0.015
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            n = int(rng.integers(20, 60))
+            grid = Grid1D(n, 0.0, 1.0, BCS[rng.integers(2)])
+            noise = NoiseSpec(float(rng.uniform(0.005, 0.05)), r=float(rng.uniform(0.5, 1.5)),
+                              alpha=float(rng.uniform(0.0, 0.5)))
+            result = run_twin(RunConfig(
+                model="burgers", grid=grid, t_final=0.5,
+                gain=GainSchedule(lam, temporal_mode=TemporalMode.EVERY_STEP),
+                truth_u0=levels(rng, n), observer_u0=levels(rng, n),
+                observer_mode=BurgersObserverMode.COLLAPSE, n_xi=int(rng.integers(8, 65)),
+                noise=noise, record_every=1))
+            e = result.errors.l1_abs
+            eta = float(np.sum(np.abs(noise_field(noise, grid))) * grid.dx)
+            decay = np.exp(-lam * result.dt_history)
+            assert len(e) == len(decay) + 1
+            bound = decay * e[:-1] + (1.0 - decay) * eta
+            assert np.all(e[1:] <= bound + 1e-13 * (1.0 + e[:-1] + eta))
 
 
 class TestSaintVenantProperties:

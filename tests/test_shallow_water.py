@@ -31,7 +31,7 @@ from kinassim.shallow_water import (
     thacker_setup,
     total_energy,
 )
-from oracles import chi_profile_value
+from oracles import chi_profile_value, stoker_depth_averages, stoker_middle_state
 
 G = 9.81
 PROFILES = [ChiProfile.RECTANGLE, ChiProfile.SEMICIRCLE]
@@ -838,3 +838,37 @@ class TestThackerExactSolution:
         print(f"Thacker depth L1 at t={t_end:.3f}: {errors}, observed orders {orders}")
         assert errors[0] > errors[1] > errors[2]
         assert min(orders) > 0.8  # measured 0.94 and 0.97
+
+
+class TestStokerDamBreak:
+    """The flat-bed forward step against Stoker's dam break (Stoker 1957;
+    tabulated in SWASHES, Delestre et al., IJNMF 2013): still water of depth
+    2 left of x = 0.5 and 1 right of it, between walls, at t = 0.1, before
+    either wave reaches a wall.  Its middle state is h_m = 1.4538,
+    u_m = 1.3058 and the shock runs at 4.1831 (``oracles.stoker_middle_state``)."""
+
+    def depth_l1_error(self, n, t_end=0.1):
+        grid = Grid1D(n, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+        state = dam_break_state(grid, 2.0, 1.0, 0.5)
+        t = 0.0
+        while t < t_end * (1.0 - 1e-12):
+            dt = min(sv_cfl(state, 0.0), t_end - t)
+            state = sv_forward_step(state, dt)
+            t += dt
+        exact = stoker_depth_averages(grid, 2.0, 1.0, 0.5, t, state.g)
+        return float(np.sum(np.abs(state.h - exact)) * grid.dx)
+
+    def test_middle_state(self):
+        h_m, u_m, speed = stoker_middle_state(2.0, 1.0, G)
+        assert (round(h_m, 4), round(u_m, 4), round(speed, 4)) == (1.4538, 1.3058, 4.1831)
+
+    def test_depth_converges(self):
+        # measured 1.05e-2, 6.12e-3 and 3.55e-3 against the exact averages,
+        # orders 0.78 and 0.78 (averages of 32 to 64 points a cell gave
+        # 1.05e-2, 6.13e-3 and 3.56e-3); a shock and the corners of a
+        # rarefaction cap a first-order scheme's L1 order below 1
+        errors = [self.depth_l1_error(n) for n in (200, 400, 800)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        print(f"Stoker depth L1 at t=0.1: {errors}, observed orders {orders}")
+        assert errors[0] > errors[1] > errors[2]
+        assert min(orders) > 0.7
