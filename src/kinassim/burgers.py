@@ -5,8 +5,8 @@ with one ``_relax``: u_new = u* + (1 - exp(-lam dt)) gap, where the gap is
 target - u* on the observed cells and 0.0 on the others.  ``_relax`` takes
 the gap, not the target, so the twin driver relaxes through it toward any
 mean innovation.  The gap is finite: the twin driver builds it on the
-observed window alone, and only the public ``step_collapse_macroscopic``
-still reads NaN in an observed field as an unobserved cell.
+observed window alone, and of the steps only ``step_collapse_macroscopic``
+takes an observed field, whose NaN cells it reads as unobserved.
 This is the Lie splitting of the BGK relaxation source with the stiff part
 integrated exactly, a convex combination for any lam dt, so the CFL bounds
 hold transport alone and do not depend on the gain.
