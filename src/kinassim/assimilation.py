@@ -33,11 +33,13 @@ cells, the noise, the clamp, the kinetic-velocity grid every observation
 must lie on, and the series it samples; the gain controller
 (``_GainController``) holds only what differs per row or per temporal mode
 and resolves each window from that record.  One time loop
-(``_run_lockstep``) advances both.  The truth leads: before the observers
-take a truth step, the truth has taken it and has passed every observation
-time that step's windows read (``_Truth.lead``).  The truth samples each
-observation time as it steps past it (``_Truth.take``).  It steps alone
-only to lead and to finish: wherever the truth steps through its observers'
+(``_run_lockstep``) advances both.  Its substep windows tile each truth
+step, so an observation time fires in the one window that holds it, and a
+window's firing depends on its bounds alone.  The truth leads: before the
+observers take a truth step, the truth has taken it and has passed every
+observation time that step's windows read (``_Truth.lead``).  The truth
+samples each observation time as it steps past it (``_Truth.take``).  It
+steps alone only to lead and to finish: wherever the truth steps through its observers'
 lane object (the linear, Engquist-Osher and collapse lanes, and Saint-Venant
 on the observers' grid and bed), the first observer substep of each truth
 step takes the truth's next step beside it, as one update in which the truth
@@ -796,19 +798,17 @@ def _checked_bound(bound: float, phase: str, t: float) -> float:
 
 class _GainController:
     """Resolves what nudges each observer window, from the truth's
-    observation record (``_Truth``), and advances the observer lane under it,
-    for a stack of observers with one gain per row (``lams``).
+    observation record (``_Truth``), for a stack of observers with one gain
+    per row (``lams``).  It holds no state that a window changes.
 
     ``resolve`` answers once per window with the innovation terms of
     ``_Lane.step``, a list of (weight, observed field), or None when nothing
     is observed or no row has a positive gain.  Every temporal mode but the
     mollified gain resolves one term (1.0, target), NaN off the observed
-    cells, which the lane does not read.  The mollified gain resolves one term per observation
-    time within sigma of the window's start, its kernel weight and field.
-    The lane measures every term against the observer's current state.
-    ``advance`` takes an observer substep, the first of each truth step
-    beside the truth's next step where the truth steps through the same
-    lane object.
+    cells, which the lane does not read.  The mollified gain resolves one
+    term per observation time within sigma of the window's start, its kernel
+    weight and field.  The lane measures every term against the observer's
+    current state.
 
     A target read from the truth trajectory (at-observation-time nudging, and
     every-step nudging without observation times) is ``_Truth.read``: for
@@ -816,19 +816,16 @@ class _GainController:
     at the end t_{n+1} of truth step n; for the Saint-Venant lane, whose
     source is explicit, at its start t_n.  Either way a twin started from the
     truth's own state stays on it to machine precision.  At observation times
-    the step is the one that contains t_k.  A forward pointer walks the
-    observation times: a window fires when the next time falls before its
-    end (the final window takes every time left), and ``advance`` moves the
-    pointer past that end once the substep is done, so each observation time
-    fires exactly once, even where float substep windows overlap; a window
-    holding two times nudges once.  The sampled series feeds the every-step
-    (hold), interpolated and mollified modes, whose targets are genuinely
-    stamped at the observation times and are resolved at the start of the
-    window on both models; the hold takes the last time at or before it.
-
-    Every row of the stack takes the same windows, so one pointer serves all
-    of them: a row with a zero gain is relaxed by nothing where a window
-    fires.
+    the window is the one that holds t_k: the windows [t_lo, t_hi) of the
+    run tile it (``_run_lockstep``), so a window fires when an observation
+    time lies at or after its start and before its end, and each time fires
+    exactly once; a window holding two times nudges once.  The sampled
+    series feeds the every-step (hold), interpolated and mollified modes,
+    whose targets are genuinely stamped at the observation times and are
+    resolved at the start of the window on both models; the hold takes the
+    last time at or before it.
+    Every row of the stack takes the same windows: a row with a zero gain
+    is relaxed by nothing where a window fires.
     """
 
     def __init__(self, gain: GainSchedule, truth: _Truth, lams):
@@ -839,12 +836,10 @@ class _GainController:
         self.mollifier = Mollifier(gain.sigma) if mode is TemporalMode.MOLLIFIED else None
         self._interpolated = mode is TemporalMode.INTERPOLATED
         self.at_times = truth.times is not None and mode is TemporalMode.AT_OBSERVATION_TIMES
-        self._next = 0  # the first observation time not passed, at the observation times
 
-    def resolve(self, t_lo: float, t_hi: float, step_index: int, is_last: bool):
-        """The innovation terms that nudge the window [t_lo, t_hi] of truth
-        step ``step_index``, or None.  The firing check only peeks at the
-        pointer."""
+    def resolve(self, t_lo: float, t_hi: float, step_index: int):
+        """The innovation terms that nudge the window [t_lo, t_hi) of truth
+        step ``step_index``, or None."""
         truth = self.truth
         times, series = truth.times, truth.series
         if not self._gained:
@@ -860,25 +855,12 @@ class _GainController:
                 return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
             return [(1.0, series.fields[max(bisect_left(times, t_lo + _TIME_TOL) - 1, 0)])]
         if self.at_times:
-            if not (self._next < len(times) and (is_last or times[self._next] < t_hi)):
+            k = bisect_left(times, t_lo)
+            if not (k < len(times) and times[k] < t_hi):
                 return None
         elif times is not None:  # no sampled time inside the horizon
             return None
         return [(1.0, truth.read(step_index))]
-
-    def advance(self, lane: _Lane, state, t: float, dt: float, terms, first: bool):
-        """One substep of the observers over [t, t + dt] under their resolved
-        innovation ``terms``.  The ``first`` substep of a truth step takes
-        the truth's next step beside it, while the truth has steps left,
-        where the truth steps through this lane."""
-        truth = self.truth
-        if first and lane is truth.lane and not truth.done:
-            state = truth.step_beside(state, dt, self.lams, terms)
-        else:
-            state = lane.step(state, dt, self.lams, terms)
-        if terms is not None and self.at_times:  # past the times before t + dt
-            self._next = max(self._next, bisect_left(truth.times, t + dt))
-        return state
 
 
 # --- the twin loop -----------------------------------------------------------
@@ -896,10 +878,16 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
     Records the errors (L1 relative, L1, L2, Sobolev) and the energy of
     every record_every-th step and of the last; one RunResult per row.  A
     truth step longer than the observer's CFL bound is divided into m
-    substeps, each resolving its own window; the first starts where the
-    step does and takes the step's window, which its bound was probed on,
-    except at the observation times (their firing depends on the window's
-    end).
+    substeps of dt / m, each resolving its own window; the first starts
+    where the step does and takes the step's window, which its bound was
+    probed on, except at the observation times (their firing depends on the
+    window's end).  The windows tile the run: substep j of truth step n
+    holds [t_n + j sub, t_n + (j + 1) sub), the last one ends at t_{n+1},
+    and the run's last window has no end, so an observation time past the
+    truth's last step but inside the horizon fires too.  The first substep
+    of each truth step takes the truth's next step beside it, while the
+    truth has steps left, wherever the truth steps through the observers'
+    lane (``_Truth.step_beside``).
 
     The truth's fields before n are released before step n.  The observers
     may take _STEP_BUDGET substeps per truth step over the run; the truth runs
@@ -937,7 +925,8 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
         n, substeps = 0, 0
         while truth.lead(n):
             dt, last = dts[n], truth.done and n == len(dts) - 1
-            terms = controller.resolve(times[n], times[n + 1], n, last)
+            end = math.inf if last else times[n + 1]
+            terms = controller.resolve(times[n], end, n)
             # the observed field the observer's bound must allow for
             probe = None if terms is None else terms[0][1]
             bound = _checked_bound(lane.cfl(state, probe), "observer", times[n])
@@ -951,15 +940,19 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
                     f"observer run used up its budget of {_STEP_BUDGET * len(dts)} substeps at "
                     f"t={times[n]:g} (CFL bound {bound:g})"
                 )
-            sub = dt / m
+            sub, t_lo = dt / m, times[n]
             for j in range(m):
-                t, closes = times[n] + j * sub, last and j == m - 1
+                t_hi = times[n] + (j + 1) * sub if j < m - 1 else end
                 # each substep resolves its own window; the first starts where
                 # the step's does, so it reuses that one unless firing at the
                 # observation times looks at the window's end
                 if m > 1 and (j or controller.at_times):
-                    terms = controller.resolve(t, t + sub, n, closes)
-                state = controller.advance(lane, state, t, sub, terms, j == 0)
+                    terms = controller.resolve(t_lo, t_hi, n)
+                if j == 0 and lane is truth.lane and not truth.done:
+                    state = truth.step_beside(state, sub, lams, terms)
+                else:
+                    state = lane.step(state, sub, lams, terms)
+                t_lo = t_hi
             if (n + 1) % config.record_every == 0 or last:
                 record(n + 1)
             n += 1

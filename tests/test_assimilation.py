@@ -652,14 +652,15 @@ class TestEveryStepModes:
             calls.append(interpolate(series, t))
             return calls[-1]
 
-        advance = assimilation._GainController.advance
+        resolve = assimilation._GainController.resolve
 
-        def record(self, lane, state, t, dt, nudge, first):
-            seen.append((t, nudge, self.truth.series))
-            return advance(self, lane, state, t, dt, nudge, first)
+        def record(self, t_lo, t_hi, step_index):
+            nudge = resolve(self, t_lo, t_hi, step_index)
+            seen.append((t_lo, nudge, self.truth.series))
+            return nudge
 
         monkeypatch.setattr(assimilation, "interpolate_in_time", counted)
-        monkeypatch.setattr(assimilation._GainController, "advance", record)
+        monkeypatch.setattr(assimilation._GainController, "resolve", record)
         run_twin(burgers_config(100.0, BurgersObserverMode.MACROSCOPIC,
                                 temporal=temporal, t_final=1.0))
         return calls, seen
@@ -722,8 +723,8 @@ class TestTruthLeads:
         controllers, reads = [], []
         resolve = assimilation._GainController.resolve
 
-        def record(self, t_lo, t_hi, step_index, is_last):
-            terms = resolve(self, t_lo, t_hi, step_index, is_last)
+        def record(self, t_lo, t_hi, step_index):
+            terms = resolve(self, t_lo, t_hi, step_index)
             controllers.append(self)
             used = None if terms is None else [np.array(field) for _, field in terms]
             reads.append((t_lo, step_index, self.truth.t, used))
@@ -799,45 +800,91 @@ def dividing_engquist_osher_twin():
 
 
 class TestObservationFiring:
-    def windows(self, cfg, monkeypatch):
-        """The observer's substep windows [t, t + dt] of one run, and the run."""
-        windows = []
-        advance = assimilation._GainController.advance
+    """At the observation times the substep windows [t_lo, t_hi) of a run
+    tile it, so a window fires exactly when it holds an observation time,
+    and each time fires once.  The windows [t, t + dt / m] of the substeps
+    once overlapped in floating point, and a time in an overlap fired in
+    both."""
 
-        def record_window(self, lane, state, t, dt, *rest):
-            windows.append((t, t + dt))
-            return advance(self, lane, state, t, dt, *rest)
+    def windows(self, cfg, monkeypatch):
+        """The windows of one run of ``cfg``, per truth step a list of
+        (t_lo, t_hi, fired) for its substeps, the count of nudged substeps,
+        and the run.  The loop resolves a divided step's own window first,
+        for its bound, and then one window per substep."""
+        resolved, nudged = [], []
+        resolve, relax = assimilation._GainController.resolve, assimilation._relax
+
+        def record(self, t_lo, t_hi, step_index):
+            terms = resolve(self, t_lo, t_hi, step_index)
+            resolved.append((step_index, (t_lo, t_hi, terms is not None)))
+            return terms
+
+        def count_nudged(u, gap, lam, dt):
+            nudged.append(bool(np.all(lam > 0.0)))
+            return relax(u, gap, lam, dt)
 
         with monkeypatch.context() as patch:
-            patch.setattr(assimilation._GainController, "advance", record_window)
-            return windows, run_twin(cfg)
+            patch.setattr(assimilation._GainController, "resolve", record)
+            patch.setattr(assimilation, "_relax", count_nudged)
+            result = run_twin(cfg)
+        steps = [[w for n, w in resolved if n == step] for step in range(len(result.dt_history))]
+        return [step[1:] if len(step) > 1 else step for step in steps], sum(nudged), result
 
-    def test_each_observation_time_fires_once_under_substepping(self, monkeypatch):
-        # consecutive substep windows [t, t + dt/m] may overlap in floating
-        # point; an observation time in the overlap fired in both windows.
-        # The nudges inside the observed window do not move the substeps.
+    def fired(self, cfg, times, monkeypatch):
+        """The windows and nudges of ``cfg`` observed at ``times``, checked to
+        take the substeps of ``cfg`` as it is: the nudges inside the observed
+        window do not move them."""
+        steps, _, _ = self.windows(cfg, monkeypatch)
+        observed = replace(cfg, obs_times=np.asarray(times))
+        got, nudged, _ = self.windows(observed, monkeypatch)
+        assert [[w[:2] for w in step] for step in got] == [[w[:2] for w in step] for step in steps]
+        return [w for step in got for w in step], nudged, observed
+
+    def test_substep_windows_tile_each_truth_step(self, monkeypatch):
         cfg = dividing_engquist_osher_twin()
-        windows, result = self.windows(cfg, monkeypatch)
-        assert len(windows) >= 2 * len(result.dt_history)  # m > 1 on every step
-        overlaps = [i for i in range(len(windows) - 1) if windows[i][1] > windows[i + 1][0]]
-        assert overlaps
-        # a window with two observation times nudges once, so the times
-        # inside two overlapping windows give way to the one in the overlap
-        times = cfg.obs_times
-        for i in overlaps:
-            times = times[(times < windows[i][0]) | (times > windows[i + 1][1])]
-        times = np.sort(np.append(times, [windows[i + 1][0] for i in overlaps]))
-        cfg = replace(cfg, obs_times=times)
-        nudged = []
-        relax = assimilation._relax
+        steps, _, result = self.windows(cfg, monkeypatch)
+        t = result.errors.times  # every truth step is recorded
+        assert len(t) == len(steps) + 1
+        overlapped = 0
+        for n, step in enumerate(steps):
+            assert len(step) > 1  # m > 1 on every step
+            assert step[0][0] == t[n]
+            assert step[-1][1] == (math.inf if n == len(steps) - 1 else t[n + 1])
+            for (_, hi, _), (lo, _, _) in zip(step, step[1:]):
+                assert hi == lo  # no gap and no overlap
+            assert all(lo < hi for lo, hi, _ in step)
+            sub = result.dt_history[n] / len(step)
+            overlapped += sum(lo + sub > hi for lo, hi, _ in step[:-1])
+        assert overlapped  # where the windows [t, t + sub] overlapped
 
-        def count_nudged(u, target, lam, dt):
-            nudged.append(target is not None and bool(np.all(lam > 0.0)))
-            return relax(u, target, lam, dt)
+    def test_each_observation_time_fires_once_in_its_window(self, monkeypatch):
+        cfg = dividing_engquist_osher_twin()
+        steps, _, _ = self.windows(cfg, monkeypatch)
+        # times on substep boundaries inside a truth step, on truth step
+        # boundaries, inside windows, and two times in one window
+        on_substeps = [steps[n][j][0] for n, j in ((2, 1), (9, 2), (17, 1), (29, 1))]
+        on_steps = [steps[n][0][0] for n in (5, 12, 25)]
+        inside = [0.5 * sum(steps[n][j][:2]) for n, j in ((7, 0), (21, 1))]
+        lo, hi, _ = steps[14][1]
+        times = sorted(on_substeps + on_steps + inside + [lo + 0.25 * (hi - lo),
+                                                          lo + 0.75 * (hi - lo)])
+        windows, nudged, _ = self.fired(cfg, times, monkeypatch)
+        for t_k in times:
+            assert sum(lo <= t_k < hi for lo, hi, _ in windows) == 1
+        for lo, hi, fired in windows:
+            assert fired == any(lo <= t_k < hi for t_k in times)
+        assert nudged == sum(fired for _, _, fired in windows) == len(times) - 1
 
-        monkeypatch.setattr(assimilation, "_relax", count_nudged)
-        assert self.windows(cfg, monkeypatch)[0] == windows
-        assert sum(nudged) == np.count_nonzero(cfg.obs_times <= cfg.t_final) == 8
+    def test_a_time_past_the_truths_last_step_fires_once(self, monkeypatch):
+        # the run's last window has no end: a time inside the horizon after
+        # the truth's last step fires in it
+        cfg = dividing_engquist_osher_twin()
+        t_end = self.windows(cfg, monkeypatch)[2].errors.times[-1]
+        late = cfg.t_final * (1.0 + 0.5e-12)
+        assert t_end < late <= cfg.t_final * (1.0 + 1e-12)
+        windows, nudged, _ = self.fired(cfg, [0.1, late], monkeypatch)
+        assert nudged == 2
+        assert [w for w in windows if w[2]][-1] == (windows[-1][0], math.inf, True)
 
 
 def bumped_observer_bed(cfg):
@@ -1227,9 +1274,9 @@ class TestTruthWindow:
         step, excess, live, first = [0], [], [], [0]
         resolve, take = assimilation._GainController.resolve, assimilation._Truth.take
 
-        def note_step(self, t_lo, t_hi, step_index, is_last):
+        def note_step(self, t_lo, t_hi, step_index):
             step[0] = step_index
-            return resolve(self, t_lo, t_hi, step_index, is_last)
+            return resolve(self, t_lo, t_hi, step_index)
 
         def count_live(self, state, dt):
             take(self, state, dt)

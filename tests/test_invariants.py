@@ -314,14 +314,19 @@ class TestSweepBatches:
                       obs_times=0.02 * np.arange(1, 16))
         lams = [0.0, 30.0, 3000.0]
         substeps, alone = [], []
-        advance = assimilation._GainController.advance
+        step, step_pair = assimilation._Lane.step, assimilation._Lane.step_pair
 
-        def count(self, *args):
+        def count(self, state, dt, lams=None, terms=None):
+            substeps[-1] += lams is not None  # an observer substep, not a truth step
+            return step(self, state, dt, lams, terms)
+
+        def count_pair(self, *args):  # an observer substep beside a truth step
             substeps[-1] += 1
-            return advance(self, *args)
+            return step_pair(self, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(assimilation._GainController, "advance", count)
+            patch.setattr(assimilation._Lane, "step", count)
+            patch.setattr(assimilation._Lane, "step_pair", count_pair)
             for lam in lams:
                 substeps.append(0)
                 alone.append(run_twin(replace(cfg, gain=replace(cfg.gain, lam=lam))))
