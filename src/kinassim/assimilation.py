@@ -854,9 +854,8 @@ class _GainController:
             if self._interpolated:
                 return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
             return [(1.0, series.fields[max(bisect_left(times, t_lo + _TIME_TOL) - 1, 0)])]
-        if self.at_times:
-            k = bisect_left(times, t_lo)
-            if not (k < len(times) and times[k] < t_hi):
+        if self.at_times:  # fire when an observation time lies in [t_lo, t_hi)
+            if bisect_left(times, t_lo) == bisect_left(times, t_hi):
                 return None
         elif times is not None:  # no sampled time inside the horizon
             return None
@@ -940,9 +939,9 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
                     f"observer run used up its budget of {_STEP_BUDGET * len(dts)} substeps at "
                     f"t={times[n]:g} (CFL bound {bound:g})"
                 )
-            sub, t_lo = dt / m, times[n]
+            sub = dt / m
             for j in range(m):
-                t_hi = times[n] + (j + 1) * sub if j < m - 1 else end
+                t_lo, t_hi = times[n] + j * sub, times[n] + (j + 1) * sub if j < m - 1 else end
                 # each substep resolves its own window; the first starts where
                 # the step's does, so it reuses that one unless firing at the
                 # observation times looks at the window's end
@@ -952,7 +951,6 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
                     state = truth.step_beside(state, sub, lams, terms)
                 else:
                     state = lane.step(state, sub, lams, terms)
-                t_lo = t_hi
             if (n + 1) % config.record_every == 0 or last:
                 record(n + 1)
             n += 1
