@@ -23,6 +23,7 @@ from kinassim.assimilation import (
 from kinassim.config import fixture_path, parse_config
 from kinassim.grid import BoundaryKind, Grid1D, XiGrid
 from kinassim.observation import (
+    Mollifier,
     NoiseSpec,
     interpolate_in_time,
     mollified_gain,
@@ -354,7 +355,8 @@ class TestShallowWaterTwin:
         inert = replace(cfg, obs_times=np.concatenate(([0.05], np.linspace(0.5, 0.518, 10))))
         assert assimilation._lam_for_cfl(inert) == assimilation._lam_for_cfl(cfg)
         alone, beside = run_twin(cfg), run_twin(inert)
-        assert len(beside.dt_history) == len(alone.dt_history) == 278
+        # 278 while the gain carried the sampled maximum's 1e-4 margin
+        assert len(beside.dt_history) == len(alone.dt_history) == 277
         np.testing.assert_array_equal(beside.dt_history, alone.dt_history)
         np.testing.assert_array_equal(beside.errors.l1_rel, alone.errors.l1_rel)
         np.testing.assert_array_equal(beside.final_observer.h, alone.final_observer.h)
@@ -365,6 +367,42 @@ class TestShallowWaterTwin:
         assert assimilation._lam_for_cfl(late) == 0.0
         np.testing.assert_array_equal(run_twin(late).dt_history,
                                       run_twin(replace(cfg, gain=GainSchedule(0.0))).dt_history)
+
+    def mollified_config(self, lam, sigma, times, t_final=0.2, cfl_safety=0.95):
+        grid = Grid1D(40, 0.0, 1.0, BoundaryKind.REFLECTIVE_WALL)
+        return RunConfig(
+            model="shallow_water", grid=grid, t_final=t_final, cfl_safety=cfl_safety,
+            gain=GainSchedule(lam, temporal_mode=TemporalMode.MOLLIFIED, sigma=sigma),
+            truth_state=dam_break_state(grid, 2.0, 1.0, 0.5),
+            observer_state=dam_break_state(grid, 1.5, 1.5, 0.5),
+            obs_times=np.asarray(times),
+        )
+
+    def test_mollified_cfl_gain_covers_the_kernel_maximum(self):
+        # sampled every sigma / 64, the kernel sum's maximum was missed by up
+        # to 1.5e-4 relative, past the 1e-4 margin: this run was refused with
+        # "dt=1.00481e-05 violates the CFL bound 0 <= dt <= 1.0048e-05"
+        cfg = self.mollified_config(1e3, 0.02, [0.01460427, 0.01679214], t_final=0.03,
+                                    cfl_safety=1.0)
+        result = run_twin(cfg)
+        assert result.errors.times[-1] == pytest.approx(cfg.t_final, rel=1e-12)
+        assert np.isfinite(result.final_l1_rel)
+
+    def test_mollified_cfl_gain_is_the_kernel_maximum(self):
+        # the largest total kernel weight, against the kernel sum sampled
+        # every sigma / 4096 (which misses the maximum by at most
+        # pi^2 / (16 * 4096^2), 3.7e-8 relative), on random irregular times;
+        # the sampled gain fell short on 3 of these 100 draws, by up to 4.1e-5
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            sigma = rng.uniform(0.005, 0.05)
+            times = np.unique(rng.uniform(0.0, 0.15, rng.integers(1, 7)))
+            lam = rng.uniform(1.0, 1e3)
+            samples = np.arange(times[0] - sigma, times[-1] + sigma, sigma / 4096.0)
+            mollifier = Mollifier(sigma)
+            dense = max(sum(mollifier.value(samples - t) for t in times))
+            allowed = assimilation._lam_for_cfl(self.mollified_config(lam, sigma, times))
+            assert lam * dense <= allowed <= lam * dense * (1.0 + 1e-6)
 
     def test_mollified_smoke(self):
         cfg = self.make_config(
