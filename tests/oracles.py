@@ -12,7 +12,9 @@ half-line moments of a Gibbs density summed term by term from the binomial
 expansion, with libm ``pow`` and a masked complement on the negative
 half-line.  ``stoker_middle_state`` and ``stoker_depth_averages`` are
 Stoker's dam break on a flat bed: its middle state, and the exact cell
-averages of its depth.
+averages of its depth.  ``burgers_pulse_averages`` is the exact cell
+averages of Burgers' equation from a unit square pulse, the truth of
+``burgers_clean.cfg``.
 """
 from __future__ import annotations
 
@@ -236,6 +238,30 @@ def stoker_depth_averages(grid: Grid1D, h_left: float, h_right: float, x_split: 
              fan(tail) - fan(head) + h_m * (x - tail)],
             fan(tail) - fan(head) + h_m * (front - tail) + h_right * (x - front),
         )
+
+    edges = grid.x_min + grid.dx * np.arange(grid.n_cells + 1)
+    return np.diff(integral(edges)) / grid.dx
+
+
+def burgers_pulse_averages(grid: Grid1D, t: float, lo: float = 0.125,
+                           hi: float = 0.25) -> np.ndarray:
+    """Exact cell averages at t > 0 of Burgers' equation from u = 1 on
+    [lo, hi] and 0 elsewhere, before the shock reaches the grid's end.
+
+    A rarefaction (x - lo) / t opens from lo and a shock leaves hi at speed
+    1/2, until they meet at t = 2 (hi - lo); from then on u is the triangle
+    (x - lo) / t up to a shock at lo + sqrt(2 (hi - lo) t), which keeps the
+    mass hi - lo.  Each cell average is the difference of the exact
+    antiderivative over the cell."""
+    mass = hi - lo
+
+    def integral(x):  # of u from the grid's start to x
+        if t < 2.0 * mass:
+            return np.select([x <= lo, x <= lo + t, x <= hi + 0.5 * t],
+                             [0.0 * x, (x - lo) ** 2 / (2.0 * t), 0.5 * t + (x - lo - t)],
+                             mass)
+        shock = lo + math.sqrt(2.0 * mass * t)
+        return (np.clip(x, lo, shock) - lo) ** 2 / (2.0 * t)
 
     edges = grid.x_min + grid.dx * np.arange(grid.n_cells + 1)
     return np.diff(integral(edges)) / grid.dx
