@@ -39,12 +39,12 @@ window's firing depends on its bounds alone.  The truth leads: before the
 observers take a truth step, the truth has taken it and has passed every
 observation time that step's windows read (``_Truth.lead``).  The truth
 samples each observation time as it steps past it (``_Truth.take``).  It
-steps alone only to lead and to finish: wherever the truth steps through its observers'
-lane object (the linear, Engquist-Osher and collapse lanes, and Saint-Venant
-on the observers' grid and bed), the first observer substep of each truth
-step takes the truth's next step beside it, as one update in which the truth
-is the row at gain 0, each row at its own dt (``_Truth.step_beside``,
-``_Lane.step_pair``).  The loop releases the truth fields behind the
+steps alone only to lead and to finish: wherever the truth steps through
+its observers' lane object (the linear, Engquist-Osher and collapse lanes,
+and Saint-Venant on the observers' grid and bed), the first observer
+substep of each truth step takes the truth's next step beside it, as one
+update in which the truth is the row at gain 0, each row at its own dt
+(``_Truth.step_beside``, ``_Lane.step_pair``).  The loop releases the truth fields behind the
 observers.  The Saint-Venant lanes carry their states as rows of one array
 (``shallow_water._Rows``) from step to step, and hand out ``SWState``s only
 in a run's results.
@@ -570,7 +570,8 @@ def _lam_for_cfl(config: RunConfig) -> float:
         active = times[bisect_left(times, mid - sigma):bisect_left(times, mid + sigma)]
         a, b = (math.fsum(f(w * t) for t in active) for f in (math.cos, math.sin))
         phase = math.atan2(b, a)
-        t = min((phase + math.tau * math.ceil((w * lo - phase) / math.tau)) / w, hi)  # crest
+        # the piece's first crest, or its end
+        t = min((phase + math.tau * math.ceil((w * lo - phase) / math.tau)) / w, hi)
         top = max(top, len(active) + a * math.cos(w * t) + b * math.sin(w * t))
     return gain.lam * (top / (2.0 * sigma) * (1.0 + 1e-9))
 
@@ -839,6 +840,7 @@ class _GainController:
     whose targets are genuinely stamped at the observation times and are
     resolved at the start of the window on both models; the hold takes the
     last time at or before it.
+
     Every row of the stack takes the same windows: a row with a zero gain
     is relaxed by nothing where a window fires.
     """
