@@ -147,6 +147,39 @@ MUTANTS = (
         ("tests/test_shallow_water.py::TestStokerDamBreak",),
     ),
     Mutant(
+        "gains_reversed_across_rows",
+        "each row of a stacked sweep relaxes at its own gain",
+        "assimilation.py",
+        "return lams.reshape((-1,) + (1,) * (state.ndim - 1))",
+        "return lams[::-1].reshape((-1,) + (1,) * (state.ndim - 1))",
+        ("tests/test_invariants.py::TestSweepBatches::test_rows_equal_single_twins",),
+    ),
+    Mutant(
+        "wall_passes_mass",
+        "a wall's ghost cell mirrors the velocity, so no mass crosses it",
+        "shallow_water.py",
+        "calls = _ghost_calls(ghosted, bed.bc, np.array([[1.0], [-1.0]]))",
+        "calls = _ghost_calls(ghosted, bed.bc, np.array([[1.0], [1.0]]))",
+        ("tests/test_acceptance.py::test_criterion_3_positivity_and_mass",),
+    ),
+    Mutant(
+        "flat_form_on_a_sloped_bed",
+        "only a bed whose every entry is equal takes the flat-bed form",
+        "shallow_water.py",
+        "self.flat = bool((z_b == z_b[0]).all())",
+        "self.flat = True",
+        ("tests/test_acceptance.py::test_criterion_2_lake_at_rest",),
+    ),
+    Mutant(
+        "state_arrays_writeable",
+        "an SWState's arrays are read-only",
+        "shallow_water.py",
+        "object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))",
+        "object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))",
+        ("tests/test_shallow_water.py::TestStatesAndWorkBuffers"
+         "::test_fields_and_arrays_cannot_be_changed",),
+    ),
+    Mutant(
         "window_fires_on_a_time_at_its_end",
         "a window fires on the observation times in [t_lo, t_hi), its end excluded",
         "assimilation.py",
