@@ -2,8 +2,8 @@
 
 Each mutant replaces one exact text in one file of ``src/kinassim`` and
 names the invariant it breaks and the checks expected to kill it: pytest
-node ids, or ``record`` for the output record (``tests/record.py --check``),
-``record:TEXT`` for its cases whose name contains TEXT.
+node ids, or ``record:TEXT`` for the cases of the output record
+(``tests/record.py --check``) whose name contains TEXT.
 
     python tests/mutants.py          # every mutant of the table
     python tests/mutants.py ID ...   # the named mutants
@@ -215,8 +215,6 @@ def record(only: str | None = None) -> list[str]:
 
 
 def killer_command(killer: str) -> list[str]:
-    if killer == "record":
-        return record()
     if killer.startswith("record:"):
         return record(killer.removeprefix("record:"))
     return pytest(killer)
