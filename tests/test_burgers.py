@@ -435,11 +435,11 @@ class TestDiscreteVsOracle:
 
 class TestBurgersExactSolution:
     """The collapse and Engquist-Osher lanes' transport against the exact
-    solution of ``burgers_clean.cfg``'s truth, u = 1 on [0.125, 0.25]
-    sampled at the cell centres (``oracles.burgers_pulse_averages``): a
-    rarefaction and a shock until t = 0.25, then a triangle up to a shock
-    at 0.125 + 0.5 sqrt(t).  The collapse lane runs on the fixtures' xi grid,
-    [-1, 2] (the data range with a margin of 1)."""
+    solution (``oracles.burgers_pulse_averages``) of ``burgers_clean.cfg``'s
+    truth, u = 1 on [0.125, 0.25] sampled at the cell centres as the fixture
+    samples it: a rarefaction and a shock until t = 0.25, then a triangle up
+    to a shock at 0.125 + 0.5 sqrt(t).  The collapse lane runs on the
+    fixtures' xi grid, [-1, 2] (the data range with a margin of 1)."""
 
     def l1_error(self, n, lane, t_end, n_xi=64):
         grid = Grid1D(n, 0.0, 1.0, BoundaryKind.DIRICHLET_ZERO)
