@@ -182,6 +182,17 @@ def cases() -> dict:
         out[f"burgers_clean/dividing_engquist_osher/{temporal}"] = ("twin", "burgers_clean", {
             **observer_mode("macroscopic"), ("gain", "temporal"): temporal,
             ("model", "t_final"): 0.3}, dividing)
+    out["burgers_clean/dividing_engquist_osher/mollified"] = ("twin", "burgers_clean", {
+        **observer_mode("macroscopic"), **mollified, ("model", "t_final"): 0.3}, dividing)
+    # a Saint-Venant observer at rest at depth 3 over the dam break: its bound
+    # is below the truth's, so it divides the truth's steps (1127 substeps
+    # over 564 truth steps at the observation times), in every temporal mode
+    for temporal in (*TEMPORAL, "mollified"):
+        out[f"dam_break/dividing_observer/{temporal}"] = ("twin", "dam_break", {
+            ("gain", "lambda"): 20.0, ("gain", "temporal"): temporal,
+            ("gain", "sigma"): 0.02 if temporal == "mollified" else None,
+            ("observations", "every"): 0.05, ("model", "t_final"): 0.2,
+            ("observer", "h_left"): 3.0, ("observer", "h_right"): 3.0}, None)
     # nudged from the start of the hold: the first substep of a divided truth
     # step nudges on 23 of its 31 steps
     out["burgers_clean/dividing_engquist_osher/every_step_lambda30"] = ("twin", "burgers_clean", {
