@@ -12,7 +12,7 @@ that per-model part, a scheme that holds no state: its CFL bound, one step
 that transports and then nudges toward the weighted mean of a list of
 innovation terms, the field it observes and is compared on, and the energy
 (Saint-Venant only).  Every
-temporal mode resolves to such terms (``_GainController.resolve``): one term
+temporal mode resolves to such terms (``_Truth.resolve``): one term
 of weight 1 toward the held, interpolated or truth-read target, or one
 kernel-weighted term per observation time under the mollified gain.  Every
 term is measured against the observer's current state, so the nudge is the
@@ -30,12 +30,13 @@ included, is a stack of rows (``_Lane.stack``).
 The truth (``_Truth``) owns the twin's observation record, built once from
 the configuration: the observation times inside the horizon, the observed
 cells, the noise, the clamp, the kinetic-velocity grid every observation
-must lie on, and the series it samples; the gain controller
-(``_GainController``) holds only what differs per row or per temporal mode
-and resolves each window from that record.  One time loop
-(``_run_lockstep``) advances both.  Its substep windows tile each truth
-step, so an observation time fires in the one window that holds it, and a
-window's firing depends on its bounds alone.  The truth leads: before the
+must lie on, the series it samples and the temporal mode, and it resolves
+each window from that record (``_Truth.resolve``).  One time loop
+(``_run_lockstep``) advances the truth and the observers, one gain per
+row, and resolves nothing where no row has a positive gain.  Its substep
+windows tile each truth step and each resolves its own, so an observation
+time fires in the one window that holds it, and a window's firing depends
+on its bounds alone.  The truth leads: before the
 observers take a truth step, the truth has taken it and has passed every
 observation time that step's windows read (``_Truth.lead``).  The truth
 samples each observation time as it steps past it (``_Truth.take``).  It
@@ -326,7 +327,7 @@ class _Lane:
     gives one field per row, and ``row(state, r)`` hands row r out as a run
     result holds it.  ``step(state, dt, lams, terms)`` transports, then
     nudges each row at its gain in ``lams`` times the total weight W of the
-    innovation terms ``terms`` (``_GainController.resolve``) toward their
+    innovation terms ``terms`` (``_Truth.resolve``) toward their
     weighted mean (``_mean_innovation``); terms None is transport alone.
     ``step_pair`` takes that step together with the next step of a truth on
     the same lane, the truth one more row at its own dt.
@@ -668,8 +669,32 @@ class _Truth:
     ``lead(n)`` is the one rule for how far the truth runs ahead of the
     observers: before the observers take truth step n, the truth has taken
     it, and the series holds every observation the windows of that step
-    read.  ``read(n)`` is the truth-read target of truth step n
-    (``_GainController.resolve``).
+    read.
+
+    ``resolve(t_lo, t_hi, n)`` answers once per window [t_lo, t_hi) of truth
+    step n with the innovation terms of ``_Lane.step``, a list of (weight,
+    observed field), or None when nothing is observed.  Every temporal mode
+    but the mollified gain resolves one term (1.0, target), NaN off the
+    observed cells, which the lane does not read.  The mollified gain
+    resolves one term per observation time within sigma of the window's
+    start, its kernel weight and field (``mollifier``).  The lane measures
+    every term against the observer's current state.
+
+    A target read from the truth trajectory (at-observation-time nudging,
+    and every-step nudging without observation times) is the observation of
+    the truth state at the lane's ``target_level``: for the Burgers lanes,
+    which relax exactly after transport, at the end t_{n+1} of truth step n;
+    for the Saint-Venant lane, whose source is explicit, at its start t_n.
+    Either way a twin started from the truth's own state stays on it to
+    machine precision.  At the observation times the windows of a run tile
+    it (``_run_lockstep``), so a window fires when an observation time lies
+    at or after its start and before its end, each time fires exactly once,
+    and a window holding two times nudges once.  The sampled series feeds
+    the every-step (hold), interpolated and mollified modes, whose targets
+    are genuinely stamped at the observation times and are resolved at the
+    start of the window on both models; the hold takes the last time at or
+    before it.  Every row of the observers' stack takes the same windows: a
+    row with a zero gain is relaxed by nothing where a window fires.
     """
 
     def __init__(self, config: RunConfig, lane: _Lane, initial):
@@ -685,12 +710,14 @@ class _Truth:
         self.mask[_observed_cells(grid, config.obs_mask)] = True
         self._noise = None if config.noise is None else noise_field(config.noise, grid)
         self.times = _horizon_times(config)
-        self.series, self.sampled = None, 0
-        if self.times and gain.temporal_mode is not TemporalMode.AT_OBSERVATION_TIMES:
+        self.series, self.sampled, mode = None, 0, gain.temporal_mode
+        if self.times and mode is not TemporalMode.AT_OBSERVATION_TIMES:
             fields = np.full((len(self.times), grid.n_cells), np.nan)
             self.series = ObservationSeries(self.times, fields, self.mask, grid)
+        self.mollifier = Mollifier(gain.sigma) if mode is TemporalMode.MOLLIFIED else None
+        self._interpolated = mode is TemporalMode.INTERPOLATED
         # a window reads up to _reach past its start
-        self._reach = gain.sigma if gain.temporal_mode is TemporalMode.MOLLIFIED else _TIME_TOL
+        self._reach = _TIME_TOL if self.mollifier is None else gain.sigma
 
     @property
     def state(self):
@@ -715,11 +742,21 @@ class _Truth:
         _refuse_saturation(observed, self.lane.xi)
         return observed
 
-    def read(self, n: int):
-        """The truth-read target of truth step n: the observation of the
-        truth state at the time level of the lane's source
-        (``_Lane.target_level``)."""
-        return self._observe(self.trajectory_fields[n + self.lane.target_level])
+    def resolve(self, t_lo: float, t_hi: float, n: int):
+        """The innovation terms that nudge the window [t_lo, t_hi) of truth
+        step n, or None."""
+        times, series = self.times, self.series
+        if series is None:  # read from the truth, at the observation times if any
+            if times is not None and bisect_left(times, t_lo) == bisect_left(times, t_hi):
+                return None
+            return [(1.0, self._observe(self.trajectory_fields[n + self.lane.target_level]))]
+        if self.mollifier is not None:
+            return [(w, f) for _, w, f in mollified_gain(series, self.mollifier, t_lo)] or None
+        if t_lo < times[0] - _TIME_TOL:
+            return None
+        if self._interpolated:
+            return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
+        return [(1.0, series.fields[max(bisect_left(times, t_lo + _TIME_TOL) - 1, 0)])]
 
     def lead(self, n: int) -> bool:
         """Step alone until truth step n has been taken and, on a sampled
@@ -809,76 +846,6 @@ def _checked_bound(bound: float, phase: str, t: float) -> float:
     return bound
 
 
-# --- gain control -------------------------------------------------------------
-
-
-class _GainController:
-    """Resolves what nudges each observer window, from the truth's
-    observation record (``_Truth``), for a stack of observers with one gain
-    per row (``lams``).  It holds no state that a window changes.
-
-    ``resolve`` answers once per window with the innovation terms of
-    ``_Lane.step``, a list of (weight, observed field), or None when nothing
-    is observed or no row has a positive gain.  Every temporal mode but the
-    mollified gain resolves one term (1.0, target), NaN off the observed
-    cells, which the lane does not read.  The mollified gain resolves one
-    term per observation time within sigma of the window's start, its kernel
-    weight and field.  The lane measures every term against the observer's
-    current state.
-
-    A target read from the truth trajectory (at-observation-time nudging, and
-    every-step nudging without observation times) is ``_Truth.read``: for
-    the Burgers lanes, which relax exactly after transport, the truth state
-    at the end t_{n+1} of truth step n; for the Saint-Venant lane, whose
-    source is explicit, at its start t_n.  Either way a twin started from the
-    truth's own state stays on it to machine precision.  At observation times
-    the window is the one that holds t_k: the windows [t_lo, t_hi) of the
-    run tile it (``_run_lockstep``), so a window fires when an observation
-    time lies at or after its start and before its end, and each time fires
-    exactly once; a window holding two times nudges once.  The sampled
-    series feeds the every-step (hold), interpolated and mollified modes,
-    whose targets are genuinely stamped at the observation times and are
-    resolved at the start of the window on both models; the hold takes the
-    last time at or before it.
-
-    Every row of the stack takes the same windows: a row with a zero gain
-    is relaxed by nothing where a window fires.
-    """
-
-    def __init__(self, gain: GainSchedule, truth: _Truth, lams):
-        self.truth = truth
-        self.lams = np.asarray(lams, dtype=float)  # one gain per row
-        self._gained = bool(np.any(self.lams > 0.0))
-        mode = gain.temporal_mode
-        self.mollifier = Mollifier(gain.sigma) if mode is TemporalMode.MOLLIFIED else None
-        self._interpolated = mode is TemporalMode.INTERPOLATED
-        self.at_times = truth.times is not None and mode is TemporalMode.AT_OBSERVATION_TIMES
-
-    def resolve(self, t_lo: float, t_hi: float, step_index: int):
-        """The innovation terms that nudge the window [t_lo, t_hi) of truth
-        step ``step_index``, or None."""
-        truth = self.truth
-        times, series = truth.times, truth.series
-        if not self._gained:
-            return None
-        if self.mollifier is not None:
-            if series is None:
-                return None
-            return [(w, f) for _, w, f in mollified_gain(series, self.mollifier, t_lo)] or None
-        if series is not None:  # every step, against the sampled series
-            if t_lo < times[0] - _TIME_TOL:
-                return None
-            if self._interpolated:
-                return [(1.0, interpolate_in_time(series, min(t_lo, times[-1])))]
-            return [(1.0, series.fields[max(bisect_left(times, t_lo + _TIME_TOL) - 1, 0)])]
-        if self.at_times:  # fire when an observation time lies in [t_lo, t_hi)
-            if bisect_left(times, t_lo) == bisect_left(times, t_hi):
-                return None
-        elif times is not None:  # no sampled time inside the horizon
-            return None
-        return [(1.0, truth.read(step_index))]
-
-
 # --- the twin loop -----------------------------------------------------------
 
 
@@ -887,17 +854,20 @@ def _energies(values: list) -> np.ndarray | None:
 
 
 def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
-                  controller: _GainController) -> list[RunResult]:
+                  lams) -> list[RunResult]:
     """Advance the truth and the stack of observers ``state``, one row per
-    gain of ``controller.lams``, to t_final in one time loop: the observers
-    step on the truth's time grid, and the truth leads (``_Truth.lead``).
-    Records the errors (L1 relative, L1, L2, Sobolev) and the energy of
-    every record_every-th step and of the last; one RunResult per row.  A
-    truth step longer than the observer's CFL bound is divided into m
-    substeps of dt / m, each resolving its own window; the first starts
-    where the step does and takes the step's window, which its bound was
-    probed on, except at the observation times (their firing depends on the
-    window's end).  The windows tile the run: substep j of truth step n
+    gain of ``lams``, to t_final in one time loop: the observers step on the
+    truth's time grid, and the truth leads (``_Truth.lead``).  Records the
+    errors (L1 relative, L1, L2, Sobolev) and the energy of every
+    record_every-th step and of the last; one RunResult per row.
+
+    Each truth step's window is resolved once (``_Truth.resolve``), and its
+    answer is the observed field the observer's bound is probed on.  A truth
+    step longer than that bound is divided into m substeps of dt / m, and
+    every substep, the first included, resolves its own window; an undivided
+    step takes the step's answer.  Where no row has a positive gain nothing
+    is resolved, so such a run takes no probe and no source.  The windows
+    tile the run: substep j of truth step n
     holds [t_n + j sub, t_n + (j + 1) sub), the last one ends at t_{n+1},
     and the run's last window has no end, so an observation time past the
     truth's last step but inside the horizon fires too.  The first substep
@@ -922,7 +892,9 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
     loop is done.
     """
     times, fields, dts = truth.trajectory_times, truth.trajectory_fields, truth.dts
-    grid, order, lams = config.grid, config.sobolev_order, controller.lams
+    grid, order, lams = config.grid, config.sobolev_order, np.asarray(lams, dtype=float)
+    # where no row has a positive gain nothing nudges: no probe, no source
+    resolve = truth.resolve if np.any(lams > 0.0) else lambda t_lo, t_hi, n: None
     recorded, energies = [], []  # step indices, energies of the recorded rows
     errors = ErrorRecorder(grid, order, stack=len(lams))
 
@@ -942,7 +914,7 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
         while truth.lead(n):
             dt, last = dts[n], truth.done and n == len(dts) - 1
             end = math.inf if last else times[n + 1]
-            terms = controller.resolve(times[n], end, n)
+            terms = resolve(times[n], end, n)
             # the observed field the observer's bound must allow for
             probe = None if terms is None else terms[0][1]
             bound = _checked_bound(lane.cfl(state, probe), "observer", times[n])
@@ -958,12 +930,9 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
                 )
             sub = dt / m
             for j in range(m):
-                t_lo, t_hi = times[n] + j * sub, times[n] + (j + 1) * sub if j < m - 1 else end
-                # each substep resolves its own window; the first starts where
-                # the step's does, so it reuses that one unless firing at the
-                # observation times looks at the window's end
-                if m > 1 and (j or controller.at_times):
-                    terms = controller.resolve(t_lo, t_hi, n)
+                if m > 1:  # each substep resolves its own window
+                    terms = resolve(times[n] + j * sub, times[n] + (j + 1) * sub if j < m - 1
+                                    else end, n)
                 if j == 0 and lane is truth.lane and not truth.done:
                     state = truth.step_beside(state, sub, lams, terms)
                 else:
@@ -1002,8 +971,7 @@ def _run_group(config: RunConfig, lams) -> list[RunResult]:
     config = replace(config)  # checks again a config changed after construction
     (truth_lane, lane), (truth_initial, initial) = _lanes(config), _initial(config)
     truth = _Truth(config, truth_lane, truth_initial)
-    controller = _GainController(config.gain, truth, lams)
-    return _run_lockstep(config, lane, lane.stack(initial, len(lams)), truth, controller)
+    return _run_lockstep(config, lane, lane.stack(initial, len(lams)), truth, lams)
 
 
 def run_twin(config: RunConfig) -> RunResult:

@@ -183,8 +183,8 @@ MUTANTS = (
         "window_fires_on_a_time_at_its_end",
         "a window fires on the observation times in [t_lo, t_hi), its end excluded",
         "assimilation.py",
-        "if bisect_left(times, t_lo) == bisect_left(times, t_hi):",
-        "if bisect_left(times, t_lo) == bisect_left(times, math.nextafter(t_hi, math.inf)):",
+        "bisect_left(times, t_lo) == bisect_left(times, t_hi)",
+        "bisect_left(times, t_lo) == bisect_left(times, math.nextafter(t_hi, math.inf))",
         ("tests/test_assimilation.py::TestObservationFiring",),
     ),
     Mutant(

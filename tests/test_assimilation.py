@@ -690,15 +690,15 @@ class TestEveryStepModes:
             calls.append(interpolate(series, t))
             return calls[-1]
 
-        resolve = assimilation._GainController.resolve
+        resolve = assimilation._Truth.resolve
 
         def record(self, t_lo, t_hi, step_index):
             nudge = resolve(self, t_lo, t_hi, step_index)
-            seen.append((t_lo, nudge, self.truth.series))
+            seen.append((t_lo, nudge, self.series))
             return nudge
 
         monkeypatch.setattr(assimilation, "interpolate_in_time", counted)
-        monkeypatch.setattr(assimilation._GainController, "resolve", record)
+        monkeypatch.setattr(assimilation._Truth, "resolve", record)
         run_twin(burgers_config(100.0, BurgersObserverMode.MACROSCOPIC,
                                 temporal=temporal, t_final=1.0))
         return calls, seen
@@ -756,27 +756,27 @@ class TestTruthLeads:
                               noise=NoiseSpec(0.02, r=1.0, alpha=0.25))
 
     def reads(self, cfg, monkeypatch):
-        """The controller of a run of ``cfg``, and per resolved window its
-        start, its truth step, the truth's time then and the fields used."""
-        controllers, reads = [], []
-        resolve = assimilation._GainController.resolve
+        """The truth of a run of ``cfg``, and per resolved window its start,
+        its truth step, the truth's time then and the fields used."""
+        truths, reads = [], []
+        resolve = assimilation._Truth.resolve
 
         def record(self, t_lo, t_hi, step_index):
             terms = resolve(self, t_lo, t_hi, step_index)
-            controllers.append(self)
+            truths.append(self)
             used = None if terms is None else [np.array(field) for _, field in terms]
-            reads.append((t_lo, step_index, self.truth.t, used))
+            reads.append((t_lo, step_index, self.t, used))
             return terms
 
-        monkeypatch.setattr(assimilation._GainController, "resolve", record)
+        monkeypatch.setattr(assimilation._Truth, "resolve", record)
         run_twin(cfg)
-        assert len({id(c) for c in controllers}) == 1
-        return controllers[0], reads
+        assert len({id(t) for t in truths}) == 1
+        return truths[0], reads
 
-    def expected(self, cfg, controller, truth, series, t_lo, step_index):
+    def expected(self, cfg, record, truth, series, t_lo, step_index):
         """(the indices of the recorded truth states the window at t_lo
-        reads, the fields it should use), from the whole truth ``truth``."""
-        record = controller.truth  # the run's truth holds the observation record
+        reads, the fields it should use), from the whole truth ``truth``;
+        ``record`` is the run's truth, which holds the observation record."""
         times = np.asarray(record.times)
         if series is None:  # the truth's own state at the lane's time level
             index = step_index + record.lane.target_level
@@ -784,8 +784,8 @@ class TestTruthLeads:
                             record.mask, record.lane.clamp_nonnegative)
             return [index], [field]
         nearest = nearest_recorded(np.asarray(truth.trajectory_times), times)
-        if controller.mollifier is not None:
-            ks = [k for k, _, _ in mollified_gain(series, controller.mollifier, t_lo)]
+        if record.mollifier is not None:
+            ks = [k for k, _, _ in mollified_gain(series, record.mollifier, t_lo)]
             return nearest[ks], [series.fields[k] for k in ks]
         if cfg.gain.temporal_mode is TemporalMode.INTERPOLATED:
             t = min(t_lo, times[-1])
@@ -801,8 +801,7 @@ class TestTruthLeads:
             cfg = self.burgers_config(mode)
         else:  # dense: observation times closer than a truth step
             cfg = self.sw_config(mode, every=0.0007 if model.endswith("dense") else 0.006)
-        controller, reads = self.reads(cfg, monkeypatch)
-        truth = controller.truth
+        truth, reads = self.reads(cfg, monkeypatch)
         assert truth.done
         # the run releases the truth fields it has passed: read them from the
         # same truth run on its own, which keeps them all
@@ -819,7 +818,7 @@ class TestTruthLeads:
         used = [r for r in reads if r[3] is not None]
         assert len(used) > 3
         for t_lo, step_index, truth_t, fields in used:
-            indices, expected = self.expected(cfg, controller, whole, series, t_lo, step_index)
+            indices, expected = self.expected(cfg, truth, whole, series, t_lo, step_index)
             assert max(truth.trajectory_times[i] for i in indices) <= truth_t
             assert len(fields) == len(expected)
             for got, want in zip(fields, expected):
@@ -850,7 +849,7 @@ class TestObservationFiring:
         and the run.  The loop resolves a divided step's own window first,
         for its bound, and then one window per substep."""
         resolved, nudged = [], []
-        resolve, relax = assimilation._GainController.resolve, assimilation._relax
+        resolve, relax = assimilation._Truth.resolve, assimilation._relax
 
         def record(self, t_lo, t_hi, step_index):
             terms = resolve(self, t_lo, t_hi, step_index)
@@ -862,7 +861,7 @@ class TestObservationFiring:
             return relax(u, gap, lam, dt)
 
         with monkeypatch.context() as patch:
-            patch.setattr(assimilation._GainController, "resolve", record)
+            patch.setattr(assimilation._Truth, "resolve", record)
             patch.setattr(assimilation, "_relax", count_nudged)
             result = run_twin(cfg)
         steps = [[w for n, w in resolved if n == step] for step in range(len(result.dt_history))]
@@ -1310,7 +1309,7 @@ class TestTruthWindow:
     def test_live_fields_stay_within_the_lead(self, case, monkeypatch):
         config, most, least = self.CASES[case]
         step, excess, live, first = [0], [], [], [0]
-        resolve, take = assimilation._GainController.resolve, assimilation._Truth.take
+        resolve, take = assimilation._Truth.resolve, assimilation._Truth.take
 
         def note_step(self, t_lo, t_hi, step_index):
             step[0] = step_index
@@ -1324,7 +1323,7 @@ class TestTruthWindow:
             live.append(len(fields) - first[0])  # fields from the first one held on
             excess.append(live[-1] - (len(self.dts) - step[0]))  # over the truth's lead
 
-        monkeypatch.setattr(assimilation._GainController, "resolve", note_step)
+        monkeypatch.setattr(assimilation._Truth, "resolve", note_step)
         monkeypatch.setattr(assimilation._Truth, "take", count_live)
         result = run_twin(config())
         assert len(excess) == len(result.dt_history) > least
