@@ -195,6 +195,37 @@ MUTANTS = (
         "end = times[n + 1]",
         ("tests/test_assimilation.py::TestObservationFiring",),
     ),
+    Mutant(
+        "staircase_indicator_flux",
+        "the collapse flux is the cell-averaged indicator's piecewise-linear one, "
+        "which keeps the maximum principle; a staircase in v (the flux read at the "
+        "nearest xi-cell edge, as the node-sampled quadrature it replaced) overshoots",
+        "burgers.py",
+        "        v = np.minimum(np.maximum(up, lo), hi)  # np.clip's dispatch costs more\n",
+        "        v = np.minimum(np.maximum(up, lo), hi)  # np.clip's dispatch costs more\n"
+        "        v = xi.edges[np.rint((v - lo) / xi.dxi).astype(int)]\n",
+        ("tests/test_burgers.py::TestCollapseMaxPrinciple",),
+    ),
+    Mutant(
+        "error_block_restarts_one_row_in",
+        "each block of the error recorder starts at its first row, so no row of "
+        "the block before is measured again",
+        "metrics.py",
+        "self.done, self.held = self.done + rows, 0",
+        "self.done, self.held = self.done + rows, 1",
+        ("tests/test_metrics.py::TestErrorRecorder",),
+    ),
+    Mutant(
+        "first_substep_reuses_the_step_window",
+        "every substep of a divided truth step resolves its own window, the first "
+        "one included",
+        "assimilation.py",
+        "if m > 1:",
+        "if m > 1 and j:",
+        ("tests/test_assimilation.py::TestObservationFiring",
+         "record:dividing_observer/at_observation_times",
+         "record:burgers_clean/engquist_osher_pulse2"),
+    ),
 )
 
 

@@ -363,16 +363,47 @@ class TestSweepBatches:
 
 
 class TestNoisyObservationBound:
-    """The paper's noisy-observation result as a per-step bound on the
-    collapse lane with complete observations (the truth observed with noise
-    at every step): its transport T is monotone and conservative, an L1
-    contraction, and its target clamp is 1-Lipschitz, so relaxing once per
-    truth step toward the noisy truth at the step's end gives
+    """The paper's noisy-observation result as a per-step bound with complete
+    observations (the truth observed with noise at every step).  On the
+    collapse and Engquist-Osher lanes the transport T is monotone and
+    conservative under the CFL bound, an L1 contraction, and the collapse
+    lane's target clamp is 1-Lipschitz, so relaxing once per truth step
+    toward the noisy truth at the step's end gives
 
         e_{n+1} <= exp(-lam dt_n) e_n + (1 - exp(-lam dt_n)) ||eta||_L1
 
     with e_n the L1 error and eta the noise field; summed over the steps it
-    is the README's bound."""
+    is the README's bound.
+
+    The Engquist-Osher observer's bound follows its own state, so it may
+    divide a truth step into m substeps of s = dt / m, each relaxing toward
+    y = u_{n+1} + eta, the truth at the end of the whole step, while the
+    truth takes one step T_dt.  With d_j the L1 distance from the observer
+    after j substeps to u_{n+1}, contraction gives
+    ||T_s v - u_{n+1}|| <= d_j + ||T_s u_{n+1} - u_{n+1}||, and one explicit
+    step is linear in its length, T_s w - w = (T_dt w - w) / m; with
+    d_0 <= e_n + ||u_{n+1} - u_n|| and the right Riemann sum of exp(-lam t)
+    below its mean over [0, dt], the divided step obeys
+
+        e_{n+1} <= exp(-lam dt) (e_n + ||u_{n+1} - u_n||)
+                   + (1 - exp(-lam dt)) / (lam dt) ||T_dt u_{n+1} - u_{n+1}||
+                   + (1 - exp(-lam dt)) ||eta||_L1."""
+
+    @staticmethod
+    def twin(rng, lam, mode):
+        """A random noisy twin on ``mode`` with complete observations at gain
+        ``lam``, and ||eta||_L1 of its noise."""
+        n = int(rng.integers(20, 60))
+        grid = Grid1D(n, 0.0, 1.0, BCS[rng.integers(2)])
+        noise = NoiseSpec(float(rng.uniform(0.005, 0.05)), r=float(rng.uniform(0.5, 1.5)),
+                          alpha=float(rng.uniform(0.0, 0.5)))
+        config = RunConfig(
+            model="burgers", grid=grid, t_final=0.5,
+            gain=GainSchedule(lam, temporal_mode=TemporalMode.EVERY_STEP),
+            truth_u0=levels(rng, n), observer_u0=levels(rng, n),
+            observer_mode=mode, n_xi=int(rng.integers(8, 65)),
+            noise=noise, record_every=1)
+        return config, float(np.sum(np.abs(noise_field(noise, grid))) * grid.dx)
 
     @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
     def test_the_error_obeys_the_noise_bound_at_every_step(self, lam):
@@ -381,22 +412,51 @@ class TestNoisyObservationBound:
         # exceeds the bound by up to 0.015
         rng = np.random.default_rng(19)
         for _ in range(30):
-            n = int(rng.integers(20, 60))
-            grid = Grid1D(n, 0.0, 1.0, BCS[rng.integers(2)])
-            noise = NoiseSpec(float(rng.uniform(0.005, 0.05)), r=float(rng.uniform(0.5, 1.5)),
-                              alpha=float(rng.uniform(0.0, 0.5)))
-            result = run_twin(RunConfig(
-                model="burgers", grid=grid, t_final=0.5,
-                gain=GainSchedule(lam, temporal_mode=TemporalMode.EVERY_STEP),
-                truth_u0=levels(rng, n), observer_u0=levels(rng, n),
-                observer_mode=BurgersObserverMode.COLLAPSE, n_xi=int(rng.integers(8, 65)),
-                noise=noise, record_every=1))
+            config, eta = self.twin(rng, lam, BurgersObserverMode.COLLAPSE)
+            result = run_twin(config)
             e = result.errors.l1_abs
-            eta = float(np.sum(np.abs(noise_field(noise, grid))) * grid.dx)
             decay = np.exp(-lam * result.dt_history)
             assert len(e) == len(decay) + 1
             bound = decay * e[:-1] + (1.0 - decay) * eta
             assert np.all(e[1:] <= bound + 1e-13 * (1.0 + e[:-1] + eta))
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
+    def test_engquist_osher_obeys_the_bound_and_its_substep_form(self, lam, monkeypatch):
+        # in units of ||eta||_L1, the largest e_{n+1} - bound over these draws
+        # is -1.8e-6 on the undivided steps and -0.0056 on the divided ones
+        # (86 and 345 steps at lam = 100); the undivided form exceeds the
+        # bound on the divided steps by up to 0.080 at lam = 100
+        steps = {}  # truth step -> [windows resolved, u_n, u_{n+1}]
+        resolve = assimilation._Truth.resolve
+
+        def noted(self, t_lo, t_hi, n):
+            if n not in steps:
+                fields = self.trajectory_fields
+                steps[n] = [0, fields[n].copy(), fields[n + 1].copy()]
+            steps[n][0] += 1
+            return resolve(self, t_lo, t_hi, n)
+
+        monkeypatch.setattr(assimilation._Truth, "resolve", noted)
+        rng = np.random.default_rng(20)
+        divided = undivided = 0
+        for _ in range(30):
+            steps.clear()
+            config, eta = self.twin(rng, lam, BurgersObserverMode.MACROSCOPIC)
+            result = run_twin(config)
+            e, grid = result.errors.l1_abs, config.grid
+            for n, dt in enumerate(result.dt_history):
+                windows, before, after = steps[n]
+                decay = math.exp(-lam * dt)
+                bound = decay * e[n] + (1.0 - decay) * eta
+                if windows > 1:  # the step's own window, then one per substep
+                    drift = np.sum(np.abs(step_macroscopic_burgers(after, dt, grid) - after))
+                    bound += (decay * np.sum(np.abs(after - before))
+                              + (1.0 - decay) / (lam * dt) * drift) * grid.dx
+                    divided += 1
+                else:
+                    undivided += 1
+                assert e[n + 1] <= bound + 1e-13 * (1.0 + e[n] + eta)
+        assert divided and undivided
 
 
 class TestSaintVenantProperties:
