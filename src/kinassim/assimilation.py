@@ -153,7 +153,7 @@ class GainSchedule:
         if self.temporal_mode is TemporalMode.MOLLIFIED and not (
             self.sigma and self.sigma > 0.0
         ):
-            raise ValueError("mollified gain requires a positive sigma")
+            raise ValueError(f"mollified gain requires a positive sigma, got {self.sigma!r}")
 
 
 def _observed_cells(grid: Grid1D, interval: tuple[float, float] | None) -> slice:
@@ -1029,7 +1029,7 @@ def gain_list(values) -> list[float]:
     nonnegative and given once."""
     gains = [float(v) for v in values]
     if not gains:
-        raise ValueError("sweep needs at least one gain value")
+        raise ValueError(f"sweep needs at least one gain value, got {gains!r}")
     if not all(math.isfinite(v) and v >= 0.0 for v in gains):
         raise ValueError(f"gains must be finite and nonnegative, got {gains!r}")
     repeated = next((v for i, v in enumerate(gains) if v in gains[i + 1:]), None)
@@ -1101,7 +1101,8 @@ def decay_study(config: RunConfig) -> DecayFit:
     v = np.asarray(series.l1_abs, dtype=float)
     positive = v[v > 0.0]
     if positive.size < 3:
-        raise ValueError("not enough positive error samples to fit a decay rate")
+        raise ValueError("not enough positive error samples to fit a decay rate, "
+                         f"got {positive.size} of {v.size}")
     floor = 5.0 * float(np.min(positive))
     keep = v > floor
     floor_limited = bool(np.count_nonzero(~keep))

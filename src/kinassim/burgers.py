@@ -62,9 +62,9 @@ def burgers_cfl(dx: float, xi_sup: float, safety: float = 0.95) -> float:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if dx <= 0.0 or xi_sup <= 0.0:
-        raise ValueError("dx and xi_sup must be positive")
+        raise ValueError(f"dx and xi_sup must be positive, got dx={dx!r}, xi_sup={xi_sup!r}")
     if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
+        raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     return safety * dx / xi_sup
 
 

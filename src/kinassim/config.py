@@ -310,12 +310,12 @@ def _observation_times(observations: dict, t_final: float) -> np.ndarray | None:
                               "combined: every sets the observation times on its own")
         every = observations["every"]
         if every <= 0.0:
-            raise ConfigError("[observations] every must be positive")
+            raise ConfigError(f"[observations] every must be positive, got {every!r}")
         return np.arange(0.0, t_final + every / 2.0, every)
     if "count" in observations:
         count = observations["count"]
         if count < 1:
-            raise ConfigError("[observations] count must be >= 1")
+            raise ConfigError(f"[observations] count must be >= 1, got {count!r}")
         t_last = observations.get("t_last", t_final)
         return np.linspace(observations.get("t_first", t_last / count), t_last, count)
     span = [key for key in ("t_first", "t_last") if key in observations]
@@ -338,7 +338,9 @@ def _build(kind: str, given: dict) -> RunConfig:
     grid = Grid1D(**_fields(Grid1D, values))
     observations = given.get("observations", {})
     if ("mask_lo" in observations) != ("mask_hi" in observations):
-        raise ConfigError("[observations] mask_lo and mask_hi must be given together")
+        key = "mask_lo" if "mask_lo" in observations else "mask_hi"
+        raise ConfigError("[observations] mask_lo and mask_hi must be given together, "
+                          f"got {key} = {observations[key]!r} alone")
     run = dict(
         grid=grid,
         gain=GainSchedule(**_fields(GainSchedule, values)),

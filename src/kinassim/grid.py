@@ -52,7 +52,8 @@ class Grid1D:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ValueError(f"x_max must exceed x_min, got x_min={self.x_min!r}, "
+                             f"x_max={self.x_max!r}")
 
     @property
     def dx(self) -> float:
@@ -98,10 +99,11 @@ class XiGrid:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.xi_max > self.xi_min:
-            raise ValueError("xi_max must exceed xi_min")
+            raise ValueError(f"xi_max must exceed xi_min, got xi_min={self.xi_min!r}, "
+                             f"xi_max={self.xi_max!r}")
         _check_count("n_xi", self.n_xi)
         if self.n_xi < 1:
-            raise ValueError("n_xi must be >= 1")
+            raise ValueError(f"n_xi must be >= 1, got {self.n_xi!r}")
 
     @property
     def dxi(self) -> float:

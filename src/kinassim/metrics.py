@@ -35,7 +35,8 @@ class ErrorSeries:
         n = len(self.times)
         for name in ("l1_rel", "l1_abs", "l2_abs", "sobolev"):
             if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match times")
+                raise ValueError(f"{name} length does not match times, got {len(getattr(self, name))} "
+                                 f"against {n}")
 
 
 def l1_absolute(a: np.ndarray, b: np.ndarray, dx: float) -> float:
@@ -203,7 +204,7 @@ def sweep_minimum(curve) -> tuple[float, float, bool]:
     """
     curve = list(curve)
     if len(curve) < 3:
-        raise ValueError("sweep needs at least 3 points")
+        raise ValueError(f"sweep needs at least 3 points, got {len(curve)}")
     lams = np.asarray([p[0] for p in curve], dtype=float)
     errs = np.asarray([p[1] for p in curve], dtype=float)
     for lam, err in zip(lams.tolist(), errs.tolist()):

@@ -55,9 +55,11 @@ class ObservationSeries:
         if not np.isfinite(self.times).all():
             raise ValueError(f"observation times must be finite, got {self.times!r}")
         if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("observation times must be strictly increasing")
+            raise ValueError("observation times must be strictly increasing, got "
+                             f"{self.times.tolist()}")
         if self.fields.shape != (len(self.times), self.grid.n_cells):
-            raise ValueError("fields shape must be (n_times, n_cells)")
+            raise ValueError(f"fields shape must be (n_times, n_cells), got {self.fields.shape} "
+                             f"for {len(self.times)} times on {self.grid.n_cells} cells")
         self._time_list = self.times.tolist()  # for the bisections of interpolate_in_time
 
 
@@ -95,7 +97,8 @@ def sample_observations(
     rec_t = np.asarray(truth.trajectory_times, dtype=float)
     rec_f = truth.trajectory_fields
     if rec_t.size == 0:
-        raise ValueError("truth run carries no recorded trajectory")
+        raise ValueError(f"truth run carries no recorded trajectory, got trajectory_times "
+                         f"{rec_t.tolist()}")
     grid = truth.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     span_tol = 1e-9 * max(1.0, abs(rec_t[-1]))
@@ -183,12 +186,12 @@ def observability_check(speed: float, interval: tuple[float, float], horizon: fl
     """
     a, b = interval
     if not 0.0 < a < b < 1.0:
-        raise ValueError("interval must satisfy 0 < a < b < 1")
+        raise ValueError(f"interval must satisfy 0 < a < b < 1, got {interval!r}")
     for name, value in (("speed", speed), ("horizon", horizon)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+        raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     width = b - a
     c = abs(speed)
     if c == 0.0:

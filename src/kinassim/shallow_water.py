@@ -97,10 +97,11 @@ class SWState:
         for name in ("h", "q", "z_b"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         n = self.grid.n_cells
-        if not (self.h.shape == self.q.shape == self.z_b.shape == (n,)):
-            raise ValueError("state arrays must match the grid size")
         for name, what in (("h", "water depth"), ("q", "discharge"), ("z_b", "bed elevation")):
             values = getattr(self, name)
+            if values.shape != (n,):
+                raise ValueError(f"state arrays must match the grid size, got {name} of "
+                                 f"shape {values.shape} on {n} cells")
             finite = np.isfinite(values)
             if not finite.all():
                 cell = int(np.argmin(finite))
@@ -524,7 +525,7 @@ def sv_cfl(state: SWState, lam: float, safety: float = 0.95) -> float:
     """
     _check_gain(lam)
     if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
+        raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     return state._bed.bound(state.max_wave_speed, lam, safety)
 
 

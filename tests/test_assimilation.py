@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -655,6 +656,30 @@ class TestInitialDataOnTheGrid:
         # a missing u0 raised "xi_max must exceed xi_min"
         with pytest.raises(ValueError, match="truth_u0 must have shape"):
             replace(burgers_config(), truth_u0=None)
+
+
+def identical_linear_twin():
+    """A linear twin whose observer starts on its truth: every error is 0."""
+    cfg = linear_config(1.0)
+    return replace(cfg, observer_u0=cfg.truth_u0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GainSchedule(1.0, sigma=math.nan), "gain sigma must be finite, got nan"),
+    (lambda: GainSchedule(1.0, sigma=-math.inf), "gain sigma must be finite, got -inf"),
+    (lambda: GainSchedule(1.0, TemporalMode.MOLLIFIED),
+     "mollified gain requires a positive sigma, got None"),
+    (lambda: GainSchedule(1.0, TemporalMode.MOLLIFIED, -0.1),
+     "mollified gain requires a positive sigma, got -0.1"),
+    (lambda: replace(burgers_config(), model="euler"), "unknown model 'euler'"),
+    (lambda: gain_list([]), "sweep needs at least one gain value, got []"),
+    (lambda: decay_study(identical_linear_twin()),
+     "not enough positive error samples to fit a decay rate, got 0 of "),
+], ids=["sigma_nan", "sigma_neg_inf", "mollified_sigma_none", "mollified_sigma_negative",
+        "unknown_model", "no_gain", "no_positive_error"])
+def test_assimilation_refusals_name_the_field_and_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestSettingsRefused:

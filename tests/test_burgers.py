@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,33 @@ class TestCfl:
         "cfl_dx_inf"])
 def test_grid_and_cfl_refuse_non_finite_input_by_name(call, match):
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Grid1D(1, 0.0, 1.0), "n_cells must be >= 2, got 1"),
+    (lambda: Grid1D(10, 1.0, 1.0), "x_max must exceed x_min, got x_min=1.0, x_max=1.0"),
+    (lambda: Grid1D(10, 1.0, -1.0), "x_max must exceed x_min, got x_min=1.0, x_max=-1.0"),
+    (lambda: XiGrid(1.0, 1.0, 8), "xi_max must exceed xi_min, got xi_min=1.0, xi_max=1.0"),
+    (lambda: XiGrid(0.5, -0.5, 8), "xi_max must exceed xi_min, got xi_min=0.5, xi_max=-0.5"),
+    (lambda: XiGrid(-1.0, 1.0, 0), "n_xi must be >= 1, got 0"),
+], ids=["one_cell", "empty_interval", "reversed_interval", "empty_xi_interval",
+        "reversed_xi_interval", "no_xi_cell"])
+def test_grid_refusals_name_the_field_and_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: burgers_cfl(0.1, math.inf), "xi_sup must be finite, got inf"),
+    (lambda: burgers_cfl(-math.inf, 1.0), "dx must be finite, got -inf"),
+    (lambda: burgers_cfl(0.0, 1.0), "dx and xi_sup must be positive, got dx=0.0, xi_sup=1.0"),
+    (lambda: burgers_cfl(0.1, -2.0), "dx and xi_sup must be positive, got dx=0.1, xi_sup=-2.0"),
+    (lambda: burgers_cfl(0.1, 1.0, 1.5), "safety must lie in (0, 1], got 1.5"),
+    (lambda: burgers_cfl(0.1, 1.0, 0.0), "safety must lie in (0, 1], got 0.0"),
+], ids=["xi_sup_inf", "dx_neg_inf", "dx_zero", "xi_sup_negative", "safety_high", "safety_zero"])
+def test_burgers_cfl_refusals_name_the_field_and_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 

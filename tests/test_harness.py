@@ -221,6 +221,48 @@ class TestParseConfig:
         assert cli.main([command, str(path), "--quiet"]) == 1
         assert re.search(f"config error: {message}", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("fixture, edits, message", [
+        ("burgers_clean.cfg", [(r"^temporal = .*$", "temporal = sometimes")],
+         "[gain] temporal: unknown value 'sometimes'"),
+        ("burgers_clean.cfg", [(r"^kind = .*\n", "")], "[model] missing required key 'kind'"),
+        ("burgers_clean.cfg", [(r"^kind = .*$", "kind = euler")],
+         "[model] kind must be burgers or shallow_water, got 'euler'"),
+        ("burgers_clean.cfg", [(r"^n_cells = .*\n", "")], "[grid] missing required key 'n_cells'"),
+        ("burgers_clean.cfg", [(r"^\[truth\]\nic = .*$", "[truth]\nic = triangle")],
+         "[truth] unknown Burgers ic 'triangle'"),
+        ("dam_break.cfg", [(r"^\[observer\]\nic = .*$", "[observer]\nic = tsunami")],
+         "[observer] unknown shallow-water ic 'tsunami'"),
+        ("thacker.cfg", [(r"^bathymetry = .*$", "bathymetry = flat"), (r"^bowl_.*\n", "")],
+         "[truth] ic 'thacker_planar' needs bathymetry = parabolic_bowl"),
+        ("thacker.cfg", [(r"^every = .*$", "every = 0.0")],
+         "[observations] every must be positive, got 0.0"),
+        ("thacker.cfg", [(r"^every = .*$", "every = -0.05")],
+         "[observations] every must be positive, got -0.05"),
+        ("burgers_clean.cfg", [(r"^count = .*$", "count = 0")],
+         "[observations] count must be >= 1, got 0"),
+        ("burgers_clean.cfg", [(r"^t_last = .*$", "t_last = 2.0\nmask_lo = 0.1")],
+         "[observations] mask_lo and mask_hi must be given together, got mask_lo = 0.1 alone"),
+        ("thacker.cfg", [(r"^mask_lo = .*\n", "")],
+         "[observations] mask_lo and mask_hi must be given together, got mask_hi = 2.5 alone"),
+        ("dam_break.cfg", [(r"^bathymetry = .*$", "bathymetry = ramp")],
+         "[grid] unknown bathymetry 'ramp'"),
+    ], ids=["unknown_enum_value", "missing_kind", "unknown_kind", "missing_required_key",
+            "unknown_burgers_ic", "unknown_shallow_water_ic", "thacker_ic_on_a_flat_bed",
+            "every_zero", "every_negative", "count_zero", "mask_lo_alone", "mask_hi_alone",
+            "unknown_bathymetry"])
+    def test_refusal_names_the_key_and_value(self, tmp_path, capsys, fixture, edits, message):
+        body = Path(fixture_path(fixture)).read_text()
+        for pattern, replacement in edits:
+            body, count = re.subn(pattern, replacement, body, flags=re.M)
+            assert count  # the edit applies
+        path = tmp_path / fixture
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(str(path))
+        command = "run-sv" if "shallow_water" in body else "run-burgers"
+        assert cli.main([command, str(path), "--quiet"]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["truth", "observer"])
     def test_bowl_under_a_dam_break_rejected(self, tmp_path, capsys, section):
         # the flat-bed dam break dropped the bowl: both beds read 0.0

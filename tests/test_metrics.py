@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from kinassim.grid import Grid1D
 from kinassim.metrics import (
     ErrorRecorder,
+    ErrorSeries,
     fit_log_slope,
     l1_absolute,
     l1_relative,
@@ -98,6 +101,22 @@ class TestSobolevSeminorm:
         grid = Grid1D(16, 0.0, 1.0)
         with pytest.raises(ValueError):
             sobolev_seminorm(np.zeros(16), 1.5, grid)
+
+
+def error_series(lengths):
+    """An ErrorSeries of three times whose norms have ``lengths``."""
+    return ErrorSeries(np.zeros(3), *(np.zeros(n) for n in lengths))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: error_series([2, 3, 3, 3]), "l1_rel length does not match times, got 2 against 3"),
+    (lambda: error_series([3, 3, 3, 4]), "sobolev length does not match times, got 4 against 3"),
+    (lambda: sweep_minimum([(1.0, 0.5), (2.0, 0.1)]), "sweep needs at least 3 points, got 2"),
+    (lambda: sweep_minimum([]), "sweep needs at least 3 points, got 0"),
+], ids=["short_l1_rel", "long_sobolev", "two_points", "no_point"])
+def test_metrics_refusals_name_the_field_and_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestErrorRecorder:

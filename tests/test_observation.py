@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,26 @@ class FakeTruth:
         self.trajectory_times = np.asarray(times, dtype=float)
         self.trajectory_fields = np.asarray(fields, dtype=float)
         self.grid = grid
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: three_times_series([0.0, 0.5, 0.5]),
+     "observation times must be strictly increasing, got [0.0, 0.5, 0.5]"),
+    (lambda: three_times_series([1.0, 0.5]),
+     "observation times must be strictly increasing, got [1.0, 0.5]"),
+    (lambda: ObservationSeries([0.0, 1.0], np.zeros((3, 4)), np.ones(4, dtype=bool),
+                               Grid1D(4, 0.0, 1.0)),
+     "fields shape must be (n_times, n_cells), got (3, 4) for 2 times on 4 cells"),
+    (lambda: sample_observations(FakeTruth([], [], Grid1D(4, 0.0, 1.0)), [0.5]),
+     "truth run carries no recorded trajectory, got trajectory_times []"),
+    (lambda: observability_check(1.0, (0.2, 0.4), -1.0), "horizon must be nonnegative, got -1.0"),
+    (lambda: observability_check(1.0, (0.4, 0.2), 1.0),
+     "interval must satisfy 0 < a < b < 1, got (0.4, 0.2)"),
+], ids=["repeated_time", "decreasing_times", "fields_shape", "empty_trajectory",
+        "negative_horizon", "reversed_interval"])
+def test_observation_refusals_name_the_field_and_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def unit_grid(n=100):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -632,6 +633,25 @@ class TestStatesAndWorkBuffers:
         assert new.a.shape == (3, k, n) and kept == new.a.nbytes
         assert peaks[0] - before < n
         assert peak - before - new.a.nbytes < n
+
+
+def four_cell_state(h=(1.0,) * 4, q=(0.0,) * 4, z_b=(0.0,) * 4):
+    return SWState(np.array(h), np.array(q), np.array(z_b), wall_grid(4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: four_cell_state(h=(1.0,) * 3),
+     "state arrays must match the grid size, got h of shape (3,) on 4 cells"),
+    (lambda: four_cell_state(q=(0.0,) * 5),
+     "state arrays must match the grid size, got q of shape (5,) on 4 cells"),
+    (lambda: four_cell_state(z_b=[(0.0,) * 4]),
+     "state arrays must match the grid size, got z_b of shape (1, 4) on 4 cells"),
+    (lambda: sv_cfl(four_cell_state(), 0.0, safety=1.5), "safety must lie in (0, 1], got 1.5"),
+    (lambda: sv_cfl(four_cell_state(), 0.0, safety=0.0), "safety must lie in (0, 1], got 0.0"),
+], ids=["short_depth", "long_discharge", "bed_of_one_row", "safety_high", "safety_zero"])
+def test_shallow_water_refusals_name_the_field_and_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestNonFiniteRefused:
