@@ -36,10 +36,10 @@ each window from that record (``_Truth.resolve``).  One time loop
 row, and resolves nothing where no row has a positive gain.  Its substep
 windows tile each truth step and each resolves its own, so an observation
 time fires in the one window that holds it, and a window's firing depends
-on its bounds alone.  The truth leads: before the
-observers take a truth step, the truth has taken it and has passed every
-observation time that step's windows read (``_Truth.lead``).  The truth
-samples each observation time as it steps past it (``_Truth.take``).  It
+on its bounds alone.  The truth leads: before the observers take a truth
+step, the truth has taken it and has passed every observation time that
+step's windows read (``_Truth.lead``).  The truth samples each observation
+time as it steps past it (``_Truth.take``).  It
 steps alone only to lead and to finish: wherever the truth steps through
 its observers' lane object (the linear, Engquist-Osher and collapse lanes,
 and Saint-Venant on the observers' grid and bed), the first observer
@@ -861,16 +861,16 @@ def _run_lockstep(config: RunConfig, lane: _Lane, state, truth: _Truth,
     errors (L1 relative, L1, L2, Sobolev) and the energy of every
     record_every-th step and of the last; one RunResult per row.
 
-    Each truth step's window is resolved once (``_Truth.resolve``), and its
-    answer is the observed field the observer's bound is probed on.  A truth
+    Each truth step's window is resolved once (``_Truth.resolve``), and the
+    field of its first term is what the observer's bound is probed on.  A truth
     step longer than that bound is divided into m substeps of dt / m, and
     every substep, the first included, resolves its own window; an undivided
     step takes the step's answer.  Where no row has a positive gain nothing
     is resolved, so such a run takes no probe and no source.  The windows
-    tile the run: substep j of truth step n
-    holds [t_n + j sub, t_n + (j + 1) sub), the last one ends at t_{n+1},
-    and the run's last window has no end, so an observation time past the
-    truth's last step but inside the horizon fires too.  The first substep
+    tile the run: substep j of truth step n holds
+    [t_n + j sub, t_n + (j + 1) sub), the last one ends at t_{n+1}, and the
+    run's last window has no end, so an observation time past the truth's
+    last step but inside the horizon fires too.  The first substep
     of each truth step takes the truth's next step beside it, while the
     truth has steps left, wherever the truth steps through the observers'
     lane (``_Truth.step_beside``).
